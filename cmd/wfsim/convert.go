@@ -169,7 +169,7 @@ func cmdCluster(args []string) error {
 		return err
 	}
 	fmt.Printf("%d clusters over %d workflows (%s, minsim %.2f, %d pairs skipped, %v)\n",
-		len(res.Clusters), eng.Repository().Size(), res.Measure, *minSim, res.Skipped, time.Since(t0).Round(time.Millisecond))
+		len(res.Clusters), eng.Size(), res.Measure, *minSim, res.Skipped, time.Since(t0).Round(time.Millisecond))
 	for k, members := range res.Clusters {
 		if k >= *limit {
 			fmt.Printf("... and %d more clusters\n", len(res.Clusters)-*limit)

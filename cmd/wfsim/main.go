@@ -257,7 +257,7 @@ func cmdDupes(args []string) error {
 		}
 	}
 	fmt.Printf("%d near-duplicate pairs (>= %.2f under %s) among %d workflows in %v (%d pairs skipped)\n",
-		len(pairs), *threshold, stats.Measure, eng.Repository().Size(), stats.Elapsed.Round(time.Millisecond), stats.Skipped)
+		len(pairs), *threshold, stats.Measure, eng.Size(), stats.Elapsed.Round(time.Millisecond), stats.Skipped)
 	if *cacheSize > 0 {
 		fmt.Printf("score cache: %d hits, %d misses on the last scan\n", stats.CacheHits, stats.CacheMisses)
 	}

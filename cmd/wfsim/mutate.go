@@ -62,12 +62,22 @@ func cmdAdd(args []string) error {
 	if target == "" {
 		target = *corpusPath
 	}
-	if err := eng.Repository().SaveFile(target); err != nil {
+	if err := saveCorpus(eng, target); err != nil {
 		return err
 	}
 	fmt.Printf("added %d workflows: %d total at generation %d, written to %s\n",
-		len(muts), eng.Repository().Size(), gen, target)
+		len(muts), eng.Size(), gen, target)
 	return nil
+}
+
+// saveCorpus writes the engine's current corpus (in ID order) to a corpus
+// file.
+func saveCorpus(eng *wfsim.Engine, path string) error {
+	repo, err := wfsim.NewRepository(eng.Workflows()...)
+	if err != nil {
+		return err
+	}
+	return repo.SaveFile(path)
 }
 
 // cmdRm applies a RemoveWorkflow mutation batch to a corpus and writes the
@@ -100,10 +110,10 @@ func cmdRm(args []string) error {
 	if target == "" {
 		target = *corpusPath
 	}
-	if err := eng.Repository().SaveFile(target); err != nil {
+	if err := saveCorpus(eng, target); err != nil {
 		return err
 	}
 	fmt.Printf("removed %d workflows: %d remain at generation %d, written to %s\n",
-		len(muts), eng.Repository().Size(), gen, target)
+		len(muts), eng.Size(), gen, target)
 	return nil
 }

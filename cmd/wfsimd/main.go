@@ -21,14 +21,15 @@
 // -corpus may only be combined with a -data directory that holds no state
 // yet; the preload then becomes the baseline snapshot.
 //
-// With -shards N (N > 1) the corpus is partitioned across N in-process
-// shards by consistent-hashed workflow ID: mutation batches commit
-// all-or-nothing across the touched shards, reads scatter-gather with
-// per-shard generation vectors stamped into every response, and a -data
-// directory holds one subdirectory per shard. A sharded data directory
-// records its shard count and refuses to reopen under a different -shards
-// value. See the package documentation of repro/pkg/wfsim/serve for the
-// endpoint reference.
+// The corpus is partitioned across -shards N in-process shards (default 1)
+// by consistent-hashed workflow ID: mutation batches commit all-or-nothing
+// across the touched shards and reads scatter-gather over all of them. With
+// N > 1 every response additionally carries the per-shard generation vector,
+// and a -data directory holds one subdirectory per shard plus a marker
+// recording N; with one shard the store lies flat in the directory. A data
+// directory refuses to reopen under a different -shards value. See the
+// package documentation of repro/pkg/wfsim/serve for the endpoint
+// reference.
 package main
 
 import (
@@ -59,7 +60,7 @@ func run(args []string) error {
 	addr := fs.String("addr", ":8080", "listen address")
 	corpusPath := fs.String("corpus", "", "corpus JSON to serve (empty repository when omitted)")
 	dataDir := fs.String("data", "", "data directory for durable storage (RAM-only when omitted)")
-	shards := fs.Int("shards", 1, "partition the corpus across N in-process shards (1 = single engine)")
+	shards := fs.Int("shards", 1, "partition the corpus across N in-process shards; a -data directory reopens only with the count it was written with")
 	compactBytes := fs.Int64("compact-bytes", 0, "compact the mutation log past this many bytes (0 = default 8 MiB)")
 	compactRecords := fs.Int("compact-records", 0, "compact the mutation log past this many records (0 = default 4096)")
 	useIndex := fs.Bool("index", false, "enable filter-and-refine inverted-index acceleration")
@@ -102,12 +103,9 @@ func run(args []string) error {
 		}
 	}
 
-	var opts []wfsim.Option
-	if *shards != 1 {
-		// Engine construction validates the count and, with -data, refuses a
-		// directory initialised under a different shard count.
-		opts = append(opts, wfsim.WithShards(*shards))
-	}
+	// Engine construction validates the count and, with -data, refuses a
+	// directory written under a different shard count.
+	opts := []wfsim.Option{wfsim.WithShards(*shards)}
 	if *dataDir != "" {
 		opts = append(opts, wfsim.WithStorage(*dataDir,
 			wfsim.StorageCompaction(*compactBytes, *compactRecords),
@@ -154,11 +152,7 @@ func run(args []string) error {
 
 	errc := make(chan error, 1)
 	go func() {
-		if n := eng.Shards(); n > 1 {
-			log.Printf("wfsimd: serving %d workflows across %d shards (generations %v) on %s", eng.Size(), n, eng.Generations(), *addr)
-		} else {
-			log.Printf("wfsimd: serving %d workflows (generation %d) on %s", eng.Size(), eng.Generation(), *addr)
-		}
+		log.Printf("wfsimd: serving %d workflows on %d shard(s) (generations %v) on %s", eng.Size(), eng.Shards(), eng.Generations(), *addr)
 		errc <- httpServer.ListenAndServe()
 	}()
 

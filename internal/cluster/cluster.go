@@ -53,8 +53,8 @@ func BuildMatrix(ctx context.Context, repo search.Corpus, m measures.Measure, pa
 				return err
 			}
 			// Evaluate in ID order so the cell value is a function of the
-			// unordered pair (see search.Duplicates): measures need not be
-			// bit-symmetric under operand swap.
+			// unordered pair: measures need not be bit-symmetric under
+			// operand swap.
 			x, y := workflow.OrderPair(wfs[i], wfs[j])
 			s, err := m.Compare(x, y)
 			if err != nil {

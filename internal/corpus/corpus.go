@@ -206,7 +206,7 @@ func (r *Repository) AdoptSymtab(t *symtab.Table) error {
 // addLocked is the single insertion path shared by NewRepository, Add and
 // ApplyBatch; it validates the workflow and mutates the private state.
 func (r *Repository) addLocked(wf *workflow.Workflow) error {
-	if err := r.checkAddable(wf, r.byID); err != nil {
+	if err := r.checkAddable(wf, r.hasLocked); err != nil {
 		return fmt.Errorf("corpus: %w", err)
 	}
 	r.workflows = append(r.workflows, wf)
@@ -214,17 +214,23 @@ func (r *Repository) addLocked(wf *workflow.Workflow) error {
 	return nil
 }
 
-// checkAddable validates an insertion against a membership map (the live
+// hasLocked reports whether the live repository holds the given ID.
+func (r *Repository) hasLocked(id string) bool {
+	_, ok := r.byID[id]
+	return ok
+}
+
+// checkAddable validates an insertion against a membership test (the live
 // index, or a staged overlay during batch validation). Errors carry no
 // package prefix; callers add their own context.
-func (r *Repository) checkAddable(wf *workflow.Workflow, member map[string]*workflow.Workflow) error {
+func (r *Repository) checkAddable(wf *workflow.Workflow, has func(id string) bool) error {
 	switch {
 	case wf == nil:
 		return fmt.Errorf("nil workflow (repository size %d)", len(r.workflows))
 	case wf.ID == "":
 		return fmt.Errorf("workflow without ID (repository size %d)", len(r.workflows))
 	}
-	if _, dup := member[wf.ID]; dup {
+	if has(wf.ID) {
 		return fmt.Errorf("%w %q (repository size %d)", ErrDuplicateID, wf.ID, len(r.workflows))
 	}
 	return nil
@@ -245,7 +251,7 @@ func (r *Repository) Add(wf *workflow.Workflow) error {
 	if r.byID == nil {
 		r.byID = map[string]*workflow.Workflow{}
 	}
-	if err := r.checkAddable(wf, r.byID); err != nil {
+	if err := r.checkAddable(wf, r.hasLocked); err != nil {
 		return fmt.Errorf("corpus: %w", err)
 	}
 	// Resolve before the hook so a write-ahead log sees the symbol delta
@@ -350,32 +356,37 @@ type Op struct {
 
 // validateBatchLocked runs the validation pass of a mutation batch over a
 // staged overlay of the current state; nothing is mutated. It is the prepare
-// phase of a transaction: an error means the batch cannot commit here.
+// phase of a transaction: an error means the batch cannot commit here. The
+// overlay holds only the IDs the batch itself touches (true = staged in,
+// false = staged out) and falls through to the live index for the rest, so
+// validation costs O(batch), not O(corpus).
 func (r *Repository) validateBatchLocked(ops []Op) error {
-	staged := make(map[string]*workflow.Workflow, len(r.byID)+len(ops))
-	for id, wf := range r.byID {
-		staged[id] = wf
+	staged := make(map[string]bool, len(ops))
+	has := func(id string) bool {
+		if present, ok := staged[id]; ok {
+			return present
+		}
+		return r.hasLocked(id)
 	}
 	for i, op := range ops {
 		switch op.Kind {
 		case OpAdd:
-			if err := r.checkAddable(op.Workflow, staged); err != nil {
+			if err := r.checkAddable(op.Workflow, has); err != nil {
 				return fmt.Errorf("corpus: batch op %d: %w", i, err)
 			}
-			staged[op.Workflow.ID] = op.Workflow
+			staged[op.Workflow.ID] = true
 		case OpRemove:
-			if _, ok := staged[op.ID]; !ok {
+			if !has(op.ID) {
 				return fmt.Errorf("corpus: batch op %d: workflow %q %w (repository size %d)", i, op.ID, ErrNotFound, len(r.workflows))
 			}
-			delete(staged, op.ID)
+			staged[op.ID] = false
 		case OpReplace:
 			if op.Workflow == nil {
 				return fmt.Errorf("corpus: batch op %d: nil workflow (repository size %d)", i, len(r.workflows))
 			}
-			if _, ok := staged[op.Workflow.ID]; !ok {
+			if !has(op.Workflow.ID) {
 				return fmt.Errorf("corpus: batch op %d: workflow %q %w (repository size %d)", i, op.Workflow.ID, ErrNotFound, len(r.workflows))
 			}
-			staged[op.Workflow.ID] = op.Workflow
 		default:
 			return fmt.Errorf("corpus: batch op %d: invalid op kind %d", i, op.Kind)
 		}
@@ -452,8 +463,9 @@ func (r *Repository) Restore(gen uint64, wfs ...*workflow.Workflow) error {
 		return fmt.Errorf("corpus: Restore into non-empty repository (size %d, generation %d)", len(r.workflows), r.gen.Load())
 	}
 	byID := make(map[string]*workflow.Workflow, len(wfs))
+	seen := func(id string) bool { return byID[id] != nil }
 	for _, wf := range wfs {
-		if err := r.checkAddable(wf, byID); err != nil {
+		if err := r.checkAddable(wf, seen); err != nil {
 			return fmt.Errorf("corpus: restore: %w", err)
 		}
 		byID[wf.ID] = wf

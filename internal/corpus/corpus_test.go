@@ -146,6 +146,50 @@ func TestApplyBatchTransactional(t *testing.T) {
 	if _, err := r.ApplyBatch([]Op{{}}); err == nil {
 		t.Error("zero op accepted")
 	}
+
+	// Staged-overlay cases: each op is judged against the live state plus
+	// the batch's own earlier ops, through ValidateBatch (prepare only) and
+	// ApplyBatch alike; a rejected batch leaves the generation untouched.
+	// Live state here: "1", "2", "3".
+	add := func(id string) Op { return Op{Kind: OpAdd, ID: id, Workflow: sample(id)} }
+	rm := func(id string) Op { return Op{Kind: OpRemove, ID: id} }
+	repl := func(id string) Op { return Op{Kind: OpReplace, ID: id, Workflow: sample(id)} }
+	for _, c := range []struct {
+		name string
+		ops  []Op
+		want error // nil = the batch commits
+	}{
+		{"add, remove, add again of a new ID", []Op{add("7"), rm("7"), add("7")}, nil},
+		{"remove, add, remove of a live ID", []Op{rm("1"), add("1"), rm("1")}, nil},
+		{"replace of an ID added earlier in the batch", []Op{add("8"), repl("8")}, nil},
+		{"remove then replace", []Op{rm("2"), repl("2")}, ErrNotFound},
+		{"remove twice", []Op{rm("2"), rm("2")}, ErrNotFound},
+		{"duplicate add inside the batch", []Op{add("9"), add("9")}, ErrDuplicateID},
+		{"add of a live ID", []Op{add("3")}, ErrDuplicateID},
+		{"re-add after remove then add", []Op{rm("3"), add("3"), add("3")}, ErrDuplicateID},
+	} {
+		genBefore, sizeBefore := r.Generation(), r.Size()
+		verr := r.ValidateBatch(c.ops)
+		if r.Generation() != genBefore {
+			t.Errorf("%s: ValidateBatch moved the generation", c.name)
+		}
+		gen, aerr := r.ApplyBatch(c.ops)
+		if c.want == nil {
+			if verr != nil || aerr != nil {
+				t.Errorf("%s: rejected (validate %v, apply %v)", c.name, verr, aerr)
+			} else if gen != genBefore+1 {
+				t.Errorf("%s: generation %d -> %d, want +1", c.name, genBefore, gen)
+			}
+			continue
+		}
+		if !errors.Is(verr, c.want) || !errors.Is(aerr, c.want) {
+			t.Errorf("%s: validate %v, apply %v, want %v", c.name, verr, aerr, c.want)
+		}
+		if r.Generation() != genBefore || r.Size() != sizeBefore {
+			t.Errorf("%s: failed batch moved generation %d -> %d, size %d -> %d",
+				c.name, genBefore, r.Generation(), sizeBefore, r.Size())
+		}
+	}
 }
 
 func TestAddErrorsIncludeSize(t *testing.T) {

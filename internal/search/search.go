@@ -224,63 +224,6 @@ func PoolResults(lists ...[]Result) []string {
 	return out
 }
 
-// Duplicates finds near-duplicate workflow pairs in a repository: pairs
-// scoring at or above threshold under m. It scans the upper triangle of the
-// pair matrix with a row-per-task worker pool (batch size 1, so the uneven
-// row lengths load-balance). Pairs the measure fails on are skipped and
-// counted. A cancelled context aborts the scan with the context's error.
-//
-//wfsimvet:hotpath
-func Duplicates(ctx context.Context, repo Corpus, m measures.Measure, threshold float64, par int) ([]Pair, int, error) {
-	wfs := repo.Workflows()
-	var mu sync.Mutex
-	var out []Pair
-	var skipped atomic.Int64
-	err := Batched(ctx, len(wfs), par, 1, func(i int) error {
-		a := wfs[i]
-		var row []Pair
-		for j := i + 1; j < len(wfs); j++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			// Measures are mathematically symmetric but not always
-			// bit-symmetric (summation order inside the matcher differs), so
-			// the pair is evaluated in ID order: the score is a function of
-			// the unordered pair, independent of corpus insertion order or of
-			// which shard of a scatter-gather scan evaluates it.
-			x, y := workflow.OrderPair(a, wfs[j])
-			s, err := m.Compare(x, y)
-			if err != nil {
-				skipped.Add(1)
-				continue
-			}
-			if s < threshold {
-				continue
-			}
-			row = append(row, Pair{A: a.ID, B: wfs[j].ID, Similarity: s})
-		}
-		if len(row) > 0 {
-			mu.Lock()
-			out = append(out, row...)
-			mu.Unlock()
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, 0, err
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Similarity != out[j].Similarity {
-			return out[i].Similarity > out[j].Similarity
-		}
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
-	return out, int(skipped.Load()), nil
-}
-
 // Pair is a scored workflow pair.
 type Pair struct {
 	A, B       string

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"testing"
 
-	"repro/internal/corpus"
 	"repro/internal/gen"
 	"repro/internal/measures"
 	"repro/internal/module"
@@ -152,33 +151,6 @@ func TestIDsAndPool(t *testing.T) {
 	}
 }
 
-func TestDuplicates(t *testing.T) {
-	// Two identical workflows plus one unrelated.
-	w1 := workflow.New("1")
-	w1.AddModule(&workflow.Module{Label: "get_pathway", Type: workflow.TypeWSDL})
-	w2 := w1.Clone()
-	w2.ID = "2"
-	w3 := workflow.New("3")
-	w3.AddModule(&workflow.Module{Label: "zzzzzz", Type: workflow.TypeWSDL})
-	repo, err := corpus.NewRepository(w1, w2, w3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	dups, skipped, err := Duplicates(context.Background(), repo, msMeasure(), 0.95, 2)
-	if skipped != 0 {
-		t.Errorf("skipped = %d", skipped)
-	}
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(dups) != 1 {
-		t.Fatalf("duplicates = %v, want exactly (1,2)", dups)
-	}
-	if dups[0].A != "1" || dups[0].B != "2" {
-		t.Errorf("pair = %+v", dups[0])
-	}
-}
-
 func BenchmarkTopK100Workflows(b *testing.B) {
 	p := gen.Taverna()
 	p.Workflows = 100
@@ -207,15 +179,6 @@ func TestTopKCancelledContext(t *testing.T) {
 	}
 	if results != nil {
 		t.Errorf("results = %v, want nil on cancellation", results)
-	}
-}
-
-func TestDuplicatesCancelledContext(t *testing.T) {
-	c := testCorpus(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, _, err := Duplicates(ctx, c.Repo, msMeasure(), 0.9, 2); !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
 

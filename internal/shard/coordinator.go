@@ -9,26 +9,30 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/search"
+	"repro/internal/storage"
 	"repro/internal/symtab"
 	"repro/internal/workflow"
 )
 
-// Coordinator implements the read/write surface of a single engine over N
+// Coordinator implements the engine's read/write surface over N >= 1
 // shards: it routes mutation batches to the owning shards with all-or-
 // nothing validation (prepare on every touched shard before any commit),
 // fans reads out via search.Batched, and merges per-shard results
 // deterministically.
 //
-// Concurrency model: writers are serialized by applyMu; the commit section
-// (WAL append + in-memory commit on every touched shard) additionally holds
-// the write half of viewMu, while readers capture a View — every shard's pin
-// — under the read half. A View is therefore always a commit-atomic frontier
-// of the generation vector: readers never observe half a cross-shard batch.
+// Concurrency model: writers (and Close) are serialized by applyMu; the
+// commit section (WAL append + in-memory commit on every touched shard)
+// additionally holds the write half of viewMu, while readers capture a View
+// — every shard's pin — under the read half. A View is therefore always a
+// commit-atomic frontier of the generation vector: readers never observe
+// half a cross-shard batch.
 type Coordinator struct {
 	ring   *Ring
 	shards []Shard
 
-	applyMu sync.Mutex   // serializes cross-shard Apply transactions
+	applyMu sync.Mutex   // serializes Apply transactions and Close
+	gens    []uint64     // committed generation vector; guarded by applyMu
+	closed  bool         // Close ran: Apply is fenced; guarded by applyMu
 	viewMu  sync.RWMutex // W: commit section; R: View capture
 }
 
@@ -55,7 +59,11 @@ func NewCoordinator(shards []Shard) (*Coordinator, error) {
 			return nil, fmt.Errorf("shard: coordinator over %d shards with distinct symbol tables (shard %d differs); share one table via LocalConfig.Symtab", len(shards), i)
 		}
 	}
-	return &Coordinator{ring: ring, shards: shards}, nil
+	gens := make([]uint64, len(shards))
+	for i, s := range shards {
+		gens[i] = s.Pin().Generation()
+	}
+	return &Coordinator{ring: ring, shards: shards, gens: gens}, nil
 }
 
 // Shards returns the shard count.
@@ -85,8 +93,13 @@ func (c *Coordinator) WarmLoad(sig string, epoch uint64) int {
 	return n
 }
 
-// Close closes every shard, returning the first error.
+// Close closes every shard, returning the first error. It waits out an
+// Apply in flight and fences later ones: they fail with storage.ErrClosed
+// instead of committing in RAM what no log records any more.
 func (c *Coordinator) Close(warm *WarmSpec) error {
+	c.applyMu.Lock()
+	defer c.applyMu.Unlock()
+	c.closed = true
 	var firstErr error
 	for _, s := range c.shards {
 		if err := s.Close(warm); err != nil && firstErr == nil {
@@ -127,8 +140,8 @@ func (v View) Generations() []uint64 {
 }
 
 // AggregateGeneration is the sum of the generation vector — a monotonic
-// scalar (every commit bumps at least one shard) for callers that want the
-// single-engine shape; it equals the plain generation at one shard.
+// scalar (every commit bumps at least one shard) for callers that want one
+// number; it equals the plain generation at one shard.
 func (v View) AggregateGeneration() uint64 {
 	var sum uint64
 	for _, p := range v.pins {
@@ -180,6 +193,9 @@ func (v View) Union() []*workflow.Workflow {
 func (c *Coordinator) Apply(ops []corpus.Op) ([]uint64, error) {
 	c.applyMu.Lock()
 	defer c.applyMu.Unlock()
+	if c.closed {
+		return nil, fmt.Errorf("shard: apply after close: %w", storage.ErrClosed)
+	}
 
 	split := make([][]corpus.Op, len(c.shards))
 	for _, op := range ops {
@@ -204,14 +220,12 @@ func (c *Coordinator) Apply(ops []corpus.Op) ([]uint64, error) {
 		if len(sub) == 0 {
 			continue
 		}
-		if _, err := c.shards[i].Commit(sub); err != nil {
+		gen, err := c.shards[i].Commit(sub)
+		if err != nil {
 			c.viewMu.Unlock()
 			return nil, fmt.Errorf("shard %d: commit after cross-shard validation: %w (shards before it committed — generations are mixed; see storage logs)", i, err)
 		}
-	}
-	gens := make([]uint64, len(c.shards))
-	for i, s := range c.shards {
-		gens[i] = s.Info().Generation
+		c.gens[i] = gen
 	}
 	c.viewMu.Unlock()
 	// Deferrable maintenance (log compaction) outside the read-blocking
@@ -221,12 +235,12 @@ func (c *Coordinator) Apply(ops []corpus.Op) ([]uint64, error) {
 			c.shards[i].Maintain()
 		}
 	}
-	return gens, nil
+	return append([]uint64(nil), c.gens...), nil
 }
 
 // Search fans the query out to every pin via search.Batched and merges the
-// per-shard top-k lists into the global top-k with single-engine
-// tie-breaking. Stats are summed across shards.
+// per-shard top-k lists into the global top-k (search.SortResults order, so
+// ties break the same at every shard count). Stats are summed across shards.
 func (c *Coordinator) Search(ctx context.Context, v View, prep *ScanPrep, q Query) ([]search.Result, ReadStats, error) {
 	per := make([][]search.Result, len(v.pins))
 	perStats := make([]ReadStats, len(v.pins))
@@ -277,9 +291,9 @@ func (v View) blocks() []pairBlock {
 // Duplicates scans the view's global pair triangle — every intra-shard and
 // cross-shard block — for pairs scoring at or above threshold, fanning
 // blocks out via search.Batched (each block runs its own row pool of width
-// par, the per-shard worker budget). The merged list carries the exact
-// single-engine order; pairs are oriented A <= B by ID regardless of which
-// shard executed their block.
+// par, the per-shard worker budget). The merged list is in SortPairs order;
+// pairs are oriented A <= B by ID regardless of which shard executed their
+// block.
 func (c *Coordinator) Duplicates(ctx context.Context, v View, prep *ScanPrep, threshold float64, par int) ([]search.Pair, ReadStats, error) {
 	blocks := v.blocks()
 	perPairs := make([][]search.Pair, len(blocks))
@@ -340,6 +354,7 @@ func (c *Coordinator) Matrix(ctx context.Context, v View, prep *ScanPrep, par in
 		um.scorers[i].prep = prep
 		if local, ok := v.pins[i].(*localPin); ok {
 			um.scorers[i].cache = local.s.cache
+			um.scorers[i].tab = local.s.syms
 		}
 	}
 	mat, err := cluster.BuildMatrix(ctx, unionCorpus(v.Union()), um, par)

@@ -10,10 +10,12 @@ import (
 	"repro/internal/storage"
 )
 
-// MarkerFormat identifies the on-disk sharded layout. It covers both the
-// directory structure (shards.json + shard-NNNN subdirectories) and the
-// partitioning function (FNV-1a ring, 64 virtual nodes per shard): a change
-// to either needs a new format string.
+// MarkerFormat identifies the on-disk layout of a data directory split
+// across two or more shards. It covers both the directory structure
+// (shards.json + shard-NNNN subdirectories) and the partitioning function
+// (FNV-1a ring, 64 virtual nodes per shard): a change to either needs a new
+// format string. A one-shard deployment has nothing to partition and uses the
+// flat layout: its single store lives at the root, with no marker.
 const MarkerFormat = "wfsim-shards-v1"
 
 // markerFile is the layout marker at the root of a sharded data directory.
@@ -29,8 +31,17 @@ func ShardDir(root string, i int) string {
 	return filepath.Join(root, fmt.Sprintf("shard-%04d", i))
 }
 
+// StoreDir returns where shard i of an n-shard deployment keeps its store:
+// root itself in the flat one-shard layout, ShardDir otherwise.
+func StoreDir(root string, n, i int) string {
+	if n == 1 {
+		return root
+	}
+	return ShardDir(root, i)
+}
+
 // ReadMarker reports the shard count recorded in root's layout marker.
-// ok is false when no marker exists (the directory is unsharded or empty).
+// ok is false when no marker exists (the directory is flat or empty).
 func ReadMarker(root string) (n int, ok bool, err error) {
 	data, err := os.ReadFile(filepath.Join(root, markerFile))
 	if errors.Is(err, os.ErrNotExist) {
@@ -74,23 +85,25 @@ func WriteMarker(root string, n int) error {
 	return nil
 }
 
-// CheckLayout validates root for opening with n shards and initialises the
-// marker when the directory is fresh. It refuses, with a clear error, to
-// reinterpret a directory written under a different shard count or an
-// unsharded (flat) layout — resharding on disk is never silent.
+// CheckLayout validates root for opening with n shards and, for n >= 2,
+// initialises the marker when the directory is fresh. It refuses, with a
+// clear error, to reinterpret a directory written under a different shard
+// count in either direction — resharding on disk is never silent — and a
+// refusal leaves the directory untouched.
 func CheckLayout(root string, n int) error {
 	recorded, ok, err := ReadMarker(root)
 	if err != nil {
 		return err
 	}
 	if ok {
-		if recorded != n {
-			return fmt.Errorf("shard: data directory %s was written with %d shards; refusing to open with %d (resharding on disk is not supported — start with -shards %d or point at a fresh directory)", root, recorded, n, recorded)
+		if recorded != n || n == 1 {
+			return fmt.Errorf("shard: data directory %s holds a sharded corpus written with %d shards; refusing to open with %d (resharding on disk is not supported — start with -shards %d or point at a fresh directory)", root, recorded, n, recorded)
 		}
 		return nil
 	}
-	// No marker. A flat (unsharded) storage layout here means the directory
-	// belongs to a 1-shard engine from before sharding existed.
+	if n == 1 {
+		return nil // the flat layout needs no marker
+	}
 	flat, err := storage.DirHasState(root)
 	if err != nil {
 		return err
@@ -101,27 +114,13 @@ func CheckLayout(root string, n int) error {
 	return WriteMarker(root, n)
 }
 
-// DirHasState reports whether root holds any durable corpus state in the
-// sharded layout: a layout marker, or stored state under any shard
-// subdirectory.
+// DirHasState reports whether root holds any durable corpus state, in
+// either layout: a flat store, or a layout marker. The marker alone counts —
+// it pins the directory to a shard count even before the first commit, so
+// preloads must not silently adopt it.
 func DirHasState(root string) (bool, error) {
-	recorded, ok, err := ReadMarker(root)
-	if err != nil {
-		return false, err
+	if _, ok, err := ReadMarker(root); err != nil || ok {
+		return ok, err
 	}
-	if !ok {
-		return false, nil
-	}
-	for i := 0; i < recorded; i++ {
-		has, err := storage.DirHasState(ShardDir(root, i))
-		if err != nil {
-			return false, err
-		}
-		if has {
-			return true, nil
-		}
-	}
-	// The marker alone pins the directory to a shard count even before the
-	// first commit: treat it as state so preloads don't silently adopt it.
-	return true, nil
+	return storage.DirHasState(root)
 }

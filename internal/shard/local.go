@@ -33,10 +33,12 @@ type LocalConfig struct {
 	// persists it as the baseline snapshot when the shard is durable).
 	// Seeding a shard that recovered state is an error.
 	Seed []*workflow.Workflow
-	// Symtab, when non-nil, is the symbol table this shard's repository
-	// interns into — one table shared by every shard of a deployment, so a
-	// workflow's interned IDs mean the same thing on whichever shard scores
-	// it. Nil gives the shard's repository its own private table.
+	// Symtab is the symbol table this shard's repository interns into — one
+	// table shared by every shard of a deployment, so a workflow's interned
+	// IDs mean the same thing on whichever shard scores it. Nil disables
+	// interning: workflows stay unresolved, every comparison uses exact
+	// string semantics and no pair is cached — the string baseline the
+	// interned representation is tested against.
 	Symtab *symtab.Table
 }
 
@@ -72,6 +74,7 @@ func NewLocal(id int, cfg LocalConfig) (*Local, error) {
 		repo:        repo,
 		minShared:   cfg.MinShared,
 		concurrency: cfg.Concurrency,
+		syms:        cfg.Symtab,
 		warnf:       cfg.Storage.Warnf,
 	}
 	if s.warnf == nil {
@@ -80,19 +83,13 @@ func NewLocal(id int, cfg LocalConfig) (*Local, error) {
 	if cfg.CacheSize > 0 {
 		s.cache = scorecache.New(cfg.CacheSize)
 	}
-	// Wire the shared symbol table (or the repository's own) before any
-	// workflow enters the repository, so every ingest resolves against it.
-	tab := cfg.Symtab
-	if tab != nil {
-		if err := repo.AdoptSymtab(tab); err != nil {
-			return nil, fmt.Errorf("shard %d: %w", id, err)
-		}
-	} else {
-		tab = repo.Symtab()
+	// Wire the symbol table before any workflow enters the repository, so
+	// every ingest resolves against it.
+	if err := repo.AdoptSymtab(cfg.Symtab); err != nil {
+		return nil, fmt.Errorf("shard %d: %w", id, err)
 	}
-	s.syms = tab
 	if cfg.Dir != "" {
-		cfg.Storage.Symtab = tab
+		cfg.Storage.Symtab = cfg.Symtab
 		store, wfs, gen, err := storage.Open(cfg.Dir, cfg.Storage)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", id, err)
@@ -154,8 +151,11 @@ func (s *Local) Validate(ops []corpus.Op) error {
 }
 
 // Commit implements Shard: applies a coordinator-validated sub-batch and
-// maintains the inverted index incrementally, mirroring the single-engine
-// Apply path (full rebuild only on drift).
+// maintains the inverted index incrementally — O(labels) per op, under one
+// index write lock together with the generation stamp, so a concurrent
+// search never passes the generation check against a half-applied index.
+// The full rebuild is drift recovery only: an index that was not current
+// for the pre-batch generation, or a batch the index rejects.
 func (s *Local) Commit(ops []corpus.Op) (uint64, error) {
 	gen, err := s.repo.ApplyBatch(ops)
 	if err != nil {
@@ -237,7 +237,7 @@ func (s *Local) WarmLoad(sig string, epoch uint64) int {
 	// is symbol-table independent); resolve them against the live table.
 	// An ID with no symbol belongs to a workflow this table never saw —
 	// the entry is stale and is skipped rather than mis-keyed.
-	tab := s.repo.Symtab()
+	tab := s.syms
 	if tab == nil {
 		return 0
 	}
@@ -278,7 +278,7 @@ func (s *Local) Close(warm *WarmSpec) error {
 			exported := s.cache.Export(func(k scorecache.Key) bool {
 				return k.Gen == packed && k.Proj == warm.Epoch
 			})
-			if tab := s.repo.Symtab(); tab != nil && len(exported) > 0 {
+			if tab := s.syms; tab != nil && len(exported) > 0 {
 				// Persist workflow IDs as strings: the cache file outlives
 				// this process's symbol table, so entries are re-resolved at
 				// the next boot's WarmLoad.
@@ -327,12 +327,13 @@ func (p *localPin) Workflows() []*workflow.Workflow  { return p.snap.Workflows()
 
 // searchMeasure adapts one shard's scan state to measures.Measure for the
 // index refine stage and the full-scan TopK: per candidate it routes the
-// pre-projected pair through the shard's cache and the scan's specialised
-// measure. Compare's first argument is always the query.
+// pair through the shard's cache and the scan's specialised measure. The
+// query is projected once per scan; a candidate meets the query once, so it
+// is projected only if its pair misses the cache. Compare's first argument
+// is always the query.
 type searchMeasure struct {
 	pin       *localPin
 	prep      *ScanPrep
-	pr        *Prepared
 	scorer    pairScorer
 	queryOrig *workflow.Workflow
 	queryProj *workflow.Workflow
@@ -343,26 +344,27 @@ type searchMeasure struct {
 func (sm *searchMeasure) Name() string { return sm.prep.Name }
 
 func (sm *searchMeasure) Compare(_, wf *workflow.Workflow) (float64, error) {
-	// Cache only snapshot-owned candidates (an index candidate captured
-	// across a compaction, or the query itself under IncludeQuery, is scored
-	// but never cached — same ownership rule as the single-engine cache).
+	// Cache only snapshot-owned candidates: an index candidate captured
+	// across a compaction, or an external query under IncludeQuery, can share
+	// an ID with a corpus workflow without sharing its content.
 	cacheable := sm.cacheable && sm.pin.snap.Get(wf.ID) == wf
 	// Evaluate in ID order (see PairsBlock): measures are symmetric in value
 	// but not in bits, and the cache key is orientation-free, so a search
 	// score must be computed exactly as the pair scan would compute it.
 	x, xProj, xGen := sm.queryOrig, sm.queryProj, sm.queryGen
-	y, yProj, yGen := wf, sm.pr.projOf(wf, sm.prep), sm.pin.Generation()
+	var yProj *workflow.Workflow // left to the scorer: projected on a cache miss
+	y, yGen := wf, sm.pin.Generation()
 	if !workflow.IDsInOrder(x.ID, y.ID) {
 		x, xProj, xGen, y, yProj, yGen = y, yProj, yGen, x, xProj, xGen
 	}
 	return sm.scorer.score(x, y, xProj, yProj, xGen, yGen, cacheable)
 }
 
-// Search implements Pin. The indexed filter-and-refine path is taken under
-// exactly the single-engine conditions (index current for the pinned
-// generation, no Exact/IncludeQuery/MinSimilarity); otherwise the pinned
-// slice is scanned fully. Both paths score through the shard's cache and the
-// scan's specialised measure.
+// Search implements Pin. The indexed filter-and-refine path is taken when
+// the index is current for the pinned generation and the query sets none of
+// Exact/IncludeQuery/MinSimilarity; otherwise the pinned slice is scanned
+// fully. Both paths score through the shard's cache and the scan's
+// specialised measure.
 //
 //wfsimvet:hotpath
 func (p *localPin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]search.Result, ReadStats, error) {
@@ -380,7 +382,6 @@ func (p *localPin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]searc
 	sm := &searchMeasure{
 		pin:       p,
 		prep:      prep,
-		pr:        prep.For(p),
 		queryOrig: q.Query,
 		queryProj: prep.ProjectOne(q.Query),
 		queryGen:  q.QueryGen,
@@ -461,9 +462,10 @@ func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, th
 				return err
 			}
 			b, bProj := cross.Orig[j], cross.Proj[j]
-			// Evaluate in ID order (see search.Duplicates): the score must be
-			// a function of the unordered pair, not of which shard's block
-			// the pair landed in.
+			// Evaluate in ID order: measures are symmetric in value but not
+			// always in bits (summation order inside the matcher differs),
+			// so the score must be a function of the unordered pair, not of
+			// which shard's block the pair landed in.
 			x, xProj, xGen := a, aProj, selfGen
 			y, yProj, yGen := b, bProj, otherGen
 			if !workflow.IDsInOrder(x.ID, y.ID) {

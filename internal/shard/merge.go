@@ -9,7 +9,7 @@ import (
 
 // resultBetter is the global result order: descending similarity, ties
 // broken by ascending ID — identical to search.SortResults, so a merged
-// scatter-gather ranking ties exactly like a single-engine scan.
+// scatter-gather ranking ties exactly like one scan over the whole corpus.
 func resultBetter(a, b search.Result) bool {
 	if a.Similarity != b.Similarity {
 		return a.Similarity > b.Similarity
@@ -43,8 +43,8 @@ func (h *mergeHeap) Pop() any {
 }
 
 // MergeTopK merges per-shard top-k result lists (each sorted in
-// search.SortResults order) into the global top-k, preserving the exact
-// single-engine order: each shard's local top-k contains every workflow that
+// search.SortResults order) into the global top-k, in exactly the order one
+// scan over the whole corpus would produce: each shard's local top-k contains every workflow that
 // can appear in the global top-k from that shard, so the k-way merge of the
 // heads is the global ranking.
 func MergeTopK(lists [][]search.Result, k int) []search.Result {
@@ -73,8 +73,7 @@ func MergeTopK(lists [][]search.Result, k int) []search.Result {
 }
 
 // SortPairs applies the global duplicate-pair order — descending similarity,
-// then ascending (A, B) — to a merged block union; identical to the order
-// search.Duplicates emits.
+// then ascending (A, B) — to a merged block union.
 func SortPairs(pairs []search.Pair) {
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].Similarity != pairs[j].Similarity {

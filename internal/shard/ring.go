@@ -7,8 +7,8 @@
 // Ownership is by consistent-hashed workflow ID: a Ring maps every ID to
 // exactly one shard, each shard owns its slice of the corpus together with
 // its inverted label index, its pairwise score cache and (optionally) its
-// own durable storage directory, and a Coordinator implements the read/write
-// surface of a single engine on top — routing mutation batches to the owning
+// own durable store, and a Coordinator implements the engine's read/write
+// surface on top — routing mutation batches to the owning
 // shards with all-or-nothing validation, fanning Search/Duplicates out via
 // search.Batched, and merging per-shard top-k heaps deterministically.
 //

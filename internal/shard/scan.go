@@ -23,8 +23,7 @@ import (
 // for repeated attribute comparisons across every shard's workers. The
 // specialised form returns bit-identical scores; only redundant per-pair
 // work (re-projecting the same workflow, re-running Levenshtein on the same
-// label pair) is removed, which is what makes the scatter-gather scan faster
-// than the legacy single-engine scan even before shards get their own cores.
+// label pair) is removed.
 //
 // A ScanPrep is built once per read operation and is safe for concurrent use
 // by all shards of that operation.
@@ -165,6 +164,19 @@ type pairScorer struct {
 	miss  atomic.Int64
 }
 
+// compare scores the pair with the scan's measure. A nil projection means
+// the caller left that side to be projected only if the pair is actually
+// evaluated (a search candidate whose score the cache may already hold).
+func (ps *pairScorer) compare(a, b, aProj, bProj *workflow.Workflow) (float64, error) {
+	if aProj == nil {
+		aProj = ps.prep.ProjectOne(a)
+	}
+	if bProj == nil {
+		bProj = ps.prep.ProjectOne(b)
+	}
+	return ps.prep.Compare(aProj, bProj)
+}
+
 // score evaluates the pair (a at aGen, b at bGen), serving and populating
 // the cache when both sides are cacheable corpus-owned objects. Cache keys
 // are built from the workflows' interned ID symbols; an unresolved side
@@ -172,22 +184,22 @@ type pairScorer struct {
 // stable cache identity and is scored directly.
 func (ps *pairScorer) score(a, b, aProj, bProj *workflow.Workflow, aGen, bGen uint64, cacheable bool) (float64, error) {
 	if ps.cache == nil || !cacheable {
-		return ps.prep.Compare(aProj, bProj)
+		return ps.compare(a, b, aProj, bProj)
 	}
 	if ps.tab == nil || !a.ResolvedBy(ps.tab) || !b.ResolvedBy(ps.tab) {
 		// Symbols are only meaningful relative to the table that assigned
 		// them: a workflow resolved elsewhere (or not at all) could collide
 		// with an unrelated pair's key in this shard's cache keyspace, so
 		// the pair is scored directly instead.
-		return ps.prep.Compare(aProj, bProj)
+		return ps.compare(a, b, aProj, bProj)
 	}
 	ida, idb := a.SymID(), b.SymID()
 	if ida == 0 || idb == 0 {
-		return ps.prep.Compare(aProj, bProj)
+		return ps.compare(a, b, aProj, bProj)
 	}
 	g, ok := packPairGen(ida, aGen, idb, bGen)
 	if !ok {
-		return ps.prep.Compare(aProj, bProj)
+		return ps.compare(a, b, aProj, bProj)
 	}
 	key := scorecache.PairKey(ps.prep.Name, ida, idb, g, ps.prep.Epoch)
 	if s, ok := ps.cache.Get(key); ok {
@@ -195,7 +207,7 @@ func (ps *pairScorer) score(a, b, aProj, bProj *workflow.Workflow, aGen, bGen ui
 		return s, nil
 	}
 	ps.miss.Add(1)
-	s, err := ps.prep.Compare(aProj, bProj)
+	s, err := ps.compare(a, b, aProj, bProj)
 	if err != nil {
 		// Failures (e.g. GED timeouts) are not cached: the budget differs
 		// per call, so a later call may succeed.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -261,6 +262,48 @@ func TestCoordinatorApplyAtomicity(t *testing.T) {
 	}
 	if got := v.AggregateGeneration(); got != sum(gens) {
 		t.Errorf("AggregateGeneration = %d, want %d", got, sum(gens))
+	}
+}
+
+// TestApplyReturnsCommittedVector: the vector Apply returns is the frontier
+// a reader pins right after it — for commits touching one shard, some
+// shards and every shard, with untouched shards carried over unchanged.
+func TestApplyReturnsCommittedVector(t *testing.T) {
+	const n = 4
+	coord := buildLocal(t, testCorpus(t, 40), n, "")
+	// Fresh IDs grouped by owning shard, so batches can aim at chosen shards.
+	byOwner := make([][]string, n)
+	for i := 0; len(byOwner[0]) < 3 || len(byOwner[1]) < 3 || len(byOwner[2]) < 3 || len(byOwner[3]) < 3; i++ {
+		id := fmt.Sprintf("vec-%03d", i)
+		o := coord.Ring().Owner(id)
+		byOwner[o] = append(byOwner[o], id)
+	}
+	add := func(id string) corpus.Op {
+		return corpus.Op{Kind: corpus.OpAdd, ID: id, Workflow: &workflow.Workflow{ID: id, Modules: []*workflow.Module{{Label: "alpha"}}}}
+	}
+	for _, c := range []struct {
+		name   string
+		owners []int
+	}{
+		{"one shard", []int{2}},
+		{"some shards", []int{0, 3}},
+		{"all shards", []int{0, 1, 2, 3}},
+	} {
+		before := coord.View().Generations()
+		var ops []corpus.Op
+		want := append([]uint64(nil), before...)
+		for _, o := range c.owners {
+			ops = append(ops, add(byOwner[o][0]))
+			byOwner[o] = byOwner[o][1:]
+			want[o]++
+		}
+		got, err := coord.Apply(ops)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if pinned := coord.View().Generations(); !reflect.DeepEqual(got, pinned) || !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: Apply returned %v, view pins %v, want %v", c.name, got, pinned, want)
+		}
 	}
 }
 

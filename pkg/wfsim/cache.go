@@ -1,12 +1,6 @@
 package wfsim
 
-import (
-	"sync/atomic"
-
-	"repro/internal/corpus"
-	"repro/internal/scorecache"
-	"repro/internal/workflow"
-)
+import "repro/internal/scorecache"
 
 // CacheStats reports the shared score cache's cumulative hit/miss counters
 // and current population.
@@ -16,12 +10,14 @@ type CacheStats = scorecache.Stats
 // to size entries (a default capacity when size <= 0). The cache is threaded
 // through Search, Duplicates and Cluster, so repeated and overlapping
 // queries stop re-running measure evaluations — GED, label matching — on
-// identical workflow pairs. Entries are keyed by measure, ID pair,
-// repository generation and projector epoch: an Apply batch bumps the
-// generation, so scores of removed or replaced workflows are never served
-// stale, and a projector replacement (repository-knowledge refresh, manual
-// SetProjector) bumps the epoch, so scores computed under a different
-// importance projection are never served either.
+// identical workflow pairs. Entries are keyed by measure, ID pair, the
+// generations of the owning shards and projector epoch: an Apply batch bumps
+// the generation, so scores of removed or replaced workflows are never
+// served stale, and a projector replacement (repository-knowledge refresh,
+// manual SetProjector) bumps the epoch, so scores computed under a different
+// importance projection are never served either. Only pairs of the corpus's
+// own workflow objects are cached: an external query can share an ID with a
+// corpus workflow without sharing its content.
 // With WithShards(n), size is the total budget: each shard gets its own
 // cache of size/n entries (or the default capacity per shard when
 // size <= 0), serving that shard's intra- and cross-shard pair scores.
@@ -33,118 +29,16 @@ func WithScoreCache(size int) Option {
 	}
 }
 
-// CacheStats returns the cumulative statistics of the engine's score cache —
-// summed across shards for a sharded engine — or zero statistics when the
-// engine has none.
+// CacheStats returns the cumulative statistics of the engine's score cache,
+// summed across shards, or zero statistics when the engine has none.
 func (e *Engine) CacheStats() CacheStats {
-	if e.coord != nil {
-		var total CacheStats
-		for _, info := range e.coord.Infos() {
-			if info.Cache != nil {
-				total.Hits += info.Cache.Hits
-				total.Misses += info.Cache.Misses
-				total.Entries += info.Cache.Entries
-			}
+	var total CacheStats
+	for _, info := range e.coord.Infos() {
+		if info.Cache != nil {
+			total.Hits += info.Cache.Hits
+			total.Misses += info.Cache.Misses
+			total.Entries += info.Cache.Entries
 		}
-		return total
 	}
-	if e.cache == nil {
-		return CacheStats{}
-	}
-	return e.cache.Stats()
-}
-
-// cachedMeasure decorates a measure with the shared score cache for one read
-// call: lookups are keyed to the call's pinned snapshot generation, and only
-// pairs whose workflows are the snapshot's own objects are cached (an
-// external query workflow can share an ID with a repository workflow without
-// sharing its content, so it must not populate the cache). Per-call hit and
-// miss counts feed the call's Stats.
-type cachedMeasure struct {
-	inner        Measure
-	name         string
-	snap         *corpus.Snapshot
-	gen          uint64
-	proj         uint64
-	cache        *scorecache.Cache
-	hits, misses atomic.Int64
-}
-
-// cachedFor wraps m for a read over snap; projEpoch is the epoch of the
-// projection m was resolved with (see Engine.projectionFor). The second
-// return value is nil when the engine has no cache; callers pass it to
-// (*cachedMeasure).fill, which tolerates nil.
-func (e *Engine) cachedFor(m Measure, snap *corpus.Snapshot, projEpoch uint64) (Measure, *cachedMeasure) {
-	if e.cache == nil {
-		return orderedMeasure{m}, nil
-	}
-	cm := &cachedMeasure{
-		inner: m,
-		name:  m.Name(),
-		snap:  snap,
-		gen:   snap.Generation(),
-		proj:  projEpoch,
-		cache: e.cache,
-	}
-	return cm, cm
-}
-
-func (cm *cachedMeasure) Name() string { return cm.name }
-
-// orderedMeasure evaluates pairs in canonical ID order (workflow.OrderPair).
-// Measures are symmetric in value but not in bits — a maximum-weight matching
-// summed over a transposed weight matrix can differ by ulps — so every scan
-// path must fix one evaluation order per unordered pair, or a score computed
-// on the Search path (query first) would differ from the same pair's
-// Duplicates-scan score. Engines without a cache wrap their measures in this
-// so they stay bit-identical to cached engines, which apply the same ordering
-// inside cachedMeasure.
-type orderedMeasure struct {
-	inner Measure
-}
-
-func (om orderedMeasure) Name() string { return om.inner.Name() }
-
-func (om orderedMeasure) Compare(a, b *Workflow) (float64, error) {
-	a, b = workflow.OrderPair(a, b)
-	return om.inner.Compare(a, b)
-}
-
-func (cm *cachedMeasure) Compare(a, b *Workflow) (float64, error) {
-	// Canonical evaluation order (see orderedMeasure): the cache key is
-	// orientation-free, so the cached value must be too.
-	a, b = workflow.OrderPair(a, b)
-	if cm.snap.Get(a.ID) != a || cm.snap.Get(b.ID) != b {
-		return cm.inner.Compare(a, b)
-	}
-	// Keys are built from the workflows' interned ID symbols. A repository
-	// running without a symbol table leaves symbols at 0, which identifies
-	// nothing — such pairs are scored directly rather than mis-keyed.
-	ida, idb := a.SymID(), b.SymID()
-	if ida == 0 || idb == 0 {
-		return cm.inner.Compare(a, b)
-	}
-	key := scorecache.PairKey(cm.name, ida, idb, cm.gen, cm.proj)
-	if s, ok := cm.cache.Get(key); ok {
-		cm.hits.Add(1)
-		return s, nil
-	}
-	cm.misses.Add(1)
-	s, err := cm.inner.Compare(a, b)
-	if err != nil {
-		// Failures (e.g. GED timeouts) are not cached: the budget differs
-		// per call, so a later call may succeed.
-		return s, err
-	}
-	cm.cache.Put(key, s)
-	return s, nil
-}
-
-// fill copies the per-call cache counters into stats; safe on nil.
-func (cm *cachedMeasure) fill(stats *Stats) {
-	if cm == nil {
-		return
-	}
-	stats.CacheHits = int(cm.hits.Load())
-	stats.CacheMisses = int(cm.misses.Load())
+	return total
 }

@@ -3,8 +3,10 @@
 // Cohen-Boulakia and Leser, "Similarity Search for Scientific Workflows"
 // (PVLDB 7(12), 2014).
 //
-// The entry point is Engine, built from a Repository of workflows with
-// functional options:
+// The entry point is Engine, seeded from a Repository of workflows (which it
+// takes over: afterwards the corpus is read through Engine.Workflows,
+// Workflow and Size, and changed through Engine.Apply) with functional
+// options:
 //
 //	repo, _ := wfsim.LoadRepository("corpus.json")
 //	eng, _ := wfsim.New(repo,
@@ -21,10 +23,10 @@
 // the per-pair graph-edit-distance budget, the API form of the paper's
 // GED-timeout semantics.
 //
-// The repository is mutable and snapshot-versioned, matching the paper's
-// living-repository setting. Engine.Apply commits a transactional batch of
-// AddWorkflow / RemoveWorkflow / ReplaceWorkflow mutations under a new
-// generation number; every read pins an immutable Snapshot, so in-flight
+// The engine's corpus is mutable and snapshot-versioned, matching the
+// paper's living-repository setting. Engine.Apply commits a transactional
+// batch of AddWorkflow / RemoveWorkflow / ReplaceWorkflow mutations under a
+// new generation number; every read pins an immutable view, so in-flight
 // queries are never torn by writers. With WithIndex the inverted label
 // index is maintained incrementally (O(labels) per op, tombstones plus
 // periodic compaction — never a full rebuild), and WithScoreCache adds a

@@ -3,40 +3,36 @@ package wfsim
 import (
 	"context"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/corpus"
-	"repro/internal/index"
 	"repro/internal/measures"
 	"repro/internal/repoknow"
-	"repro/internal/scorecache"
-	"repro/internal/search"
 	"repro/internal/shard"
-	"repro/internal/storage"
 	"repro/internal/workflow"
 )
 
-// Engine is the similarity-search facade over one workflow repository. It
-// owns a measure Registry, an optional filter-and-refine inverted index, an
-// optional shared pairwise score cache, and a worker pool configuration, and
+// Engine is the similarity-search facade over one workflow corpus. It owns
+// the corpus — partitioned across one or more in-process shards (WithShards),
+// each with its slice of the workflows, an optional filter-and-refine
+// inverted index, an optional pairwise score cache and an optional durable
+// store — plus a measure Registry and a worker pool configuration, and
 // exposes the paper's operations — top-k search, pairwise comparison,
 // duplicate detection, clustering — as context-aware methods.
 //
-// The repository is mutable through Engine.Apply: mutation batches commit
-// transactionally under a new generation number, the inverted index is
+// The corpus is mutable through Engine.Apply: mutation batches commit
+// transactionally under a new generation, the inverted indexes are
 // maintained incrementally (no full rebuild), and every read operation pins
-// an immutable repository Snapshot, so in-flight queries are never torn by
+// an immutable view of the corpus, so in-flight queries are never torn by
 // concurrent writers.
 //
 // An Engine is safe for concurrent use once built.
 type Engine struct {
-	repo           *corpus.Repository
 	reg            *Registry
-	idx            atomic.Pointer[index.Index]
-	cache          *scorecache.Cache
 	cacheWanted    bool // WithScoreCache was given; cache(s) built in New
 	cacheSize      int  // requested total capacity (<= 0 = default)
 	minShared      int
@@ -44,31 +40,20 @@ type Engine struct {
 	defaultMeasure string
 	repoKnow       *repoKnowState
 
-	// WithShards(n > 1) replaces the single-repository data plane with a
-	// shard.Coordinator over n consistent-hash partitions; the legacy fields
-	// above (repo/idx/cache/store) stay nil-ish and every operation routes
-	// through coord. See sharded.go.
-	shardCount int
-	coord      *shard.Coordinator
+	shardCount int                // WithShards (default 1)
+	coord      *shard.Coordinator // the data plane: every operation routes through it
 
-	storageDir  string        // WithStorage data directory ("" = RAM only)
-	storageCfg  storageConfig // WithStorage tuning
-	store       *storage.Store
-	storeClosed bool // guarded by applyMu
-	warmEntries int  // score-cache entries re-seeded at boot
-
-	applyMu       sync.Mutex   // serializes Apply batches
-	indexRebuilds atomic.Int64 // full index rebuilds (drift recovery only)
+	storageDir string        // WithStorage data directory ("" = RAM only)
+	storageCfg storageConfig // WithStorage tuning
 }
 
-// repoKnowState derives importance projectors from repository snapshots
+// repoKnowState derives importance projectors from pinned corpus views
 // (WithRepositoryKnowledge). Projectors are keyed by the read frontier they
-// were built over — a generation for single-repository engines, a generation
-// vector for sharded ones — so a read over a pinned view always projects
-// against that view's own module frequencies, even while readers at other
-// frontiers are in flight; no reader can regress another reader's
-// projection. Each built projector carries a unique epoch for score-cache
-// keying.
+// were built over — the view's generation vector — so a read over a pinned
+// view always projects against that view's own module frequencies, even
+// while readers at other frontiers are in flight; no reader can regress
+// another reader's projection. Each built projector carries a unique epoch
+// for score-cache keying.
 type repoKnowState struct {
 	threshold float64
 	mu        sync.Mutex
@@ -108,14 +93,6 @@ func (rk *repoKnowState) entry(key string, workflows func() []*workflow.Workflow
 	return ent
 }
 
-// entryFor is entry keyed by a single repository snapshot's generation.
-func (rk *repoKnowState) entryFor(snap *corpus.Snapshot) *projEntry {
-	return rk.entry(genKey(snap.Generation()), snap.Workflows)
-}
-
-// genKey formats a single-repository frontier key.
-func genKey(gen uint64) string { return fmt.Sprintf("g%d", gen) }
-
 // Option configures an Engine under construction.
 type Option func(*Engine) error
 
@@ -151,7 +128,7 @@ func WithConcurrency(n int) Option {
 //
 // The projector tracks the living repository: it is first computed in New's
 // finalize step (after all options, so option order does not matter) and
-// recomputed from the post-mutation snapshot whenever the repository
+// recomputed from the post-mutation view whenever the repository
 // generation moves — an Engine.Apply that changes module document
 // frequencies changes "ip" measure scores on the next read. An engine built
 // over an empty repository is valid: the projector keeps everything until
@@ -169,14 +146,29 @@ func WithRepositoryKnowledge(threshold float64) Option {
 	}
 }
 
-// projectionFor resolves the importance projection a read over snap must
+// vecKey formats a read frontier key from a generation vector.
+func vecKey(gens []uint64) string {
+	var b strings.Builder
+	b.WriteByte('v')
+	for i, g := range gens {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.FormatUint(g, 10))
+	}
+	return b.String()
+}
+
+// projectionFor resolves the importance projection a read over the view must
 // use, plus the epoch that keys its cached scores. With repository knowledge
-// the projector belongs to snap's generation (built lazily, per generation);
-// otherwise it is the registry's configured projector, captured atomically
-// with its epoch.
-func (e *Engine) projectionFor(snap *corpus.Snapshot) (measures.Projector, uint64) {
+// the projector belongs to the view's generation vector (built lazily, per
+// frontier): module frequencies are collected over the union of every
+// shard's pinned slice, so the projection does not depend on the shard
+// count. Otherwise it is the registry's configured projector, captured
+// atomically with its epoch.
+func (e *Engine) projectionFor(v shard.View) (measures.Projector, uint64) {
 	if rk := e.repoKnow; rk != nil {
-		ent := rk.entryFor(snap)
+		ent := rk.entry(vecKey(v.Generations()), v.Union)
 		return ent.project, ent.epoch
 	}
 	return e.reg.projectorState()
@@ -223,16 +215,21 @@ func WithMeasure(name string, m Measure) Option {
 	}
 }
 
-// New builds an Engine over repo. Options are applied in order; the default
-// measure is validated against the registry before the engine is returned.
+// New builds an Engine seeded with repo's workflows. The engine owns its
+// corpus from then on: repo is only read here, and later changes to it do
+// not reach the engine — mutate through Engine.Apply and read through
+// Workflows, Workflow and Size. With WithStorage over a directory that
+// already holds state, repo must be empty and the stored corpus is
+// recovered instead. Options are applied in order; the default measure is
+// validated against the registry before the engine is returned.
 func New(repo *Repository, opts ...Option) (*Engine, error) {
 	if repo == nil {
 		return nil, fmt.Errorf("nil repository")
 	}
 	e := &Engine{
-		repo:           repo,
 		reg:            NewRegistry(),
 		defaultMeasure: DefaultMeasure,
+		shardCount:     1,
 	}
 	for _, opt := range opts {
 		if err := opt(e); err != nil {
@@ -242,118 +239,40 @@ func New(repo *Repository, opts ...Option) (*Engine, error) {
 	if _, err := e.reg.Parse(e.defaultMeasure); err != nil {
 		return nil, fmt.Errorf("invalid default measure: %w", err)
 	}
-	// A sharded engine has its own construction path: per-shard repositories,
-	// indexes, caches and stores, coordinated scatter-gather on top.
-	if e.shardCount > 1 {
-		if err := e.openSharded(); err != nil {
-			return nil, err
-		}
-		return e, nil
+	if err := e.open(repo); err != nil {
+		return nil, err
 	}
-	if e.cacheWanted {
-		e.cache = scorecache.New(e.cacheSize)
-	}
-	// Storage recovery runs first among the finalize steps, so the
-	// projector and the index below are built over the recovered state,
-	// not the empty repository the caller passed in.
-	if e.storageDir != "" {
-		if err := e.openStorage(); err != nil {
-			return nil, err
-		}
-	}
-	// Finalize step: the repository-knowledge projector for the initial
-	// generation is computed here — after every option has run — and later
-	// generations get their own projector lazily on first read.
-	if e.repoKnow != nil {
-		e.repoKnow.entryFor(repo.Snapshot())
-	}
-	if e.minShared > 0 {
-		snap := repo.Snapshot()
-		idx := index.Build(snap)
-		idx.Parallelism = e.concurrency
-		idx.SetGeneration(snap.Generation())
-		e.idx.Store(idx)
-	}
-	// Warm-cache re-seeding needs the projector epoch, so it runs last.
-	e.loadWarmCache()
 	return e, nil
 }
 
-// Repository returns the engine's underlying repository. Prefer Engine.Apply
-// over mutating it directly: Apply keeps the inverted index maintained
-// incrementally, while direct mutation forces the next indexed search to
-// fall back to an exact scan until the index is rebuilt.
-//
-// For a sharded engine (WithShards) the returned repository is only the
-// construction-time seed: the live corpus is partitioned across the shards
-// and this object is neither read nor updated afterwards. Use Size,
-// Generations, Workflow and the read operations instead.
-func (e *Engine) Repository() *Repository { return e.repo }
+// Workflows pins the current corpus and returns its workflows in ID order —
+// the engine's corpus order, whatever the shard count. The workflows are
+// shared with the engine; callers must not modify them.
+func (e *Engine) Workflows() []*Workflow { return e.coord.View().Union() }
 
-// Snapshot pins the current immutable view of the repository: the workflow
-// set and the generation number every read in this instant would see. For a
-// sharded engine it reflects only the construction-time seed repository (see
-// Repository); use Size and Generations for live sharded state.
-func (e *Engine) Snapshot() *Snapshot { return e.repo.Snapshot() }
+// Generation returns the corpus generation: the sum of the per-shard
+// vector. It starts at 0 for a seeded engine (or at the recovered value) and
+// every committed Apply batch advances it — by exactly one on a one-shard
+// engine, by one per touched shard otherwise.
+func (e *Engine) Generation() uint64 { return e.coord.View().AggregateGeneration() }
 
-// Generation returns the repository's current generation. It starts at the
-// value the engine was built over and increases by one per Apply batch. For
-// a sharded engine it is the aggregate generation: the sum of the per-shard
-// vector, which every commit advances by at least one.
-func (e *Engine) Generation() uint64 {
-	if e.coord != nil {
-		return e.coord.View().AggregateGeneration()
-	}
-	return e.repo.Generation()
-}
-
-// Generations returns the per-shard generation vector (a one-element vector
-// for unsharded engines). The vector is captured atomically with respect to
-// commits: it never shows half a cross-shard Apply batch.
-func (e *Engine) Generations() []uint64 {
-	if e.coord != nil {
-		return e.coord.View().Generations()
-	}
-	return []uint64{e.repo.Generation()}
-}
+// Generations returns the per-shard generation vector. The vector is
+// captured atomically with respect to commits: it never shows half a
+// cross-shard Apply batch.
+func (e *Engine) Generations() []uint64 { return e.coord.View().Generations() }
 
 // Shards returns the engine's shard count (1 without WithShards).
-func (e *Engine) Shards() int {
-	if e.coord != nil {
-		return e.coord.Shards()
-	}
-	return 1
-}
+func (e *Engine) Shards() int { return e.coord.Shards() }
 
 // Size returns the number of workflows in the corpus across all shards.
-func (e *Engine) Size() int {
-	if e.coord != nil {
-		return e.coord.View().Size()
-	}
-	return e.repo.Snapshot().Size()
-}
+func (e *Engine) Size() int { return e.coord.View().Size() }
 
 // Registry returns the engine's measure registry, for registering custom
 // measures or listing the built-in notation after construction.
 func (e *Engine) Registry() *Registry { return e.reg }
 
-// Workflow returns the repository workflow with the given ID, or nil. A
-// sharded engine resolves it from the owning shard.
-func (e *Engine) Workflow(id string) *Workflow {
-	if e.coord != nil {
-		return e.coord.View().Get(id)
-	}
-	return e.repo.Snapshot().Get(id)
-}
-
-// currentProjection resolves the engine's projection for its current read
-// frontier, whichever data plane is active.
-func (e *Engine) currentProjection() (measures.Projector, uint64) {
-	if e.coord != nil {
-		return e.projectionForView(e.coord.View())
-	}
-	return e.projectionFor(e.repo.Snapshot())
-}
+// Workflow returns the corpus workflow with the given ID, or nil.
+func (e *Engine) Workflow(id string) *Workflow { return e.coord.View().Get(id) }
 
 // ParseMeasure resolves a measure name in the paper's notation (see
 // Registry) with the engine's projector and GED budget.
@@ -361,7 +280,7 @@ func (e *Engine) ParseMeasure(name string) (Measure, error) {
 	if name == "" {
 		name = e.defaultMeasure
 	}
-	project, _ := e.currentProjection()
+	project, _ := e.projectionFor(e.coord.View())
 	deadline, beam := e.reg.GEDBudget()
 	return e.reg.parseResolved(name, deadline, beam, project)
 }
@@ -370,7 +289,7 @@ func (e *Engine) ParseMeasure(name string) (Measure, error) {
 // of structural measures) to a workflow, against the current repository
 // generation's module frequencies.
 func (e *Engine) Project(wf *Workflow) *Workflow {
-	project, _ := e.currentProjection()
+	project, _ := e.projectionFor(e.coord.View())
 	if project == nil {
 		return wf
 	}
@@ -428,106 +347,90 @@ type Stats struct {
 	CacheHits int
 	// CacheMisses counts cacheable pairs that had to be evaluated.
 	CacheMisses int
-	// Generation is the repository generation the call observed. For a
-	// sharded engine it is the aggregate generation (the sum of the
-	// per-shard vector), which is monotonic across commits.
+	// Generation is the corpus generation the call observed: the sum of
+	// the per-shard vector, monotonic across commits.
 	Generation uint64
-	// Generations is the per-shard generation vector the call observed;
-	// nil for unsharded engines.
+	// Generations is the per-shard generation vector the call observed.
 	Generations []uint64
 	// Elapsed is the wall-clock duration of the call.
 	Elapsed time.Duration
 }
 
 // Search returns the top-k most similar repository workflows to query,
-// fanning the scoring out across the engine's worker pool. It honors ctx:
-// cancellation aborts the scan with ctx.Err(), and a deadline additionally
-// tightens the per-pair GED budget. When the engine has an index (WithIndex)
-// the search is filter-and-refine unless opts.Exact is set.
+// fanning the scoring out across the shards and the engine's worker pool. It
+// honors ctx: cancellation aborts the scan with ctx.Err(), and a deadline
+// additionally tightens the per-pair GED budget. When the engine has an
+// index (WithIndex) the search is filter-and-refine unless opts.Exact is
+// set.
 //
-// The scan runs over a pinned repository snapshot: a Search issued before an
+// The scan runs over a pinned view of the corpus: a Search issued before an
 // Apply commits returns results consistent with the pre-mutation repository.
-// An indexed search additionally requires the index generation to match the
-// snapshot (it always does when mutations go through Apply); on mismatch the
-// call degrades to an exact scan rather than serving a torn view.
 func (e *Engine) Search(ctx context.Context, query *Workflow, opts SearchOptions) ([]Result, Stats, error) {
 	if query == nil {
 		return nil, Stats{}, fmt.Errorf("nil query workflow")
 	}
-	if e.coord != nil {
-		return e.searchView(ctx, query, e.coord.View(), opts)
-	}
-	return e.searchSnap(ctx, query, e.repo.Snapshot(), opts)
+	return e.searchView(ctx, query, e.coord.View(), opts)
 }
 
-// searchSnap is Search over an already-pinned snapshot: the projection, the
-// scan and the cache keys all belong to snap's generation.
-func (e *Engine) searchSnap(ctx context.Context, query *Workflow, snap *corpus.Snapshot, opts SearchOptions) ([]Result, Stats, error) {
-	project, epoch := e.projectionFor(snap)
+// fillRead copies coordinator scan stats into a Stats under the view's
+// generation stamps.
+func fillRead(stats *Stats, v shard.View, r shard.ReadStats) {
+	stats.Scored = r.Scored
+	stats.Skipped = r.Skipped
+	stats.Pruned = r.Pruned
+	stats.CacheHits = r.CacheHits
+	stats.CacheMisses = r.CacheMisses
+	stats.Generation = v.AggregateGeneration()
+	stats.Generations = v.Generations()
+}
+
+// searchView is Search over an already-pinned view: the projection, the scan
+// and the cache keys all belong to the view's frontier. The query fans out
+// to every shard and the per-shard top-k lists merge into the global top-k
+// (descending similarity, ties by ID).
+func (e *Engine) searchView(ctx context.Context, query *Workflow, v shard.View, opts SearchOptions) ([]Result, Stats, error) {
+	project, epoch := e.projectionFor(v)
 	m, err := e.measureFor(ctx, opts.Measure, project)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	stats := Stats{Measure: m.Name(), Generation: snap.Generation()}
 	t0 := time.Now()
-	k := opts.K
-	if k <= 0 {
-		k = 10
-	}
-	mm, cm := e.cachedFor(m, snap, epoch)
-
-	if idx := e.idx.Load(); idx != nil && idx.Generation() == snap.Generation() &&
-		!opts.Exact && !opts.IncludeQuery && opts.MinSimilarity == nil {
-		res, err := idx.TopK(ctx, query, mm, k, e.minShared)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		stats.Scored = res.CandidateCount - res.Skipped
-		stats.Skipped = res.Skipped
-		stats.Pruned = res.Pruned
-		cm.fill(&stats)
-		stats.Elapsed = time.Since(t0)
-		return res.Results, stats, nil
-	}
-
-	results, skipped, err := search.TopK(ctx, query, snap, mm, search.Options{
-		K:             k,
-		Parallelism:   e.concurrency,
+	prep := shard.NewScanPrep(m, epoch)
+	q := shard.Query{
+		Query:         query,
+		K:             opts.K,
+		Exact:         opts.Exact,
 		IncludeQuery:  opts.IncludeQuery,
 		MinSimilarity: opts.MinSimilarity,
-	})
+		Par:           e.concurrency,
+	}
+	if owner := v.Owner(query.ID); owner.Get(query.ID) == query {
+		// The query is the owning shard's own snapshot object: its pair
+		// scores may enter and be served from the shard caches.
+		q.Cacheable = true
+		q.QueryGen = owner.Generation()
+	}
+	res, rstats, err := e.coord.Search(ctx, v, prep, q)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	stats.Skipped = skipped
-	stats.Scored = snap.Size() - skipped
-	if !opts.IncludeQuery && snap.Get(query.ID) != nil {
-		stats.Scored--
-	}
-	cm.fill(&stats)
+	stats := Stats{Measure: m.Name()}
+	fillRead(&stats, v, rstats)
 	stats.Elapsed = time.Since(t0)
-	return results, stats, nil
+	return res, stats, nil
 }
 
 // SearchID is Search with the query named by repository ID. The query is
-// resolved from the same pinned snapshot the scan runs over, so a
-// concurrent Replace cannot make the call score stale query content under a
-// newer generation stamp.
+// resolved from the same pinned view the scan runs over, so a concurrent
+// Replace cannot make the call score stale query content under a newer
+// generation stamp.
 func (e *Engine) SearchID(ctx context.Context, queryID string, opts SearchOptions) ([]Result, Stats, error) {
-	if e.coord != nil {
-		v := e.coord.View()
-		query := v.Get(queryID)
-		if query == nil {
-			return nil, Stats{}, fmt.Errorf("query workflow %q not found", queryID)
-		}
-		return e.searchView(ctx, query, v, opts)
-	}
-	snap := e.repo.Snapshot()
-	query := snap.Get(queryID)
+	v := e.coord.View()
+	query := v.Get(queryID)
 	if query == nil {
 		return nil, Stats{}, fmt.Errorf("query workflow %q not found", queryID)
 	}
-	return e.searchSnap(ctx, query, snap, opts)
+	return e.searchView(ctx, query, v, opts)
 }
 
 // Score is one measure's verdict on a workflow pair.
@@ -552,58 +455,44 @@ func CompareMeasures() []string {
 // scoring failures are reported in the corresponding Score.Err so one GED
 // timeout does not hide the other measures.
 func (e *Engine) Compare(ctx context.Context, a, b *Workflow, measureNames ...string) ([]Score, error) {
-	if e.coord != nil {
-		scores, _, err := e.compareView(ctx, e.coord.View(), a, b, measureNames)
-		return scores, err
-	}
-	return e.compareSnap(ctx, e.repo.Snapshot(), a, b, measureNames)
+	scores, _, err := e.compareView(ctx, e.coord.View(), a, b, measureNames)
+	return scores, err
 }
 
 // CompareIDs is Compare with the pair named by repository IDs, both resolved
-// from one pinned snapshot (one pinned view for a sharded engine). It
-// additionally returns that snapshot's generation (aggregate generation for
-// a sharded engine), so callers can correlate the scores with the mutation
-// stream.
+// from one pinned view. It additionally returns that view's generation, so
+// callers can correlate the scores with the mutation stream.
 func (e *Engine) CompareIDs(ctx context.Context, aID, bID string, measureNames ...string) ([]Score, uint64, error) {
-	if e.coord != nil {
-		v := e.coord.View()
-		a, b := v.Get(aID), v.Get(bID)
-		if a == nil || b == nil {
-			return nil, 0, fmt.Errorf("workflow %q or %q not found", aID, bID)
-		}
-		return e.compareView(ctx, v, a, b, measureNames)
-	}
-	snap := e.repo.Snapshot()
-	a, b := snap.Get(aID), snap.Get(bID)
+	v := e.coord.View()
+	a, b := v.Get(aID), v.Get(bID)
 	if a == nil || b == nil {
 		return nil, 0, fmt.Errorf("workflow %q or %q not found", aID, bID)
 	}
-	scores, err := e.compareSnap(ctx, snap, a, b, measureNames)
-	return scores, snap.Generation(), err
+	return e.compareView(ctx, v, a, b, measureNames)
 }
 
-// compareSnap scores one pair with snap's projection.
-func (e *Engine) compareSnap(ctx context.Context, snap *corpus.Snapshot, a, b *Workflow, measureNames []string) ([]Score, error) {
+// compareView scores one pair with the view's projection.
+func (e *Engine) compareView(ctx context.Context, v shard.View, a, b *Workflow, measureNames []string) ([]Score, uint64, error) {
 	if a == nil || b == nil {
-		return nil, fmt.Errorf("nil workflow in Compare")
+		return nil, 0, fmt.Errorf("nil workflow in Compare")
 	}
-	project, _ := e.projectionFor(snap)
+	project, _ := e.projectionFor(v)
 	if len(measureNames) == 0 {
 		measureNames = CompareMeasures()
 	}
 	out := make([]Score, 0, len(measureNames))
 	for _, name := range measureNames {
 		if err := ctx.Err(); err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		m, err := e.measureFor(ctx, name, project)
 		if err != nil {
-			return nil, err
+			return nil, 0, err
 		}
 		s, err := m.Compare(a, b)
 		out = append(out, Score{Measure: m.Name(), Similarity: s, Err: err})
 	}
-	return out, nil
+	return out, v.AggregateGeneration(), nil
 }
 
 // DuplicateOptions configures Engine.Duplicates.
@@ -614,35 +503,28 @@ type DuplicateOptions struct {
 
 // Duplicates scans the repository's pair matrix for near-duplicate workflow
 // pairs scoring at or above threshold — the functional-equivalence detection
-// use case of the paper's introduction. The scan parallelizes across the
-// engine's worker pool and honors ctx cancellation. Stats reports the
-// canonical measure name, the number of pairs scored and skipped, and the
-// wall-clock duration.
+// use case of the paper's introduction. The pair triangle decomposes into
+// per-shard triangles and cross-shard rectangles, scanned in parallel across
+// the engine's worker pool and merged into one order (descending similarity,
+// then A, B; pairs oriented A <= B by ID); the scan honors ctx cancellation.
+// Stats reports the canonical measure name, the number of pairs scored and
+// skipped, and the wall-clock duration.
 func (e *Engine) Duplicates(ctx context.Context, threshold float64, opts DuplicateOptions) ([]Pair, Stats, error) {
-	if e.coord != nil {
-		return e.duplicatesView(ctx, e.coord.View(), threshold, opts)
-	}
-	snap := e.repo.Snapshot()
-	project, epoch := e.projectionFor(snap)
+	v := e.coord.View()
+	project, epoch := e.projectionFor(v)
 	m, err := e.measureFor(ctx, opts.Measure, project)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	mm, cm := e.cachedFor(m, snap, epoch)
 	t0 := time.Now()
-	pairs, skipped, err := search.Duplicates(ctx, snap, mm, threshold, e.concurrency)
+	prep := shard.NewScanPrep(m, epoch)
+	pairs, rstats, err := e.coord.Duplicates(ctx, v, prep, threshold, e.concurrency)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	n := snap.Size()
-	stats := Stats{
-		Measure:    m.Name(),
-		Scored:     n*(n-1)/2 - skipped,
-		Skipped:    skipped,
-		Generation: snap.Generation(),
-		Elapsed:    time.Since(t0),
-	}
-	cm.fill(&stats)
+	stats := Stats{Measure: m.Name()}
+	fillRead(&stats, v, rstats)
+	stats.Elapsed = time.Since(t0)
 	return pairs, stats, nil
 }
 
@@ -663,15 +545,13 @@ type ClusterResult struct {
 	// Measure is the canonical name of the measure used.
 	Measure string
 	// Clusters holds the member workflow IDs per cluster, in deterministic
-	// order (clusters ordered by first member, members in repository order).
+	// order (clusters ordered by first member, members in ID order).
 	Clusters [][]string
 	// Skipped counts pairs the measure could not score (similarity 0).
 	Skipped int
-	// Generation is the repository generation of the snapshot clustered
-	// (aggregate generation for a sharded engine).
+	// Generation is the corpus generation of the view clustered.
 	Generation uint64
-	// Generations is the per-shard generation vector of the view clustered;
-	// nil for unsharded engines.
+	// Generations is the per-shard generation vector of the view clustered.
 	Generations []uint64
 }
 
@@ -728,14 +608,12 @@ func (r *ClusterResult) assignments(ref map[string]int) (found, reference cluste
 
 // Cluster groups the repository into functional clusters under a similarity
 // measure — "grouping of workflows into functional clusters" from the
-// paper's introduction. The underlying pair matrix is computed in parallel
-// and honors ctx cancellation.
+// paper's introduction. The similarity matrix spans the pinned corpus in ID
+// order, is computed in parallel through the shard caches, and honors ctx
+// cancellation.
 func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*ClusterResult, error) {
-	if e.coord != nil {
-		return e.clusterView(ctx, e.coord.View(), opts)
-	}
-	snap := e.repo.Snapshot()
-	project, epoch := e.projectionFor(snap)
+	v := e.coord.View()
+	project, epoch := e.projectionFor(v)
 	m, err := e.measureFor(ctx, opts.Measure, project)
 	if err != nil {
 		return nil, err
@@ -744,8 +622,8 @@ func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*ClusterResu
 	if opts.MinSimilarity != nil {
 		minSim = *opts.MinSimilarity
 	}
-	mm, _ := e.cachedFor(m, snap, epoch)
-	mat, err := cluster.BuildMatrix(ctx, snap, mm, e.concurrency)
+	prep := shard.NewScanPrep(m, epoch)
+	mat, _, err := e.coord.Matrix(ctx, v, prep, e.concurrency)
 	if err != nil {
 		return nil, err
 	}
@@ -755,7 +633,13 @@ func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*ClusterResu
 	} else {
 		c = cluster.Agglomerative(mat, minSim)
 	}
-	out := &ClusterResult{Measure: m.Name(), Clusters: make([][]string, c.K), Skipped: mat.Skipped, Generation: snap.Generation()}
+	out := &ClusterResult{
+		Measure:     m.Name(),
+		Clusters:    make([][]string, c.K),
+		Skipped:     mat.Skipped,
+		Generation:  v.AggregateGeneration(),
+		Generations: v.Generations(),
+	}
 	for k, members := range c.Members() {
 		ids := make([]string, len(members))
 		for i, pos := range members {

@@ -64,7 +64,7 @@ func TestNewValidates(t *testing.T) {
 
 func TestSearchBasic(t *testing.T) {
 	eng, _ := testEngine(t)
-	query := eng.Repository().Workflows()[0]
+	query := eng.Workflows()[0]
 	results, stats, err := eng.Search(context.Background(), query, SearchOptions{K: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -75,8 +75,8 @@ func TestSearchBasic(t *testing.T) {
 	if stats.Measure != DefaultMeasure {
 		t.Errorf("stats.Measure = %q, want default %q", stats.Measure, DefaultMeasure)
 	}
-	if stats.Scored != eng.Repository().Size()-1 {
-		t.Errorf("Scored = %d, want %d", stats.Scored, eng.Repository().Size()-1)
+	if stats.Scored != eng.Size()-1 {
+		t.Errorf("Scored = %d, want %d", stats.Scored, eng.Size()-1)
 	}
 	for i, r := range results {
 		if r.ID == query.ID {
@@ -99,14 +99,14 @@ func TestSearchIDUnknownQuery(t *testing.T) {
 // the exact scan on the engine's default measure.
 func TestSearchIndexedMatchesExact(t *testing.T) {
 	eng, _ := testEngine(t, WithIndex(1))
-	query := eng.Repository().Workflows()[3]
+	query := eng.Workflows()[3]
 	fast, stats, err := eng.Search(context.Background(), query, SearchOptions{K: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Pruned+stats.Scored+stats.Skipped != eng.Repository().Size()-1 {
+	if stats.Pruned+stats.Scored+stats.Skipped != eng.Size()-1 {
 		t.Errorf("accounting: pruned %d + scored %d + skipped %d vs %d workflows",
-			stats.Pruned, stats.Scored, stats.Skipped, eng.Repository().Size())
+			stats.Pruned, stats.Scored, stats.Skipped, eng.Size())
 	}
 	exact, estats, err := eng.Search(context.Background(), query, SearchOptions{K: 5, Exact: true})
 	if err != nil {
@@ -128,7 +128,7 @@ func TestSearchIndexedMatchesExact(t *testing.T) {
 // goroutines.
 func TestSearchCancelledContext(t *testing.T) {
 	eng, _ := testEngine(t)
-	query := eng.Repository().Workflows()[0]
+	query := eng.Workflows()[0]
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -159,7 +159,7 @@ func TestSearchCancelledContext(t *testing.T) {
 
 func TestSearchExpiredDeadline(t *testing.T) {
 	eng, _ := testEngine(t)
-	query := eng.Repository().Workflows()[0]
+	query := eng.Workflows()[0]
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	if _, _, err := eng.Search(ctx, query, SearchOptions{K: 10}); !errors.Is(err, context.DeadlineExceeded) {
@@ -225,7 +225,7 @@ func TestDuplicatesAndCluster(t *testing.T) {
 			t.Errorf("pair %v below threshold", p)
 		}
 	}
-	n := eng.Repository().Size()
+	n := eng.Size()
 	if dstats.Measure != DefaultMeasure || dstats.Scored != n*(n-1)/2 {
 		t.Errorf("duplicate stats = %+v", dstats)
 	}
@@ -257,7 +257,7 @@ func TestDuplicatesCancelled(t *testing.T) {
 
 func TestCompareDefaultSet(t *testing.T) {
 	eng, _ := testEngine(t)
-	wfs := eng.Repository().Workflows()
+	wfs := eng.Workflows()
 	scores, err := eng.Compare(context.Background(), wfs[0], wfs[1])
 	if err != nil {
 		t.Fatal(err)
@@ -274,7 +274,7 @@ func TestCompareDefaultSet(t *testing.T) {
 
 func TestEngineCustomMeasure(t *testing.T) {
 	eng, _ := testEngine(t, WithMeasure("always1", constantMeasure{name: "always1", v: 1}))
-	results, stats, err := eng.SearchID(context.Background(), eng.Repository().IDs()[0],
+	results, stats, err := eng.SearchID(context.Background(), eng.Workflows()[0].ID,
 		SearchOptions{Measure: "always1", K: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -291,7 +291,7 @@ func TestEngineCustomMeasure(t *testing.T) {
 
 func TestWithRepositoryKnowledge(t *testing.T) {
 	eng, _ := testEngine(t, WithRepositoryKnowledge(0.3))
-	wf := eng.Repository().Workflows()[0]
+	wf := eng.Workflows()[0]
 	proj := eng.Project(wf)
 	if proj.Size() > wf.Size() {
 		t.Errorf("projection grew the workflow: %d -> %d", wf.Size(), proj.Size())

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/shard"
 	"repro/internal/storage"
 )
 
@@ -45,14 +46,16 @@ func stringBaselineEngine(t *testing.T, c *GeneratedCorpus, opts ...Option) *Eng
 	if base.Symtab() != nil {
 		t.Fatal("baseline repository still interning")
 	}
-	for _, wf := range base.Workflows() {
-		if wf.Resolved() {
-			t.Fatalf("baseline workflow %s carries an interned representation", wf.ID)
-		}
-	}
 	eng, err := New(base, opts...)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The engine must keep the seed's mode: a baseline that silently
+	// re-interned would compare the interned path against itself.
+	for _, wf := range eng.Workflows() {
+		if wf.Resolved() {
+			t.Fatalf("baseline workflow %s carries an interned representation", wf.ID)
+		}
 	}
 	return eng
 }
@@ -74,13 +77,7 @@ func TestInternedEquivalenceWithStringBaseline(t *testing.T) {
 	}
 
 	for _, n := range []int{1, 2, 4} {
-		var engOpts []Option
-		if n > 1 {
-			engOpts = append([]Option{WithShards(n)}, opts...)
-		} else {
-			engOpts = opts
-		}
-		eng, err := New(c.Repo, engOpts...)
+		eng, err := New(c.Repo, append([]Option{WithShards(n)}, opts...)...)
 		if err != nil {
 			t.Fatalf("%d shards: %v", n, err)
 		}
@@ -138,7 +135,7 @@ func TestSymbolTableStableAcrossRestart(t *testing.T) {
 	if _, _, err := eng1.SearchID(ctx, "a", SearchOptions{K: 5}); err != nil {
 		t.Fatal(err)
 	}
-	syms1 := eng1.repo.Symtab().Symbols()
+	syms1 := engineSymbols(eng1)
 	if len(syms1) < 2 {
 		t.Fatalf("suspiciously small symbol table: %d entries", len(syms1))
 	}
@@ -149,7 +146,7 @@ func TestSymbolTableStableAcrossRestart(t *testing.T) {
 	// Clean restart: snapshot/WAL symbols seed the table before the corpus
 	// is re-resolved, so every ID comes back exactly as assigned.
 	eng2 := newStoredEngine(t, dir)
-	syms2 := eng2.repo.Symtab().Symbols()
+	syms2 := engineSymbols(eng2)
 	assertSameSymbols(t, "clean restart", syms1, syms2)
 	st, ok := eng2.StorageStats()
 	if !ok {
@@ -176,7 +173,7 @@ func TestSymbolTableStableAcrossRestart(t *testing.T) {
 	if _, err := eng2.Apply(ctx, AddWorkflow(storageWorkflow("d", "novel_operation", "another_novel_step"))); err != nil {
 		t.Fatal(err)
 	}
-	syms3 := eng2.repo.Symtab().Symbols()
+	syms3 := engineSymbols(eng2)
 	if len(syms3) <= len(syms1) {
 		t.Fatalf("new workflow added no symbols: %d then %d", len(syms1), len(syms3))
 	}
@@ -184,7 +181,13 @@ func TestSymbolTableStableAcrossRestart(t *testing.T) {
 
 	eng3 := newStoredEngine(t, dir)
 	defer eng3.Close()
-	assertSameSymbols(t, "crash restart", syms3, eng3.repo.Symtab().Symbols())
+	assertSameSymbols(t, "crash restart", syms3, engineSymbols(eng3))
+}
+
+// engineSymbols lists the engine's shared symbol table (every shard interns
+// into the same one, so shard 0's is the deployment's).
+func engineSymbols(e *Engine) []string {
+	return e.coord.Shard(0).(*shard.Local).Symtab().Symbols()
 }
 
 func assertSameSymbols(t *testing.T, phase string, want, got []string) {
@@ -267,11 +270,11 @@ func TestLegacyLayoutMigration(t *testing.T) {
 	if _, err := eng.Apply(ctx, AddWorkflow(storageWorkflow("d", "align_reads"))); err != nil {
 		t.Fatal(err)
 	}
-	syms := eng.repo.Symtab().Symbols()
+	syms := engineSymbols(eng)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
 	}
 	eng2 := newStoredEngine(t, dir)
 	defer eng2.Close()
-	assertSameSymbols(t, "post-migration restart", syms, eng2.repo.Symtab().Symbols())
+	assertSameSymbols(t, "post-migration restart", syms, engineSymbols(eng2))
 }

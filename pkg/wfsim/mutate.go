@@ -5,7 +5,6 @@ import (
 	"fmt"
 
 	"repro/internal/corpus"
-	"repro/internal/index"
 )
 
 // Mutation is one operation in an Engine.Apply batch. Build mutations with
@@ -55,72 +54,36 @@ func (m Mutation) String() string {
 }
 
 // Apply commits a transactional mutation batch against the repository and
-// returns the new generation number. The batch is all-or-nothing: every
-// workflow is structurally validated and every op is checked against the
-// repository state (with preceding ops of the same batch staged) before
-// anything commits, so a failed Apply leaves the repository, the index and
+// returns the new generation (the sum of the per-shard vector; see
+// ApplyVector). The batch is all-or-nothing: every workflow is structurally
+// validated and every op is checked against the repository state (with
+// preceding ops of the same batch staged) on every touched shard before any
+// shard commits, so a failed Apply leaves the repository, the indexes and
 // the caches exactly as they were.
 //
-// On success the whole batch becomes visible atomically under one new
-// generation: the inverted index is maintained incrementally (O(labels) per
-// op, no corpus rescans), the score cache's generation keying retires every
-// cached pair involving removed or replaced workflows, and the
-// repository-knowledge projector (WithRepositoryKnowledge) is recomputed
-// from the post-batch snapshot on the next read — "ip" measures never score
-// against pre-mutation module frequencies. Reads already in flight keep
-// their pinned pre-mutation snapshot.
+// On success the whole batch becomes visible atomically: the inverted
+// indexes are maintained incrementally (O(labels) per op, no corpus
+// rescans), the score caches' generation keying retires every cached pair
+// involving removed or replaced workflows, and the repository-knowledge
+// projector (WithRepositoryKnowledge) is recomputed from the post-batch view
+// on the next read — "ip" measures never score against pre-mutation module
+// frequencies. Reads already in flight keep their pinned pre-mutation view.
+// With storage, the batch is logged and fsynced before it commits in memory,
+// and a log that has outgrown its thresholds is compacted afterwards.
 //
 // Concurrent Apply calls are serialised; reads never block on a writer. An
-// empty batch is a no-op returning the current generation.
+// empty batch is a no-op returning the current generation. After Close the
+// call fails with an error wrapping storage.ErrClosed.
 func (e *Engine) Apply(ctx context.Context, muts ...Mutation) (uint64, error) {
-	if e.coord != nil {
-		gens, err := e.ApplyVector(ctx, muts...)
-		if err != nil {
-			return 0, err
-		}
-		var sum uint64
-		for _, g := range gens {
-			sum += g
-		}
-		return sum, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return 0, err
-	}
-	e.applyMu.Lock()
-	defer e.applyMu.Unlock()
-	if len(muts) == 0 {
-		return e.repo.Generation(), nil
-	}
-	ops, err := mutationOps(muts)
+	gens, err := e.ApplyVector(ctx, muts...)
 	if err != nil {
 		return 0, err
 	}
-	gen, err := e.repo.ApplyBatch(ops)
-	if err != nil {
-		return 0, err
+	var sum uint64
+	for _, g := range gens {
+		sum += g
 	}
-	if idx := e.idx.Load(); idx != nil {
-		// The index must have been current for the pre-batch repository —
-		// generation gen-1, judged against the generation the batch
-		// actually committed under, so a direct repository mutation
-		// slipping in right before ApplyBatch still reads as drift. (It
-		// lags when the repository was mutated directly, bypassing Apply —
-		// incremental maintenance would then stamp a generation whose
-		// earlier changes the index never saw, silently hiding them.) On
-		// lag or on a drifted batch, recover with a full rebuild — the
-		// only code path that ever rebuilds. The batch and its generation
-		// stamp commit under one index write lock, so a concurrent search
-		// can never pass the generation check against a partially-applied
-		// or unstamped index.
-		if idx.Generation() != gen-1 || idx.Apply(ops, gen) != nil {
-			e.rebuildIndex()
-		}
-	}
-	// With storage, checkpoint when the mutation log has outgrown its
-	// thresholds; still under applyMu, so compactions never overlap.
-	e.maybeCompact()
-	return gen, nil
+	return sum, nil
 }
 
 // mutationOps validates a batch's mutations and unwraps the corpus ops.
@@ -141,25 +104,10 @@ func mutationOps(muts []Mutation) ([]corpus.Op, error) {
 }
 
 // ApplyVector is Apply returning the post-batch per-shard generation vector
-// instead of the aggregate. On an unsharded engine the vector has one
-// element. The same all-or-nothing semantics hold: for a sharded engine,
-// every touched shard validates its sub-batch before any shard commits, so a
-// batch failing validation anywhere leaves every shard untouched.
+// instead of its sum.
 func (e *Engine) ApplyVector(ctx context.Context, muts ...Mutation) ([]uint64, error) {
-	if e.coord == nil {
-		gen, err := e.Apply(ctx, muts...)
-		if err != nil {
-			return nil, err
-		}
-		return []uint64{gen}, nil
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
-	}
-	e.applyMu.Lock()
-	defer e.applyMu.Unlock()
-	if e.storeClosed {
-		return nil, fmt.Errorf("wfsim: engine is closed")
 	}
 	if len(muts) == 0 {
 		return e.coord.View().Generations(), nil
@@ -169,18 +117,6 @@ func (e *Engine) ApplyVector(ctx context.Context, muts ...Mutation) ([]uint64, e
 		return nil, err
 	}
 	return e.coord.Apply(ops)
-}
-
-// rebuildIndex rebuilds the inverted index from the current snapshot. It is
-// drift recovery, not routine maintenance: Apply keeps the index current
-// incrementally, and IndexStats.Rebuilds stays 0 on that path.
-func (e *Engine) rebuildIndex() {
-	snap := e.repo.Snapshot()
-	idx := index.Build(snap)
-	idx.Parallelism = e.concurrency
-	idx.SetGeneration(snap.Generation())
-	e.idx.Store(idx)
-	e.indexRebuilds.Add(1)
 }
 
 // IndexStats describes the inverted index's incremental-maintenance state.
@@ -201,38 +137,22 @@ type IndexStats struct {
 }
 
 // IndexStats reports the index's maintenance counters; ok is false when the
-// engine was built without WithIndex. For a sharded engine the counters are
-// summed across the per-shard indexes (Vocabulary is the sum of per-shard
-// vocabularies, not the global distinct-label count, and Generation is the
-// aggregate generation); per-shard detail is in ShardStats.
+// engine was built without WithIndex. The counters are summed across the
+// per-shard indexes (Vocabulary is the sum of per-shard vocabularies, not
+// the global distinct-label count, and Generation is the sum of the
+// per-shard index generations); per-shard detail is in ShardStats.
 func (e *Engine) IndexStats() (stats IndexStats, ok bool) {
-	if e.coord != nil {
-		any := false
-		for _, info := range e.coord.Infos() {
-			if info.Index == nil {
-				continue
-			}
-			any = true
-			stats.Live += info.Index.Live
-			stats.Dead += info.Index.Dead
-			stats.Vocabulary += info.Index.Vocabulary
-			stats.Compactions += info.Index.Compactions
-			stats.Rebuilds += info.IndexRebuilds
-			stats.Generation += info.Index.Generation
+	for _, info := range e.coord.Infos() {
+		if info.Index == nil {
+			continue
 		}
-		return stats, any
+		ok = true
+		stats.Live += info.Index.Live
+		stats.Dead += info.Index.Dead
+		stats.Vocabulary += info.Index.Vocabulary
+		stats.Compactions += info.Index.Compactions
+		stats.Rebuilds += info.IndexRebuilds
+		stats.Generation += info.Index.Generation
 	}
-	idx := e.idx.Load()
-	if idx == nil {
-		return IndexStats{}, false
-	}
-	s := idx.Stats()
-	return IndexStats{
-		Live:        s.Live,
-		Dead:        s.Dead,
-		Vocabulary:  s.Vocabulary,
-		Compactions: s.Compactions,
-		Rebuilds:    int(e.indexRebuilds.Load()),
-		Generation:  s.Generation,
-	}, true
+	return stats, ok
 }

@@ -168,21 +168,21 @@ func TestProjectionPerSnapshotGeneration(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	snapOld := eng.Snapshot()
+	viewOld := eng.coord.View()
 	if _, err := eng.Apply(ctx,
 		AddWorkflow(ipWorkflow("w5", "shim", "cluster_expression_data")),
 		AddWorkflow(ipWorkflow("w6", "shim", "plot_phylogeny")),
 	); err != nil {
 		t.Fatal(err)
 	}
-	snapNew := eng.Snapshot()
+	viewNew := eng.coord.View()
 
-	projOld, epochOld := eng.projectionFor(snapOld)
-	projNew, epochNew := eng.projectionFor(snapNew)
+	projOld, epochOld := eng.projectionFor(viewOld)
+	projNew, epochNew := eng.projectionFor(viewNew)
 	if epochOld == epochNew {
 		t.Fatal("distinct generations share one projector epoch")
 	}
-	w1 := snapOld.Get("w1")
+	w1 := viewOld.Get("w1")
 	// Under gen-0 frequencies "shim" is kept; under gen-1 it is projected
 	// away — both projections must be served simultaneously.
 	if got := projOld(w1).Size(); got != 2 {
@@ -193,10 +193,10 @@ func TestProjectionPerSnapshotGeneration(t *testing.T) {
 	}
 	// Resolving the old generation again must reuse its entry, not rebuild
 	// (and certainly not clobber the newer generation's projector).
-	if _, e := eng.projectionFor(snapOld); e != epochOld {
+	if _, e := eng.projectionFor(viewOld); e != epochOld {
 		t.Errorf("old generation re-resolved to epoch %d, want %d", e, epochOld)
 	}
-	if _, e := eng.projectionFor(snapNew); e != epochNew {
+	if _, e := eng.projectionFor(viewNew); e != epochNew {
 		t.Errorf("new generation re-resolved to epoch %d, want %d", e, epochNew)
 	}
 }
@@ -230,7 +230,7 @@ func TestProjectorEpochRetiresCachedScores(t *testing.T) {
 	}
 	ctx := context.Background()
 	const measure = "MS_ip_ta_pll"
-	n := eng.Repository().Size()
+	n := eng.Size()
 	pairCount := n * (n - 1) / 2
 
 	if _, stats, err := eng.Duplicates(ctx, 0.1, DuplicateOptions{Measure: measure}); err != nil {

@@ -176,7 +176,7 @@ type statsPayload struct {
 	ElapsedMS   float64  `json:"elapsed_ms"`
 }
 
-func toStatsPayload(st wfsim.Stats) statsPayload {
+func (s *Server) toStatsPayload(st wfsim.Stats) statsPayload {
 	return statsPayload{
 		Measure:     st.Measure,
 		Scored:      st.Scored,
@@ -185,9 +185,19 @@ func toStatsPayload(st wfsim.Stats) statsPayload {
 		CacheHits:   st.CacheHits,
 		CacheMisses: st.CacheMisses,
 		Generation:  st.Generation,
-		Generations: st.Generations,
+		Generations: s.shardVector(st.Generations),
 		ElapsedMS:   float64(st.Elapsed) / float64(time.Millisecond),
 	}
+}
+
+// shardVector returns the per-shard generation vector as the wire carries
+// it: dropped (omitempty) on a one-shard engine, where its single element
+// would only repeat "generation".
+func (s *Server) shardVector(gens []uint64) []uint64 {
+	if s.eng.Shards() == 1 {
+		return nil
+	}
+	return gens
 }
 
 // --- search ---
@@ -252,7 +262,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeReadError(w, err)
 		return
 	}
-	resp := searchResponse{Results: make([]resultPayload, len(results)), Stats: toStatsPayload(stats)}
+	resp := searchResponse{Results: make([]resultPayload, len(results)), Stats: s.toStatsPayload(stats)}
 	for i, res := range results {
 		resp.Results[i] = resultPayload{ID: res.ID, Similarity: res.Similarity}
 	}
@@ -343,7 +353,7 @@ func (s *Server) handleDuplicates(w http.ResponseWriter, r *http.Request) {
 		writeReadError(w, err)
 		return
 	}
-	resp := duplicatesResponse{Pairs: make([]pairPayload, len(pairs)), Stats: toStatsPayload(stats)}
+	resp := duplicatesResponse{Pairs: make([]pairPayload, len(pairs)), Stats: s.toStatsPayload(stats)}
 	for i, p := range pairs {
 		resp.Pairs[i] = pairPayload{A: p.A, B: p.B, Similarity: p.Similarity}
 	}
@@ -389,7 +399,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		Clusters:    res.Clusters,
 		Skipped:     res.Skipped,
 		Generation:  res.Generation,
-		Generations: res.Generations,
+		Generations: s.shardVector(res.Generations),
 	})
 }
 
@@ -409,10 +419,10 @@ type batchRequest struct {
 
 type batchResponse struct {
 	// Generation is the repository generation the batch committed under
-	// (the aggregate generation for a sharded engine).
+	// (the sum of the per-shard vector).
 	Generation uint64 `json:"generation"`
-	// Generations is the post-batch per-shard generation vector; omitted for
-	// unsharded engines.
+	// Generations is the post-batch per-shard generation vector; omitted on
+	// a one-shard engine.
 	Generations []uint64 `json:"generations,omitempty"`
 	// Ops is the number of mutations in the committed batch.
 	Ops int `json:"ops"`
@@ -508,9 +518,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	for _, g := range gens {
 		resp.Generation += g
 	}
-	if s.eng.Shards() > 1 {
-		resp.Generations = gens
-	}
+	resp.Generations = s.shardVector(gens)
 	writeJSON(w, http.StatusOK, resp)
 }
 
@@ -535,16 +543,16 @@ func (s *Server) handleGetWorkflow(w http.ResponseWriter, r *http.Request) {
 }
 
 type statsResponse struct {
-	// Generation is the engine's current generation (the aggregate, summed
-	// across shards, for a sharded engine).
+	// Generation is the engine's current generation (summed across shards).
 	Generation uint64 `json:"generation"`
-	// Shards and Generations describe a sharded engine: the shard count and
-	// the per-shard generation vector. Omitted for unsharded engines.
+	// Shards and Generations describe an engine of two or more shards: the
+	// shard count and the per-shard generation vector. Omitted on one shard.
 	Shards      int      `json:"shards,omitempty"`
 	Generations []uint64 `json:"generations,omitempty"`
 	Workflows   int      `json:"workflows"`
-	// Index, Cache and Storage are cross-shard aggregates on a sharded
-	// engine; PerShard holds the per-shard breakdown.
+	// Index, Cache and Storage are cross-shard aggregates; PerShard holds
+	// the per-shard breakdown (omitted on one shard, where it would repeat
+	// them).
 	Index             *wfsim.IndexStats   `json:"index,omitempty"`
 	Cache             wfsim.CacheStats    `json:"cache"`
 	Storage           *wfsim.StorageStats `json:"storage,omitempty"`
@@ -570,6 +578,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if n := s.eng.Shards(); n > 1 {
 		resp.Shards = n
 		resp.Generations = s.eng.Generations()
+		// On one shard the aggregate blocks below are the per-shard detail.
 		resp.PerShard = s.eng.ShardStats()
 	}
 	if ist, ok := s.eng.IndexStats(); ok {

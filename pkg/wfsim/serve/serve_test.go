@@ -380,8 +380,13 @@ func TestRequestValidation(t *testing.T) {
 // scan over a deliberately slow measure is cut off near the deadline instead
 // of running to completion, and reports a timeout.
 func TestDeadlineBoundsResponse(t *testing.T) {
+	// One scoring worker, so the outcome does not depend on the core count:
+	// with a worker per pair the whole scan would finish in one 300ms wave,
+	// and a scan that completed is (correctly) never failed for a deadline
+	// that expired meanwhile.
 	ts, _ := newTestServer(t, serve.Config{},
-		wfsim.WithMeasure("slow", slowMeasure{d: 300 * time.Millisecond}))
+		wfsim.WithMeasure("slow", slowMeasure{d: 300 * time.Millisecond}),
+		wfsim.WithConcurrency(1))
 
 	start := time.Now()
 	var sr wireSearch
@@ -392,9 +397,9 @@ func TestDeadlineBoundsResponse(t *testing.T) {
 	if status != http.StatusGatewayTimeout {
 		t.Errorf("slow search under 100ms deadline: status %d (%s), want 504", status, sr.Error)
 	}
-	// 3 pairs x 300ms = 900ms unbounded; the deadline must cut the scan off
-	// long before that (generous slack for CI schedulers).
-	if elapsed > 700*time.Millisecond {
+	// 2 non-query pairs x 300ms = 600ms unbounded; the deadline must cut the
+	// scan off after the first pair (slack for CI schedulers).
+	if elapsed > 550*time.Millisecond {
 		t.Errorf("deadline ignored: call took %v", elapsed)
 	}
 }
@@ -551,7 +556,7 @@ func TestConcurrentIngestAndSearch(t *testing.T) {
 	if got, want := eng.Generation(), genStart+writers*rounds; got != want {
 		t.Errorf("final generation = %d, want %d (one bump per batch)", got, want)
 	}
-	if got, want := eng.Snapshot().Size(), 3+writers*rounds; got != want {
+	if got, want := eng.Size(), 3+writers*rounds; got != want {
 		t.Errorf("final corpus size = %d, want %d", got, want)
 	}
 }
@@ -761,6 +766,25 @@ func TestShardedService(t *testing.T) {
 	for _, key := range []string{"shards", "generations", "per_shard"} {
 		if _, ok := raw[key]; ok {
 			t.Errorf("unsharded stats response carries %q", key)
+		}
+	}
+	// So do the read and batch responses: one shard's vector would only
+	// repeat "generation".
+	for path, body := range map[string]any{
+		"/v1/search":          map[string]any{"query_id": "w1"},
+		"/v1/duplicates":      map[string]any{"threshold": 0.1},
+		"/v1/cluster":         map[string]any{},
+		"/v1/workflows:batch": map[string]any{"ops": []any{map[string]any{"op": "remove", "id": "w3"}}},
+	} {
+		var out struct {
+			Generations json.RawMessage            `json:"generations"`
+			Stats       map[string]json.RawMessage `json:"stats"`
+		}
+		if status := postJSON(t, ts2.URL+path, body, &out); status != http.StatusOK {
+			t.Fatalf("%s: status %d", path, status)
+		}
+		if _, ok := out.Stats["generations"]; ok || out.Generations != nil {
+			t.Errorf("unsharded %s response carries a generation vector", path)
 		}
 	}
 }

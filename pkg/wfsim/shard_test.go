@@ -20,8 +20,9 @@ func shardTestWF(id string, labels ...string) *Workflow {
 }
 
 // shardedPair builds a 1-shard and an n-shard engine over the same generated
-// corpus and identical options. Both must be constructed before any Apply:
-// the sharded engine partitions the seed repository at construction time.
+// corpus and identical options (error messages call them "unsharded" and
+// "sharded"). Both must be constructed before any Apply: an engine
+// partitions the seed repository at construction time.
 func shardedPair(t *testing.T, n int, opts ...Option) (*Engine, *Engine, *GeneratedCorpus) {
 	t.Helper()
 	c := testCorpus(t)
@@ -60,27 +61,44 @@ func assertSameSearch(t *testing.T, e1, eN *Engine, queryID string, opts SearchO
 	if s1.Measure != sN.Measure {
 		t.Errorf("measure %q sharded vs %q unsharded", sN.Measure, s1.Measure)
 	}
-	if eN.Shards() > 1 && sN.Generations == nil {
-		t.Error("sharded search stats missing generation vector")
+	if s1.Scored != sN.Scored || s1.Skipped != sN.Skipped || s1.Pruned != sN.Pruned {
+		t.Errorf("query %s: scored/skipped/pruned %d/%d/%d sharded vs %d/%d/%d unsharded",
+			queryID, sN.Scored, sN.Skipped, sN.Pruned, s1.Scored, s1.Skipped, s1.Pruned)
+	}
+	if len(sN.Generations) != eN.Shards() {
+		t.Errorf("search stats carry a %d-element generation vector on %d shards", len(sN.Generations), eN.Shards())
 	}
 }
 
 func TestShardedSearchEquivalence(t *testing.T) {
-	for _, n := range []int{2, 4} {
-		e1, eN, c := shardedPair(t, n, WithIndex(2), WithScoreCache(1<<14))
-		if got := eN.Shards(); got != n {
-			t.Fatalf("Shards() = %d, want %d", got, n)
-		}
-		if e1.Size() != eN.Size() {
-			t.Fatalf("size %d sharded vs %d unsharded", eN.Size(), e1.Size())
-		}
-		for _, wf := range c.Repo.Workflows()[:4] {
-			assertSameSearch(t, e1, eN, wf.ID, SearchOptions{K: 12})
-			// Twice: the second pass is served from the shard caches and must
-			// not change anything.
-			assertSameSearch(t, e1, eN, wf.ID, SearchOptions{K: 12})
-			assertSameSearch(t, e1, eN, wf.ID, SearchOptions{K: 12, Exact: true})
-			assertSameSearch(t, e1, eN, wf.ID, SearchOptions{K: 12, Measure: "MS_ip_te_pll"})
+	for _, cfg := range []struct {
+		name string
+		opts []Option
+	}{
+		{"index+cache", []Option{WithIndex(2), WithScoreCache(1 << 14)}},
+		{"index", []Option{WithIndex(2)}},
+		{"cache", []Option{WithScoreCache(1 << 14)}},
+		{"bare", nil},
+	} {
+		for _, n := range []int{2, 4} {
+			e1, eN, c := shardedPair(t, n, cfg.opts...)
+			if got := eN.Shards(); got != n {
+				t.Fatalf("%s: Shards() = %d, want %d", cfg.name, got, n)
+			}
+			if e1.Size() != eN.Size() {
+				t.Fatalf("%s: size %d sharded vs %d unsharded", cfg.name, eN.Size(), e1.Size())
+			}
+			for _, wf := range c.Repo.Workflows()[:4] {
+				assertSameSearch(t, e1, eN, wf.ID, SearchOptions{K: 12})
+				// Twice: the second pass is served from the shard caches
+				// (when there are any) and must not change anything.
+				assertSameSearch(t, e1, eN, wf.ID, SearchOptions{K: 12})
+				assertSameSearch(t, e1, eN, wf.ID, SearchOptions{K: 12, Exact: true})
+				assertSameSearch(t, e1, eN, wf.ID, SearchOptions{K: 12, Measure: "MS_ip_te_pll"})
+			}
+			if t.Failed() {
+				t.Fatalf("%s at %d shards diverged", cfg.name, n)
+			}
 		}
 	}
 }
@@ -150,8 +168,8 @@ func TestShardedEquivalenceAfterApply(t *testing.T) {
 	if key1, keyN := clusterKey(c1.Clusters), clusterKey(cN.Clusters); key1 != keyN {
 		t.Errorf("clusterings differ:\nunsharded: %s\nsharded:   %s", key1, keyN)
 	}
-	if cN.Generations == nil {
-		t.Error("sharded cluster result missing generation vector")
+	if len(c1.Generations) != 1 || len(cN.Generations) != 3 {
+		t.Errorf("cluster generation vectors have %d and %d elements, want 1 and 3", len(c1.Generations), len(cN.Generations))
 	}
 }
 
@@ -443,16 +461,17 @@ func TestShardedStats(t *testing.T) {
 	if n := len(eng.Generations()); n != 4 {
 		t.Errorf("generation vector length %d, want 4", n)
 	}
-	// Unsharded engines report no shard blocks and a one-element vector.
+	// Without WithShards the engine is the one-shard case of the same
+	// surface: one shard block holding everything, a one-element vector.
 	e1, err := New(testCorpus(t).Repo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e1.ShardStats() != nil {
-		t.Error("unsharded engine reports shard stats")
+	if infos := e1.ShardStats(); len(infos) != 1 || infos[0].Workflows != e1.Size() {
+		t.Errorf("one-shard engine reports shard stats %+v, want one block of %d workflows", infos, e1.Size())
 	}
 	if v := e1.Generations(); len(v) != 1 {
-		t.Errorf("unsharded generation vector length %d, want 1", len(v))
+		t.Errorf("one-shard generation vector length %d, want 1", len(v))
 	}
 }
 
@@ -461,12 +480,12 @@ func TestWithShardsValidation(t *testing.T) {
 	if _, err := New(c.Repo, WithShards(0)); err == nil {
 		t.Error("WithShards(0) accepted")
 	}
-	// WithShards(1) stays on the single-repository engine.
+	// WithShards(1) is the default spelled out.
 	eng, err := New(c.Repo, WithShards(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.ShardStats() != nil {
-		t.Error("WithShards(1) built a sharded engine")
+	if eng.Shards() != 1 || len(eng.ShardStats()) != 1 {
+		t.Errorf("WithShards(1) built %d shards (%d stats blocks)", eng.Shards(), len(eng.ShardStats()))
 	}
 }

@@ -1,34 +1,27 @@
 package wfsim
 
 import (
-	"context"
 	"fmt"
-	"strconv"
-	"strings"
-	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/measures"
 	"repro/internal/scorecache"
 	"repro/internal/shard"
 	"repro/internal/storage"
-	"repro/internal/symtab"
 	"repro/internal/workflow"
 )
 
 // WithShards partitions the corpus across n engine shards by
-// consistent-hashed workflow ID. Each shard owns its slice of the corpus,
-// its inverted label index (WithIndex), its score cache (WithScoreCache) and
-// its own storage directory (WithStorage: shard-NNNN subdirectories under
-// the data directory, plus a layout marker recording n). The engine's
-// read/write surface is unchanged: reads fan out to every shard and merge
-// deterministically, Apply routes each mutation to its owning shard with
-// all-or-nothing validation across shards, and results are identical to a
-// single-shard engine up to the documented tie-breaking notes in the README.
+// consistent-hashed workflow ID (default 1: the whole corpus in one shard).
+// Each shard owns its slice of the corpus, its inverted label index
+// (WithIndex), its score cache (WithScoreCache) and its own store
+// (WithStorage). The engine's read/write surface does not depend on n:
+// reads fan out to every shard and merge deterministically, Apply routes
+// each mutation to its owning shard with all-or-nothing validation across
+// shards, and results are bit-identical at every shard count.
 //
-// n = 1 (the default) keeps the single-repository engine and its flat
-// storage layout. A data directory initialised with one shard count refuses
-// to open with another — resharding on disk is not supported.
+// On disk, one shard keeps its store flat in the data directory; n >= 2
+// shards use shard-NNNN subdirectories plus a layout marker recording n. A
+// data directory written with one shard count refuses to open with another
+// — resharding on disk is not supported.
 func WithShards(n int) Option {
 	return func(e *Engine) error {
 		if n < 1 {
@@ -39,11 +32,11 @@ func WithShards(n int) Option {
 	}
 }
 
-// openSharded is the WithShards(n > 1) construction path, the sharded
-// counterpart of the openStorage/index/projector finalize steps of New: it
-// checks the on-disk layout, builds or recovers every shard, and stands up
-// the coordinator the engine's operations route through.
-func (e *Engine) openSharded() error {
+// open is New's construction step, run after every option: it checks the
+// on-disk layout, builds or recovers every shard — seeded with its ring
+// slice of seed when the directory holds no state — and stands up the
+// coordinator the engine's operations route through.
+func (e *Engine) open(seed *Repository) error {
 	n := e.shardCount
 	ring, err := shard.NewRing(n)
 	if err != nil {
@@ -57,24 +50,23 @@ func (e *Engine) openSharded() error {
 		if err := shard.CheckLayout(e.storageDir, n); err != nil {
 			return err
 		}
-		hasState := false
-		for i := 0; i < n && !hasState; i++ {
-			has, err := storage.DirHasState(shard.ShardDir(e.storageDir, i))
+	}
+	if durable && seed.Size() > 0 {
+		for i := 0; i < n; i++ {
+			has, err := storage.DirHasState(shard.StoreDir(e.storageDir, n, i))
 			if err != nil {
 				return err
 			}
-			hasState = has
-		}
-		if hasState && e.repo.Snapshot().Size() > 0 {
-			return fmt.Errorf("storage directory %s holds sharded state; refusing to recover into a non-empty repository (preload only into a fresh data directory)", e.storageDir)
+			if has {
+				return fmt.Errorf("storage directory %s holds stored state; refusing to recover into a non-empty repository (preload only into a fresh data directory)", e.storageDir)
+			}
 		}
 	}
-	// Partition the seed repository by ring owner. For a recovering engine
-	// the repository is empty and every shard restores its own slice; the
-	// marker pins the shard count, so the recovered partition matches the
-	// ring.
+	// Partition the seed by ring owner. For a recovering engine the seed is
+	// empty and every shard restores its own slice; the layout pins the
+	// shard count, so the recovered partition matches the ring.
 	parts := make([][]*workflow.Workflow, n)
-	for _, wf := range e.repo.Snapshot().Workflows() {
+	for _, wf := range seed.Workflows() {
 		o := ring.Owner(wf.ID)
 		parts[o] = append(parts[o], wf)
 	}
@@ -85,14 +77,6 @@ func (e *Engine) openSharded() error {
 			total = scorecache.DefaultSize
 		}
 		perCache = (total + n - 1) / n
-	}
-	// One symbol table for the whole deployment: cross-shard reads compare
-	// and cache-key workflows from different shards, so their interned IDs
-	// must come from the same assignment order. The seed repository's table
-	// is reused so already-resolved seed workflows keep their IDs.
-	tab := e.repo.Symtab()
-	if tab == nil {
-		tab = symtab.New()
 	}
 	shards := make([]shard.Shard, n)
 	closeBuilt := func() {
@@ -108,10 +92,16 @@ func (e *Engine) openSharded() error {
 			CacheSize:   perCache,
 			Concurrency: e.concurrency,
 			Seed:        parts[i],
-			Symtab:      tab,
+			// One symbol table for the whole deployment: cross-shard reads
+			// compare and cache-key workflows from different shards, so their
+			// interned IDs must come from the same assignment order. The
+			// seed's table is reused so already-resolved seed workflows keep
+			// their IDs (and a seed with interning disabled stays
+			// uninterned).
+			Symtab: seed.Symtab(),
 		}
 		if durable {
-			cfg.Dir = shard.ShardDir(e.storageDir, i)
+			cfg.Dir = shard.StoreDir(e.storageDir, n, i)
 			cfg.Storage = storage.Options{
 				CompactBytes:   e.storageCfg.compactBytes,
 				CompactRecords: e.storageCfg.compactRecords,
@@ -132,199 +122,15 @@ func (e *Engine) openSharded() error {
 		return err
 	}
 	e.coord = coord
-	// Finalize steps, mirroring the unsharded path: the initial
-	// repository-knowledge projector is built over the boot view, and the
-	// per-shard warm caches are re-seeded under its epoch.
-	if e.repoKnow != nil {
-		e.projectionForView(coord.View())
-	}
+	// Finalize steps: the initial repository-knowledge projector is built
+	// over the boot view — after every option has run, and over the
+	// recovered state rather than the empty seed — and the shard caches are
+	// re-seeded from the persisted warm entries under its epoch.
+	_, epoch := e.projectionFor(coord.View())
 	if durable && e.cacheWanted {
-		_, epoch := e.projectionForView(coord.View())
-		e.warmEntries = coord.WarmLoad(e.projectionSig(), epoch)
+		coord.WarmLoad(e.projectionSig(), epoch)
 	}
 	return nil
-}
-
-// vecKey formats a sharded frontier key from a generation vector.
-func vecKey(gens []uint64) string {
-	var b strings.Builder
-	b.WriteByte('v')
-	for i, g := range gens {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.FormatUint(g, 10))
-	}
-	return b.String()
-}
-
-// projectionForView resolves the importance projection a read over the view
-// must use, plus the epoch keying its cached scores — the sharded
-// counterpart of projectionFor. With repository knowledge the projector
-// belongs to the view's generation vector: module frequencies are collected
-// over the union of every shard's pinned slice, so the projection is
-// identical to a single-shard engine's at the same corpus state.
-func (e *Engine) projectionForView(v shard.View) (measures.Projector, uint64) {
-	if rk := e.repoKnow; rk != nil {
-		ent := rk.entry(vecKey(v.Generations()), v.Union)
-		return ent.project, ent.epoch
-	}
-	return e.reg.projectorState()
-}
-
-// fillRead copies coordinator scan stats into a Stats under the view's
-// generation stamps.
-func fillRead(stats *Stats, v shard.View, r shard.ReadStats) {
-	stats.Scored = r.Scored
-	stats.Skipped = r.Skipped
-	stats.Pruned = r.Pruned
-	stats.CacheHits = r.CacheHits
-	stats.CacheMisses = r.CacheMisses
-	stats.Generation = v.AggregateGeneration()
-	stats.Generations = v.Generations()
-}
-
-// searchView is Search over a pinned sharded view: the query fans out to
-// every shard and the per-shard top-k lists merge into the global top-k with
-// single-engine tie-breaking.
-func (e *Engine) searchView(ctx context.Context, query *Workflow, v shard.View, opts SearchOptions) ([]Result, Stats, error) {
-	project, epoch := e.projectionForView(v)
-	m, err := e.measureFor(ctx, opts.Measure, project)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	t0 := time.Now()
-	prep := shard.NewScanPrep(m, epoch)
-	q := shard.Query{
-		Query:         query,
-		K:             opts.K,
-		Exact:         opts.Exact,
-		IncludeQuery:  opts.IncludeQuery,
-		MinSimilarity: opts.MinSimilarity,
-		Par:           e.concurrency,
-	}
-	if owner := v.Owner(query.ID); owner.Get(query.ID) == query {
-		// The query is the owning shard's own snapshot object: its pair
-		// scores may enter and be served from the shard caches.
-		q.Cacheable = true
-		q.QueryGen = owner.Generation()
-	}
-	res, rstats, err := e.coord.Search(ctx, v, prep, q)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	stats := Stats{Measure: m.Name()}
-	fillRead(&stats, v, rstats)
-	stats.Elapsed = time.Since(t0)
-	return res, stats, nil
-}
-
-// compareView scores one pair with the view's projection.
-func (e *Engine) compareView(ctx context.Context, v shard.View, a, b *Workflow, measureNames []string) ([]Score, uint64, error) {
-	if a == nil || b == nil {
-		return nil, 0, fmt.Errorf("nil workflow in Compare")
-	}
-	project, _ := e.projectionForView(v)
-	if len(measureNames) == 0 {
-		measureNames = CompareMeasures()
-	}
-	out := make([]Score, 0, len(measureNames))
-	for _, name := range measureNames {
-		if err := ctx.Err(); err != nil {
-			return nil, 0, err
-		}
-		m, err := e.measureFor(ctx, name, project)
-		if err != nil {
-			return nil, 0, err
-		}
-		s, err := m.Compare(a, b)
-		out = append(out, Score{Measure: m.Name(), Similarity: s, Err: err})
-	}
-	return out, v.AggregateGeneration(), nil
-}
-
-// duplicatesView is Duplicates over a pinned sharded view: the global pair
-// triangle decomposes into per-shard triangles and cross-shard rectangles,
-// scanned in parallel and merged into the single-engine pair order.
-func (e *Engine) duplicatesView(ctx context.Context, v shard.View, threshold float64, opts DuplicateOptions) ([]Pair, Stats, error) {
-	project, epoch := e.projectionForView(v)
-	m, err := e.measureFor(ctx, opts.Measure, project)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	t0 := time.Now()
-	prep := shard.NewScanPrep(m, epoch)
-	pairs, rstats, err := e.coord.Duplicates(ctx, v, prep, threshold, e.concurrency)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	stats := Stats{Measure: m.Name()}
-	fillRead(&stats, v, rstats)
-	stats.Elapsed = time.Since(t0)
-	return pairs, stats, nil
-}
-
-// clusterView is Cluster over a pinned sharded view. The similarity matrix
-// spans the union of every shard's slice in ID order (a sharded corpus has
-// no global insertion order), scored through the per-shard caches.
-func (e *Engine) clusterView(ctx context.Context, v shard.View, opts ClusterOptions) (*ClusterResult, error) {
-	project, epoch := e.projectionForView(v)
-	m, err := e.measureFor(ctx, opts.Measure, project)
-	if err != nil {
-		return nil, err
-	}
-	minSim := 0.5
-	if opts.MinSimilarity != nil {
-		minSim = *opts.MinSimilarity
-	}
-	prep := shard.NewScanPrep(m, epoch)
-	mat, _, err := e.coord.Matrix(ctx, v, prep, e.concurrency)
-	if err != nil {
-		return nil, err
-	}
-	var c cluster.Clustering
-	if opts.SingleLinkage {
-		c = cluster.Components(mat, minSim)
-	} else {
-		c = cluster.Agglomerative(mat, minSim)
-	}
-	out := &ClusterResult{
-		Measure:     m.Name(),
-		Clusters:    make([][]string, c.K),
-		Skipped:     mat.Skipped,
-		Generation:  v.AggregateGeneration(),
-		Generations: v.Generations(),
-	}
-	for k, members := range c.Members() {
-		ids := make([]string, len(members))
-		for i, pos := range members {
-			ids[i] = mat.IDs[pos]
-		}
-		out.Clusters[k] = ids
-	}
-	return out, nil
-}
-
-// closeSharded is Close for a sharded engine: every shard checkpoints its
-// final snapshot and persists its warm intra-shard pair scores. A RAM-only
-// sharded engine has nothing to flush and stays open, like the unsharded
-// path.
-func (e *Engine) closeSharded() error {
-	if e.storageDir == "" {
-		return nil
-	}
-	e.applyMu.Lock()
-	defer e.applyMu.Unlock()
-	if e.storeClosed {
-		return nil
-	}
-	e.storeClosed = true
-	var warm *shard.WarmSpec
-	if e.cacheWanted {
-		_, epoch := e.projectionForView(e.coord.View())
-		warm = &shard.WarmSpec{Sig: e.projectionSig(), Epoch: epoch}
-	}
-	return e.coord.Close(warm)
 }
 
 // ShardInfo is one shard's stats block, as reported by ShardStats.
@@ -343,13 +149,10 @@ type ShardInfo struct {
 	Storage *StorageStats `json:"storage,omitempty"`
 }
 
-// ShardStats reports every shard's stats, in shard order; nil for an
-// unsharded engine (use IndexStats/CacheStats/StorageStats, which a sharded
-// engine also serves as cross-shard aggregates).
+// ShardStats reports every shard's stats, in shard order (one block on a
+// one-shard engine). IndexStats, CacheStats and StorageStats serve the
+// cross-shard aggregates.
 func (e *Engine) ShardStats() []ShardInfo {
-	if e.coord == nil {
-		return nil
-	}
 	infos := e.coord.Infos()
 	out := make([]ShardInfo, len(infos))
 	for i, info := range infos {

@@ -1,18 +1,16 @@
 package wfsim
 
 import (
-	"errors"
 	"fmt"
 
-	"repro/internal/corpus"
-	"repro/internal/scorecache"
 	"repro/internal/shard"
 	"repro/internal/storage"
 )
 
 // WithStorage makes the engine's repository durable, backed by the given
-// data directory. Every Apply batch is appended to an append-only mutation
-// log and fsynced inside the transaction boundary — the in-memory commit
+// data directory (one store per shard; see WithShards for the layout). Every
+// Apply batch is appended to an append-only mutation log and fsynced inside
+// the transaction boundary — the in-memory commit
 // happens only after the record is durable, so a process killed at any
 // instant restarts at the last fully-committed generation. The log is
 // periodically compacted into snapshot files, and construction recovers the
@@ -86,91 +84,34 @@ type StorageStats struct {
 }
 
 // StorageStats reports the durability layer's counters; ok is false when
-// the engine was built without WithStorage. For a sharded engine the
-// counters are summed across the per-shard stores (Dir is the root data
-// directory); per-shard detail is in ShardStats.
+// the engine was built without WithStorage. The counters are summed across
+// the per-shard stores (Dir is the root data directory); per-shard detail
+// is in ShardStats.
 func (e *Engine) StorageStats() (stats StorageStats, ok bool) {
-	if e.coord != nil {
-		if e.storageDir == "" {
-			return StorageStats{}, false
-		}
-		stats.Dir = e.storageDir
-		for _, info := range e.coord.Infos() {
-			if info.Storage == nil {
-				continue
-			}
-			stats.LogBytes += info.Storage.LogBytes
-			stats.LogRecords += info.Storage.LogRecords
-			stats.SnapshotGeneration += info.Storage.SnapshotGeneration
-			stats.Compactions += info.Storage.Compactions
-			stats.Recovery.SnapshotLoaded = stats.Recovery.SnapshotLoaded || info.Storage.Recovery.SnapshotLoaded
-			stats.Recovery.SnapshotGeneration += info.Storage.Recovery.SnapshotGeneration
-			stats.Recovery.ReplayedRecords += info.Storage.Recovery.ReplayedRecords
-			stats.Recovery.ReplayedOps += info.Storage.Recovery.ReplayedOps
-			stats.Recovery.TornTailTruncated = stats.Recovery.TornTailTruncated || info.Storage.Recovery.TornTailTruncated
-			stats.Recovery.Generation += info.Storage.Recovery.Generation
-			stats.Recovery.Workflows += info.Storage.Recovery.Workflows
-			stats.Recovery.SymbolsRecovered += info.Storage.Recovery.SymbolsRecovered
-			stats.Recovery.MigratedFormat = stats.Recovery.MigratedFormat || info.Storage.Recovery.MigratedFormat
-			stats.WarmCacheEntries += info.WarmEntries
-		}
-		return stats, true
-	}
-	if e.store == nil {
+	if e.storageDir == "" {
 		return StorageStats{}, false
 	}
-	return StorageStats{Stats: e.store.Stats(), WarmCacheEntries: e.warmEntries}, true
-}
-
-// openStorage runs during New, after all options and before the index and
-// projector finalize steps, so both are built over the recovered state.
-func (e *Engine) openStorage() error {
-	if e.storageCfg.warnf == nil {
-		e.storageCfg.warnf = func(string, ...any) {}
-	}
-	// A directory initialised by a sharded engine must not be opened flat:
-	// the corpus lives in the shard subdirectories, and a flat log written
-	// alongside would fork the state.
-	if n, ok, err := shard.ReadMarker(e.storageDir); err != nil {
-		return err
-	} else if ok {
-		return fmt.Errorf("storage directory %s holds a sharded corpus (%d shards); reopen it with WithShards(%d) (wfsimd: -shards %d)", e.storageDir, n, n, n)
-	}
-	store, wfs, gen, err := storage.Open(e.storageDir, storage.Options{
-		CompactBytes:   e.storageCfg.compactBytes,
-		CompactRecords: e.storageCfg.compactRecords,
-		NoSync:         e.storageCfg.noSync,
-		Warnf:          e.storageCfg.warnf,
-		Symtab:         e.repo.Symtab(),
-	})
-	if err != nil {
-		return err
-	}
-	switch {
-	case gen > 0 || len(wfs) > 0:
-		if e.repo.Generation() != 0 || e.repo.Snapshot().Size() != 0 {
-			store.Close() //wfsimvet:ignore errpath abort path before any write; the refusal error wins
-			return fmt.Errorf("storage directory %s holds state at generation %d; refusing to recover into a non-empty repository (preload only into a fresh data directory)", e.storageDir, gen)
+	stats.Dir = e.storageDir
+	for _, info := range e.coord.Infos() {
+		if info.Storage == nil {
+			continue
 		}
-		if err := e.repo.Restore(gen, wfs...); err != nil {
-			store.Close()
-			return err
-		}
-	case e.repo.Snapshot().Size() > 0 || e.repo.Generation() > 0:
-		// Fresh directory under a pre-populated repository: persist the
-		// initial contents as the baseline snapshot, so the preload itself
-		// survives a restart.
-		snap := e.repo.Snapshot()
-		if err := store.Compact(snap.Generation(), snap.Workflows()); err != nil {
-			store.Close()
-			return fmt.Errorf("persist initial repository state: %w", err)
-		}
+		stats.LogBytes += info.Storage.LogBytes
+		stats.LogRecords += info.Storage.LogRecords
+		stats.SnapshotGeneration += info.Storage.SnapshotGeneration
+		stats.Compactions += info.Storage.Compactions
+		stats.Recovery.SnapshotLoaded = stats.Recovery.SnapshotLoaded || info.Storage.Recovery.SnapshotLoaded
+		stats.Recovery.SnapshotGeneration += info.Storage.Recovery.SnapshotGeneration
+		stats.Recovery.ReplayedRecords += info.Storage.Recovery.ReplayedRecords
+		stats.Recovery.ReplayedOps += info.Storage.Recovery.ReplayedOps
+		stats.Recovery.TornTailTruncated = stats.Recovery.TornTailTruncated || info.Storage.Recovery.TornTailTruncated
+		stats.Recovery.Generation += info.Storage.Recovery.Generation
+		stats.Recovery.Workflows += info.Storage.Recovery.Workflows
+		stats.Recovery.SymbolsRecovered += info.Storage.Recovery.SymbolsRecovered
+		stats.Recovery.MigratedFormat = stats.Recovery.MigratedFormat || info.Storage.Recovery.MigratedFormat
+		stats.WarmCacheEntries += info.WarmEntries
 	}
-	e.repo.SetCommitHook(func(gen uint64, ops []corpus.Op) error {
-		return store.Commit(gen, ops)
-	})
-	e.store = store
-	return nil
+	return stats, true
 }
 
 // projectionSig describes the projection configuration for warm-cache
@@ -184,113 +125,27 @@ func (e *Engine) projectionSig() string {
 	return "configured"
 }
 
-// loadWarmCache re-seeds the score cache from the persisted warm entries,
-// if they match the recovered generation and projection configuration.
-func (e *Engine) loadWarmCache() {
-	if e.store == nil || e.cache == nil {
-		return
-	}
-	snap := e.repo.Snapshot()
-	entries, ok := e.store.LoadScoreCache(snap.Generation(), e.projectionSig())
-	if !ok {
-		return
-	}
-	gen := snap.Generation()
-	_, epoch := e.projectionFor(snap)
-	// Warm entries persist workflow IDs as strings; resolve them against
-	// the repository's symbol table. An ID the table never saw marks a
-	// stale entry, which is skipped rather than mis-keyed.
-	tab := e.repo.Symtab()
-	if tab == nil {
-		return
-	}
-	n := 0
-	for _, ent := range entries {
-		a, okA := tab.Lookup(ent.A)
-		b, okB := tab.Lookup(ent.B)
-		if !okA || !okB || a == 0 || b == 0 {
-			continue
-		}
-		e.cache.Put(scorecache.PairKey(ent.Measure, a, b, gen, epoch), ent.Score)
-		n++
-	}
-	e.warmEntries = n
-}
-
-// maybeCompact runs after a committed Apply batch, under applyMu: when the
-// log has outgrown its thresholds, checkpoint the post-batch snapshot and
-// truncate the covered log prefix. Compaction failure never fails the
-// commit — the batch is already durable in the log; the store just stays
-// un-truncated until a later attempt succeeds.
-func (e *Engine) maybeCompact() {
-	if e.store == nil || !e.store.ShouldCompact() {
-		return
-	}
-	snap := e.repo.Snapshot()
-	if err := e.store.Compact(snap.Generation(), snap.Workflows()); err != nil && !errors.Is(err, storage.ErrClosed) {
-		e.storageCfg.warnf("wfsim: snapshot compaction at generation %d failed: %v", snap.Generation(), err)
-	}
-}
-
-// Close flushes and closes the engine's durability layer: a final snapshot
-// compaction, warm score-cache persistence (when the engine has a cache),
-// and release of the underlying files. Mutations after Close fail with a
-// storage-closed error; reads keep working from memory. Close is
-// idempotent and a no-op for engines without WithStorage.
+// Close flushes and closes the engine's durability layer: on every shard a
+// final snapshot compaction, warm score-cache persistence (when the engine
+// has a cache), and release of the underlying files. Mutations after Close
+// fail with a storage-closed error; reads keep working from memory. Call it
+// once writers are done: a batch racing Close either commits before the
+// flush or is refused. Close is idempotent and a no-op for engines without
+// WithStorage.
 func (e *Engine) Close() error {
-	if e.coord != nil {
-		return e.closeSharded()
-	}
-	if e.store == nil {
+	if e.storageDir == "" {
 		return nil
 	}
-	e.applyMu.Lock()
-	defer e.applyMu.Unlock()
-	if e.storeClosed {
-		return nil
+	var warm *shard.WarmSpec
+	if e.cacheWanted {
+		_, epoch := e.projectionFor(e.coord.View())
+		warm = &shard.WarmSpec{Sig: e.projectionSig(), Epoch: epoch}
 	}
-	e.storeClosed = true
-	snap := e.repo.Snapshot()
-	var firstErr error
-	if err := e.store.Checkpoint(snap.Generation(), snap.Workflows()); err != nil {
-		firstErr = err
-	}
-	if e.cache != nil {
-		gen := snap.Generation()
-		_, epoch := e.projectionFor(snap)
-		exported := e.cache.Export(func(k scorecache.Key) bool {
-			return k.Gen == gen && k.Proj == epoch
-		})
-		if tab := e.repo.Symtab(); tab != nil && len(exported) > 0 {
-			// Persist workflow IDs as strings: the cache file outlives this
-			// process's symbol table, so entries are re-resolved at the next
-			// boot's warm load.
-			entries := make([]storage.CachedScore, 0, len(exported))
-			for _, ent := range exported {
-				a, b := tab.String(ent.Key.A), tab.String(ent.Key.B)
-				if a == "" || b == "" {
-					continue
-				}
-				entries = append(entries, storage.CachedScore{Measure: ent.Key.Measure, A: a, B: b, Score: ent.Score})
-			}
-			if err := e.store.SaveScoreCache(gen, e.projectionSig(), entries); err != nil && firstErr == nil {
-				firstErr = err
-			}
-		}
-	}
-	if err := e.store.Close(); err != nil && firstErr == nil {
-		firstErr = err
-	}
-	return firstErr
+	return e.coord.Close(warm)
 }
 
 // HasStoredState reports whether dir holds recoverable repository state (a
-// snapshot or at least one committed log record, in a flat or sharded
-// layout) — what a daemon checks before allowing a corpus preload to target
-// the directory.
-func HasStoredState(dir string) (bool, error) {
-	if has, err := shard.DirHasState(dir); err != nil || has {
-		return has, err
-	}
-	return storage.DirHasState(dir)
-}
+// snapshot or at least one committed log record, in the flat or the
+// multi-shard layout) — what a daemon checks before allowing a corpus
+// preload to target the directory.
+func HasStoredState(dir string) (bool, error) { return shard.DirHasState(dir) }

@@ -4,9 +4,13 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/corpus"
 	"repro/internal/storage"
 )
 
@@ -167,8 +171,8 @@ func TestStorageCompactionThreshold(t *testing.T) {
 
 	eng2 := newStoredEngine(t, dir)
 	defer eng2.Close()
-	if eng2.Generation() != 5 || eng2.Snapshot().Size() != 5 {
-		t.Fatalf("recovered generation %d size %d, want 5/5", eng2.Generation(), eng2.Snapshot().Size())
+	if eng2.Generation() != 5 || eng2.Size() != 5 {
+		t.Fatalf("recovered generation %d size %d, want 5/5", eng2.Generation(), eng2.Size())
 	}
 	st2, _ := eng2.StorageStats()
 	if !st2.Recovery.SnapshotLoaded {
@@ -215,9 +219,8 @@ func TestStoragePreloadBaseline(t *testing.T) {
 	// must survive.
 	eng2 := newStoredEngine(t, dir)
 	defer eng2.Close()
-	snap := eng2.Snapshot()
-	if snap.Size() != 2 || snap.Get("pre") == nil || snap.Get("post") == nil {
-		t.Fatalf("recovered %v, want pre and post", snap.IDs())
+	if eng2.Size() != 2 || eng2.Workflow("pre") == nil || eng2.Workflow("post") == nil {
+		t.Fatalf("recovered %d workflows, want pre and post", eng2.Size())
 	}
 }
 
@@ -225,7 +228,7 @@ func TestStoragePreloadBaseline(t *testing.T) {
 // not silently succeed in RAM while the log no longer records them.
 func TestApplyAfterCloseFails(t *testing.T) {
 	dir := t.TempDir()
-	eng := newStoredEngine(t, dir)
+	eng := newStoredEngine(t, dir, testShardOpts(t)...)
 	ingestFixture(t, eng)
 	if err := eng.Close(); err != nil {
 		t.Fatal(err)
@@ -237,7 +240,7 @@ func TestApplyAfterCloseFails(t *testing.T) {
 	if !errors.Is(err, storage.ErrClosed) {
 		t.Fatalf("Apply after Close: %v, want storage.ErrClosed", err)
 	}
-	if eng.Snapshot().Get("late") != nil {
+	if eng.Workflow("late") != nil {
 		t.Fatal("rejected mutation is visible in memory")
 	}
 	// Reads still work after Close.
@@ -284,5 +287,139 @@ func TestWarmCacheStaleOnDifferentProjection(t *testing.T) {
 	defer eng2.Close()
 	if st, _ := eng2.StorageStats(); st.WarmCacheEntries != 0 {
 		t.Fatalf("warm cache re-seeded across a projection change: %d entries", st.WarmCacheEntries)
+	}
+}
+
+// dirListing records every file under dir with its size, to prove a refused
+// open left the directory untouched.
+func dirListing(t *testing.T, dir string) map[string]int64 {
+	t.Helper()
+	out := map[string]int64{}
+	err := filepath.Walk(dir, func(path string, info os.FileInfo, err error) error {
+		if err == nil && !info.IsDir() {
+			out[path] = info.Size()
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// TestFlatDirectoryIsOneShardLayout is the on-disk compatibility contract: a
+// flat data directory written straight through the storage layer — commit
+// hook, log, snapshot compaction, warm-cache file, exactly what a
+// single-repository engine left behind — reopens as the one-shard layout
+// with the same generation, results and warm entries, and no layout marker
+// appears. The shard count of either layout cannot be changed by reopening:
+// both mismatches are refused without touching the directory.
+func TestFlatDirectoryIsOneShardLayout(t *testing.T) {
+	ctx := context.Background()
+	wfs := func() []*Workflow {
+		return []*Workflow{
+			storageWorkflow("a", "fetch_sequence", "run_blast"),
+			storageWorkflow("b", "fetch_sequence", "plot_hits"),
+			storageWorkflow("c", "load_image", "segment_cells"),
+		}
+	}
+	// The reference: a RAM engine over the same corpus, and every pair score
+	// it computes (the warm entries a closing engine would have persisted).
+	seed, err := NewRepository(wfs()...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := New(seed, WithIndex(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	pairs, dstats, err := ref.Duplicates(ctx, 0, DuplicateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	warm := make([]storage.CachedScore, len(pairs))
+	for i, p := range pairs {
+		warm[i] = storage.CachedScore{Measure: dstats.Measure, A: p.A, B: p.B, Score: p.Similarity}
+	}
+
+	flat := t.TempDir()
+	repo, err := NewRepository()
+	if err != nil {
+		t.Fatal(err)
+	}
+	store, _, _, err := storage.Open(flat, storage.Options{NoSync: true, Symtab: repo.Symtab()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	repo.SetCommitHook(func(gen uint64, ops []corpus.Op) error { return store.Commit(gen, ops) })
+	for _, wf := range wfs() { // one commit each: generation 3
+		if _, err := repo.ApplyBatch([]corpus.Op{{Kind: corpus.OpAdd, ID: wf.ID, Workflow: wf}}); err != nil {
+			t.Fatal(err)
+		}
+		if wf.ID == "b" { // snapshot at generation 2, one log record after it
+			if err := store.Compact(repo.Generation(), repo.Workflows()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := store.SaveScoreCache(repo.Generation(), "configured", warm); err != nil {
+		t.Fatal(err)
+	}
+	if err := store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Flat directory, n >= 2: refused, nothing written.
+	before := dirListing(t, flat)
+	empty, _ := NewRepository()
+	if _, err := New(empty, WithShards(2), WithStorage(flat)); err == nil || !strings.Contains(err.Error(), "unsharded") {
+		t.Errorf("2-shard open of a flat directory: err = %v, want unsharded-layout refusal", err)
+	}
+	if after := dirListing(t, flat); !reflect.DeepEqual(before, after) {
+		t.Errorf("refused open changed the flat directory:\nbefore %v\nafter  %v", before, after)
+	}
+
+	// Flat directory, n = 1: the stored engine comes back.
+	eng := newStoredEngine(t, flat)
+	if got := eng.Generation(); got != 3 {
+		t.Errorf("reopened generation %d, want 3", got)
+	}
+	st, _ := eng.StorageStats()
+	if !st.Recovery.SnapshotLoaded || st.Recovery.ReplayedRecords != 1 || st.Recovery.Workflows != 3 {
+		t.Errorf("recovery %+v, want snapshot + 1 replayed record = 3 workflows", st.Recovery)
+	}
+	if st.WarmCacheEntries != len(warm) {
+		t.Errorf("%d warm entries re-seeded, want %d", st.WarmCacheEntries, len(warm))
+	}
+	for _, q := range []string{"a", "b", "c"} {
+		assertSameSearch(t, ref, eng, q, SearchOptions{K: 5})
+	}
+	if _, stats, err := eng.SearchID(ctx, "a", SearchOptions{K: 5}); err != nil {
+		t.Fatal(err)
+	} else if stats.CacheMisses != 0 || stats.CacheHits == 0 {
+		t.Errorf("search over the warm entries: %d hits / %d misses, want all hits", stats.CacheHits, stats.CacheMisses)
+	}
+	if err := eng.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(filepath.Join(flat, "shards.json")); !errors.Is(err, os.ErrNotExist) {
+		t.Errorf("one-shard engine left a layout marker in the flat directory (stat err = %v)", err)
+	}
+
+	// Marker recording N, n = 1: refused, nothing written.
+	sharded := t.TempDir()
+	engN, err := New(seed, WithShards(3), WithStorage(sharded, StorageNoSync()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := engN.Close(); err != nil {
+		t.Fatal(err)
+	}
+	before = dirListing(t, sharded)
+	if _, err := New(empty, WithStorage(sharded)); err == nil || !strings.Contains(err.Error(), "3 shards") {
+		t.Errorf("1-shard open of a 3-shard directory: err = %v, want refusal naming 3 shards", err)
+	}
+	if after := dirListing(t, sharded); !reflect.DeepEqual(before, after) {
+		t.Errorf("refused open changed the sharded directory:\nbefore %v\nafter  %v", before, after)
 	}
 }

@@ -25,11 +25,10 @@ type (
 	// Edge is a directed data link between two modules.
 	Edge = workflow.Edge
 	// Repository is a mutable, snapshot-versioned in-memory workflow
-	// collection with ID lookup and JSON persistence (Save/SaveFile).
-	// Mutate it through Engine.Apply to keep the engine's index current.
+	// collection with ID lookup and JSON persistence (Save/SaveFile) — what
+	// an Engine is seeded from (New) and what corpus files load into.
 	Repository = corpus.Repository
-	// Snapshot is an immutable, generation-stamped view of a Repository —
-	// what every Engine read operation pins for its duration.
+	// Snapshot is an immutable, generation-stamped view of a Repository.
 	Snapshot = corpus.Snapshot
 	// Measure scores the similarity of two workflows; see Registry for the
 	// built-in measures and their paper notation.
@@ -62,7 +61,7 @@ const (
 )
 
 // Sentinel mutation errors, re-exported for errors.Is discrimination:
-// Apply (and direct Repository mutation) failures wrap these, so callers —
+// Apply (and Repository mutation) failures wrap these, so callers —
 // e.g. an HTTP layer separating conflicts from malformed requests — don't
 // need to match error strings.
 var (

@@ -14,7 +14,8 @@
 # -shards 4: ingest, assert the per-shard generation vector shows up in
 # stats, SIGTERM, restart with the same shard count and assert the vector
 # and the search hit survive; a restart with a different -shards value must
-# be refused.
+# be refused — in both directions: the sharded directory without -shards,
+# and phase 2's flat directory with -shards 4.
 #
 # Phase 4 (format migration): write a pre-symbol-table (v1 format) data
 # directory holding the same fixture corpus, boot a server over it, and
@@ -89,6 +90,7 @@ wait "$PID" 2>/dev/null || true
 PID=""
 [ -s "$DATA/wal.log" ] || ls "$DATA"/snap-*.snap >/dev/null 2>&1 || {
   echo "smoke: data directory holds neither a log nor a snapshot after shutdown" >&2; exit 1; }
+[ ! -e "$DATA/shards.json" ] || { echo "smoke: one-shard data directory grew a shards.json marker" >&2; exit 1; }
 
 "$BIN" -addr "$ADDR" -index -cache 4096 -data "$DATA" &
 PID=$!
@@ -136,6 +138,21 @@ fi
 grep -q "4 shards" "$WORK/mismatch.err" || {
   echo "smoke: shard-count mismatch error does not name the recorded count:" >&2
   cat "$WORK/mismatch.err" >&2; exit 1; }
+# So must the default single shard over the sharded directory...
+if "$BIN" -addr "$ADDR" -index -data "$SDATA" 2>"$WORK/mismatch.err"; then
+  echo "smoke: one-shard restart over a 4-shard directory was not refused" >&2; exit 1
+fi
+grep -q "4 shards" "$WORK/mismatch.err" || {
+  echo "smoke: one-shard refusal does not name the recorded count:" >&2
+  cat "$WORK/mismatch.err" >&2; exit 1; }
+# ...and -shards 4 over phase 2's flat directory.
+if "$BIN" -addr "$ADDR" -index -shards 4 -data "$DATA" 2>"$WORK/mismatch.err"; then
+  echo "smoke: 4-shard restart over a flat directory was not refused" >&2; exit 1
+fi
+grep -q "unsharded" "$WORK/mismatch.err" || {
+  echo "smoke: flat-directory refusal does not say the directory is unsharded:" >&2
+  cat "$WORK/mismatch.err" >&2; exit 1; }
+[ ! -e "$DATA/shards.json" ] || { echo "smoke: refused 4-shard open left a marker in the flat directory" >&2; exit 1; }
 
 "$BIN" -addr "$ADDR" -index -cache 4096 -shards 4 -data "$SDATA" &
 PID=$!
