@@ -11,7 +11,6 @@ import (
 	"path/filepath"
 	"testing"
 
-	"repro/internal/cluster"
 	"repro/internal/corpus"
 	"repro/internal/eval"
 	"repro/internal/gen"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/repoknow"
 	"repro/internal/search"
 	"repro/internal/wfio"
+	"repro/pkg/wfsim"
 )
 
 func integrationCorpus(t testing.TB) *gen.Corpus {
@@ -130,15 +130,16 @@ func TestEndToEndIndexedSearchAgreesOnTopHit(t *testing.T) {
 	for _, qid := range c.Repo.IDs()[:10] {
 		q := c.Repo.Get(qid)
 		exact, _, _ := search.TopK(context.Background(), q, c.Repo, m, search.Options{K: 1})
-		fast, err := idx.TopK(context.Background(), q, m, 1, 1)
+		cands, _ := idx.CaptureCandidates(q, 1)
+		fast, _, err := search.TopK(context.Background(), q, search.List(cands), m, search.Options{K: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(exact) == 0 || len(fast.Results) == 0 {
+		if len(exact) == 0 || len(fast) == 0 {
 			continue
 		}
 		total++
-		if exact[0].Similarity <= fast.Results[0].Similarity+1e-9 {
+		if exact[0].Similarity <= fast[0].Similarity+1e-9 {
 			agree++
 		}
 	}
@@ -183,26 +184,33 @@ func TestEndToEndEvaluationPipeline(t *testing.T) {
 // queries — the two views of similarity must cohere.
 func TestEndToEndClusteringMatchesSearch(t *testing.T) {
 	c := integrationCorpus(t)
-	m := tunedMS(repoknow.NewProjector(repoknow.TypeScorer{}, 0.5))
-	mat, err := cluster.BuildMatrix(context.Background(), c.Repo, m, 0)
+	eng, err := wfsim.New(c.Repo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	clu := cluster.Agglomerative(mat, 0.45)
-
-	posOf := map[string]int{}
-	for i, id := range mat.IDs {
-		posOf[id] = i
+	ctx := context.Background()
+	minSim := 0.45
+	res, err := eng.Cluster(ctx, wfsim.ClusterOptions{Measure: "MS_ip_te_pll", MinSimilarity: &minSim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	clusterOf := map[string]int{}
+	for k, members := range res.Clusters {
+		for _, id := range members {
+			clusterOf[id] = k
+		}
 	}
 	coherent, total := 0, 0
 	for _, qid := range c.Repo.IDs()[:12] {
-		q := c.Repo.Get(qid)
-		hits, _, _ := search.TopK(context.Background(), q, c.Repo, m, search.Options{K: 1})
+		hits, _, err := eng.SearchID(ctx, qid, wfsim.SearchOptions{Measure: "MS_ip_te_pll", K: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
 		if len(hits) == 0 {
 			continue
 		}
 		total++
-		if clu.Assign[posOf[qid]] == clu.Assign[posOf[hits[0].ID]] {
+		if clusterOf[qid] == clusterOf[hits[0].ID] {
 			coherent++
 		}
 	}

@@ -11,66 +11,18 @@
 package cluster
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"sync/atomic"
-
-	"repro/internal/measures"
-	"repro/internal/search"
-	"repro/internal/workflow"
 )
 
-// Matrix is a symmetric similarity matrix over a repository's workflows,
-// indexed in repository order.
+// Matrix is a symmetric similarity matrix over a repository's workflows
+// (built by shard.Coordinator.Matrix, indexed in ID order).
 type Matrix struct {
 	IDs []string
 	Sim [][]float64
 	// Skipped counts pairs the measure could not score (treated as
 	// similarity 0).
 	Skipped int
-}
-
-// BuildMatrix computes the pairwise similarity matrix of a repository under
-// m with a row-per-task worker pool. Unscorable pairs get similarity 0 and
-// are counted. A cancelled or expired context aborts the computation with
-// the context's error.
-func BuildMatrix(ctx context.Context, repo search.Corpus, m measures.Measure, par int) (*Matrix, error) {
-	wfs := repo.Workflows()
-	n := len(wfs)
-	mat := &Matrix{IDs: make([]string, n), Sim: make([][]float64, n)}
-	for i, wf := range wfs {
-		mat.IDs[i] = wf.ID
-		mat.Sim[i] = make([]float64, n)
-		mat.Sim[i][i] = 1
-	}
-	var skipped atomic.Int64
-	// Row i writes Sim[i][j] and Sim[j][i] for j > i only, so rows never
-	// race: the mirror cell Sim[j][i] belongs to no other row's range.
-	err := search.Batched(ctx, n, par, 1, func(i int) error {
-		for j := i + 1; j < n; j++ {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			// Evaluate in ID order so the cell value is a function of the
-			// unordered pair: measures need not be bit-symmetric under
-			// operand swap.
-			x, y := workflow.OrderPair(wfs[i], wfs[j])
-			s, err := m.Compare(x, y)
-			if err != nil {
-				skipped.Add(1)
-				continue
-			}
-			mat.Sim[i][j] = s
-			mat.Sim[j][i] = s
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	mat.Skipped = int(skipped.Load())
-	return mat, nil
 }
 
 // Clustering assigns each workflow (by matrix index) to a cluster.

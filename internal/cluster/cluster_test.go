@@ -1,14 +1,6 @@
 package cluster
 
-import (
-	"context"
-	"testing"
-
-	"repro/internal/gen"
-	"repro/internal/measures"
-	"repro/internal/module"
-	"repro/internal/repoknow"
-)
+import "testing"
 
 func blockMatrix() *Matrix {
 	// Two tight blocks {0,1,2} and {3,4}, near-zero across.
@@ -110,79 +102,6 @@ func TestEmptyMatrix(t *testing.T) {
 	}
 }
 
-// End-to-end: clustering a generated corpus with MS_ip_te_pll must recover
-// the latent cluster structure well above chance.
-func TestClusteringRecoversGroundTruth(t *testing.T) {
-	p := gen.Taverna()
-	p.Workflows = 60
-	p.Clusters = 5
-	c, err := gen.Generate(p, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	proj := repoknow.NewProjector(repoknow.TypeScorer{}, 0.5)
-	m := measures.NewStructural(measures.Config{
-		Topology:  measures.ModuleSets,
-		Scheme:    module.PLL(),
-		Preselect: module.TypeEquivalence,
-		Project:   proj.Project,
-		Normalize: true,
-	})
-	mat, err := BuildMatrix(context.Background(), c.Repo, m, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if mat.Skipped != 0 {
-		t.Errorf("skipped %d pairs", mat.Skipped)
-	}
-	found := Agglomerative(mat, 0.45)
-
-	// Reference clustering from generator ground truth.
-	ref := Clustering{Assign: make([]int, len(mat.IDs))}
-	clusterIDs := map[int]int{}
-	for i, id := range mat.IDs {
-		cid := c.Truth.Meta[id].Cluster
-		if _, ok := clusterIDs[cid]; !ok {
-			clusterIDs[cid] = len(clusterIDs)
-		}
-		ref.Assign[i] = clusterIDs[cid]
-	}
-	ref.K = len(clusterIDs)
-
-	ri, err := RandIndex(found, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	purity, err := Purity(found, ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ri < 0.75 {
-		t.Errorf("Rand index = %.3f, want >= 0.75", ri)
-	}
-	if purity < 0.75 {
-		t.Errorf("purity = %.3f, want >= 0.75", purity)
-	}
-}
-
-func BenchmarkBuildMatrix60(b *testing.B) {
-	p := gen.Taverna()
-	p.Workflows = 60
-	p.Clusters = 5
-	c, err := gen.Generate(p, 23)
-	if err != nil {
-		b.Fatal(err)
-	}
-	m := measures.NewStructural(measures.Config{
-		Topology: measures.ModuleSets, Scheme: module.PLL(), Normalize: true,
-	})
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		BuildMatrix(context.Background(), c.Repo, m, 0)
-	}
-}
-
 func BenchmarkAgglomerative60(b *testing.B) {
 	m := &Matrix{IDs: make([]string, 60), Sim: make([][]float64, 60)}
 	for i := range m.Sim {
@@ -200,23 +119,5 @@ func BenchmarkAgglomerative60(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		Agglomerative(m, 0.5)
-	}
-}
-
-func TestBuildMatrixCancelledContext(t *testing.T) {
-	p := gen.Taverna()
-	p.Workflows = 30
-	p.Clusters = 3
-	c, err := gen.Generate(p, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := measures.NewStructural(measures.Config{
-		Topology: measures.ModuleSets, Scheme: module.PLL(), Normalize: true,
-	})
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	if _, err := BuildMatrix(ctx, c.Repo, m, 0); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }

@@ -88,8 +88,7 @@ type Repository struct {
 	// resolved against it (module labels, canonical labels, types, and
 	// the workflow's own ID are interned into dense uint32 symbols)
 	// before the commit hook fires and before the mutation becomes
-	// visible, so snapshot readers always observe resolved workflows and
-	// a write-ahead log can persist the symbol delta with the batch.
+	// visible, so snapshot readers always observe resolved workflows.
 	// Created lazily; shared across shards via AdoptSymtab. noIntern
 	// disables resolution (the string-baseline mode).
 	syms     *symtab.Table
@@ -188,10 +187,10 @@ func (r *Repository) Symtab() *symtab.Table {
 // AdoptSymtab installs a shared symbol table on an empty, never-mutated
 // repository — the boot path of sharded engines, where every shard's
 // repository must assign symbols from one table so cross-shard scans
-// compare IDs directly. The table may already hold symbols (e.g. seeded
-// by storage recovery); interning is idempotent, so re-resolving restores
-// the persisted IDs exactly. Passing nil disables interning altogether:
-// the string-baseline mode used by equivalence tests and benchmarks.
+// compare IDs directly. The table may already hold symbols (another shard
+// restored first); interning is idempotent. Passing nil disables interning
+// altogether: the string-baseline mode used by equivalence tests and
+// benchmarks.
 func (r *Repository) AdoptSymtab(t *symtab.Table) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -203,7 +202,7 @@ func (r *Repository) AdoptSymtab(t *symtab.Table) error {
 	return nil
 }
 
-// addLocked is the single insertion path shared by NewRepository, Add and
+// addLocked is the single insertion path shared by NewRepository and
 // ApplyBatch; it validates the workflow and mutates the private state.
 func (r *Repository) addLocked(wf *workflow.Workflow) error {
 	if err := r.checkAddable(wf, r.hasLocked); err != nil {
@@ -244,47 +243,38 @@ func (r *Repository) invalidateLocked() uint64 {
 	return gen
 }
 
-// Add inserts a workflow; its ID must be non-empty and unique.
+// Add inserts a workflow; its ID must be non-empty and unique. Like Remove
+// and Replace it is a one-op ApplyBatch: there is one transaction body.
 func (r *Repository) Add(wf *workflow.Workflow) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.byID == nil {
-		r.byID = map[string]*workflow.Workflow{}
-	}
-	if err := r.checkAddable(wf, r.hasLocked); err != nil {
-		return fmt.Errorf("corpus: %w", err)
-	}
-	// Resolve before the hook so a write-ahead log sees the symbol delta
-	// this workflow contributes. The returned object (possibly a clone of
-	// a foreign-resolved input) is what gets logged and stored.
-	wf = r.resolveLocked(wf)
-	if err := r.fireHookLocked([]Op{{Kind: OpAdd, ID: wf.ID, Workflow: wf}}); err != nil {
-		return err
-	}
-	_ = r.addLocked(wf) //wfsimvet:ignore errpath checkAddable above proved the add applies; the durable hook already committed it
-	r.invalidateLocked()
-	return nil
+	_, err := r.ApplyBatch(oneOp(OpAdd, wf))
+	return err
 }
 
 // Remove deletes the workflow with the given ID.
 func (r *Repository) Remove(id string) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, ok := r.byID[id]; !ok {
-		return fmt.Errorf("corpus: workflow %q %w (repository size %d)", id, ErrNotFound, len(r.workflows))
-	}
-	if err := r.fireHookLocked([]Op{{Kind: OpRemove, ID: id}}); err != nil {
-		return err
-	}
-	_ = r.removeLocked(id) //wfsimvet:ignore errpath presence checked above; the durable hook already committed the remove
-	r.invalidateLocked()
-	return nil
+	_, err := r.ApplyBatch([]Op{{Kind: OpRemove, ID: id}})
+	return err
 }
 
-func (r *Repository) removeLocked(id string) error {
-	if _, ok := r.byID[id]; !ok {
-		return fmt.Errorf("corpus: workflow %q %w (repository size %d)", id, ErrNotFound, len(r.workflows))
+// Replace swaps the workflow with wf.ID for wf, keeping its position.
+func (r *Repository) Replace(wf *workflow.Workflow) error {
+	_, err := r.ApplyBatch(oneOp(OpReplace, wf))
+	return err
+}
+
+// oneOp wraps a workflow-carrying mutation as a batch (a nil workflow is
+// left for batch validation to reject).
+func oneOp(kind OpKind, wf *workflow.Workflow) []Op {
+	op := Op{Kind: kind, Workflow: wf}
+	if wf != nil {
+		op.ID = wf.ID
 	}
+	return []Op{op}
+}
+
+// removeLocked and replaceLocked are the commit-pass mutations of a
+// validated batch: the ID is known to be present.
+func (r *Repository) removeLocked(id string) {
 	for i, wf := range r.workflows {
 		if wf.ID == id {
 			// The mutable slice is never shared with snapshots (Snapshot
@@ -294,35 +284,9 @@ func (r *Repository) removeLocked(id string) error {
 		}
 	}
 	delete(r.byID, id)
-	return nil
 }
 
-// Replace swaps the workflow with wf.ID for wf, keeping its position.
-func (r *Repository) Replace(wf *workflow.Workflow) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if wf == nil {
-		return fmt.Errorf("corpus: nil workflow (repository size %d)", len(r.workflows))
-	}
-	if _, ok := r.byID[wf.ID]; !ok {
-		return fmt.Errorf("corpus: workflow %q %w (repository size %d)", wf.ID, ErrNotFound, len(r.workflows))
-	}
-	wf = r.resolveLocked(wf)
-	if err := r.fireHookLocked([]Op{{Kind: OpReplace, ID: wf.ID, Workflow: wf}}); err != nil {
-		return err
-	}
-	_ = r.replaceLocked(wf) //wfsimvet:ignore errpath presence checked above; the durable hook already committed the replace
-	r.invalidateLocked()
-	return nil
-}
-
-func (r *Repository) replaceLocked(wf *workflow.Workflow) error {
-	if wf == nil {
-		return fmt.Errorf("corpus: nil workflow (repository size %d)", len(r.workflows))
-	}
-	if _, ok := r.byID[wf.ID]; !ok {
-		return fmt.Errorf("corpus: workflow %q %w (repository size %d)", wf.ID, ErrNotFound, len(r.workflows))
-	}
+func (r *Repository) replaceLocked(wf *workflow.Workflow) {
 	for i, old := range r.workflows {
 		if old.ID == wf.ID {
 			r.workflows[i] = wf
@@ -330,7 +294,6 @@ func (r *Repository) replaceLocked(wf *workflow.Workflow) error {
 		}
 	}
 	r.byID[wf.ID] = wf
-	return nil
 }
 
 // OpKind discriminates batch mutation operations.
@@ -422,10 +385,10 @@ func (r *Repository) ApplyBatch(ops []Op) (uint64, error) {
 	if err := r.validateBatchLocked(ops); err != nil {
 		return 0, err
 	}
-	// Resolve incoming workflows before the hook so a write-ahead log
-	// sees the batch's symbol delta. Resolution may substitute a clone
-	// for a foreign-resolved input, so the ops are rewritten in place:
-	// the hook and the commit pass below must both see the owned object.
+	// Resolve incoming workflows before the hook. Resolution may substitute
+	// a clone for a foreign-resolved input, so the ops are rewritten in
+	// place: the hook and the commit pass below must both see the owned
+	// object.
 	for i := range ops {
 		if ops[i].Kind == OpAdd || ops[i].Kind == OpReplace {
 			ops[i].Workflow = r.resolveLocked(ops[i].Workflow)
@@ -443,9 +406,9 @@ func (r *Repository) ApplyBatch(ops []Op) (uint64, error) {
 		case OpAdd:
 			_ = r.addLocked(op.Workflow) //wfsimvet:ignore errpath validated against the staged overlay; failing here would tear the committed batch
 		case OpRemove:
-			_ = r.removeLocked(op.ID) //wfsimvet:ignore errpath validated against the staged overlay; failing here would tear the committed batch
+			r.removeLocked(op.ID)
 		case OpReplace:
-			_ = r.replaceLocked(op.Workflow) //wfsimvet:ignore errpath validated against the staged overlay; failing here would tear the committed batch
+			r.replaceLocked(op.Workflow)
 		}
 	}
 	return r.invalidateLocked(), nil
@@ -470,11 +433,10 @@ func (r *Repository) Restore(gen uint64, wfs ...*workflow.Workflow) error {
 		}
 		byID[wf.ID] = wf
 	}
-	// Re-intern the recovered state in insertion order. When storage
-	// seeded the table from persisted symbols this is a pure no-op pass
-	// (IDs are already assigned); when recovering a pre-symbol layout it
-	// rebuilds the table deterministically from the corpus itself. An
-	// input resolved by a foreign table is replaced by its owned clone.
+	// Resolve the recovered state in insertion order: symbol IDs are
+	// process-local, so this pass is what builds the table at every boot,
+	// from exactly the workflows that still exist. An input resolved by a
+	// foreign table is replaced by its owned clone.
 	owned := make([]*workflow.Workflow, len(wfs))
 	for i, wf := range wfs {
 		owned[i] = r.resolveLocked(wf)

@@ -78,11 +78,23 @@ func TestSnapshotIsolation(t *testing.T) {
 
 func TestRemoveReplace(t *testing.T) {
 	r, _ := NewRepository(sample("1"), sample("2"))
-	if err := r.Remove("404"); err == nil {
-		t.Error("removing unknown ID accepted")
+	if err := r.Remove("404"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("removing unknown ID: err = %v, want ErrNotFound", err)
 	}
-	if err := r.Replace(sample("404")); err == nil {
-		t.Error("replacing unknown ID accepted")
+	if err := r.Replace(sample("404")); !errors.Is(err, ErrNotFound) {
+		t.Errorf("replacing unknown ID: err = %v, want ErrNotFound", err)
+	}
+	if err := r.Add(sample("1")); !errors.Is(err, ErrDuplicateID) {
+		t.Errorf("adding a live ID: err = %v, want ErrDuplicateID", err)
+	}
+	if err := r.Add(nil); err == nil {
+		t.Error("nil Add accepted")
+	}
+	if err := r.Replace(nil); err == nil {
+		t.Error("nil Replace accepted")
+	}
+	if r.Generation() != 0 {
+		t.Errorf("rejected mutations bumped the generation to %d", r.Generation())
 	}
 	repl := sample("2")
 	repl.Annotations.Title = "replaced"

@@ -8,8 +8,9 @@
 // The filter is lossless for strict label matching (plm: workflows sharing
 // no canonical label have similarity 0) and a high-recall heuristic for
 // edit-distance schemes (two workflows can have nonzero label edit
-// similarity without sharing a token). Search reports how many repository
-// workflows were pruned so callers can trade recall for speed consciously.
+// similarity without sharing a token). CaptureCandidates reports the live
+// count beside the candidates, so callers see how many workflows were pruned
+// and can trade recall for speed consciously.
 //
 // The index is incrementally maintainable: Insert and Delete update the
 // postings and per-workflow label lists in O(labels of the workflow) instead
@@ -19,19 +20,15 @@
 // compaction reuses the stored canonical label lists, so even it never
 // re-canonicalizes a module label. All methods are safe for concurrent use:
 // mutations take a write lock, and searches capture a consistent candidate
-// set under a read lock before scoring outside any lock.
+// set under a read lock before scoring it (search.TopK) outside any lock.
 package index
 
 import (
-	"context"
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/corpus"
-	"repro/internal/measures"
-	"repro/internal/search"
 	"repro/internal/symtab"
 	"repro/internal/workflow"
 )
@@ -62,9 +59,6 @@ type Index struct {
 	dead        int              // tombstoned entries awaiting compaction
 	gen         uint64           // repository generation this index reflects
 	compactions int
-
-	// Parallelism bounds the workers of the refine stage (0 = GOMAXPROCS).
-	Parallelism int
 }
 
 // compactionThreshold: compact once tombstones are at least a quarter of all
@@ -386,7 +380,7 @@ func (idx *Index) queryLabelIDsLocked(query *workflow.Workflow) []uint32 {
 // Candidates returns the positions of live workflows sharing at least
 // minShared canonical labels with the query, sorted by descending overlap
 // count. minShared < 1 is treated as 1. Positions are only stable until the
-// next compaction; prefer TopK for scoring.
+// next compaction; prefer CaptureCandidates for scoring.
 func (idx *Index) Candidates(query *workflow.Workflow, minShared int) []int {
 	idx.mu.RLock()
 	defer idx.mu.RUnlock()
@@ -403,132 +397,19 @@ func (idx *Index) WorkflowAt(pos int) *workflow.Workflow {
 	return idx.entries[pos].wf
 }
 
-// SearchResult is an accelerated top-k result with pruning statistics.
-type SearchResult struct {
-	Results []search.Result
-	// CandidateCount is the number of workflows scored exactly.
-	CandidateCount int
-	// Pruned is the number of live indexed workflows never scored.
-	Pruned int
-	// Skipped counts candidates the measure failed on.
-	Skipped int
-}
-
-// TopK runs filter-and-refine top-k search: candidates sharing at least
-// minShared canonical labels with the query are scored with m in parallel;
-// the k best are returned. The query itself is excluded. The candidate set
-// is captured atomically under a read lock, so a search racing a mutation
-// batch sees either the whole batch or none of it; scoring itself runs
-// outside any lock. A cancelled or expired context aborts the refine stage
-// with the context's error.
-//
-//wfsimvet:hotpath
-func (idx *Index) TopK(ctx context.Context, query *workflow.Workflow, m measures.Measure, k, minShared int) (SearchResult, error) {
-	if k <= 0 {
-		k = 10
-	}
-
-	// Capture phase: candidate workflows and the live count, atomically.
+// CaptureCandidates returns the live workflows sharing at least minShared
+// canonical labels with the query (in Candidates order) together with the
+// live workflow count, both read under one read lock: a search racing a
+// mutation batch sees either the whole batch or none of it, and scores the
+// captured workflows outside any lock. live - len(cands) is the number of
+// workflows the filter pruned.
+func (idx *Index) CaptureCandidates(query *workflow.Workflow, minShared int) (cands []*workflow.Workflow, live int) {
 	idx.mu.RLock()
+	defer idx.mu.RUnlock()
 	positions := idx.candidatesLocked(query, minShared)
-	cands := make([]*workflow.Workflow, len(positions))
+	cands = make([]*workflow.Workflow, len(positions))
 	for i, pos := range positions {
 		cands[i] = idx.entries[pos].wf
 	}
-	live := len(idx.entries) - idx.dead
-	par := idx.Parallelism
-	idx.mu.RUnlock()
-
-	var out SearchResult
-	out.CandidateCount = len(cands)
-	out.Pruned = live - len(cands)
-
-	type scored struct {
-		res  search.Result
-		ok   bool
-		self bool
-	}
-	buf := make([]scored, len(cands))
-	var skipped atomic.Int64
-	err := search.Batched(ctx, len(cands), par, 0, func(i int) error {
-		wf := cands[i]
-		if wf.ID == query.ID {
-			buf[i] = scored{self: true}
-			return nil
-		}
-		s, err := m.Compare(query, wf)
-		if err != nil {
-			skipped.Add(1)
-			return nil
-		}
-		buf[i] = scored{res: search.Result{ID: wf.ID, Similarity: s}, ok: true}
-		return nil
-	})
-	if err != nil {
-		return SearchResult{}, err
-	}
-	out.Skipped = int(skipped.Load())
-	results := make([]search.Result, 0, len(cands))
-	for _, s := range buf {
-		if s.self {
-			out.CandidateCount--
-			continue
-		}
-		if s.ok {
-			results = append(results, s.res)
-		}
-	}
-	search.SortResults(results)
-	if len(results) > k {
-		results = results[:k]
-	}
-	out.Results = results
-	return out, nil
-}
-
-// liveCorpus adapts the index's current live workflows to search.Corpus.
-type liveCorpus struct{ wfs []*workflow.Workflow }
-
-func (c liveCorpus) Workflows() []*workflow.Workflow { return c.wfs }
-
-// Live returns the currently searchable workflows in position order.
-func (idx *Index) Live() []*workflow.Workflow {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	out := make([]*workflow.Workflow, 0, len(idx.entries)-idx.dead)
-	for _, e := range idx.entries {
-		if !e.dead {
-			out = append(out, e.wf)
-		}
-	}
-	return out
-}
-
-// RecallAgainst measures the top-k recall of the accelerated search against
-// an exact scan over the index's live workflows with the same measure: the
-// fraction of the exact top-k found in the accelerated top-k. It quantifies
-// the filter's (heuristic) loss for edit-distance schemes.
-func (idx *Index) RecallAgainst(ctx context.Context, query *workflow.Workflow, m measures.Measure, k, minShared int) (float64, error) {
-	exact, _, err := search.TopK(ctx, query, liveCorpus{idx.Live()}, m, search.Options{K: k, Parallelism: idx.Parallelism})
-	if err != nil {
-		return 0, err
-	}
-	if len(exact) == 0 {
-		return 1, nil
-	}
-	fast, err := idx.TopK(ctx, query, m, k, minShared)
-	if err != nil {
-		return 0, err
-	}
-	got := map[string]bool{}
-	for _, r := range fast.Results {
-		got[r.ID] = true
-	}
-	hit := 0
-	for _, r := range exact {
-		if got[r.ID] {
-			hit++
-		}
-	}
-	return float64(hit) / float64(len(exact)), nil
+	return cands, len(idx.entries) - idx.dead
 }

@@ -36,6 +36,21 @@ func plmMS() measures.Measure {
 	})
 }
 
+// refined is one filter-and-refine search: what the shard read path makes
+// of the index (capture candidates under the read lock, score them with
+// the one top-k kernel outside it).
+type refined struct {
+	Results    []search.Result
+	Candidates int // workflows handed to the refine stage
+	Pruned     int // live workflows the filter dropped
+}
+
+func refine(ctx context.Context, idx *Index, query *workflow.Workflow, m measures.Measure, k, minShared int) (refined, error) {
+	cands, live := idx.CaptureCandidates(query, minShared)
+	results, _, err := search.TopK(ctx, query, search.List(cands), m, search.Options{K: k})
+	return refined{Results: results, Candidates: len(cands), Pruned: live - len(cands)}, err
+}
+
 func TestBuildIndexesAllWorkflows(t *testing.T) {
 	c := testCorpus(t)
 	idx := Build(c.Repo)
@@ -76,7 +91,7 @@ func TestTopKExcludesQueryAndSorts(t *testing.T) {
 	c := testCorpus(t)
 	idx := Build(c.Repo)
 	query := c.Repo.Workflows()[0]
-	res, err := idx.TopK(context.Background(), query, pllMS(), 10, 1)
+	res, err := refine(context.Background(), idx, query, pllMS(), 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +106,9 @@ func TestTopKExcludesQueryAndSorts(t *testing.T) {
 			t.Error("not sorted")
 		}
 	}
-	if res.CandidateCount+res.Pruned != c.Repo.Size() && res.CandidateCount+res.Pruned != c.Repo.Size()-1 {
+	if res.Candidates+res.Pruned != c.Repo.Size() {
 		t.Errorf("accounting: %d candidates + %d pruned vs %d total",
-			res.CandidateCount, res.Pruned, c.Repo.Size())
+			res.Candidates, res.Pruned, c.Repo.Size())
 	}
 }
 
@@ -107,7 +122,7 @@ func TestLosslessForStrictLabelMatching(t *testing.T) {
 	m := plmMS()
 	for _, query := range c.Repo.Workflows()[:10] {
 		exact, _, _ := search.TopK(context.Background(), query, c.Repo, m, search.Options{K: 5})
-		fast, err := idx.TopK(context.Background(), query, m, 5, 1)
+		fast, err := refine(context.Background(), idx, query, m, 5, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -133,11 +148,26 @@ func TestRecallHighForEditDistance(t *testing.T) {
 	var total float64
 	queries := c.Repo.Workflows()[:8]
 	for _, q := range queries {
-		r, err := idx.RecallAgainst(context.Background(), q, m, 10, 1)
+		// Recall of the accelerated top-10 against the exact scan.
+		exact, _, err := search.TopK(context.Background(), q, c.Repo, m, search.Options{K: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
-		total += r
+		fast, err := refine(context.Background(), idx, q, m, 10, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := map[string]bool{}
+		for _, r := range fast.Results {
+			got[r.ID] = true
+		}
+		hit := 0
+		for _, r := range exact {
+			if got[r.ID] {
+				hit++
+			}
+		}
+		total += float64(hit) / float64(len(exact))
 	}
 	mean := total / float64(len(queries))
 	if mean < 0.9 {
@@ -158,7 +188,7 @@ func TestPruningActuallyHappens(t *testing.T) {
 		t.Fatal(err)
 	}
 	idx := Build(repo)
-	res, err := idx.TopK(context.Background(), w1, pllMS(), 10, 1)
+	res, err := refine(context.Background(), idx, w1, pllMS(), 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -183,7 +213,7 @@ func BenchmarkIndexedVsExactSearch(b *testing.B) {
 	b.Run("indexed", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			idx.TopK(context.Background(), query, m, 10, 1)
+			refine(context.Background(), idx, query, m, 10, 1)
 		}
 	})
 	b.Run("exact", func(b *testing.B) {
@@ -199,7 +229,7 @@ func TestTopKCancelledContext(t *testing.T) {
 	idx := Build(c.Repo)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := idx.TopK(ctx, c.Repo.Workflows()[0], pllMS(), 10, 1); err != context.Canceled {
+	if _, err := refine(ctx, idx, c.Repo.Workflows()[0], pllMS(), 10, 1); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -207,11 +237,11 @@ func TestTopKCancelledContext(t *testing.T) {
 // sameTopK asserts two indexes answer a query identically.
 func sameTopK(t *testing.T, a, b *Index, query *workflow.Workflow) {
 	t.Helper()
-	ra, err := a.TopK(context.Background(), query, plmMS(), 10, 1)
+	ra, err := refine(context.Background(), a, query, plmMS(), 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := b.TopK(context.Background(), query, plmMS(), 10, 1)
+	rb, err := refine(context.Background(), b, query, plmMS(), 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,8 +253,8 @@ func sameTopK(t *testing.T, a, b *Index, query *workflow.Workflow) {
 			t.Fatalf("rank %d differs: %+v vs %+v", i, ra.Results[i], rb.Results[i])
 		}
 	}
-	if ra.CandidateCount != rb.CandidateCount || ra.Pruned != rb.Pruned {
-		t.Fatalf("stats differ: %d/%d vs %d/%d", ra.CandidateCount, ra.Pruned, rb.CandidateCount, rb.Pruned)
+	if ra.Candidates != rb.Candidates || ra.Pruned != rb.Pruned {
+		t.Fatalf("stats differ: %d/%d vs %d/%d", ra.Candidates, ra.Pruned, rb.Candidates, rb.Pruned)
 	}
 }
 
@@ -373,7 +403,7 @@ func TestConcurrentSearchAndMutate(t *testing.T) {
 		select {
 		case <-done:
 			// One final search against the settled index.
-			res, err := idx.TopK(context.Background(), query, plmMS(), 10, 1)
+			res, err := refine(context.Background(), idx, query, plmMS(), 10, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -382,7 +412,7 @@ func TestConcurrentSearchAndMutate(t *testing.T) {
 			}
 			return
 		default:
-			if _, err := idx.TopK(context.Background(), query, plmMS(), 5, 2); err != nil {
+			if _, err := refine(context.Background(), idx, query, plmMS(), 5, 2); err != nil {
 				t.Fatal(err)
 			}
 		}

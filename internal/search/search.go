@@ -31,6 +31,13 @@ type Corpus interface {
 	Workflows() []*workflow.Workflow
 }
 
+// List adapts a plain workflow slice (e.g. an index's candidate capture) to
+// Corpus.
+type List []*workflow.Workflow
+
+// Workflows implements Corpus.
+func (l List) Workflows() []*workflow.Workflow { return l }
+
 // Result is one search hit.
 type Result struct {
 	ID         string

@@ -262,11 +262,19 @@ func (c *Coordinator) Search(ctx context.Context, v View, prep *ScanPrep, q Quer
 	return MergeTopK(per, q.K), stats, nil
 }
 
-// pairBlock is one unit of the Duplicates scan: the executing pin's slice
-// against other's (other == nil for the intra-shard triangle).
+// pairBlock is one unit of a whole-corpus pair scan: the executing pin's
+// slice against other's (other == nil for the intra-shard triangle).
 type pairBlock struct {
 	exec  Pin
 	other Pin
+}
+
+// cols returns the pin the block's column index ranges over.
+func (b pairBlock) cols() Pin {
+	if b.other == nil {
+		return b.exec
+	}
+	return b.other
 }
 
 // blocks decomposes the view's global pair triangle into N intra-shard
@@ -288,90 +296,100 @@ func (v View) blocks() []pairBlock {
 	return out
 }
 
-// Duplicates scans the view's global pair triangle — every intra-shard and
-// cross-shard block — for pairs scoring at or above threshold, fanning
-// blocks out via search.Batched (each block runs its own row pool of width
-// par, the per-shard worker budget). The merged list is in SortPairs order;
-// pairs are oriented A <= B by ID regardless of which shard executed their
-// block.
-func (c *Coordinator) Duplicates(ctx context.Context, v View, prep *ScanPrep, threshold float64, par int) ([]search.Pair, ReadStats, error) {
-	blocks := v.blocks()
-	perPairs := make([][]search.Pair, len(blocks))
+// scanPairs is the one whole-corpus pair walk behind Duplicates and Matrix:
+// every block of the view's pair triangle is scored by its executor (so a
+// pair always meets the same shard's cache, whichever operation asks),
+// fanned out via search.Batched with each block running its own row pool of
+// width par, the per-shard worker budget. sink(b) returns the emit callback
+// of blocks[b] (see Pin.PairsBlock); stats are summed across blocks.
+func (v View) scanPairs(ctx context.Context, blocks []pairBlock, prep *ScanPrep, par int, sink func(b int) func(i, j int, score float64)) (ReadStats, error) {
 	perStats := make([]ReadStats, len(blocks))
-	err := search.Batched(ctx, len(blocks), len(v.pins), 1, func(i int) error {
-		b := blocks[i]
-		pairs, st, err := b.exec.PairsBlock(ctx, b.other, prep, threshold, par)
-		if err != nil {
-			return err
+	err := search.Batched(ctx, len(blocks), len(v.pins), 1, func(b int) error {
+		st, err := blocks[b].exec.PairsBlock(ctx, blocks[b].other, prep, par, sink(b))
+		perStats[b] = st
+		return err
+	})
+	if err != nil {
+		return ReadStats{}, err
+	}
+	var stats ReadStats
+	for _, st := range perStats {
+		stats.add(st)
+	}
+	return stats, nil
+}
+
+// Duplicates scans the view's global pair triangle for pairs scoring at or
+// above threshold. The merged list is in SortPairs order; pairs are oriented
+// A <= B by ID regardless of which shard executed their block.
+func (c *Coordinator) Duplicates(ctx context.Context, v View, prep *ScanPrep, threshold float64, par int) ([]search.Pair, ReadStats, error) {
+	// One bucket per (block, row): a row is scored by one worker, so the
+	// collection needs no lock.
+	blocks := v.blocks()
+	rows := make([][][]search.Pair, len(blocks))
+	stats, err := v.scanPairs(ctx, blocks, prep, par, func(b int) func(i, j int, score float64) {
+		xs, ys := blocks[b].exec.Workflows(), blocks[b].cols().Workflows()
+		rows[b] = make([][]search.Pair, len(xs))
+		row := rows[b]
+		return func(i, j int, score float64) {
+			if score < threshold {
+				return
+			}
+			aID, bID := workflow.OrderIDs(xs[i].ID, ys[j].ID)
+			row[i] = append(row[i], search.Pair{A: aID, B: bID, Similarity: score})
 		}
-		perPairs[i], perStats[i] = pairs, st
-		return nil
 	})
 	if err != nil {
 		return nil, ReadStats{}, err
 	}
-	var stats ReadStats
 	var out []search.Pair
-	for i := range blocks {
-		stats.add(perStats[i])
-		out = append(out, perPairs[i]...)
+	for _, block := range rows {
+		for _, row := range block {
+			out = append(out, row...)
+		}
 	}
 	SortPairs(out)
 	return out, stats, nil
 }
 
-// unionMeasure scores arbitrary pairs of the view's union for matrix
-// construction, routing each pair through the cache of the shard owning the
-// lexicographically-smaller ID (matching the canonical cache-key
-// orientation) and through the scan's specialised measure.
-type unionMeasure struct {
-	v       View
-	prep    *ScanPrep
-	scorers []pairScorer // one per shard, so counters stay per-cache
-}
-
-func (um *unionMeasure) Name() string { return um.prep.Name }
-
-func (um *unionMeasure) Compare(a, b *workflow.Workflow) (float64, error) {
-	pa := um.v.Owner(a.ID)
-	pb := um.v.Owner(b.ID)
-	aProj := um.prep.For(pa).projOf(a, um.prep)
-	bProj := um.prep.For(pb).projOf(b, um.prep)
-	execID := pa.Shard()
-	if !workflow.IDsInOrder(a.ID, b.ID) {
-		execID = pb.Shard()
-	}
-	return um.scorers[execID].score(a, b, aProj, bProj, pa.Generation(), pb.Generation(), true)
-}
-
 // Matrix computes the full pairwise similarity matrix over the view's union
-// (in ID order) for clustering, reusing the cluster package's row-parallel
-// builder with a shard-aware cached measure. The aggregated cache counters
-// are returned alongside.
+// (in ID order) for clustering, by the same block walk — and therefore
+// through the same caches — as Duplicates. Pairs the measure cannot score
+// keep similarity 0 and are counted.
 func (c *Coordinator) Matrix(ctx context.Context, v View, prep *ScanPrep, par int) (*cluster.Matrix, ReadStats, error) {
-	um := &unionMeasure{v: v, prep: prep, scorers: make([]pairScorer, len(v.pins))}
-	for i := range um.scorers {
-		um.scorers[i].prep = prep
-		if local, ok := v.pins[i].(*localPin); ok {
-			um.scorers[i].cache = local.s.cache
-			um.scorers[i].tab = local.s.syms
-		}
+	union := v.Union()
+	n := len(union)
+	mat := &cluster.Matrix{IDs: make([]string, n), Sim: make([][]float64, n)}
+	at := make(map[*workflow.Workflow]int, n) // workflow -> matrix index
+	for i, wf := range union {
+		mat.IDs[i] = wf.ID
+		mat.Sim[i] = make([]float64, n)
+		mat.Sim[i][i] = 1
+		at[wf] = i
 	}
-	mat, err := cluster.BuildMatrix(ctx, unionCorpus(v.Union()), um, par)
+	blocks := v.blocks()
+	stats, err := v.scanPairs(ctx, blocks, prep, par, func(b int) func(i, j int, score float64) {
+		rowAt, colAt := matrixIndex(blocks[b].exec, at), matrixIndex(blocks[b].cols(), at)
+		// Each unordered pair belongs to exactly one block cell, so no two
+		// workers ever write the same matrix cell.
+		return func(i, j int, score float64) {
+			mat.Sim[rowAt[i]][colAt[j]] = score
+			mat.Sim[colAt[j]][rowAt[i]] = score
+		}
+	})
 	if err != nil {
 		return nil, ReadStats{}, err
 	}
-	var stats ReadStats
-	for i := range um.scorers {
-		um.scorers[i].fill(&stats)
-	}
-	stats.Skipped = mat.Skipped
-	n := len(mat.IDs)
-	stats.Scored = n*(n-1)/2 - mat.Skipped
+	mat.Skipped = stats.Skipped
 	return mat, stats, nil
 }
 
-// unionCorpus adapts a workflow slice to search.Corpus.
-type unionCorpus []*workflow.Workflow
-
-func (u unionCorpus) Workflows() []*workflow.Workflow { return u }
+// matrixIndex maps a pin's slice positions to matrix indices.
+func matrixIndex(p Pin, at map[*workflow.Workflow]int) []int {
+	wfs := p.Workflows()
+	out := make([]int, len(wfs))
+	for i, wf := range wfs {
+		out[i] = at[wf]
+	}
+	return out
+}

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -22,8 +23,6 @@ type LocalConfig struct {
 	MinShared int
 	// CacheSize > 0 gives the shard its own pairwise score cache.
 	CacheSize int
-	// Concurrency bounds the shard's refine workers (0 = GOMAXPROCS).
-	Concurrency int
 	// Dir, when non-empty, backs the shard with its own storage directory
 	// (mutation log + snapshots); boot recovers it.
 	Dir string
@@ -35,7 +34,9 @@ type LocalConfig struct {
 	Seed []*workflow.Workflow
 	// Symtab is the symbol table this shard's repository interns into — one
 	// table shared by every shard of a deployment, so a workflow's interned
-	// IDs mean the same thing on whichever shard scores it. Nil disables
+	// IDs mean the same thing on whichever shard scores it. It is
+	// process-local state: boot fills it by resolving the recovered (or
+	// seeded) workflows, nothing stores it. Nil disables
 	// interning: workflows stay unresolved, every comparison uses exact
 	// string semantics and no pair is cached — the string baseline the
 	// interned representation is tested against.
@@ -46,15 +47,14 @@ type LocalConfig struct {
 // corpus as a snapshot-versioned corpus.Repository, its inverted label
 // index, its score cache, and (optionally) its own durable store.
 type Local struct {
-	id          int
-	repo        *corpus.Repository
-	idx         atomic.Pointer[index.Index]
-	minShared   int
-	concurrency int
-	cache       *scorecache.Cache
-	store       *storage.Store
-	syms        *symtab.Table
-	warnf       func(format string, args ...any)
+	id        int
+	repo      *corpus.Repository
+	idx       atomic.Pointer[index.Index]
+	minShared int
+	cache     *scorecache.Cache
+	store     *storage.Store
+	syms      *symtab.Table
+	warnf     func(format string, args ...any)
 
 	rebuilds    atomic.Int64
 	warmEntries int
@@ -70,12 +70,11 @@ func NewLocal(id int, cfg LocalConfig) (*Local, error) {
 		return nil, err
 	}
 	s := &Local{
-		id:          id,
-		repo:        repo,
-		minShared:   cfg.MinShared,
-		concurrency: cfg.Concurrency,
-		syms:        cfg.Symtab,
-		warnf:       cfg.Storage.Warnf,
+		id:        id,
+		repo:      repo,
+		minShared: cfg.MinShared,
+		syms:      cfg.Symtab,
+		warnf:     cfg.Storage.Warnf,
 	}
 	if s.warnf == nil {
 		s.warnf = func(string, ...any) {}
@@ -89,7 +88,6 @@ func NewLocal(id int, cfg LocalConfig) (*Local, error) {
 		return nil, fmt.Errorf("shard %d: %w", id, err)
 	}
 	if cfg.Dir != "" {
-		cfg.Storage.Symtab = cfg.Symtab
 		store, wfs, gen, err := storage.Open(cfg.Dir, cfg.Storage)
 		if err != nil {
 			return nil, fmt.Errorf("shard %d: %w", id, err)
@@ -174,7 +172,6 @@ func (s *Local) Commit(ops []corpus.Op) (uint64, error) {
 func (s *Local) rebuildIndex() {
 	snap := s.repo.Snapshot()
 	idx := index.Build(snap)
-	idx.Parallelism = s.concurrency
 	idx.SetGeneration(snap.Generation())
 	s.idx.Store(idx)
 }
@@ -390,25 +387,21 @@ func (p *localPin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]searc
 	sm.scorer.prep = prep
 	sm.scorer.cache = p.s.cache
 	sm.scorer.tab = p.s.syms
-	k := q.K
-	if k <= 0 {
-		k = 10
-	}
-	var stats ReadStats
+	// Filter: the index's candidate capture when it is current for the pin,
+	// otherwise the whole pinned slice. Refine: one top-k kernel over either.
+	var scan search.Corpus = p.snap
+	var pruned int
+	var hasQuery bool // the scanned set holds a workflow with the query's ID
 	if p.idx != nil && p.idx.Generation() == p.snap.Generation() &&
 		!q.Exact && !q.IncludeQuery && q.MinSimilarity == nil {
-		res, err := p.idx.TopK(ctx, q.Query, sm, k, p.s.minShared)
-		if err != nil {
-			return nil, ReadStats{}, err
-		}
-		stats.Scored = res.CandidateCount - res.Skipped
-		stats.Skipped = res.Skipped
-		stats.Pruned = res.Pruned
-		sm.scorer.fill(&stats)
-		return res.Results, stats, nil
+		cands, live := p.idx.CaptureCandidates(q.Query, p.s.minShared)
+		scan, pruned = search.List(cands), live-len(cands)
+		hasQuery = slices.ContainsFunc(cands, func(wf *workflow.Workflow) bool { return wf.ID == q.Query.ID })
+	} else {
+		hasQuery = p.snap.Get(q.Query.ID) != nil
 	}
-	results, skipped, err := search.TopK(ctx, q.Query, p.snap, sm, search.Options{
-		K:             k,
+	results, skipped, err := search.TopK(ctx, q.Query, scan, sm, search.Options{
+		K:             q.K,
 		Parallelism:   q.Par,
 		IncludeQuery:  q.IncludeQuery,
 		MinSimilarity: q.MinSimilarity,
@@ -416,23 +409,19 @@ func (p *localPin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]searc
 	if err != nil {
 		return nil, ReadStats{}, err
 	}
-	stats.Skipped = skipped
-	stats.Scored = p.snap.Size() - skipped
-	if !q.IncludeQuery && p.snap.Get(q.Query.ID) != nil {
-		stats.Scored--
+	stats := ReadStats{Skipped: skipped, Pruned: pruned, Scored: len(scan.Workflows()) - skipped}
+	if !q.IncludeQuery && hasQuery {
+		stats.Scored-- // TopK left the query itself out
 	}
 	sm.scorer.fill(&stats)
 	return results, stats, nil
 }
 
-// PairsBlock implements Pin: the shard's own upper-triangle pair block
-// (other == nil), or the full cross block self × other. Rows are fanned out
-// with batch size 1 so uneven row lengths load-balance; results are
-// unsorted — the coordinator merges and applies the global deterministic
-// order.
+// PairsBlock implements Pin. Rows are fanned out with batch size 1 so uneven
+// row lengths load-balance.
 //
 //wfsimvet:hotpath
-func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, threshold float64, par int) ([]search.Pair, ReadStats, error) {
+func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, par int, emit func(i, j int, score float64)) (ReadStats, error) {
 	self := prep.For(p)
 	var scorer pairScorer
 	scorer.prep = prep
@@ -447,8 +436,6 @@ func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, th
 		otherGen = other.Generation()
 	}
 
-	var mu sync.Mutex
-	var out []search.Pair
 	var skipped, scored atomic.Int64
 	err := search.Batched(ctx, len(self.Orig), par, 1, func(i int) error {
 		a, aProj := self.Orig[i], self.Proj[i]
@@ -456,7 +443,6 @@ func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, th
 		if other == nil {
 			j0 = i + 1 // intra-shard: upper triangle only
 		}
-		var row []search.Pair
 		for j := j0; j < len(cross.Orig); j++ {
 			if err := ctx.Err(); err != nil {
 				return err
@@ -477,26 +463,14 @@ func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, th
 				continue
 			}
 			scored.Add(1)
-			if s < threshold {
-				continue
-			}
-			// Canonical orientation (A <= B by ID): block ownership must not
-			// leak into the output, so N-shard and M-shard scans emit
-			// identical pair lists.
-			aID, bID := workflow.OrderIDs(a.ID, b.ID)
-			row = append(row, search.Pair{A: aID, B: bID, Similarity: s})
-		}
-		if len(row) > 0 {
-			mu.Lock()
-			out = append(out, row...)
-			mu.Unlock()
+			emit(i, j, s)
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, ReadStats{}, err
+		return ReadStats{}, err
 	}
 	stats := ReadStats{Scored: int(scored.Load()), Skipped: int(skipped.Load())}
 	scorer.fill(&stats)
-	return out, stats, nil
+	return stats, nil
 }

@@ -63,21 +63,7 @@ type Prepared struct {
 	Orig []*workflow.Workflow
 	// Proj is the projected counterpart of Orig (the same slice when the
 	// scan's measure has no hoisted projection).
-	Proj   []*workflow.Workflow
-	byOrig map[*workflow.Workflow]*workflow.Workflow // nil without projection
-}
-
-// ProjOf returns the projected form of a workflow from the prepared slice,
-// falling back to projecting on the spot for pointers outside it (e.g. an
-// index candidate captured across a compaction).
-func (pr *Prepared) projOf(wf *workflow.Workflow, p *ScanPrep) *workflow.Workflow {
-	if pr.byOrig == nil {
-		return wf
-	}
-	if proj, ok := pr.byOrig[wf]; ok {
-		return proj
-	}
-	return p.ProjectOne(wf)
+	Proj []*workflow.Workflow
 }
 
 // For returns pin's prepared slice, building it on first use: each workflow
@@ -92,14 +78,10 @@ func (p *ScanPrep) For(pin Pin) *Prepared {
 	orig := pin.Workflows()
 	pr := &Prepared{Orig: orig, Proj: orig}
 	if p.project != nil {
-		proj := make([]*workflow.Workflow, len(orig))
-		byOrig := make(map[*workflow.Workflow]*workflow.Workflow, len(orig))
+		pr.Proj = make([]*workflow.Workflow, len(orig))
 		for i, wf := range orig {
-			proj[i] = p.project(wf)
-			byOrig[wf] = proj[i]
+			pr.Proj[i] = p.project(wf)
 		}
-		pr.Proj = proj
-		pr.byOrig = byOrig
 	}
 	p.prepared[pin] = pr
 	return pr
@@ -320,11 +302,14 @@ type Pin interface {
 	// Search scores q against the pinned slice and returns the shard-local
 	// top-k (merged globally by the coordinator).
 	Search(ctx context.Context, prep *ScanPrep, q Query) ([]search.Result, ReadStats, error)
-	// PairsBlock scans pairs against other's pinned slice (all pairs of
-	// self × other), or the shard's own upper-triangle block when other is
-	// nil, returning pairs scoring at or above threshold. The receiver's
-	// score cache serves the block.
-	PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, threshold float64, par int) ([]search.Pair, ReadStats, error)
+	// PairsBlock scores every pair of self × other's pinned slice, or of the
+	// shard's own upper triangle when other is nil, through the receiver's
+	// score cache, and hands each score to emit(i, j, score): i indexes the
+	// receiver's Workflows(), j other's (the receiver's own, j > i, for the
+	// triangle). Pairs the measure fails on are counted as skipped and not
+	// emitted. emit runs on the block's workers: calls for one i are
+	// sequential, calls for different i may be concurrent.
+	PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, par int, emit func(i, j int, score float64)) (ReadStats, error)
 }
 
 // WarmSpec identifies the projection configuration warm-cache entries are

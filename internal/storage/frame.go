@@ -83,16 +83,20 @@ func readFrame(r io.Reader) ([]byte, error) {
 	return payload, nil
 }
 
-// checkMagic reads and verifies a file's 8-byte magic header.
-func checkMagic(r io.Reader, magic string) error {
-	buf := make([]byte, len(magic))
+// checkMagic reads a file's 8-byte magic header and verifies it is one of
+// the accepted magics. Any other leading bytes are a hard error — unknown
+// formats are refused, never guessed at.
+func checkMagic(r io.Reader, magics ...string) error {
+	buf := make([]byte, len(magics[0]))
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return fmt.Errorf("storage: short magic header: %w", err)
 	}
-	if string(buf) != magic {
-		return fmt.Errorf("storage: bad magic %q (want %q)", buf, magic)
+	for _, magic := range magics {
+		if string(buf) == magic {
+			return nil
+		}
 	}
-	return nil
+	return fmt.Errorf("storage: bad magic %q (want one of %q)", buf, magics)
 }
 
 // syncDir fsyncs a directory so renames and creates within it are durable.
@@ -137,42 +141,15 @@ func writeFileAtomic(path, magic string, payload []byte) error {
 	return syncDir(dir)
 }
 
-// readVersionedFileFrame loads a single-frame file that may carry either
-// the current format magic or the previous one; legacy reports which was
-// found. Any other leading bytes are a hard error — unknown formats are
-// refused, never guessed at.
-func readVersionedFileFrame(path, magic, legacyMagic string) (payload []byte, legacy bool, err error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, false, err
-	}
-	defer f.Close()
-	buf := make([]byte, len(magic))
-	if _, err := io.ReadFull(f, buf); err != nil {
-		return nil, false, fmt.Errorf("storage: short magic header: %w", err)
-	}
-	switch string(buf) {
-	case magic:
-	case legacyMagic:
-		legacy = true
-	default:
-		return nil, false, fmt.Errorf("storage: bad magic %q (want %q or %q)", buf, magic, legacyMagic)
-	}
-	payload, err = readFrame(f)
-	if err != nil {
-		return nil, false, fmt.Errorf("storage: %s: %w", filepath.Base(path), err)
-	}
-	return payload, legacy, nil
-}
-
-// readFileFrame loads a single-frame file written by writeFileAtomic.
-func readFileFrame(path, magic string) ([]byte, error) {
+// readFileFrame loads a single-frame file written by writeFileAtomic under
+// any of the accepted magics.
+func readFileFrame(path string, magics ...string) ([]byte, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	if err := checkMagic(f, magic); err != nil {
+	if err := checkMagic(f, magics...); err != nil {
 		return nil, err
 	}
 	payload, err := readFrame(f)

@@ -15,15 +15,15 @@ import (
 // walName is the mutation log's file name within a data directory.
 const walName = "wal.log"
 
-// walMagic identifies (and versions) the log format. Version 2 added
-// symbol-table deltas to records: each commit carries the shared table's
-// newly assigned strings, so recovery reproduces every interned ID.
-const walMagic = "wfsimwl2"
-
-// walMagicV1 is the pre-symbol-table log format. Still readable: recovery
-// migrates v1 logs by re-interning every recovered label, with a warning,
-// and the next compaction rewrites the log at v2.
-const walMagicV1 = "wfsimwl1"
+// walMagic identifies the log format and is what the writer emits.
+// walMagicAlt marks the same format as written by the earliest binaries;
+// the reader accepts both. Records written between the two carried
+// "symbase"/"syms" fields (a persisted symbol-table delta); symbol IDs are
+// process-local now, so the decoder simply ignores those fields.
+const (
+	walMagic    = "wfsimwl2"
+	walMagicAlt = "wfsimwl1"
+)
 
 // opRecord is one mutation inside a logged transaction. Op is "add",
 // "remove" or "replace" — the same vocabulary the HTTP batch endpoint
@@ -37,15 +37,10 @@ type opRecord struct {
 // logRecord is one committed repository transaction: the batch's operations
 // and the generation the repository reached by committing them. Generations
 // increase by exactly one per commit, so the stamp doubles as the log
-// sequence number. Syms, when present, is the symbol table's delta since
-// this store's last persisted symbol: the strings assigned positions
-// [SymBase, SymBase+len(Syms)) of the table's append-only order. Replaying
-// deltas in log order reproduces every interned ID exactly.
+// sequence number.
 type logRecord struct {
-	Gen     uint64     `json:"gen"`
-	SymBase int        `json:"symbase,omitempty"`
-	Syms    []string   `json:"syms,omitempty"`
-	Ops     []opRecord `json:"ops"`
+	Gen uint64     `json:"gen"`
+	Ops []opRecord `json:"ops"`
 }
 
 // encodeOps converts a committed corpus batch to its log representation.
@@ -96,15 +91,14 @@ func decodeOps(recs []opRecord) ([]corpus.Op, error) {
 // readLog reads every whole, checksum-valid record from the log at path.
 // validSize is the byte offset up to which the file is intact; torn reports
 // whether trailing bytes past validSize had to be disregarded (the expected
-// state after a crash mid-append); legacy reports a v1 (pre-symbol-table)
-// file. A missing file is an empty log.
-func readLog(path string) (recs []logRecord, validSize int64, torn, legacy bool, err error) {
+// state after a crash mid-append). A missing file is an empty log.
+func readLog(path string) (recs []logRecord, validSize int64, torn bool, err error) {
 	f, err := os.Open(path)
 	if os.IsNotExist(err) {
-		return nil, 0, false, false, nil
+		return nil, 0, false, nil
 	}
 	if err != nil {
-		return nil, 0, false, false, err
+		return nil, 0, false, err
 	}
 	defer f.Close()
 	br := bufio.NewReaderSize(f, 1<<20)
@@ -112,31 +106,27 @@ func readLog(path string) (recs []logRecord, validSize int64, torn, legacy bool,
 	if _, err := io.ReadFull(br, magicBuf); err != nil {
 		// A file too short to hold the magic is a torn creation.
 		//wfsimvet:ignore errpath a short read just means the file is smaller than the magic, i.e. a torn creation
-		return nil, 0, true, false, nil
+		return nil, 0, true, nil
 	}
-	switch string(magicBuf) {
-	case walMagic:
-	case walMagicV1:
-		legacy = true
-	default:
+	if m := string(magicBuf); m != walMagic && m != walMagicAlt {
 		// Anything else under the magic is an unknown format and a hard
 		// error — refused, never guessed at.
-		return nil, 0, false, false, fmt.Errorf("storage: %s: bad magic %q (want %q or %q)", walName, magicBuf, walMagic, walMagicV1)
+		return nil, 0, false, fmt.Errorf("storage: %s: bad magic %q (want %q or %q)", walName, magicBuf, walMagic, walMagicAlt)
 	}
 	validSize = int64(len(walMagic))
 	for {
 		payload, err := readFrame(br)
 		if err == io.EOF {
-			return recs, validSize, false, legacy, nil
+			return recs, validSize, false, nil
 		}
 		if err != nil {
-			return recs, validSize, true, legacy, nil
+			return recs, validSize, true, nil
 		}
 		var rec logRecord
 		if err := json.Unmarshal(payload, &rec); err != nil {
 			// The frame checksum passed but the payload does not parse:
 			// treat like a torn tail rather than refusing to start.
-			return recs, validSize, true, legacy, nil
+			return recs, validSize, true, nil
 		}
 		recs = append(recs, rec)
 		validSize += frameHeaderSize + int64(len(payload))

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -12,24 +13,21 @@ import (
 	"repro/internal/workflow"
 )
 
-// snapMagic identifies (and versions) the snapshot file format. Version 2
-// added the symbol table: the full assignment-order string list is embedded
-// so interned IDs are stable across restarts.
-const snapMagic = "wfsimsn2"
-
-// snapMagicV1 is the pre-symbol-table snapshot format. Still readable:
-// recovery migrates v1 state by re-interning every recovered label, with a
-// warning, and the next compaction rewrites the directory at v2.
-const snapMagicV1 = "wfsimsn1"
+// snapMagic identifies the snapshot file format and is what the writer
+// emits. snapMagicAlt marks the same format as written by the earliest
+// binaries; the reader accepts both. Snapshots written between the two
+// embedded a "symbols" list (the symbol table's strings); symbol IDs are
+// process-local now, so the decoder simply ignores that field.
+const (
+	snapMagic    = "wfsimsn2"
+	snapMagicAlt = "wfsimsn1"
+)
 
 // snapshotPayload is a serialized repository view: the workflows in
-// insertion order, the generation the view captures, and the symbol table's
-// full string list in assignment order (so re-interning it reproduces every
-// ID). Every log record with an equal or smaller generation stamp is
-// covered by it.
+// insertion order and the generation the view captures. Every log record
+// with an equal or smaller generation stamp is covered by it.
 type snapshotPayload struct {
 	Gen       uint64               `json:"gen"`
-	Symbols   []string             `json:"symbols,omitempty"`
 	Workflows []*workflow.Workflow `json:"workflows"`
 }
 
@@ -56,9 +54,8 @@ func parseSnapshotName(name string) (uint64, bool) {
 }
 
 // writeSnapshot durably writes a snapshot file for gen and returns its path.
-// syms is the symbol table's full string list at the checkpoint.
-func writeSnapshot(dir string, gen uint64, wfs []*workflow.Workflow, syms []string) (string, error) {
-	payload, err := json.Marshal(snapshotPayload{Gen: gen, Symbols: syms, Workflows: wfs})
+func writeSnapshot(dir string, gen uint64, wfs []*workflow.Workflow) (string, error) {
+	payload, err := json.Marshal(snapshotPayload{Gen: gen, Workflows: wfs})
 	if err != nil {
 		return "", err
 	}
@@ -69,20 +66,22 @@ func writeSnapshot(dir string, gen uint64, wfs []*workflow.Workflow, syms []stri
 	return path, nil
 }
 
-// loadSnapshot reads and validates one snapshot file. legacy reports a v1
-// (pre-symbol-table) file, which carries no Symbols list.
-func loadSnapshot(path string) (snap snapshotPayload, legacy bool, err error) {
-	payload, legacy, err := readVersionedFileFrame(path, snapMagic, snapMagicV1)
+// loadSnapshot reads and validates one snapshot file.
+func loadSnapshot(path string) (snap snapshotPayload, err error) {
+	payload, err := readFileFrame(path, snapMagic, snapMagicAlt)
 	if err != nil {
-		return snap, legacy, err
+		return snap, err
 	}
 	if err := json.Unmarshal(payload, &snap); err != nil {
-		return snap, legacy, fmt.Errorf("storage: %s: decode: %w", filepath.Base(path), err)
+		return snap, fmt.Errorf("storage: %s: decode: %w", filepath.Base(path), err)
 	}
 	if wantGen, ok := parseSnapshotName(filepath.Base(path)); ok && wantGen != snap.Gen {
-		return snap, legacy, fmt.Errorf("storage: %s: generation %d does not match file name", filepath.Base(path), snap.Gen)
+		return snap, fmt.Errorf("storage: %s: generation %d does not match file name", filepath.Base(path), snap.Gen)
 	}
-	return snap, legacy, nil
+	if slices.Contains(snap.Workflows, nil) {
+		return snap, fmt.Errorf("storage: %s: null workflow", filepath.Base(path))
+	}
+	return snap, nil
 }
 
 // listSnapshots returns the generations of all snapshot-named files in dir,
@@ -105,20 +104,20 @@ func listSnapshots(dir string) ([]uint64, error) {
 // loadLatestSnapshot loads the newest valid snapshot in dir, skipping (and
 // warning about) invalid ones — a crash can leave no snapshot at all, but
 // never a half-renamed one, so invalid files indicate external damage.
-func loadLatestSnapshot(dir string, warnf func(format string, args ...any)) (snapshotPayload, bool, bool, error) {
+func loadLatestSnapshot(dir string, warnf func(format string, args ...any)) (snapshotPayload, bool, error) {
 	gens, err := listSnapshots(dir)
 	if err != nil {
-		return snapshotPayload{}, false, false, err
+		return snapshotPayload{}, false, err
 	}
 	for _, gen := range gens {
-		snap, legacy, err := loadSnapshot(filepath.Join(dir, snapshotName(gen)))
+		snap, err := loadSnapshot(filepath.Join(dir, snapshotName(gen)))
 		if err != nil {
 			warnf("storage: skipping unreadable snapshot %s: %v", snapshotName(gen), err)
 			continue
 		}
-		return snap, true, legacy, nil
+		return snap, true, nil
 	}
-	return snapshotPayload{}, false, false, nil
+	return snapshotPayload{}, false, nil
 }
 
 // removeSnapshotsBefore deletes snapshot files older than keepGen, after a

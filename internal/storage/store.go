@@ -31,17 +31,13 @@ type Options struct {
 	// a crash may then lose recent commits (never corrupt the store).
 	NoSync bool
 	// Warnf receives recovery warnings (torn tail truncated, unreadable
-	// snapshot skipped, legacy layout migrated). Nil discards them;
-	// RecoveryStats records the facts either way.
+	// snapshot skipped). Nil discards them; RecoveryStats records the facts
+	// either way.
 	Warnf func(format string, args ...any)
-	// Symtab is the shared symbol table whose assignment order the store
-	// persists: recovery re-interns the recorded strings in order, so every
-	// ID a workflow cached before a crash resolves to the same string
-	// after. In a sharded deployment all stores share one table; each
-	// persists its own contiguous prefix of the table's global order, so
-	// recovery from any subset of shards, in any order, rebuilds identical
-	// IDs. Nil gets a private table — symbols still round-trip through the
-	// files, but nothing else observes them.
+	// Symtab is unused: symbol IDs are process-local and nothing about them
+	// is stored. The field survives only because the frozen benchmark
+	// harness (bench/wfsimload/layers.go) sets it; the next [benchmark] PR
+	// drops it there and here.
 	Symtab *symtab.Table
 }
 
@@ -54,9 +50,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Warnf == nil {
 		o.Warnf = func(string, ...any) {}
-	}
-	if o.Symtab == nil {
-		o.Symtab = symtab.New()
 	}
 	return o
 }
@@ -79,16 +72,6 @@ type RecoveryStats struct {
 	Generation uint64 `json:"generation"`
 	// Workflows is the recovered repository size.
 	Workflows int `json:"workflows"`
-	// SymbolsRecovered is the number of symbol-table positions this store's
-	// files covered (snapshot symbol list plus log deltas): the prefix of
-	// the shared table's assignment order whose IDs recovery reproduced
-	// without re-interning.
-	SymbolsRecovered int `json:"symbols_recovered"`
-	// MigratedFormat reports that the directory held a pre-symbol-table
-	// (v1) snapshot or log. Its workflows recovered normally; their labels
-	// are re-interned from scratch, and the next compaction rewrites the
-	// directory in the current format.
-	MigratedFormat bool `json:"migrated_format"`
 }
 
 // Stats describes a Store's current state for monitoring.
@@ -125,11 +108,6 @@ type Store struct {
 	lastGen     uint64
 	closed      bool
 	recovery    RecoveryStats
-	// symHW is the symbol high-water mark: how many positions of the
-	// shared table's assignment order this store has made durable. Commit
-	// persists SymbolsFrom(symHW) as the record's delta and advances the
-	// mark only on success, so a failed append retries the same symbols.
-	symHW int
 	// wedged is non-nil when a failed append could not be rolled back: the
 	// log has torn bytes at its tail that a later append would land behind,
 	// making every subsequent record invisible to recovery (readLog stops
@@ -151,31 +129,17 @@ func Open(dir string, opts Options) (*Store, []*workflow.Workflow, uint64, error
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, nil, 0, err
 	}
-	snap, haveSnap, snapLegacy, err := loadLatestSnapshot(dir, opts.Warnf)
+	snap, haveSnap, err := loadLatestSnapshot(dir, opts.Warnf)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	logPath := filepath.Join(dir, walName)
-	recs, validSize, torn, logLegacy, err := readLog(logPath)
+	recs, validSize, torn, err := readLog(logPath)
 	if err != nil {
 		return nil, nil, 0, err
 	}
 	if torn {
 		opts.Warnf("storage: %s: torn tail after offset %d truncated; recovering to last committed record", walName, validSize)
-	}
-	legacy := (haveSnap && snapLegacy) || logLegacy
-	if legacy {
-		opts.Warnf("storage: %s: legacy pre-symbol-table layout; migrating by re-interning recovered labels (next compaction rewrites the current format)", dir)
-	}
-
-	// Re-intern the persisted symbol sequence in its recorded order: the
-	// snapshot's full list, then each record's delta. Every sequence is a
-	// contiguous prefix of the shared table's assignment order, so Intern
-	// either reproduces the recorded ID or confirms another shard's store
-	// already did.
-	covered := len(snap.Symbols)
-	for _, sym := range snap.Symbols {
-		opts.Symtab.Intern(sym)
 	}
 
 	state := newReplayState(snap.Workflows)
@@ -184,25 +148,9 @@ func Open(dir string, opts Options) (*Store, []*workflow.Workflow, uint64, error
 		SnapshotLoaded:     haveSnap,
 		SnapshotGeneration: snap.Gen,
 		TornTailTruncated:  torn,
-		MigratedFormat:     legacy,
 	}
 	logRecords := int64(0)
 	for _, rec := range recs {
-		// Symbol deltas are replayed even for generation-covered records: a
-		// record the snapshot subsumes carries a delta the snapshot's
-		// symbol list also subsumes, so interning is a no-op, but the
-		// coverage check below must still see a gapless sequence.
-		if len(rec.Syms) > 0 {
-			if rec.SymBase > covered {
-				return nil, nil, 0, fmt.Errorf("storage: %s: symbol delta at position %d leaves gap after %d (log and snapshot disagree)", walName, rec.SymBase, covered)
-			}
-			for _, sym := range rec.Syms {
-				opts.Symtab.Intern(sym)
-			}
-			if end := rec.SymBase + len(rec.Syms); end > covered {
-				covered = end
-			}
-		}
 		if rec.Gen <= gen {
 			// Covered by the snapshot (or a compaction that died between
 			// snapshot write and log rewrite): already applied.
@@ -237,7 +185,6 @@ func Open(dir string, opts Options) (*Store, []*workflow.Workflow, uint64, error
 	wfs := state.workflows()
 	stats.Generation = gen
 	stats.Workflows = len(wfs)
-	stats.SymbolsRecovered = covered
 	s := &Store{
 		dir:        dir,
 		opts:       opts,
@@ -247,7 +194,6 @@ func Open(dir string, opts Options) (*Store, []*workflow.Workflow, uint64, error
 		snapGen:    snap.Gen,
 		lastGen:    gen,
 		recovery:   stats,
-		symHW:      covered,
 	}
 	return s, wfs, gen, nil
 }
@@ -323,19 +269,7 @@ func (s *Store) Commit(gen uint64, ops []corpus.Op) error {
 	if gen != s.lastGen+1 {
 		return fmt.Errorf("storage: commit generation %d does not follow %d", gen, s.lastGen)
 	}
-	// Capture the symbol delta under s.mu so successive records persist
-	// contiguous, non-overlapping ranges of the shared table's assignment
-	// order. The repository interns a batch's strings before its commit
-	// hook fires, so the delta always covers this record's ops (plus any
-	// symbols interned by batches whose hooks failed — harmless: they ride
-	// along and stay a prefix of the table).
-	delta := s.opts.Symtab.SymbolsFrom(s.symHW)
-	rec := logRecord{Gen: gen, Ops: encoded}
-	if len(delta) > 0 {
-		rec.SymBase = s.symHW
-		rec.Syms = delta
-	}
-	payload, err := json.Marshal(rec)
+	payload, err := json.Marshal(logRecord{Gen: gen, Ops: encoded})
 	if err != nil {
 		return err
 	}
@@ -356,7 +290,6 @@ func (s *Store) Commit(gen uint64, ops []corpus.Op) error {
 	s.logBytes += n
 	s.logRecords++
 	s.lastGen = gen
-	s.symHW += len(delta)
 	return nil
 }
 
@@ -416,19 +349,14 @@ func (s *Store) compactLocked(gen uint64, wfs []*workflow.Workflow) error {
 	if gen < s.snapGen {
 		return fmt.Errorf("storage: compact at generation %d behind snapshot %d", gen, s.snapGen)
 	}
-	// Snapshot the full symbol table: holding s.mu excludes Commit, so the
-	// list is a superset of every delta the kept log records carry (their
-	// ranges replay as no-ops on recovery) and the high-water mark can jump
-	// to its length.
-	syms := s.opts.Symtab.Symbols()
-	if _, err := writeSnapshot(s.dir, gen, wfs, syms); err != nil {
+	if _, err := writeSnapshot(s.dir, gen, wfs); err != nil {
 		return err
 	}
 	// The snapshot is durable; now the log prefix it covers can go. Re-read
 	// the log from disk so records committed by other goroutines since our
 	// caller pinned its view are preserved verbatim.
 	logPath := filepath.Join(s.dir, walName)
-	recs, _, _, _, err := readLog(logPath)
+	recs, _, _, err := readLog(logPath)
 	if err != nil {
 		return err
 	}
@@ -450,7 +378,6 @@ func (s *Store) compactLocked(gen uint64, wfs []*workflow.Workflow) error {
 	s.logBytes = size
 	s.logRecords = n
 	s.snapGen = gen
-	s.symHW = len(syms)
 	s.compactions++
 	// The rewritten log has a clean tail built only from valid records, so
 	// a rollback wedge (torn tail that could not be truncated) is healed.
@@ -520,50 +447,9 @@ func DirHasState(dir string) (bool, error) {
 			return true, nil
 		}
 	}
-	recs, _, _, _, err := readLog(filepath.Join(dir, walName))
+	recs, _, _, err := readLog(filepath.Join(dir, walName))
 	if err != nil {
 		return false, err
 	}
 	return len(recs) > 0, nil
-}
-
-// WriteLegacyFixture writes a data directory in the pre-symbol-table (v1)
-// layout: a v1-magic snapshot of wfs at gen and a v1-magic log containing
-// one add record per tail workflow at generations gen+1, gen+2, … — the
-// on-disk state a pre-migration deployment would leave behind. It exists
-// for migration tests and tooling; production code always writes the
-// current format.
-func WriteLegacyFixture(dir string, gen uint64, wfs, tail []*workflow.Workflow) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	payload, err := json.Marshal(snapshotPayload{Gen: gen, Workflows: wfs})
-	if err != nil {
-		return err
-	}
-	if err := writeFileAtomic(filepath.Join(dir, snapshotName(gen)), snapMagicV1, payload); err != nil {
-		return err
-	}
-	f, err := os.Create(filepath.Join(dir, walName))
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	if _, err := f.Write([]byte(walMagicV1)); err != nil {
-		return err
-	}
-	for i, wf := range tail {
-		rec := logRecord{Gen: gen + uint64(i) + 1, Ops: []opRecord{{Op: "add", ID: wf.ID, Workflow: wf}}}
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			return err
-		}
-		if _, err := appendFrame(f, payload); err != nil {
-			return err
-		}
-	}
-	if err := f.Sync(); err != nil {
-		return err
-	}
-	return syncDir(dir)
 }

@@ -244,7 +244,7 @@ func TestCorruptSnapshotIsSkipped(t *testing.T) {
 	// to... nothing older (compaction deleted it), i.e. replay from the log
 	// alone would lose state — so this test corrupts only after re-creating
 	// an older snapshot scenario: write generation-1 snapshot back first.
-	if _, err := writeSnapshot(dir, 1, []*workflow.Workflow{wf("a", "x")}, nil); err != nil {
+	if _, err := writeSnapshot(dir, 1, []*workflow.Workflow{wf("a", "x")}); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, snapshotName(2))

@@ -1,8 +1,8 @@
 // Package symtab provides a concurrent, append-only string↔ID symbol
-// table. IDs are dense uint32 values handed out in interning order, so a
-// table that re-interns the same strings in the same order reproduces the
-// same IDs — the property the storage layer relies on to keep symbol IDs
-// stable across restarts.
+// table. IDs are dense uint32 values handed out in interning order. They
+// are process-local: nothing stores them, and every boot rebuilds the table
+// by re-resolving the recovered corpus — which also drops the symbols of
+// workflows that no longer exist.
 //
 // ID 0 is reserved for the empty string. A zero symbol therefore renders
 // as "" everywhere, which is exactly what a zero-value module should print
@@ -74,28 +74,4 @@ func (t *Table) Len() int {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return len(t.strs)
-}
-
-// Symbols returns a copy of the symbol list in ID order (index == ID).
-func (t *Table) Symbols() []string {
-	return t.SymbolsFrom(0)
-}
-
-// SymbolsFrom returns a copy of the symbols with IDs >= from, in ID
-// order. It is the delta primitive the write-ahead log uses: a store that
-// has persisted the first hw symbols appends SymbolsFrom(hw) to its next
-// record, so each store's persisted symbol sequence is a contiguous
-// prefix of the table's interning order.
-func (t *Table) SymbolsFrom(from int) []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if from < 0 {
-		from = 0
-	}
-	if from >= len(t.strs) {
-		return nil
-	}
-	out := make([]string, len(t.strs)-from)
-	copy(out, t.strs[from:])
-	return out
 }

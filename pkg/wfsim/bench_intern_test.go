@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/measures"
-	"repro/internal/storage"
 )
 
 // benchStringRepo clones the corpus into a repository with interning
@@ -78,74 +77,37 @@ func BenchmarkIndexBuild(b *testing.B) {
 	b.Run("string", func(b *testing.B) { run(b, benchStringRepo(b, c)) })
 }
 
-// BenchmarkBootReintern times engine boot over a pre-symbol-table data
-// directory: recovery reads the legacy snapshot and WAL tail, re-interns
-// every recovered label, and reports the layout as migrated. The fixture
-// is rebuilt outside the timed section each iteration (a boot converts
-// nothing on disk, but Close writes a current-format snapshot).
+// BenchmarkBootReintern times engine boot over a stored corpus: recovery
+// reads the snapshot and resolves every recovered workflow against a fresh
+// symbol table — the pass that rebuilds the process-local IDs at each start.
 func BenchmarkBootReintern(b *testing.B) {
 	const corpusSize = 2000
 	c := benchCorpusN(b, corpusSize)
-	wfs := make([]*Workflow, 0, corpusSize)
-	for _, wf := range c.Repo.Workflows() {
-		wfs = append(wfs, wf.Clone())
-	}
 	quiet := StorageWarnings(func(string, ...any) {})
-	b.Run("legacy", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			b.StopTimer()
-			dir := b.TempDir()
-			if err := storage.WriteLegacyFixture(dir, 1, wfs[:corpusSize-8], wfs[corpusSize-8:]); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-			eng, err := New(mustRepo(b), WithStorage(dir, quiet))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			st, _ := eng.StorageStats()
-			if !st.Recovery.MigratedFormat || eng.Size() != corpusSize {
-				b.Fatalf("migration boot recovered %d workflows (migrated=%v)",
-					eng.Size(), st.Recovery.MigratedFormat)
-			}
-			if err := eng.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-	})
-	b.Run("current", func(b *testing.B) {
-		dir := b.TempDir()
-		if err := storage.WriteLegacyFixture(dir, 1, wfs[:corpusSize-8], wfs[corpusSize-8:]); err != nil {
-			b.Fatal(err)
-		}
-		// One boot+close converts the directory to the current format.
+	dir := b.TempDir()
+	// Seeding a fresh directory persists the corpus as the baseline snapshot.
+	eng, err := New(c.Repo, WithStorage(dir, quiet))
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := eng.Close(); err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		eng, err := New(mustRepo(b), WithStorage(dir, quiet))
 		if err != nil {
 			b.Fatal(err)
 		}
+		b.StopTimer()
+		if eng.Size() != corpusSize {
+			b.Fatalf("boot recovered %d workflows, want %d", eng.Size(), corpusSize)
+		}
 		if err := eng.Close(); err != nil {
 			b.Fatal(err)
 		}
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			eng, err := New(mustRepo(b), WithStorage(dir, quiet))
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.StopTimer()
-			st, _ := eng.StorageStats()
-			if st.Recovery.MigratedFormat || eng.Size() != corpusSize {
-				b.Fatalf("current-format boot recovered %d workflows (migrated=%v)",
-					eng.Size(), st.Recovery.MigratedFormat)
-			}
-			if err := eng.Close(); err != nil {
-				b.Fatal(err)
-			}
-			b.StartTimer()
-		}
-	})
+		b.StartTimer()
+	}
 }
 
 func mustRepo(b *testing.B) *Repository {

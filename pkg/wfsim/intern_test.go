@@ -1,13 +1,16 @@
 package wfsim
 
 import (
+	"bytes"
 	"context"
-	"fmt"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/shard"
-	"repro/internal/storage"
+	"repro/internal/symtab"
 )
 
 // internTestCorpus is small enough that the full measure sweep (including
@@ -121,42 +124,40 @@ func TestInternedEquivalenceWithStringBaseline(t *testing.T) {
 	}
 }
 
-// TestSymbolTableStableAcrossRestart proves the ID stability guarantee:
-// after a clean restart and after a crash restart, the recovered symbol
-// table is element-for-element identical to the live one (zero
-// re-interning drift) and warm score-cache entries survive keyed by the
-// recovered symbols.
-func TestSymbolTableStableAcrossRestart(t *testing.T) {
+// TestWarmRestartRebuildsSymbols pins what a restart owes the symbol table
+// now that IDs are process-local: nothing about it is on disk, boot rebuilds
+// it from the recovered corpus (so symbols of removed workflows are gone),
+// and warm score-cache entries — stored as workflow-ID strings — still
+// re-seed, after a clean restart and with the un-checkpointed commit after a
+// crash restart.
+func TestWarmRestartRebuildsSymbols(t *testing.T) {
 	dir := t.TempDir()
 	ctx := context.Background()
 
 	eng1 := newStoredEngine(t, dir)
 	ingestFixture(t, eng1)
-	if _, _, err := eng1.SearchID(ctx, "a", SearchOptions{K: 5}); err != nil {
+	if _, err := eng1.Apply(ctx, AddWorkflow(storageWorkflow("gone", "short_lived_step"))); err != nil {
 		t.Fatal(err)
 	}
-	syms1 := engineSymbols(eng1)
-	if len(syms1) < 2 {
-		t.Fatalf("suspiciously small symbol table: %d entries", len(syms1))
+	if _, err := eng1.Apply(ctx, RemoveWorkflow("gone")); err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := engineSymtab(eng1).Lookup("short_lived_step"); !ok {
+		t.Fatal("live table lost a symbol it interned")
+	}
+	if _, _, err := eng1.SearchID(ctx, "a", SearchOptions{K: 5}); err != nil {
+		t.Fatal(err)
 	}
 	if err := eng1.Close(); err != nil {
 		t.Fatal(err)
 	}
+	assertNoSymbolKeys(t, dir)
 
-	// Clean restart: snapshot/WAL symbols seed the table before the corpus
-	// is re-resolved, so every ID comes back exactly as assigned.
+	// Clean restart: warm, and the dead workflow's symbols were not revived.
 	eng2 := newStoredEngine(t, dir)
-	syms2 := engineSymbols(eng2)
-	assertSameSymbols(t, "clean restart", syms1, syms2)
 	st, ok := eng2.StorageStats()
 	if !ok {
 		t.Fatal("no storage stats")
-	}
-	if st.Recovery.SymbolsRecovered != len(syms1) {
-		t.Errorf("recovery reports %d symbols, want %d", st.Recovery.SymbolsRecovered, len(syms1))
-	}
-	if st.Recovery.MigratedFormat {
-		t.Error("current-format recovery flagged as migrated")
 	}
 	if st.WarmCacheEntries == 0 {
 		t.Error("no warm score-cache entries survived the restart")
@@ -166,115 +167,68 @@ func TestSymbolTableStableAcrossRestart(t *testing.T) {
 	} else if stats.CacheMisses != 0 || stats.CacheHits == 0 {
 		t.Errorf("warm restart search not fully cached: %d hits / %d misses", stats.CacheHits, stats.CacheMisses)
 	}
+	tab := engineSymtab(eng2)
+	for _, dead := range []string{"gone", "short_lived_step"} {
+		if _, ok := tab.Lookup(dead); ok {
+			t.Errorf("restart revived symbol %q of a workflow no longer in the corpus", dead)
+		}
+	}
+	if _, ok := tab.Lookup("fetch_sequence"); !ok {
+		t.Error("restart did not rebuild the symbols of the recovered corpus")
+	}
 
-	// Crash restart: grow the table past the snapshot via one more commit,
-	// then drop the engine without Close. The WAL symbol delta alone must
-	// reproduce the extended table.
+	// Crash restart: one more commit, then drop the engine without Close.
+	// The log alone must bring the workflow (and hence its symbols) back.
 	if _, err := eng2.Apply(ctx, AddWorkflow(storageWorkflow("d", "novel_operation", "another_novel_step"))); err != nil {
 		t.Fatal(err)
 	}
-	syms3 := engineSymbols(eng2)
-	if len(syms3) <= len(syms1) {
-		t.Fatalf("new workflow added no symbols: %d then %d", len(syms1), len(syms3))
-	}
+	wantGens := eng2.Generations()
 	// No Close: kill -9 semantics.
+	assertNoSymbolKeys(t, dir)
 
 	eng3 := newStoredEngine(t, dir)
 	defer eng3.Close()
-	assertSameSymbols(t, "crash restart", syms3, engineSymbols(eng3))
+	if got := eng3.Generations(); !reflect.DeepEqual(got, wantGens) {
+		t.Fatalf("crash restart at generations %v, want %v", got, wantGens)
+	}
+	if eng3.Size() != 4 {
+		t.Fatalf("crash restart recovered %d workflows, want 4", eng3.Size())
+	}
+	if _, ok := engineSymtab(eng3).Lookup("novel_operation"); !ok {
+		t.Error("crash restart did not resolve the un-checkpointed workflow")
+	}
+	assertSameSearch(t, eng2, eng3, "d", SearchOptions{K: 5})
 }
 
-// engineSymbols lists the engine's shared symbol table (every shard interns
+// engineSymtab returns the engine's shared symbol table (every shard interns
 // into the same one, so shard 0's is the deployment's).
-func engineSymbols(e *Engine) []string {
-	return e.coord.Shard(0).(*shard.Local).Symtab().Symbols()
+func engineSymtab(e *Engine) *symtab.Table {
+	return e.coord.Shard(0).(*shard.Local).Symtab()
 }
 
-func assertSameSymbols(t *testing.T, phase string, want, got []string) {
+// assertNoSymbolKeys fails if any snapshot or log under dir carries one of
+// the JSON keys the persisted symbol table used.
+func assertNoSymbolKeys(t *testing.T, dir string) {
 	t.Helper()
-	if len(got) != len(want) {
-		t.Fatalf("%s: symbol table has %d entries, want %d", phase, len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("%s: symbol %d = %q, want %q: IDs drifted across restart", phase, i, got[i], want[i])
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
 		}
-	}
-}
-
-// TestLegacyLayoutMigration boots an engine over a pre-symbol-table data
-// directory: the old layout must be migrated by re-interning the recovered
-// labels — with a recovery warning, never a refusal — and serve results
-// identical to a fresh engine over the same corpus.
-func TestLegacyLayoutMigration(t *testing.T) {
-	dir := t.TempDir()
-	ctx := context.Background()
-	mk := func() []*Workflow {
-		return []*Workflow{
-			storageWorkflow("a", "fetch_sequence", "run_blast"),
-			storageWorkflow("b", "fetch_sequence", "plot_hits"),
+		if name := d.Name(); name != "wal.log" && !strings.HasSuffix(name, ".snap") {
+			return nil
 		}
-	}
-	if err := storage.WriteLegacyFixture(dir, 2, mk(), []*Workflow{storageWorkflow("c", "load_image", "segment_cells")}); err != nil {
-		t.Fatal(err)
-	}
-
-	var warnings []string
-	repo, err := NewRepository()
-	if err != nil {
-		t.Fatal(err)
-	}
-	eng, err := New(repo,
-		WithStorage(dir, StorageWarnings(func(format string, args ...any) {
-			warnings = append(warnings, fmt.Sprintf(format, args...))
-		})),
-		WithIndex(1), WithScoreCache(1<<12))
-	if err != nil {
-		t.Fatalf("open over legacy layout: %v", err)
-	}
-	st, ok := eng.StorageStats()
-	if !ok {
-		t.Fatal("no storage stats")
-	}
-	if !st.Recovery.MigratedFormat {
-		t.Error("legacy layout not reported as migrated")
-	}
-	if st.Recovery.Workflows != 3 || eng.Size() != 3 {
-		t.Fatalf("recovered %d workflows (engine size %d), want 3", st.Recovery.Workflows, eng.Size())
-	}
-	found := false
-	for _, w := range warnings {
-		if strings.Contains(w, "legacy") && strings.Contains(w, "re-interning") {
-			found = true
+		data, err := os.ReadFile(path)
+		if err != nil {
+			return err
 		}
-	}
-	if !found {
-		t.Errorf("no legacy-migration warning emitted; warnings: %q", warnings)
-	}
-
-	// Results must match a fresh in-memory engine over the same corpus.
-	fresh, err := NewRepository(append(mk(), storageWorkflow("c", "load_image", "segment_cells"))...)
+		for _, key := range []string{`"symbols"`, `"symbase"`, `"syms"`} {
+			if bytes.Contains(data, []byte(key)) {
+				t.Errorf("%s carries a %s field", path, key)
+			}
+		}
+		return nil
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := New(fresh, WithIndex(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, q := range []string{"a", "b", "c"} {
-		assertSameSearch(t, ref, eng, q, SearchOptions{K: 5})
-	}
-
-	// The first commit after migration persists the rebuilt table; a
-	// subsequent restart must reproduce it without drift.
-	if _, err := eng.Apply(ctx, AddWorkflow(storageWorkflow("d", "align_reads"))); err != nil {
-		t.Fatal(err)
-	}
-	syms := engineSymbols(eng)
-	if err := eng.Close(); err != nil {
-		t.Fatal(err)
-	}
-	eng2 := newStoredEngine(t, dir)
-	defer eng2.Close()
-	assertSameSymbols(t, "post-migration restart", syms, engineSymbols(eng2))
 }

@@ -2,6 +2,7 @@ package wfsim
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -45,7 +46,7 @@ func mutEngine(t *testing.T, opts ...Option) *Engine {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng, err := New(repo, opts...)
+	eng, err := New(repo, append(testShardOpts(t), opts...)...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +59,7 @@ func mutEngine(t *testing.T, opts ...Option) *Engine {
 func TestApplyAddVisibleWithoutRebuild(t *testing.T) {
 	eng := mutEngine(t, WithIndex(1), WithMeasure("content", &contentMeasure{}))
 	ctx := context.Background()
-	genBefore := eng.Generation()
+	gensBefore := eng.Generations()
 
 	gen, err := eng.Apply(ctx,
 		AddWorkflow(mutWorkflow("w5", "spot_image")),
@@ -68,8 +69,17 @@ func TestApplyAddVisibleWithoutRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen != genBefore+1 {
-		t.Errorf("generation: %d -> %d, want +1", genBefore, gen)
+	// One batch is one generation on every shard it touches, none elsewhere.
+	touched := uint64(0)
+	for i, after := range eng.Generations() {
+		if d := after - gensBefore[i]; d > 1 {
+			t.Errorf("shard %d generation: %d -> %d, want at most +1", i, gensBefore[i], after)
+		} else {
+			touched += d
+		}
+	}
+	if touched == 0 || gen != eng.Generation() {
+		t.Errorf("generations %v -> %v (Apply returned %d): batch did not commit as one generation per touched shard", gensBefore, eng.Generations(), gen)
 	}
 
 	// The added workflow and the replaced content are indexed: an indexed
@@ -201,8 +211,8 @@ func TestSearchPinsPreMutationSnapshot(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gen != genBefore+1 {
-		t.Fatalf("apply generation = %d", gen)
+	if gen <= genBefore {
+		t.Fatalf("apply generation = %d, want past %d", gen, genBefore)
 	}
 	close(gm.release)
 
@@ -247,48 +257,60 @@ func TestSearchPinsPreMutationSnapshot(t *testing.T) {
 	}
 }
 
-// TestWarmDuplicatesZeroEvaluations is the score-cache acceptance test:
-// a repeated Duplicates run with a warm cache performs zero pairwise
-// measure evaluations (hit counter equals pair count) and matches the cold
-// run exactly.
+// TestWarmDuplicatesZeroEvaluations is the score-cache acceptance test, at
+// 1, 2 and 4 shards: a repeated Duplicates run with a warm cache performs
+// zero pairwise measure evaluations (hit counter equals pair count) and
+// matches the cold run exactly, and so does a Cluster after it — both walk
+// the same pair blocks, so a cross-shard pair meets the same shard's cache
+// whichever operation asks.
 func TestWarmDuplicatesZeroEvaluations(t *testing.T) {
-	cm := &contentMeasure{}
-	eng := mutEngine(t, WithScoreCache(1024), WithMeasure("content", cm))
-	ctx := context.Background()
-	n := eng.Size()
-	pairCount := n * (n - 1) / 2
+	for _, shards := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			cm := &contentMeasure{}
+			eng, err := New(internTestCorpus(t).Repo, WithShards(shards), WithScoreCache(4096), WithMeasure("content", cm))
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx := context.Background()
+			n := eng.Size()
+			pairCount := n * (n - 1) / 2
 
-	cold, coldStats, err := eng.Duplicates(ctx, 0.2, DuplicateOptions{Measure: "content"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if coldStats.CacheMisses != pairCount || coldStats.CacheHits != 0 {
-		t.Errorf("cold run: hits %d misses %d, want 0/%d", coldStats.CacheHits, coldStats.CacheMisses, pairCount)
-	}
-	evalsAfterCold := cm.calls.Load()
+			cold, coldStats, err := eng.Duplicates(ctx, 0.2, DuplicateOptions{Measure: "content"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if coldStats.CacheMisses != pairCount || coldStats.CacheHits != 0 {
+				t.Errorf("cold run: hits %d misses %d, want 0/%d", coldStats.CacheHits, coldStats.CacheMisses, pairCount)
+			}
+			evalsAfterCold := cm.calls.Load()
 
-	warm, warmStats, err := eng.Duplicates(ctx, 0.2, DuplicateOptions{Measure: "content"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := cm.calls.Load(); got != evalsAfterCold {
-		t.Errorf("warm run evaluated %d pairs, want 0", got-evalsAfterCold)
-	}
-	if warmStats.CacheHits != pairCount || warmStats.CacheMisses != 0 {
-		t.Errorf("warm run: hits %d misses %d, want %d/0", warmStats.CacheHits, warmStats.CacheMisses, pairCount)
-	}
-	if !reflect.DeepEqual(cold, warm) {
-		t.Errorf("warm results diverge from cold:\ncold %v\nwarm %v", cold, warm)
-	}
-	if cs := eng.CacheStats(); cs.Hits != uint64(pairCount) || cs.Entries == 0 {
-		t.Errorf("engine cache stats = %+v", cs)
-	}
-	// Cluster scores the same pair matrix through the same cache.
-	if _, err := eng.Cluster(ctx, ClusterOptions{Measure: "content"}); err != nil {
-		t.Fatal(err)
-	}
-	if got := cm.calls.Load(); got != evalsAfterCold {
-		t.Errorf("clustering over the warm cache evaluated %d pairs, want 0", got-evalsAfterCold)
+			warm, warmStats, err := eng.Duplicates(ctx, 0.2, DuplicateOptions{Measure: "content"})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := cm.calls.Load(); got != evalsAfterCold {
+				t.Errorf("warm run evaluated %d pairs, want 0", got-evalsAfterCold)
+			}
+			if warmStats.CacheHits != pairCount || warmStats.CacheMisses != 0 {
+				t.Errorf("warm run: hits %d misses %d, want %d/0", warmStats.CacheHits, warmStats.CacheMisses, pairCount)
+			}
+			if !reflect.DeepEqual(cold, warm) {
+				t.Errorf("warm results diverge from cold:\ncold %v\nwarm %v", cold, warm)
+			}
+			if cs := eng.CacheStats(); cs.Hits != uint64(pairCount) || cs.Entries != pairCount {
+				t.Errorf("engine cache stats = %+v, want %d hits over %d entries", cs, pairCount, pairCount)
+			}
+			// Cluster scores the same pair matrix through the same caches.
+			if _, err := eng.Cluster(ctx, ClusterOptions{Measure: "content"}); err != nil {
+				t.Fatal(err)
+			}
+			if got := cm.calls.Load(); got != evalsAfterCold {
+				t.Errorf("clustering over the warm cache evaluated %d pairs, want 0", got-evalsAfterCold)
+			}
+			if cs := eng.CacheStats(); cs.Entries != pairCount {
+				t.Errorf("clustering stored pairs a second time: %d entries, want %d", cs.Entries, pairCount)
+			}
+		})
 	}
 }
 
@@ -326,13 +348,18 @@ func TestCacheInvalidationOnApply(t *testing.T) {
 	if len(pairs) != 0 {
 		t.Errorf("stale cached pairs served after Apply: %v", pairs)
 	}
-	// Generation keying means zero hits right after a mutation.
-	if stats.CacheHits != 0 {
-		t.Errorf("post-Apply run hit the stale generation %d times", stats.CacheHits)
-	}
+	// Generation keying: no pair involving the replaced w2 can hit, and at
+	// one shard (one generation for everything) nothing can.
 	n := eng.Size()
-	if stats.CacheMisses != n*(n-1)/2 {
-		t.Errorf("post-Apply misses = %d, want %d", stats.CacheMisses, n*(n-1)/2)
+	maxHits := (n - 1) * (n - 2) / 2
+	if eng.Shards() == 1 {
+		maxHits = 0
+	}
+	if stats.CacheHits > maxHits {
+		t.Errorf("post-Apply run hit the stale generation: %d hits, want at most %d", stats.CacheHits, maxHits)
+	}
+	if stats.CacheHits+stats.CacheMisses != n*(n-1)/2 {
+		t.Errorf("post-Apply hits+misses = %d+%d, want %d pairs", stats.CacheHits, stats.CacheMisses, n*(n-1)/2)
 	}
 	for _, p := range pairs {
 		if p.A == "w4" || p.B == "w4" {

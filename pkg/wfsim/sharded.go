@@ -88,10 +88,9 @@ func (e *Engine) open(seed *Repository) error {
 	}
 	for i := range shards {
 		cfg := shard.LocalConfig{
-			MinShared:   e.minShared,
-			CacheSize:   perCache,
-			Concurrency: e.concurrency,
-			Seed:        parts[i],
+			MinShared: e.minShared,
+			CacheSize: perCache,
+			Seed:      parts[i],
 			// One symbol table for the whole deployment: cross-shard reads
 			// compare and cache-key workflows from different shards, so their
 			// interned IDs must come from the same assignment order. The

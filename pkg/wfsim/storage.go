@@ -107,8 +107,6 @@ func (e *Engine) StorageStats() (stats StorageStats, ok bool) {
 		stats.Recovery.TornTailTruncated = stats.Recovery.TornTailTruncated || info.Storage.Recovery.TornTailTruncated
 		stats.Recovery.Generation += info.Storage.Recovery.Generation
 		stats.Recovery.Workflows += info.Storage.Recovery.Workflows
-		stats.Recovery.SymbolsRecovered += info.Storage.Recovery.SymbolsRecovered
-		stats.Recovery.MigratedFormat = stats.Recovery.MigratedFormat || info.Storage.Recovery.MigratedFormat
 		stats.WarmCacheEntries += info.WarmEntries
 	}
 	return stats, true

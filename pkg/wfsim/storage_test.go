@@ -423,3 +423,93 @@ func TestFlatDirectoryIsOneShardLayout(t *testing.T) {
 		t.Errorf("refused open changed the sharded directory:\nbefore %v\nafter  %v", before, after)
 	}
 }
+
+// goldenWorkflow builds one workflow of the corpus the golden directories
+// hold (the smoke-test fixture: a and b share a label, c is unrelated).
+func goldenWorkflow(id, title, typ string, labels ...string) *Workflow {
+	w := NewWorkflow(id)
+	w.Annotations.Title = title
+	for i, label := range labels {
+		idx := w.AddModule(&Module{ID: fmt.Sprintf("m%d", i+1), Label: label, Type: typ})
+		if i > 0 {
+			if err := w.AddEdge(idx-1, idx); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return w
+}
+
+// TestGoldenDirectoriesReopen opens copies of two data directories written
+// by the binaries of the last commit that persisted symbol tables (see
+// internal/storage/testdata/golden/README.md): a flat directory under the
+// "…1" magics, and a crash-stopped 2-shard directory under the "…2" magics
+// whose snapshot embeds a symbol list and whose log records carry symbol
+// deltas. Both are the one storage format: they must open without refusal,
+// at the recorded generation vector, and serve exactly what a fresh engine
+// over the same workflows serves — then take a commit, close and reopen.
+func TestGoldenDirectoriesReopen(t *testing.T) {
+	ctx := context.Background()
+	corpus := func() []*Workflow {
+		return []*Workflow{
+			goldenWorkflow("a", "blast a", TypeWSDL, "fetch_sequence", "run_blast"),
+			goldenWorkflow("b", "blast b", TypeWSDL, "fetch_sequence", "plot_hits"),
+			goldenWorkflow("c", "imaging", TypeTool, "load_image", "segment_cells"),
+		}
+	}
+	for _, tc := range []struct {
+		name   string
+		shards int
+		gens   []uint64
+	}{
+		{"v1-flat", 1, []uint64{2}},
+		{"v2-2shard-crash", 2, []uint64{1, 4}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			if err := os.CopyFS(dir, os.DirFS(filepath.Join("..", "..", "internal", "storage", "testdata", "golden", tc.name))); err != nil {
+				t.Fatal(err)
+			}
+			fresh, err := NewRepository(corpus()...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := New(fresh, WithShards(tc.shards), WithIndex(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			eng := newStoredEngine(t, dir, WithShards(tc.shards))
+			if got := eng.Generations(); !reflect.DeepEqual(got, tc.gens) {
+				t.Fatalf("opened at generations %v, want %v", got, tc.gens)
+			}
+			if eng.Size() != 3 {
+				t.Fatalf("opened with %d workflows, want 3", eng.Size())
+			}
+			for _, q := range []string{"a", "b", "c"} {
+				assertSameSearch(t, ref, eng, q, SearchOptions{K: 5})
+			}
+
+			d := goldenWorkflow("d", "alignment", TypeWSDL, "fetch_sequence", "align_reads")
+			if _, err := eng.Apply(ctx, AddWorkflow(d)); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := ref.Apply(ctx, AddWorkflow(d.Clone())); err != nil {
+				t.Fatal(err)
+			}
+			wantGens := eng.Generations()
+			if err := eng.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			eng2 := newStoredEngine(t, dir, WithShards(tc.shards))
+			defer eng2.Close()
+			if got := eng2.Generations(); !reflect.DeepEqual(got, wantGens) {
+				t.Fatalf("reopened at generations %v, want %v", got, wantGens)
+			}
+			for _, q := range []string{"a", "b", "c", "d"} {
+				assertSameSearch(t, ref, eng2, q, SearchOptions{K: 5})
+			}
+		})
+	}
+}

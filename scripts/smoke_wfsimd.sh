@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Smoke test for the wfsimd HTTP service, in two phases.
+# Smoke test for the wfsimd HTTP service, in four phases.
 #
 # Phase 1 (RAM-only): start an empty server, ingest a three-workflow fixture
 # corpus over the NDJSON batch endpoint, run one search, and assert a 200
@@ -17,11 +17,11 @@
 # be refused — in both directions: the sharded directory without -shards,
 # and phase 2's flat directory with -shards 4.
 #
-# Phase 4 (format migration): write a pre-symbol-table (v1 format) data
-# directory holding the same fixture corpus, boot a server over it, and
-# assert the boot logs the legacy-migration recovery warning, stats report
-# migrated_format, and a search returns the same results phase 1 got from
-# a fresh ingest.
+# Phase 4 (older writers): boot a server over a copy of each golden data
+# directory (internal/storage/testdata/golden: the same fixture corpus as
+# written by older binaries — the "…1" magics flat, and a crash-stopped
+# 2-shard directory whose files still carry persisted symbol tables) and
+# assert a search returns the same results phase 1 got from a fresh ingest.
 #
 # Run from the repository root: ./scripts/smoke_wfsimd.sh
 set -euo pipefail
@@ -70,7 +70,7 @@ echo "smoke: search response: $OUT"
 echo "$OUT" | grep -q '"id":"b"' || { echo "smoke: search results missing expected hit b" >&2; exit 1; }
 echo "$OUT" | grep -q '"generation":1' || { echo "smoke: response does not report the ingest generation" >&2; exit 1; }
 # The result list (IDs and similarities) is the reference phase 4 must
-# reproduce bit-for-bit after a format migration.
+# reproduce bit-for-bit over directories written by older binaries.
 RESULTS1=$(echo "$OUT" | sed -n 's/.*"results":\(\[[^]]*\]\).*/\1/p')
 [ -n "$RESULTS1" ] || { echo "smoke: could not extract result list" >&2; exit 1; }
 kill "$PID"; wait "$PID" 2>/dev/null || true; PID=""
@@ -168,26 +168,26 @@ echo "$OUT" | grep -q '"id":"b"' || { echo "smoke: sharded search hit b did not 
 echo "smoke: phase 3 (sharded durable restart) OK"
 kill "$PID"; wait "$PID" 2>/dev/null || true; PID=""
 
-# ---- Phase 4: pre-symbol-table layout migration ----
-LDATA="$WORK/data-legacy"
-go run ./cmd/wfsimfixture -data "$LDATA"
-"$BIN" -addr "$ADDR" -index -cache 4096 -data "$LDATA" 2>"$WORK/legacy.log" &
-PID=$!
-wait_healthy
-grep -q "legacy" "$WORK/legacy.log" && grep -q "re-interning" "$WORK/legacy.log" || {
-  echo "smoke: boot over a v1 directory logged no legacy-migration warning:" >&2
-  cat "$WORK/legacy.log" >&2; exit 1; }
-STATS=$(curl -fsS "http://$ADDR/v1/stats")
-echo "smoke: migration stats: $STATS"
-echo "$STATS" | grep -q '"migrated_format":true' || {
-  echo "smoke: stats do not report the format migration" >&2; exit 1; }
-echo "$STATS" | grep -q '"workflows":3' || { echo "smoke: migration lost workflows" >&2; exit 1; }
-OUT=$(search_a)
-echo "smoke: post-migration search: $OUT"
-RESULTS4=$(echo "$OUT" | sed -n 's/.*"results":\(\[[^]]*\]\).*/\1/p')
-[ "$RESULTS4" = "$RESULTS1" ] || {
-  echo "smoke: migrated search results differ from fresh-ingest results" >&2
-  echo "  fresh:    $RESULTS1" >&2
-  echo "  migrated: $RESULTS4" >&2; exit 1; }
-echo "smoke: phase 4 (format migration) OK"
+# ---- Phase 4: directories written by older binaries ----
+GOLDEN=internal/storage/testdata/golden
+for CASE in "v1-flat 1" "v2-2shard-crash 2"; do
+  set -- $CASE
+  GDATA="$WORK/golden-$1"
+  cp -r "$GOLDEN/$1" "$GDATA"
+  "$BIN" -addr "$ADDR" -index -cache 4096 -shards "$2" -data "$GDATA" &
+  PID=$!
+  wait_healthy
+  STATS=$(curl -fsS "http://$ADDR/v1/stats")
+  echo "smoke: $1 stats: $STATS"
+  echo "$STATS" | grep -q '"workflows":3' || { echo "smoke: $1 lost workflows" >&2; exit 1; }
+  OUT=$(search_a)
+  echo "smoke: $1 search: $OUT"
+  RESULTS4=$(echo "$OUT" | sed -n 's/.*"results":\(\[[^]]*\]\).*/\1/p')
+  [ "$RESULTS4" = "$RESULTS1" ] || {
+    echo "smoke: search results over $1 differ from fresh-ingest results" >&2
+    echo "  fresh: $RESULTS1" >&2
+    echo "  $1: $RESULTS4" >&2; exit 1; }
+  kill "$PID"; wait "$PID" 2>/dev/null || true; PID=""
+done
+echo "smoke: phase 4 (golden directories) OK"
 echo "smoke: OK"
