@@ -70,8 +70,8 @@ func main() {
 	fmt.Printf("applied add+remove -> generation %d (index: %d live, %d tombstoned, %d full rebuilds)\n",
 		gen, ist.Live, ist.Dead, ist.Rebuilds)
 
-	// The new workflow is immediately searchable; the stale generation's
-	// cached scores are never served (all misses again).
+	// The new workflow is immediately searchable, and the commit retired only
+	// the cached pairs it wrote a side of: the one miss is the added clone.
 	results, stats, err = eng.SearchID(ctx, queryID, wfsim.SearchOptions{K: 5})
 	if err != nil {
 		log.Fatal(err)

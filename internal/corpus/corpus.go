@@ -133,7 +133,7 @@ func NewRepository(wfs ...*workflow.Workflow) (*Repository, error) {
 	defer r.mu.Unlock()
 	for _, wf := range wfs {
 		wf = r.resolveLocked(wf)
-		if err := r.addLocked(wf); err != nil {
+		if err := r.addLocked(wf, 1); err != nil {
 			return nil, err
 		}
 	}
@@ -153,22 +153,24 @@ func (r *Repository) symsLocked() *symtab.Table {
 }
 
 // resolveLocked interns a workflow about to be ingested and returns the
-// repository-owned object. Normally that is wf itself, but a workflow
-// already resolved by a *different* symbol table is cloned first:
-// re-resolving it in place would rewrite its module IDs out from under
-// whoever owns that other table, silently corrupting their equal-ID fast
-// paths. The clone drops all derived state, so it re-resolves cleanly
-// against this repository's table. Resolve is a no-op with a nil table,
-// so the string-baseline mode flows through here unchanged.
+// repository-owned object. Normally that is wf itself, but the repository
+// only ever resolves and stamps objects no reader can see, so two kinds of
+// input are cloned first. A workflow already resolved by a *different*
+// symbol table: re-resolving it in place would rewrite its module IDs out
+// from under whoever owns that other table, silently corrupting their
+// equal-ID fast paths. And a workflow that already carries a revision or is
+// the object stored under its ID (a self-replace, a re-added pointer): some
+// repository committed it, so pinned readers may share it, and restamping
+// it could let two contents answer to one (SymID, Rev). The clone drops all
+// derived state, so it re-resolves cleanly against this repository's table.
+// Resolve is a no-op with a nil table, so the string-baseline mode flows
+// through here unresolved.
 func (r *Repository) resolveLocked(wf *workflow.Workflow) *workflow.Workflow {
 	if wf == nil {
 		return nil
 	}
 	t := r.symsLocked()
-	if t == nil {
-		return wf
-	}
-	if ref := wf.SymtabRef(); ref != nil && ref != t {
+	if ref := wf.SymtabRef(); wf.Rev() != 0 || r.byID[wf.ID] == wf || (t != nil && ref != nil && ref != t) {
 		wf = wf.Clone()
 	}
 	wf.Resolve(t)
@@ -203,11 +205,13 @@ func (r *Repository) AdoptSymtab(t *symtab.Table) error {
 }
 
 // addLocked is the single insertion path shared by NewRepository and
-// ApplyBatch; it validates the workflow and mutates the private state.
-func (r *Repository) addLocked(wf *workflow.Workflow) error {
+// ApplyBatch; it validates the workflow, stamps it with the revision it
+// commits under and mutates the private state.
+func (r *Repository) addLocked(wf *workflow.Workflow, rev uint64) error {
 	if err := r.checkAddable(wf, r.hasLocked); err != nil {
 		return fmt.Errorf("corpus: %w", err)
 	}
+	wf.StampRev(rev)
 	r.workflows = append(r.workflows, wf)
 	r.byID[wf.ID] = wf
 	return nil
@@ -286,7 +290,8 @@ func (r *Repository) removeLocked(id string) {
 	delete(r.byID, id)
 }
 
-func (r *Repository) replaceLocked(wf *workflow.Workflow) {
+func (r *Repository) replaceLocked(wf *workflow.Workflow, rev uint64) {
+	wf.StampRev(rev)
 	for i, old := range r.workflows {
 		if old.ID == wf.ID {
 			r.workflows[i] = wf
@@ -400,15 +405,18 @@ func (r *Repository) ApplyBatch(ops []Op) (uint64, error) {
 		return 0, err
 	}
 	// Commit pass: every op was validated against its staged state, so the
-	// mirrored mutations cannot fail.
+	// mirrored mutations cannot fail. Only now, with the hook's veto behind
+	// it, are the incoming objects stamped: revision = the generation the
+	// batch commits under, plus one.
+	rev := r.gen.Load() + 2
 	for _, op := range ops {
 		switch op.Kind {
 		case OpAdd:
-			_ = r.addLocked(op.Workflow) //wfsimvet:ignore errpath validated against the staged overlay; failing here would tear the committed batch
+			_ = r.addLocked(op.Workflow, rev) //wfsimvet:ignore errpath validated against the staged overlay; failing here would tear the committed batch
 		case OpRemove:
 			r.removeLocked(op.ID)
 		case OpReplace:
-			r.replaceLocked(op.Workflow)
+			r.replaceLocked(op.Workflow, rev)
 		}
 	}
 	return r.invalidateLocked(), nil
@@ -436,10 +444,12 @@ func (r *Repository) Restore(gen uint64, wfs ...*workflow.Workflow) error {
 	// Resolve the recovered state in insertion order: symbol IDs are
 	// process-local, so this pass is what builds the table at every boot,
 	// from exactly the workflows that still exist. An input resolved by a
-	// foreign table is replaced by its owned clone.
+	// foreign table, or committed before (an engine's seed), is replaced by
+	// its owned clone.
 	owned := make([]*workflow.Workflow, len(wfs))
 	for i, wf := range wfs {
 		owned[i] = r.resolveLocked(wf)
+		owned[i].StampRev(gen + 1)
 		byID[owned[i].ID] = owned[i]
 	}
 	r.workflows = owned

@@ -378,3 +378,77 @@ func TestRestoreOnlyOnFreshRepository(t *testing.T) {
 		t.Fatal("failed Restore mutated the repository")
 	}
 }
+
+// TestRevisionsNameCommittedObjects: every stored object carries the
+// generation it was committed, seeded or restored under, plus one; an object
+// is stamped once, after the commit hook has accepted its batch, and an
+// input some repository already committed is stored as a copy — so one
+// (ID, revision) never answers to two contents.
+func TestRevisionsNameCommittedObjects(t *testing.T) {
+	r, err := NewRepository(sample("1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seeded := r.Get("1")
+	if seeded.Rev() != 1 {
+		t.Errorf("seeded revision = %d, want 1 (generation 0 + 1)", seeded.Rev())
+	}
+	added := sample("2")
+	if err := r.Add(added); err != nil {
+		t.Fatal(err)
+	}
+	if r.Get("2") != added || added.Rev() != r.Generation()+1 {
+		t.Errorf("added object: stored %v, revision %d at generation %d; want the input itself at generation + 1", r.Get("2") == added, added.Rev(), r.Generation())
+	}
+
+	// A refused batch stamps nothing: not a fresh input, and above all not
+	// the stored object readers share.
+	r.SetCommitHook(func(uint64, []Op) error { return errors.New("denied") })
+	fresh := sample("3")
+	if err := r.Add(fresh); err == nil {
+		t.Fatal("Add with failing hook succeeded")
+	}
+	if fresh.Rev() != 0 {
+		t.Errorf("refused add stamped its input with revision %d", fresh.Rev())
+	}
+	if err := r.Replace(seeded); err == nil {
+		t.Fatal("self-replace with failing hook succeeded")
+	}
+	if r.Get("1") != seeded || seeded.Rev() != 1 {
+		t.Errorf("refused self-replace touched the stored object: same %v, revision %d", r.Get("1") == seeded, seeded.Rev())
+	}
+
+	// An accepted self-replace commits a copy under a new revision and leaves
+	// the object pinned readers may hold exactly as it was.
+	r.SetCommitHook(nil)
+	if err := r.Replace(seeded); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Get("1"); got == seeded || got.Rev() != r.Generation()+1 || seeded.Rev() != 1 {
+		t.Errorf("self-replace: stored the input itself %v, stored revision %d at generation %d, input revision %d", got == seeded, got.Rev(), r.Generation(), seeded.Rev())
+	}
+	// So does re-adding a pointer that was removed.
+	if err := r.Remove("2"); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Add(added); err != nil {
+		t.Fatal(err)
+	}
+	if got := r.Get("2"); got == added || got.Rev() != r.Generation()+1 {
+		t.Errorf("re-added pointer: stored the input itself %v, revision %d at generation %d", got == added, got.Rev(), r.Generation())
+	}
+
+	// Restore stamps the recovered generation + 1, and copies inputs another
+	// repository committed (an engine's seed).
+	r2, _ := NewRepository()
+	recovered := sample("9")
+	if err := r2.Restore(7, recovered, seeded); err != nil {
+		t.Fatal(err)
+	}
+	if r2.Get("9") != recovered || recovered.Rev() != 8 {
+		t.Errorf("restored object: stored %v, revision %d, want the input itself at 8", r2.Get("9") == recovered, recovered.Rev())
+	}
+	if got := r2.Get("1"); got == seeded || got.Rev() != 8 || seeded.Rev() != 1 {
+		t.Errorf("restored seed object: stored the input itself %v, revision %d, input revision %d", got == seeded, got.Rev(), seeded.Rev())
+	}
+}

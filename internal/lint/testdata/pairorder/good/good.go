@@ -8,9 +8,9 @@ import (
 	"repro/internal/workflow"
 )
 
-func scoreKey(measure string, a, b *workflow.Workflow, gen, proj uint64) scorecache.Key {
+func scoreKey(measure string, a, b *workflow.Workflow, rev, proj uint64) scorecache.Key {
 	x, y := workflow.OrderPair(a, b)
-	return scorecache.PairKey(measure, x.SymID(), y.SymID(), gen, proj)
+	return scorecache.PairKey(measure, x.SymID(), y.SymID(), rev, proj)
 }
 
 // Comparator callbacks order lists, not score pairs: exempt.

@@ -10,11 +10,11 @@ import (
 
 // TestRaceEvictionVsGenerationBump drives a deliberately tiny cache (a
 // handful of entries per shard, so every Put races an eviction) with
-// concurrent scorers while a mutator thread bumps the repository
-// generation. Scores are written as float64(key.Gen), so a Get that
-// returns a value disagreeing with its own key's generation means the
-// cache served a score computed under a different generation — the
-// staleness bug the generation-keyed design exists to rule out. Run under
+// concurrent scorers while a mutator thread bumps the revision new keys
+// carry. Scores are written as float64(key.Rev), so a Get that returns a
+// value disagreeing with its own key's revision means the cache served a
+// score computed on a different content version — the staleness bug the
+// revision-keyed design exists to rule out. Run under
 // -race this also shakes out lock-ordering mistakes between Put's eviction
 // path and Get's recency update.
 func TestRaceEvictionVsGenerationBump(t *testing.T) {

@@ -5,14 +5,19 @@
 // precomputed-per-pair-work reuse follows the same logic that lets
 // approximate query engines bound response times on repeated queries.
 //
-// Entries are keyed by (measure, symA, symB, repository generation),
-// where symA/symB are the interned symbol IDs of the workflow IDs: a
-// mutation batch bumps the generation, so stale scores for removed or
-// replaced workflows are never served and age out of the LRU naturally.
-// Symbol keys make every probe two integer compares instead of two
-// string hashes; callers resolve IDs through the repository's shared
-// symbol table and must skip the cache for unresolved workflows (symbol
-// 0), which carry no stable identity. The cache is sharded to keep lock
+// Entries are keyed by (measure, symA, symB, the two workflows' revisions,
+// projector epoch), where symA/symB are the interned symbol IDs of the
+// workflow IDs and a revision names one committed content version of its ID
+// (workflow.Rev). A score is a function of the two workflows compared and of
+// the projection — nothing else in the repository enters it — so a mutation
+// batch retires exactly the pairs it wrote a side of: a replaced or re-added
+// workflow comes back under a new revision, its old entries are never
+// probed again and age out of the LRU, and every other cached pair keeps
+// hitting across the commit. Symbol keys make every probe two integer
+// compares instead of two string hashes; callers resolve IDs through the
+// repository's shared symbol table and must skip the cache for workflows
+// that are unresolved (symbol 0) or were never committed (revision 0),
+// which carry no stable identity. The cache is sharded to keep lock
 // contention off the scoring worker pools; each shard is an independent
 // LRU.
 package scorecache
@@ -25,27 +30,30 @@ import (
 
 // Key identifies one cached pairwise score. A and B are the workflow-ID
 // symbols in canonical (numerically sorted) order — use PairKey to build
-// keys. Gen is the repository generation the score was computed under;
-// Proj is the projector epoch (bumped whenever the importance projection
-// changes), so a score computed under one projection configuration is
-// never served under another even within the same repository generation.
-// Self-pairs (A == B) are ordinary keys: the canonical ordering is a
-// no-op and the cached score is the measure's self-similarity.
+// keys. Rev packs the revisions of the two workflow objects the score was
+// computed on, A's in the high 32 bits and B's in the low; Proj is the
+// projector epoch (bumped whenever the importance projection changes), so
+// a score computed under one projection configuration is never served
+// under another even for the same two objects. Self-pairs (A == B) are
+// ordinary keys: the canonical ordering is a no-op and the cached score is
+// the measure's self-similarity.
 type Key struct {
 	Measure string
 	A, B    uint32
-	Gen     uint64
+	Rev     uint64
 	Proj    uint64
 }
 
 // PairKey builds a Key with the symbol pair in canonical order, so (a,b)
-// and (b,a) hit the same entry — similarity is symmetric. Callers must
-// not build keys from unresolved workflows: symbol 0 identifies nothing.
-func PairKey(measure string, a, b uint32, gen, proj uint64) Key {
+// and (b,a) hit the same entry — similarity is symmetric. rev must already
+// be packed in that canonical order (the smaller symbol's revision high).
+// Callers must not build keys from unresolved workflows: symbol 0
+// identifies nothing.
+func PairKey(measure string, a, b uint32, rev, proj uint64) Key {
 	if b < a {
 		a, b = b, a
 	}
-	return Key{Measure: measure, A: a, B: b, Gen: gen, Proj: proj}
+	return Key{Measure: measure, A: a, B: b, Rev: rev, Proj: proj}
 }
 
 const shardCount = 16
@@ -71,6 +79,7 @@ type Cache struct {
 	shards       [shardCount]shard
 	perShardCap  int
 	hits, misses atomic.Uint64
+	evictions    atomic.Uint64
 }
 
 // New builds a cache holding up to size entries in total (DefaultSize when
@@ -105,7 +114,7 @@ func (c *Cache) shardFor(k Key) *shard {
 	h *= prime64
 	h ^= uint64(k.A)<<32 | uint64(k.B)
 	h *= prime64
-	h ^= k.Gen
+	h ^= k.Rev
 	h *= prime64
 	h ^= k.Proj
 	h *= prime64
@@ -146,6 +155,7 @@ func (c *Cache) Put(k Key, score float64) {
 		oldest := s.lru.Back()
 		s.lru.Remove(oldest)
 		delete(s.entries, oldest.Value.(*cacheEntry).key)
+		c.evictions.Add(1)
 	}
 }
 
@@ -187,15 +197,19 @@ func (c *Cache) Export(keep func(Key) bool) []Entry {
 	return out
 }
 
-// Stats reports cumulative hit/miss counters since construction.
+// Stats reports cumulative hit/miss/eviction counters since construction.
 type Stats struct {
 	Hits   uint64 `json:"hits"`
 	Misses uint64 `json:"misses"`
+	// Evictions counts entries pushed out by capacity. Commits never empty
+	// the cache, so evictions growing while Entries sits at capacity is the
+	// sign that the cache is too small for the working set.
+	Evictions uint64 `json:"evictions"`
 	// Entries is the current cache population.
 	Entries int `json:"entries"`
 }
 
 // Stats returns the cache's cumulative counters and population.
 func (c *Cache) Stats() Stats {
-	return Stats{Hits: c.hits.Load(), Misses: c.misses.Load(), Entries: c.Len()}
+	return Stats{Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load(), Entries: c.Len()}
 }

@@ -55,7 +55,7 @@ func TestGetPutAndCounters(t *testing.T) {
 		t.Errorf("overwrite lost: %v", v)
 	}
 	st := c.Stats()
-	if st.Hits != 2 || st.Misses != 1 || st.Entries != 1 {
+	if st.Hits != 2 || st.Misses != 1 || st.Entries != 1 || st.Evictions != 0 {
 		t.Errorf("stats = %+v", st)
 	}
 }
@@ -80,6 +80,11 @@ func TestLRUEviction(t *testing.T) {
 	}
 	if present > shardCount {
 		t.Errorf("%d entries survived in a %d-capacity cache", present, shardCount)
+	}
+	// Every Put that did not grow the cache pushed an entry out, and only
+	// those did.
+	if st := c.Stats(); st.Evictions != uint64(len(keys)-st.Entries) {
+		t.Errorf("evictions = %d after %d puts into %d entries, want %d", st.Evictions, len(keys), st.Entries, len(keys)-st.Entries)
 	}
 }
 
@@ -115,19 +120,19 @@ func TestDefaultSize(t *testing.T) {
 func TestExportFiltersWithoutTouchingRecency(t *testing.T) {
 	c := New(64)
 	for i := 0; i < 8; i++ {
-		gen := uint64(i % 2)
-		c.Put(PairKey("MS", uint32(i+1), 999, gen, 0), float64(i)/10)
+		rev := uint64(i % 2)
+		c.Put(PairKey("MS", uint32(i+1), 999, rev, 0), float64(i)/10)
 	}
 	all := c.Export(nil)
 	if len(all) != 8 {
 		t.Fatalf("Export(nil) returned %d entries, want 8", len(all))
 	}
-	gen1 := c.Export(func(k Key) bool { return k.Gen == 1 })
-	if len(gen1) != 4 {
-		t.Fatalf("filtered export returned %d entries, want 4", len(gen1))
+	rev1 := c.Export(func(k Key) bool { return k.Rev == 1 })
+	if len(rev1) != 4 {
+		t.Fatalf("filtered export returned %d entries, want 4", len(rev1))
 	}
-	for _, e := range gen1 {
-		if e.Key.Gen != 1 {
+	for _, e := range rev1 {
+		if e.Key.Rev != 1 {
 			t.Fatalf("filter leaked entry %+v", e)
 		}
 	}

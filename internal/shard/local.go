@@ -215,38 +215,30 @@ func (s *Local) Info() Info {
 }
 
 // WarmLoad implements Shard: re-seeds the shard's cache with its persisted
-// intra-shard pair scores, keyed under the current generation and the
-// boot-time projector epoch.
+// intra-shard pair scores under the boot-time projector epoch. The cache
+// file names workflows by ID string (it outlives the process-local symbols
+// and revisions), so each entry is re-keyed by the recovered objects
+// themselves; an ID the recovered snapshot lacks makes the entry stale and it
+// is skipped rather than mis-keyed.
 func (s *Local) WarmLoad(sig string, epoch uint64) int {
 	if s.store == nil || s.cache == nil {
 		return 0
 	}
-	gen := s.repo.Generation()
-	packed, ok := PackGen(gen)
+	snap := s.repo.Snapshot()
+	entries, ok := s.store.LoadScoreCache(snap.Generation(), sig)
 	if !ok {
-		return 0
-	}
-	entries, ok := s.store.LoadScoreCache(gen, sig)
-	if !ok {
-		return 0
-	}
-	// Warm entries persist workflow IDs as strings (the cache file format
-	// is symbol-table independent); resolve them against the live table.
-	// An ID with no symbol belongs to a workflow this table never saw —
-	// the entry is stale and is skipped rather than mis-keyed.
-	tab := s.syms
-	if tab == nil {
 		return 0
 	}
 	n := 0
 	for _, ent := range entries {
-		a, okA := tab.Lookup(ent.A)
-		b, okB := tab.Lookup(ent.B)
-		if !okA || !okB || a == 0 || b == 0 {
+		a, b := snap.Get(ent.A), snap.Get(ent.B)
+		if a == nil || b == nil {
 			continue
 		}
-		s.cache.Put(scorecache.PairKey(ent.Measure, a, b, packed, epoch), ent.Score)
-		n++
+		if key, ok := pairKey(ent.Measure, a, b, epoch); ok {
+			s.cache.Put(key, ent.Score)
+			n++
+		}
 	}
 	s.warmEntries = n
 	return s.warmEntries
@@ -270,26 +262,26 @@ func (s *Local) Close(warm *WarmSpec) error {
 	if err := s.store.Checkpoint(snap.Generation(), snap.Workflows()); err != nil {
 		firstErr = err
 	}
-	if s.cache != nil && warm != nil {
-		if packed, ok := PackGen(snap.Generation()); ok {
-			exported := s.cache.Export(func(k scorecache.Key) bool {
-				return k.Gen == packed && k.Proj == warm.Epoch
-			})
-			if tab := s.syms; tab != nil && len(exported) > 0 {
-				// Persist workflow IDs as strings: the cache file outlives
-				// this process's symbol table, so entries are re-resolved at
-				// the next boot's WarmLoad.
-				entries := make([]storage.CachedScore, 0, len(exported))
-				for _, ent := range exported {
-					a, b := tab.String(ent.Key.A), tab.String(ent.Key.B)
-					if a == "" || b == "" {
-						continue
-					}
-					entries = append(entries, storage.CachedScore{Measure: ent.Key.Measure, A: a, B: b, Score: ent.Score})
-				}
-				if err := s.store.SaveScoreCache(snap.Generation(), warm.Sig, entries); err != nil && firstErr == nil {
-					firstErr = err
-				}
+	if tab := s.syms; s.cache != nil && warm != nil && tab != nil {
+		exported := s.cache.Export(func(k scorecache.Key) bool { return k.Proj == warm.Epoch })
+		// Persist every pair that is still current — the key the final
+		// snapshot's own objects build today is the key the score sits under
+		// — whichever commit the score was computed after. Workflows are named by ID string: the
+		// file outlives this process's symbols and revisions, and the next
+		// boot's WarmLoad re-keys it.
+		entries := make([]storage.CachedScore, 0, len(exported))
+		for _, ent := range exported {
+			a, b := snap.Get(tab.String(ent.Key.A)), snap.Get(tab.String(ent.Key.B))
+			if a == nil || b == nil {
+				continue
+			}
+			if key, ok := pairKey(ent.Key.Measure, a, b, warm.Epoch); ok && key == ent.Key {
+				entries = append(entries, storage.CachedScore{Measure: key.Measure, A: a.ID, B: b.ID, Score: ent.Score})
+			}
+		}
+		if len(entries) > 0 {
+			if err := s.store.SaveScoreCache(snap.Generation(), warm.Sig, entries); err != nil && firstErr == nil {
+				firstErr = err
 			}
 		}
 	}
@@ -334,7 +326,6 @@ type searchMeasure struct {
 	scorer    pairScorer
 	queryOrig *workflow.Workflow
 	queryProj *workflow.Workflow
-	queryGen  uint64
 	cacheable bool
 }
 
@@ -348,13 +339,12 @@ func (sm *searchMeasure) Compare(_, wf *workflow.Workflow) (float64, error) {
 	// Evaluate in ID order (see PairsBlock): measures are symmetric in value
 	// but not in bits, and the cache key is orientation-free, so a search
 	// score must be computed exactly as the pair scan would compute it.
-	x, xProj, xGen := sm.queryOrig, sm.queryProj, sm.queryGen
-	var yProj *workflow.Workflow // left to the scorer: projected on a cache miss
-	y, yGen := wf, sm.pin.Generation()
+	x, xProj := sm.queryOrig, sm.queryProj
+	y, yProj := wf, (*workflow.Workflow)(nil) // left to the scorer: projected on a cache miss
 	if !workflow.IDsInOrder(x.ID, y.ID) {
-		x, xProj, xGen, y, yProj, yGen = y, yProj, yGen, x, xProj, xGen
+		x, xProj, y, yProj = y, yProj, x, xProj
 	}
-	return sm.scorer.score(x, y, xProj, yProj, xGen, yGen, cacheable)
+	return sm.scorer.score(x, y, xProj, yProj, cacheable)
 }
 
 // Search implements Pin. The indexed filter-and-refine path is taken when
@@ -381,7 +371,6 @@ func (p *localPin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]searc
 		prep:      prep,
 		queryOrig: q.Query,
 		queryProj: prep.ProjectOne(q.Query),
-		queryGen:  q.QueryGen,
 		cacheable: q.Cacheable,
 	}
 	sm.scorer.prep = prep
@@ -427,13 +416,10 @@ func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, pa
 	scorer.prep = prep
 	scorer.cache = p.s.cache
 	scorer.tab = p.s.syms
-	selfGen := p.Generation()
 
 	cross := self
-	otherGen := selfGen
 	if other != nil {
 		cross = prep.For(other)
-		otherGen = other.Generation()
 	}
 
 	var skipped, scored atomic.Int64
@@ -452,12 +438,11 @@ func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, pa
 			// always in bits (summation order inside the matcher differs),
 			// so the score must be a function of the unordered pair, not of
 			// which shard's block the pair landed in.
-			x, xProj, xGen := a, aProj, selfGen
-			y, yProj, yGen := b, bProj, otherGen
+			x, xProj, y, yProj := a, aProj, b, bProj
 			if !workflow.IDsInOrder(x.ID, y.ID) {
-				x, xProj, xGen, y, yProj, yGen = y, yProj, yGen, x, xProj, xGen
+				x, xProj, y, yProj = y, yProj, x, xProj
 			}
-			s, err := scorer.score(x, y, xProj, yProj, xGen, yGen, true)
+			s, err := scorer.score(x, y, xProj, yProj, true)
 			if err != nil {
 				skipped.Add(1)
 				continue

@@ -16,7 +16,7 @@ import (
 // versionMeasure scores a pair as the sum of the two workflows' content
 // versions (parsed from the first module label, "v<n>"). Scores are then an
 // exact function of the content a pin captured: a cache entry computed
-// against one generation's content and served against another's is
+// against one revision's content and served against another's is
 // immediately visible as a wrong sum.
 type versionMeasure struct{}
 
@@ -46,27 +46,32 @@ func versionWorkflow(id string, version int) *workflow.Workflow {
 }
 
 // TestRacePinnedReadsDuringApply runs readers against coordinator views
-// while writers churn the corpus through two-phase Apply, under -race. Each
-// replace bumps the content version embedded in the workflow, and the
-// measure returns the version sum, so every served score proves which
-// content it was computed against. The readers assert three invariants the
+// while writers churn the corpus through two-phase Apply, under -race. Every
+// ID alternates between two contents — version 0 and version 2^i, so a
+// version sum names the content of both sides — and the writers hand the
+// same two objects back each time, objects that pinned readers still hold:
+// the repository must commit copies under fresh revisions, never resolve or
+// restamp a visible object. The readers assert three invariants the
 // coordinator documents:
 //
 //  1. A View is a commit-atomic frontier: generation vectors observed by
 //     one reader never move backwards on any shard.
 //  2. A pinned read is stable: the same View searched twice returns
 //     identical results even while commits land in between.
-//  3. No stale-generation score is ever served: every result's similarity
-//     equals the version sum of the *pinned* query and candidate content,
-//     even though the shards' score caches are small enough to churn and
-//     hold entries from many generations at once.
+//  3. No stale score is ever served: every result's similarity equals the
+//     cache-less score of the *pinned* query and candidate content, even
+//     though A→B→A brings each content back under a new revision and the
+//     shards' score caches are small enough to churn and hold entries from
+//     many revisions at once.
 func TestRacePinnedReadsDuringApply(t *testing.T) {
 	const nIDs = 24
 	ids := make([]string, nIDs)
 	seed := make([]*workflow.Workflow, nIDs)
+	var contents [nIDs][2]*workflow.Workflow // the two objects each ID alternates between
 	for i := range ids {
 		ids[i] = fmt.Sprintf("wf-%02d", i)
 		seed[i] = versionWorkflow(ids[i], 0)
+		contents[i] = [2]*workflow.Workflow{seed[i], versionWorkflow(ids[i], 1<<i)}
 	}
 
 	const nShards = 3
@@ -101,7 +106,7 @@ func TestRacePinnedReadsDuringApply(t *testing.T) {
 		readers          = 4
 	)
 	ctx := context.Background()
-	var version atomic.Int64
+	var turn [nIDs]atomic.Int64 // writes so far, per ID
 	var writersDone atomic.Int64
 	var wg sync.WaitGroup
 
@@ -111,9 +116,9 @@ func TestRacePinnedReadsDuringApply(t *testing.T) {
 			defer wg.Done()
 			defer writersDone.Add(1)
 			for i := 0; i < appliesPerWriter; i++ {
-				id := ids[(w*appliesPerWriter+i)%nIDs]
-				wf := versionWorkflow(id, int(version.Add(1)))
-				if _, err := coord.Apply([]corpus.Op{{Kind: corpus.OpReplace, ID: id, Workflow: wf}}); err != nil {
+				n := (w*appliesPerWriter + i) % nIDs
+				wf := contents[n][turn[n].Add(1)%2]
+				if _, err := coord.Apply([]corpus.Op{{Kind: corpus.OpReplace, ID: ids[n], Workflow: wf}}); err != nil {
 					t.Errorf("writer %d: Apply: %v", w, err)
 					return
 				}
@@ -143,31 +148,20 @@ func TestRacePinnedReadsDuringApply(t *testing.T) {
 					t.Errorf("reader %d: pinned view lost %s", rd, id)
 					return
 				}
-				q := Query{
-					Query:     query,
-					QueryGen:  v.Owner(id).Generation(),
-					Cacheable: true,
-					K:         nIDs,
-				}
+				q := Query{Query: query, Cacheable: true, K: nIDs}
 				res, _, err := coord.Search(ctx, v, NewScanPrep(versionMeasure{}, 0), q)
 				if err != nil {
 					t.Errorf("reader %d: Search: %v", rd, err)
 					return
 				}
-				qv, err := versionOf(query)
-				if err != nil {
-					t.Errorf("reader %d: %v", rd, err)
-					return
-				}
 				for _, r := range res {
-					cand := v.Get(r.ID)
-					cv, err := versionOf(cand)
+					want, err := versionMeasure{}.Compare(query, v.Get(r.ID))
 					if err != nil {
 						t.Errorf("reader %d: %v", rd, err)
 						return
 					}
-					if want := float64(qv + cv); r.Similarity != want {
-						t.Errorf("reader %d: query %s vs %s scored %v, want %v: score not computed against the pinned content (stale generation served)",
+					if r.Similarity != want {
+						t.Errorf("reader %d: query %s vs %s scored %v, want %v: score not computed against the pinned content (stale revision served)",
 							rd, id, r.ID, r.Similarity, want)
 						return
 					}

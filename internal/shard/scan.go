@@ -110,30 +110,26 @@ func (p *ScanPrep) MemoSize() int {
 	return p.memo.Len()
 }
 
-// packPairGen builds the cache-key generation for a pair whose sides live on
-// shards at generations aGen and bGen: the two per-shard generations packed
-// into one uint64, ordered to match scorecache.PairKey's symbol
-// canonicalization (the generation of the shard owning the numerically
-// smaller workflow symbol lands in the high bits). ok is false when either
-// generation no longer fits in 32 bits — the pair is then simply not cached
+// pairKey builds the cache key of the committed pair (a, b): the two
+// workflow-ID symbols plus the two revisions packed into one uint64, ordered
+// to match scorecache.PairKey's symbol canonicalization (the revision of the
+// numerically smaller symbol lands in the high bits). A revision names one
+// committed content version of its ID for the life of the process (see
+// workflow.Rev), so a key outlives every commit that touches neither side.
+// ok is false when a side carries no stable identity — unresolved (symbol
+// 0), never committed (revision 0: an inline query, a clone) — or when a
+// revision no longer fits in 32 bits: the pair is then simply not cached
 // rather than risking key collisions.
-func packPairGen(ida uint32, aGen uint64, idb uint32, bGen uint64) (uint64, bool) {
+func pairKey(measure string, a, b *workflow.Workflow, epoch uint64) (key scorecache.Key, ok bool) {
+	ida, idb := a.SymID(), b.SymID()
+	aRev, bRev := a.Rev(), b.Rev()
+	if ida == 0 || idb == 0 || aRev == 0 || bRev == 0 || aRev >= 1<<32 || bRev >= 1<<32 {
+		return key, false
+	}
 	if idb < ida {
-		aGen, bGen = bGen, aGen
+		aRev, bRev = bRev, aRev
 	}
-	if aGen >= 1<<32 || bGen >= 1<<32 {
-		return 0, false
-	}
-	return aGen<<32 | bGen, true
-}
-
-// PackGen is packPairGen for an intra-shard pair (both sides at gen): the
-// keyspace of a shard's own pairs, used for warm-cache persistence filters.
-func PackGen(gen uint64) (uint64, bool) {
-	if gen >= 1<<32 {
-		return 0, false
-	}
-	return gen<<32 | gen, true
+	return scorecache.PairKey(measure, ida, idb, aRev<<32|bRev, epoch), true
 }
 
 // pairScorer scores (origin, projected) pairs through a shard's score cache.
@@ -159,12 +155,12 @@ func (ps *pairScorer) compare(a, b, aProj, bProj *workflow.Workflow) (float64, e
 	return ps.prep.Compare(aProj, bProj)
 }
 
-// score evaluates the pair (a at aGen, b at bGen), serving and populating
-// the cache when both sides are cacheable corpus-owned objects. Cache keys
-// are built from the workflows' interned ID symbols; an unresolved side
-// (symbol 0 — e.g. a repository running without a symbol table) carries no
-// stable cache identity and is scored directly.
-func (ps *pairScorer) score(a, b, aProj, bProj *workflow.Workflow, aGen, bGen uint64, cacheable bool) (float64, error) {
+// score evaluates the pair (a, b), serving and populating the cache when
+// both sides are cacheable corpus-owned objects. Cache keys are built from
+// the workflows' interned ID symbols and revisions (pairKey); a side without
+// them (e.g. a repository running without a symbol table) carries no stable
+// cache identity and is scored directly.
+func (ps *pairScorer) score(a, b, aProj, bProj *workflow.Workflow, cacheable bool) (float64, error) {
 	if ps.cache == nil || !cacheable {
 		return ps.compare(a, b, aProj, bProj)
 	}
@@ -175,15 +171,10 @@ func (ps *pairScorer) score(a, b, aProj, bProj *workflow.Workflow, aGen, bGen ui
 		// the pair is scored directly instead.
 		return ps.compare(a, b, aProj, bProj)
 	}
-	ida, idb := a.SymID(), b.SymID()
-	if ida == 0 || idb == 0 {
-		return ps.compare(a, b, aProj, bProj)
-	}
-	g, ok := packPairGen(ida, aGen, idb, bGen)
+	key, ok := pairKey(ps.prep.Name, a, b, ps.prep.Epoch)
 	if !ok {
 		return ps.compare(a, b, aProj, bProj)
 	}
-	key := scorecache.PairKey(ps.prep.Name, ida, idb, g, ps.prep.Epoch)
 	if s, ok := ps.cache.Get(key); ok {
 		ps.hits.Add(1)
 		return s, nil
@@ -233,11 +224,13 @@ type Query struct {
 	// Query is the query workflow (resolved from its owner shard for
 	// SearchID, or caller-provided for ad-hoc queries).
 	Query *workflow.Workflow
-	// QueryGen is the generation of the shard owning Query's ID (cache
-	// keying); meaningful only when Cacheable.
+	// QueryGen is ignored: cache keys carry the query object's own revision
+	// (workflow.Rev), not its shard's generation. The field remains only
+	// because the frozen benchmark harness still sets it.
 	QueryGen uint64
 	// Cacheable marks Query as the owner shard's own snapshot object, so
-	// query/corpus pair scores may enter and be served from the cache.
+	// query/corpus pair scores may enter and be served from the cache under
+	// the object's symbol and revision.
 	Cacheable bool
 	// K is the per-shard (and merged) result count.
 	K int

@@ -94,6 +94,18 @@ func (w *Workflow) Resolved() bool { return w.resolved }
 // the workflow is unresolved.
 func (w *Workflow) SymID() uint32 { return w.symID }
 
+// Rev returns the workflow's repository revision: the generation of the
+// owning repository it was committed, seeded or restored under, plus one, so
+// zero means "not a repository object" (an inline query, a clone, a mutated
+// workflow). A repository's generation only grows and an ID lives in one
+// repository, so (SymID, Rev) names exactly one committed content version
+// for the life of the process — the identity score caches key by.
+func (w *Workflow) Rev() uint64 { return w.rev }
+
+// StampRev records the revision w is committed under. Only the owning
+// repository calls it, on an object no reader can see yet.
+func (w *Workflow) StampRev(rev uint64) { w.rev = rev }
+
 // LabelSet returns the sorted, deduplicated canonical label symbol IDs,
 // or nil if unresolved. The slice is shared cache state; callers must
 // not modify it.

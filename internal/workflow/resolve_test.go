@@ -68,6 +68,20 @@ func TestResolveDerivedState(t *testing.T) {
 	if other := symtab.New(); w.ResolvedBy(other) {
 		t.Error("ResolvedBy(true) for a table that never resolved the workflow")
 	}
+
+	// The revision travels with the symbols: a copy or a mutated workflow is
+	// no longer the committed object it names.
+	if w.Rev() != 0 {
+		t.Errorf("unstamped workflow has revision %d", w.Rev())
+	}
+	w.StampRev(5)
+	if c := w.Clone(); w.Rev() != 5 || c.Rev() != 0 || c.SymID() != 0 {
+		t.Errorf("after StampRev(5): revision %d, clone revision %d symbol %d; want 5, 0, 0", w.Rev(), c.Rev(), c.SymID())
+	}
+	w.AddModule(&Module{Label: "late_step"})
+	if w.Rev() != 0 || w.SymID() != 0 {
+		t.Errorf("mutation kept revision %d / symbol %d", w.Rev(), w.SymID())
+	}
 }
 
 func TestLabelOverlapKernel(t *testing.T) {

@@ -53,11 +53,14 @@ type Workflow struct {
 	// interned hot representation, resolved at ingest by Resolve and
 	// invalidated by mutation. symID is the workflow ID's symbol;
 	// labelSet is the sorted, deduplicated set of canonical module-label
-	// symbol IDs; labelBits is its fixed-width bitset summary.
+	// symbol IDs; labelBits is its fixed-width bitset summary. rev is the
+	// repository revision (see Rev); like the symbols it is process-local,
+	// never serialised, and not carried over by Clone.
 	symID     uint32
+	resolved  bool // shares symID's word: the struct stays in its size class
+	rev       uint64
 	labelSet  []uint32
 	labelBits Bitset256
-	resolved  bool
 	tab       *symtab.Table
 }
 
@@ -103,6 +106,7 @@ func (w *Workflow) AddEdge(from, to int) error {
 func (w *Workflow) invalidate() {
 	w.adj.Store(nil)
 	w.symID = 0
+	w.rev = 0
 	w.labelSet = nil
 	w.labelBits = Bitset256{}
 	w.resolved = false

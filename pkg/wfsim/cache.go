@@ -2,24 +2,30 @@ package wfsim
 
 import "repro/internal/scorecache"
 
-// CacheStats reports the shared score cache's cumulative hit/miss counters
-// and current population.
+// CacheStats reports the shared score cache's cumulative hit/miss/eviction
+// counters and current population. Commits never empty the cache, so
+// capacity is what bounds it: Evictions growing while Entries sits at the
+// configured size means the working set does not fit.
 type CacheStats = scorecache.Stats
 
 // WithScoreCache gives the engine a shared pairwise score cache holding up
 // to size entries (a default capacity when size <= 0). The cache is threaded
 // through Search, Duplicates and Cluster, so repeated and overlapping
 // queries stop re-running measure evaluations — GED, label matching — on
-// identical workflow pairs. Entries are keyed by measure, ID pair, the
-// generations of the owning shards and projector epoch: an Apply batch bumps
-// the generation, so scores of removed or replaced workflows are never
-// served stale, and a projector replacement (repository-knowledge refresh,
-// manual SetProjector) bumps the epoch, so scores computed under a different
-// importance projection are never served either. Only pairs of the corpus's
-// own workflow objects are cached: an external query can share an ID with a
-// corpus workflow without sharing its content.
+// identical workflow pairs. A score is a function of the two workflows
+// compared and of the projection, so entries are keyed by measure, ID pair,
+// the two workflows' revisions (one per committed version of an ID) and
+// projector epoch: an Apply batch retires exactly the pairs it wrote a side
+// of — a replaced or re-added workflow comes back under a new revision, so
+// its old scores are never served stale — while every other cached pair
+// keeps hitting across the commit; and a projector replacement
+// (repository-knowledge refresh, manual SetProjector) bumps the epoch, so
+// scores computed under a different importance projection are never served
+// either. Only pairs of the corpus's own workflow objects are cached: an
+// external query can share an ID with a corpus workflow without sharing its
+// content.
 // With WithShards(n), size is the total budget: each shard gets its own
-// cache of size/n entries (or the default capacity per shard when
+// cache of size/n entries (the default capacity divided the same way when
 // size <= 0), serving that shard's intra- and cross-shard pair scores.
 func WithScoreCache(size int) Option {
 	return func(e *Engine) error {
@@ -37,6 +43,7 @@ func (e *Engine) CacheStats() CacheStats {
 		if info.Cache != nil {
 			total.Hits += info.Cache.Hits
 			total.Misses += info.Cache.Misses
+			total.Evictions += info.Cache.Evictions
 			total.Entries += info.Cache.Entries
 		}
 	}

@@ -30,8 +30,9 @@
 // queries are never torn by writers. With WithIndex the inverted label
 // index is maintained incrementally (O(labels) per op, tombstones plus
 // periodic compaction — never a full rebuild), and WithScoreCache adds a
-// sharded LRU of pairwise scores keyed by measure, ID pair and generation,
-// shared across Search, Duplicates and Cluster:
+// sharded LRU of pairwise scores keyed by measure, ID pair and the two
+// workflows' revisions — a commit retires only the pairs it wrote a side
+// of — shared across Search, Duplicates and Cluster:
 //
 //	eng, _ := wfsim.New(repo, wfsim.WithIndex(1), wfsim.WithScoreCache(1<<16))
 //	gen, err := eng.Apply(ctx, wfsim.AddWorkflow(wf), wfsim.RemoveWorkflow("42"))

@@ -408,7 +408,6 @@ func (e *Engine) searchView(ctx context.Context, query *Workflow, v shard.View, 
 		// The query is the owning shard's own snapshot object: its pair
 		// scores may enter and be served from the shard caches.
 		q.Cacheable = true
-		q.QueryGen = owner.Generation()
 	}
 	res, rstats, err := e.coord.Search(ctx, v, prep, q)
 	if err != nil {

@@ -34,19 +34,27 @@ func testEngine(t testing.TB, opts ...Option) (*Engine, *GeneratedCorpus) {
 	return eng, c
 }
 
-// testShardOpts lets the nightly CI matrix re-run the engine tests against
-// the sharded coordinator: WFSIM_TEST_SHARDS=n prepends WithShards(n). A
-// test's own explicit options still win because they apply later.
+// testShardOpts lets the CI matrix re-run the engine tests against the
+// sharded coordinator: WFSIM_TEST_SHARDS=n prepends WithShards(n). A test's
+// own explicit options still win because they apply later.
 func testShardOpts(t testing.TB) []Option {
+	if n := testShardCount(t); n > 0 {
+		return []Option{WithShards(n)}
+	}
+	return nil
+}
+
+// testShardCount parses WFSIM_TEST_SHARDS (0 when unset).
+func testShardCount(t testing.TB) int {
 	v := os.Getenv("WFSIM_TEST_SHARDS")
 	if v == "" {
-		return nil
+		return 0
 	}
 	n, err := strconv.Atoi(v)
 	if err != nil || n < 1 {
 		t.Fatalf("WFSIM_TEST_SHARDS=%q: want a positive integer", v)
 	}
-	return []Option{WithShards(n)}
+	return n
 }
 
 func TestNewValidates(t *testing.T) {

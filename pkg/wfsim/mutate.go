@@ -63,11 +63,15 @@ func (m Mutation) String() string {
 //
 // On success the whole batch becomes visible atomically: the inverted
 // indexes are maintained incrementally (O(labels) per op, no corpus
-// rescans), the score caches' generation keying retires every cached pair
-// involving removed or replaced workflows, and the repository-knowledge
-// projector (WithRepositoryKnowledge) is recomputed from the post-batch view
-// on the next read — "ip" measures never score against pre-mutation module
-// frequencies. Reads already in flight keep their pinned pre-mutation view.
+// rescans), every added or replacing workflow is committed under a new
+// revision — which retires exactly the cached pairs involving removed or
+// replaced workflows and leaves every other cached score valid — and the
+// repository-knowledge projector (WithRepositoryKnowledge) is recomputed
+// from the post-batch view on the next read — "ip" measures never score
+// against pre-mutation module frequencies. Reads already in flight keep
+// their pinned pre-mutation view. The engine takes ownership of the
+// workflows it is given; one it has committed before (its own stored object
+// handed back) is stored as a copy, because pinned readers may share it.
 // With storage, the batch is logged and fsynced before it commits in memory,
 // and a log that has outgrown its thresholds is compacted afterwards.
 //

@@ -314,58 +314,36 @@ func TestWarmDuplicatesZeroEvaluations(t *testing.T) {
 	}
 }
 
-// TestCacheInvalidationOnApply is the generation-bump test: after Apply
-// removes or replaces a workflow, cached pairs involving it are never
-// served.
+// TestCacheInvalidationOnApply: after Apply replaces one workflow and
+// removes another, the next pair scan misses exactly the pairs with a
+// written side and hits every other pair, no score of the replaced object is
+// served (duplicates checks every pair against a cache-less twin), and the
+// removed ID is in no pair.
 func TestCacheInvalidationOnApply(t *testing.T) {
-	cm := &contentMeasure{}
-	eng := mutEngine(t, WithScoreCache(1024), WithMeasure("content", cm))
-	ctx := context.Background()
+	forCacheShards(t, func(t *testing.T, shards int) {
+		tw := newCacheTwins(t, shards)
+		ids := tw.ids()
+		tw.duplicates() // warm
 
-	// Warm the cache. Under "content", w1–w2 score 1.0 (shared label).
-	pairs, _, err := eng.Duplicates(ctx, 0.9, DuplicateOptions{Measure: "content"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pairs) != 1 || pairs[0].A != "w1" || pairs[0].B != "w2" {
-		t.Fatalf("cold duplicates = %v, want the w1-w2 twin pair", pairs)
-	}
-
-	// Replace w2 with different content and remove w4.
-	if _, err := eng.Apply(ctx,
-		ReplaceWorkflow(mutWorkflow("w2", "totally_new_label")),
-		RemoveWorkflow("w4"),
-	); err != nil {
-		t.Fatal(err)
-	}
-
-	pairs, stats, err := eng.Duplicates(ctx, 0.9, DuplicateOptions{Measure: "content"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The stale 1.0 score for (w1, w2) must not be served: under the new
-	// content no pair clears the 0.9 threshold.
-	if len(pairs) != 0 {
-		t.Errorf("stale cached pairs served after Apply: %v", pairs)
-	}
-	// Generation keying: no pair involving the replaced w2 can hit, and at
-	// one shard (one generation for everything) nothing can.
-	n := eng.Size()
-	maxHits := (n - 1) * (n - 2) / 2
-	if eng.Shards() == 1 {
-		maxHits = 0
-	}
-	if stats.CacheHits > maxHits {
-		t.Errorf("post-Apply run hit the stale generation: %d hits, want at most %d", stats.CacheHits, maxHits)
-	}
-	if stats.CacheHits+stats.CacheMisses != n*(n-1)/2 {
-		t.Errorf("post-Apply hits+misses = %d+%d, want %d pairs", stats.CacheHits, stats.CacheMisses, n*(n-1)/2)
-	}
-	for _, p := range pairs {
-		if p.A == "w4" || p.B == "w4" {
-			t.Errorf("removed workflow in pair %v", p)
+		replaced, removed := ids[3], ids[10]
+		tw.apply(func(e *Engine) []Mutation {
+			return []Mutation{
+				ReplaceWorkflow(variant(e.Workflow(ids[5]), replaced, "totally_new_label")),
+				RemoveWorkflow(removed),
+			}
+		})
+		n := tw.cached.Size()
+		pairs, stats, evals := tw.duplicates()
+		tw.wantCounts("scan after replace+remove", stats, evals, n*(n-1)/2-(n-1), n-1)
+		if len(pairs) != n*(n-1)/2 {
+			t.Errorf("scan returned %d pairs, want %d", len(pairs), n*(n-1)/2)
 		}
-	}
+		for _, p := range pairs {
+			if p.A == removed || p.B == removed {
+				t.Errorf("removed workflow in pair %v", p)
+			}
+		}
+	})
 }
 
 // TestConcurrentSearchDuringApply exercises reads racing mutation batches;

@@ -719,13 +719,15 @@ func TestShardedService(t *testing.T) {
 		Generations []uint64 `json:"generations"`
 		Workflows   int      `json:"workflows"`
 		PerShard    []struct {
-			ID         int    `json:"id"`
-			Generation uint64 `json:"generation"`
-			Workflows  int    `json:"workflows"`
+			ID         int               `json:"id"`
+			Generation uint64            `json:"generation"`
+			Workflows  int               `json:"workflows"`
+			Cache      map[string]uint64 `json:"cache"`
 		} `json:"per_shard"`
 		Index *struct {
 			Live int `json:"live"`
 		} `json:"index"`
+		Cache map[string]uint64 `json:"cache"`
 	}
 	resp, err := http.Get(ts.URL + "/v1/stats")
 	if err != nil {
@@ -750,6 +752,15 @@ func TestShardedService(t *testing.T) {
 	}
 	if st.Index == nil || st.Index.Live != eng.Size() {
 		t.Errorf("aggregate index block = %+v, want live = %d", st.Index, eng.Size())
+	}
+	// The cache blocks carry what sizing -cache needs: evictions to read
+	// against entries, beside the hit/miss counters.
+	for _, block := range []map[string]uint64{st.Cache, st.PerShard[0].Cache} {
+		for _, key := range []string{"hits", "misses", "evictions", "entries"} {
+			if _, ok := block[key]; !ok {
+				t.Errorf("cache stats block %v lacks %q", block, key)
+			}
+		}
 	}
 
 	// Unsharded servers omit the shard fields.

@@ -20,9 +20,11 @@ import (
 // The repository passed to New must be empty when the directory holds
 // state; an engine over a pre-populated repository and a fresh directory
 // persists the initial contents as the baseline snapshot. When the engine
-// also has a score cache (WithScoreCache), warm pairwise scores for the
-// final generation are persisted on Close and re-seeded on the next boot,
-// so a restart is warm, not just correct.
+// also has a score cache (WithScoreCache), Close persists every cached score
+// whose two workflows are still current in the final snapshot (per shard:
+// the pairs it owns both sides of) and the next boot re-seeds them, so a
+// restart is warm, not just correct — also when a batch committed after the
+// last scan.
 //
 // Call Engine.Close on shutdown to flush a final snapshot; mutations after
 // Close fail.

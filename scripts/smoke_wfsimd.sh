@@ -3,7 +3,11 @@
 #
 # Phase 1 (RAM-only): start an empty server, ingest a three-workflow fixture
 # corpus over the NDJSON batch endpoint, run one search, and assert a 200
-# with non-empty results naming the expected twin.
+# with non-empty results naming the expected twin. Then the cache check (also
+# run at 4 shards in phase 3): search by query_id, commit a batch that
+# touches other IDs, repeat the search — it must still hit the cache, miss
+# at most once per workflow the batch wrote, and return the same result list
+# as a -cache 0 server after the same ingest and batch.
 #
 # Phase 2 (durability): start a server with a -data directory, ingest the
 # same fixture, record the generation and the search hit, SIGTERM the
@@ -26,28 +30,37 @@
 # Run from the repository root: ./scripts/smoke_wfsimd.sh
 set -euo pipefail
 
-ADDR="127.0.0.1:${WFSIMD_SMOKE_PORT:-8791}"
+PORT="${WFSIMD_SMOKE_PORT:-8791}"
+ADDR="127.0.0.1:$PORT"
+REFADDR="127.0.0.1:$((PORT + 1))" # the cache check's -cache 0 reference server
 WORK="$(mktemp -d)"
 BIN="$WORK/wfsimd"
 DATA="$WORK/data"
 PID=""
+REFPID=""
 
 go build -o "$BIN" ./cmd/wfsimd
-trap '[ -n "$PID" ] && kill "$PID" 2>/dev/null || true' EXIT
+trap 'for p in $PID $REFPID; do kill "$p" 2>/dev/null || true; done' EXIT
 
+# The helpers talk to $ADDR unless given another address.
 wait_healthy() {
   for _ in $(seq 1 50); do
-    if curl -fsS "http://$ADDR/healthz" >/dev/null 2>&1; then return 0; fi
+    if curl -fsS "http://${1:-$ADDR}/healthz" >/dev/null 2>&1; then return 0; fi
     sleep 0.2
   done
   echo "smoke: server never became healthy" >&2
   exit 1
 }
 
+# post_batch ADDR: NDJSON mutation batch from stdin.
+post_batch() {
+  curl -fsS -X POST -H 'Content-Type: application/x-ndjson' --data-binary @- \
+    "http://$1/v1/workflows:batch" >/dev/null
+}
+
 ingest_fixture() {
   # Fixture corpus: a and b share a module label; c is unrelated.
-  curl -fsS -X POST -H 'Content-Type: application/x-ndjson' --data-binary @- \
-    "http://$ADDR/v1/workflows:batch" <<'EOF' >/dev/null
+  post_batch "${1:-$ADDR}" <<'EOF'
 {"op":"add","workflow":{"id":"a","annotations":{"title":"blast a"},"modules":[{"id":"m1","label":"fetch_sequence","type":"wsdl"},{"id":"m2","label":"run_blast","type":"wsdl"}],"edges":[{"from":0,"to":1}]}}
 {"op":"add","workflow":{"id":"b","annotations":{"title":"blast b"},"modules":[{"id":"m1","label":"fetch_sequence","type":"wsdl"},{"id":"m2","label":"plot_hits","type":"wsdl"}],"edges":[{"from":0,"to":1}]}}
 {"op":"add","workflow":{"id":"c","annotations":{"title":"imaging"},"modules":[{"id":"m1","label":"load_image","type":"tool"},{"id":"m2","label":"segment_cells","type":"tool"}],"edges":[{"from":0,"to":1}]}}
@@ -57,7 +70,47 @@ EOF
 search_a() {
   curl -fsS -X POST -H 'Content-Type: application/json' \
     -d '{"query_id":"a","k":5,"deadline_ms":5000}' \
-    "http://$ADDR/v1/search"
+    "http://${1:-$ADDR}/v1/search"
+}
+
+result_list() { sed -n 's/.*"results":\(\[[^]]*\]\).*/\1/p'; }
+
+# churn_batch ADDR: writes two workflows, neither of them a or b — c now
+# shares a label with a, d is new and shares one too.
+churn_batch() {
+  post_batch "$1" <<'EOF'
+{"op":"replace","workflow":{"id":"c","annotations":{"title":"imaging"},"modules":[{"id":"m1","label":"run_blast","type":"tool"},{"id":"m2","label":"segment_cells","type":"tool"}],"edges":[{"from":0,"to":1}]}}
+{"op":"add","workflow":{"id":"d","annotations":{"title":"blast d"},"modules":[{"id":"m1","label":"fetch_sequence","type":"wsdl"},{"id":"m2","label":"render_tree","type":"wsdl"}],"edges":[{"from":0,"to":1}]}}
+EOF
+}
+
+# cache_survives_commit SHARDS: over the freshly ingested fixture on $ADDR.
+# Leaves the fixture corpus as it found it (two more commits).
+cache_survives_commit() {
+  search_a >/dev/null # (a, b) is now cached
+  churn_batch "$ADDR"
+  local out hits misses want
+  out=$(search_a)
+  echo "smoke: search after a batch touching other IDs: $out"
+  hits=$(echo "$out" | sed -n 's/.*"cache_hits":\([0-9]*\).*/\1/p')
+  misses=$(echo "$out" | sed -n 's/.*"cache_misses":\([0-9]*\).*/\1/p')
+  [ "${hits:-0}" -gt 0 ] || { echo "smoke: a batch touching other IDs emptied the score cache (cache_hits=$hits)" >&2; exit 1; }
+  [ "${misses:-99}" -le 2 ] || { echo "smoke: cache_misses=$misses after a batch that wrote 2 workflows" >&2; exit 1; }
+  "$BIN" -addr "$REFADDR" -index -cache 0 -shards "$1" &
+  REFPID=$!
+  wait_healthy "$REFADDR"
+  ingest_fixture "$REFADDR"
+  churn_batch "$REFADDR"
+  want=$(search_a "$REFADDR" | result_list)
+  kill "$REFPID"; wait "$REFPID" 2>/dev/null || true; REFPID=""
+  [ -n "$want" ] && [ "$(echo "$out" | result_list)" = "$want" ] || {
+    echo "smoke: cached results differ from a -cache 0 server after the same batch" >&2
+    echo "  cached:   $(echo "$out" | result_list)" >&2
+    echo "  -cache 0: $want" >&2; exit 1; }
+  post_batch "$ADDR" <<'EOF'
+{"op":"replace","workflow":{"id":"c","annotations":{"title":"imaging"},"modules":[{"id":"m1","label":"load_image","type":"tool"},{"id":"m2","label":"segment_cells","type":"tool"}],"edges":[{"from":0,"to":1}]}}
+{"op":"remove","id":"d"}
+EOF
 }
 
 # ---- Phase 1: RAM-only ingest + search ----
@@ -71,8 +124,9 @@ echo "$OUT" | grep -q '"id":"b"' || { echo "smoke: search results missing expect
 echo "$OUT" | grep -q '"generation":1' || { echo "smoke: response does not report the ingest generation" >&2; exit 1; }
 # The result list (IDs and similarities) is the reference phase 4 must
 # reproduce bit-for-bit over directories written by older binaries.
-RESULTS1=$(echo "$OUT" | sed -n 's/.*"results":\(\[[^]]*\]\).*/\1/p')
+RESULTS1=$(echo "$OUT" | result_list)
 [ -n "$RESULTS1" ] || { echo "smoke: could not extract result list" >&2; exit 1; }
+cache_survives_commit 1
 kill "$PID"; wait "$PID" 2>/dev/null || true; PID=""
 echo "smoke: phase 1 (RAM-only) OK"
 
@@ -114,6 +168,7 @@ mkdir -p "$SDATA"
 PID=$!
 wait_healthy
 ingest_fixture
+cache_survives_commit 4
 STATS=$(curl -fsS "http://$ADDR/v1/stats")
 echo "smoke: sharded stats: $STATS"
 echo "$STATS" | grep -q '"shards":4' || { echo "smoke: stats do not report 4 shards" >&2; exit 1; }
@@ -182,7 +237,7 @@ for CASE in "v1-flat 1" "v2-2shard-crash 2"; do
   echo "$STATS" | grep -q '"workflows":3' || { echo "smoke: $1 lost workflows" >&2; exit 1; }
   OUT=$(search_a)
   echo "smoke: $1 search: $OUT"
-  RESULTS4=$(echo "$OUT" | sed -n 's/.*"results":\(\[[^]]*\]\).*/\1/p')
+  RESULTS4=$(echo "$OUT" | result_list)
   [ "$RESULTS4" = "$RESULTS1" ] || {
     echo "smoke: search results over $1 differ from fresh-ingest results" >&2
     echo "  fresh: $RESULTS1" >&2
