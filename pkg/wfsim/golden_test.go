@@ -1,0 +1,168 @@
+package wfsim
+
+import (
+	"context"
+	"flag"
+	"fmt"
+	"math"
+	"os"
+	"strings"
+	"testing"
+	"time"
+)
+
+var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files from the current code")
+
+// goldenRankingsFile pins top-10 rankings — IDs and score bits — on a fixed
+// generator seed. It is the paper-fidelity guard for kernel rewrites: every
+// other equivalence suite in this package compares the engine with itself
+// at another shard count or option set, so a kernel change that moves a
+// score the same way everywhere is visible only against stored numbers.
+// Regenerate (only when a score is meant to move) with
+//
+//	go test ./pkg/wfsim -run TestGoldenRankings -update
+const goldenRankingsFile = "testdata/rankings_seed23.golden"
+
+// goldenMeasures spans the kernels: maximum-weight and greedy mapping,
+// Levenshtein, exact and multi-attribute schemes, all three preselections,
+// with and without the importance projection, over module sets, path sets
+// and graph edit distance.
+var goldenMeasures = []string{
+	"MS_ip_te_pll",
+	"MS_np_ta_pw0",
+	"MS_np_tm_plm",
+	"MS_np_ta_pll_greedy",
+	"PS_ip_te_pll",
+	"GE_ip_te_pll",
+}
+
+// goldenRankings runs the 12 inline and 12 by-ID golden queries under every
+// golden measure on a fresh engine and renders one line per (measure, query).
+func goldenRankings(t *testing.T, stored, held []*Workflow, opts ...Option) []string {
+	t.Helper()
+	ctx := context.Background()
+	clones := make([]*Workflow, len(stored))
+	for i, wf := range stored {
+		clones[i] = wf.Clone()
+	}
+	repo, err := NewRepository(clones...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A generous GED budget: the golden must not depend on machine load.
+	eng, err := New(repo, append([]Option{WithGEDBudget(time.Minute, DefaultGEDBeamWidth)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lines []string
+	render := func(measure, kind, qid string, res []Result) {
+		var b strings.Builder
+		fmt.Fprintf(&b, "%s %s %s", measure, kind, qid)
+		for _, r := range res {
+			fmt.Fprintf(&b, " %s:%016x", r.ID, math.Float64bits(r.Similarity))
+		}
+		lines = append(lines, b.String())
+	}
+	for _, m := range goldenMeasures {
+		so := SearchOptions{Measure: m, K: 10}
+		for _, q := range held {
+			res, _, err := eng.Search(ctx, q.Clone(), so)
+			if err != nil {
+				t.Fatalf("%s inline %s: %v", m, q.ID, err)
+			}
+			render(m, "inline", q.ID, res)
+		}
+		for i := 0; i < 12; i++ {
+			id := stored[i*5].ID
+			res, _, err := eng.SearchID(ctx, id, so)
+			if err != nil {
+				t.Fatalf("%s id %s: %v", m, id, err)
+			}
+			render(m, "id", id, res)
+		}
+	}
+	return lines
+}
+
+func TestGoldenRankings(t *testing.T) {
+	p := TavernaProfile()
+	p.Workflows = 72
+	p.Clusters = 6
+	c, err := GenerateCorpus(p, 23)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Hold out every sixth workflow as an inline query, so each query has
+	// cluster-mates among the 60 stored ones.
+	var stored, held []*Workflow
+	for i, wf := range c.Repo.Workflows() {
+		if i%6 == 5 {
+			held = append(held, wf)
+		} else {
+			stored = append(stored, wf)
+		}
+	}
+
+	var want map[string][]string // index mode -> lines
+	if !*updateGolden {
+		want = readGoldenRankings(t)
+	}
+	got := map[string][]string{}
+	for _, mode := range []string{"off", "on"} {
+		for _, shards := range []int{1, 2} {
+			opts := []Option{WithShards(shards)}
+			if mode == "on" {
+				opts = append(opts, WithIndex(2))
+			}
+			lines := goldenRankings(t, stored, held, opts...)
+			ref := want[mode]
+			if *updateGolden {
+				if got[mode] == nil {
+					got[mode] = lines
+				}
+				ref = got[mode] // both shard counts must write the same file
+			}
+			if len(lines) != len(ref) {
+				t.Fatalf("index=%s shards=%d: %d lines, golden has %d", mode, shards, len(lines), len(ref))
+			}
+			for i := range lines {
+				if lines[i] != ref[i] {
+					t.Errorf("index=%s shards=%d:\n got  %s\n want %s", mode, shards, lines[i], ref[i])
+				}
+			}
+		}
+	}
+	if *updateGolden && !t.Failed() {
+		var b strings.Builder
+		b.WriteString("# top-10 IDs and math.Float64bits per query; see golden_test.go\n")
+		for _, mode := range []string{"off", "on"} {
+			for _, l := range got[mode] {
+				fmt.Fprintf(&b, "index=%s %s\n", mode, l)
+			}
+		}
+		if err := os.WriteFile(goldenRankingsFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// readGoldenRankings parses the golden file into its per-index-mode lines.
+func readGoldenRankings(t *testing.T) map[string][]string {
+	t.Helper()
+	data, err := os.ReadFile(goldenRankingsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := map[string][]string{}
+	for _, l := range strings.Split(strings.TrimSpace(string(data)), "\n") {
+		if strings.HasPrefix(l, "#") {
+			continue
+		}
+		mode, rest, ok := strings.Cut(strings.TrimPrefix(l, "index="), " ")
+		if !ok {
+			t.Fatalf("%s: malformed line %q", goldenRankingsFile, l)
+		}
+		out[mode] = append(out[mode], rest)
+	}
+	return out
+}
