@@ -8,9 +8,19 @@
 // similarity of left element i to right element j. Pairs of weight 0 are
 // never part of a returned matching: a zero-similarity mapping carries no
 // information and would only distort additive scores.
+//
+// The maximum-weight matching runs once per workflow pair of a scan, so its
+// Hungarian core works on pooled flat arrays and MaxWeightTotal returns the
+// score without building the Matching. Which optimum the algorithm returns
+// among equal-weight ones depends on the row order and the square padding;
+// both are fixed, and a verbatim copy of the original implementation in the
+// tests holds the pooled one to the same pairs and the same float bits.
 package matching
 
-import "sort"
+import (
+	"sort"
+	"sync"
+)
 
 // Pair maps left element I to right element J with similarity Weight.
 type Pair struct {
@@ -90,50 +100,120 @@ func Greedy(w Weights) Matching {
 // using the Hungarian algorithm with potentials in O(n^3). The matrix need
 // not be square; it is implicitly padded with zero-weight dummy elements.
 // Zero-weight assignments are dropped from the result, so the returned
-// matching maximises total weight over all (partial) matchings.
+// matching maximises total weight over all (partial) matchings. Pairs are
+// returned in ascending I order.
 func MaxWeight(w Weights) Matching {
 	n, m := w.Dims()
 	if n == 0 || m == 0 {
 		return nil
 	}
-	size := n
-	if m > size {
-		size = m
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	var out Matching
+	for i, j := range s.assign(w, n, m) {
+		if j < 0 {
+			continue
+		}
+		if out == nil {
+			out = make(Matching, 0, min(n, m))
+		}
+		out = append(out, Pair{I: i, J: j, Weight: w[i][j]})
 	}
+	return out
+}
+
+// MaxWeightTotal returns MaxWeight(w).TotalWeight() — the same pairs summed
+// in the same ascending I order, so the two agree to the bit — without
+// building the Matching: the per-pair kernel of a Module Sets scan needs
+// only the score, and allocates nothing here.
+//
+//wfsimvet:hotpath
+func MaxWeightTotal(w Weights) float64 {
+	n, m := w.Dims()
+	if n == 0 || m == 0 {
+		return 0
+	}
+	s := scratchPool.Get().(*scratch)
+	var total float64
+	for i, j := range s.assign(w, n, m) {
+		if j >= 0 {
+			total += w[i][j]
+		}
+	}
+	scratchPool.Put(s)
+	return total
+}
+
+// scratch is the working memory of one Hungarian run, reused across runs
+// through scratchPool: a scan solves one assignment per workflow pair, and
+// allocating these arrays per pair cost more than the algorithm's own loop.
+type scratch struct {
+	cost   []float64 // (size+1)² row-major, 1-indexed like u, v, p, way
+	u, v   []float64 // row and column potentials
+	minv   []float64
+	p, way []int // p[j] = row assigned to column j
+	used   []bool
+	rowTo  []int // the result: rowTo[i] = column mapped to row i, or -1
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// grow sizes every array for a padded problem of the given size.
+func (s *scratch) grow(size int) {
+	k := size + 1
+	if k > len(s.u) {
+		s.cost = make([]float64, k*k)
+		s.u, s.v, s.minv = make([]float64, k), make([]float64, k), make([]float64, k)
+		s.p, s.way = make([]int, k), make([]int, k)
+		s.used = make([]bool, k)
+		s.rowTo = make([]int, k)
+	}
+}
+
+// assign solves the n×m assignment problem over w, padded square with
+// zero-weight dummies, and returns for each row the column it is mapped to,
+// or -1 when it was assigned a dummy column or a zero-weight one (no
+// mapping). The result is valid until the scratch is reused.
+// Row order and padding are part of the contract: among equal-weight optima
+// the Hungarian algorithm's answer depends on both, and scores must not move.
+//
+//wfsimvet:hotpath
+func (s *scratch) assign(w Weights, n, m int) []int {
+	size := max(n, m)
+	s.grow(size)
+	k := size + 1
 	// Hungarian algorithm solves min-cost assignment; negate weights.
 	// cost is 1-indexed per the classic potentials formulation.
 	const inf = 1e18
-	cost := make([][]float64, size+1)
-	for i := range cost {
-		cost[i] = make([]float64, size+1)
-	}
-	for i := 1; i <= size; i++ {
-		for j := 1; j <= size; j++ {
-			if i <= n && j <= m {
-				cost[i][j] = -w[i-1][j-1]
-			}
+	cost, u, v, minv := s.cost[:k*k], s.u[:k], s.v[:k], s.minv[:k]
+	p, way, used := s.p[:k], s.way[:k], s.used[:k]
+	clear(cost)
+	for i, row := range w {
+		c := cost[(i+1)*k+1:]
+		for j, x := range row[:m] {
+			c[j] = -x
 		}
 	}
-	u := make([]float64, size+1)
-	v := make([]float64, size+1)
-	p := make([]int, size+1) // p[j] = row assigned to column j
-	way := make([]int, size+1)
+	clear(u)
+	clear(v)
+	clear(p)
+	clear(way)
 	for i := 1; i <= size; i++ {
 		p[0] = i
 		j0 := 0
-		minv := make([]float64, size+1)
-		used := make([]bool, size+1)
 		for j := range minv {
 			minv[j] = inf
 		}
+		clear(used)
 		for {
 			used[j0] = true
 			i0, delta, j1 := p[j0], inf, 0
+			ci := cost[i0*k : i0*k+k]
 			for j := 1; j <= size; j++ {
 				if used[j] {
 					continue
 				}
-				cur := cost[i0][j] - u[i0] - v[j]
+				cur := ci[j] - u[i0] - v[j]
 				if cur < minv[j] {
 					minv[j] = cur
 					way[j] = j0
@@ -165,15 +245,16 @@ func MaxWeight(w Weights) Matching {
 			}
 		}
 	}
-	var out Matching
-	for j := 1; j <= size; j++ {
-		i := p[j]
-		if i >= 1 && i <= n && j <= m && w[i-1][j-1] > 0 {
-			out = append(out, Pair{I: i - 1, J: j - 1, Weight: w[i-1][j-1]})
+	rowTo := s.rowTo[:n]
+	for i := range rowTo {
+		rowTo[i] = -1
+	}
+	for j := 1; j <= m; j++ {
+		if i := p[j]; i >= 1 && i <= n && w[i-1][j-1] > 0 {
+			rowTo[i-1] = j - 1
 		}
 	}
-	sortMatching(out)
-	return out
+	return rowTo
 }
 
 // MaxWeightNonCrossing computes the maximum-weight non-crossing matching

@@ -3,6 +3,7 @@ package matching
 import (
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -264,5 +265,159 @@ func BenchmarkMWNC50x50(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		MaxWeightNonCrossing(w)
+	}
+}
+
+// referenceMaxWeight is MaxWeight as it stood before the Hungarian core moved
+// onto pooled flat arrays, kept verbatim as the oracle: per-call cost matrix,
+// per-row minv/used, result gathered by column and sorted by I.
+func referenceMaxWeight(w Weights) Matching {
+	n, m := w.Dims()
+	if n == 0 || m == 0 {
+		return nil
+	}
+	size := n
+	if m > size {
+		size = m
+	}
+	// Hungarian algorithm solves min-cost assignment; negate weights.
+	// cost is 1-indexed per the classic potentials formulation.
+	const inf = 1e18
+	cost := make([][]float64, size+1)
+	for i := range cost {
+		cost[i] = make([]float64, size+1)
+	}
+	for i := 1; i <= size; i++ {
+		for j := 1; j <= size; j++ {
+			if i <= n && j <= m {
+				cost[i][j] = -w[i-1][j-1]
+			}
+		}
+	}
+	u := make([]float64, size+1)
+	v := make([]float64, size+1)
+	p := make([]int, size+1) // p[j] = row assigned to column j
+	way := make([]int, size+1)
+	for i := 1; i <= size; i++ {
+		p[0] = i
+		j0 := 0
+		minv := make([]float64, size+1)
+		used := make([]bool, size+1)
+		for j := range minv {
+			minv[j] = inf
+		}
+		for {
+			used[j0] = true
+			i0, delta, j1 := p[j0], inf, 0
+			for j := 1; j <= size; j++ {
+				if used[j] {
+					continue
+				}
+				cur := cost[i0][j] - u[i0] - v[j]
+				if cur < minv[j] {
+					minv[j] = cur
+					way[j] = j0
+				}
+				if minv[j] < delta {
+					delta = minv[j]
+					j1 = j
+				}
+			}
+			for j := 0; j <= size; j++ {
+				if used[j] {
+					u[p[j]] += delta
+					v[j] -= delta
+				} else {
+					minv[j] -= delta
+				}
+			}
+			j0 = j1
+			if p[j0] == 0 {
+				break
+			}
+		}
+		for {
+			j1 := way[j0]
+			p[j0] = p[j1]
+			j0 = j1
+			if j0 == 0 {
+				break
+			}
+		}
+	}
+	var out Matching
+	for j := 1; j <= size; j++ {
+		i := p[j]
+		if i >= 1 && i <= n && j <= m && w[i-1][j-1] > 0 {
+			out = append(out, Pair{I: i - 1, J: j - 1, Weight: w[i-1][j-1]})
+		}
+	}
+	sort.Slice(out, func(a, b int) bool { return out[a].I < out[b].I })
+	return out
+}
+
+// oracleMatrix draws an n×m matrix whose weights come from a three-value set,
+// so equal-weight optima — where a changed row order, padding or tie rule
+// would pick a different matching — dominate. Some rows and columns are
+// zeroed entirely.
+func oracleMatrix(r *rand.Rand, n, m int) Weights {
+	vals := [3]float64{0, 0.3, 0.7}
+	w := make(Weights, n)
+	for i := range w {
+		w[i] = make([]float64, m)
+		for j := range w[i] {
+			w[i][j] = vals[r.Intn(3)]
+		}
+	}
+	if n > 1 && r.Intn(3) == 0 {
+		clear(w[r.Intn(n)])
+	}
+	if m > 1 && r.Intn(3) == 0 {
+		j := r.Intn(m)
+		for i := range w {
+			w[i][j] = 0
+		}
+	}
+	return w
+}
+
+// TestMaxWeightMatchesReference compares the scratch-reusing MaxWeight and
+// MaxWeightTotal with the reference on seeded random matrices: the same
+// pairs in the same order, and totals equal to the bit.
+func TestMaxWeightMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(19))
+	check := func(name string, w Weights) {
+		t.Helper()
+		want, got := referenceMaxWeight(w), MaxWeight(w)
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d pairs, reference %d\nw = %v", name, len(got), len(want), w)
+		}
+		for k := range want {
+			if got[k] != want[k] {
+				t.Fatalf("%s: pair %d = %+v, reference %+v\nw = %v", name, k, got[k], want[k], w)
+			}
+		}
+		if (got == nil) != (want == nil) {
+			t.Fatalf("%s: nil-ness differs: got %v, reference %v", name, got, want)
+		}
+		if a, b := MaxWeightTotal(w), want.TotalWeight(); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("%s: MaxWeightTotal = %x, reference total %x\nw = %v", name, math.Float64bits(a), math.Float64bits(b), w)
+		}
+	}
+	check("nil", nil)
+	check("no columns", Weights{{}, {}})
+	check("1x1 zero", Weights{{0}})
+	check("1x1", Weights{{0.7}})
+	for k := 0; k < 2400; k++ {
+		// Tall, wide and square, in an order that makes the pooled scratch
+		// shrink and grow between runs.
+		n, m := 1+r.Intn(9), 1+r.Intn(9)
+		if k%8 == 0 {
+			n, m = 1+r.Intn(24), 1+r.Intn(24)
+		}
+		check("tied", oracleMatrix(r, n, m))
+		if k%3 == 0 {
+			check("dense", randWeights(r, n, m))
+		}
 	}
 }

@@ -8,9 +8,9 @@ import (
 // Specialisable is implemented by measures that can be specialised for a
 // whole-repository scan: the scan driver hoists the importance projection out
 // of the per-pair Compare (projecting each workflow once per scan instead of
-// once per pair) and installs a scan-scoped memo for repeated attribute
-// comparisons. The specialised measure returns bit-identical scores; only
-// redundant work is removed.
+// once per pair) and installs a memo for repeated attribute comparisons.
+// The specialised measure returns bit-identical scores; only redundant work
+// is removed.
 type Specialisable interface {
 	// Specialise returns the projection to apply per workflow (nil when the
 	// measure has none) and a measure that compares PRE-PROJECTED workflows

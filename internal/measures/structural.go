@@ -96,8 +96,9 @@ type Config struct {
 	// Counter, when non-nil, accumulates module-pair comparison counts.
 	Counter *PairCounter
 	// Memo, when non-nil, memoizes EditDistance attribute comparisons
-	// across compares — scan-scoped sharing installed by Specialise.
-	// Scores are bit-identical with or without it.
+	// across compares — installed by Specialise for a scan; its ID-keyed
+	// half may outlive the scan (see module.SimMemo). Scores are
+	// bit-identical with or without it.
 	Memo *module.SimMemo
 }
 
@@ -162,16 +163,30 @@ func (s *Structural) match(w matching.Weights) matching.Matching {
 	return matching.MaxWeight(w)
 }
 
+// matchTotal is match(w).TotalWeight(), to the bit, without materialising
+// the maximum-weight matching.
+func (s *Structural) matchTotal(w matching.Weights) float64 {
+	if s.cfg.Mapping == GreedyMapping {
+		return matching.Greedy(w).TotalWeight()
+	}
+	return matching.MaxWeightTotal(w)
+}
+
 // moduleSets implements simMS: the additive similarity score of the mapped
 // module pairs, normalized by the similarity-Jaccard
-// nnsim / (|V1| + |V2| - nnsim).
+// nnsim / (|V1| + |V2| - nnsim). With the maximum-weight mapping and a warm
+// memo a comparison allocates nothing: the weight matrix and the Hungarian
+// arrays are pooled scratch.
+//
+//wfsimvet:hotpath
 func (s *Structural) moduleSets(a, b *workflow.Workflow) float64 {
 	if a.Size() == 0 || b.Size() == 0 {
 		return 0
 	}
-	w, st := module.WeightMatrixMemo(a, b, s.cfg.Scheme, s.cfg.Preselect, s.cfg.Memo)
-	s.cfg.Counter.Add(st.Total, st.Compared)
-	nnsim := s.match(w).TotalWeight()
+	mx := module.AcquireMatrix(a, b, s.cfg.Scheme, s.cfg.Preselect, s.cfg.Memo)
+	s.cfg.Counter.Add(mx.Stats.Total, mx.Stats.Compared)
+	nnsim := s.matchTotal(mx.W)
+	mx.Release()
 	if !s.cfg.Normalize {
 		return nnsim
 	}
@@ -197,8 +212,10 @@ func (s *Structural) pathSets(a, b *workflow.Workflow) float64 {
 	// Module similarities are computed once for the workflow pair; path
 	// alignment then indexes into the shared matrix. Modules occur on many
 	// paths, so recomputing per path pair would be quadratically wasteful.
-	full, st := module.WeightMatrixMemo(a, b, s.cfg.Scheme, s.cfg.Preselect, s.cfg.Memo)
-	s.cfg.Counter.Add(st.Total, st.Compared)
+	mx := module.AcquireMatrix(a, b, s.cfg.Scheme, s.cfg.Preselect, s.cfg.Memo)
+	defer mx.Release()
+	s.cfg.Counter.Add(mx.Stats.Total, mx.Stats.Compared)
+	full := mx.W
 
 	pathWeights := make(matching.Weights, len(pa))
 	var buf matching.Weights // reused per path pair
@@ -210,7 +227,7 @@ func (s *Structural) pathSets(a, b *workflow.Workflow) float64 {
 			pathWeights[i][j] = jaccardNorm(nn, float64(len(p)), float64(len(q)))
 		}
 	}
-	nnsim := s.match(pathWeights).TotalWeight()
+	nnsim := s.matchTotal(pathWeights)
 	if !s.cfg.Normalize {
 		return nnsim
 	}
@@ -327,12 +344,4 @@ func jaccardNorm(nnsim, sizeA, sizeB float64) float64 {
 		return 1
 	}
 	return v
-}
-
-func modulesOn(w *workflow.Workflow, p workflow.Path) []*workflow.Module {
-	out := make([]*workflow.Module, len(p))
-	for i, idx := range p {
-		out[i] = w.Modules[idx]
-	}
-	return out
 }

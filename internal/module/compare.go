@@ -4,6 +4,14 @@
 // evaluated in the paper (pw0, pw3, pll, plm and the Galaxy variants gw1,
 // gll), and module-pair preselection strategies (all pairs, strict type
 // match, type-equivalence classes).
+//
+// The weight matrix of two workflows is the per-pair kernel of every
+// structural scan, so it has a dense form beside the plain one: AcquireMatrix
+// fills a pooled flat buffer instead of allocating rows, and edit-distance
+// comparisons go through a memo (SimMemo) whose label half — similarities
+// keyed by symbol-ID pair, read without a lock — lives as long as the symbol
+// table it belongs to (LabelSim), so a label pair is compared once per
+// process, not once per scan. Every form returns the same bits.
 package module
 
 import (

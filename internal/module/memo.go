@@ -1,49 +1,193 @@
 package module
 
 import (
+	"math"
+	"math/bits"
 	"sync"
+	"sync/atomic"
 
-	"repro/internal/matching"
 	"repro/internal/workflow"
 )
 
-// SimMemo memoizes EditDistance comparator results for the duration of one
-// whole-corpus scan. Module labels (and scripts, descriptions, service
-// fields) are drawn from a corpus vocabulary that is tiny compared to the
-// O(n²·m²) attribute pairs a Duplicates scan compares, so the same
-// Levenshtein computation is repeated millions of times; the memo collapses
-// each distinct string pair to one computation. Levenshtein similarity is
-// symmetric and pure, so memoized scans return bit-identical scores.
+// LabelSim memoizes the EditDistance similarity of two interned attribute
+// values (module labels, types) under their symbol-ID pair. The vocabulary of
+// a corpus is tiny compared to the module pairs its scans compare — a search
+// workload of 21 million lookups touched 3 150 distinct pairs — and symbol
+// IDs live exactly as long as the process, so the similarity of two IDs is a
+// fact worth keeping across scans: an engine owns one LabelSim beside its
+// symbol table and hands it to every scan.
 //
-// Only EditDistance results are memoized — Exact/ExactFold are cheaper than
-// the lookup. A SimMemo is safe for concurrent use (internally sharded) and
-// is meant to be scan-scoped: it has no eviction, only a hard entry cap
-// (insertion stops when full, correctness is unaffected).
+// A LabelSim belongs to exactly one symbol table. IDs from another table
+// name other strings, so it must never be shared between engines or held in
+// a package-level variable; callers only pass it IDs its table assigned.
+//
+// Reads take no lock: the table is open-addressed over atomic key/value
+// words, a writer publishes the value before the key, and growth installs a
+// rebuilt table through an atomic pointer while readers finish on the old
+// one (a reader that misses a just-inserted pair recomputes it — Levenshtein
+// similarity is pure, so every path returns the same bits). Writers are
+// serialised by a mutex; they run once per distinct pair. Memory is
+// proportional to the pairs seen and bounded by Cap: past it, insertion
+// stops and new pairs are recomputed per lookup, correct but slow.
+type LabelSim struct {
+	tab atomic.Pointer[labelSimTable]
+	mu  sync.Mutex   // serialises put and growth
+	n   atomic.Int64 // entries in tab
+}
+
+// labelSimTable is one power-of-two generation of the open-addressed table,
+// at most half full, so a probe always ends at an empty slot.
+type labelSimTable struct {
+	slots []labelSimSlot
+	shift uint // 64 - log2(len(slots))
+}
+
+// labelSimSlot holds a packed ordered ID pair (never 0: both IDs are
+// nonzero) and the similarity's float bits. key == 0 marks an empty slot.
+type labelSimSlot struct{ key, val atomic.Uint64 }
+
+// labelSimMinSlots is the first table's size: 16 KiB, allocated on the
+// first insert.
+const labelSimMinSlots = 1 << 10
+
+// NewLabelSim returns an empty memo for one symbol table.
+func NewLabelSim() *LabelSim { return &LabelSim{} }
+
+// Len returns the number of memoized ID pairs.
+func (ls *LabelSim) Len() int { return int(ls.n.Load()) }
+
+// Cap returns the entry bound past which insertion stops.
+func (ls *LabelSim) Cap() int { return simMemoCap }
+
+// slot returns k's home position in t (Fibonacci hashing).
+func (t *labelSimTable) slot(k uint64) uint64 {
+	return (k * 0x9E3779B97F4A7C15) >> t.shift
+}
+
+// get returns the memoized similarity of the packed pair k.
+//
+//wfsimvet:hotpath
+func (ls *LabelSim) get(k uint64) (float64, bool) {
+	t := ls.tab.Load()
+	if t == nil {
+		return 0, false
+	}
+	mask := uint64(len(t.slots) - 1)
+	for i := t.slot(k); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		switch s.key.Load() {
+		case k:
+			return math.Float64frombits(s.val.Load()), true
+		case 0:
+			return 0, false
+		}
+	}
+}
+
+// put memoizes v under the packed pair k unless the memo is at its cap.
+func (ls *LabelSim) put(k uint64, v float64) {
+	ls.mu.Lock()
+	defer ls.mu.Unlock()
+	n := int(ls.n.Load())
+	if n >= simMemoCap {
+		return
+	}
+	t := ls.tab.Load()
+	if t == nil || 2*(n+1) > len(t.slots) {
+		t = grownLabelSimTable(t)
+		ls.tab.Store(t)
+	}
+	if t.insert(k, math.Float64bits(v)) {
+		ls.n.Add(1)
+	}
+}
+
+// insert stores (k, val) unless k is present (two scans computed the same
+// new pair at once). The value is published before the key, so a reader
+// that finds the key reads its value. Only the goroutine holding
+// LabelSim.mu calls it.
+func (t *labelSimTable) insert(k, val uint64) bool {
+	mask := uint64(len(t.slots) - 1)
+	for i := t.slot(k); ; i = (i + 1) & mask {
+		s := &t.slots[i]
+		switch s.key.Load() {
+		case k:
+			return false
+		case 0:
+			s.val.Store(val)
+			s.key.Store(k)
+			return true
+		}
+	}
+}
+
+// grownLabelSimTable returns a table twice the size of old (the minimum
+// size for nil) holding old's entries.
+func grownLabelSimTable(old *labelSimTable) *labelSimTable {
+	size := labelSimMinSlots
+	if old != nil {
+		size = 2 * len(old.slots)
+	}
+	t := &labelSimTable{slots: make([]labelSimSlot, size), shift: uint(64 - bits.TrailingZeros(uint(size)))}
+	if old != nil {
+		for i := range old.slots {
+			if k := old.slots[i].key.Load(); k != 0 {
+				t.insert(k, old.slots[i].val.Load())
+			}
+		}
+	}
+	return t
+}
+
+// SimMemo memoizes EditDistance comparator results for a scan. It has two
+// halves with two lifetimes:
+//
+//   - Interned attributes (labels, types) are memoized by symbol-ID pair in
+//     a LabelSim. An engine passes the one LabelSim of its symbol table
+//     (NewSimMemoWith), so those entries outlive the scan; NewSimMemo makes
+//     a private one that dies with the SimMemo. Either way every ID the memo
+//     sees must come from one symbol table.
+//   - Everything else (descriptions, scripts, parameters, and labels of
+//     workflows no table resolved) is memoized by string pair for the
+//     SimMemo's own lifetime — one scan — behind sharded locks, with a hard
+//     entry cap and no eviction (insertion stops when full).
+//
+// Levenshtein similarity is symmetric and pure, so memoized scans return
+// bit-identical scores. Only EditDistance results are memoized —
+// Exact/ExactFold are cheaper than the lookup. A SimMemo is safe for
+// concurrent use.
 type SimMemo struct {
+	ids    *LabelSim
 	shards [simMemoShards]simMemoShard
 }
 
 const (
 	simMemoShards = 32
-	// simMemoCap bounds total entries across shards. At two interned-ish
-	// strings and a float per entry this keeps a runaway vocabulary under
-	// ~100 MB instead of unbounded.
+	// simMemoCap bounds the entries of each half. At two words per slot and
+	// a table at most half full, the ID-keyed half tops out at 32 MiB; the
+	// string-keyed half at two strings and a float per entry stays under
+	// ~100 MB for a runaway vocabulary instead of growing unbounded.
 	simMemoCap = 1 << 20
 )
 
 type simMemoShard struct {
 	mu sync.RWMutex
 	m  map[simMemoKey]float64
-	// ids memoizes by packed symbol-pair key for interned attributes:
-	// one integer probe instead of hashing two strings.
-	ids map[uint64]float64
 }
 
 type simMemoKey struct{ a, b string }
 
-// NewSimMemo returns an empty memo.
-func NewSimMemo() *SimMemo {
-	return &SimMemo{}
+// NewSimMemo returns an empty scan-scoped memo with a private ID-keyed half.
+func NewSimMemo() *SimMemo { return NewSimMemoWith(nil) }
+
+// NewSimMemoWith returns an empty scan-scoped memo whose ID-keyed half is
+// ids — the LabelSim of the symbol table that resolved every workflow the
+// scan will compare. A nil ids gets a private one.
+func NewSimMemoWith(ids *LabelSim) *SimMemo {
+	if ids == nil {
+		ids = NewLabelSim()
+	}
+	return &SimMemo{ids: ids}
 }
 
 // editSimilarity returns the memoized Levenshtein similarity of (a, b).
@@ -85,33 +229,22 @@ func (sm *SimMemo) editSimilarityID(ida, idb uint32, a, b string) float64 {
 		a, b = b, a
 	}
 	k := uint64(ida)<<32 | uint64(idb)
-	sh := &sm.shards[(ida^idb)%simMemoShards]
-	sh.mu.RLock()
-	v, ok := sh.ids[k]
-	sh.mu.RUnlock()
-	if ok {
+	if v, ok := sm.ids.get(k); ok {
 		return v
 	}
-	v = EditDistance.compare(a, b)
-	sh.mu.Lock()
-	if sh.ids == nil {
-		sh.ids = make(map[uint64]float64)
-	}
-	if len(sh.ids) < simMemoCap/simMemoShards {
-		sh.ids[k] = v
-	}
-	sh.mu.Unlock()
+	v := EditDistance.compare(a, b)
+	sm.ids.put(k, v)
 	return v
 }
 
 // Len returns the number of memoized pairs (for tests and stats),
 // counting string-keyed and symbol-keyed entries.
 func (sm *SimMemo) Len() int {
-	n := 0
+	n := sm.ids.Len()
 	for i := range sm.shards {
 		sh := &sm.shards[i]
 		sh.mu.RLock()
-		n += len(sh.m) + len(sh.ids)
+		n += len(sh.m)
 		sh.mu.RUnlock()
 	}
 	return n
@@ -195,16 +328,4 @@ func (s Scheme) SimilarityMemo(a, b *workflow.Module, memo *SimMemo) float64 {
 		return 0
 	}
 	return sum / wsum
-}
-
-// WeightMatrixMemo is WeightMatrix with a scan-scoped memo (which may be
-// nil) threaded through the attribute comparisons.
-func WeightMatrixMemo(a, b *workflow.Workflow, s Scheme, p Preselect, memo *SimMemo) (matching.Weights, PairStats) {
-	return weightMatrixModules(a.Modules, b.Modules, s, p, memo)
-}
-
-// WeightMatrixForMemo is WeightMatrixFor with a scan-scoped memo (which may
-// be nil) threaded through the attribute comparisons.
-func WeightMatrixForMemo(a, b []*workflow.Module, s Scheme, p Preselect, memo *SimMemo) (matching.Weights, PairStats) {
-	return weightMatrixModules(a, b, s, p, memo)
 }

@@ -1,6 +1,8 @@
 package module
 
 import (
+	"sync"
+
 	"repro/internal/matching"
 	"repro/internal/workflow"
 )
@@ -117,28 +119,89 @@ type PairStats struct {
 // Pairs excluded by the preselection get weight 0 without being compared.
 // It returns the matrix together with comparison statistics.
 func WeightMatrix(a, b *workflow.Workflow, s Scheme, p Preselect) (matching.Weights, PairStats) {
-	return weightMatrixModules(a.Modules, b.Modules, s, p, nil)
+	return WeightMatrixMemo(a, b, s, p, nil)
 }
 
-// WeightMatrixFor computes the similarity matrix between two explicit module
-// sequences (used for path-wise comparison, where the sequences are the
-// modules along two paths).
-func WeightMatrixFor(a, b []*workflow.Module, s Scheme, p Preselect) (matching.Weights, PairStats) {
-	return weightMatrixModules(a, b, s, p, nil)
+// WeightMatrixMemo is WeightMatrix with a memo (which may be nil) threaded
+// through the attribute comparisons. The matrix is freshly allocated and the
+// caller's to keep; scan kernels that only need it for the duration of one
+// comparison use AcquireMatrix instead.
+func WeightMatrixMemo(a, b *workflow.Workflow, s Scheme, p Preselect, memo *SimMemo) (matching.Weights, PairStats) {
+	var mx Matrix
+	mx.fill(a.Modules, b.Modules, s, p, memo)
+	return mx.W, mx.Stats
 }
 
-func weightMatrixModules(ma, mb []*workflow.Module, s Scheme, p Preselect, memo *SimMemo) (matching.Weights, PairStats) {
-	stats := PairStats{Total: len(ma) * len(mb)}
-	w := make(matching.Weights, len(ma))
-	for i, x := range ma {
-		w[i] = make([]float64, len(mb))
+// Matrix is a module-similarity matrix over reusable storage: the rows of W
+// are slices of one flat buffer. A whole-corpus scan computes one matrix per
+// workflow pair and drops it after the mapping step, so scan kernels borrow
+// a Matrix from a pool (AcquireMatrix) and hand it back (Release) instead of
+// allocating rows per pair.
+type Matrix struct {
+	// W is the weight matrix; valid until Release.
+	W matching.Weights
+	// Stats counts the module pairs compared.
+	Stats PairStats
+
+	flat []float64
+	cls  []TypeClass // type classes of the column modules, for te
+}
+
+var matrixPool = sync.Pool{New: func() any { return new(Matrix) }}
+
+// AcquireMatrix computes the weight matrix of WeightMatrixMemo over pooled
+// storage. The caller must Release it and must not retain W afterwards.
+//
+//wfsimvet:hotpath
+func AcquireMatrix(a, b *workflow.Workflow, s Scheme, p Preselect, memo *SimMemo) *Matrix {
+	mx := matrixPool.Get().(*Matrix)
+	mx.fill(a.Modules, b.Modules, s, p, memo)
+	return mx
+}
+
+// Release returns the matrix's storage to the pool.
+func (mx *Matrix) Release() { matrixPool.Put(mx) }
+
+// fill computes the matrix of ma × mb into mx's storage, growing it as
+// needed. Every cell is written — storage is reused, so cells the
+// preselection excludes are zeroed explicitly. Under type equivalence each
+// module's class is computed once, not once per pair.
+//
+//wfsimvet:hotpath
+func (mx *Matrix) fill(ma, mb []*workflow.Module, s Scheme, p Preselect, memo *SimMemo) {
+	n, m := len(ma), len(mb)
+	if cap(mx.flat) < n*m {
+		mx.flat = make([]float64, n*m)
+	}
+	if cap(mx.W) < n {
+		mx.W = make(matching.Weights, n)
+	}
+	mx.W = mx.W[:n]
+	te := p == TypeEquivalence
+	if te {
+		if cap(mx.cls) < m {
+			mx.cls = make([]TypeClass, m)
+		}
+		mx.cls = mx.cls[:m]
 		for j, y := range mb {
-			if !p.Allows(x, y) {
-				continue
-			}
-			stats.Compared++
-			w[i][j] = s.SimilarityMemo(x, y, memo)
+			mx.cls[j] = ClassOf(y.Type)
 		}
 	}
-	return w, stats
+	mx.Stats = PairStats{Total: n * m}
+	for i, x := range ma {
+		row := mx.flat[i*m : (i+1)*m : (i+1)*m]
+		mx.W[i] = row
+		var cx TypeClass
+		if te {
+			cx = ClassOf(x.Type)
+		}
+		for j, y := range mb {
+			if te && cx != mx.cls[j] || !te && !p.Allows(x, y) {
+				row[j] = 0
+				continue
+			}
+			mx.Stats.Compared++
+			row[j] = s.SimilarityMemo(x, y, memo)
+		}
+	}
 }

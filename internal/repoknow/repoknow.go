@@ -6,11 +6,7 @@
 // them via transitive edges.
 package repoknow
 
-import (
-	"sync"
-
-	"repro/internal/workflow"
-)
+import "repro/internal/workflow"
 
 // UsageStats counts how often each module signature occurs across a
 // repository. Modules used most frequently across different workflows tend
@@ -145,30 +141,32 @@ type Projector struct {
 	Scorer    Scorer
 	Threshold float64
 
-	mu    sync.Mutex
-	cache map[*workflow.Workflow]*workflow.Workflow
+	// id names this projector in the workflows' projection slots; nil (a
+	// Projector not built by NewProjector) disables caching.
+	id *workflow.ProjectorID
 }
 
 // NewProjector returns a caching projector with the given scorer and
 // threshold. The paper's configuration corresponds to TypeScorer with
 // threshold 0.5 (any positive threshold separates scores 0 and 1).
 func NewProjector(s Scorer, threshold float64) *Projector {
-	return &Projector{Scorer: s, Threshold: threshold, cache: map[*workflow.Workflow]*workflow.Workflow{}}
+	return &Projector{Scorer: s, Threshold: threshold, id: new(workflow.ProjectorID)}
 }
 
-// Project returns the importance projection of wf. Results are cached per
-// workflow pointer, so repeated comparisons against a repository project
-// each workflow once. If no module meets the threshold the original
-// workflow is returned unchanged (projecting to an empty graph would make
-// every comparison degenerate).
+// Project returns the importance projection of wf. The result is cached on
+// the workflow itself (workflow.Projection), so repeated comparisons against
+// a repository project each workflow once, and a cached projection is
+// garbage exactly when its workflow is — the projector holds no reference to
+// anything it projected, however long it lives and however many inline
+// queries and replaced revisions pass through it. If no module meets the
+// threshold the original workflow is returned unchanged (projecting to an
+// empty graph would make every comparison degenerate).
 func (p *Projector) Project(wf *workflow.Workflow) *workflow.Workflow {
-	p.mu.Lock()
-	if c, ok := p.cache[wf]; ok {
-		p.mu.Unlock()
-		return c
+	if p.id != nil {
+		if c, ok := wf.Projection(p.id); ok {
+			return c
+		}
 	}
-	p.mu.Unlock()
-
 	var keep []int
 	for i, m := range wf.Modules {
 		if p.Scorer.Score(m) >= p.Threshold {
@@ -178,13 +176,10 @@ func (p *Projector) Project(wf *workflow.Workflow) *workflow.Workflow {
 	out := wf
 	if len(keep) > 0 && len(keep) < len(wf.Modules) {
 		out = wf.InducedSubgraph(keep)
-	} else if len(keep) == len(wf.Modules) {
-		out = wf
 	}
-
-	p.mu.Lock()
-	p.cache[wf] = out
-	p.mu.Unlock()
+	if p.id != nil {
+		wf.SetProjection(p.id, out)
+	}
 	return out
 }
 

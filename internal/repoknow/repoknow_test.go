@@ -1,7 +1,10 @@
 package repoknow
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/workflow"
 )
@@ -104,6 +107,66 @@ func TestProjectorCaches(t *testing.T) {
 	a, b := p.Project(w), p.Project(w)
 	if a != b {
 		t.Error("repeated projection must return the cached value")
+	}
+}
+
+// TestProjectorDoesNotRetainWorkflows is the leak the pointer-keyed cache
+// had: a projector that outlives the workflows it projected — the registry's
+// default one lives as long as the process — must not keep them, or their
+// projections, reachable. Both projection shapes are covered: a proper
+// subgraph and the identity (nothing dropped).
+func TestProjectorDoesNotRetainWorkflows(t *testing.T) {
+	p := NewProjector(TypeScorer{}, 0.5)
+	const n = 64
+	var collected atomic.Int64
+	for i := 0; i < n; i++ {
+		types := []string{workflow.TypeWSDL, workflow.TypeLocalWorker, workflow.TypeBeanshell}
+		if i%2 == 1 {
+			types = []string{workflow.TypeWSDL, workflow.TypeBeanshell} // identity projection
+		}
+		w := wfWithModules("w", types...)
+		if out := p.Project(w); (out == w) != (i%2 == 1) {
+			t.Fatalf("workflow %d: identity projection = %v", i, out == w)
+		}
+		runtime.AddCleanup(w, func(*int) { collected.Add(1) }, nil)
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for collected.Load() < n && time.Now().Before(deadline) {
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+	if got := collected.Load(); got < n {
+		t.Errorf("%d of %d projected workflows were collected while the projector lives", got, n)
+	}
+	runtime.KeepAlive(p)
+}
+
+// TestProjectionSlotClearedByMutation: a workflow edited after it was
+// projected must be projected again, not served its stale projection.
+func TestProjectionSlotClearedByMutation(t *testing.T) {
+	p := NewProjector(TypeScorer{}, 0.5)
+	w := wfWithModules("w", workflow.TypeWSDL, workflow.TypeLocalWorker)
+	if got := p.Project(w).Size(); got != 1 {
+		t.Fatalf("projection has %d modules, want 1", got)
+	}
+	w.AddModule(&workflow.Module{Label: "late", Type: workflow.TypeBeanshell})
+	if got := p.Project(w).Size(); got != 2 {
+		t.Errorf("projection after AddModule has %d modules, want 2", got)
+	}
+}
+
+// TestProjectorsDoNotShareSlots: two projectors alternating on one workflow
+// each get their own answer.
+func TestProjectorsDoNotShareSlots(t *testing.T) {
+	strict, keepAll := NewProjector(TypeScorer{}, 0.5), NewProjector(TypeScorer{}, 0)
+	w := wfWithModules("w", workflow.TypeWSDL, workflow.TypeLocalWorker)
+	for i := 0; i < 3; i++ {
+		if got := strict.Project(w).Size(); got != 1 {
+			t.Fatalf("round %d: strict projection has %d modules, want 1", i, got)
+		}
+		if got := keepAll.Project(w); got != w {
+			t.Fatalf("round %d: threshold-0 projection is not the workflow itself", i)
+		}
 	}
 }
 

@@ -13,6 +13,7 @@ package search
 import (
 	"context"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -174,7 +175,11 @@ func TopK(ctx context.Context, query *workflow.Workflow, repo Corpus, m measures
 		return nil, 0, err
 	}
 
-	results := make([]Result, 0, len(wfs))
+	// Select the k best as they stream by instead of sorting every
+	// candidate: top holds at most k results in SortResults order, and a
+	// result enters only if it precedes the current k-th. The order is total
+	// (IDs are unique within a corpus), so this is the sorted prefix exactly.
+	top := make([]Result, 0, min(k, len(wfs)))
 	skipped := 0
 	for _, s := range out {
 		switch {
@@ -184,24 +189,33 @@ func TopK(ctx context.Context, query *workflow.Workflow, repo Corpus, m measures
 			if opts.MinSimilarity != nil && s.res.Similarity <= *opts.MinSimilarity {
 				continue
 			}
-			results = append(results, s.res)
+			if len(top) == k {
+				if !precedes(s.res, top[k-1]) {
+					continue
+				}
+				top = top[:k-1]
+			}
+			at := len(top)
+			for at > 0 && precedes(s.res, top[at-1]) {
+				at--
+			}
+			top = slices.Insert(top, at, s.res)
 		}
 	}
-	SortResults(results)
-	if len(results) > k {
-		results = results[:k]
+	return top, skipped, nil
+}
+
+// precedes is the result order: descending similarity, ties broken by ID.
+func precedes(a, b Result) bool {
+	if a.Similarity != b.Similarity {
+		return a.Similarity > b.Similarity
 	}
-	return results, skipped, nil
+	return a.ID < b.ID
 }
 
 // SortResults orders results by descending similarity, ties broken by ID.
 func SortResults(results []Result) {
-	sort.Slice(results, func(i, j int) bool {
-		if results[i].Similarity != results[j].Similarity {
-			return results[i].Similarity > results[j].Similarity
-		}
-		return results[i].ID < results[j].ID
-	})
+	sort.Slice(results, func(i, j int) bool { return precedes(results[i], results[j]) })
 }
 
 // IDs extracts the result IDs in rank order.

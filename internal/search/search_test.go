@@ -220,3 +220,57 @@ func TestBatchedCompletedScanSurvivesLateCancel(t *testing.T) {
 		t.Fatalf("err = %v, want nil for a completed scan", err)
 	}
 }
+
+// bucketMeasure scores by a hash of the candidate's ID into a few buckets, so
+// most results tie and the ID tie-break decides the order.
+type bucketMeasure struct{ buckets int }
+
+func (m bucketMeasure) Name() string { return "bucket" }
+func (m bucketMeasure) Compare(_, b *workflow.Workflow) (float64, error) {
+	h := 0
+	for _, c := range b.ID {
+		h = h*31 + int(c)
+	}
+	return float64(h%m.buckets) / float64(m.buckets), nil
+}
+
+// TestTopKSelectionIsSortedPrefix checks the streaming top-k selection
+// against sorting every candidate, for k below, at and above the corpus size
+// and with a similarity floor, on scores where ties dominate.
+func TestTopKSelectionIsSortedPrefix(t *testing.T) {
+	c := testCorpus(t)
+	wfs := c.Repo.Workflows()
+	// Scan in an order unrelated to ID order, so ties arrive unsorted.
+	shuffled := make(List, len(wfs))
+	for i, wf := range wfs {
+		shuffled[(i*37)%len(wfs)] = wf
+	}
+	query := workflow.New("not-in-corpus")
+	m := bucketMeasure{buckets: 4}
+	floor := 0.25
+	for _, minSim := range []*float64{nil, &floor} {
+		var all []Result
+		for _, wf := range shuffled {
+			s, _ := m.Compare(query, wf)
+			if minSim == nil || s > *minSim {
+				all = append(all, Result{ID: wf.ID, Similarity: s})
+			}
+		}
+		SortResults(all)
+		for _, k := range []int{1, 3, 10, len(all) - 1, len(all), len(all) + 5} {
+			got, _, err := TopK(context.Background(), query, shuffled, m, Options{K: k, MinSimilarity: minSim})
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := all[:min(k, len(all))]
+			if len(got) != len(want) {
+				t.Fatalf("k=%d: %d results, want %d", k, len(got), len(want))
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("k=%d rank %d: %+v, want %+v", k, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}

@@ -357,10 +357,13 @@ func (sm *searchMeasure) Compare(_, wf *workflow.Workflow) (float64, error) {
 func (p *localPin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]search.Result, ReadStats, error) {
 	// A query resolved by a foreign symbol table carries module IDs that are
 	// meaningless against this shard's corpus: the equal-ID fast paths would
-	// compare symbols from two ID spaces. Strip the foreign resolution by
+	// compare symbols from two ID spaces, and a label memo shared across
+	// scans would remember the mix-up. Strip the foreign resolution by
 	// cloning — the clone is unresolved, so every comparison involving the
 	// query falls back to exact string semantics (the index likewise falls
-	// back to string lookup for unresolved queries).
+	// back to string lookup for unresolved queries). The engine never gets
+	// here: it resolves a copy of any query its table did not resolve before
+	// the fan-out; this guards callers that drive a coordinator directly.
 	if q.Query != nil {
 		if ref := q.Query.SymtabRef(); ref != nil && ref != p.s.syms {
 			q.Query = q.Query.Clone()

@@ -19,11 +19,18 @@ import (
 // ScanPrep carries one read operation's measure across shards: the resolved
 // measure, the projector epoch for cache keying, and — when the measure
 // supports it (measures.Specialisable) — a scan-specialised form that hoists
-// the importance projection out of the per-pair Compare and shares a memo
-// for repeated attribute comparisons across every shard's workers. The
-// specialised form returns bit-identical scores; only redundant per-pair
-// work (re-projecting the same workflow, re-running Levenshtein on the same
-// label pair) is removed.
+// the importance projection out of the per-pair Compare and memoizes
+// repeated attribute comparisons (module.SimMemo). The memo has two
+// lifetimes: similarities of interned labels are kept by symbol-ID pair in
+// the module.LabelSim the prep was built over — the engine's, one per symbol
+// table, outliving the scan (NewScanPrepWith), or a private one that dies
+// with the prep (NewScanPrep) — while string-keyed entries (descriptions,
+// scripts, unresolved workflows) always die with the prep. Every workflow a
+// prep compares must be resolved by one symbol table, or by none: IDs of two
+// tables mean nothing against each other (localPin.Search strips a foreign
+// query's resolution). The specialised form returns bit-identical scores;
+// only redundant per-pair work (re-projecting the same workflow, re-running
+// Levenshtein on the same label pair) is removed.
 //
 // A ScanPrep is built once per read operation and is safe for concurrent use
 // by all shards of that operation.
@@ -35,15 +42,21 @@ type ScanPrep struct {
 
 	inner   measures.Measure   // compares pre-projected workflows
 	project measures.Projector // nil when nothing was hoisted
-	memo    *module.SimMemo    // nil for non-specialisable measures
 
 	mu       sync.Mutex
 	prepared map[Pin]*Prepared
 }
 
-// NewScanPrep resolves m for a scatter-gather scan. epoch is the projector
-// epoch of the projection m was resolved with.
+// NewScanPrep resolves m for a scatter-gather scan with a scan-scoped memo.
+// epoch is the projector epoch of the projection m was resolved with.
 func NewScanPrep(m measures.Measure, epoch uint64) *ScanPrep {
+	return NewScanPrepWith(m, epoch, nil)
+}
+
+// NewScanPrepWith is NewScanPrep over labels, the label-similarity memo of
+// the symbol table that resolved the corpus and the query (nil for a
+// scan-scoped one).
+func NewScanPrepWith(m measures.Measure, epoch uint64, labels *module.LabelSim) *ScanPrep {
 	p := &ScanPrep{
 		Name:     m.Name(),
 		Epoch:    epoch,
@@ -51,8 +64,7 @@ func NewScanPrep(m measures.Measure, epoch uint64) *ScanPrep {
 		prepared: map[Pin]*Prepared{},
 	}
 	if sp, ok := m.(measures.Specialisable); ok {
-		p.memo = module.NewSimMemo()
-		p.project, p.inner = sp.Specialise(p.memo)
+		p.project, p.inner = sp.Specialise(module.NewSimMemoWith(labels))
 	}
 	return p
 }
@@ -99,15 +111,6 @@ func (p *ScanPrep) ProjectOne(wf *workflow.Workflow) *workflow.Workflow {
 // Compare scores a pre-projected pair with the scan's specialised measure.
 func (p *ScanPrep) Compare(aProj, bProj *workflow.Workflow) (float64, error) {
 	return p.inner.Compare(aProj, bProj)
-}
-
-// MemoSize reports the number of memoized attribute comparisons (0 for
-// non-specialisable measures) — benchmark/debug visibility.
-func (p *ScanPrep) MemoSize() int {
-	if p.memo == nil {
-		return 0
-	}
-	return p.memo.Len()
 }
 
 // pairKey builds the cache key of the committed pair (a, b): the two

@@ -13,7 +13,7 @@ func Levenshtein(a, b string) int {
 	if a == b {
 		return 0
 	}
-	ra, rb := toRunes(a), toRunes(b)
+	ra, rb := []rune(a), []rune(b)
 	// Keep the shorter string in rb to minimise the DP row.
 	if len(ra) < len(rb) {
 		ra, rb = rb, ra
@@ -53,12 +53,6 @@ func LevenshteinSimilarity(a, b string) float64 {
 		return 1
 	}
 	return 1 - float64(Levenshtein(a, b))/float64(longest)
-}
-
-func toRunes(s string) []rune {
-	// Fast path for ASCII avoids the rune conversion allocation cost
-	// mattering less; correctness for UTF-8 matters more here.
-	return []rune(s)
 }
 
 func min3(a, b, c int) int {

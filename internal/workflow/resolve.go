@@ -42,6 +42,18 @@ func (w *Workflow) Resolve(t *symtab.Table) {
 		return
 	}
 	w.symID = t.Intern(w.ID)
+	w.ResolveModules(t)
+}
+
+// ResolveModules is Resolve without the workflow's own ID, which stays
+// symbol 0: the resolution of an inline search query. Its modules compare
+// on the symbol path like any stored workflow's, but the query has no cache
+// identity (see Rev), so interning its ID — often unique per request — would
+// only grow the table.
+func (w *Workflow) ResolveModules(t *symtab.Table) {
+	if t == nil {
+		return
+	}
 	set := make([]uint32, 0, len(w.Modules))
 	for _, m := range w.Modules {
 		m.LabelID = t.Intern(m.Label)

@@ -50,6 +50,12 @@ type Workflow struct {
 	// caller's bug — the ownership rules already forbid it.
 	adj atomic.Pointer[adjacency]
 
+	// proj caches the workflow's last importance projection (see
+	// Projection): kept on the workflow, the cached copy lives exactly as
+	// long as the workflow it was derived from. Atomic for the same reason
+	// as adj.
+	proj atomic.Pointer[projection]
+
 	// interned hot representation, resolved at ingest by Resolve and
 	// invalidated by mutation. symID is the workflow ID's symbol;
 	// labelSet is the sorted, deduplicated set of canonical module-label
@@ -105,12 +111,48 @@ func (w *Workflow) AddEdge(from, to int) error {
 
 func (w *Workflow) invalidate() {
 	w.adj.Store(nil)
+	w.proj.Store(nil)
 	w.symID = 0
 	w.rev = 0
 	w.labelSet = nil
 	w.labelBits = Bitset256{}
 	w.resolved = false
 	w.tab = nil
+}
+
+// ProjectorID names one projector in workflows' projection slots. Allocate
+// one per projector (new(ProjectorID)); identity is the pointer.
+type ProjectorID struct{ _ byte } // not zero-sized: distinct allocations must have distinct addresses
+
+// projection is the content of a workflow's projection slot.
+type projection struct {
+	by  *ProjectorID
+	out *Workflow // nil: the projection is the workflow itself
+}
+
+// Projection returns the projection of w that projector by last stored with
+// SetProjection, if the slot still holds it. The slot keeps one projection —
+// the latest, whichever projector wrote it — and is cleared by mutation, so
+// a miss only means "compute it again".
+func (w *Workflow) Projection(by *ProjectorID) (*Workflow, bool) {
+	c := w.proj.Load()
+	if c == nil || c.by != by {
+		return nil, false
+	}
+	if c.out == nil {
+		return w, true
+	}
+	return c.out, true
+}
+
+// SetProjection stores out as w's projection under projector by. out must
+// not reference w (an identity projection passes w itself and is stored as
+// a marker), so the slot never keeps anything alive but the projected copy.
+func (w *Workflow) SetProjection(by *ProjectorID, out *Workflow) {
+	if out == w {
+		out = nil
+	}
+	w.proj.Store(&projection{by: by, out: out})
 }
 
 // Size returns the number of modules, |V|.

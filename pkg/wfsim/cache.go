@@ -49,3 +49,30 @@ func (e *Engine) CacheStats() CacheStats {
 	}
 	return total
 }
+
+// LabelSimStats reports the engine's label-similarity memo: the Levenshtein
+// similarities of module-label pairs, kept by symbol-ID pair for the life of
+// the process so that a scan looks a pair up instead of recomputing it.
+// Entries pinned at Capacity means insertion has stopped and every new label
+// pair is recomputed per module pair — still correct, but slow.
+type LabelSimStats struct {
+	Entries  int `json:"entries"`
+	Capacity int `json:"capacity"`
+}
+
+// LabelSimStats returns the label-similarity memo's population and bound.
+func (e *Engine) LabelSimStats() LabelSimStats {
+	return LabelSimStats{Entries: e.labelSim.Len(), Capacity: e.labelSim.Cap()}
+}
+
+// Symbols returns the size of the engine's symbol table: the distinct
+// strings (workflow IDs, module labels, canonical labels, types) interned by
+// ingest and by inline search queries since boot. The table only grows; a
+// restart rebuilds it from the stored corpus. Zero when interning is
+// disabled.
+func (e *Engine) Symbols() int {
+	if e.syms == nil {
+		return 0
+	}
+	return e.syms.Len()
+}

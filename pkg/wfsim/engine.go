@@ -11,8 +11,10 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/measures"
+	"repro/internal/module"
 	"repro/internal/repoknow"
 	"repro/internal/shard"
+	"repro/internal/symtab"
 	"repro/internal/workflow"
 )
 
@@ -42,6 +44,14 @@ type Engine struct {
 
 	shardCount int                // WithShards (default 1)
 	coord      *shard.Coordinator // the data plane: every operation routes through it
+
+	// syms is the deployment's one symbol table (nil when the seed
+	// repository disabled interning) and labelSim the label-similarity memo
+	// that belongs to it: both live as long as the engine, every shard
+	// interns into syms, and every scan memoizes into labelSim — which
+	// therefore must only ever see workflows syms resolved (or none).
+	syms     *symtab.Table
+	labelSim *module.LabelSim
 
 	storageDir string        // WithStorage data directory ("" = RAM only)
 	storageCfg storageConfig // WithStorage tuning
@@ -365,9 +375,18 @@ type Stats struct {
 //
 // The scan runs over a pinned view of the corpus: a Search issued before an
 // Apply commits returns results consistent with the pre-mutation repository.
+//
+// A query the engine's symbol table has not resolved — anything but the
+// engine's own workflows — is never modified: the engine scores a private
+// copy whose module labels and types it interns like ingest does, so every
+// module comparison of the scan takes the symbol path.
 func (e *Engine) Search(ctx context.Context, query *Workflow, opts SearchOptions) ([]Result, Stats, error) {
 	if query == nil {
 		return nil, Stats{}, fmt.Errorf("nil query workflow")
+	}
+	if e.syms != nil && !query.ResolvedBy(e.syms) {
+		query = query.Clone()
+		query.ResolveModules(e.syms)
 	}
 	return e.searchView(ctx, query, e.coord.View(), opts)
 }
@@ -395,7 +414,7 @@ func (e *Engine) searchView(ctx context.Context, query *Workflow, v shard.View, 
 		return nil, Stats{}, err
 	}
 	t0 := time.Now()
-	prep := shard.NewScanPrep(m, epoch)
+	prep := shard.NewScanPrepWith(m, epoch, e.labelSim)
 	q := shard.Query{
 		Query:         query,
 		K:             opts.K,
@@ -516,7 +535,7 @@ func (e *Engine) Duplicates(ctx context.Context, threshold float64, opts Duplica
 		return nil, Stats{}, err
 	}
 	t0 := time.Now()
-	prep := shard.NewScanPrep(m, epoch)
+	prep := shard.NewScanPrepWith(m, epoch, e.labelSim)
 	pairs, rstats, err := e.coord.Duplicates(ctx, v, prep, threshold, e.concurrency)
 	if err != nil {
 		return nil, Stats{}, err
@@ -621,7 +640,7 @@ func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*ClusterResu
 	if opts.MinSimilarity != nil {
 		minSim = *opts.MinSimilarity
 	}
-	prep := shard.NewScanPrep(m, epoch)
+	prep := shard.NewScanPrepWith(m, epoch, e.labelSim)
 	mat, _, err := e.coord.Matrix(ctx, v, prep, e.concurrency)
 	if err != nil {
 		return nil, err

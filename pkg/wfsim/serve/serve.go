@@ -552,11 +552,14 @@ type statsResponse struct {
 	Workflows   int      `json:"workflows"`
 	// Index, Cache and Storage are cross-shard aggregates; PerShard holds
 	// the per-shard breakdown (omitted on one shard, where it would repeat
-	// them).
+	// them). Symbols and LabelSim size the two process-lifetime structures
+	// that grow with traffic: the symbol table and the label-similarity memo.
 	Index             *wfsim.IndexStats   `json:"index,omitempty"`
 	Cache             wfsim.CacheStats    `json:"cache"`
 	Storage           *wfsim.StorageStats `json:"storage,omitempty"`
 	PerShard          []wfsim.ShardInfo   `json:"per_shard,omitempty"`
+	Symbols           int                 `json:"symbols"`
+	LabelSim          wfsim.LabelSimStats `json:"label_sim"`
 	ProjectorRebuilds int                 `json:"projector_rebuilds"`
 	UptimeMS          float64             `json:"uptime_ms"`
 	Requests          int64               `json:"requests"`
@@ -569,6 +572,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Generation:        s.eng.Generation(),
 		Workflows:         s.eng.Size(),
 		Cache:             s.eng.CacheStats(),
+		Symbols:           s.eng.Symbols(),
+		LabelSim:          s.eng.LabelSimStats(),
 		ProjectorRebuilds: s.eng.ProjectorRebuilds(),
 		UptimeMS:          float64(time.Since(s.started)) / float64(time.Millisecond),
 		Requests:          s.requests.Load(),

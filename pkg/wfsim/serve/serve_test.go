@@ -292,6 +292,57 @@ func TestRoundTrip(t *testing.T) {
 	}
 }
 
+// TestStatsReportSymbolsAndLabelSim: /v1/stats sizes the two structures that
+// live as long as the process and grow with traffic. A search fills the
+// label-similarity memo; an inline query with a label the corpus has never
+// seen interns it (as ingest would), and a repeat of the same query adds
+// nothing.
+func TestStatsReportSymbolsAndLabelSim(t *testing.T) {
+	ts, _ := newTestServer(t, serve.Config{})
+	type sized struct {
+		Symbols  int `json:"symbols"`
+		LabelSim struct {
+			Entries  int `json:"entries"`
+			Capacity int `json:"capacity"`
+		} `json:"label_sim"`
+	}
+	stats := func() sized {
+		t.Helper()
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var st sized
+		if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	boot := stats()
+	if boot.Symbols == 0 || boot.LabelSim.Entries != 0 || boot.LabelSim.Capacity == 0 {
+		t.Fatalf("stats at boot = %+v, want symbols > 0, no memo entries yet, a capacity", boot)
+	}
+	search := map[string]any{"query": chainWorkflow("q", "fetch_sequence", "never_seen_label"), "measure": "MS_np_ta_pll"}
+	var sr wireSearch
+	if code := postJSON(t, ts.URL+"/v1/search", search, &sr); code != http.StatusOK {
+		t.Fatalf("inline search status = %d (%s)", code, sr.Error)
+	}
+	first := stats()
+	if first.Symbols <= boot.Symbols {
+		t.Errorf("symbols %d -> %d: the inline query's unseen label was not interned", boot.Symbols, first.Symbols)
+	}
+	if first.LabelSim.Entries == 0 || first.LabelSim.Entries > first.LabelSim.Capacity {
+		t.Errorf("label_sim after a search = %+v, want 0 < entries <= capacity", first.LabelSim)
+	}
+	if code := postJSON(t, ts.URL+"/v1/search", search, &sr); code != http.StatusOK {
+		t.Fatalf("repeat search status = %d (%s)", code, sr.Error)
+	}
+	if again := stats(); again != first {
+		t.Errorf("a repeated query moved the sizes: %+v -> %+v", first, again)
+	}
+}
+
 // TestBatchTransactionality: a batch with one bad op must change nothing and
 // come back as a conflict.
 func TestBatchTransactionality(t *testing.T) {

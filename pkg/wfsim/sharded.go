@@ -3,6 +3,7 @@ package wfsim
 import (
 	"fmt"
 
+	"repro/internal/module"
 	"repro/internal/scorecache"
 	"repro/internal/shard"
 	"repro/internal/storage"
@@ -78,6 +79,13 @@ func (e *Engine) open(seed *Repository) error {
 		}
 		perCache = (total + n - 1) / n
 	}
+	// One symbol table for the whole deployment: cross-shard reads compare
+	// and cache-key workflows from different shards, so their interned IDs
+	// must come from the same assignment order. The seed's table is reused so
+	// already-resolved seed workflows keep their IDs (and a seed with
+	// interning disabled stays uninterned: its label memo stays empty).
+	e.syms = seed.Symtab()
+	e.labelSim = module.NewLabelSim()
 	shards := make([]shard.Shard, n)
 	closeBuilt := func() {
 		for _, s := range shards {
@@ -91,13 +99,7 @@ func (e *Engine) open(seed *Repository) error {
 			MinShared: e.minShared,
 			CacheSize: perCache,
 			Seed:      parts[i],
-			// One symbol table for the whole deployment: cross-shard reads
-			// compare and cache-key workflows from different shards, so their
-			// interned IDs must come from the same assignment order. The
-			// seed's table is reused so already-resolved seed workflows keep
-			// their IDs (and a seed with interning disabled stays
-			// uninterned).
-			Symtab: seed.Symtab(),
+			Symtab:    e.syms,
 		}
 		if durable {
 			cfg.Dir = shard.StoreDir(e.storageDir, n, i)

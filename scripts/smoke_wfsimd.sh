@@ -3,11 +3,14 @@
 #
 # Phase 1 (RAM-only): start an empty server, ingest a three-workflow fixture
 # corpus over the NDJSON batch endpoint, run one search, and assert a 200
-# with non-empty results naming the expected twin. Then the cache check (also
-# run at 4 shards in phase 3): search by query_id, commit a batch that
-# touches other IDs, repeat the search — it must still hit the cache, miss
-# at most once per workflow the batch wrote, and return the same result list
-# as a -cache 0 server after the same ingest and batch.
+# with non-empty results naming the expected twin. Then two checks that also
+# run at 4 shards in phase 3. Inline equals stored: the stored body of a
+# workflow posted as an inline query must return the result list its query_id
+# returns, and /v1/stats must size the symbol table and the label-similarity
+# memo those searches filled. The cache check: search by query_id, commit a
+# batch that touches other IDs, repeat the search — it must still hit the
+# cache, miss at most once per workflow the batch wrote, and return the same
+# result list as a -cache 0 server after the same ingest and batch.
 #
 # Phase 2 (durability): start a server with a -data directory, ingest the
 # same fixture, record the generation and the search hit, SIGTERM the
@@ -84,6 +87,33 @@ churn_batch() {
 EOF
 }
 
+# search_inc BODY: a search over the whole corpus, the query itself included.
+search_inc() {
+  curl -fsS -X POST -H 'Content-Type: application/json' \
+    -d "{$1,\"k\":5,\"include_query\":true,\"deadline_ms\":5000}" \
+    "http://$ADDR/v1/search"
+}
+
+# inline_matches_stored: over the freshly ingested fixture on $ADDR. The
+# server scores an inline query on a private copy it resolves against its
+# symbol table, so a's stored body posted inline must rank exactly as
+# query_id a does.
+inline_matches_stored() {
+  local body byid inline stats
+  body=$(curl -fsS "http://$ADDR/v1/workflows/a" | sed -n 's/^{"workflow":\(.*\),"generation":[0-9]*}$/\1/p')
+  [ -n "$body" ] || { echo "smoke: could not extract the stored body of a" >&2; exit 1; }
+  byid=$(search_inc '"query_id":"a"' | result_list)
+  inline=$(search_inc "\"query\":$body" | result_list)
+  [ -n "$byid" ] && [ "$inline" = "$byid" ] || {
+    echo "smoke: a's stored body as an inline query ranks differently from query_id a" >&2
+    echo "  query_id: $byid" >&2
+    echo "  inline:   $inline" >&2; exit 1; }
+  stats=$(curl -fsS "http://$ADDR/v1/stats")
+  echo "$stats" | grep -q '"symbols":[1-9]' || { echo "smoke: stats report no symbols: $stats" >&2; exit 1; }
+  echo "$stats" | grep -q '"label_sim":{"entries":[1-9]' || {
+    echo "smoke: stats report an empty label-similarity memo after searches: $stats" >&2; exit 1; }
+}
+
 # cache_survives_commit SHARDS: over the freshly ingested fixture on $ADDR.
 # Leaves the fixture corpus as it found it (two more commits).
 cache_survives_commit() {
@@ -126,6 +156,7 @@ echo "$OUT" | grep -q '"generation":1' || { echo "smoke: response does not repor
 # reproduce bit-for-bit over directories written by older binaries.
 RESULTS1=$(echo "$OUT" | result_list)
 [ -n "$RESULTS1" ] || { echo "smoke: could not extract result list" >&2; exit 1; }
+inline_matches_stored
 cache_survives_commit 1
 kill "$PID"; wait "$PID" 2>/dev/null || true; PID=""
 echo "smoke: phase 1 (RAM-only) OK"
@@ -168,6 +199,7 @@ mkdir -p "$SDATA"
 PID=$!
 wait_healthy
 ingest_fixture
+inline_matches_stored
 cache_survives_commit 4
 STATS=$(curl -fsS "http://$ADDR/v1/stats")
 echo "smoke: sharded stats: $STATS"
