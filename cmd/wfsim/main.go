@@ -210,9 +210,9 @@ func cmdSearch(args []string) error {
 		}
 	}
 	q := eng.Workflow(*query)
-	fmt.Printf("top-%d for %q (%s) by %s: scored %d, pruned %d, skipped %d in %v (gen %d)\n",
+	fmt.Printf("top-%d for %q (%s) by %s: scored %d, bounded %d, pruned %d, skipped %d in %v (gen %d)\n",
 		*k, q.ID, q.Annotations.Title, stats.Measure,
-		stats.Scored, stats.Pruned, stats.Skipped, stats.Elapsed.Round(time.Millisecond), stats.Generation)
+		stats.Scored, stats.Bounded, stats.Pruned, stats.Skipped, stats.Elapsed.Round(time.Millisecond), stats.Generation)
 	if *cacheSize > 0 {
 		fmt.Printf("score cache: %d hits, %d misses this call; %d hits, %d misses, %d entries total\n",
 			stats.CacheHits, stats.CacheMisses,

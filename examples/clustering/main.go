@@ -65,8 +65,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("query %s: scored %d candidates, pruned %d of %d workflows, %v\n",
-		query.ID, stats.Scored, stats.Pruned, c.Repo.Size(), time.Since(t1).Round(time.Microsecond))
+	fmt.Printf("query %s: scored %d candidates, bounded %d, pruned %d of %d workflows, %v\n",
+		query.ID, stats.Scored, stats.Bounded, stats.Pruned, c.Repo.Size(), time.Since(t1).Round(time.Microsecond))
 
 	exact, _, err := eng.Search(ctx, query, wfsim.SearchOptions{Measure: "MS_ip_te_pll", K: 10, Exact: true})
 	if err != nil {

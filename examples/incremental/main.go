@@ -36,21 +36,22 @@ func main() {
 	ctx := context.Background()
 	queryID := c.Repo.IDs()[0]
 
-	// Cold search: every scored pair is a cache miss.
+	// Cold search: every scored pair is a cache miss; pairs that provably
+	// cannot reach the top 5 are bounded — not looked up, not scored.
 	results, stats, err := eng.SearchID(ctx, queryID, wfsim.SearchOptions{K: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("generation %d | cold search:  %d scored, %d pruned, cache %d/%d hit/miss\n",
-		stats.Generation, stats.Scored, stats.Pruned, stats.CacheHits, stats.CacheMisses)
+	fmt.Printf("generation %d | cold search:  %d scored, %d bounded, %d pruned, cache %d/%d hit/miss\n",
+		stats.Generation, stats.Scored, stats.Bounded, stats.Pruned, stats.CacheHits, stats.CacheMisses)
 
 	// Warm search: identical pairs come straight from the cache.
 	_, stats, err = eng.SearchID(ctx, queryID, wfsim.SearchOptions{K: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("generation %d | warm search:  %d scored, cache %d/%d hit/miss\n",
-		stats.Generation, stats.Scored, stats.CacheHits, stats.CacheMisses)
+	fmt.Printf("generation %d | warm search:  %d scored, %d bounded, cache %d/%d hit/miss\n",
+		stats.Generation, stats.Scored, stats.Bounded, stats.CacheHits, stats.CacheMisses)
 
 	// Mutate the repository: one transactional batch — clone the current
 	// best hit under a new ID, and drop one workflow. Reads in flight keep

@@ -43,8 +43,8 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("top-10 by %s (%v, %d scored, %d skipped):\n",
-			stats.Measure, stats.Elapsed.Round(time.Millisecond), stats.Scored, stats.Skipped)
+		fmt.Printf("top-10 by %s (%v, %d scored, %d bounded, %d skipped):\n",
+			stats.Measure, stats.Elapsed.Round(time.Millisecond), stats.Scored, stats.Bounded, stats.Skipped)
 		for i, r := range results {
 			wf := eng.Workflow(r.ID)
 			marker := " "

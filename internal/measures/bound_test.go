@@ -1,0 +1,186 @@
+package measures
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+
+	"repro/internal/module"
+	"repro/internal/symtab"
+	"repro/internal/workflow"
+)
+
+// The inputs FuzzScoreBound draws modules from: every type identifier the
+// model names plus one it does not, and a small label vocabulary whose edit
+// similarities are mostly fractions float64 cannot represent (1/3, 2/7, …),
+// so sums of weights round at every step.
+var (
+	fuzzTypes = []string{
+		workflow.TypeWSDL, workflow.TypeArbitraryWSDL, workflow.TypeSoaplabWSDL,
+		workflow.TypeBioMoby, workflow.TypeRESTService,
+		workflow.TypeBeanshell, workflow.TypeRShell, workflow.TypeScript,
+		workflow.TypeLocalWorker, workflow.TypeStringConst,
+		workflow.TypeXMLSplitter, workflow.TypeXMLMerger,
+		workflow.TypeDataflow, workflow.TypeTool, workflow.TypeUnknown, "custom",
+	}
+	fuzzLabels = []string{
+		"a", "ab", "abc", "abd", "fetch", "fetch_sequence", "fetchSequence",
+		"blast", "blastp", "align", "align_genomes", "split_string_2",
+	}
+	fuzzTexts = []string{"", "x", "fetch a sequence", "fetch sequences"}
+)
+
+// fuzzWorkflows decodes data into two workflows of at most limit modules
+// each. data[0] picks A's module count and whether both are resolved against
+// one symbol table; three bytes per module follow (type, label, optional
+// attributes), A's modules first.
+func fuzzWorkflows(data []byte, limit int) (a, b *workflow.Workflow) {
+	a, b = workflow.New("a"), workflow.New("b")
+	if len(data) == 0 {
+		return a, b
+	}
+	nA := int(data[0]&0x7f) % (limit + 1)
+	resolve := data[0]&0x80 != 0
+	for i := 1; i+2 < len(data) && b.Size() < limit; i += 3 {
+		x := data[i+2]
+		m := &workflow.Module{
+			Type:        fuzzTypes[int(data[i])%len(fuzzTypes)],
+			Label:       fuzzLabels[int(data[i+1])%len(fuzzLabels)],
+			Description: fuzzTexts[x&3],
+			Script:      fuzzTexts[x>>2&3],
+			ServiceURI:  fuzzTexts[x>>4&3],
+			Authority:   fuzzTexts[x>>6&1],
+		}
+		if a.Size() < nA {
+			a.AddModule(m)
+		} else {
+			b.AddModule(m)
+		}
+	}
+	if resolve {
+		tab := symtab.New()
+		a.Resolve(tab)
+		b.Resolve(tab)
+	}
+	return a, b
+}
+
+// boundConfigs is every Module Sets configuration the bound has to hold for.
+func boundConfigs() []*Structural {
+	var out []*Structural
+	for _, scheme := range []module.Scheme{module.PLL(), module.PLM(), module.PW0(), module.PW3()} {
+		for _, pre := range []module.Preselect{module.AllPairs, module.TypeMatch, module.TypeEquivalence} {
+			for _, mapping := range []MappingKind{MaxWeight, GreedyMapping} {
+				for _, norm := range []bool{true, false} {
+					out = append(out, NewStructural(Config{
+						Topology: ModuleSets, Scheme: scheme, Preselect: pre,
+						Mapping: mapping, Normalize: norm, Memo: module.NewSimMemo(),
+					}))
+				}
+			}
+		}
+	}
+	return out
+}
+
+// matrixBound is the second tier of the kernel's bound, computed the way
+// moduleSets computes it.
+func matrixBound(s *Structural, a, b *workflow.Workflow) float64 {
+	if a.Size() == 0 || b.Size() == 0 {
+		return 0
+	}
+	mx := module.AcquireMatrix(a, b, s.cfg.Scheme, s.cfg.Preselect, s.cfg.Memo)
+	defer mx.Release()
+	return s.msScore(min(float64(s.matchCap(a, b)), mx.MatchBound()), a, b)
+}
+
+// checkScoreBound holds one configuration to the Bounded contract on one
+// ordered pair: both tiers of the bound are at least the score Compare
+// returns in float64, and CompareFloor returns exactly that score unless the
+// tighter tier is below the floor — so never when the score reaches it.
+func checkScoreBound(s *Structural, a, b *workflow.Workflow, floor float64) error {
+	want, err := s.Compare(a, b)
+	if err != nil {
+		return err
+	}
+	tier1, tier2 := s.UpperBound(a, b), matrixBound(s, a, b)
+	if !(tier1 >= want) || !(tier2 >= want) || !(tier1 >= tier2) {
+		return fmt.Errorf("score %v, class-count bound %v, matrix bound %v: want score <= matrix <= class-count", want, tier1, tier2)
+	}
+	up, down := math.Inf(1), math.Inf(-1)
+	for _, f := range []float64{
+		floor, down, up, math.NaN(),
+		want, math.Nextafter(want, up), math.Nextafter(want, down),
+		tier1, math.Nextafter(tier1, up), tier2, math.Nextafter(tier2, up),
+	} {
+		got, below, err := s.CompareFloor(a, b, f)
+		if err != nil {
+			return err
+		}
+		if below != (tier2 < f) {
+			return fmt.Errorf("floor %v: below = %v with score %v and bounds %v, %v", f, below, want, tier1, tier2)
+		}
+		if below && !(got >= want && got < f) {
+			return fmt.Errorf("floor %v: gave up with bound %v on a score of %v", f, got, want)
+		}
+		if !below && math.Float64bits(got) != math.Float64bits(want) {
+			return fmt.Errorf("floor %v: score %v, Compare returns %v", f, got, want)
+		}
+	}
+	return nil
+}
+
+// FuzzScoreBound checks the Module Sets score bound against the score itself
+// on random small workflows, under every scheme × preselection × mapping ×
+// normalisation, in both argument orders, resolved and not.
+func FuzzScoreBound(f *testing.F) {
+	f.Add([]byte{}, 0.5)
+	f.Add([]byte{0}, 0.0)
+	f.Add([]byte{2, 0, 0, 0, 5, 1, 0, 0, 2, 0, 5, 3, 0}, 0.5)
+	// Same classes, differently spelled types; one label against its variants.
+	f.Add([]byte{0x83, 0, 5, 1, 1, 6, 2, 5, 4, 3, 2, 5, 0, 3, 6, 0, 6, 4, 0}, 0.7)
+	// Every class on one side, one class on the other.
+	f.Add([]byte{6, 0, 0, 0, 5, 1, 0, 8, 2, 0, 12, 3, 0, 13, 4, 0, 15, 5, 0, 1, 6, 0xff, 2, 7, 0xff}, 0.25)
+	// Full attribute sets (pw0, pw3 divide by a sum of seven weights).
+	f.Add([]byte{0x84, 0, 5, 0x7b, 1, 6, 0x6e, 5, 9, 0x1b, 9, 10, 0x05, 0, 5, 0x7a, 3, 6, 0x2e, 6, 9, 0x1f, 9, 11, 0x44}, 0.9)
+	// 8 × 8, every label distinct or nearly so.
+	f.Add([]byte{8, 0, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 0, 4, 5, 0, 5, 6, 0, 6, 7, 0, 7, 8,
+		0, 8, 9, 0, 9, 10, 0, 10, 11, 0, 11, 12, 0, 0, 13, 0, 1, 14, 0, 2, 15, 0, 3, 16}, 1.0)
+	configs := boundConfigs()
+	f.Fuzz(func(t *testing.T, data []byte, floor float64) {
+		a, b := fuzzWorkflows(data, 8)
+		for _, s := range configs {
+			if err := checkScoreBound(s, a, b, floor); err != nil {
+				t.Fatalf("%s(a, b): %v", s.Name(), err)
+			}
+			if err := checkScoreBound(s, b, a, floor); err != nil {
+				t.Fatalf("%s(b, a): %v", s.Name(), err)
+			}
+		}
+	})
+}
+
+// TestScoreBoundOnLargerWorkflows runs the fuzz target's check on random
+// pairs of up to 24 modules: sums of that many weights round often enough
+// for a bound that only holds in the reals to show.
+func TestScoreBoundOnLargerWorkflows(t *testing.T) {
+	r := rand.New(rand.NewSource(20))
+	configs := boundConfigs()
+	data := make([]byte, 1+3*48)
+	for i := 0; i < 60; i++ {
+		r.Read(data)
+		if i%2 == 0 {
+			// Few types: large classes, so te and tm leave dense blocks.
+			for j := 1; j < len(data); j += 3 {
+				data[j] %= 3
+			}
+		}
+		a, b := fuzzWorkflows(data, 24)
+		for _, s := range configs {
+			if err := checkScoreBound(s, a, b, r.Float64()); err != nil {
+				t.Fatalf("pair %d, %s: %v", i, s.Name(), err)
+			}
+		}
+	}
+}

@@ -31,6 +31,30 @@ type Measure interface {
 	Compare(a, b *workflow.Workflow) (float64, error)
 }
 
+// Bounded is implemented by measures whose definition yields an exact upper
+// bound on a pair's score for less than the price of the score. A top-k or
+// threshold scan that already knows the lowest score it can still use (its
+// floor) skips the pairs that provably fall below it, with no effect on its
+// result. Both bounds hold for the float64 value Compare returns, not only
+// for the real number it approximates.
+//
+// The bound comes in two strengths because a score cache sits between them:
+// UpperBound costs a few loads per pair and is checked before a cache
+// lookup; CompareFloor may get as far as most of a comparison before it
+// gives up, so it is for pairs nothing will remember. A measure without a
+// bound simply does not implement the interface and is always compared.
+type Bounded interface {
+	// UpperBound returns a value no smaller than Compare(a, b) — +Inf when
+	// the measure knows nothing about the pair — reading only what each
+	// workflow keeps about itself after its first comparison.
+	UpperBound(a, b *workflow.Workflow) float64
+	// CompareFloor is Compare unless the measure can prove, on the way, that
+	// Compare(a, b) < floor. It then stops and reports below = true; the
+	// score returned with it is only an upper bound on Compare's, itself
+	// below floor. below is never true when Compare(a, b) >= floor.
+	CompareFloor(a, b *workflow.Workflow, floor float64) (score float64, below bool, err error)
+}
+
 // PairCounter accumulates module-pair comparison statistics across many
 // workflow comparisons. It backs the paper's runtime observation that type
 // equivalence reduces pairwise module comparisons by a factor of ~2.3.

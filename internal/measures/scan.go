@@ -32,7 +32,7 @@ func (s *Structural) Specialise(memo *module.SimMemo) (Projector, Measure) {
 // "ip" of a projection hoisted out by Specialise) on the specialised inner
 // measure.
 type renamed struct {
-	inner Measure
+	inner *Structural
 	name  string
 }
 
@@ -40,4 +40,12 @@ func (r *renamed) Name() string { return r.name }
 
 func (r *renamed) Compare(a, b *workflow.Workflow) (float64, error) {
 	return r.inner.Compare(a, b)
+}
+
+func (r *renamed) UpperBound(a, b *workflow.Workflow) float64 {
+	return r.inner.UpperBound(a, b)
+}
+
+func (r *renamed) CompareFloor(a, b *workflow.Workflow, floor float64) (float64, bool, error) {
+	return r.inner.CompareFloor(a, b, floor)
 }

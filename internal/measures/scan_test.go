@@ -69,4 +69,14 @@ func TestSpecialisedModuleSetsAllocatesNothing(t *testing.T) {
 	if n := testing.AllocsPerRun(200, func() { inner.Compare(pa, pb) }); n != 0 {
 		t.Errorf("specialised MS_ip_te_pll Compare allocates %v times per warmed pair, want 0", n)
 	}
+	// Neither do the bounds: the class counts they read were built by the
+	// first comparison and are kept on the workflows.
+	bounded := inner.(Bounded)
+	if n := testing.AllocsPerRun(200, func() {
+		bounded.UpperBound(pa, pb)
+		bounded.CompareFloor(pa, pb, got)
+		bounded.CompareFloor(pa, pb, 2)
+	}); n != 0 {
+		t.Errorf("UpperBound and CompareFloor allocate %v times per warmed pair, want 0", n)
+	}
 }

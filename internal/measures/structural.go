@@ -2,6 +2,7 @@ package measures
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"repro/internal/ged"
@@ -141,19 +142,53 @@ func (s *Structural) Name() string {
 
 // Compare computes the configured structural similarity of a and b.
 func (s *Structural) Compare(a, b *workflow.Workflow) (float64, error) {
-	if s.cfg.Project != nil {
-		a = s.cfg.Project(a)
-		b = s.cfg.Project(b)
-	}
+	a, b = s.projected(a, b)
 	switch s.cfg.Topology {
 	case ModuleSets:
-		return s.moduleSets(a, b), nil
+		v, _ := s.moduleSets(a, b, math.Inf(-1))
+		return v, nil
 	case PathSets:
 		return s.pathSets(a, b), nil
 	case GraphEdit:
 		return s.graphEdit(a, b)
 	}
 	return 0, fmt.Errorf("measures: unknown topology %d", s.cfg.Topology)
+}
+
+// UpperBound implements Bounded. Module Sets has a bound (see moduleSets);
+// Path Sets and Graph Edit do not.
+//
+//wfsimvet:hotpath
+func (s *Structural) UpperBound(a, b *workflow.Workflow) float64 {
+	if s.cfg.Topology != ModuleSets {
+		return math.Inf(1)
+	}
+	a, b = s.projected(a, b)
+	if a.Size() == 0 || b.Size() == 0 {
+		return 0
+	}
+	return s.msScore(float64(s.matchCap(a, b)), a, b)
+}
+
+// CompareFloor implements Bounded.
+//
+//wfsimvet:hotpath
+func (s *Structural) CompareFloor(a, b *workflow.Workflow, floor float64) (float64, bool, error) {
+	if s.cfg.Topology != ModuleSets {
+		v, err := s.Compare(a, b)
+		return v, false, err
+	}
+	a, b = s.projected(a, b)
+	v, below := s.moduleSets(a, b, floor)
+	return v, below, nil
+}
+
+// projected applies the configured preprocessing (ip), if any, to both sides.
+func (s *Structural) projected(a, b *workflow.Workflow) (*workflow.Workflow, *workflow.Workflow) {
+	if s.cfg.Project == nil {
+		return a, b
+	}
+	return s.cfg.Project(a), s.cfg.Project(b)
 }
 
 func (s *Structural) match(w matching.Weights) matching.Matching {
@@ -178,15 +213,49 @@ func (s *Structural) matchTotal(w matching.Weights) float64 {
 // memo a comparison allocates nothing: the weight matrix and the Hungarian
 // arrays are pooled scratch.
 //
+// It stops early, reporting below, as soon as the score provably falls under
+// floor (-Inf: never). The score is msScore(nnsim), which is monotone in
+// nnsim — in float64, not only in the reals: the denominator is one rounded
+// subtraction from an exact integer, the quotient one rounded division, and
+// rounding preserves order — so an upper bound on nnsim gives one on the
+// score. Two such bounds exist before the mapping is computed, each at least
+// the nnsim the mapping step would return in float64:
+//
+//   - before any matrix work, matchCap: nnsim adds at most that many
+//     weights, none above 1 (a weight is a quotient sum/wsum whose numerator
+//     adds, attribute by attribute, at most what the denominator adds), and
+//     a float64 sum of k terms <= 1 is at most the exactly representable k;
+//   - once the matrix is filled, module.Matrix.MatchBound (row and column
+//     maxima), which has its own float64 argument.
+//
 //wfsimvet:hotpath
-func (s *Structural) moduleSets(a, b *workflow.Workflow) float64 {
+func (s *Structural) moduleSets(a, b *workflow.Workflow, floor float64) (score float64, below bool) {
 	if a.Size() == 0 || b.Size() == 0 {
-		return 0
+		return 0, 0 < floor
+	}
+	limit := float64(s.matchCap(a, b))
+	if bound := s.msScore(limit, a, b); bound < floor {
+		return bound, true
 	}
 	mx := module.AcquireMatrix(a, b, s.cfg.Scheme, s.cfg.Preselect, s.cfg.Memo)
 	s.cfg.Counter.Add(mx.Stats.Total, mx.Stats.Compared)
+	if bound := s.msScore(min(limit, mx.MatchBound()), a, b); bound < floor {
+		mx.Release()
+		return bound, true
+	}
 	nnsim := s.matchTotal(mx.W)
 	mx.Release()
+	return s.msScore(nnsim, a, b), false
+}
+
+// matchCap bounds the number of module pairs a mapping between a and b can
+// hold under the configured preselection.
+func (s *Structural) matchCap(a, b *workflow.Workflow) int {
+	return s.cfg.Preselect.MatchCap(module.Classes(a), module.Classes(b))
+}
+
+// msScore turns a Module Sets nnsim into the configured score.
+func (s *Structural) msScore(nnsim float64, a, b *workflow.Workflow) float64 {
 	if !s.cfg.Normalize {
 		return nnsim
 	}

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/matching"
 	"repro/internal/workflow"
 )
 
@@ -247,5 +248,87 @@ func BenchmarkWeightMatrix12x12(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		WeightMatrix(wa, wb, s, AllPairs)
+	}
+}
+
+func typedWorkflow(id string, types ...string) *workflow.Workflow {
+	w := workflow.New(id)
+	for _, typ := range types {
+		w.AddModule(&workflow.Module{Label: "step", Type: typ})
+	}
+	return w
+}
+
+// TestClassesAreCachedPerWorkflow: the class summary is built once, kept on
+// the workflow, and dropped when the workflow changes — through AddModule or
+// behind its back.
+func TestClassesAreCachedPerWorkflow(t *testing.T) {
+	w := typedWorkflow("w", workflow.TypeWSDL, workflow.TypeSoaplabWSDL, workflow.TypeBeanshell)
+	if w.ModuleClasses() != nil {
+		t.Fatal("a workflow nothing compared carries a class summary")
+	}
+	c := Classes(w)
+	if c.Count[ClassWebService] != 2 || c.Count[ClassScript] != 1 || TypeClass(c.Of[2]) != ClassScript {
+		t.Errorf("classes = %+v", c)
+	}
+	if Classes(w) != c {
+		t.Error("second call rebuilt the summary")
+	}
+	w.AddModule(&workflow.Module{Type: workflow.TypeTool})
+	if c2 := Classes(w); c2 == c || c2.Count[ClassTool] != 1 || len(c2.Of) != 4 {
+		t.Errorf("summary after AddModule = %+v", c2)
+	}
+	w.Modules = append(w.Modules, &workflow.Module{Type: workflow.TypeTool})
+	if c3 := Classes(w); len(c3.Of) != 5 || c3.Count[ClassTool] != 2 {
+		t.Errorf("summary after a direct append = %+v", c3)
+	}
+}
+
+func TestMatchCap(t *testing.T) {
+	a := typedWorkflow("a", workflow.TypeWSDL, workflow.TypeSoaplabWSDL, workflow.TypeRESTService, workflow.TypeBeanshell, "custom")
+	b := typedWorkflow("b", workflow.TypeWSDL, workflow.TypeRShell, workflow.TypeScript, workflow.TypeTool)
+	for p, want := range map[Preselect]int{AllPairs: 4, TypeMatch: 2, TypeEquivalence: 2} {
+		if got := p.MatchCap(Classes(a), Classes(b)); got != want {
+			t.Errorf("%s: cap %d, want %d", p, got, want)
+		}
+		if got := p.MatchCap(Classes(b), Classes(a)); got != want {
+			t.Errorf("%s, swapped: cap %d, want %d", p, got, want)
+		}
+	}
+}
+
+// TestMatchBoundDominatesEveryMatching: the matrix bound is at least the
+// total of the maximum-weight and of the greedy matching, and is as tight as
+// the smaller side allows when one row (or column) holds all the weight.
+func TestMatchBoundDominatesEveryMatching(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	labels := []string{"fetch", "fetch_sequence", "blast", "blastp", "align", "a", "ab"}
+	types := []string{workflow.TypeWSDL, workflow.TypeBeanshell, workflow.TypeLocalWorker}
+	build := func(id string) *workflow.Workflow {
+		w := workflow.New(id)
+		for i, n := 0, 1+r.Intn(12); i < n; i++ {
+			w.AddModule(&workflow.Module{Label: labels[r.Intn(len(labels))], Type: types[r.Intn(len(types))]})
+		}
+		return w
+	}
+	for i := 0; i < 200; i++ {
+		a, b := build("a"), build("b")
+		for _, p := range []Preselect{AllPairs, TypeMatch, TypeEquivalence} {
+			mx := AcquireMatrix(a, b, PLL(), p, nil)
+			bound := mx.MatchBound()
+			if mw, gr := matching.MaxWeightTotal(mx.W), matching.Greedy(mx.W).TotalWeight(); bound < mw || bound < gr {
+				t.Fatalf("pair %d, %s: bound %v below max-weight %v or greedy %v", i, p, bound, mw, gr)
+			}
+			mx.Release()
+		}
+	}
+	one := typedWorkflow("one", workflow.TypeWSDL)
+	many := typedWorkflow("many", workflow.TypeWSDL, workflow.TypeWSDL, workflow.TypeWSDL)
+	for _, pair := range [][2]*workflow.Workflow{{one, many}, {many, one}} {
+		mx := AcquireMatrix(pair[0], pair[1], PLL(), AllPairs, nil)
+		if got := mx.MatchBound(); got < 1 || got > 1+1e-12 {
+			t.Errorf("%d x %d identical modules: bound %v, want 1", pair[0].Size(), pair[1].Size(), got)
+		}
+		mx.Release()
 	}
 }

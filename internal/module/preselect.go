@@ -89,6 +89,51 @@ func ClassOf(typ string) TypeClass {
 	return ClassOther
 }
 
+// numClasses is the number of type classes; a workflow.ModuleClasses must
+// have a counter for each.
+const numClasses = int(ClassOther) + 1
+
+var _ [workflow.MaxModuleClasses - numClasses]struct{} // numClasses fits
+
+// Classes returns the type class of each of wf's modules and the number of
+// modules per class. The summary is cached on the workflow, so a scan
+// classifies each workflow once, not once per pair.
+//
+//wfsimvet:hotpath
+func Classes(wf *workflow.Workflow) *workflow.ModuleClasses {
+	if c := wf.ModuleClasses(); c != nil {
+		return c
+	}
+	c := &workflow.ModuleClasses{Of: make([]uint8, len(wf.Modules))}
+	for i, m := range wf.Modules {
+		k := ClassOf(m.Type)
+		c.Of[i] = uint8(k)
+		c.Count[k]++
+	}
+	wf.SetModuleClasses(c)
+	return c
+}
+
+// MatchCap returns an upper bound on the number of pairs in any one-to-one
+// mapping between two workflows' modules that uses only pairs the strategy
+// admits. No module-pair weight exceeds 1, so it also bounds the mapping's
+// total weight. Under te a pair maps inside one type class, so a class
+// contributes at most the smaller of its two counts; equal types share a
+// class, so the same sum holds for tm; ta admits everything and leaves the
+// smaller workflow's size.
+//
+//wfsimvet:hotpath
+func (p Preselect) MatchCap(a, b *workflow.ModuleClasses) int {
+	if p == AllPairs {
+		return min(len(a.Of), len(b.Of))
+	}
+	n := 0
+	for c := 0; c < numClasses; c++ {
+		n += int(min(a.Count[c], b.Count[c]))
+	}
+	return n
+}
+
 // Allows reports whether the pair (a, b) is a candidate for comparison
 // under the strategy.
 func (p Preselect) Allows(a, b *workflow.Module) bool {
@@ -128,7 +173,7 @@ func WeightMatrix(a, b *workflow.Workflow, s Scheme, p Preselect) (matching.Weig
 // comparison use AcquireMatrix instead.
 func WeightMatrixMemo(a, b *workflow.Workflow, s Scheme, p Preselect, memo *SimMemo) (matching.Weights, PairStats) {
 	var mx Matrix
-	mx.fill(a.Modules, b.Modules, s, p, memo)
+	mx.fill(a, b, s, p, memo)
 	return mx.W, mx.Stats
 }
 
@@ -143,8 +188,9 @@ type Matrix struct {
 	// Stats counts the module pairs compared.
 	Stats PairStats
 
-	flat []float64
-	cls  []TypeClass // type classes of the column modules, for te
+	flat   []float64
+	rowSum float64   // sum of the row maxima, accumulated in row order
+	colMax []float64 // column maxima
 }
 
 var matrixPool = sync.Pool{New: func() any { return new(Matrix) }}
@@ -155,20 +201,22 @@ var matrixPool = sync.Pool{New: func() any { return new(Matrix) }}
 //wfsimvet:hotpath
 func AcquireMatrix(a, b *workflow.Workflow, s Scheme, p Preselect, memo *SimMemo) *Matrix {
 	mx := matrixPool.Get().(*Matrix)
-	mx.fill(a.Modules, b.Modules, s, p, memo)
+	mx.fill(a, b, s, p, memo)
 	return mx
 }
 
 // Release returns the matrix's storage to the pool.
 func (mx *Matrix) Release() { matrixPool.Put(mx) }
 
-// fill computes the matrix of ma × mb into mx's storage, growing it as
-// needed. Every cell is written — storage is reused, so cells the
-// preselection excludes are zeroed explicitly. Under type equivalence each
-// module's class is computed once, not once per pair.
+// fill computes the matrix of a's × b's modules into mx's storage, growing it
+// as needed. Every cell is written — storage is reused, so cells the
+// preselection excludes are zeroed explicitly. Under type equivalence the
+// classes come from the workflows' cached summaries. The row and column
+// maxima MatchBound needs are gathered as the cells are written.
 //
 //wfsimvet:hotpath
-func (mx *Matrix) fill(ma, mb []*workflow.Module, s Scheme, p Preselect, memo *SimMemo) {
+func (mx *Matrix) fill(a, b *workflow.Workflow, s Scheme, p Preselect, memo *SimMemo) {
+	ma, mb := a.Modules, b.Modules
 	n, m := len(ma), len(mb)
 	if cap(mx.flat) < n*m {
 		mx.flat = make([]float64, n*m)
@@ -177,31 +225,64 @@ func (mx *Matrix) fill(ma, mb []*workflow.Module, s Scheme, p Preselect, memo *S
 		mx.W = make(matching.Weights, n)
 	}
 	mx.W = mx.W[:n]
+	if cap(mx.colMax) < m {
+		mx.colMax = make([]float64, m)
+	}
+	colMax := mx.colMax[:m]
+	mx.colMax = colMax
+	clear(colMax)
+	mx.rowSum = 0
 	te := p == TypeEquivalence
+	var ca, cb []uint8
 	if te {
-		if cap(mx.cls) < m {
-			mx.cls = make([]TypeClass, m)
-		}
-		mx.cls = mx.cls[:m]
-		for j, y := range mb {
-			mx.cls[j] = ClassOf(y.Type)
-		}
+		ca, cb = Classes(a).Of, Classes(b).Of
 	}
 	mx.Stats = PairStats{Total: n * m}
 	for i, x := range ma {
 		row := mx.flat[i*m : (i+1)*m : (i+1)*m]
 		mx.W[i] = row
-		var cx TypeClass
-		if te {
-			cx = ClassOf(x.Type)
-		}
+		var rowMax float64
 		for j, y := range mb {
-			if te && cx != mx.cls[j] || !te && !p.Allows(x, y) {
+			if te && ca[i] != cb[j] || !te && !p.Allows(x, y) {
 				row[j] = 0
 				continue
 			}
 			mx.Stats.Compared++
-			row[j] = s.SimilarityMemo(x, y, memo)
+			w := s.SimilarityMemo(x, y, memo)
+			row[j] = w
+			if w > rowMax {
+				rowMax = w
+			}
+			if w > colMax[j] {
+				colMax[j] = w
+			}
 		}
+		mx.rowSum += rowMax
 	}
+}
+
+// MatchBound returns an upper bound on the total weight, as float64
+// arithmetic computes it, of any matching of the matrix whose pairs are
+// summed in ascending row order (matching.MaxWeightTotal,
+// matching.Greedy(...).TotalWeight()): the smaller of the sum of the row
+// maxima and the sum of the column maxima.
+//
+// A matching uses a row at most once, so its total is the sum over the rows,
+// in row order, of the matched cell or of nothing; the row-maxima sum adds a
+// term at least as large at every step of the same order, and rounding is
+// monotone, so it dominates in float64 exactly. The column-maxima sum
+// dominates in the reals but is added in column order, not in the matching's
+// order, so the two roundings are unrelated: each sum of k non-negative terms
+// is within a factor (1 ± k·2⁻⁵³) of its real value, and the column sum is
+// therefore scaled up by (n + m + 2)·2⁻⁵² — more than both errors and the
+// scaling's own rounding together — before it is trusted.
+//
+//wfsimvet:hotpath
+func (mx *Matrix) MatchBound() float64 {
+	var colSum float64
+	for _, c := range mx.colMax {
+		colSum += c
+	}
+	colSum *= 1 + float64(len(mx.W)+len(mx.colMax)+2)*0x1p-52
+	return min(mx.rowSum, colSum)
 }

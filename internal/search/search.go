@@ -12,6 +12,7 @@ package search
 
 import (
 	"context"
+	"math"
 	"runtime"
 	"slices"
 	"sort"
@@ -62,6 +63,45 @@ type Options struct {
 	// The zero value drops nothing (scores can be negative for
 	// unnormalized GE).
 	MinSimilarity *float64
+	// Floor, when non-nil, is shared with other TopK calls that answer one
+	// query over disjoint parts of a corpus and whose results will be merged
+	// into one top-k: each call then also drops what another call's k-th
+	// result already beats, so its own list may be shorter than its local
+	// top-k, while the merged top-k is unchanged. Nil gives the call a floor
+	// of its own.
+	Floor *Floor
+}
+
+// Floor is the lowest similarity a result can have and still reach the k
+// best of a search: the k-th best similarity seen so far (-Inf until k
+// results exist). It only rises, and workers read it without a lock. A pair
+// whose score is provably below the floor need not be scored (see
+// measures.Bounded); one that merely ties it still must be, because ties are
+// broken by ID.
+type Floor struct {
+	bits atomic.Uint64 // math.Float64bits of the floor
+}
+
+// NewFloor returns a floor at -Inf.
+func NewFloor() *Floor {
+	f := new(Floor)
+	f.bits.Store(math.Float64bits(math.Inf(-1)))
+	return f
+}
+
+// Load returns the current floor.
+//
+//wfsimvet:hotpath
+func (f *Floor) Load() float64 { return math.Float64frombits(f.bits.Load()) }
+
+// Raise lifts the floor to v if v is higher.
+func (f *Floor) Raise(v float64) {
+	for {
+		old := f.bits.Load()
+		if !(v > math.Float64frombits(old)) || f.bits.CompareAndSwap(old, math.Float64bits(v)) {
+			return
+		}
+	}
 }
 
 // Batched distributes the index range [0,n) over a pool of par workers in
@@ -137,12 +177,25 @@ func Batched(ctx context.Context, n, par, batch int, fn func(i int) error) error
 	return firstErr
 }
 
+// floorComparer is the half of measures.Bounded a top-k scan calls.
+type floorComparer interface {
+	CompareFloor(a, b *workflow.Workflow, floor float64) (score float64, below bool, err error)
+}
+
 // TopK scores query against every workflow in repo using m and returns the
 // k best results, ties broken by ID for determinism. Pairs for which the
 // measure errors (e.g. GED timeouts) are skipped, mirroring the paper's
 // treatment of incomputable pairs; the number of skipped pairs is returned.
 // A cancelled or expired context aborts the scan: TopK then returns nil
 // results and the context's error.
+//
+// The k best are kept as the pairs are scored, and the k-th similarity so far
+// is published as the scan's floor. A measure with an exact score bound
+// (measures.Bounded) is asked to score a pair unless it can prove that the
+// pair falls below that floor; every other measure scores every pair. The
+// result is the same either way: a pair among the final k best scores at
+// least the final k-th similarity, which no floor ever exceeds, so it is
+// never proved below one.
 //
 //wfsimvet:hotpath
 func TopK(ctx context.Context, query *workflow.Workflow, repo Corpus, m measures.Measure, opts Options) ([]Result, int, error) {
@@ -151,56 +204,67 @@ func TopK(ctx context.Context, query *workflow.Workflow, repo Corpus, m measures
 		k = 10
 	}
 	wfs := repo.Workflows()
-
-	type scored struct {
-		res  Result
-		ok   bool
-		skip bool
+	floor := opts.Floor
+	if floor == nil {
+		floor = NewFloor()
 	}
-	out := make([]scored, len(wfs))
+	if opts.MinSimilarity != nil {
+		floor.Raise(*opts.MinSimilarity)
+	}
+	bounded, _ := m.(floorComparer)
+
+	// top holds at most k results in SortResults order; a result enters only
+	// if it precedes the current k-th. The order is total (IDs are unique
+	// within a corpus), so top is the sorted prefix of everything scored so
+	// far, whatever order the workers deliver it in.
+	var mu sync.Mutex
+	top := make([]Result, 0, min(k, len(wfs)))
+	skipped := 0
 	err := Batched(ctx, len(wfs), opts.Parallelism, opts.BatchSize, func(i int) error {
 		wf := wfs[i]
 		if !opts.IncludeQuery && wf.ID == query.ID {
 			return nil
 		}
-		s, err := m.Compare(query, wf)
+		var s float64
+		var err error
+		if bounded != nil {
+			var below bool
+			if s, below, err = bounded.CompareFloor(query, wf, floor.Load()); below {
+				return nil
+			}
+		} else {
+			s, err = m.Compare(query, wf)
+		}
 		if err != nil {
-			out[i] = scored{skip: true}
+			mu.Lock()
+			skipped++
+			mu.Unlock()
 			return nil
 		}
-		out[i] = scored{res: Result{ID: wf.ID, Similarity: s}, ok: true}
+		if opts.MinSimilarity != nil && s <= *opts.MinSimilarity || s < floor.Load() {
+			return nil
+		}
+		res := Result{ID: wf.ID, Similarity: s}
+		mu.Lock()
+		defer mu.Unlock()
+		if len(top) == k {
+			if !precedes(res, top[k-1]) {
+				return nil
+			}
+			top = top[:k-1]
+		}
+		at := len(top)
+		for at > 0 && precedes(res, top[at-1]) {
+			at--
+		}
+		top = slices.Insert(top, at, res)
+		if len(top) == k {
+			floor.Raise(top[k-1].Similarity)
+		}
 		return nil
 	})
 	if err != nil {
 		return nil, 0, err
-	}
-
-	// Select the k best as they stream by instead of sorting every
-	// candidate: top holds at most k results in SortResults order, and a
-	// result enters only if it precedes the current k-th. The order is total
-	// (IDs are unique within a corpus), so this is the sorted prefix exactly.
-	top := make([]Result, 0, min(k, len(wfs)))
-	skipped := 0
-	for _, s := range out {
-		switch {
-		case s.skip:
-			skipped++
-		case s.ok:
-			if opts.MinSimilarity != nil && s.res.Similarity <= *opts.MinSimilarity {
-				continue
-			}
-			if len(top) == k {
-				if !precedes(s.res, top[k-1]) {
-					continue
-				}
-				top = top[:k-1]
-			}
-			at := len(top)
-			for at > 0 && precedes(s.res, top[at-1]) {
-				at--
-			}
-			top = slices.Insert(top, at, s.res)
-		}
 	}
 	return top, skipped, nil
 }

@@ -3,6 +3,8 @@ package search
 import (
 	"context"
 	"errors"
+	"math"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/gen"
@@ -272,5 +274,120 @@ func TestTopKSelectionIsSortedPrefix(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// tightBucketMeasure is bucketMeasure with the tightest bound there is: it
+// gives up on exactly the pairs that score below the floor, and counts them.
+// A scan that ever treated "ties the floor" as "below the floor" loses
+// results on these scores, where ties dominate.
+type tightBucketMeasure struct {
+	bucketMeasure
+	below *atomic.Int64
+}
+
+func (m tightBucketMeasure) CompareFloor(a, b *workflow.Workflow, floor float64) (float64, bool, error) {
+	s, err := m.Compare(a, b)
+	if s < floor {
+		m.below.Add(1)
+		return s, true, err
+	}
+	return s, false, err
+}
+
+// TestTopKWithBoundIsSortedPrefix: a measure that refuses every pair below
+// the scan's floor changes nothing about the result — for k below and above
+// the corpus size, one worker or several, with MinSimilarity — and is asked
+// to finish fewer pairs once the k best are known.
+func TestTopKWithBoundIsSortedPrefix(t *testing.T) {
+	c := testCorpus(t)
+	wfs := c.Repo.Workflows()
+	shuffled := make(List, len(wfs))
+	for i, wf := range wfs {
+		shuffled[(i*37)%len(wfs)] = wf
+	}
+	query := workflow.New("not-in-corpus")
+	plain := bucketMeasure{buckets: 5}
+	min := 0.2
+	for _, minSim := range []*float64{nil, &min} {
+		for _, par := range []int{1, 4} {
+			for _, k := range []int{1, 3, 10, len(wfs), len(wfs) + 5} {
+				opts := Options{K: k, MinSimilarity: minSim, Parallelism: par, BatchSize: 3}
+				want, _, err := TopK(context.Background(), query, shuffled, plain, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var below atomic.Int64
+				got, _, err := TopK(context.Background(), query, shuffled, tightBucketMeasure{plain, &below}, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(got) != len(want) {
+					t.Fatalf("k=%d par=%d: %d results with a bound, %d without", k, par, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("k=%d par=%d rank %d: %+v with a bound, %+v without", k, par, i, got[i], want[i])
+					}
+				}
+				if k <= 10 && below.Load() == 0 {
+					t.Errorf("k=%d par=%d: the bound eliminated nothing", k, par)
+				}
+				if k >= len(wfs) && minSim == nil && below.Load() != 0 {
+					t.Errorf("k=%d par=%d: %d pairs eliminated though every pair is a result", k, par, below.Load())
+				}
+			}
+		}
+	}
+}
+
+// TestTopKSharedFloor: two scans over disjoint halves of a corpus that share
+// a floor may each return less than their own top-k, but the merge of the two
+// lists is the top-k of the whole — and the second scan, which starts under
+// the first one's k-th score, finishes fewer pairs than it would alone.
+func TestTopKSharedFloor(t *testing.T) {
+	c := testCorpus(t)
+	wfs := c.Repo.Workflows()
+	query := wfs[0]
+	ms := msMeasure()
+	const k = 5
+	want, _, err := TopK(context.Background(), query, List(wfs), ms, Options{K: k})
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := len(wfs) / 2
+	floor := NewFloor()
+	var merged []Result
+	for _, part := range []List{wfs[:half], wfs[half:]} {
+		res, _, err := TopK(context.Background(), query, part, ms, Options{K: k, Floor: floor})
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged = append(merged, res...)
+	}
+	SortResults(merged)
+	if len(merged) < k {
+		t.Fatalf("%d results from both halves, want at least %d", len(merged), k)
+	}
+	for i := range want {
+		if merged[i] != want[i] {
+			t.Fatalf("rank %d: %+v merged, %+v over the whole corpus", i, merged[i], want[i])
+		}
+	}
+	if got := floor.Load(); got > want[k-1].Similarity {
+		t.Errorf("floor %v ended above the k-th similarity %v", got, want[k-1].Similarity)
+	}
+}
+
+func TestFloorOnlyRises(t *testing.T) {
+	f := NewFloor()
+	if got := f.Load(); !math.IsInf(got, -1) {
+		t.Fatalf("new floor = %v, want -Inf", got)
+	}
+	for _, v := range []float64{-3, 0.5, 0.2, math.NaN(), math.Inf(-1)} {
+		f.Raise(v)
+	}
+	if got := f.Load(); got != 0.5 {
+		t.Errorf("floor = %v after raising to -3, 0.5, 0.2, NaN, -Inf; want 0.5", got)
 	}
 }

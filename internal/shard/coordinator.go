@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"math"
 	"sort"
 	"sync"
 
@@ -240,8 +241,13 @@ func (c *Coordinator) Apply(ops []corpus.Op) ([]uint64, error) {
 
 // Search fans the query out to every pin via search.Batched and merges the
 // per-shard top-k lists into the global top-k (search.SortResults order, so
-// ties break the same at every shard count). Stats are summed across shards.
+// ties break the same at every shard count). The shards share one floor, so
+// each also skips what another's k-th result already beats. Stats are summed
+// across shards.
 func (c *Coordinator) Search(ctx context.Context, v View, prep *ScanPrep, q Query) ([]search.Result, ReadStats, error) {
+	if q.Floor == nil {
+		q.Floor = search.NewFloor()
+	}
 	per := make([][]search.Result, len(v.pins))
 	perStats := make([]ReadStats, len(v.pins))
 	err := search.Batched(ctx, len(v.pins), len(v.pins), 1, func(i int) error {
@@ -300,12 +306,13 @@ func (v View) blocks() []pairBlock {
 // every block of the view's pair triangle is scored by its executor (so a
 // pair always meets the same shard's cache, whichever operation asks),
 // fanned out via search.Batched with each block running its own row pool of
-// width par, the per-shard worker budget. sink(b) returns the emit callback
-// of blocks[b] (see Pin.PairsBlock); stats are summed across blocks.
-func (v View) scanPairs(ctx context.Context, blocks []pairBlock, prep *ScanPrep, par int, sink func(b int) func(i, j int, score float64)) (ReadStats, error) {
+// width par, the per-shard worker budget. Pairs that provably score below
+// floor are not emitted. sink(b) returns the emit callback of blocks[b] (see
+// Pin.PairsBlock); stats are summed across blocks.
+func (v View) scanPairs(ctx context.Context, blocks []pairBlock, prep *ScanPrep, par int, floor float64, sink func(b int) func(i, j int, score float64)) (ReadStats, error) {
 	perStats := make([]ReadStats, len(blocks))
 	err := search.Batched(ctx, len(blocks), len(v.pins), 1, func(b int) error {
-		st, err := blocks[b].exec.PairsBlock(ctx, blocks[b].other, prep, par, sink(b))
+		st, err := blocks[b].exec.PairsBlock(ctx, blocks[b].other, prep, par, floor, sink(b))
 		perStats[b] = st
 		return err
 	})
@@ -320,14 +327,16 @@ func (v View) scanPairs(ctx context.Context, blocks []pairBlock, prep *ScanPrep,
 }
 
 // Duplicates scans the view's global pair triangle for pairs scoring at or
-// above threshold. The merged list is in SortPairs order; pairs are oriented
-// A <= B by ID regardless of which shard executed their block.
+// above threshold, which is also the walk's floor: a pair is kept iff its
+// score reaches the threshold, so one that provably scores below it is never
+// scored. The merged list is in SortPairs order; pairs are oriented A <= B by
+// ID regardless of which shard executed their block.
 func (c *Coordinator) Duplicates(ctx context.Context, v View, prep *ScanPrep, threshold float64, par int) ([]search.Pair, ReadStats, error) {
 	// One bucket per (block, row): a row is scored by one worker, so the
 	// collection needs no lock.
 	blocks := v.blocks()
 	rows := make([][][]search.Pair, len(blocks))
-	stats, err := v.scanPairs(ctx, blocks, prep, par, func(b int) func(i, j int, score float64) {
+	stats, err := v.scanPairs(ctx, blocks, prep, par, threshold, func(b int) func(i, j int, score float64) {
 		xs, ys := blocks[b].exec.Workflows(), blocks[b].cols().Workflows()
 		rows[b] = make([][]search.Pair, len(xs))
 		row := rows[b]
@@ -368,7 +377,7 @@ func (c *Coordinator) Matrix(ctx context.Context, v View, prep *ScanPrep, par in
 		at[wf] = i
 	}
 	blocks := v.blocks()
-	stats, err := v.scanPairs(ctx, blocks, prep, par, func(b int) func(i, j int, score float64) {
+	stats, err := v.scanPairs(ctx, blocks, prep, par, math.Inf(-1), func(b int) func(i, j int, score float64) {
 		rowAt, colAt := matrixIndex(blocks[b].exec, at), matrixIndex(blocks[b].cols(), at)
 		// Each unordered pair belongs to exactly one block cell, so no two
 		// workers ever write the same matrix cell.

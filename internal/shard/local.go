@@ -3,7 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
-	"slices"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -314,12 +314,15 @@ func (p *localPin) Size() int                        { return p.snap.Size() }
 func (p *localPin) Get(id string) *workflow.Workflow { return p.snap.Get(id) }
 func (p *localPin) Workflows() []*workflow.Workflow  { return p.snap.Workflows() }
 
-// searchMeasure adapts one shard's scan state to measures.Measure for the
-// index refine stage and the full-scan TopK: per candidate it routes the
-// pair through the shard's cache and the scan's specialised measure. The
-// query is projected once per scan; a candidate meets the query once, so it
-// is projected only if its pair misses the cache. Compare's first argument
-// is always the query.
+// searchMeasure adapts one shard's scan state to what search.TopK scores
+// with, over the index's candidates or the whole pinned slice alike: per
+// candidate it applies the measure's cheap bound against the scan's floor,
+// then routes the pair through the shard's cache and the scan's specialised
+// measure. The query is projected once per scan. A candidate meets the query
+// once: when the measure has a bound it is projected up front (the bound
+// reads the projection, which the workflow caches), otherwise only if its
+// pair misses the cache. The first argument of Compare and CompareFloor is
+// always the query.
 type searchMeasure struct {
 	pin       *localPin
 	prep      *ScanPrep
@@ -331,7 +334,23 @@ type searchMeasure struct {
 
 func (sm *searchMeasure) Name() string { return sm.prep.Name }
 
-func (sm *searchMeasure) Compare(_, wf *workflow.Workflow) (float64, error) {
+func (sm *searchMeasure) Compare(q, wf *workflow.Workflow) (float64, error) {
+	s, _, err := sm.CompareFloor(q, wf, math.Inf(-1))
+	return s, err
+}
+
+// CompareFloor is what search.TopK calls per candidate.
+//
+//wfsimvet:hotpath
+func (sm *searchMeasure) CompareFloor(_, wf *workflow.Workflow, floor float64) (float64, bool, error) {
+	x, xProj := sm.queryOrig, sm.queryProj
+	y, yProj := wf, (*workflow.Workflow)(nil) // left to the scorer: projected on a cache miss
+	if sm.prep.bounded != nil {
+		yProj = sm.prep.ProjectOne(wf)
+		if sm.scorer.boundedBelow(xProj, yProj, floor) {
+			return 0, true, nil
+		}
+	}
 	// Cache only snapshot-owned candidates: an index candidate captured
 	// across a compaction, or an external query under IncludeQuery, can share
 	// an ID with a corpus workflow without sharing its content.
@@ -339,12 +358,10 @@ func (sm *searchMeasure) Compare(_, wf *workflow.Workflow) (float64, error) {
 	// Evaluate in ID order (see PairsBlock): measures are symmetric in value
 	// but not in bits, and the cache key is orientation-free, so a search
 	// score must be computed exactly as the pair scan would compute it.
-	x, xProj := sm.queryOrig, sm.queryProj
-	y, yProj := wf, (*workflow.Workflow)(nil) // left to the scorer: projected on a cache miss
 	if !workflow.IDsInOrder(x.ID, y.ID) {
 		x, xProj, y, yProj = y, yProj, x, xProj
 	}
-	return sm.scorer.score(x, y, xProj, yProj, cacheable)
+	return sm.scorer.score(x, y, xProj, yProj, cacheable, floor)
 }
 
 // Search implements Pin. The indexed filter-and-refine path is taken when
@@ -383,28 +400,22 @@ func (p *localPin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]searc
 	// otherwise the whole pinned slice. Refine: one top-k kernel over either.
 	var scan search.Corpus = p.snap
 	var pruned int
-	var hasQuery bool // the scanned set holds a workflow with the query's ID
 	if p.idx != nil && p.idx.Generation() == p.snap.Generation() &&
 		!q.Exact && !q.IncludeQuery && q.MinSimilarity == nil {
 		cands, live := p.idx.CaptureCandidates(q.Query, p.s.minShared)
 		scan, pruned = search.List(cands), live-len(cands)
-		hasQuery = slices.ContainsFunc(cands, func(wf *workflow.Workflow) bool { return wf.ID == q.Query.ID })
-	} else {
-		hasQuery = p.snap.Get(q.Query.ID) != nil
 	}
 	results, skipped, err := search.TopK(ctx, q.Query, scan, sm, search.Options{
 		K:             q.K,
 		Parallelism:   q.Par,
 		IncludeQuery:  q.IncludeQuery,
 		MinSimilarity: q.MinSimilarity,
+		Floor:         q.Floor,
 	})
 	if err != nil {
 		return nil, ReadStats{}, err
 	}
-	stats := ReadStats{Skipped: skipped, Pruned: pruned, Scored: len(scan.Workflows()) - skipped}
-	if !q.IncludeQuery && hasQuery {
-		stats.Scored-- // TopK left the query itself out
-	}
+	stats := ReadStats{Skipped: skipped, Pruned: pruned}
 	sm.scorer.fill(&stats)
 	return results, stats, nil
 }
@@ -413,7 +424,7 @@ func (p *localPin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]searc
 // row lengths load-balance.
 //
 //wfsimvet:hotpath
-func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, par int, emit func(i, j int, score float64)) (ReadStats, error) {
+func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, par int, floor float64, emit func(i, j int, score float64)) (ReadStats, error) {
 	self := prep.For(p)
 	var scorer pairScorer
 	scorer.prep = prep
@@ -425,7 +436,7 @@ func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, pa
 		cross = prep.For(other)
 	}
 
-	var skipped, scored atomic.Int64
+	var skipped atomic.Int64
 	err := search.Batched(ctx, len(self.Orig), par, 1, func(i int) error {
 		a, aProj := self.Orig[i], self.Proj[i]
 		j0 := 0
@@ -437,6 +448,9 @@ func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, pa
 				return err
 			}
 			b, bProj := cross.Orig[j], cross.Proj[j]
+			if scorer.boundedBelow(aProj, bProj, floor) {
+				continue
+			}
 			// Evaluate in ID order: measures are symmetric in value but not
 			// always in bits (summation order inside the matcher differs),
 			// so the score must be a function of the unordered pair, not of
@@ -445,12 +459,14 @@ func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, pa
 			if !workflow.IDsInOrder(x.ID, y.ID) {
 				x, xProj, y, yProj = y, yProj, x, xProj
 			}
-			s, err := scorer.score(x, y, xProj, yProj, true)
+			s, below, err := scorer.score(x, y, xProj, yProj, true, floor)
+			if below {
+				continue
+			}
 			if err != nil {
 				skipped.Add(1)
 				continue
 			}
-			scored.Add(1)
 			emit(i, j, s)
 		}
 		return nil
@@ -458,7 +474,7 @@ func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, pa
 	if err != nil {
 		return ReadStats{}, err
 	}
-	stats := ReadStats{Scored: int(scored.Load()), Skipped: int(skipped.Load())}
+	stats := ReadStats{Skipped: int(skipped.Load())}
 	scorer.fill(&stats)
 	return stats, nil
 }

@@ -2,6 +2,7 @@ package shard
 
 import (
 	"context"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -41,6 +42,7 @@ type ScanPrep struct {
 	Epoch uint64
 
 	inner   measures.Measure   // compares pre-projected workflows
+	bounded measures.Bounded   // inner, when it has an exact score bound
 	project measures.Projector // nil when nothing was hoisted
 
 	mu       sync.Mutex
@@ -66,6 +68,7 @@ func NewScanPrepWith(m measures.Measure, epoch uint64, labels *module.LabelSim) 
 	if sp, ok := m.(measures.Specialisable); ok {
 		p.project, p.inner = sp.Specialise(module.NewSimMemoWith(labels))
 	}
+	p.bounded, _ = p.inner.(measures.Bounded)
 	return p
 }
 
@@ -108,11 +111,6 @@ func (p *ScanPrep) ProjectOne(wf *workflow.Workflow) *workflow.Workflow {
 	return p.project(wf)
 }
 
-// Compare scores a pre-projected pair with the scan's specialised measure.
-func (p *ScanPrep) Compare(aProj, bProj *workflow.Workflow) (float64, error) {
-	return p.inner.Compare(aProj, bProj)
-}
-
 // pairKey builds the cache key of the committed pair (a, b): the two
 // workflow-ID symbols plus the two revisions packed into one uint64, ordered
 // to match scorecache.PairKey's symbol canonicalization (the revision of the
@@ -136,26 +134,56 @@ func pairKey(measure string, a, b *workflow.Workflow, epoch uint64) (key scoreca
 }
 
 // pairScorer scores (origin, projected) pairs through a shard's score cache.
-// It is built per scan task; hit/miss counters accumulate into ReadStats.
+// It is built per scan task; its counters accumulate into ReadStats.
 type pairScorer struct {
-	prep  *ScanPrep
-	cache *scorecache.Cache // nil disables caching
-	tab   *symtab.Table     // the owning shard's symbol table (cache keyspace)
-	hits  atomic.Int64
-	miss  atomic.Int64
+	prep    *ScanPrep
+	cache   *scorecache.Cache // nil disables caching
+	tab     *symtab.Table     // the owning shard's symbol table (cache keyspace)
+	hits    atomic.Int64
+	miss    atomic.Int64
+	evals   atomic.Int64 // evaluations that produced a score
+	bounded atomic.Int64 // pairs an exact bound eliminated
 }
 
-// compare scores the pair with the scan's measure. A nil projection means
-// the caller left that side to be projected only if the pair is actually
-// evaluated (a search candidate whose score the cache may already hold).
-func (ps *pairScorer) compare(a, b, aProj, bProj *workflow.Workflow) (float64, error) {
+// boundedBelow reports — and counts — that the pre-projected pair provably
+// scores below floor by the measure's cheap bound. It runs before anything
+// else a pair would cost: a pair it eliminates is never looked up, never
+// evaluated and never cached.
+//
+//wfsimvet:hotpath
+func (ps *pairScorer) boundedBelow(aProj, bProj *workflow.Workflow, floor float64) bool {
+	if ps.prep.bounded == nil || !(ps.prep.bounded.UpperBound(aProj, bProj) < floor) {
+		return false
+	}
+	ps.bounded.Add(1)
+	return true
+}
+
+// compare scores the pair with the scan's measure, giving up (below) once
+// the score provably falls under floor. A nil projection means the caller
+// left that side to be projected only if the pair is actually evaluated (a
+// search candidate whose score the cache may already hold).
+//
+//wfsimvet:hotpath
+func (ps *pairScorer) compare(a, b, aProj, bProj *workflow.Workflow, floor float64) (s float64, below bool, err error) {
 	if aProj == nil {
 		aProj = ps.prep.ProjectOne(a)
 	}
 	if bProj == nil {
 		bProj = ps.prep.ProjectOne(b)
 	}
-	return ps.prep.Compare(aProj, bProj)
+	if ps.prep.bounded != nil {
+		s, below, err = ps.prep.bounded.CompareFloor(aProj, bProj, floor)
+	} else {
+		s, err = ps.prep.inner.Compare(aProj, bProj)
+	}
+	switch {
+	case below:
+		ps.bounded.Add(1)
+	case err == nil:
+		ps.evals.Add(1)
+	}
+	return s, below, err
 }
 
 // score evaluates the pair (a, b), serving and populating the cache when
@@ -163,40 +191,51 @@ func (ps *pairScorer) compare(a, b, aProj, bProj *workflow.Workflow) (float64, e
 // the workflows' interned ID symbols and revisions (pairKey); a side without
 // them (e.g. a repository running without a symbol table) carries no stable
 // cache identity and is scored directly.
-func (ps *pairScorer) score(a, b, aProj, bProj *workflow.Workflow, cacheable bool) (float64, error) {
+//
+// floor is the lowest score the caller can use. A pair the cache will not
+// keep is abandoned (below) as soon as the measure proves it scores under
+// the floor. A pair the cache will keep is always finished and stored, floor
+// or not: the next scan then takes a hit where it would otherwise redo
+// whatever work preceded the proof, on every scan. Callers apply the
+// measure's cheap bound (boundedBelow) before they get here.
+//
+//wfsimvet:hotpath
+func (ps *pairScorer) score(a, b, aProj, bProj *workflow.Workflow, cacheable bool, floor float64) (s float64, below bool, err error) {
 	if ps.cache == nil || !cacheable {
-		return ps.compare(a, b, aProj, bProj)
+		return ps.compare(a, b, aProj, bProj, floor)
 	}
 	if ps.tab == nil || !a.ResolvedBy(ps.tab) || !b.ResolvedBy(ps.tab) {
 		// Symbols are only meaningful relative to the table that assigned
 		// them: a workflow resolved elsewhere (or not at all) could collide
 		// with an unrelated pair's key in this shard's cache keyspace, so
 		// the pair is scored directly instead.
-		return ps.compare(a, b, aProj, bProj)
+		return ps.compare(a, b, aProj, bProj, floor)
 	}
 	key, ok := pairKey(ps.prep.Name, a, b, ps.prep.Epoch)
 	if !ok {
-		return ps.compare(a, b, aProj, bProj)
+		return ps.compare(a, b, aProj, bProj, floor)
 	}
 	if s, ok := ps.cache.Get(key); ok {
 		ps.hits.Add(1)
-		return s, nil
+		return s, false, nil
 	}
 	ps.miss.Add(1)
-	s, err := ps.compare(a, b, aProj, bProj)
+	s, _, err = ps.compare(a, b, aProj, bProj, math.Inf(-1))
 	if err != nil {
 		// Failures (e.g. GED timeouts) are not cached: the budget differs
 		// per call, so a later call may succeed.
-		return s, err
+		return s, false, err
 	}
 	ps.cache.Put(key, s)
-	return s, nil
+	return s, false, nil
 }
 
 // fill copies the scorer's counters into stats.
 func (ps *pairScorer) fill(st *ReadStats) {
 	st.CacheHits += int(ps.hits.Load())
 	st.CacheMisses += int(ps.miss.Load())
+	st.Scored += int(ps.hits.Load() + ps.evals.Load())
+	st.Bounded += int(ps.bounded.Load())
 }
 
 // ReadStats aggregates one shard's (or one merged operation's) scan work.
@@ -206,7 +245,15 @@ type ReadStats struct {
 	// Skipped counts pairs the measure failed on (disregarded, as in the
 	// paper's GED-timeout treatment).
 	Skipped int
-	// Pruned counts workflows the inverted index filtered out unscored.
+	// Bounded counts pairs left unscored because an exact upper bound on
+	// their score (measures.Bounded) fell below what the operation could
+	// still use — the k-th best so far, the duplicate threshold. Results are
+	// the same as if they had been scored. How many pairs end up here rather
+	// than in Scored depends on the order workers reach them; the sum of
+	// Scored, Bounded, Pruned and Skipped does not.
+	Bounded int
+	// Pruned counts workflows the inverted index filtered out unscored — a
+	// heuristic, unlike Bounded.
 	Pruned int
 	// CacheHits / CacheMisses are the scan's score-cache counters.
 	CacheHits   int
@@ -217,6 +264,7 @@ type ReadStats struct {
 func (s *ReadStats) add(o ReadStats) {
 	s.Scored += o.Scored
 	s.Skipped += o.Skipped
+	s.Bounded += o.Bounded
 	s.Pruned += o.Pruned
 	s.CacheHits += o.CacheHits
 	s.CacheMisses += o.CacheMisses
@@ -245,6 +293,10 @@ type Query struct {
 	MinSimilarity *float64
 	// Par bounds each shard's scoring workers on the full-scan path.
 	Par int
+	// Floor is the k-th best similarity found so far by any shard answering
+	// this query (see search.Options.Floor). Coordinator.Search creates one
+	// per call; a pin searched on its own (nil) uses a private one.
+	Floor *search.Floor
 }
 
 // Shard is the boundary between the coordinator and one partition of the
@@ -303,9 +355,11 @@ type Pin interface {
 	// score cache, and hands each score to emit(i, j, score): i indexes the
 	// receiver's Workflows(), j other's (the receiver's own, j > i, for the
 	// triangle). Pairs the measure fails on are counted as skipped and not
-	// emitted. emit runs on the block's workers: calls for one i are
-	// sequential, calls for different i may be concurrent.
-	PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, par int, emit func(i, j int, score float64)) (ReadStats, error)
+	// emitted; neither are pairs that provably score below floor, the lowest
+	// score the caller can use (-Inf: every pair is emitted), which are
+	// counted as bounded. emit runs on the block's workers: calls for one i
+	// are sequential, calls for different i may be concurrent.
+	PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, par int, floor float64, emit func(i, j int, score float64)) (ReadStats, error)
 }
 
 // WarmSpec identifies the projection configuration warm-cache entries are

@@ -56,6 +56,11 @@ type Workflow struct {
 	// as adj.
 	proj atomic.Pointer[projection]
 
+	// classes caches the workflow's module classes (see ModuleClasses), built
+	// on the first comparison that needs them — never at ingest. Atomic for
+	// the same reason as adj.
+	classes atomic.Pointer[ModuleClasses]
+
 	// interned hot representation, resolved at ingest by Resolve and
 	// invalidated by mutation. symID is the workflow ID's symbol;
 	// labelSet is the sorted, deduplicated set of canonical module-label
@@ -112,6 +117,7 @@ func (w *Workflow) AddEdge(from, to int) error {
 func (w *Workflow) invalidate() {
 	w.adj.Store(nil)
 	w.proj.Store(nil)
+	w.classes.Store(nil)
 	w.symID = 0
 	w.rev = 0
 	w.labelSet = nil
@@ -154,6 +160,36 @@ func (w *Workflow) SetProjection(by *ProjectorID, out *Workflow) {
 	}
 	w.proj.Store(&projection{by: by, out: out})
 }
+
+// MaxModuleClasses bounds the number of distinct classes a ModuleClasses
+// summary counts.
+const MaxModuleClasses = 8
+
+// ModuleClasses summarises a workflow's modules by preselection class: Of[i]
+// is the class of Modules[i], Count[c] the number of modules of class c.
+// Package module owns the mapping from module type to class
+// (module.ClassOf) and builds the summary (module.Classes); the workflow
+// only keeps it, so it is computed once per workflow instead of once per
+// compared pair and dies with the workflow. It is immutable once stored.
+type ModuleClasses struct {
+	Of    []uint8
+	Count [MaxModuleClasses]int32
+}
+
+// ModuleClasses returns the summary last stored with SetModuleClasses, or nil
+// when there is none — never stored, cleared by mutation, or stored for a
+// different number of modules (Modules appended to directly).
+func (w *Workflow) ModuleClasses() *ModuleClasses {
+	c := w.classes.Load()
+	if c == nil || len(c.Of) != len(w.Modules) {
+		return nil
+	}
+	return c
+}
+
+// SetModuleClasses stores c as w's class summary. Concurrent first readers
+// build identical summaries; the last store wins.
+func (w *Workflow) SetModuleClasses(c *ModuleClasses) { w.classes.Store(c) }
 
 // Size returns the number of modules, |V|.
 func (w *Workflow) Size() int { return len(w.Modules) }

@@ -344,13 +344,22 @@ type SearchOptions struct {
 type Stats struct {
 	// Measure is the canonical name of the measure used.
 	Measure string
-	// Scored is the number of repository workflows scored exactly.
+	// Scored is the number of pairs evaluated or served from the score
+	// cache.
 	Scored int
 	// Skipped counts pairs the measure failed on (e.g. GED timeouts),
 	// disregarded as in the paper.
 	Skipped int
-	// Pruned is the number of workflows the index filtered out unscored
-	// (0 for exact scans).
+	// Bounded counts pairs left unscored because an exact upper bound on
+	// their score fell below what the call could still use — the k-th best
+	// similarity found so far in a search, the threshold in Duplicates.
+	// Results are exactly those of scoring every pair. How the work splits
+	// between Scored and Bounded depends on the order in which workers reach
+	// the pairs; Scored + Bounded + Pruned + Skipped is always the number of
+	// pairs the call covered (in a search: live workflows, less the query).
+	Bounded int
+	// Pruned is the number of workflows the index filtered out unscored — a
+	// heuristic, unlike Bounded (0 for exact scans).
 	Pruned int
 	// CacheHits counts pairs answered from the score cache (0 when the
 	// engine has no cache; see WithScoreCache).
@@ -396,6 +405,7 @@ func (e *Engine) Search(ctx context.Context, query *Workflow, opts SearchOptions
 func fillRead(stats *Stats, v shard.View, r shard.ReadStats) {
 	stats.Scored = r.Scored
 	stats.Skipped = r.Skipped
+	stats.Bounded = r.Bounded
 	stats.Pruned = r.Pruned
 	stats.CacheHits = r.CacheHits
 	stats.CacheMisses = r.CacheMisses

@@ -83,8 +83,9 @@ func TestSearchBasic(t *testing.T) {
 	if stats.Measure != DefaultMeasure {
 		t.Errorf("stats.Measure = %q, want default %q", stats.Measure, DefaultMeasure)
 	}
-	if stats.Scored != eng.Size()-1 {
-		t.Errorf("Scored = %d, want %d", stats.Scored, eng.Size()-1)
+	if covered(stats) != eng.Size()-1 || stats.Pruned != 0 || stats.Skipped != 0 {
+		t.Errorf("scored %d + bounded %d (pruned %d, skipped %d), want %d pairs covered",
+			stats.Scored, stats.Bounded, stats.Pruned, stats.Skipped, eng.Size()-1)
 	}
 	for i, r := range results {
 		if r.ID == query.ID {
@@ -112,9 +113,9 @@ func TestSearchIndexedMatchesExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Pruned+stats.Scored+stats.Skipped != eng.Size()-1 {
-		t.Errorf("accounting: pruned %d + scored %d + skipped %d vs %d workflows",
-			stats.Pruned, stats.Scored, stats.Skipped, eng.Size())
+	if covered(stats) != eng.Size()-1 {
+		t.Errorf("accounting: pruned %d + scored %d + bounded %d + skipped %d vs %d workflows",
+			stats.Pruned, stats.Scored, stats.Bounded, stats.Skipped, eng.Size())
 	}
 	exact, estats, err := eng.Search(context.Background(), query, SearchOptions{K: 5, Exact: true})
 	if err != nil {
@@ -234,7 +235,7 @@ func TestDuplicatesAndCluster(t *testing.T) {
 		}
 	}
 	n := eng.Size()
-	if dstats.Measure != DefaultMeasure || dstats.Scored != n*(n-1)/2 {
+	if dstats.Measure != DefaultMeasure || covered(dstats) != n*(n-1)/2 {
 		t.Errorf("duplicate stats = %+v", dstats)
 	}
 	minSim := 0.45

@@ -41,19 +41,7 @@ var goldenMeasures = []string{
 func goldenRankings(t *testing.T, stored, held []*Workflow, opts ...Option) []string {
 	t.Helper()
 	ctx := context.Background()
-	clones := make([]*Workflow, len(stored))
-	for i, wf := range stored {
-		clones[i] = wf.Clone()
-	}
-	repo, err := NewRepository(clones...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A generous GED budget: the golden must not depend on machine load.
-	eng, err := New(repo, append([]Option{WithGEDBudget(time.Minute, DefaultGEDBeamWidth)}, opts...)...)
-	if err != nil {
-		t.Fatal(err)
-	}
+	eng := goldenEngine(t, stored, opts...)
 	var lines []string
 	render := func(measure, kind, qid string, res []Result) {
 		var b strings.Builder
@@ -84,7 +72,30 @@ func goldenRankings(t *testing.T, stored, held []*Workflow, opts ...Option) []st
 	return lines
 }
 
-func TestGoldenRankings(t *testing.T) {
+// goldenEngine builds an engine over clones of the stored golden workflows.
+func goldenEngine(t *testing.T, stored []*Workflow, opts ...Option) *Engine {
+	t.Helper()
+	clones := make([]*Workflow, len(stored))
+	for i, wf := range stored {
+		clones[i] = wf.Clone()
+	}
+	repo, err := NewRepository(clones...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A generous GED budget: the golden must not depend on machine load.
+	eng, err := New(repo, append([]Option{WithGEDBudget(time.Minute, DefaultGEDBeamWidth)}, opts...)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return eng
+}
+
+// goldenCorpus generates the golden file's corpus: 60 stored workflows and
+// every sixth one held out as an inline query, so each query has
+// cluster-mates among the stored ones.
+func goldenCorpus(t *testing.T) (stored, held []*Workflow) {
+	t.Helper()
 	p := TavernaProfile()
 	p.Workflows = 72
 	p.Clusters = 6
@@ -92,9 +103,6 @@ func TestGoldenRankings(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Hold out every sixth workflow as an inline query, so each query has
-	// cluster-mates among the 60 stored ones.
-	var stored, held []*Workflow
 	for i, wf := range c.Repo.Workflows() {
 		if i%6 == 5 {
 			held = append(held, wf)
@@ -102,6 +110,11 @@ func TestGoldenRankings(t *testing.T) {
 			stored = append(stored, wf)
 		}
 	}
+	return stored, held
+}
+
+func TestGoldenRankings(t *testing.T) {
+	stored, held := goldenCorpus(t)
 
 	var want map[string][]string // index mode -> lines
 	if !*updateGolden {

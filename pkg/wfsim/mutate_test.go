@@ -259,8 +259,9 @@ func TestSearchPinsPreMutationSnapshot(t *testing.T) {
 
 // TestWarmDuplicatesZeroEvaluations is the score-cache acceptance test, at
 // 1, 2 and 4 shards: a repeated Duplicates run with a warm cache performs
-// zero pairwise measure evaluations (hit counter equals pair count) and
-// matches the cold run exactly, and so does a Cluster after it — both walk
+// zero pairwise measure evaluations (hits plus bounded pairs equal the pair
+// count — a pair a measure's bound puts below the threshold is never looked
+// up, evaluated or cached, cold or warm) and matches the cold run exactly, and so does a Cluster after it — both walk
 // the same pair blocks, so a cross-shard pair meets the same shard's cache
 // whichever operation asks.
 func TestWarmDuplicatesZeroEvaluations(t *testing.T) {
@@ -279,8 +280,8 @@ func TestWarmDuplicatesZeroEvaluations(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if coldStats.CacheMisses != pairCount || coldStats.CacheHits != 0 {
-				t.Errorf("cold run: hits %d misses %d, want 0/%d", coldStats.CacheHits, coldStats.CacheMisses, pairCount)
+			if coldStats.CacheMisses+coldStats.Bounded != pairCount || coldStats.CacheHits != 0 {
+				t.Errorf("cold run: hits %d misses %d bounded %d, want 0 hits and %d pairs", coldStats.CacheHits, coldStats.CacheMisses, coldStats.Bounded, pairCount)
 			}
 			evalsAfterCold := cm.calls.Load()
 
@@ -291,8 +292,11 @@ func TestWarmDuplicatesZeroEvaluations(t *testing.T) {
 			if got := cm.calls.Load(); got != evalsAfterCold {
 				t.Errorf("warm run evaluated %d pairs, want 0", got-evalsAfterCold)
 			}
-			if warmStats.CacheHits != pairCount || warmStats.CacheMisses != 0 {
-				t.Errorf("warm run: hits %d misses %d, want %d/0", warmStats.CacheHits, warmStats.CacheMisses, pairCount)
+			if warmStats.CacheHits+warmStats.Bounded != pairCount || warmStats.CacheMisses != 0 {
+				t.Errorf("warm run: hits %d bounded %d misses %d, want %d pairs and 0 misses", warmStats.CacheHits, warmStats.Bounded, warmStats.CacheMisses, pairCount)
+			}
+			if coldStats.Bounded != 0 || warmStats.Bounded != 0 {
+				t.Errorf("a measure without a bound had %d + %d pairs bounded", coldStats.Bounded, warmStats.Bounded)
 			}
 			if !reflect.DeepEqual(cold, warm) {
 				t.Errorf("warm results diverge from cold:\ncold %v\nwarm %v", cold, warm)

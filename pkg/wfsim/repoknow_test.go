@@ -233,15 +233,17 @@ func TestProjectorEpochRetiresCachedScores(t *testing.T) {
 	n := eng.Size()
 	pairCount := n * (n - 1) / 2
 
+	// A pair the measure's bound puts below the threshold is never looked up,
+	// cold or warm; every other pair misses cold and hits warm.
 	if _, stats, err := eng.Duplicates(ctx, 0.1, DuplicateOptions{Measure: measure}); err != nil {
 		t.Fatal(err)
-	} else if stats.CacheMisses != pairCount {
-		t.Fatalf("cold run misses = %d, want %d", stats.CacheMisses, pairCount)
+	} else if stats.CacheMisses+stats.Bounded != pairCount || stats.CacheMisses == 0 {
+		t.Fatalf("cold run: %d misses + %d bounded, want %d pairs", stats.CacheMisses, stats.Bounded, pairCount)
 	}
 	if _, stats, err := eng.Duplicates(ctx, 0.1, DuplicateOptions{Measure: measure}); err != nil {
 		t.Fatal(err)
-	} else if stats.CacheHits != pairCount {
-		t.Fatalf("warm run hits = %d, want %d", stats.CacheHits, pairCount)
+	} else if stats.CacheHits+stats.Bounded != pairCount || stats.CacheMisses != 0 {
+		t.Fatalf("warm run: %d hits + %d bounded / %d misses, want %d pairs / 0", stats.CacheHits, stats.Bounded, stats.CacheMisses, pairCount)
 	}
 
 	// A projector swap at the same generation: the warm scores were computed
@@ -251,7 +253,7 @@ func TestProjectorEpochRetiresCachedScores(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.CacheHits != 0 || stats.CacheMisses != pairCount {
-		t.Errorf("post-SetProjector run: hits %d misses %d, want 0/%d (stale projection served)", stats.CacheHits, stats.CacheMisses, pairCount)
+	if stats.CacheHits != 0 || stats.CacheMisses+stats.Bounded != pairCount {
+		t.Errorf("post-SetProjector run: hits %d misses %d bounded %d, want 0 hits over %d pairs (stale projection served)", stats.CacheHits, stats.CacheMisses, stats.Bounded, pairCount)
 	}
 }

@@ -168,6 +168,7 @@ type statsPayload struct {
 	Measure     string   `json:"measure"`
 	Scored      int      `json:"scored"`
 	Skipped     int      `json:"skipped"`
+	Bounded     int      `json:"bounded,omitempty"`
 	Pruned      int      `json:"pruned,omitempty"`
 	CacheHits   int      `json:"cache_hits"`
 	CacheMisses int      `json:"cache_misses"`
@@ -181,6 +182,7 @@ func (s *Server) toStatsPayload(st wfsim.Stats) statsPayload {
 		Measure:     st.Measure,
 		Scored:      st.Scored,
 		Skipped:     st.Skipped,
+		Bounded:     st.Bounded,
 		Pruned:      st.Pruned,
 		CacheHits:   st.CacheHits,
 		CacheMisses: st.CacheMisses,

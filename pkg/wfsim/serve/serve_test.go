@@ -90,6 +90,7 @@ type wireStats struct {
 	Measure     string  `json:"measure"`
 	Scored      int     `json:"scored"`
 	Skipped     int     `json:"skipped"`
+	Bounded     int     `json:"bounded"`
 	CacheHits   int     `json:"cache_hits"`
 	CacheMisses int     `json:"cache_misses"`
 	Generation  uint64  `json:"generation"`
@@ -183,7 +184,9 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	// Duplicates: warm the cache, then verify the repeated call reports
-	// hits — the response carries the call's cache counters.
+	// hits — the response carries the call's cache counters. A pair the
+	// measure's bound puts below the threshold is never looked up, cold or
+	// warm; every other pair is.
 	var dr struct {
 		Pairs []struct {
 			A, B       string
@@ -199,15 +202,15 @@ func TestRoundTrip(t *testing.T) {
 	cold := dr.Stats
 	// Earlier searches may have warmed some pairs; every pair is accounted
 	// for either way.
-	if cold.CacheHits+cold.CacheMisses != pairCount {
-		t.Errorf("cold duplicates cache counters = %d/%d, want sum %d", cold.CacheHits, cold.CacheMisses, pairCount)
+	if cold.CacheHits+cold.CacheMisses+cold.Bounded != pairCount {
+		t.Errorf("cold duplicates: %d hits + %d misses + %d bounded, want sum %d", cold.CacheHits, cold.CacheMisses, cold.Bounded, pairCount)
 	}
 	if status := postJSON(t, ts.URL+"/v1/duplicates", map[string]any{"threshold": 0.2}, &dr); status != http.StatusOK {
 		t.Fatalf("warm duplicates status = %d", status)
 	}
-	if dr.Stats.CacheHits != pairCount || dr.Stats.CacheMisses != 0 {
-		t.Errorf("warm duplicates cache counters = %d/%d, want %d/0",
-			dr.Stats.CacheHits, dr.Stats.CacheMisses, pairCount)
+	if dr.Stats.CacheHits+dr.Stats.Bounded != pairCount || dr.Stats.CacheMisses != 0 || dr.Stats.Bounded != cold.Bounded {
+		t.Errorf("warm duplicates: %d hits + %d bounded / %d misses, want sum %d (%d bounded) / 0",
+			dr.Stats.CacheHits, dr.Stats.Bounded, dr.Stats.CacheMisses, pairCount, cold.Bounded)
 	}
 
 	// Compare and cluster.
