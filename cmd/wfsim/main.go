@@ -180,7 +180,7 @@ func cmdSearch(args []string) error {
 	measureName := fs.String("measure", "", "measure name (default MS_ip_te_pll)")
 	k := fs.Int("k", 10, "number of results")
 	timeout := fs.Duration("timeout", 0, "whole-search deadline (0 = none)")
-	useIndex := fs.Bool("index", false, "filter-and-refine via the inverted label index")
+	useIndex := fs.Bool("index", false, "filter-and-refine via the inverted label index (measures without an exact score bound only; Module Sets searches stay exact)")
 	minShared := fs.Int("min-shared", 1, "index filter knob: min shared canonical labels (implies -index when > 1)")
 	cacheSize := fs.Int("cache", 0, "pairwise score cache capacity (0 = no cache)")
 	repeat := fs.Int("repeat", 1, "run the search N times (shows cache warm-up)")

@@ -21,6 +21,16 @@
 // -corpus may only be combined with a -data directory that holds no state
 // yet; the preload then becomes the baseline snapshot.
 //
+// -index maintains an inverted label index over the corpus. A search uses it
+// only when its measure offers nothing better: Module Sets measures (the
+// default MS_ip_te_pll among them) have an exact score bound, so their
+// searches scan every workflow, skip most of them by the bound and return the
+// exact top-k ("pruned" is absent from their stats); Path Sets, Graph Edit,
+// BW/BT and ensembles score only the workflows sharing at least -min-shared
+// labels with the query — a heuristic — and report the rest as "pruned".
+// -cache N is the score cache's capacity in entries (about 60 bytes each,
+// allocated at start-up).
+//
 // The corpus is partitioned across -shards N in-process shards (default 1)
 // by consistent-hashed workflow ID: mutation batches commit all-or-nothing
 // across the touched shards and reads scatter-gather over all of them. With
@@ -63,7 +73,7 @@ func run(args []string) error {
 	shards := fs.Int("shards", 1, "partition the corpus across N in-process shards; a -data directory reopens only with the count it was written with")
 	compactBytes := fs.Int64("compact-bytes", 0, "compact the mutation log past this many bytes (0 = default 8 MiB)")
 	compactRecords := fs.Int("compact-records", 0, "compact the mutation log past this many records (0 = default 4096)")
-	useIndex := fs.Bool("index", false, "enable filter-and-refine inverted-index acceleration")
+	useIndex := fs.Bool("index", false, "maintain an inverted label index for searches under measures without an exact score bound (PS, GE, BW, BT, ensembles); Module Sets searches stay exact")
 	minShared := fs.Int("min-shared", 1, "index candidate threshold (shared canonical labels)")
 	cacheSize := fs.Int("cache", 1<<16, "pairwise score cache entries (0 disables)")
 	repoKnow := fs.Bool("repoknow", false, "derive the importance projection from repository IDF instead of module types")

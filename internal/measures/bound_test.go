@@ -104,7 +104,8 @@ func checkScoreBound(s *Structural, a, b *workflow.Workflow, floor float64) erro
 	if err != nil {
 		return err
 	}
-	tier1, tier2 := s.UpperBound(a, b), matrixBound(s, a, b)
+	bounded := boundedModuleSets{s}
+	tier1, tier2 := bounded.UpperBound(a, b), matrixBound(s, a, b)
 	if !(tier1 >= want) || !(tier2 >= want) || !(tier1 >= tier2) {
 		return fmt.Errorf("score %v, class-count bound %v, matrix bound %v: want score <= matrix <= class-count", want, tier1, tier2)
 	}
@@ -114,7 +115,7 @@ func checkScoreBound(s *Structural, a, b *workflow.Workflow, floor float64) erro
 		want, math.Nextafter(want, up), math.Nextafter(want, down),
 		tier1, math.Nextafter(tier1, up), tier2, math.Nextafter(tier2, up),
 	} {
-		got, below, err := s.CompareFloor(a, b, f)
+		got, below, err := bounded.CompareFloor(a, b, f)
 		if err != nil {
 			return err
 		}
@@ -181,6 +182,32 @@ func TestScoreBoundOnLargerWorkflows(t *testing.T) {
 			if err := checkScoreBound(s, a, b, r.Float64()); err != nil {
 				t.Fatalf("pair %d, %s: %v", i, s.Name(), err)
 			}
+		}
+	}
+}
+
+// TestOnlyModuleSetsIsBounded: a measure without a bound does not implement
+// Bounded — as parsed, as built, or as specialised for a scan.
+func TestOnlyModuleSetsIsBounded(t *testing.T) {
+	for _, name := range []string{"MS_np_ta_pll", "MS_np_te_pw3_greedy_nonorm", "PS_np_ta_pll", "GE_np_ta_pll", "BW", "ENS(BW+MS_np_ta_pll)"} {
+		m, err := Parse(name, ParseOptions{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := name[:2] == "MS"
+		if _, ok := m.(Bounded); ok != want {
+			t.Errorf("Parse(%q) implements Bounded: %v, want %v", name, ok, want)
+		}
+		sp, ok := m.(Specialisable)
+		if !ok {
+			continue
+		}
+		if _, bare := m.(*Structural); bare == want {
+			t.Errorf("Parse(%q) is a bare *Structural: %v, want %v", name, bare, !want)
+		}
+		_, inner := sp.Specialise(module.NewSimMemo())
+		if _, ok := inner.(Bounded); ok != want || inner.Name() != name {
+			t.Errorf("%q specialised: implements Bounded %v (want %v), named %q", name, ok, want, inner.Name())
 		}
 	}
 }

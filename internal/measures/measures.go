@@ -42,7 +42,10 @@ type Measure interface {
 // UpperBound costs a few loads per pair and is checked before a cache
 // lookup; CompareFloor may get as far as most of a comparison before it
 // gives up, so it is for pairs nothing will remember. A measure without a
-// bound simply does not implement the interface and is always compared.
+// bound simply does not implement the interface and is always compared —
+// which is also how a scan tells whether to trust the bound or a heuristic
+// candidate filter, so an implementation that could only answer +Inf must
+// not exist (Structural.WithBound).
 type Bounded interface {
 	// UpperBound returns a value no smaller than Compare(a, b) — +Inf when
 	// the measure knows nothing about the pair — reading only what each

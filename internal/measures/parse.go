@@ -104,5 +104,5 @@ func Parse(name string, opts ParseOptions) (Measure, error) {
 			return nil, fmt.Errorf("measures: unknown suffix %q in %q", suffix, name)
 		}
 	}
-	return NewStructural(cfg), nil
+	return NewStructural(cfg).WithBound(), nil
 }

@@ -25,7 +25,11 @@ func (s *Structural) Specialise(memo *module.SimMemo) (Projector, Measure) {
 	project := cfg.Project
 	cfg.Project = nil
 	cfg.Memo = memo
-	return project, &renamed{inner: NewStructural(cfg), name: s.Name()}
+	r := renamed{inner: NewStructural(cfg), name: s.Name()}
+	if b, ok := r.inner.WithBound().(boundedModuleSets); ok {
+		return project, renamedBounded{r, b}
+	}
+	return project, r
 }
 
 // renamed preserves the un-specialised measure's notation name (e.g. the
@@ -36,16 +40,14 @@ type renamed struct {
 	name  string
 }
 
-func (r *renamed) Name() string { return r.name }
+func (r renamed) Name() string { return r.name }
 
-func (r *renamed) Compare(a, b *workflow.Workflow) (float64, error) {
+func (r renamed) Compare(a, b *workflow.Workflow) (float64, error) {
 	return r.inner.Compare(a, b)
 }
 
-func (r *renamed) UpperBound(a, b *workflow.Workflow) float64 {
-	return r.inner.UpperBound(a, b)
-}
-
-func (r *renamed) CompareFloor(a, b *workflow.Workflow, floor float64) (float64, bool, error) {
-	return r.inner.CompareFloor(a, b, floor)
+// renamedBounded is renamed for a measure that has a score bound.
+type renamedBounded struct {
+	renamed
+	boundedModuleSets
 }

@@ -155,14 +155,25 @@ func (s *Structural) Compare(a, b *workflow.Workflow) (float64, error) {
 	return 0, fmt.Errorf("measures: unknown topology %d", s.cfg.Topology)
 }
 
-// UpperBound implements Bounded. Module Sets has a bound (see moduleSets);
-// Path Sets and Graph Edit do not.
+// boundedModuleSets is a Module Sets measure together with its exact score
+// bound (see moduleSets). Path Sets and Graph Edit have no bound, so a
+// Structural on its own does not implement Bounded; WithBound adds it where
+// it exists.
+type boundedModuleSets struct{ *Structural }
+
+// WithBound returns s in the form to hand to a scan: implementing Bounded
+// when the topology has a bound, s itself when it has none.
+func (s *Structural) WithBound() Measure {
+	if s.cfg.Topology != ModuleSets {
+		return s
+	}
+	return boundedModuleSets{s}
+}
+
+// UpperBound implements Bounded.
 //
 //wfsimvet:hotpath
-func (s *Structural) UpperBound(a, b *workflow.Workflow) float64 {
-	if s.cfg.Topology != ModuleSets {
-		return math.Inf(1)
-	}
+func (s boundedModuleSets) UpperBound(a, b *workflow.Workflow) float64 {
 	a, b = s.projected(a, b)
 	if a.Size() == 0 || b.Size() == 0 {
 		return 0
@@ -173,11 +184,7 @@ func (s *Structural) UpperBound(a, b *workflow.Workflow) float64 {
 // CompareFloor implements Bounded.
 //
 //wfsimvet:hotpath
-func (s *Structural) CompareFloor(a, b *workflow.Workflow, floor float64) (float64, bool, error) {
-	if s.cfg.Topology != ModuleSets {
-		v, err := s.Compare(a, b)
-		return v, false, err
-	}
+func (s boundedModuleSets) CompareFloor(a, b *workflow.Workflow, floor float64) (float64, bool, error) {
 	a, b = s.projected(a, b)
 	v, below := s.moduleSets(a, b, floor)
 	return v, below, nil

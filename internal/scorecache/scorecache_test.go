@@ -1,6 +1,8 @@
 package scorecache
 
 import (
+	"fmt"
+	"maps"
 	"sync"
 	"testing"
 )
@@ -60,31 +62,40 @@ func TestGetPutAndCounters(t *testing.T) {
 	}
 }
 
-func TestLRUEviction(t *testing.T) {
-	c := New(shardCount) // one entry per shard
-	var keys []Key
-	for i := 0; i < 10*shardCount; i++ {
-		k := PairKey("m", uint32(2*i+1), uint32(2*i+2), 1, 0)
-		keys = append(keys, k)
-		c.Put(k, float64(i))
-	}
-	if n := c.Len(); n > shardCount {
-		t.Errorf("cache over capacity: %d entries", n)
-	}
-	// The oldest keys of each shard must be gone.
-	present := 0
-	for _, k := range keys {
-		if _, ok := c.Get(k); ok {
-			present++
+// checkCapacity fills c with three times want distinct keys: it must hold
+// most of want entries and never more.
+func checkCapacity(t *testing.T, c *Cache, want int) {
+	t.Helper()
+	for i := 0; i < 3*want; i++ {
+		c.Put(PairKey("m", uint32(i+1), uint32(i+2), 1, 0), float64(i))
+		if n := c.Len(); n > want {
+			t.Fatalf("%d entries after %d puts into a cache of %d", n, i+1, want)
 		}
 	}
-	if present > shardCount {
-		t.Errorf("%d entries survived in a %d-capacity cache", present, shardCount)
+	// Keys spread over the lock shards by hash, so a shard can fill (and
+	// evict) a little before the whole cache has.
+	st := c.Stats()
+	if st.Entries < want*9/10 {
+		t.Errorf("%d entries after %d distinct puts, want close to %d", st.Entries, 3*want, want)
 	}
-	// Every Put that did not grow the cache pushed an entry out, and only
-	// those did.
-	if st := c.Stats(); st.Evictions != uint64(len(keys)-st.Entries) {
-		t.Errorf("evictions = %d after %d puts into %d entries, want %d", st.Evictions, len(keys), st.Entries, len(keys)-st.Entries)
+	if st.Evictions != uint64(3*want-st.Entries) {
+		t.Errorf("%d evictions after %d distinct puts into %d entries", st.Evictions, 3*want, st.Entries)
+	}
+}
+
+func TestCapacityIsTheConfiguredSize(t *testing.T) {
+	for _, size := range []int{1, 2, 3, 15, 16, 17, 100, 4096} {
+		t.Run(fmt.Sprint(size), func(t *testing.T) { checkCapacity(t, New(size), size) })
+	}
+}
+
+func TestDefaultSize(t *testing.T) {
+	c := New(0)
+	for i := 0; i < 2*DefaultSize; i++ {
+		c.Put(PairKey("m", uint32(i+1), uint32(i+2), 1, 0), float64(i))
+	}
+	if n := c.Len(); n > DefaultSize || n < DefaultSize*9/10 {
+		t.Errorf("New(0) holds %d entries after %d distinct puts, want DefaultSize (%d) or close to it", n, 2*DefaultSize, DefaultSize)
 	}
 }
 
@@ -96,24 +107,21 @@ func TestConcurrentAccess(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
-				k := PairKey("m", uint32(i%100+1), uint32((i+w)%100+101), uint64(i%3), 0)
+				k := PairKey(fmt.Sprint("m", i%5), uint32(i%100+1), uint32((i+w)%100+101), uint64(i%3), 0)
 				if v, ok := c.Get(k); ok && v < 0 {
 					t.Error("negative score")
 				}
 				c.Put(k, float64(i))
+				if i%500 == 0 {
+					c.Export(nil)
+					c.Stats()
+				}
 			}
 		}(w)
 	}
 	wg.Wait()
 	if c.Len() == 0 {
 		t.Error("empty after concurrent fill")
-	}
-}
-
-func TestDefaultSize(t *testing.T) {
-	c := New(0)
-	if c.perShardCap*shardCount < DefaultSize {
-		t.Errorf("default capacity too small: %d", c.perShardCap*shardCount)
 	}
 }
 
@@ -132,12 +140,57 @@ func TestExportFiltersWithoutTouchingRecency(t *testing.T) {
 		t.Fatalf("filtered export returned %d entries, want 4", len(rev1))
 	}
 	for _, e := range rev1 {
-		if e.Key.Rev != 1 {
-			t.Fatalf("filter leaked entry %+v", e)
+		if e.Key.Rev != 1 || e.Key.Measure != "MS" || e.Score != float64(e.Key.A-1)/10 {
+			t.Fatalf("filter leaked or garbled entry %+v", e)
 		}
 	}
 	// Export is a read: hit/miss counters stay untouched.
 	if st := c.Stats(); st.Hits != 0 || st.Misses != 0 {
 		t.Errorf("Export moved counters: %+v", st)
+	}
+
+	// Nor does it count as a use: a cache exported before every operation
+	// evicts exactly what its unexported twin evicts.
+	quiet, exported := New(48), New(48)
+	for i := 0; i < 2000; i++ {
+		k := PairKey("MS", uint32(i*7%150+1), 999, 1, 0)
+		for _, c := range []*Cache{quiet, exported} {
+			if i%3 == 0 {
+				c.Get(k)
+			} else {
+				c.Put(k, float64(i))
+			}
+		}
+		exported.Export(nil)
+	}
+	if a, b := contents(quiet), contents(exported); !maps.Equal(a, b) {
+		t.Errorf("exporting changed what the cache keeps:\n without %v\n with    %v", a, b)
+	}
+}
+
+// contents is the cache as a map.
+func contents(c *Cache) map[Key]float64 {
+	out := map[Key]float64{}
+	for _, e := range c.Export(nil) {
+		out[e.Key] = e.Score
+	}
+	return out
+}
+
+// TestMeasureNamesAreBounded: past maxMeasures distinct names the cache
+// declines new ones — and keeps serving the ones it has.
+func TestMeasureNamesAreBounded(t *testing.T) {
+	c := New(64)
+	for i := 0; i < maxMeasures; i++ {
+		c.measureID(fmt.Sprint("m", i), true)
+	}
+	first, extra := PairKey("m0", 1, 2, 1, 0), PairKey("one too many", 1, 2, 1, 0)
+	c.Put(first, 0.25)
+	c.Put(extra, 0.5)
+	if _, ok := c.Get(extra); ok {
+		t.Error("a score under an uninterned measure name was served")
+	}
+	if v, ok := c.Get(first); !ok || v != 0.25 || c.Len() != 1 {
+		t.Errorf("Get under an interned name = %v/%v with %d entries, want 0.25/true with 1", v, ok, c.Len())
 	}
 }

@@ -132,6 +132,9 @@ func Batched(ctx context.Context, n, par, batch int, fn func(i int) error) error
 			batch = 64
 		}
 	}
+	// Polling the channel costs a load per item; ctx.Err() would take the
+	// context's mutex — two of them under a deadline — per item.
+	done := ctx.Done()
 	var cursor atomic.Int64
 	var stop atomic.Bool
 	var mu sync.Mutex
@@ -159,9 +162,11 @@ func Batched(ctx context.Context, n, par, batch int, fn func(i int) error) error
 					end = n
 				}
 				for i := start; i < end; i++ {
-					if err := ctx.Err(); err != nil {
-						fail(err)
+					select {
+					case <-done:
+						fail(ctx.Err())
 						return
+					default:
 					}
 					if err := fn(i); err != nil {
 						fail(err)

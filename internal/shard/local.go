@@ -324,12 +324,14 @@ func (p *localPin) Workflows() []*workflow.Workflow  { return p.snap.Workflows()
 // pair misses the cache. The first argument of Compare and CompareFloor is
 // always the query.
 type searchMeasure struct {
-	pin       *localPin
 	prep      *ScanPrep
 	scorer    pairScorer
 	queryOrig *workflow.Workflow
 	queryProj *workflow.Workflow
 	cacheable bool
+	// captured is the pin's snapshot when the candidates are an index
+	// capture, nil when they are the snapshot's own slice.
+	captured *corpus.Snapshot
 }
 
 func (sm *searchMeasure) Name() string { return sm.prep.Name }
@@ -351,10 +353,10 @@ func (sm *searchMeasure) CompareFloor(_, wf *workflow.Workflow, floor float64) (
 			return 0, true, nil
 		}
 	}
-	// Cache only snapshot-owned candidates: an index candidate captured
-	// across a compaction, or an external query under IncludeQuery, can share
-	// an ID with a corpus workflow without sharing its content.
-	cacheable := sm.cacheable && sm.pin.snap.Get(wf.ID) == wf
+	// Cache only snapshot-owned candidates. The snapshot's own slice is
+	// nothing else; an index candidate captured across a compaction can share
+	// an ID with a snapshot workflow without sharing its content.
+	cacheable := sm.cacheable && (sm.captured == nil || sm.captured.Get(wf.ID) == wf)
 	// Evaluate in ID order (see PairsBlock): measures are symmetric in value
 	// but not in bits, and the cache key is orientation-free, so a search
 	// score must be computed exactly as the pair scan would compute it.
@@ -364,10 +366,12 @@ func (sm *searchMeasure) CompareFloor(_, wf *workflow.Workflow, floor float64) (
 	return sm.scorer.score(x, y, xProj, yProj, cacheable, floor)
 }
 
-// Search implements Pin. The indexed filter-and-refine path is taken when
-// the index is current for the pinned generation and the query sets none of
-// Exact/IncludeQuery/MinSimilarity; otherwise the pinned slice is scanned
-// fully. Both paths score through the shard's cache and the scan's
+// Search implements Pin. A measure with an exact score bound scans the whole
+// pinned slice: the bound removes most of the work, and the result is the
+// exact top-k. A measure without one takes the indexed filter-and-refine path
+// when the index is current for the pinned generation and the query sets
+// none of Exact/IncludeQuery/MinSimilarity, and scans the pinned slice
+// otherwise. Every path scores through the shard's cache and the scan's
 // specialised measure.
 //
 //wfsimvet:hotpath
@@ -387,7 +391,6 @@ func (p *localPin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]searc
 		}
 	}
 	sm := &searchMeasure{
-		pin:       p,
 		prep:      prep,
 		queryOrig: q.Query,
 		queryProj: prep.ProjectOne(q.Query),
@@ -396,14 +399,15 @@ func (p *localPin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]searc
 	sm.scorer.prep = prep
 	sm.scorer.cache = p.s.cache
 	sm.scorer.tab = p.s.syms
-	// Filter: the index's candidate capture when it is current for the pin,
-	// otherwise the whole pinned slice. Refine: one top-k kernel over either.
+	// Filter: the index's candidate capture, for a measure that has nothing
+	// better, otherwise the whole pinned slice. Refine: one top-k kernel over
+	// either.
 	var scan search.Corpus = p.snap
 	var pruned int
-	if p.idx != nil && p.idx.Generation() == p.snap.Generation() &&
+	if prep.bounded == nil && p.idx != nil && p.idx.Generation() == p.snap.Generation() &&
 		!q.Exact && !q.IncludeQuery && q.MinSimilarity == nil {
 		cands, live := p.idx.CaptureCandidates(q.Query, p.s.minShared)
-		scan, pruned = search.List(cands), live-len(cands)
+		scan, pruned, sm.captured = search.List(cands), live-len(cands), p.snap
 	}
 	results, skipped, err := search.TopK(ctx, q.Query, scan, sm, search.Options{
 		K:             q.K,
@@ -436,6 +440,7 @@ func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, pa
 		cross = prep.For(other)
 	}
 
+	done := ctx.Done() // polled per pair, as search.Batched polls it per row
 	var skipped atomic.Int64
 	err := search.Batched(ctx, len(self.Orig), par, 1, func(i int) error {
 		a, aProj := self.Orig[i], self.Proj[i]
@@ -444,8 +449,10 @@ func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, pa
 			j0 = i + 1 // intra-shard: upper triangle only
 		}
 		for j := j0; j < len(cross.Orig); j++ {
-			if err := ctx.Err(); err != nil {
-				return err
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
 			}
 			b, bProj := cross.Orig[j], cross.Proj[j]
 			if scorer.boundedBelow(aProj, bProj, floor) {

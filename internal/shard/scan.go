@@ -41,8 +41,12 @@ type ScanPrep struct {
 	// Epoch is the projector epoch the measure was resolved under.
 	Epoch uint64
 
-	inner   measures.Measure   // compares pre-projected workflows
-	bounded measures.Bounded   // inner, when it has an exact score bound
+	inner measures.Measure // compares pre-projected workflows
+	// bounded is inner when it has an exact score bound, nil otherwise. It is
+	// settled here, once per scan, and decides more than who calls
+	// UpperBound: a search under a bounded measure never takes the index's
+	// candidates (localPin.Search).
+	bounded measures.Bounded
 	project measures.Projector // nil when nothing was hoisted
 
 	mu       sync.Mutex
@@ -253,7 +257,8 @@ type ReadStats struct {
 	// Scored, Bounded, Pruned and Skipped does not.
 	Bounded int
 	// Pruned counts workflows the inverted index filtered out unscored — a
-	// heuristic, unlike Bounded.
+	// heuristic, unlike Bounded, and only ever taken by a measure that has no
+	// bound.
 	Pruned int
 	// CacheHits / CacheMisses are the scan's score-cache counters.
 	CacheHits   int
@@ -285,7 +290,8 @@ type Query struct {
 	Cacheable bool
 	// K is the per-shard (and merged) result count.
 	K int
-	// Exact forces a full scan even on shards with an index.
+	// Exact forces a full scan even on shards with an index (a measure with
+	// an exact score bound gets one regardless).
 	Exact bool
 	// IncludeQuery keeps the query workflow in the results.
 	IncludeQuery bool

@@ -348,6 +348,39 @@ func TestSearchEquivalenceAcrossShardCounts(t *testing.T) {
 	}
 }
 
+// TestOnlyBoundedMeasuresSkipTheIndex: whether a scan has a score bound is
+// settled once, when its ScanPrep is built, by what the specialised measure
+// implements. Module Sets has one: its searches never take the index's
+// candidates (nothing pruned, pairs bounded instead). Path Sets and Graph Edit
+// have none: their prep holds no bounded form — so no pair of theirs costs a
+// projection and an UpperBound call that could only answer +Inf — and their
+// searches go through the index as before.
+func TestOnlyBoundedMeasuresSkipTheIndex(t *testing.T) {
+	c := testCorpus(t, 60)
+	coord := buildLocal(t, c, 2, "") // every shard has an index
+	v := coord.View()
+	for _, topo := range []measures.Topology{measures.ModuleSets, measures.PathSets, measures.GraphEdit} {
+		m := measures.NewStructural(measures.Config{Topology: topo, Scheme: module.PLL(), Normalize: true, GEDBipartite: true})
+		prep := NewScanPrep(m, 0)
+		hasBound := topo == measures.ModuleSets
+		if (prep.bounded != nil) != hasBound {
+			t.Errorf("%s: scan prep has a bounded form: %v, want %v", m.Name(), prep.bounded != nil, hasBound)
+		}
+		for _, q := range c.Repo.Workflows()[:4] {
+			_, st, err := coord.Search(context.Background(), v, prep, Query{Query: q, K: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.Scored+st.Bounded+st.Pruned+st.Skipped != v.Size()-1 {
+				t.Errorf("%s, query %s: %+v does not cover %d pairs", m.Name(), q.ID, st, v.Size()-1)
+			}
+			if hasBound && (st.Pruned != 0 || st.Bounded == 0) || !hasBound && (st.Pruned == 0 || st.Bounded != 0) {
+				t.Errorf("%s, query %s: pruned %d, bounded %d; a measure with a bound is never pruned, one without never bounded", m.Name(), q.ID, st.Pruned, st.Bounded)
+			}
+		}
+	}
+}
+
 func TestDuplicatesEquivalenceAndCrossShardPairs(t *testing.T) {
 	c := testCorpus(t, 60)
 	threshold := 0.5

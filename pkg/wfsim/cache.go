@@ -9,7 +9,9 @@ import "repro/internal/scorecache"
 type CacheStats = scorecache.Stats
 
 // WithScoreCache gives the engine a shared pairwise score cache holding up
-// to size entries (a default capacity when size <= 0). The cache is threaded
+// to size entries (a default capacity when size <= 0), allocated up front at
+// about 60 bytes per entry; when it is full a new score pushes out one that
+// has not been hit lately (second chance). The cache is threaded
 // through Search, Duplicates and Cluster, so repeated and overlapping
 // queries stop re-running measure evaluations — GED, label matching — on
 // identical workflow pairs. A score is a function of the two workflows

@@ -10,7 +10,7 @@
 //
 //	repo, _ := wfsim.LoadRepository("corpus.json")
 //	eng, _ := wfsim.New(repo,
-//		wfsim.WithIndex(1),              // filter-and-refine acceleration
+//		wfsim.WithIndex(1),              // filter-and-refine for measures without a score bound
 //		wfsim.WithConcurrency(8),        // worker-pool width
 //		wfsim.WithGEDBudget(5*time.Second, 64),
 //	)
@@ -30,8 +30,8 @@
 // queries are never torn by writers. With WithIndex the inverted label
 // index is maintained incrementally (O(labels) per op, tombstones plus
 // periodic compaction — never a full rebuild), and WithScoreCache adds a
-// sharded LRU of pairwise scores keyed by measure, ID pair and the two
-// workflows' revisions — a commit retires only the pairs it wrote a side
+// fixed-capacity table of pairwise scores keyed by measure, ID pair and the
+// two workflows' revisions — a commit retires only the pairs it wrote a side
 // of — shared across Search, Duplicates and Cluster:
 //
 //	eng, _ := wfsim.New(repo, wfsim.WithIndex(1), wfsim.WithScoreCache(1<<16))

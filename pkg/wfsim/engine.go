@@ -106,11 +106,20 @@ func (rk *repoKnowState) entry(key string, workflows func() []*workflow.Workflow
 // Option configures an Engine under construction.
 type Option func(*Engine) error
 
-// WithIndex enables filter-and-refine search acceleration: an inverted index
-// over canonicalized module labels generates candidates sharing at least
-// minShared labels with the query, and only candidates are scored exactly.
-// Lossless for strict label-matching schemes (plm), a high-recall heuristic
-// for edit-distance schemes; Stats.Pruned reports what was not scored.
+// WithIndex enables filter-and-refine search for the measures that have
+// nothing better: an inverted index over canonicalized module labels
+// generates candidates sharing at least minShared labels with the query, and
+// only candidates are scored. That is a heuristic — a workflow sharing fewer
+// labels is never seen, however it would have scored — and Stats.Pruned
+// reports what it left out. Which searches use it follows from the measure,
+// not from another option: a measure with an exact score bound (Module Sets
+// under any scheme, preselection and mapping — the default measure among
+// them) never does. Its searches scan every workflow, let the bound discard
+// most of them unscored (Stats.Bounded) and return the exact top-k with
+// Pruned == 0, index or no index. Path Sets, Graph Edit, BW/BT, label sets,
+// ensembles and custom measures have no such bound and search the index's
+// candidates unless SearchOptions.Exact is set. The index is maintained on
+// every Apply either way.
 func WithIndex(minShared int) Option {
 	return func(e *Engine) error {
 		if minShared < 1 {
@@ -333,7 +342,8 @@ type SearchOptions struct {
 	K int
 	// MinSimilarity drops results scoring at or below the threshold.
 	MinSimilarity *float64
-	// Exact forces a full scan even when the engine has an index.
+	// Exact forces a full scan even when the engine has an index (a measure
+	// with an exact score bound is always scanned in full; see WithIndex).
 	Exact bool
 	// IncludeQuery keeps the query workflow in the results. Index-backed
 	// search always excludes it; IncludeQuery falls back to a full scan.
@@ -359,7 +369,8 @@ type Stats struct {
 	// pairs the call covered (in a search: live workflows, less the query).
 	Bounded int
 	// Pruned is the number of workflows the index filtered out unscored — a
-	// heuristic, unlike Bounded (0 for exact scans).
+	// heuristic, unlike Bounded. It is 0 for exact scans, and every scan under
+	// a measure with an exact score bound is one (see WithIndex).
 	Pruned int
 	// CacheHits counts pairs answered from the score cache (0 when the
 	// engine has no cache; see WithScoreCache).
@@ -379,8 +390,8 @@ type Stats struct {
 // fanning the scoring out across the shards and the engine's worker pool. It
 // honors ctx: cancellation aborts the scan with ctx.Err(), and a deadline
 // additionally tightens the per-pair GED budget. When the engine has an
-// index (WithIndex) the search is filter-and-refine unless opts.Exact is
-// set.
+// index (WithIndex) and the measure has no exact score bound, the search is
+// filter-and-refine unless opts.Exact is set.
 //
 // The scan runs over a pinned view of the corpus: a Search issued before an
 // Apply commits returns results consistent with the pre-mutation repository.

@@ -18,7 +18,12 @@
 //
 // Every read is served from a pinned repository snapshot and reports the
 // generation it observed plus the call's score-cache hit/miss counters, so
-// clients can correlate results with the mutation stream. Per-request
+// clients can correlate results with the mutation stream. A search's stats
+// account for every live workflow but the query: "scored", "bounded" (left
+// unscored by an exact score bound; the result is the full scan's), "pruned"
+// (left out by the label index — a heuristic that only measures without such
+// a bound use, so it is absent under the default Module Sets measure even on
+// an engine built WithIndex) and "skipped" (the measure failed on the pair). Per-request
 // deadlines (request field "deadline_ms", default/ceiling set by Config)
 // bound the whole call and clamp the per-pair GED budget — a slow
 // graph-edit-distance pair fails fast instead of blowing the response time.

@@ -3,8 +3,10 @@
 #
 # Phase 1 (RAM-only): start an empty server, ingest a three-workflow fixture
 # corpus over the NDJSON batch endpoint, run one search, and assert a 200
-# with non-empty results naming the expected twin. Then two checks that also
-# run at 4 shards in phase 3. Inline equals stored: the stored body of a
+# with non-empty results naming the expected twin. The index is not consulted:
+# the default measure has an exact score bound, so the -index server's reply
+# reports no "pruned" and lists what a server started without -index lists.
+# Then two checks that also run at 4 shards in phase 3. Inline equals stored: the stored body of a
 # workflow posted as an inline query must return the result list its query_id
 # returns, and /v1/stats must size the symbol table and the label-similarity
 # memo those searches filled. The cache check: search by query_id, commit a
@@ -114,6 +116,27 @@ inline_matches_stored() {
     echo "smoke: stats report an empty label-similarity memo after searches: $stats" >&2; exit 1; }
 }
 
+# index_is_not_consulted: over the freshly ingested fixture on $ADDR, after
+# the search that left $OUT and $RESULTS1. The default measure has an exact
+# score bound, so the -index server must not have pruned c (which shares no
+# label with a) and must answer as a server without an index does.
+index_is_not_consulted() {
+  local plain
+  if echo "$OUT" | grep -q '"pruned"'; then
+    echo "smoke: a default-measure search on the -index server reports pruned candidates: $OUT" >&2; exit 1
+  fi
+  "$BIN" -addr "$REFADDR" -cache 4096 &
+  REFPID=$!
+  wait_healthy "$REFADDR"
+  ingest_fixture "$REFADDR"
+  plain=$(search_a "$REFADDR" | result_list)
+  kill "$REFPID"; wait "$REFPID" 2>/dev/null || true; REFPID=""
+  [ "$plain" = "$RESULTS1" ] || {
+    echo "smoke: the -index server and a plain server rank query_id a differently" >&2
+    echo "  -index: $RESULTS1" >&2
+    echo "  plain:  $plain" >&2; exit 1; }
+}
+
 # cache_survives_commit SHARDS: over the freshly ingested fixture on $ADDR.
 # Leaves the fixture corpus as it found it (two more commits).
 cache_survives_commit() {
@@ -156,6 +179,7 @@ echo "$OUT" | grep -q '"generation":1' || { echo "smoke: response does not repor
 # reproduce bit-for-bit over directories written by older binaries.
 RESULTS1=$(echo "$OUT" | result_list)
 [ -n "$RESULTS1" ] || { echo "smoke: could not extract result list" >&2; exit 1; }
+index_is_not_consulted
 inline_matches_stored
 cache_survives_commit 1
 kill "$PID"; wait "$PID" 2>/dev/null || true; PID=""
