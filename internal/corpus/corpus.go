@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -277,27 +278,18 @@ func oneOp(kind OpKind, wf *workflow.Workflow) []Op {
 }
 
 // removeLocked and replaceLocked are the commit-pass mutations of a
-// validated batch: the ID is known to be present.
+// validated batch: the ID is known to be present, so the stored object is
+// found by identity rather than by comparing every ID. The mutable slice is
+// never shared with snapshots (Snapshot copies it), so it is edited in place.
 func (r *Repository) removeLocked(id string) {
-	for i, wf := range r.workflows {
-		if wf.ID == id {
-			// The mutable slice is never shared with snapshots (Snapshot
-			// copies it), so shifting in place is safe.
-			r.workflows = append(r.workflows[:i], r.workflows[i+1:]...)
-			break
-		}
-	}
+	i := slices.Index(r.workflows, r.byID[id])
+	r.workflows = slices.Delete(r.workflows, i, i+1)
 	delete(r.byID, id)
 }
 
 func (r *Repository) replaceLocked(wf *workflow.Workflow, rev uint64) {
 	wf.StampRev(rev)
-	for i, old := range r.workflows {
-		if old.ID == wf.ID {
-			r.workflows[i] = wf
-			break
-		}
-	}
+	r.workflows[slices.Index(r.workflows, r.byID[wf.ID])] = wf
 	r.byID[wf.ID] = wf
 }
 

@@ -3,8 +3,11 @@ package corpus
 import (
 	"bytes"
 	"errors"
+	"math/rand"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -451,4 +454,86 @@ func TestRevisionsNameCommittedObjects(t *testing.T) {
 	if got := r2.Get("1"); got == seeded || got.Rev() != 8 || seeded.Rev() != 1 {
 		t.Errorf("restored seed object: stored the input itself %v, revision %d, input revision %d", got == seeded, got.Rev(), seeded.Rev())
 	}
+}
+
+// TestApplyBatchMatchesSliceModel drives random add/remove/replace batches
+// against a plain slice that applies the same ops one at a time. Ops inside
+// one batch often touch the same ID — add then remove, replace twice, remove
+// then add — and some batches end in an op that cannot apply. After every
+// batch Workflows() must list the model's objects in the model's order, Get
+// must return them, and IDs the batch removed must be gone.
+func TestApplyBatchMatchesSliceModel(t *testing.T) {
+	for seed := int64(1); seed <= 8; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		repo, err := NewRepository()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var model []*workflow.Workflow
+		nextID := 0
+		// pick favours the newest entries, which are often this batch's own.
+		pick := func(wfs []*workflow.Workflow) int {
+			if r.Intn(2) == 0 {
+				return len(wfs) - 1 - r.Intn(min(2, len(wfs)))
+			}
+			return r.Intn(len(wfs))
+		}
+		for b := 0; b < 200; b++ {
+			staged := slices.Clone(model)
+			var ops []Op
+			for n := 1 + r.Intn(6); len(ops) < n; {
+				switch kind := r.Intn(3); {
+				case kind == 0 || len(staged) == 0:
+					w := sample(strconv.Itoa(nextID))
+					nextID++
+					ops = append(ops, Op{Kind: OpAdd, ID: w.ID, Workflow: w})
+					staged = append(staged, w)
+				case kind == 1:
+					i := pick(staged)
+					ops = append(ops, Op{Kind: OpRemove, ID: staged[i].ID})
+					staged = slices.Delete(staged, i, i+1)
+				default:
+					i := pick(staged)
+					w := sample(staged[i].ID)
+					ops = append(ops, Op{Kind: OpReplace, ID: w.ID, Workflow: w})
+					staged[i] = w
+				}
+			}
+			valid := r.Intn(8) != 0
+			if !valid {
+				ops = append(ops, Op{Kind: OpRemove, ID: "absent"})
+			}
+			gen := repo.Generation()
+			_, err := repo.ApplyBatch(ops)
+			switch {
+			case valid && err != nil:
+				t.Fatalf("seed %d batch %d: %v", seed, b, err)
+			case !valid && (err == nil || repo.Generation() != gen):
+				t.Fatalf("seed %d batch %d: a batch ending in an unknown remove committed (err %v)", seed, b, err)
+			case valid:
+				model = staged
+			}
+			if got := repo.Workflows(); !slices.Equal(got, model) {
+				t.Fatalf("seed %d batch %d: Workflows() = %v, model %v", seed, b, idsOf(got), idsOf(model))
+			}
+			for _, w := range model {
+				if repo.Get(w.ID) != w {
+					t.Fatalf("seed %d batch %d: Get(%q) is not the model's object", seed, b, w.ID)
+				}
+			}
+			for _, op := range ops {
+				if !slices.ContainsFunc(model, func(w *workflow.Workflow) bool { return w.ID == op.ID }) && repo.Get(op.ID) != nil {
+					t.Fatalf("seed %d batch %d: removed %q is still found", seed, b, op.ID)
+				}
+			}
+		}
+	}
+}
+
+func idsOf(wfs []*workflow.Workflow) []string {
+	out := make([]string, len(wfs))
+	for i, w := range wfs {
+		out[i] = w.ID
+	}
+	return out
 }

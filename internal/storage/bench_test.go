@@ -117,3 +117,41 @@ func BenchmarkCommit(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkCompact measures one compaction as an ingest_durable server makes
+// it: a 2 000-workflow view over a 1 040-record log (one slice of that
+// workload, one replace per record), keeping a tail of 0 or 16 records newer
+// than the view. The log is refilled outside the timer.
+func BenchmarkCompact(b *testing.B) {
+	c, err := gen.Generate(testProfile(2000), 42)
+	if err != nil {
+		b.Fatal(err)
+	}
+	wfs := c.Repo.Workflows()
+	for _, tail := range []int{0, 16} {
+		b.Run(fmt.Sprintf("tail=%d", tail), func(b *testing.B) {
+			s, _, _, err := Open(b.TempDir(), Options{NoSync: true, CompactBytes: -1, CompactRecords: -1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer s.Close()
+			g := uint64(0)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				for s.Stats().LogRecords < 1040 {
+					g++
+					w := wfs[int(g)%len(wfs)]
+					if err := s.Commit(g, []corpus.Op{{Kind: corpus.OpReplace, ID: w.ID, Workflow: w}}); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				if err := s.Compact(g-uint64(tail), wfs); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

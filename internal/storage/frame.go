@@ -40,14 +40,22 @@ const maxFramePayload = 256 << 20
 // the expected state of a log tail after a crash mid-write.
 var errTornFrame = errors.New("storage: torn or corrupt frame")
 
-// appendFrame writes one frame to w and returns the bytes written.
-func appendFrame(w io.Writer, payload []byte) (int64, error) {
+// frameHeader returns the header of the frame holding payload.
+func frameHeader(payload []byte) (hdr [frameHeaderSize]byte, err error) {
 	if len(payload) > maxFramePayload {
-		return 0, fmt.Errorf("storage: frame payload %d bytes exceeds limit %d", len(payload), maxFramePayload)
+		return hdr, fmt.Errorf("storage: frame payload %d bytes exceeds limit %d", len(payload), maxFramePayload)
 	}
-	var hdr [frameHeaderSize]byte
 	binary.BigEndian.PutUint32(hdr[0:4], uint32(len(payload)))
 	binary.BigEndian.PutUint32(hdr[4:8], crc32.ChecksumIEEE(payload))
+	return hdr, nil
+}
+
+// appendFrame writes one frame to w and returns the bytes written.
+func appendFrame(w io.Writer, payload []byte) (int64, error) {
+	hdr, err := frameHeader(payload)
+	if err != nil {
+		return 0, err
+	}
 	if _, err := w.Write(hdr[:]); err != nil {
 		return 0, err
 	}
@@ -55,6 +63,13 @@ func appendFrame(w io.Writer, payload []byte) (int64, error) {
 		return 0, err
 	}
 	return frameHeaderSize + int64(len(payload)), nil
+}
+
+// validFrame reports whether b is exactly one whole, checksum-valid frame.
+func validFrame(b []byte) bool {
+	return len(b) >= frameHeaderSize &&
+		int64(binary.BigEndian.Uint32(b[0:4])) == int64(len(b)-frameHeaderSize) &&
+		crc32.ChecksumIEEE(b[frameHeaderSize:]) == binary.BigEndian.Uint32(b[4:8])
 }
 
 // readFrame reads the next frame from r. It returns io.EOF at a clean end
@@ -109,10 +124,20 @@ func syncDir(dir string) error {
 	return d.Sync()
 }
 
-// writeFileAtomic writes a single-frame file (magic + one frame) to path via
-// a temp file, fsync and rename, then fsyncs the directory — the file is
-// either wholly present under its final name or absent.
+// writeFileAtomic writes a single-frame file (magic + one frame) to path
+// with replaceFile.
 func writeFileAtomic(path, magic string, payload []byte) error {
+	hdr, err := frameHeader(payload)
+	if err != nil {
+		return err
+	}
+	return replaceFile(path, []byte(magic), hdr[:], payload)
+}
+
+// replaceFile writes the chunks, in order, to path via a temp file, fsync
+// and rename, then fsyncs the directory — the file is either wholly present
+// under its final name or absent.
+func replaceFile(path string, chunks ...[]byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {
@@ -120,13 +145,11 @@ func writeFileAtomic(path, magic string, payload []byte) error {
 	}
 	tmpName := tmp.Name()
 	defer os.Remove(tmpName) // no-op after successful rename
-	if _, err := tmp.Write([]byte(magic)); err != nil {
-		tmp.Close()
-		return err
-	}
-	if _, err := appendFrame(tmp, payload); err != nil {
-		tmp.Close()
-		return err
+	for _, chunk := range chunks {
+		if _, err := tmp.Write(chunk); err != nil {
+			tmp.Close()
+			return err
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()

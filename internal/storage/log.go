@@ -6,7 +6,7 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
+	"slices"
 
 	"repro/internal/corpus"
 	"repro/internal/workflow"
@@ -41,6 +41,14 @@ type opRecord struct {
 type logRecord struct {
 	Gen uint64     `json:"gen"`
 	Ops []opRecord `json:"ops"`
+	off int64      // where readLog found the record's frame
+}
+
+// recordPos locates one record of the current log: the generation it
+// committed and the file offset of its frame.
+type recordPos struct {
+	gen uint64
+	off int64
 }
 
 // encodeOps converts a committed corpus batch to its log representation.
@@ -128,6 +136,7 @@ func readLog(path string) (recs []logRecord, validSize int64, torn bool, err err
 			// treat like a torn tail rather than refusing to start.
 			return recs, validSize, true, nil
 		}
+		rec.off = validSize
 		recs = append(recs, rec)
 		validSize += frameHeaderSize + int64(len(payload))
 	}
@@ -176,55 +185,45 @@ func openLogForAppend(path string, validSize int64) (*os.File, int64, error) {
 	return f, size, nil
 }
 
-// rewriteLog atomically replaces the log at path with one containing only
-// keep, returning the new file opened for append and its size. Used by
-// compaction to drop the prefix a durable snapshot now covers.
-func rewriteLog(path string, keep []logRecord) (*os.File, int64, int64, error) {
-	dir := filepath.Dir(path)
-	tmp, err := os.CreateTemp(dir, walName+".tmp-*")
+// replaceLog atomically replaces the log at path with data (the magic and
+// whole frames) and opens the new file for append.
+func replaceLog(path string, data []byte) (*os.File, int64, error) {
+	if err := replaceFile(path, data); err != nil {
+		return nil, 0, err
+	}
+	return openLogForAppend(path, int64(len(data)))
+}
+
+// copyFrames appends to dst, byte for byte, the frames of the records in
+// recs newer than gen, read by offset from the log at path (size is where
+// its last record ends), and returns dst with the kept records' positions
+// in it. Each frame's checksum is re-checked and nothing is decoded. A frame
+// that cannot be read whole and valid is an error naming its generation.
+func copyFrames(dst []byte, path string, recs []recordPos, size int64, gen uint64) ([]byte, []recordPos, error) {
+	first := slices.IndexFunc(recs, func(rec recordPos) bool { return rec.gen > gen })
+	if first < 0 {
+		return dst, nil, nil
+	}
+	f, err := os.Open(path)
 	if err != nil {
-		return nil, 0, 0, err
+		return dst, nil, err
 	}
-	tmpName := tmp.Name()
-	defer os.Remove(tmpName)
-	size := int64(len(walMagic))
-	if _, err := tmp.Write([]byte(walMagic)); err != nil {
-		tmp.Close()
-		return nil, 0, 0, err
-	}
-	for _, rec := range keep {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			tmp.Close()
-			return nil, 0, 0, err
+	defer f.Close()
+	var kept []recordPos
+	for i, rec := range recs[first:] {
+		if rec.gen <= gen {
+			continue
 		}
-		n, err := appendFrame(tmp, payload)
-		if err != nil {
-			tmp.Close()
-			return nil, 0, 0, err
+		end := size
+		if next := first + i + 1; next < len(recs) {
+			end = recs[next].off
 		}
-		size += n
+		at := len(dst)
+		dst = slices.Grow(dst, int(end-rec.off))[:at+int(end-rec.off)]
+		if _, err := f.ReadAt(dst[at:], rec.off); err != nil || !validFrame(dst[at:]) {
+			return dst[:at], nil, fmt.Errorf("storage: %s: record generation %d at offset %d is unreadable or fails its checksum", walName, rec.gen, rec.off)
+		}
+		kept = append(kept, recordPos{gen: rec.gen, off: int64(at)})
 	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return nil, 0, 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return nil, 0, 0, err
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		return nil, 0, 0, err
-	}
-	if err := syncDir(dir); err != nil {
-		return nil, 0, 0, err
-	}
-	f, err := os.OpenFile(path, os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, 0, 0, err
-	}
-	if _, err := f.Seek(size, io.SeekStart); err != nil {
-		f.Close()
-		return nil, 0, 0, err
-	}
-	return f, size, int64(len(keep)), nil
+	return dst, kept, nil
 }

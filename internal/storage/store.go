@@ -95,12 +95,17 @@ type Stats struct {
 // Store is the durable backing of one repository: a write-ahead mutation
 // log plus snapshot checkpoints in a single data directory. Commit is safe
 // for concurrent use with Compact; Open recovers the directory's state.
+// The store knows where every record of its log starts, so a compaction
+// copies the records it keeps by offset and never decodes the log: it
+// costs the snapshot write plus the kept bytes, not the log's length.
 type Store struct {
 	dir  string
 	opts Options
 
 	mu          sync.Mutex
-	f           *os.File // the log, positioned for append
+	f           *os.File    // the log, positioned for append
+	recs        []recordPos // every record in the log, in file order
+	buf         []byte      // Commit's frame, Compact's new log
 	logBytes    int64
 	logRecords  int64
 	snapGen     uint64
@@ -108,13 +113,15 @@ type Store struct {
 	lastGen     uint64
 	closed      bool
 	recovery    RecoveryStats
-	// wedged is non-nil when a failed append could not be rolled back: the
-	// log has torn bytes at its tail that a later append would land behind,
-	// making every subsequent record invisible to recovery (readLog stops
-	// at the first torn frame). While wedged, Commit refuses — an explicit
-	// error to the writer instead of a silent loss at the next boot. A
-	// successful Compact rewrites the log from its valid records and clears
-	// the wedge.
+	// wedged is non-nil when a later record could be lost at the next boot:
+	// a failed append left torn bytes that could not be rolled back (a later
+	// append would land behind them, invisible to recovery, which stops at
+	// the first torn frame), or a compaction found a record it must keep
+	// unreadable on disk (recovery stops there too). While wedged, Commit
+	// refuses — an explicit error to the writer instead of a silent loss at
+	// the next boot. A successful Compact clears the wedge: it rewrites the
+	// log from valid frames only, and succeeds past an unreadable record
+	// only at a generation whose snapshot covers it.
 	wedged error
 }
 
@@ -150,7 +157,9 @@ func Open(dir string, opts Options) (*Store, []*workflow.Workflow, uint64, error
 		TornTailTruncated:  torn,
 	}
 	logRecords := int64(0)
-	for _, rec := range recs {
+	pos := make([]recordPos, len(recs))
+	for i, rec := range recs {
+		pos[i] = recordPos{gen: rec.Gen, off: rec.off}
 		if rec.Gen <= gen {
 			// Covered by the snapshot (or a compaction that died between
 			// snapshot write and log rewrite): already applied.
@@ -189,6 +198,7 @@ func Open(dir string, opts Options) (*Store, []*workflow.Workflow, uint64, error
 		dir:        dir,
 		opts:       opts,
 		f:          f,
+		recs:       pos,
 		logBytes:   size,
 		logRecords: logRecords,
 		snapGen:    snap.Gen,
@@ -273,21 +283,27 @@ func (s *Store) Commit(gen uint64, ops []corpus.Op) error {
 	if err != nil {
 		return err
 	}
-	n, err := appendFrame(s.f, payload)
+	hdr, err := frameHeader(payload)
 	if err != nil {
+		return err
+	}
+	// One write per frame, from the store's own buffer.
+	s.buf = append(append(s.buf[:0], hdr[:]...), payload...)
+	//wfsimvet:ignore lockscope s.mu is the WAL's serialization point: records land in generation order, at the offsets s.recs holds, each durable before the next writer appends
+	if _, err := s.f.Write(s.buf); err != nil {
 		// The append may have partially written; truncate back so the torn
 		// bytes cannot shadow a later, successful record.
 		s.rollbackAppendLocked()
 		return fmt.Errorf("storage: append commit record: %w", err)
 	}
 	if !s.opts.NoSync {
-		//wfsimvet:ignore lockscope s.mu is the WAL's serialization point: the record must be durable before the next writer appends
 		if err := s.f.Sync(); err != nil {
 			s.rollbackAppendLocked()
 			return fmt.Errorf("storage: sync commit record: %w", err)
 		}
 	}
-	s.logBytes += n
+	s.recs = append(s.recs, recordPos{gen: gen, off: s.logBytes})
+	s.logBytes += int64(len(s.buf))
 	s.logRecords++
 	s.lastGen = gen
 	return nil
@@ -324,15 +340,22 @@ func (s *Store) ShouldCompact() bool {
 // snapshot at gen, rewrites the log keeping only records newer than gen,
 // and deletes older snapshot files. The view must be a pinned snapshot of
 // the repository this store backs (Compact never reads the repository
-// itself, so it cannot deadlock with a commit in flight). On error the log
-// is untouched and recovery remains correct — at worst the old, longer log
-// replays.
+// itself, so it cannot deadlock with a commit in flight). On error recovery
+// remains correct — at worst the old, longer log replays. A record newer
+// than gen that fails its checksum on disk is an error naming its
+// generation, and wedges the store (see Store.wedged).
 func (s *Store) Compact(gen uint64, wfs []*workflow.Workflow) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.compactLocked(gen, wfs)
 }
 
+// compactLocked copies the frames of the records newer than gen verbatim,
+// by the offsets in s.recs, from a fresh handle opened by path (s.f may be
+// the broken handle of a wedged store), re-checking each frame's CRC. They
+// are read before the snapshot is written, so a kept frame that fails its
+// checksum leaves the directory as it was. With an empty tail — the usual
+// case — the new log is the 8-byte magic.
 func (s *Store) compactLocked(gen uint64, wfs []*workflow.Workflow) error {
 	if s.closed {
 		return ErrClosed
@@ -349,25 +372,22 @@ func (s *Store) compactLocked(gen uint64, wfs []*workflow.Workflow) error {
 	if gen < s.snapGen {
 		return fmt.Errorf("storage: compact at generation %d behind snapshot %d", gen, s.snapGen)
 	}
+	logPath := filepath.Join(s.dir, walName)
+	log, kept, err := copyFrames(append(s.buf[:0], walMagic...), logPath, s.recs, s.logBytes, gen)
+	s.buf = log
+	if err != nil {
+		s.wedged = fmt.Errorf("storage: log wedged: %w; compact at a generation that covers it to rewrite the log", err)
+		return err
+	}
 	if _, err := writeSnapshot(s.dir, gen, wfs); err != nil {
 		return err
 	}
-	// The snapshot is durable; now the log prefix it covers can go. Re-read
-	// the log from disk so records committed by other goroutines since our
-	// caller pinned its view are preserved verbatim.
-	logPath := filepath.Join(s.dir, walName)
-	recs, _, _, err := readLog(logPath)
+	// The snapshot is durable; now the log prefix it covers can go. Once the
+	// rename may have happened, s.f may be a replaced file that recovery
+	// never reads: a failure from here on wedges the store.
+	f, size, err := replaceLog(logPath, log)
 	if err != nil {
-		return err
-	}
-	keep := recs[:0]
-	for _, rec := range recs {
-		if rec.Gen > gen {
-			keep = append(keep, rec)
-		}
-	}
-	f, size, n, err := rewriteLog(logPath, keep)
-	if err != nil {
+		s.wedged = fmt.Errorf("storage: log wedged: rewrite after compaction failed (%w); compact to rewrite the log", err)
 		return err
 	}
 	//wfsimvet:ignore lockscope swapping the log handle must be atomic with the counters it serializes
@@ -375,12 +395,13 @@ func (s *Store) compactLocked(gen uint64, wfs []*workflow.Workflow) error {
 		s.opts.Warnf("storage: close pre-compaction log handle: %v", cerr)
 	}
 	s.f = f
+	s.recs = kept
 	s.logBytes = size
-	s.logRecords = n
+	s.logRecords = int64(len(kept))
 	s.snapGen = gen
 	s.compactions++
-	// The rewritten log has a clean tail built only from valid records, so
-	// a rollback wedge (torn tail that could not be truncated) is healed.
+	// The new log holds only checksum-valid frames and ends in a clean
+	// tail, so either kind of wedge is healed.
 	s.wedged = nil
 	removeSnapshotsBefore(s.dir, gen, s.opts.Warnf)
 	return nil

@@ -1,10 +1,12 @@
 package storage
 
 import (
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/corpus"
@@ -286,20 +288,23 @@ func TestWedgedStoreRefusesCommitsUntilCompact(t *testing.T) {
 	if err := s.Commit(1, []corpus.Op{addOp(wf("a", "x"))}); err != nil {
 		t.Fatal(err)
 	}
+	if err := s.Commit(2, []corpus.Op{addOp(wf("b", "y"))}); err != nil {
+		t.Fatal(err)
+	}
 
 	// Sabotage the log handle out from under the store: the next append
 	// fails, and so does the rollback truncate — the wedge condition.
 	if err := s.f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Commit(2, []corpus.Op{addOp(wf("b", "y"))}); err == nil {
+	if err := s.Commit(3, []corpus.Op{addOp(wf("c", "z"))}); err == nil {
 		t.Fatal("commit on a sabotaged log handle succeeded")
 	}
 
 	// The store is now wedged: every commit is refused with an explicit
 	// error naming the condition and the remedy, not a silent loss at the
 	// next boot.
-	err := s.Commit(2, []corpus.Op{addOp(wf("b", "y"))})
+	err := s.Commit(3, []corpus.Op{addOp(wf("c", "z"))})
 	if err == nil {
 		t.Fatal("commit on a wedged store succeeded")
 	}
@@ -307,12 +312,16 @@ func TestWedgedStoreRefusesCommitsUntilCompact(t *testing.T) {
 		t.Fatalf("wedged commit error should name the condition and remedy, got: %v", err)
 	}
 
-	// Compact rewrites the log from its valid records on a fresh handle,
-	// healing the wedge; commits resume from the last durable generation.
+	// Compact at generation 1 keeps record 2, which it must read from the
+	// log by path — the store's own handle is the sabotaged one. The new log
+	// heals the wedge; commits resume from the last durable generation.
 	if err := s.Compact(1, []*workflow.Workflow{wf("a", "x")}); err != nil {
 		t.Fatalf("compact on wedged store: %v", err)
 	}
-	if err := s.Commit(2, []corpus.Op{addOp(wf("b", "y"))}); err != nil {
+	if st := s.Stats(); st.LogRecords != 1 {
+		t.Fatalf("after the healing compaction: %+v, want the 1-record tail kept", st)
+	}
+	if err := s.Commit(3, []corpus.Op{addOp(wf("c", "z"))}); err != nil {
 		t.Fatalf("commit after healing compact: %v", err)
 	}
 	if err := s.Close(); err != nil {
@@ -321,7 +330,137 @@ func TestWedgedStoreRefusesCommitsUntilCompact(t *testing.T) {
 
 	s2, wfs, gen := mustOpen(t, dir, Options{})
 	defer s2.Close()
-	if gen != 2 || !reflect.DeepEqual(ids(wfs), []string{"a", "b"}) {
-		t.Fatalf("recovered %v at generation %d, want [a b] at 2", ids(wfs), gen)
+	if gen != 3 || !reflect.DeepEqual(ids(wfs), []string{"a", "b", "c"}) {
+		t.Fatalf("recovered %v at generation %d, want [a b c] at 3", ids(wfs), gen)
+	}
+}
+
+// TestCompactRefusesToDropUnreadableRecord pins what a compaction does with
+// a record it must keep but cannot read intact: it fails naming the
+// generation, touches nothing on disk, and wedges the store, so no later
+// commit is acknowledged behind a record recovery would stop at. Dropping
+// the record instead would leave a log that skips a generation, and a store
+// that can no longer boot.
+func TestCompactRefusesToDropUnreadableRecord(t *testing.T) {
+	dir := t.TempDir()
+	s, _, _ := mustOpen(t, dir, Options{})
+	defer s.Close()
+	var record3 int64
+	for g, id := range []string{"a", "b", "c"} {
+		record3 = s.Stats().LogBytes
+		if err := s.Commit(uint64(g+1), []corpus.Op{addOp(wf(id, "op-"+id))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	logPath := filepath.Join(dir, walName)
+	data, err := os.ReadFile(logPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[record3+frameHeaderSize+2] ^= 0x01 // one byte inside record 3's payload
+	if err := os.WriteFile(logPath, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	err = s.Compact(2, []*workflow.Workflow{wf("a", "op-a"), wf("b", "op-b")})
+	if err == nil || !strings.Contains(err.Error(), "generation 3") {
+		t.Fatalf("compaction over an unreadable kept record: %v, want an error naming generation 3", err)
+	}
+	if after, _ := os.ReadFile(logPath); !reflect.DeepEqual(after, data) {
+		t.Fatal("failed compaction changed the log")
+	}
+	if _, err := os.Stat(filepath.Join(dir, snapshotName(2))); !os.IsNotExist(err) {
+		t.Fatalf("failed compaction left a snapshot behind (stat: %v)", err)
+	}
+	if st := s.Stats(); st.LogRecords != 3 || st.SnapshotGeneration != 0 {
+		t.Fatalf("after the failed compaction: %+v, want 3 log records and no snapshot", st)
+	}
+	err = s.Commit(4, []corpus.Op{addOp(wf("d", "op-d"))})
+	if err == nil || !strings.Contains(err.Error(), "wedged") {
+		t.Fatalf("commit behind an unreadable record: %v, want a wedge refusal", err)
+	}
+	if err := s.Compact(2, []*workflow.Workflow{wf("a", "op-a"), wf("b", "op-b")}); err == nil {
+		t.Fatal("a second compaction that keeps the unreadable record succeeded")
+	}
+
+	// A compaction whose snapshot covers the record no longer needs it.
+	if err := s.Compact(3, []*workflow.Workflow{wf("a", "op-a"), wf("b", "op-b"), wf("c", "op-c")}); err != nil {
+		t.Fatalf("compaction covering the unreadable record: %v", err)
+	}
+	if err := s.Commit(4, []corpus.Op{addOp(wf("d", "op-d"))}); err != nil {
+		t.Fatalf("commit after the covering compaction: %v", err)
+	}
+	s.Close()
+	s2, wfs, gen := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	if gen != 4 || !reflect.DeepEqual(ids(wfs), []string{"a", "b", "c", "d"}) {
+		t.Fatalf("recovered %v at generation %d, want [a b c d] at 4", ids(wfs), gen)
+	}
+}
+
+// TestCompactConcurrentWithCommits exercises the Commit ∥ Compact case the
+// Store documents as safe: one goroutine commits while another compacts at
+// generations already committed, with views that lag behind the log.
+// Recovery must equal the whole committed sequence.
+func TestCompactConcurrentWithCommits(t *testing.T) {
+	batches := synthBatches(t, 160, 17)
+	repo, err := corpus.NewRepository()
+	if err != nil {
+		t.Fatal(err)
+	}
+	views := [][]*workflow.Workflow{nil} // views[g]: the repository at generation g
+	for i, b := range batches {
+		if _, err := repo.ApplyBatch(b); err != nil {
+			t.Fatalf("reference apply batch %d: %v", i, err)
+		}
+		views = append(views, repo.Workflows())
+	}
+
+	dir := t.TempDir()
+	s, _, _ := mustOpen(t, dir, Options{NoSync: true, CompactBytes: -1, CompactRecords: -1})
+	var committed atomic.Uint64
+	done := make(chan error, 1)
+	go func() {
+		for i, b := range batches {
+			if err := s.Commit(uint64(i+1), b); err != nil {
+				done <- err
+				return
+			}
+			committed.Store(uint64(i + 1))
+		}
+		done <- nil
+	}()
+	r := rand.New(rand.NewSource(3))
+	snap, compactions := uint64(0), 0
+	for finished := false; !finished; {
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("commit: %v", err)
+			}
+			finished = true
+		default:
+		}
+		g := snap + uint64(r.Int63n(int64(committed.Load()-snap+1)))
+		if err := s.Compact(g, views[g]); err != nil {
+			if !finished {
+				<-done
+			}
+			t.Fatalf("compact at generation %d: %v", g, err)
+		}
+		snap = g
+		compactions++
+	}
+	t.Logf("%d commits, %d compactions, the last at generation %d", len(batches), compactions, snap)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, wfs, gen := mustOpen(t, dir, Options{})
+	defer s2.Close()
+	if gen != uint64(len(batches)) || mustJSON(t, wfs) != mustJSON(t, views[len(batches)]) {
+		t.Fatalf("recovered %d workflows at generation %d after %d compactions, want the %d-batch state", len(wfs), gen, compactions, len(batches))
+	}
+	if st := s2.Stats().Recovery; st.SnapshotGeneration != snap || st.ReplayedRecords != int64(len(batches))-int64(snap) {
+		t.Fatalf("recovery %+v, want the last snapshot (generation %d) plus the records after it", st, snap)
 	}
 }

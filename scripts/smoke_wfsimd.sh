@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Smoke test for the wfsimd HTTP service, in four phases.
+# Smoke test for the wfsimd HTTP service, in five phases.
 #
 # Phase 1 (RAM-only): start an empty server, ingest a three-workflow fixture
 # corpus over the NDJSON batch endpoint, run one search, and assert a 200
@@ -18,6 +18,12 @@
 # same fixture, record the generation and the search hit, SIGTERM the
 # daemon, restart it over the same directory, and assert the pre-kill
 # generation and search result survive the restart.
+#
+# Phase 2b (compaction, then SIGKILL): start a server with -compact-records 3
+# over a fresh -data directory, ingest eleven one-workflow batches, assert
+# /v1/stats counts at least three compactions, SIGKILL the daemon, restart it
+# and assert the generation survived and that workflows from before the last
+# compaction and from the log tail after it can both be fetched.
 #
 # Phase 3 (sharded durability): the same kill-and-restart cycle with
 # -shards 4: ingest, assert the per-shard generation vector shows up in
@@ -214,6 +220,38 @@ echo "smoke: post-restart search: $OUT"
 echo "$OUT" | grep -q '"id":"b"' || { echo "smoke: pre-kill search hit b did not survive the restart" >&2; exit 1; }
 echo "$OUT" | grep -q '"generation":1' || { echo "smoke: post-restart search serves the wrong generation" >&2; exit 1; }
 echo "smoke: phase 2 (durable restart) OK"
+kill "$PID"; wait "$PID" 2>/dev/null || true; PID=""
+
+# ---- Phase 2b: compactions, SIGKILL, restart, verify ----
+CDATA="$WORK/data-compacted"
+mkdir -p "$CDATA"
+"$BIN" -addr "$ADDR" -index -data "$CDATA" -compact-records 3 &
+PID=$!
+wait_healthy
+for i in $(seq 1 11); do
+  echo "{\"op\":\"add\",\"workflow\":{\"id\":\"w$i\",\"annotations\":{\"title\":\"batch $i\"},\"modules\":[{\"id\":\"m1\",\"label\":\"step_$i\",\"type\":\"wsdl\"},{\"id\":\"m2\",\"label\":\"run_blast\",\"type\":\"wsdl\"}],\"edges\":[{\"from\":0,\"to\":1}]}}" |
+    post_batch "$ADDR"
+done
+STATS=$(curl -fsS "http://$ADDR/v1/stats")
+COMPACTIONS=$(echo "$STATS" | sed -n 's/.*"storage":{[^}]*"compactions":\([0-9]*\).*/\1/p')
+[ "${COMPACTIONS:-0}" -ge 3 ] || {
+  echo "smoke: 11 batches at -compact-records 3 made ${COMPACTIONS:-no} compactions: $STATS" >&2; exit 1; }
+kill -KILL "$PID"
+wait "$PID" 2>/dev/null || true
+PID=""
+"$BIN" -addr "$ADDR" -index -data "$CDATA" -compact-records 3 &
+PID=$!
+wait_healthy
+STATS=$(curl -fsS "http://$ADDR/v1/stats")
+echo "smoke: stats after SIGKILL past $COMPACTIONS compactions: $STATS"
+echo "$STATS" | grep -q '"generation":11' || { echo "smoke: SIGKILL after compactions lost the generation" >&2; exit 1; }
+echo "$STATS" | grep -q '"snapshot_loaded":true' || {
+  echo "smoke: recovery did not start from a compaction's snapshot" >&2; exit 1; }
+for ID in w2 w11; do
+  curl -fsS "http://$ADDR/v1/workflows/$ID" | grep -q "\"id\":\"$ID\"" || {
+    echo "smoke: workflow $ID did not survive compactions and SIGKILL" >&2; exit 1; }
+done
+echo "smoke: phase 2b (compactions, SIGKILL, restart) OK"
 kill "$PID"; wait "$PID" 2>/dev/null || true; PID=""
 
 # ---- Phase 3: sharded durable ingest, SIGTERM, restart, verify ----
