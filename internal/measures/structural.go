@@ -112,29 +112,34 @@ const DefaultMappingLabelThreshold = 0.5
 
 // Structural is a configured structural similarity measure.
 type Structural struct {
-	cfg Config
+	cfg  Config
+	name string // rendered once: a search asks for it several times
 }
 
 // NewStructural validates and wraps a configuration.
 func NewStructural(cfg Config) *Structural {
-	return &Structural{cfg: cfg}
+	return &Structural{cfg: cfg, name: structuralName(cfg)}
 }
 
 // Config returns the measure's configuration.
 func (s *Structural) Config() Config { return s.cfg }
 
-// Name renders the paper's notation: TOPO_{ip|np}_{ta|tm|te}_{scheme},
-// with non-default mapping or normalization noted as suffixes.
-func (s *Structural) Name() string {
+// Name returns the paper's notation (see structuralName).
+func (s *Structural) Name() string { return s.name }
+
+// structuralName renders the paper's notation:
+// TOPO_{ip|np}_{ta|tm|te}_{scheme}, with non-default mapping or
+// normalization noted as suffixes.
+func structuralName(cfg Config) string {
 	proj := "np"
-	if s.cfg.Project != nil {
+	if cfg.Project != nil {
 		proj = "ip"
 	}
-	name := fmt.Sprintf("%s_%s_%s_%s", s.cfg.Topology, proj, s.cfg.Preselect, s.cfg.Scheme.Name)
-	if s.cfg.Mapping == GreedyMapping {
+	name := fmt.Sprintf("%s_%s_%s_%s", cfg.Topology, proj, cfg.Preselect, cfg.Scheme.Name)
+	if cfg.Mapping == GreedyMapping {
 		name += "_greedy"
 	}
-	if !s.cfg.Normalize {
+	if !cfg.Normalize {
 		name += "_nonorm"
 	}
 	return name

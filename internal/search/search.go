@@ -104,33 +104,35 @@ func (f *Floor) Raise(v float64) {
 	}
 }
 
-// Batched distributes the index range [0,n) over a pool of par workers in
-// contiguous batches claimed from a shared atomic cursor (dynamic
-// scheduling). fn is invoked once per index; the context is checked between
-// invocations and the pool drains early when it is cancelled or when fn
-// returns an error (multi-item tasks report mid-task cancellation that
-// way). Batched returns nil iff fn ran to completion for every index — a
-// context that expires only after the last invocation does not fail an
-// already-complete scan; otherwise it returns the first error observed.
-func Batched(ctx context.Context, n, par, batch int, fn func(i int) error) error {
-	if n <= 0 {
-		return nil
-	}
+// Workers returns the number of workers Batched runs for n indexes under a
+// parallelism bound of par (GOMAXPROCS when par <= 0): the worker indexes it
+// hands out lie in [0, Workers(n, par)).
+func Workers(n, par int) int {
 	if par <= 0 {
 		par = runtime.GOMAXPROCS(0)
 	}
-	if par > n {
-		par = n
+	return max(min(par, n), 0)
+}
+
+// Batched distributes the index range [0,n) over a pool of Workers(n, par)
+// workers in contiguous batches claimed from a shared atomic cursor (dynamic
+// scheduling). fn(w, i) is invoked once per index i by worker w; the calling
+// goroutine is worker 0 and the others get their own goroutines, so a pool of
+// one starts none. Calls with the same w never overlap, so per-worker state
+// indexed by w needs no synchronisation. The context is checked between
+// invocations and the pool drains early when it is cancelled or when fn
+// returns an error (multi-item tasks report mid-task cancellation that way).
+// Batched returns nil iff fn ran to completion for every index — a context
+// that expires only after the last invocation does not fail an
+// already-complete scan; otherwise it returns the first error observed.
+func Batched(ctx context.Context, n, par, batch int, fn func(w, i int) error) error {
+	par = Workers(n, par)
+	if par == 0 {
+		return nil
 	}
 	if batch <= 0 {
 		// Aim for several claims per worker so stragglers rebalance.
-		batch = n / (par * 8)
-		if batch < 1 {
-			batch = 1
-		}
-		if batch > 64 {
-			batch = 64
-		}
+		batch = min(max(n/(par*8), 1), 64)
 	}
 	// Polling the channel costs a load per item; ctx.Err() would take the
 	// context's mutex — two of them under a deadline — per item.
@@ -147,35 +149,35 @@ func Batched(ctx context.Context, n, par, batch int, fn func(i int) error) error
 		}
 		mu.Unlock()
 	}
+	work := func(w int) {
+		for !stop.Load() {
+			start := int(cursor.Add(int64(batch))) - batch
+			if start >= n {
+				return
+			}
+			for i := start; i < min(start+batch, n); i++ {
+				select {
+				case <-done:
+					fail(ctx.Err())
+					return
+				default:
+				}
+				if err := fn(w, i); err != nil {
+					fail(err)
+					return
+				}
+			}
+		}
+	}
 	var wg sync.WaitGroup
-	for w := 0; w < par; w++ {
+	for w := 1; w < par; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for !stop.Load() {
-				start := int(cursor.Add(int64(batch))) - batch
-				if start >= n {
-					return
-				}
-				end := start + batch
-				if end > n {
-					end = n
-				}
-				for i := start; i < end; i++ {
-					select {
-					case <-done:
-						fail(ctx.Err())
-						return
-					default:
-					}
-					if err := fn(i); err != nil {
-						fail(err)
-						return
-					}
-				}
-			}
+			work(w)
 		}()
 	}
+	work(0)
 	wg.Wait()
 	mu.Lock()
 	defer mu.Unlock()
@@ -194,21 +196,43 @@ type floorComparer interface {
 // A cancelled or expired context aborts the scan: TopK then returns nil
 // results and the context's error.
 //
-// The k best are kept as the pairs are scored, and the k-th similarity so far
-// is published as the scan's floor. A measure with an exact score bound
-// (measures.Bounded) is asked to score a pair unless it can prove that the
-// pair falls below that floor; every other measure scores every pair. The
-// result is the same either way: a pair among the final k best scores at
-// least the final k-th similarity, which no floor ever exceeds, so it is
+// A measure with an exact score bound (measures.Bounded) is asked to score a
+// pair unless it can prove that the pair falls below the scan's floor (see
+// TopKFunc); every other measure scores every pair.
+func TopK(ctx context.Context, query *workflow.Workflow, repo Corpus, m measures.Measure, opts Options) ([]Result, int, error) {
+	bounded, _ := m.(floorComparer)
+	return TopKFunc(ctx, repo.Workflows(), opts, func(_ int, wf *workflow.Workflow, floor float64) (float64, bool, error) {
+		if !opts.IncludeQuery && wf.ID == query.ID {
+			return 0, true, nil
+		}
+		if bounded != nil {
+			return bounded.CompareFloor(query, wf, floor)
+		}
+		s, err := m.Compare(query, wf)
+		return s, false, err
+	})
+}
+
+// TopKFunc returns the k best of wfs as scored by score, ties broken by ID;
+// TopK is TopKFunc over one measure. score(w, wf, floor) runs on worker w of
+// the scan's Batched pool, so it may keep per-worker state indexed by w
+// (Workers(len(wfs), opts.Parallelism) of them). It returns wf's similarity,
+// or below = true for a candidate that is no result: one provably scoring
+// under floor, or one the caller leaves out (opts.IncludeQuery is the
+// caller's to apply). A candidate score fails on is skipped and counted.
+//
+// The k best are kept as the candidates are scored, and the k-th similarity so
+// far is published as the scan's floor. The result does not depend on what
+// score gives up on under a floor: a candidate among the final k best scores
+// at least the final k-th similarity, which no floor ever exceeds, so it is
 // never proved below one.
 //
 //wfsimvet:hotpath
-func TopK(ctx context.Context, query *workflow.Workflow, repo Corpus, m measures.Measure, opts Options) ([]Result, int, error) {
+func TopKFunc(ctx context.Context, wfs []*workflow.Workflow, opts Options, score func(w int, wf *workflow.Workflow, floor float64) (s float64, below bool, err error)) ([]Result, int, error) {
 	k := opts.K
 	if k <= 0 {
 		k = 10
 	}
-	wfs := repo.Workflows()
 	floor := opts.Floor
 	if floor == nil {
 		floor = NewFloor()
@@ -216,7 +240,6 @@ func TopK(ctx context.Context, query *workflow.Workflow, repo Corpus, m measures
 	if opts.MinSimilarity != nil {
 		floor.Raise(*opts.MinSimilarity)
 	}
-	bounded, _ := m.(floorComparer)
 
 	// top holds at most k results in SortResults order; a result enters only
 	// if it precedes the current k-th. The order is total (IDs are unique
@@ -225,20 +248,11 @@ func TopK(ctx context.Context, query *workflow.Workflow, repo Corpus, m measures
 	var mu sync.Mutex
 	top := make([]Result, 0, min(k, len(wfs)))
 	skipped := 0
-	err := Batched(ctx, len(wfs), opts.Parallelism, opts.BatchSize, func(i int) error {
+	err := Batched(ctx, len(wfs), opts.Parallelism, opts.BatchSize, func(w, i int) error {
 		wf := wfs[i]
-		if !opts.IncludeQuery && wf.ID == query.ID {
+		s, below, err := score(w, wf, floor.Load())
+		if below {
 			return nil
-		}
-		var s float64
-		var err error
-		if bounded != nil {
-			var below bool
-			if s, below, err = bounded.CompareFloor(query, wf, floor.Load()); below {
-				return nil
-			}
-		} else {
-			s, err = m.Compare(query, wf)
 		}
 		if err != nil {
 			mu.Lock()

@@ -3,7 +3,9 @@ package search
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"sync/atomic"
 	"testing"
 
@@ -187,7 +189,7 @@ func TestTopKCancelledContext(t *testing.T) {
 func TestBatchedCoversAllIndexes(t *testing.T) {
 	const n = 1000
 	seen := make([]int32, n)
-	err := Batched(context.Background(), n, 4, 7, func(i int) error {
+	err := Batched(context.Background(), n, 4, 7, func(_, i int) error {
 		seen[i]++
 		return nil
 	})
@@ -201,6 +203,88 @@ func TestBatchedCoversAllIndexes(t *testing.T) {
 	}
 }
 
+// TestBatchedWorkers: every index runs exactly once, every worker index lies
+// in [0, Workers(n, par)), no two goroutines run as the same worker at once,
+// and a pool of one runs on the caller's goroutine. An error or a cancelled
+// context still stops the pool.
+func TestBatchedWorkers(t *testing.T) {
+	for _, tc := range []struct{ n, par, batch int }{
+		{1000, 4, 7}, {1000, 2, 0}, {5, 8, 1}, {1, 3, 0}, {64, 1, 3},
+	} {
+		workers := Workers(tc.n, tc.par)
+		if want := min(tc.par, tc.n); workers != want {
+			t.Fatalf("Workers(%d, %d) = %d, want %d", tc.n, tc.par, workers, want)
+		}
+		seen := make([]atomic.Int32, tc.n)
+		busy := make([]atomic.Bool, workers)
+		err := Batched(context.Background(), tc.n, tc.par, tc.batch, func(w, i int) error {
+			if w < 0 || w >= workers {
+				return fmt.Errorf("worker %d outside [0, %d)", w, workers)
+			}
+			if !busy[w].CompareAndSwap(false, true) {
+				return fmt.Errorf("worker %d running twice at once", w)
+			}
+			defer busy[w].Store(false)
+			seen[i].Add(1)
+			runtime.Gosched()
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("n=%d par=%d: %v", tc.n, tc.par, err)
+		}
+		for i := range seen {
+			if c := seen[i].Load(); c != 1 {
+				t.Fatalf("n=%d par=%d: index %d visited %d times", tc.n, tc.par, i, c)
+			}
+		}
+	}
+	if got := Workers(0, 4); got != 0 {
+		t.Errorf("Workers(0, 4) = %d, want 0", got)
+	}
+	if got := Workers(10, 0); got != min(runtime.GOMAXPROCS(0), 10) {
+		t.Errorf("Workers(10, 0) = %d, want min(GOMAXPROCS, 10)", got)
+	}
+
+	before := runtime.NumGoroutine()
+	err := Batched(context.Background(), 10, 1, 0, func(w, i int) error {
+		if n := runtime.NumGoroutine(); n != before {
+			return fmt.Errorf("%d goroutines inside a pool of one, %d before it", n, before)
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	boom := errors.New("boom")
+	var ran atomic.Int32
+	if err := Batched(context.Background(), 1000, 4, 1, func(w, i int) error {
+		ran.Add(1)
+		if i == 10 {
+			return boom
+		}
+		return nil
+	}); !errors.Is(err, boom) {
+		t.Errorf("err = %v, want the failing call's error", err)
+	}
+	if ran.Load() == 1000 {
+		t.Error("the pool ran every index after an error")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	ran.Store(0)
+	if err := Batched(ctx, 1000, 4, 1, func(w, i int) error {
+		if ran.Add(1) == 10 {
+			cancel()
+		}
+		return nil
+	}); !errors.Is(err, context.Canceled) {
+		t.Errorf("err = %v, want context.Canceled", err)
+	}
+	if ran.Load() == 1000 {
+		t.Error("the pool ran every index after cancellation")
+	}
+}
+
 // A context that expires only after the final item was processed must not
 // fail the scan: Batched returns nil iff fn ran for every index.
 func TestBatchedCompletedScanSurvivesLateCancel(t *testing.T) {
@@ -208,7 +292,7 @@ func TestBatchedCompletedScanSurvivesLateCancel(t *testing.T) {
 	defer cancel()
 	const n = 3
 	ran := 0
-	err := Batched(ctx, n, 1, 1, func(i int) error {
+	err := Batched(ctx, n, 1, 1, func(_, i int) error {
 		ran++
 		if i == n-1 {
 			cancel() // expires as the last item completes

@@ -250,7 +250,7 @@ func (c *Coordinator) Search(ctx context.Context, v View, prep *ScanPrep, q Quer
 	}
 	per := make([][]search.Result, len(v.pins))
 	perStats := make([]ReadStats, len(v.pins))
-	err := search.Batched(ctx, len(v.pins), len(v.pins), 1, func(i int) error {
+	err := search.Batched(ctx, len(v.pins), len(v.pins), 1, func(_, i int) error {
 		res, st, err := v.pins[i].Search(ctx, prep, q)
 		if err != nil {
 			return err
@@ -311,7 +311,7 @@ func (v View) blocks() []pairBlock {
 // Pin.PairsBlock); stats are summed across blocks.
 func (v View) scanPairs(ctx context.Context, blocks []pairBlock, prep *ScanPrep, par int, floor float64, sink func(b int) func(i, j int, score float64)) (ReadStats, error) {
 	perStats := make([]ReadStats, len(blocks))
-	err := search.Batched(ctx, len(blocks), len(v.pins), 1, func(b int) error {
+	err := search.Batched(ctx, len(blocks), len(v.pins), 1, func(_, b int) error {
 		st, err := blocks[b].exec.PairsBlock(ctx, blocks[b].other, prep, par, floor, sink(b))
 		perStats[b] = st
 		return err

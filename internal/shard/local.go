@@ -3,7 +3,6 @@ package shard
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -314,58 +313,6 @@ func (p *localPin) Size() int                        { return p.snap.Size() }
 func (p *localPin) Get(id string) *workflow.Workflow { return p.snap.Get(id) }
 func (p *localPin) Workflows() []*workflow.Workflow  { return p.snap.Workflows() }
 
-// searchMeasure adapts one shard's scan state to what search.TopK scores
-// with, over the index's candidates or the whole pinned slice alike: per
-// candidate it applies the measure's cheap bound against the scan's floor,
-// then routes the pair through the shard's cache and the scan's specialised
-// measure. The query is projected once per scan. A candidate meets the query
-// once: when the measure has a bound it is projected up front (the bound
-// reads the projection, which the workflow caches), otherwise only if its
-// pair misses the cache. The first argument of Compare and CompareFloor is
-// always the query.
-type searchMeasure struct {
-	prep      *ScanPrep
-	scorer    pairScorer
-	queryOrig *workflow.Workflow
-	queryProj *workflow.Workflow
-	cacheable bool
-	// captured is the pin's snapshot when the candidates are an index
-	// capture, nil when they are the snapshot's own slice.
-	captured *corpus.Snapshot
-}
-
-func (sm *searchMeasure) Name() string { return sm.prep.Name }
-
-func (sm *searchMeasure) Compare(q, wf *workflow.Workflow) (float64, error) {
-	s, _, err := sm.CompareFloor(q, wf, math.Inf(-1))
-	return s, err
-}
-
-// CompareFloor is what search.TopK calls per candidate.
-//
-//wfsimvet:hotpath
-func (sm *searchMeasure) CompareFloor(_, wf *workflow.Workflow, floor float64) (float64, bool, error) {
-	x, xProj := sm.queryOrig, sm.queryProj
-	y, yProj := wf, (*workflow.Workflow)(nil) // left to the scorer: projected on a cache miss
-	if sm.prep.bounded != nil {
-		yProj = sm.prep.ProjectOne(wf)
-		if sm.scorer.boundedBelow(xProj, yProj, floor) {
-			return 0, true, nil
-		}
-	}
-	// Cache only snapshot-owned candidates. The snapshot's own slice is
-	// nothing else; an index candidate captured across a compaction can share
-	// an ID with a snapshot workflow without sharing its content.
-	cacheable := sm.cacheable && (sm.captured == nil || sm.captured.Get(wf.ID) == wf)
-	// Evaluate in ID order (see PairsBlock): measures are symmetric in value
-	// but not in bits, and the cache key is orientation-free, so a search
-	// score must be computed exactly as the pair scan would compute it.
-	if !workflow.IDsInOrder(x.ID, y.ID) {
-		x, xProj, y, yProj = y, yProj, x, xProj
-	}
-	return sm.scorer.score(x, y, xProj, yProj, cacheable, floor)
-}
-
 // Search implements Pin. A measure with an exact score bound scans the whole
 // pinned slice: the bound removes most of the work, and the result is the
 // exact top-k. A measure without one takes the indexed filter-and-refine path
@@ -385,42 +332,63 @@ func (p *localPin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]searc
 	// back to string lookup for unresolved queries). The engine never gets
 	// here: it resolves a copy of any query its table did not resolve before
 	// the fan-out; this guards callers that drive a coordinator directly.
-	if q.Query != nil {
-		if ref := q.Query.SymtabRef(); ref != nil && ref != p.s.syms {
-			q.Query = q.Query.Clone()
-		}
+	query := q.Query
+	if ref := query.SymtabRef(); ref != nil && ref != p.s.syms {
+		query = query.Clone()
 	}
-	sm := &searchMeasure{
-		prep:      prep,
-		queryOrig: q.Query,
-		queryProj: prep.ProjectOne(q.Query),
-		cacheable: q.Cacheable,
-	}
-	sm.scorer.prep = prep
-	sm.scorer.cache = p.s.cache
-	sm.scorer.tab = p.s.syms
 	// Filter: the index's candidate capture, for a measure that has nothing
 	// better, otherwise the whole pinned slice. Refine: one top-k kernel over
 	// either.
-	var scan search.Corpus = p.snap
+	scan := p.snap.Workflows()
 	var pruned int
+	captured := false // an index capture may hold an older object under an ID
 	if prep.bounded == nil && p.idx != nil && p.idx.Generation() == p.snap.Generation() &&
 		!q.Exact && !q.IncludeQuery && q.MinSimilarity == nil {
-		cands, live := p.idx.CaptureCandidates(q.Query, p.s.minShared)
-		scan, pruned, sm.captured = search.List(cands), live-len(cands), p.snap
+		cands, live := p.idx.CaptureCandidates(query, p.s.minShared)
+		scan, pruned, captured = cands, live-len(cands), true
 	}
-	results, skipped, err := search.TopK(ctx, q.Query, scan, sm, search.Options{
+	// The query is left out by identity: within the snapshot no other object
+	// carries its ID. Only a captured candidate is compared by ID.
+	var self *workflow.Workflow
+	if !q.IncludeQuery {
+		self = p.snap.Get(query.ID)
+	}
+	queryProj := prep.ProjectOne(query)
+	scorers := p.s.workerScorers(prep, search.Workers(len(scan), q.Par))
+	// Per candidate: the measure's cheap bound against the scan's floor, then
+	// the pair through the shard's cache and the scan's specialised measure.
+	// A candidate meets the query once: when the measure has a bound it is
+	// projected up front (the bound reads the projection, which the workflow
+	// caches), otherwise only if its pair misses the cache.
+	score := func(w int, wf *workflow.Workflow, floor float64) (float64, bool, error) {
+		if wf == self || captured && wf.ID == query.ID {
+			return 0, true, nil
+		}
+		ps := &scorers[w].pairScorer
+		wfProj := (*workflow.Workflow)(nil) // left to the scorer: projected on a cache miss
+		if prep.bounded != nil {
+			wfProj = prep.ProjectOne(wf)
+			if ps.boundedBelow(queryProj, wfProj, floor) {
+				return 0, true, nil
+			}
+		}
+		// Cache only snapshot-owned candidates. The snapshot's own slice is
+		// nothing else; an index candidate captured across a compaction can
+		// share an ID with a snapshot workflow without sharing its content.
+		cacheable := q.Cacheable && (!captured || p.snap.Get(wf.ID) == wf)
+		return ps.score(query, wf, queryProj, wfProj, cacheable, floor)
+	}
+	results, skipped, err := search.TopKFunc(ctx, scan, search.Options{
 		K:             q.K,
 		Parallelism:   q.Par,
-		IncludeQuery:  q.IncludeQuery,
 		MinSimilarity: q.MinSimilarity,
 		Floor:         q.Floor,
-	})
+	}, score)
 	if err != nil {
 		return nil, ReadStats{}, err
 	}
 	stats := ReadStats{Skipped: skipped, Pruned: pruned}
-	sm.scorer.fill(&stats)
+	fill(scorers, &stats)
 	return results, stats, nil
 }
 
@@ -430,11 +398,7 @@ func (p *localPin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]searc
 //wfsimvet:hotpath
 func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, par int, floor float64, emit func(i, j int, score float64)) (ReadStats, error) {
 	self := prep.For(p)
-	var scorer pairScorer
-	scorer.prep = prep
-	scorer.cache = p.s.cache
-	scorer.tab = p.s.syms
-
+	scorers := p.s.workerScorers(prep, search.Workers(len(self.Orig), par))
 	cross := self
 	if other != nil {
 		cross = prep.For(other)
@@ -442,7 +406,8 @@ func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, pa
 
 	done := ctx.Done() // polled per pair, as search.Batched polls it per row
 	var skipped atomic.Int64
-	err := search.Batched(ctx, len(self.Orig), par, 1, func(i int) error {
+	err := search.Batched(ctx, len(self.Orig), par, 1, func(w, i int) error {
+		scorer := &scorers[w].pairScorer
 		a, aProj := self.Orig[i], self.Proj[i]
 		j0 := 0
 		if other == nil {
@@ -458,15 +423,7 @@ func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, pa
 			if scorer.boundedBelow(aProj, bProj, floor) {
 				continue
 			}
-			// Evaluate in ID order: measures are symmetric in value but not
-			// always in bits (summation order inside the matcher differs),
-			// so the score must be a function of the unordered pair, not of
-			// which shard's block the pair landed in.
-			x, xProj, y, yProj := a, aProj, b, bProj
-			if !workflow.IDsInOrder(x.ID, y.ID) {
-				x, xProj, y, yProj = y, yProj, x, xProj
-			}
-			s, below, err := scorer.score(x, y, xProj, yProj, true, floor)
+			s, below, err := scorer.score(a, b, aProj, bProj, true, floor)
 			if below {
 				continue
 			}
@@ -482,6 +439,6 @@ func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, pa
 		return ReadStats{}, err
 	}
 	stats := ReadStats{Skipped: int(skipped.Load())}
-	scorer.fill(&stats)
+	fill(scorers, &stats)
 	return stats, nil
 }

@@ -4,7 +4,6 @@ import (
 	"context"
 	"math"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/corpus"
 	"repro/internal/index"
@@ -137,16 +136,35 @@ func pairKey(measure string, a, b *workflow.Workflow, epoch uint64) (key scoreca
 	return scorecache.PairKey(measure, ida, idb, aRev<<32|bRev, epoch), true
 }
 
-// pairScorer scores (origin, projected) pairs through a shard's score cache.
-// It is built per scan task; its counters accumulate into ReadStats.
+// pairScorer scores (origin, projected) pairs through a shard's score cache
+// and counts what each pair cost. It belongs to one worker of one scan —
+// calls on it never overlap, so its counters are plain integers — and a scan
+// sums its workers' counters into ReadStats once its pool has drained.
 type pairScorer struct {
 	prep    *ScanPrep
 	cache   *scorecache.Cache // nil disables caching
 	tab     *symtab.Table     // the owning shard's symbol table (cache keyspace)
-	hits    atomic.Int64
-	miss    atomic.Int64
-	evals   atomic.Int64 // evaluations that produced a score
-	bounded atomic.Int64 // pairs an exact bound eliminated
+	hits    int
+	miss    int
+	evals   int // evaluations that produced a score
+	bounded int // pairs an exact bound eliminated
+}
+
+// workerScorers returns one scorer per worker of a scan over s. Each is
+// padded out to its own cache lines, so workers counting side by side never
+// write to a line another worker's counters share.
+func (s *Local) workerScorers(prep *ScanPrep, workers int) []paddedScorer {
+	scorers := make([]paddedScorer, workers)
+	for w := range scorers {
+		scorers[w].pairScorer = pairScorer{prep: prep, cache: s.cache, tab: s.syms}
+	}
+	return scorers
+}
+
+// paddedScorer is a pairScorer followed by a cache line of padding.
+type paddedScorer struct {
+	pairScorer
+	_ [64]byte
 }
 
 // boundedBelow reports — and counts — that the pre-projected pair provably
@@ -159,7 +177,7 @@ func (ps *pairScorer) boundedBelow(aProj, bProj *workflow.Workflow, floor float6
 	if ps.prep.bounded == nil || !(ps.prep.bounded.UpperBound(aProj, bProj) < floor) {
 		return false
 	}
-	ps.bounded.Add(1)
+	ps.bounded++
 	return true
 }
 
@@ -170,6 +188,13 @@ func (ps *pairScorer) boundedBelow(aProj, bProj *workflow.Workflow, floor float6
 //
 //wfsimvet:hotpath
 func (ps *pairScorer) compare(a, b, aProj, bProj *workflow.Workflow, floor float64) (s float64, below bool, err error) {
+	// Evaluate in ID order: measures are symmetric in value but not always
+	// in bits (summation order inside the matcher differs), so a score must
+	// be a function of the unordered pair — whichever shard's block or
+	// search it came from, and whichever scan put it in the cache.
+	if !workflow.IDsInOrder(a.ID, b.ID) {
+		a, b, aProj, bProj = b, a, bProj, aProj
+	}
 	if aProj == nil {
 		aProj = ps.prep.ProjectOne(a)
 	}
@@ -183,14 +208,16 @@ func (ps *pairScorer) compare(a, b, aProj, bProj *workflow.Workflow, floor float
 	}
 	switch {
 	case below:
-		ps.bounded.Add(1)
+		ps.bounded++
 	case err == nil:
-		ps.evals.Add(1)
+		ps.evals++
 	}
 	return s, below, err
 }
 
-// score evaluates the pair (a, b), serving and populating the cache when
+// score evaluates the pair (a, b), in either orientation — the cache key is
+// orientation-free and compare puts the pair in ID order — serving and
+// populating the cache when
 // both sides are cacheable corpus-owned objects. Cache keys are built from
 // the workflows' interned ID symbols and revisions (pairKey); a side without
 // them (e.g. a repository running without a symbol table) carries no stable
@@ -220,10 +247,10 @@ func (ps *pairScorer) score(a, b, aProj, bProj *workflow.Workflow, cacheable boo
 		return ps.compare(a, b, aProj, bProj, floor)
 	}
 	if s, ok := ps.cache.Get(key); ok {
-		ps.hits.Add(1)
+		ps.hits++
 		return s, false, nil
 	}
-	ps.miss.Add(1)
+	ps.miss++
 	s, _, err = ps.compare(a, b, aProj, bProj, math.Inf(-1))
 	if err != nil {
 		// Failures (e.g. GED timeouts) are not cached: the budget differs
@@ -234,12 +261,15 @@ func (ps *pairScorer) score(a, b, aProj, bProj *workflow.Workflow, cacheable boo
 	return s, false, nil
 }
 
-// fill copies the scorer's counters into stats.
-func (ps *pairScorer) fill(st *ReadStats) {
-	st.CacheHits += int(ps.hits.Load())
-	st.CacheMisses += int(ps.miss.Load())
-	st.Scored += int(ps.hits.Load() + ps.evals.Load())
-	st.Bounded += int(ps.bounded.Load())
+// fill sums the worker scorers' counters into st.
+func fill(scorers []paddedScorer, st *ReadStats) {
+	for w := range scorers {
+		ps := &scorers[w]
+		st.CacheHits += ps.hits
+		st.CacheMisses += ps.miss
+		st.Scored += ps.hits + ps.evals
+		st.Bounded += ps.bounded
+	}
 }
 
 // ReadStats aggregates one shard's (or one merged operation's) scan work.

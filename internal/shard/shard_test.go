@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/corpus"
 	"repro/internal/gen"
+	"repro/internal/index"
 	"repro/internal/measures"
 	"repro/internal/module"
 	"repro/internal/search"
@@ -473,4 +474,40 @@ func TestLocalShardDurableRoundTrip(t *testing.T) {
 		t.Error("seeding a shard that recovered state should fail")
 	}
 	_ = filepath.Join // keep import if unused in future edits
+}
+
+// TestSearchLeavesCapturedQueryOutByID: the index is the one source of
+// candidates that may hold another object under the query's ID, so a search
+// over an index capture still leaves the query out by ID, not by identity.
+func TestSearchLeavesCapturedQueryOutByID(t *testing.T) {
+	c := testCorpus(t, 40)
+	s, err := NewLocal(0, LocalConfig{MinShared: 2, Seed: c.Repo.Workflows()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	pin := s.Pin().(*localPin)
+	// An index over copies of the pinned workflows, current for the pin.
+	clones := make(search.List, pin.Size())
+	for i, wf := range pin.Workflows() {
+		clones[i] = wf.Clone()
+	}
+	pin.idx = index.Build(clones)
+	pin.idx.SetGeneration(pin.Generation())
+
+	query := pin.Workflows()[0]
+	res, st, err := pin.Search(context.Background(), NewScanPrep(measures.BagOfWords{}, 0), Query{Query: query, K: pin.Size()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Pruned == 0 && len(res) == 0 {
+		t.Fatal("the search scanned nothing")
+	}
+	for _, r := range res {
+		if r.ID == query.ID {
+			t.Fatalf("the index's copy of query %s is a result (similarity %v)", query.ID, r.Similarity)
+		}
+	}
+	if got := st.Scored + st.Bounded + st.Pruned + st.Skipped; got != pin.Size()-1 {
+		t.Errorf("scored %d + bounded %d + pruned %d + skipped %d = %d, want %d", st.Scored, st.Bounded, st.Pruned, st.Skipped, got, pin.Size()-1)
+	}
 }

@@ -130,7 +130,10 @@ func WithIndex(minShared int) Option {
 	}
 }
 
-// WithConcurrency bounds the scoring worker pools (default GOMAXPROCS).
+// WithConcurrency bounds the scoring worker pools (default GOMAXPROCS). The
+// calling goroutine is one of the workers, so a pool of one scores on the
+// caller's goroutine, and each worker keeps its own scan state and counters,
+// indexed by its worker number, which are summed once the pool drains.
 func WithConcurrency(n int) Option {
 	return func(e *Engine) error {
 		e.concurrency = n

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -247,8 +248,9 @@ func TestSharedFloorConcurrentSearches(t *testing.T) {
 						t.Errorf("goroutine %d, top-%d: %s", g, k, diff)
 						return
 					}
-					if stats.Scored+stats.Bounded+stats.Skipped < eng.Size()-1 {
-						t.Errorf("goroutine %d, top-%d: scored %d + bounded %d of %d pairs", g, k, stats.Scored, stats.Bounded, eng.Size())
+					// The full ranking lists every pair a search covers.
+					if got, want := covered(stats), len(q.full); got != want {
+						t.Errorf("goroutine %d, top-%d: %d pairs covered, want %d", g, k, got, want)
 						return
 					}
 				}
@@ -256,4 +258,87 @@ func TestSharedFloorConcurrentSearches(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
+}
+
+// TestSearchAccountingIsExact: every worker of a scan counts into its own
+// scorer and the counts are summed once the pool drains, so the stats of a
+// search by ID are exact at every shard count and pool width — every other
+// live workflow is scored, bounded, pruned or skipped exactly once, and a
+// scored pair of the engine's own workflows is a cache hit or a miss.
+func TestSearchAccountingIsExact(t *testing.T) {
+	ctx := context.Background()
+	stored, _ := goldenCorpus(t)
+	for _, shards := range []int{1, 2, 5} {
+		for _, par := range []int{1, 2, 4} {
+			eng := goldenEngine(t, stored, WithShards(shards), WithConcurrency(par), WithScoreCache(1<<14))
+			for round := 0; round < 2; round++ { // cold cache, then warm
+				for i := 0; i < len(stored); i += 7 {
+					for _, k := range []int{1, 10} {
+						_, st, err := eng.SearchID(ctx, stored[i].ID, SearchOptions{K: k})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got, want := covered(st), eng.Size()-1; got != want {
+							t.Fatalf("shards=%d par=%d top-%d of %s: scored %d + bounded %d + pruned %d + skipped %d = %d, want %d",
+								shards, par, k, stored[i].ID, st.Scored, st.Bounded, st.Pruned, st.Skipped, got, want)
+						}
+						if st.CacheHits+st.CacheMisses != st.Scored {
+							t.Fatalf("shards=%d par=%d top-%d of %s: %d hits + %d misses, %d scored",
+								shards, par, k, stored[i].ID, st.CacheHits, st.CacheMisses, st.Scored)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSearchLeavesQueryOut: a search leaves out the corpus workflow that
+// carries the query's ID — an inline query under a stored ID included, at one
+// shard and two — unless IncludeQuery keeps it; and a search over the index's
+// candidates (BW has no score bound) leaves it out as well.
+func TestSearchLeavesQueryOut(t *testing.T) {
+	ctx := context.Background()
+	stored, held := goldenCorpus(t)
+	id := stored[9].ID
+	inline := held[0].Clone()
+	inline.ID = id
+	for _, shards := range []int{1, 2} {
+		for _, index := range []bool{false, true} {
+			opts := []Option{WithShards(shards)}
+			measure := ""
+			if index {
+				opts, measure = append(opts, WithIndex(1)), "BW"
+			}
+			eng := goldenEngine(t, stored, opts...)
+			n := eng.Size()
+			for name, search := range map[string]func(SearchOptions) ([]Result, Stats, error){
+				"inline": func(o SearchOptions) ([]Result, Stats, error) { return eng.Search(ctx, inline, o) },
+				"id":     func(o SearchOptions) ([]Result, Stats, error) { return eng.SearchID(ctx, id, o) },
+			} {
+				res, st, err := search(SearchOptions{K: n, Measure: measure})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, r := range res {
+					if r.ID == id {
+						t.Fatalf("shards=%d index=%v %s: %s is a result", shards, index, name, id)
+					}
+				}
+				if got := covered(st); got != n-1 {
+					t.Errorf("shards=%d index=%v %s: %d pairs covered, want %d", shards, index, name, got, n-1)
+				}
+				if !index && len(res) != n-1 {
+					t.Errorf("shards=%d %s: %d results, want every other workflow (%d)", shards, name, len(res), n-1)
+				}
+				res, _, err = search(SearchOptions{K: n, Measure: measure, IncludeQuery: true})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(res) != n || !slices.ContainsFunc(res, func(r Result) bool { return r.ID == id }) {
+					t.Errorf("shards=%d index=%v %s: IncludeQuery gave %d results without %s, want all %d", shards, index, name, len(res), id, n)
+				}
+			}
+		}
+	}
 }
