@@ -90,10 +90,8 @@ type Repository struct {
 	// the workflow's own ID are interned into dense uint32 symbols)
 	// before the commit hook fires and before the mutation becomes
 	// visible, so snapshot readers always observe resolved workflows.
-	// Created lazily; shared across shards via AdoptSymtab. noIntern
-	// disables resolution (the string-baseline mode).
-	syms     *symtab.Table
-	noIntern bool
+	// Created lazily; shared across shards via AdoptSymtab.
+	syms *symtab.Table
 }
 
 // CommitHook intercepts mutations inside the transaction boundary: it is
@@ -141,12 +139,8 @@ func NewRepository(wfs ...*workflow.Workflow) (*Repository, error) {
 	return r, nil
 }
 
-// symsLocked returns the repository's symbol table, creating it lazily,
-// or nil when interning is disabled.
+// symsLocked returns the repository's symbol table, creating it lazily.
 func (r *Repository) symsLocked() *symtab.Table {
-	if r.noIntern {
-		return nil
-	}
 	if r.syms == nil {
 		r.syms = symtab.New()
 	}
@@ -164,14 +158,12 @@ func (r *Repository) symsLocked() *symtab.Table {
 // repository committed it, so pinned readers may share it, and restamping
 // it could let two contents answer to one (SymID, Rev). The clone drops all
 // derived state, so it re-resolves cleanly against this repository's table.
-// Resolve is a no-op with a nil table, so the string-baseline mode flows
-// through here unresolved.
 func (r *Repository) resolveLocked(wf *workflow.Workflow) *workflow.Workflow {
 	if wf == nil {
 		return nil
 	}
 	t := r.symsLocked()
-	if ref := wf.SymtabRef(); wf.Rev() != 0 || r.byID[wf.ID] == wf || (t != nil && ref != nil && ref != t) {
+	if ref := wf.SymtabRef(); wf.Rev() != 0 || r.byID[wf.ID] == wf || (ref != nil && ref != t) {
 		wf = wf.Clone()
 	}
 	wf.Resolve(t)
@@ -179,8 +171,7 @@ func (r *Repository) resolveLocked(wf *workflow.Workflow) *workflow.Workflow {
 }
 
 // Symtab returns the repository's shared symbol table, creating it if
-// necessary. It returns nil when interning was disabled via
-// AdoptSymtab(nil).
+// necessary.
 func (r *Repository) Symtab() *symtab.Table {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -191,17 +182,18 @@ func (r *Repository) Symtab() *symtab.Table {
 // repository — the boot path of sharded engines, where every shard's
 // repository must assign symbols from one table so cross-shard scans
 // compare IDs directly. The table may already hold symbols (another shard
-// restored first); interning is idempotent. Passing nil disables interning
-// altogether: the string-baseline mode used by equivalence tests and
-// benchmarks.
+// restored first); interning is idempotent. A repository always interns, so
+// a nil table is an error.
 func (r *Repository) AdoptSymtab(t *symtab.Table) error {
+	if t == nil {
+		return fmt.Errorf("corpus: AdoptSymtab(nil): a repository always interns")
+	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if len(r.workflows) != 0 || r.gen.Load() != 0 {
 		return fmt.Errorf("corpus: AdoptSymtab on non-empty repository (size %d, generation %d)", len(r.workflows), r.gen.Load())
 	}
 	r.syms = t
-	r.noIntern = t == nil
 	return nil
 }
 

@@ -11,6 +11,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/symtab"
 	"repro/internal/workflow"
 )
 
@@ -379,6 +380,36 @@ func TestRestoreOnlyOnFreshRepository(t *testing.T) {
 	}
 	if r3.Size() != 0 || r3.Generation() != 0 {
 		t.Fatal("failed Restore mutated the repository")
+	}
+}
+
+// TestAdoptSymtabAlwaysInterns: a repository interns into the table it
+// adopts or, without one, into its own; there is no table-less mode, so
+// AdoptSymtab(nil) is refused and leaves the repository interning.
+func TestAdoptSymtabAlwaysInterns(t *testing.T) {
+	r, err := NewRepository()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.AdoptSymtab(nil); err == nil {
+		t.Fatal("AdoptSymtab(nil) accepted")
+	}
+	tab := symtab.New()
+	if err := r.AdoptSymtab(tab); err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Add(sample("1")); err != nil {
+		t.Fatal(err)
+	}
+	if r.Symtab() != tab || !r.Get("1").ResolvedBy(tab) {
+		t.Fatal("the repository did not intern into the adopted table")
+	}
+	if err := r.AdoptSymtab(symtab.New()); err == nil {
+		t.Fatal("AdoptSymtab accepted on a non-empty repository")
+	}
+	own, _ := NewRepository(sample("2"))
+	if own.Symtab() == nil || !own.Get("2").ResolvedBy(own.Symtab()) {
+		t.Fatal("a bare repository did not intern into its own table")
 	}
 }
 

@@ -45,6 +45,37 @@ func TestGenerateDeterministic(t *testing.T) {
 	}
 }
 
+// TestGenerateRejectsBadProfiles: a profile Generate cannot build is an error
+// naming the field, not a hang (fewer workflows than clusters) or a panic
+// inside the random draws.
+func TestGenerateRejectsBadProfiles(t *testing.T) {
+	cases := []struct {
+		field string
+		edit  func(*Profile)
+	}{
+		{"Workflows", func(p *Profile) { p.Workflows = 30 }}, // Taverna has 48 clusters
+		{"Clusters", func(p *Profile) { p.Clusters = 0 }},
+		{"Clusters", func(p *Profile) { p.Clusters = -3 }},
+		{"CoreMin", func(p *Profile) { p.CoreMin, p.CoreMax = 0, 0 }},
+		{"CoreMax", func(p *Profile) { p.CoreMax = p.CoreMin - 1 }},
+		{"MaxMutations", func(p *Profile) { p.MaxMutations = 0 }},
+	}
+	for _, tc := range cases {
+		p := Taverna()
+		tc.edit(&p)
+		_, err := Generate(p, 1)
+		if err == nil || !strings.Contains(err.Error(), tc.field) {
+			t.Errorf("%s: Generate(%+v) = %v, want an error naming %s", tc.field, p, err, tc.field)
+		}
+	}
+	// One workflow per cluster never mutates, so it needs no mutation depth.
+	p := smallProfile()
+	p.Workflows, p.MaxMutations = p.Clusters, 0
+	if c, err := Generate(p, 1); err != nil || c.Repo.Size() != p.Clusters {
+		t.Errorf("one workflow per cluster, MaxMutations 0: %v", err)
+	}
+}
+
 func TestGenerateSizeAndValidity(t *testing.T) {
 	c, err := Generate(smallProfile(), 7)
 	if err != nil {

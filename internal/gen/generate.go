@@ -77,8 +77,31 @@ type Corpus struct {
 	Truth   *Truth
 }
 
+// validate rejects a profile Generate cannot build, naming the field: every
+// cluster gets at least one workflow and every prototype at least one core
+// operation, and the members after a cluster's first are mutated at least
+// once.
+func (p Profile) validate() error {
+	switch {
+	case p.Clusters < 1:
+		return fmt.Errorf("gen: profile %q: Clusters = %d, want at least 1", p.Name, p.Clusters)
+	case p.Workflows < p.Clusters:
+		return fmt.Errorf("gen: profile %q: Workflows = %d is fewer than Clusters = %d; every cluster needs a workflow", p.Name, p.Workflows, p.Clusters)
+	case p.CoreMin < 1:
+		return fmt.Errorf("gen: profile %q: CoreMin = %d, want at least 1", p.Name, p.CoreMin)
+	case p.CoreMax < p.CoreMin:
+		return fmt.Errorf("gen: profile %q: CoreMax = %d is below CoreMin = %d", p.Name, p.CoreMax, p.CoreMin)
+	case p.MaxMutations < 1 && p.Workflows > p.Clusters:
+		return fmt.Errorf("gen: profile %q: MaxMutations = %d, want at least 1 once a cluster has two members", p.Name, p.MaxMutations)
+	}
+	return nil
+}
+
 // Generate builds a corpus deterministically from the profile and seed.
 func Generate(p Profile, seed int64) (*Corpus, error) {
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	r := rand.New(rand.NewSource(seed))
 	doms := domains()
 	shims := shimBank()

@@ -189,11 +189,18 @@ func TestScoreBoundOnLargerWorkflows(t *testing.T) {
 // TestOnlyModuleSetsIsBounded: a measure without a bound does not implement
 // Bounded — as parsed, as built, or as specialised for a scan.
 func TestOnlyModuleSetsIsBounded(t *testing.T) {
-	for _, name := range []string{"MS_np_ta_pll", "MS_np_te_pw3_greedy_nonorm", "PS_np_ta_pll", "GE_np_ta_pll", "BW", "ENS(BW+MS_np_ta_pll)"} {
+	parse := func(name string) Measure {
 		m, err := Parse(name, ParseOptions{})
 		if err != nil {
 			t.Fatal(err)
 		}
+		return m
+	}
+	for _, m := range []Measure{
+		parse("MS_np_ta_pll"), parse("MS_np_te_pw3_greedy_nonorm"), parse("PS_np_ta_pll"), parse("GE_np_ta_pll"), parse("BW"),
+		NewEnsemble(parse("BW"), parse("MS_np_ta_pll")),
+	} {
+		name := m.Name()
 		want := name[:2] == "MS"
 		if _, ok := m.(Bounded); ok != want {
 			t.Errorf("Parse(%q) implements Bounded: %v, want %v", name, ok, want)

@@ -19,47 +19,28 @@ type ParseOptions struct {
 	GEDBeamWidth int
 }
 
-// Parse resolves a measure name in the paper's notation (Table 2):
-// "BW", "BT", or "{MS|PS|GE}_{np|ip}_{ta|tm|te}_{scheme}", with optional
-// "_greedy" and "_nonorm" suffixes, e.g. "MS_ip_te_pll" or
-// "GE_np_ta_pw0_nonorm". Ensembles are written "ENS(a+b)" with member names
-// in the same notation.
+// Parse resolves a scalar measure name in the paper's notation (Table 2):
+// "BW", "BT", or "{MS|PS|GE}_{np|ip}_{ta|tm|te}_{scheme}" with optional
+// "greedy" and "nonorm" tokens, e.g. "MS_ip_te_pll" or "GE_np_ta_pw0_nonorm".
+// Case is ignored, and the tokens after the topology are classified by value,
+// so they may come in any order and np and ta may be left out: "ms_te_ip_pll"
+// is "MS_ip_te_pll", "MS_plm" is "MS_np_ta_plm". The parsed measure's Name is
+// the canonical form. Ensembles and registered names belong to the caller's
+// registry (pkg/wfsim), which hands every scalar name to Parse.
 func Parse(name string, opts ParseOptions) (Measure, error) {
-	switch name {
+	switch strings.ToUpper(name) {
 	case "BW":
 		return BagOfWords{}, nil
 	case "BT":
 		return BagOfTags{}, nil
 	}
-	if inner, ok := strings.CutPrefix(name, "ENS("); ok {
-		inner, ok = strings.CutSuffix(inner, ")")
-		if !ok {
-			return nil, fmt.Errorf("measures: unterminated ensemble %q", name)
-		}
-		var members []Measure
-		for _, part := range strings.Split(inner, "+") {
-			m, err := Parse(strings.TrimSpace(part), opts)
-			if err != nil {
-				return nil, err
-			}
-			members = append(members, m)
-		}
-		if len(members) < 2 {
-			return nil, fmt.Errorf("measures: ensemble %q needs >= 2 members", name)
-		}
-		return NewEnsemble(members...), nil
-	}
-
-	parts := strings.Split(name, "_")
-	if len(parts) < 4 {
-		return nil, fmt.Errorf("measures: %q is not BW, BT, ENS(...) or TOPO_{np|ip}_{ta|tm|te}_{scheme}[_greedy][_nonorm]", name)
-	}
+	tokens := strings.Split(name, "_")
 	cfg := Config{
 		Normalize:    true,
 		GEDDeadline:  opts.GEDDeadline,
 		GEDBeamWidth: opts.GEDBeamWidth,
 	}
-	switch parts[0] {
+	switch strings.ToUpper(tokens[0]) {
 	case "MS":
 		cfg.Topology = ModuleSets
 	case "PS":
@@ -67,42 +48,48 @@ func Parse(name string, opts ParseOptions) (Measure, error) {
 	case "GE":
 		cfg.Topology = GraphEdit
 	default:
-		return nil, fmt.Errorf("measures: unknown topology %q in %q", parts[0], name)
+		return nil, fmt.Errorf("%q is not a known measure: want BW, BT, a registered name, {MS|PS|GE}_... notation, or ENS(...)/ensemble(...)", name)
 	}
-	switch parts[1] {
-	case "np":
-	case "ip":
-		if opts.Project == nil {
-			return nil, fmt.Errorf("measures: %q needs ParseOptions.Project for ip", name)
-		}
-		cfg.Project = opts.Project
-	default:
-		return nil, fmt.Errorf("measures: unknown preprocessing %q in %q (want np or ip)", parts[1], name)
-	}
-	switch parts[2] {
-	case "ta":
-		cfg.Preselect = module.AllPairs
-	case "tm":
-		cfg.Preselect = module.TypeMatch
-	case "te":
-		cfg.Preselect = module.TypeEquivalence
-	default:
-		return nil, fmt.Errorf("measures: unknown preselection %q in %q (want ta, tm or te)", parts[2], name)
-	}
-	scheme, ok := module.SchemeByName(parts[3])
-	if !ok {
-		return nil, fmt.Errorf("measures: unknown scheme %q in %q", parts[3], name)
-	}
-	cfg.Scheme = scheme
-	for _, suffix := range parts[4:] {
-		switch suffix {
+	var pre, sel, scheme string // the token each slot took so far
+	for _, tok := range tokens[1:] {
+		t := strings.ToLower(tok)
+		slot, taken := "", ""
+		switch t {
+		case "np", "ip":
+			slot, taken, pre = "preprocessing", pre, t
+		case "ta":
+			slot, taken, sel = "preselection", sel, t
+			cfg.Preselect = module.AllPairs
+		case "tm":
+			slot, taken, sel = "preselection", sel, t
+			cfg.Preselect = module.TypeMatch
+		case "te":
+			slot, taken, sel = "preselection", sel, t
+			cfg.Preselect = module.TypeEquivalence
 		case "greedy":
 			cfg.Mapping = GreedyMapping
 		case "nonorm":
 			cfg.Normalize = false
 		default:
-			return nil, fmt.Errorf("measures: unknown suffix %q in %q", suffix, name)
+			s, ok := module.SchemeByName(t)
+			if !ok {
+				return nil, fmt.Errorf("%q: unknown token %q (want np/ip, ta/tm/te, a scheme like pll, greedy or nonorm)", name, tok)
+			}
+			slot, taken, scheme = "scheme", scheme, t
+			cfg.Scheme = s
 		}
+		if taken != "" {
+			return nil, fmt.Errorf("%q: duplicate %s token %q", name, slot, tok)
+		}
+	}
+	if scheme == "" {
+		return nil, fmt.Errorf("%q: missing module-comparison scheme (pw0, pw3, pll, plm, gw1 or gll)", name)
+	}
+	if pre == "ip" {
+		if opts.Project == nil {
+			return nil, fmt.Errorf("%q needs ParseOptions.Project for ip", name)
+		}
+		cfg.Project = opts.Project
 	}
 	return NewStructural(cfg).WithBound(), nil
 }

@@ -31,17 +31,31 @@ func TestParseRoundTripsNames(t *testing.T) {
 	}
 }
 
-func TestParseEnsemble(t *testing.T) {
-	m, err := Parse("ENS(BW+MS_ip_te_pll)", parseOpts())
-	if err != nil {
-		t.Fatal(err)
+// TestParseShorthand: tokens are classified by value, in any order and any
+// case, np and ta are the defaults, and Name renders the canonical order.
+func TestParseShorthand(t *testing.T) {
+	cases := map[string]string{
+		"MS_plm":                     "MS_np_ta_plm",
+		"GE_ip_pll":                  "GE_ip_ta_pll",
+		"MS_te_pll":                  "MS_np_te_pll",
+		"MS_te_ip_pll":               "MS_ip_te_pll",
+		"ms_IP_te_PLL":               "MS_ip_te_pll",
+		"PS_nonorm_pll":              "PS_np_ta_pll_nonorm",
+		"GE_pw0_nonorm_greedy_te":    "GE_np_te_pw0_greedy_nonorm",
+		"MS_greedy_pll_greedy":       "MS_np_ta_pll_greedy",
+		"bw":                         "BW",
+		"bT":                         "BT",
+		"MS_np_ta_pll_nonorm_greedy": "MS_np_ta_pll_greedy_nonorm",
 	}
-	if m.Name() != "ENS(BW+MS_ip_te_pll)" {
-		t.Errorf("Name = %q", m.Name())
-	}
-	ens, ok := m.(*Ensemble)
-	if !ok || len(ens.Members()) != 2 {
-		t.Errorf("ensemble structure wrong: %T", m)
+	for in, want := range cases {
+		m, err := Parse(in, parseOpts())
+		if err != nil {
+			t.Errorf("Parse(%q): %v", in, err)
+			continue
+		}
+		if m.Name() != want {
+			t.Errorf("Parse(%q).Name() = %q, want %q", in, m.Name(), want)
+		}
 	}
 }
 
@@ -49,7 +63,9 @@ func TestParseErrors(t *testing.T) {
 	bad := []string{
 		"", "XX", "MS", "MS_np", "MS_np_ta", "MS_np_ta_nope",
 		"ZZ_np_ta_pll", "MS_xx_ta_pll", "MS_np_xx_pll",
-		"MS_np_ta_pll_bogus", "ENS(BW)", "ENS(BW+",
+		"MS_np_ta_pll_bogus", "MS__pll", "MS_pll_",
+		"MS_np_ip_pll", "MS_ta_te_pll", "MS_pll_plm", // one token per slot
+		"ENS(BW+MS_ip_te_pll)", "ENS(BW)", "ENS(BW+", // ensembles are the registry's
 	}
 	for _, name := range bad {
 		if _, err := Parse(name, parseOpts()); err == nil {

@@ -11,7 +11,6 @@ import (
 	"repro/internal/corpus"
 	"repro/internal/search"
 	"repro/internal/storage"
-	"repro/internal/symtab"
 	"repro/internal/workflow"
 )
 
@@ -29,7 +28,7 @@ import (
 // half a cross-shard batch.
 type Coordinator struct {
 	ring   *Ring
-	shards []Shard
+	shards []*Local
 
 	applyMu sync.Mutex   // serializes Apply transactions and Close
 	gens    []uint64     // committed generation vector; guarded by applyMu
@@ -38,25 +37,16 @@ type Coordinator struct {
 }
 
 // NewCoordinator builds a coordinator over the given shards (in ring
-// order). At least one shard is required. Shards that expose a symbol
-// table (see Local.Symtab) must all share one instance: cross-shard
-// scans compare interned module IDs directly, and IDs from two tables
-// are meaningless against each other.
-func NewCoordinator(shards []Shard) (*Coordinator, error) {
+// order). At least one shard is required, and all must share one symbol
+// table (see Local.Symtab): cross-shard scans compare interned module IDs
+// directly, and IDs from two tables are meaningless against each other.
+func NewCoordinator(shards []*Local) (*Coordinator, error) {
 	ring, err := NewRing(len(shards))
 	if err != nil {
 		return nil, err
 	}
-	var tab *symtab.Table
 	for i, s := range shards {
-		st, ok := s.(interface{ Symtab() *symtab.Table })
-		if !ok || st.Symtab() == nil {
-			continue
-		}
-		switch {
-		case tab == nil:
-			tab = st.Symtab()
-		case tab != st.Symtab():
+		if s.syms != shards[0].syms {
 			return nil, fmt.Errorf("shard: coordinator over %d shards with distinct symbol tables (shard %d differs); share one table via LocalConfig.Symtab", len(shards), i)
 		}
 	}
@@ -74,7 +64,7 @@ func (c *Coordinator) Shards() int { return len(c.shards) }
 func (c *Coordinator) Ring() *Ring { return c.ring }
 
 // Shard returns the i-th shard (tests and stats).
-func (c *Coordinator) Shard(i int) Shard { return c.shards[i] }
+func (c *Coordinator) Shard(i int) *Local { return c.shards[i] }
 
 // Infos reports every shard's stats, in shard order.
 func (c *Coordinator) Infos() []Info {
@@ -113,7 +103,7 @@ func (c *Coordinator) Close(warm *WarmSpec) error {
 // View is a commit-atomic read frontier: one pin per shard, captured
 // together. All reads of one engine operation run against a single View.
 type View struct {
-	pins []Pin
+	pins []*Pin
 	ring *Ring
 }
 
@@ -121,7 +111,7 @@ type View struct {
 func (c *Coordinator) View() View {
 	c.viewMu.RLock()
 	defer c.viewMu.RUnlock()
-	pins := make([]Pin, len(c.shards))
+	pins := make([]*Pin, len(c.shards))
 	for i, s := range c.shards {
 		pins[i] = s.Pin()
 	}
@@ -129,7 +119,7 @@ func (c *Coordinator) View() View {
 }
 
 // Pins returns the per-shard pins in shard order.
-func (v View) Pins() []Pin { return v.pins }
+func (v View) Pins() []*Pin { return v.pins }
 
 // Generations returns the view's generation vector, indexed by shard.
 func (v View) Generations() []uint64 {
@@ -161,7 +151,7 @@ func (v View) Size() int {
 }
 
 // Owner returns the pin owning the given workflow ID.
-func (v View) Owner(id string) Pin { return v.pins[v.ring.Owner(id)] }
+func (v View) Owner(id string) *Pin { return v.pins[v.ring.Owner(id)] }
 
 // Get resolves a workflow by ID from its owning shard's pin.
 func (v View) Get(id string) *workflow.Workflow { return v.Owner(id).Get(id) }
@@ -271,12 +261,12 @@ func (c *Coordinator) Search(ctx context.Context, v View, prep *ScanPrep, q Quer
 // pairBlock is one unit of a whole-corpus pair scan: the executing pin's
 // slice against other's (other == nil for the intra-shard triangle).
 type pairBlock struct {
-	exec  Pin
-	other Pin
+	exec  *Pin
+	other *Pin
 }
 
 // cols returns the pin the block's column index ranges over.
-func (b pairBlock) cols() Pin {
+func (b pairBlock) cols() *Pin {
 	if b.other == nil {
 		return b.exec
 	}
@@ -394,7 +384,7 @@ func (c *Coordinator) Matrix(ctx context.Context, v View, prep *ScanPrep, par in
 }
 
 // matrixIndex maps a pin's slice positions to matrix indices.
-func matrixIndex(p Pin, at map[*workflow.Workflow]int) []int {
+func matrixIndex(p *Pin, at map[*workflow.Workflow]int) []int {
 	wfs := p.Workflows()
 	out := make([]int, len(wfs))
 	for i, wf := range wfs {

@@ -98,7 +98,7 @@ func TestFailedApplyCommitsNothingDurably(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	shards := make([]Shard, 3)
+	shards := make([]*Local, 3)
 	tab := symtab.New()
 	for i := range shards {
 		s, err := NewLocal(i, LocalConfig{MinShared: 2, Dir: ShardDir(dir, i), Symtab: tab})

@@ -35,16 +35,17 @@ type LocalConfig struct {
 	// table shared by every shard of a deployment, so a workflow's interned
 	// IDs mean the same thing on whichever shard scores it. It is
 	// process-local state: boot fills it by resolving the recovered (or
-	// seeded) workflows, nothing stores it. Nil disables
-	// interning: workflows stay unresolved, every comparison uses exact
-	// string semantics and no pair is cached — the string baseline the
-	// interned representation is tested against.
+	// seeded) workflows, nothing stores it. A shard given none interns into
+	// a private table of its own.
 	Symtab *symtab.Table
 }
 
-// Local is the in-process Shard implementation: it owns its slice of the
-// corpus as a snapshot-versioned corpus.Repository, its inverted label
-// index, its score cache, and (optionally) its own durable store.
+// Local is one in-process shard: it owns its slice of the corpus as a
+// snapshot-versioned corpus.Repository, its inverted label index, its score
+// cache, and (optionally) its own durable store. Reads go through a Pin (a
+// consistent point-in-time capture); writes go through the two-phase
+// Validate/Commit pair, driven by a Coordinator that serializes writers
+// across shards.
 type Local struct {
 	id        int
 	repo      *corpus.Repository
@@ -75,6 +76,9 @@ func NewLocal(id int, cfg LocalConfig) (*Local, error) {
 		syms:      cfg.Symtab,
 		warnf:     cfg.Storage.Warnf,
 	}
+	if s.syms == nil {
+		s.syms = symtab.New()
+	}
 	if s.warnf == nil {
 		s.warnf = func(string, ...any) {}
 	}
@@ -83,7 +87,7 @@ func NewLocal(id int, cfg LocalConfig) (*Local, error) {
 	}
 	// Wire the symbol table before any workflow enters the repository, so
 	// every ingest resolves against it.
-	if err := repo.AdoptSymtab(cfg.Symtab); err != nil {
+	if err := repo.AdoptSymtab(s.syms); err != nil {
 		return nil, fmt.Errorf("shard %d: %w", id, err)
 	}
 	if cfg.Dir != "" {
@@ -136,21 +140,23 @@ func (s *Local) seed(wfs []*workflow.Workflow) error {
 	return nil
 }
 
-// ID implements Shard.
+// ID is the shard's position in the ring ([0, N)).
 func (s *Local) ID() int { return s.id }
 
 // Repository exposes the shard's repository for tests.
 func (s *Local) Repository() *corpus.Repository { return s.repo }
 
-// Validate implements Shard: the prepare phase of a cross-shard Apply.
+// Validate checks a sub-batch against current state without mutating
+// anything: the prepare phase of a cross-shard Apply.
 func (s *Local) Validate(ops []corpus.Op) error {
 	return s.repo.ValidateBatch(ops)
 }
 
-// Commit implements Shard: applies a coordinator-validated sub-batch and
-// maintains the inverted index incrementally — O(labels) per op, under one
-// index write lock together with the generation stamp, so a concurrent
-// search never passes the generation check against a half-applied index.
+// Commit applies a coordinator-validated sub-batch, returns the shard's new
+// generation and maintains the inverted index incrementally — O(labels) per
+// op, under one index write lock together with the generation stamp, so a
+// concurrent search never passes the generation check against a
+// half-applied index.
 // The full rebuild is drift recovery only: an index that was not current
 // for the pre-batch generation, or a batch the index rejects.
 func (s *Local) Commit(ops []corpus.Op) (uint64, error) {
@@ -175,9 +181,9 @@ func (s *Local) rebuildIndex() {
 	s.idx.Store(idx)
 }
 
-// Maintain implements Shard: compacts the mutation log into a snapshot when
-// it has outgrown its thresholds. Runs outside the coordinator's commit
-// lock, so compaction I/O never blocks readers pinning new views.
+// Maintain compacts the mutation log into a snapshot when it has outgrown
+// its thresholds. Runs outside the coordinator's commit lock, so compaction
+// I/O never blocks readers pinning new views.
 func (s *Local) Maintain() {
 	if s.store == nil || !s.store.ShouldCompact() {
 		return
@@ -188,7 +194,7 @@ func (s *Local) Maintain() {
 	}
 }
 
-// Info implements Shard.
+// Info reports the shard's current stats for aggregation.
 func (s *Local) Info() Info {
 	snap := s.repo.Snapshot()
 	info := Info{
@@ -213,12 +219,12 @@ func (s *Local) Info() Info {
 	return info
 }
 
-// WarmLoad implements Shard: re-seeds the shard's cache with its persisted
-// intra-shard pair scores under the boot-time projector epoch. The cache
-// file names workflows by ID string (it outlives the process-local symbols
-// and revisions), so each entry is re-keyed by the recovered objects
-// themselves; an ID the recovered snapshot lacks makes the entry stale and it
-// is skipped rather than mis-keyed.
+// WarmLoad re-seeds the shard's cache with its persisted intra-shard pair
+// scores under the boot-time projector epoch and returns how many it
+// restored. The cache file names workflows by ID string (it outlives the
+// process-local symbols and revisions), so each entry is re-keyed by the
+// recovered objects themselves; an ID the recovered snapshot lacks makes the
+// entry stale and it is skipped rather than mis-keyed.
 func (s *Local) WarmLoad(sig string, epoch uint64) int {
 	if s.store == nil || s.cache == nil {
 		return 0
@@ -243,9 +249,9 @@ func (s *Local) WarmLoad(sig string, epoch uint64) int {
 	return s.warmEntries
 }
 
-// Close implements Shard: final snapshot checkpoint, warm-cache export for
-// the shard's own pairs, store release. Idempotent; a no-op for RAM-only
-// shards.
+// Close flushes durable state: final snapshot checkpoint, warm-cache export
+// for the shard's own pairs under warm (when non-nil), store release.
+// Idempotent; a no-op for RAM-only shards.
 func (s *Local) Close(warm *WarmSpec) error {
 	if s.store == nil {
 		return nil
@@ -261,7 +267,7 @@ func (s *Local) Close(warm *WarmSpec) error {
 	if err := s.store.Checkpoint(snap.Generation(), snap.Workflows()); err != nil {
 		firstErr = err
 	}
-	if tab := s.syms; s.cache != nil && warm != nil && tab != nil {
+	if tab := s.syms; s.cache != nil && warm != nil {
 		exported := s.cache.Export(func(k scorecache.Key) bool { return k.Proj == warm.Epoch })
 		// Persist every pair that is still current — the key the final
 		// snapshot's own objects build today is the key the score sits under
@@ -290,39 +296,45 @@ func (s *Local) Close(warm *WarmSpec) error {
 	return firstErr
 }
 
-// Pin implements Shard.
-func (s *Local) Pin() Pin {
-	return &localPin{s: s, snap: s.repo.Snapshot(), idx: s.idx.Load()}
+// Pin captures the shard's current state for a consistent read.
+func (s *Local) Pin() *Pin {
+	return &Pin{s: s, snap: s.repo.Snapshot(), idx: s.idx.Load()}
 }
 
-// Symtab returns the shard's symbol table. NewCoordinator uses it to
-// verify that every shard of a deployment assigns IDs from one table.
+// Symtab returns the shard's symbol table: the one its config named, or its
+// own. NewCoordinator checks that every shard of a deployment assigns IDs
+// from one table.
 func (s *Local) Symtab() *symtab.Table { return s.syms }
 
-// localPin is a consistent read view of a Local shard: a pinned repository
-// snapshot plus the index as of pin time.
-type localPin struct {
+// Pin is a consistent point-in-time read view of one shard: a pinned
+// repository snapshot plus the index as of pin time. Scans run against the
+// pin while later commits proceed; the view never tears.
+type Pin struct {
 	s    *Local
 	snap *corpus.Snapshot
 	idx  *index.Index
 }
 
-func (p *localPin) Shard() int                       { return p.s.id }
-func (p *localPin) Generation() uint64               { return p.snap.Generation() }
-func (p *localPin) Size() int                        { return p.snap.Size() }
-func (p *localPin) Get(id string) *workflow.Workflow { return p.snap.Get(id) }
-func (p *localPin) Workflows() []*workflow.Workflow  { return p.snap.Workflows() }
+// Shard, Generation, Size, Get and Workflows read the pin: the owning
+// shard's ID, the generation it captures, and the pinned slice (by ID, or
+// whole in repository order; callers must not modify it).
+func (p *Pin) Shard() int                       { return p.s.id }
+func (p *Pin) Generation() uint64               { return p.snap.Generation() }
+func (p *Pin) Size() int                        { return p.snap.Size() }
+func (p *Pin) Get(id string) *workflow.Workflow { return p.snap.Get(id) }
+func (p *Pin) Workflows() []*workflow.Workflow  { return p.snap.Workflows() }
 
-// Search implements Pin. A measure with an exact score bound scans the whole
-// pinned slice: the bound removes most of the work, and the result is the
-// exact top-k. A measure without one takes the indexed filter-and-refine path
-// when the index is current for the pinned generation and the query sets
-// none of Exact/IncludeQuery/MinSimilarity, and scans the pinned slice
-// otherwise. Every path scores through the shard's cache and the scan's
-// specialised measure.
+// Search scores q against the pinned slice and returns the shard-local top-k
+// (merged globally by the coordinator). A measure with an exact score bound
+// scans the whole pinned slice: the bound removes most of the work, and the
+// result is the exact top-k. A measure without one takes the indexed
+// filter-and-refine path when the index is current for the pinned generation
+// and the query sets none of Exact/IncludeQuery/MinSimilarity, and scans the
+// pinned slice otherwise. Every path scores through the shard's cache and the
+// scan's specialised measure.
 //
 //wfsimvet:hotpath
-func (p *localPin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]search.Result, ReadStats, error) {
+func (p *Pin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]search.Result, ReadStats, error) {
 	// A query resolved by a foreign symbol table carries module IDs that are
 	// meaningless against this shard's corpus: the equal-ID fast paths would
 	// compare symbols from two ID spaces, and a label memo shared across
@@ -392,11 +404,19 @@ func (p *localPin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]searc
 	return results, stats, nil
 }
 
-// PairsBlock implements Pin. Rows are fanned out with batch size 1 so uneven
-// row lengths load-balance.
+// PairsBlock scores every pair of self × other's pinned slice, or of the
+// shard's own upper triangle when other is nil, through the receiver's score
+// cache, and hands each score to emit(i, j, score): i indexes the receiver's
+// Workflows(), j other's (the receiver's own, j > i, for the triangle). Pairs
+// the measure fails on are counted as skipped and not emitted; neither are
+// pairs that provably score below floor, the lowest score the caller can use
+// (-Inf: every pair is emitted), which are counted as bounded. emit runs on
+// the block's workers: calls for one i are sequential, calls for different i
+// may be concurrent. Rows are fanned out with batch size 1 so uneven row
+// lengths load-balance.
 //
 //wfsimvet:hotpath
-func (p *localPin) PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, par int, floor float64, emit func(i, j int, score float64)) (ReadStats, error) {
+func (p *Pin) PairsBlock(ctx context.Context, other *Pin, prep *ScanPrep, par int, floor float64, emit func(i, j int, score float64)) (ReadStats, error) {
 	self := prep.For(p)
 	scorers := p.s.workerScorers(prep, search.Workers(len(self.Orig), par))
 	cross := self

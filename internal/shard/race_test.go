@@ -84,7 +84,7 @@ func TestRacePinnedReadsDuringApply(t *testing.T) {
 		o := ring.Owner(wf.ID)
 		parts[o] = append(parts[o], wf)
 	}
-	shards := make([]Shard, nShards)
+	shards := make([]*Local, nShards)
 	tab := symtab.New()
 	for i := range shards {
 		// A tiny cache forces eviction to race the generation churn.

@@ -1,11 +1,9 @@
 package shard
 
 import (
-	"context"
 	"math"
 	"sync"
 
-	"repro/internal/corpus"
 	"repro/internal/index"
 	"repro/internal/measures"
 	"repro/internal/module"
@@ -27,7 +25,7 @@ import (
 // with the prep (NewScanPrep) — while string-keyed entries (descriptions,
 // scripts, unresolved workflows) always die with the prep. Every workflow a
 // prep compares must be resolved by one symbol table, or by none: IDs of two
-// tables mean nothing against each other (localPin.Search strips a foreign
+// tables mean nothing against each other (Pin.Search strips a foreign
 // query's resolution). The specialised form returns bit-identical scores;
 // only redundant per-pair work (re-projecting the same workflow, re-running
 // Levenshtein on the same label pair) is removed.
@@ -44,12 +42,12 @@ type ScanPrep struct {
 	// bounded is inner when it has an exact score bound, nil otherwise. It is
 	// settled here, once per scan, and decides more than who calls
 	// UpperBound: a search under a bounded measure never takes the index's
-	// candidates (localPin.Search).
+	// candidates (Pin.Search).
 	bounded measures.Bounded
 	project measures.Projector // nil when nothing was hoisted
 
 	mu       sync.Mutex
-	prepared map[Pin]*Prepared
+	prepared map[*Pin]*Prepared
 }
 
 // NewScanPrep resolves m for a scatter-gather scan with a scan-scoped memo.
@@ -66,7 +64,7 @@ func NewScanPrepWith(m measures.Measure, epoch uint64, labels *module.LabelSim) 
 		Name:     m.Name(),
 		Epoch:    epoch,
 		inner:    m,
-		prepared: map[Pin]*Prepared{},
+		prepared: map[*Pin]*Prepared{},
 	}
 	if sp, ok := m.(measures.Specialisable); ok {
 		p.project, p.inner = sp.Specialise(module.NewSimMemoWith(labels))
@@ -87,7 +85,7 @@ type Prepared struct {
 // For returns pin's prepared slice, building it on first use: each workflow
 // is projected exactly once per scan, instead of once per pair inside the
 // measure.
-func (p *ScanPrep) For(pin Pin) *Prepared {
+func (p *ScanPrep) For(pin *Pin) *Prepared {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if pr, ok := p.prepared[pin]; ok {
@@ -220,8 +218,8 @@ func (ps *pairScorer) compare(a, b, aProj, bProj *workflow.Workflow, floor float
 // populating the cache when
 // both sides are cacheable corpus-owned objects. Cache keys are built from
 // the workflows' interned ID symbols and revisions (pairKey); a side without
-// them (e.g. a repository running without a symbol table) carries no stable
-// cache identity and is scored directly.
+// them (an inline query, a clone) carries no stable cache identity and is
+// scored directly.
 //
 // floor is the lowest score the caller can use. A pair the cache will not
 // keep is abandoned (below) as soon as the measure proves it scores under
@@ -235,7 +233,7 @@ func (ps *pairScorer) score(a, b, aProj, bProj *workflow.Workflow, cacheable boo
 	if ps.cache == nil || !cacheable {
 		return ps.compare(a, b, aProj, bProj, floor)
 	}
-	if ps.tab == nil || !a.ResolvedBy(ps.tab) || !b.ResolvedBy(ps.tab) {
+	if !a.ResolvedBy(ps.tab) || !b.ResolvedBy(ps.tab) {
 		// Symbols are only meaningful relative to the table that assigned
 		// them: a workflow resolved elsewhere (or not at all) could collide
 		// with an unrelated pair's key in this shard's cache keyspace, so
@@ -335,68 +333,10 @@ type Query struct {
 	Floor *search.Floor
 }
 
-// Shard is the boundary between the coordinator and one partition of the
-// corpus. The in-process implementation is Local; a future remote
-// implementation speaks the same contract over RPC, with Pin degenerating
-// to a generation token and ScanPrep to a measure descriptor.
-//
-// Reads go through Pin (a consistent point-in-time capture); writes go
-// through the two-phase Validate/Commit pair, driven by a Coordinator that
-// serializes writers across shards. Maintain runs deferrable upkeep
-// (snapshot compaction) outside the coordinator's commit lock.
-type Shard interface {
-	// ID is the shard's position in the ring ([0, N)).
-	ID() int
-	// Pin captures the shard's current state for a consistent read.
-	Pin() Pin
-	// Validate checks a sub-batch against current state without mutating
-	// anything — the prepare phase of a cross-shard Apply.
-	Validate(ops []corpus.Op) error
-	// Commit applies a validated sub-batch and returns the shard's new
-	// generation. Between a coordinator's Validate and Commit no other
-	// writer may intervene.
-	Commit(ops []corpus.Op) (uint64, error)
-	// Maintain performs deferrable maintenance (e.g. log compaction).
-	Maintain()
-	// Info reports the shard's current stats for aggregation.
-	Info() Info
-	// WarmLoad re-seeds the shard's score cache from persisted warm
-	// entries under the given projection signature and epoch, returning
-	// the number of entries restored.
-	WarmLoad(sig string, epoch uint64) int
-	// Close flushes durable state (final snapshot, warm cache under spec
-	// when non-nil) and releases resources. Idempotent.
-	Close(warm *WarmSpec) error
-}
-
-// Pin is a consistent point-in-time read view of one shard. Scans run
-// against the pin while later commits proceed; the view never tears.
-type Pin interface {
-	// Shard is the owning shard's ID.
-	Shard() int
-	// Generation is the shard generation this pin captures.
-	Generation() uint64
-	// Size is the number of workflows in the pinned slice.
-	Size() int
-	// Get returns the pinned workflow with the given ID, or nil.
-	Get(id string) *workflow.Workflow
-	// Workflows returns the pinned slice in repository order; callers must
-	// not modify it.
-	Workflows() []*workflow.Workflow
-	// Search scores q against the pinned slice and returns the shard-local
-	// top-k (merged globally by the coordinator).
-	Search(ctx context.Context, prep *ScanPrep, q Query) ([]search.Result, ReadStats, error)
-	// PairsBlock scores every pair of self × other's pinned slice, or of the
-	// shard's own upper triangle when other is nil, through the receiver's
-	// score cache, and hands each score to emit(i, j, score): i indexes the
-	// receiver's Workflows(), j other's (the receiver's own, j > i, for the
-	// triangle). Pairs the measure fails on are counted as skipped and not
-	// emitted; neither are pairs that provably score below floor, the lowest
-	// score the caller can use (-Inf: every pair is emitted), which are
-	// counted as bounded. emit runs on the block's workers: calls for one i
-	// are sequential, calls for different i may be concurrent.
-	PairsBlock(ctx context.Context, other Pin, prep *ScanPrep, par int, floor float64, emit func(i, j int, score float64)) (ReadStats, error)
-}
+// Shard is a vestige of the interface the coordinator once held its shards
+// behind; Local is the one shard there is. The alias remains for callers
+// that still name the type.
+type Shard = *Local
 
 // WarmSpec identifies the projection configuration warm-cache entries are
 // persisted under (see the engine's projection signature and epoch).

@@ -186,7 +186,7 @@ func buildLocal(t *testing.T, c *gen.Corpus, nShards int, dir string) *Coordinat
 		o := ring.Owner(wf.ID)
 		parts[o] = append(parts[o], wf)
 	}
-	shards := make([]Shard, nShards)
+	shards := make([]*Local, nShards)
 	tab := symtab.New() // one table per coordinator, shared by its shards
 	for i := range shards {
 		cfg := LocalConfig{MinShared: 2, CacheSize: 1 << 16, Seed: parts[i], Symtab: tab}
@@ -435,7 +435,7 @@ func TestLocalShardDurableRoundTrip(t *testing.T) {
 
 	// Reopen without seeds: state must come back per shard, assigning
 	// symbols from one shared table exactly as the original deployment did.
-	shards := make([]Shard, 2)
+	shards := make([]*Local, 2)
 	tab := symtab.New()
 	for i := range shards {
 		s, err := NewLocal(i, LocalConfig{MinShared: 2, Dir: ShardDir(dir, i), Symtab: tab})
@@ -485,7 +485,7 @@ func TestSearchLeavesCapturedQueryOutByID(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pin := s.Pin().(*localPin)
+	pin := s.Pin()
 	// An index over copies of the pinned workflows, current for the pin.
 	clones := make(search.List, pin.Size())
 	for i, wf := range pin.Workflows() {

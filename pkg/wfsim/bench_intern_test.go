@@ -6,39 +6,26 @@ import (
 
 	"repro/internal/index"
 	"repro/internal/measures"
+	"repro/internal/search"
 )
-
-// benchStringRepo clones the corpus into a repository with interning
-// disabled — the pre-intern string representation the hot paths are
-// benchmarked against.
-func benchStringRepo(b *testing.B, c *GeneratedCorpus) *Repository {
-	b.Helper()
-	base, err := NewRepository()
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := base.AdoptSymtab(nil); err != nil {
-		b.Fatal(err)
-	}
-	for _, wf := range c.Repo.Workflows() {
-		if err := base.Add(wf.Clone()); err != nil {
-			b.Fatal(err)
-		}
-	}
-	return base
-}
 
 // BenchmarkLabelSetDuplicates is the label-set-heavy full pair scan: the
 // pure label-set measure over every pair of a corpus, where the interned
 // representation replaces per-pair canonical-set construction and hashing
 // with a 256-bit popcount prescreen plus one sorted merge over []uint32.
-// No score cache: every iteration pays the full scan.
+// No score cache: every iteration pays the full scan. The "string" arm is the
+// brute-force reference over unresolved clones, on one goroutine.
 func BenchmarkLabelSetDuplicates(b *testing.B) {
 	const corpusSize = 10000
 	c := benchCorpusN(b, corpusSize)
 	ctx := context.Background()
-	run := func(b *testing.B, repo *Repository) {
-		eng, err := New(repo, WithMeasure("LS", measures.LabelSets{}))
+	check := func(b *testing.B, pairs []Pair) {
+		if len(pairs) == 0 {
+			b.Fatal("no high-overlap pairs in bench corpus")
+		}
+	}
+	b.Run("interned", func(b *testing.B) {
+		eng, err := New(c.Repo, WithMeasure("LS", measures.LabelSets{}))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,33 +35,36 @@ func BenchmarkLabelSetDuplicates(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			if len(pairs) == 0 {
-				b.Fatal("no high-overlap pairs in bench corpus")
-			}
+			check(b, pairs)
 		}
-	}
-	b.Run("interned", func(b *testing.B) { run(b, c.Repo) })
-	b.Run("string", func(b *testing.B) { run(b, benchStringRepo(b, c)) })
+	})
+	b.Run("string", func(b *testing.B) {
+		ref := newBruteForce(c.Repo.Workflows())
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			check(b, ref.duplicates(measures.LabelSets{}, 0.9))
+		}
+	})
 }
 
 // BenchmarkIndexBuild times a full inverted-index build over the corpus.
 // Interned workflows contribute their cached sorted label sets directly;
-// the string path canonicalizes and interns every label per insert.
+// the string path (unresolved clones) canonicalizes and interns every label
+// per insert.
 func BenchmarkIndexBuild(b *testing.B) {
 	const corpusSize = 10000
 	c := benchCorpusN(b, corpusSize)
-	run := func(b *testing.B, repo *Repository) {
-		snap := repo.Snapshot()
+	run := func(b *testing.B, wfs []*Workflow) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			idx := index.Build(snap)
+			idx := index.Build(search.List(wfs))
 			if idx.Size() != corpusSize {
 				b.Fatalf("index holds %d workflows", idx.Size())
 			}
 		}
 	}
-	b.Run("interned", func(b *testing.B) { run(b, c.Repo) })
-	b.Run("string", func(b *testing.B) { run(b, benchStringRepo(b, c)) })
+	b.Run("interned", func(b *testing.B) { run(b, c.Repo.Workflows()) })
+	b.Run("string", func(b *testing.B) { run(b, newBruteForce(c.Repo.Workflows()).wfs) })
 }
 
 // BenchmarkBootReintern times engine boot over a stored corpus: recovery

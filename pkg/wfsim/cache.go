@@ -69,12 +69,7 @@ func (e *Engine) LabelSimStats() LabelSimStats {
 
 // Symbols returns the size of the engine's symbol table: the distinct
 // strings (workflow IDs, module labels, canonical labels, types) interned by
-// ingest and by inline search queries since boot. The table only grows; a
-// restart rebuilds it from the stored corpus. Zero when interning is
-// disabled.
-func (e *Engine) Symbols() int {
-	if e.syms == nil {
-		return 0
-	}
-	return e.syms.Len()
-}
+// ingest and by workflows from outside (inline search queries, Compare
+// sides) since boot. The table only grows; a
+// restart rebuilds it from the stored corpus.
+func (e *Engine) Symbols() int { return e.syms.Len() }

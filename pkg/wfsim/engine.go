@@ -45,11 +45,12 @@ type Engine struct {
 	shardCount int                // WithShards (default 1)
 	coord      *shard.Coordinator // the data plane: every operation routes through it
 
-	// syms is the deployment's one symbol table (nil when the seed
-	// repository disabled interning) and labelSim the label-similarity memo
-	// that belongs to it: both live as long as the engine, every shard
-	// interns into syms, and every scan memoizes into labelSim — which
-	// therefore must only ever see workflows syms resolved (or none).
+	// syms is the deployment's one symbol table and labelSim the
+	// label-similarity memo that belongs to it: both live as long as the
+	// engine, every shard interns into syms, and every scan memoizes into
+	// labelSim — which therefore must only ever see workflows syms resolved.
+	// Workflows from outside are scored on private copies syms resolves
+	// (own).
 	syms     *symtab.Table
 	labelSim *module.LabelSim
 
@@ -407,11 +408,21 @@ func (e *Engine) Search(ctx context.Context, query *Workflow, opts SearchOptions
 	if query == nil {
 		return nil, Stats{}, fmt.Errorf("nil query workflow")
 	}
-	if e.syms != nil && !query.ResolvedBy(e.syms) {
-		query = query.Clone()
-		query.ResolveModules(e.syms)
+	return e.searchView(ctx, e.own(query), e.coord.View(), opts)
+}
+
+// own returns wf when the engine's symbol table resolved it, and otherwise a
+// private copy that table resolves: the engine's one rule for workflows from
+// outside. Module IDs another table assigned — another engine's, another
+// GenerateCorpus's — mean nothing against this engine's, and the caller's
+// object, which may be shared, is never touched.
+func (e *Engine) own(wf *Workflow) *Workflow {
+	if wf.ResolvedBy(e.syms) {
+		return wf
 	}
-	return e.searchView(ctx, query, e.coord.View(), opts)
+	c := wf.Clone()
+	c.ResolveModules(e.syms)
+	return c
 }
 
 // fillRead copies coordinator scan stats into a Stats under the view's
@@ -495,7 +506,9 @@ func CompareMeasures() []string {
 // Compare scores the pair (a, b) under each named measure (default:
 // CompareMeasures). Unknown measure names fail the whole call; per-pair
 // scoring failures are reported in the corresponding Score.Err so one GED
-// timeout does not hide the other measures.
+// timeout does not hide the other measures. Like a Search query, a side the
+// engine's symbol table has not resolved is scored on a private resolved
+// copy and left as it was handed in.
 func (e *Engine) Compare(ctx context.Context, a, b *Workflow, measureNames ...string) ([]Score, error) {
 	scores, _, err := e.compareView(ctx, e.coord.View(), a, b, measureNames)
 	return scores, err
@@ -518,6 +531,7 @@ func (e *Engine) compareView(ctx context.Context, v shard.View, a, b *Workflow, 
 	if a == nil || b == nil {
 		return nil, 0, fmt.Errorf("nil workflow in Compare")
 	}
+	a, b = e.own(a), e.own(b)
 	project, _ := e.projectionFor(v)
 	if len(measureNames) == 0 {
 		measureNames = CompareMeasures()

@@ -9,7 +9,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/shard"
 	"repro/internal/symtab"
 )
 
@@ -28,97 +27,76 @@ func internTestCorpus(t testing.TB) *GeneratedCorpus {
 	return c
 }
 
-// stringBaselineEngine builds an engine whose repository has interning
-// disabled (AdoptSymtab(nil)) over deep clones of the corpus — the exact
-// pre-intern string semantics every ID fast path must reproduce bit for
-// bit. Clones drop all derived state, so no symbol ID leaks in.
-func stringBaselineEngine(t *testing.T, c *GeneratedCorpus, opts ...Option) *Engine {
-	t.Helper()
-	base, err := NewRepository()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := base.AdoptSymtab(nil); err != nil {
-		t.Fatal(err)
-	}
-	for _, wf := range c.Repo.Workflows() {
-		if err := base.Add(wf.Clone()); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if base.Symtab() != nil {
-		t.Fatal("baseline repository still interning")
-	}
-	eng, err := New(base, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The engine must keep the seed's mode: a baseline that silently
-	// re-interned would compare the interned path against itself.
-	for _, wf := range eng.Workflows() {
-		if wf.Resolved() {
-			t.Fatalf("baseline workflow %s carries an interned representation", wf.ID)
-		}
-	}
-	return eng
-}
-
-// TestInternedEquivalenceWithStringBaseline is the tentpole's hard
-// invariant: for every registered measure of the Compare spread, Search,
-// Duplicates and Cluster on interned engines at 1, 2 and 4 shards return
-// results bit-identical to the string baseline.
+// TestInternedEquivalenceWithStringBaseline holds the interned engine to the
+// brute-force reference (bruteForce): for every measure of the Compare spread,
+// Search, Duplicates and Cluster at 1, 2 and 4 shards return what plain
+// string comparison of every pair returns, bit for bit. Searches run Exact,
+// because the reference has no index; index on/off is
+// TestShardedSearchEquivalence's to cover.
 func TestInternedEquivalenceWithStringBaseline(t *testing.T) {
 	ctx := context.Background()
 	c := internTestCorpus(t)
-	opts := []Option{WithIndex(2), WithScoreCache(1 << 14)}
-	base := stringBaselineEngine(t, c, opts...)
+	ref := newBruteForce(c.Repo.Workflows())
+	queries := []*Workflow{c.Repo.Workflows()[0], c.Repo.Workflows()[7], c.Repo.Workflows()[20]}
 
-	queries := []string{
-		c.Repo.Workflows()[0].ID,
-		c.Repo.Workflows()[7].ID,
-		c.Repo.Workflows()[20].ID,
+	// The reference's answers, once per measure.
+	type answers struct {
+		search   [][]Result
+		dupes    []Pair
+		clusters string
+	}
+	want := map[string]answers{}
+	for _, name := range CompareMeasures() {
+		m := ref.measure(t, name)
+		var a answers
+		for _, q := range queries {
+			a.search = append(a.search, ref.search(m, q, 12))
+		}
+		a.dupes = ref.duplicates(m, 0.45)
+		a.clusters = clusterKey(ref.cluster(m, 0.5))
+		want[name] = a
 	}
 
 	for _, n := range []int{1, 2, 4} {
-		eng, err := New(c.Repo, append([]Option{WithShards(n)}, opts...)...)
+		eng, err := New(c.Repo, WithShards(n), WithIndex(2), WithScoreCache(1<<14))
 		if err != nil {
 			t.Fatalf("%d shards: %v", n, err)
 		}
 		for _, m := range CompareMeasures() {
-			for _, q := range queries {
-				assertSameSearch(t, base, eng, q, SearchOptions{K: 12, Measure: m})
-				// Repeat: the second pass is served from ID-keyed caches
-				// and must not change a bit.
-				assertSameSearch(t, base, eng, q, SearchOptions{K: 12, Measure: m})
+			w := want[m]
+			for i, q := range queries {
+				// The second pass is served from ID-keyed caches and must not
+				// change a bit.
+				for pass := 0; pass < 2; pass++ {
+					got, _, err := eng.SearchID(ctx, q.ID, SearchOptions{K: 12, Measure: m, Exact: true})
+					if err != nil {
+						t.Fatalf("%d shards SearchID(%s, %s): %v", n, q.ID, m, err)
+					}
+					if diff := sameResults(got, w.search[i]); diff != "" {
+						t.Fatalf("%s at %d shards, query %s, pass %d: %s", m, n, q.ID, pass, diff)
+					}
+				}
 			}
 
-			p0, _, err := base.Duplicates(ctx, 0.45, DuplicateOptions{Measure: m})
-			if err != nil {
-				t.Fatalf("baseline Duplicates(%s): %v", m, err)
-			}
 			pN, _, err := eng.Duplicates(ctx, 0.45, DuplicateOptions{Measure: m})
 			if err != nil {
 				t.Fatalf("%d shards Duplicates(%s): %v", n, m, err)
 			}
-			if len(p0) != len(pN) {
-				t.Fatalf("%s at %d shards: %d duplicate pairs vs %d baseline", m, n, len(pN), len(p0))
+			if len(pN) != len(w.dupes) {
+				t.Fatalf("%s at %d shards: %d duplicate pairs vs %d in the reference", m, n, len(pN), len(w.dupes))
 			}
-			for i := range p0 {
-				if p0[i] != pN[i] {
-					t.Fatalf("%s at %d shards: pair %d = %+v, baseline %+v", m, n, i, pN[i], p0[i])
+			for i := range w.dupes {
+				if pN[i] != w.dupes[i] {
+					t.Fatalf("%s at %d shards: pair %d = %+v, reference %+v", m, n, i, pN[i], w.dupes[i])
 				}
 			}
 
-			c0, err := base.Cluster(ctx, ClusterOptions{Measure: m})
-			if err != nil {
-				t.Fatalf("baseline Cluster(%s): %v", m, err)
-			}
 			cN, err := eng.Cluster(ctx, ClusterOptions{Measure: m})
 			if err != nil {
 				t.Fatalf("%d shards Cluster(%s): %v", n, m, err)
 			}
-			if k0, kN := clusterKey(c0.Clusters), clusterKey(cN.Clusters); k0 != kN {
-				t.Fatalf("%s at %d shards: clustering differs\nbaseline: %s\ninterned: %s", m, n, k0, kN)
+			if kN := clusterKey(cN.Clusters); kN != w.clusters {
+				t.Fatalf("%s at %d shards: clustering differs\nreference: %s\nengine:    %s", m, n, w.clusters, kN)
 			}
 		}
 	}
@@ -203,7 +181,7 @@ func TestWarmRestartRebuildsSymbols(t *testing.T) {
 // engineSymtab returns the engine's shared symbol table (every shard interns
 // into the same one, so shard 0's is the deployment's).
 func engineSymtab(e *Engine) *symtab.Table {
-	return e.coord.Shard(0).(*shard.Local).Symtab()
+	return e.coord.Shard(0).Symtab()
 }
 
 // assertNoSymbolKeys fails if any snapshot or log under dir carries one of

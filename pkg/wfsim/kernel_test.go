@@ -69,14 +69,14 @@ func TestInlineQueryMatchesStoredQuery(t *testing.T) {
 // engine's label-similarity memo is keyed by its own table's IDs, so a memo
 // shared between them — a package-level one, say — would serve one engine
 // the other's similarities. Four goroutines search both engines alternately,
-// inline and by ID; every result must equal what a fresh engine over the same
-// corpus with interning disabled returned on its own — a reference no
-// ID-keyed state can reach. Run under -race -count=10 in CI.
+// inline and by ID; every result must equal the brute-force reference's over
+// the same corpus (bruteForce), which no ID-keyed state can reach. Run under
+// -race -count=10 in CI.
 func TestTwoEnginesKeepTheirLabelMemosApart(t *testing.T) {
 	ctx := context.Background()
 	c := internTestCorpus(t)
 	wfs := c.Repo.Workflows()
-	build := func(reverse, interned bool) *Engine {
+	seedOf := func(reverse bool) []*Workflow {
 		var seed []*Workflow
 		if reverse {
 			// Shift every symbol first, then intern the shared labels in
@@ -92,19 +92,12 @@ func TestTwoEnginesKeepTheirLabelMemosApart(t *testing.T) {
 				seed = append(seed, wf.Clone())
 			}
 		}
-		repo, err := NewRepository()
+		return seed
+	}
+	build := func(reverse bool) *Engine {
+		repo, err := NewRepository(seedOf(reverse)...)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if !interned {
-			if err := repo.AdoptSymtab(nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-		for _, wf := range seed {
-			if err := repo.Add(wf); err != nil {
-				t.Fatal(err)
-			}
 		}
 		eng, err := New(repo, testShardOpts(t)...)
 		if err != nil {
@@ -112,7 +105,7 @@ func TestTwoEnginesKeepTheirLabelMemosApart(t *testing.T) {
 		}
 		return eng
 	}
-	engines := map[bool]*Engine{false: build(false, true), true: build(true, true)}
+	engines := map[bool]*Engine{false: build(false), true: build(true)}
 	label := wfs[0].Modules[0].Label
 	ida, _ := engineSymtab(engines[false]).Lookup(label)
 	idb, _ := engineSymtab(engines[true]).Lookup(label)
@@ -146,18 +139,16 @@ func TestTwoEnginesKeepTheirLabelMemosApart(t *testing.T) {
 		res, _, err := eng.SearchID(ctx, p.id, so)
 		return res, err
 	}
-	// Reference: each probe on the string baseline of its corpus.
-	baseline := map[bool]*Engine{false: build(false, false), true: build(true, false)}
-	if engineSymtab(baseline[false]) != nil {
-		t.Fatal("the reference engine interns")
-	}
+	// Reference: each probe brute-forced over its corpus.
+	refs := map[bool]*bruteForce{false: newBruteForce(seedOf(false)), true: newBruteForce(seedOf(true))}
 	want := make([][]Result, len(probes))
 	for i, p := range probes {
-		res, err := run(baseline[p.reverse], p)
-		if err != nil {
-			t.Fatal(err)
+		query := p.inline
+		if query == nil {
+			query = c.Repo.Get(p.id)
 		}
-		want[i] = res
+		ref := refs[p.reverse]
+		want[i] = ref.search(ref.measure(t, p.measure), query, 8)
 	}
 
 	var wg sync.WaitGroup
@@ -245,4 +236,52 @@ func TestSearchAndReplaceLeaveNothingBehind(t *testing.T) {
 		t.Errorf("live heap objects grew by %d (%d -> %d) over 300 inline searches and 100 replaces", grown, before, after)
 	}
 	runtime.KeepAlive(eng)
+}
+
+// TestCompareResolvesOutsideWorkflows: Compare scores a workflow another
+// symbol table resolved (here: another GenerateCorpus's) on a private copy
+// this engine's table resolves, as Search does with its query. Scored with
+// the foreign module IDs, most of these pairs came out wrong (MS_ip_te_pll on
+// 1000/1000: 0.857 instead of 0.645). Every score must equal the measure's
+// plain string comparison of unresolved clones of the same pair, and the
+// caller's objects keep the resolution they came with. Run under -race
+// -count=10 in CI.
+func TestCompareResolvesOutsideWorkflows(t *testing.T) {
+	ctx := context.Background()
+	corpusOf := func(seed int64) *GeneratedCorpus {
+		p := TavernaProfile()
+		p.Workflows, p.Clusters = 30, 5
+		c, err := GenerateCorpus(p, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	own, other := corpusOf(1), corpusOf(2)
+	eng, err := New(own.Repo, testShardOpts(t)...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := []string{"MS_np_ta_plm", "MS_np_ta_pll", "MS_ip_te_pll"}
+	ref := newBruteForce(nil)
+	for _, a := range own.Repo.Workflows()[:10] {
+		for _, b := range other.Repo.Workflows()[:10] {
+			got, err := eng.Compare(ctx, a, b, names...)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, name := range names {
+				want, err := ref.measure(t, name).Compare(a.Clone(), b.Clone())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got[i].Err != nil || got[i].Similarity != want {
+					t.Errorf("%s on %s/%s: %v (err %v), want %v", name, a.ID, b.ID, got[i].Similarity, got[i].Err, want)
+				}
+			}
+			if !b.ResolvedBy(other.Repo.Symtab()) {
+				t.Fatalf("Compare changed the resolution of the caller's workflow %s", b.ID)
+			}
+		}
+	}
 }

@@ -7,9 +7,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unicode"
 
 	"repro/internal/measures"
-	"repro/internal/module"
 	"repro/internal/repoknow"
 )
 
@@ -41,8 +41,10 @@ const (
 //   - ensembles in either "ENS(a+b)" or "ensemble(a, b)" spelling, nested
 //     arbitrarily, whose members may be custom registered measures.
 //
-// Parsed measures render their canonical notation via Measure.Name().
-// A Registry is safe for concurrent use.
+// Scalar names are parsed by the measures package; the registry adds the
+// names it holds and the ensemble grammar that nests them. Parsed measures
+// render their canonical notation via Measure.Name(). A Registry is safe for
+// concurrent use.
 type Registry struct {
 	mu      sync.RWMutex
 	custom  map[string]Measure
@@ -102,17 +104,19 @@ func (r *Registry) SetGEDBudget(deadline time.Duration, beamWidth int) {
 }
 
 // Register adds a custom measure under the given name. The name must be
-// non-empty, free of the notation metacharacters "_+(),", not already taken,
-// and not resolvable as built-in notation (so "BW" cannot be shadowed).
-// Registered measures resolve in Parse and inside ensembles.
+// non-empty, free of whitespace and of the notation metacharacters "_+(),",
+// not already taken, and not resolvable as built-in notation (so "BW" cannot
+// be shadowed). Registered measures resolve in Parse and inside ensembles.
 func (r *Registry) Register(name string, m Measure) error {
 	if name == "" || m == nil {
 		return fmt.Errorf("Register needs a name and a measure")
 	}
-	if strings.ContainsAny(name, "_+(), ") {
-		return fmt.Errorf("measure name %q contains notation characters", name)
+	// Parse trims whitespace before it looks a name up, so a name carrying
+	// any could never be found again.
+	if strings.ContainsAny(name, "_+(),") || strings.IndexFunc(name, unicode.IsSpace) >= 0 {
+		return fmt.Errorf("measure name %q contains notation characters or whitespace", name)
 	}
-	if _, err := canonicalScalar(name); err == nil {
+	if _, err := measures.Parse(name, measures.ParseOptions{}); err == nil {
 		return fmt.Errorf("measure name %q shadows built-in notation", name)
 	}
 	r.mu.Lock()
@@ -217,11 +221,7 @@ func (r *Registry) parseResolved(name string, deadline time.Duration, beam int, 
 		}
 		return measures.NewEnsemble(members...), nil
 	}
-	canonical, err := canonicalScalar(name)
-	if err != nil {
-		return nil, err
-	}
-	return measures.Parse(canonical, measures.ParseOptions{
+	return measures.Parse(name, measures.ParseOptions{
 		Project:      project,
 		GEDDeadline:  deadline,
 		GEDBeamWidth: beam,
@@ -273,69 +273,4 @@ func splitTopLevel(s string) ([]string, error) {
 		}
 	}
 	return parts, nil
-}
-
-// canonicalScalar normalizes a non-ensemble name to the canonical
-// "{TOPO}_{np|ip}_{ta|tm|te}_{scheme}[_greedy][_nonorm]" form. Tokens after
-// the topology may appear in any order; missing preprocessing defaults to
-// np, missing preselection to ta.
-func canonicalScalar(name string) (string, error) {
-	switch strings.ToUpper(name) {
-	case "BW":
-		return "BW", nil
-	case "BT":
-		return "BT", nil
-	}
-	parts := strings.Split(name, "_")
-	topo := strings.ToUpper(parts[0])
-	switch topo {
-	case "MS", "PS", "GE":
-	default:
-		return "", fmt.Errorf("%q is not a known measure: want BW, BT, a registered name, {MS|PS|GE}_... notation, or ENS(...)/ensemble(...)", name)
-	}
-	pre, sel, scheme := "", "", ""
-	greedy, nonorm := false, false
-	for _, tok := range parts[1:] {
-		switch t := strings.ToLower(tok); t {
-		case "np", "ip":
-			if pre != "" {
-				return "", fmt.Errorf("%q: duplicate preprocessing token %q", name, tok)
-			}
-			pre = t
-		case "ta", "tm", "te":
-			if sel != "" {
-				return "", fmt.Errorf("%q: duplicate preselection token %q", name, tok)
-			}
-			sel = t
-		case "greedy":
-			greedy = true
-		case "nonorm":
-			nonorm = true
-		default:
-			if _, ok := module.SchemeByName(t); !ok {
-				return "", fmt.Errorf("%q: unknown token %q (want np/ip, ta/tm/te, a scheme like pll, greedy or nonorm)", name, tok)
-			}
-			if scheme != "" {
-				return "", fmt.Errorf("%q: duplicate scheme token %q", name, tok)
-			}
-			scheme = t
-		}
-	}
-	if scheme == "" {
-		return "", fmt.Errorf("%q: missing module-comparison scheme (pw0, pw3, pll, plm, gw1 or gll)", name)
-	}
-	if pre == "" {
-		pre = "np"
-	}
-	if sel == "" {
-		sel = "ta"
-	}
-	out := fmt.Sprintf("%s_%s_%s_%s", topo, pre, sel, scheme)
-	if greedy {
-		out += "_greedy"
-	}
-	if nonorm {
-		out += "_nonorm"
-	}
-	return out, nil
 }

@@ -82,11 +82,10 @@ func (e *Engine) open(seed *Repository) error {
 	// One symbol table for the whole deployment: cross-shard reads compare
 	// and cache-key workflows from different shards, so their interned IDs
 	// must come from the same assignment order. The seed's table is reused so
-	// already-resolved seed workflows keep their IDs (and a seed with
-	// interning disabled stays uninterned: its label memo stays empty).
+	// already-resolved seed workflows keep their IDs.
 	e.syms = seed.Symtab()
 	e.labelSim = module.NewLabelSim()
-	shards := make([]shard.Shard, n)
+	shards := make([]*shard.Local, n)
 	closeBuilt := func() {
 		for _, s := range shards {
 			if s != nil {
