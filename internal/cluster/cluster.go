@@ -12,6 +12,7 @@ package cluster
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 )
 
@@ -124,7 +125,7 @@ func Components(m *Matrix, minSim float64) Clustering {
 func toClustering(clusters [][]int, n int) Clustering {
 	// Deterministic cluster ids: order clusters by smallest member index.
 	sort.Slice(clusters, func(a, b int) bool {
-		return minOf(clusters[a]) < minOf(clusters[b])
+		return slices.Min(clusters[a]) < slices.Min(clusters[b])
 	})
 	assign := make([]int, n)
 	for k, members := range clusters {
@@ -133,16 +134,6 @@ func toClustering(clusters [][]int, n int) Clustering {
 		}
 	}
 	return Clustering{Assign: assign, K: len(clusters)}
-}
-
-func minOf(xs []int) int {
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
-			m = x
-		}
-	}
-	return m
 }
 
 // Quality metrics against a reference assignment (e.g. generator ground

@@ -184,10 +184,3 @@ func drawFromExcluding(rng *rand.Rand, all []scored, lo, hi, n int, exclude []st
 	}
 	return out
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

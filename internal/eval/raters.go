@@ -3,6 +3,7 @@ package eval
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"repro/internal/gen"
 	"repro/internal/rank"
@@ -73,17 +74,9 @@ func RankingFromRatings(ratings map[string]Rating) rank.Ranking {
 	var out rank.Ranking
 	for _, level := range []Rating{VerySimilar, Similar, Related, Dissimilar} {
 		if ids := buckets[level]; len(ids) > 0 {
-			sortStrings(ids)
+			slices.Sort(ids)
 			out.Buckets = append(out.Buckets, ids)
 		}
 	}
 	return out
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

@@ -462,13 +462,6 @@ func (pr *prototype) annotate(r *rand.Rand, wf *workflow.Workflow, depth int, p 
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // mustEdge wires an edge between modules the generator itself just created.
 // The indices are valid by construction, so a failure is a generator bug:
 // panic instead of discarding the error.

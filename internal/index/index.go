@@ -303,13 +303,6 @@ func (idx *Index) Stats() Stats {
 	}
 }
 
-// Vocabulary returns the number of distinct canonical labels indexed.
-func (idx *Index) Vocabulary() int {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	return len(idx.posting)
-}
-
 // Size returns the number of live (searchable) workflows.
 func (idx *Index) Size() int {
 	idx.mu.RLock()
@@ -385,16 +378,6 @@ func (idx *Index) Candidates(query *workflow.Workflow, minShared int) []int {
 	idx.mu.RLock()
 	defer idx.mu.RUnlock()
 	return idx.candidatesLocked(query, minShared)
-}
-
-// WorkflowAt returns the live workflow at an index position, or nil.
-func (idx *Index) WorkflowAt(pos int) *workflow.Workflow {
-	idx.mu.RLock()
-	defer idx.mu.RUnlock()
-	if pos < 0 || pos >= len(idx.entries) || idx.entries[pos].dead {
-		return nil
-	}
-	return idx.entries[pos].wf
 }
 
 // CaptureCandidates returns the live workflows sharing at least minShared

@@ -2,6 +2,7 @@ package index
 
 import (
 	"context"
+	"slices"
 	"testing"
 
 	"repro/internal/corpus"
@@ -54,7 +55,7 @@ func refine(ctx context.Context, idx *Index, query *workflow.Workflow, m measure
 func TestBuildIndexesAllWorkflows(t *testing.T) {
 	c := testCorpus(t)
 	idx := Build(c.Repo)
-	if idx.Vocabulary() == 0 {
+	if idx.Stats().Vocabulary == 0 {
 		t.Fatal("empty vocabulary")
 	}
 	for pos := range c.Repo.Workflows() {
@@ -334,7 +335,7 @@ func TestApplyBatchAndReplace(t *testing.T) {
 		t.Errorf("Apply did not stamp the generation: %d vs %d", idx.Generation(), repo.Generation())
 	}
 	sameTopK(t, idx, Build(repo), wfs[0])
-	if got := idx.WorkflowAt(idx.Candidates(repl, 1)[0]); got == nil {
+	if cands, _ := idx.CaptureCandidates(repl, 1); !slices.Contains(cands, repl) {
 		t.Error("replaced workflow not findable via candidates")
 	}
 	genBefore := idx.Generation()

@@ -81,9 +81,3 @@ func (c *PairCounter) Total() int64 { return c.total.Load() }
 
 // Compared returns the number of module pairs actually compared.
 func (c *PairCounter) Compared() int64 { return c.compared.Load() }
-
-// Reset zeroes the counters.
-func (c *PairCounter) Reset() {
-	c.total.Store(0)
-	c.compared.Store(0)
-}

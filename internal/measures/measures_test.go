@@ -415,33 +415,3 @@ func BenchmarkGraphEditCompare(b *testing.B) {
 		}
 	}
 }
-
-func TestGEDBipartiteMode(t *testing.T) {
-	a, b := keggWorkflow("a"), blastWorkflow("b")
-	cfg := msConfig()
-	cfg.Topology = GraphEdit
-	cfg.GEDBipartite = true
-	m := NewStructural(cfg)
-	self, err := m.Compare(a, a)
-	if err != nil || math.Abs(self-1) > 1e-9 {
-		t.Fatalf("bipartite GE self = %v, %v", self, err)
-	}
-	cross, err := m.Compare(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cross < 0 || cross >= self {
-		t.Errorf("bipartite GE cross = %v, want in [0, 1)", cross)
-	}
-	// The bipartite bound never exceeds the exact similarity (cost is an
-	// upper bound, so normalized similarity is a lower bound).
-	cfg.GEDBipartite = false
-	exact := NewStructural(cfg)
-	es, err := exact.Compare(a, b)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cross > es+1e-9 {
-		t.Errorf("bipartite similarity %v above exact %v", cross, es)
-	}
-}

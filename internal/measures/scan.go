@@ -1,9 +1,6 @@
 package measures
 
-import (
-	"repro/internal/module"
-	"repro/internal/workflow"
-)
+import "repro/internal/module"
 
 // Specialisable is implemented by measures that can be specialised for a
 // whole-repository scan: the scan driver hoists the importance projection out
@@ -25,29 +22,7 @@ func (s *Structural) Specialise(memo *module.SimMemo) (Projector, Measure) {
 	project := cfg.Project
 	cfg.Project = nil
 	cfg.Memo = memo
-	r := renamed{inner: NewStructural(cfg), name: s.Name()}
-	if b, ok := r.inner.WithBound().(boundedModuleSets); ok {
-		return project, renamedBounded{r, b}
-	}
-	return project, r
-}
-
-// renamed preserves the un-specialised measure's notation name (e.g. the
-// "ip" of a projection hoisted out by Specialise) on the specialised inner
-// measure.
-type renamed struct {
-	inner *Structural
-	name  string
-}
-
-func (r renamed) Name() string { return r.name }
-
-func (r renamed) Compare(a, b *workflow.Workflow) (float64, error) {
-	return r.inner.Compare(a, b)
-}
-
-// renamedBounded is renamed for a measure that has a score bound.
-type renamedBounded struct {
-	renamed
-	boundedModuleSets
+	// The name stays the un-specialised one, with the "ip" whose projection
+	// the scan now applies.
+	return project, (&Structural{cfg: cfg, name: s.name}).WithBound()
 }

@@ -83,17 +83,9 @@ type Config struct {
 	PathCap int
 	// GEDBeamWidth bounds the GED search frontier; 0 means exact.
 	GEDBeamWidth int
-	// GEDBipartite switches GED to the polynomial assignment-based upper
-	// bound (Riesen & Bunke) instead of the A*/beam search — the fastest
-	// option for whole-repository scans.
-	GEDBipartite bool
 	// GEDDeadline is the per-pair GED time budget; 0 means unlimited.
 	// The paper used 5 minutes per pair and disregarded timeouts.
 	GEDDeadline time.Duration
-	// MappingLabelThreshold is the minimum module-pair similarity for a
-	// mapped pair to receive a shared node label in GED preprocessing.
-	// 0 uses DefaultMappingLabelThreshold.
-	MappingLabelThreshold float64
 	// Counter, when non-nil, accumulates module-pair comparison counts.
 	Counter *PairCounter
 	// Memo, when non-nil, memoizes EditDistance attribute comparisons
@@ -350,18 +342,12 @@ func (s *Structural) graphEdit(a, b *workflow.Workflow) (float64, error) {
 	// argument order; fixing the order keeps the measure symmetric.
 	a, b = workflow.OrderPair(a, b)
 	g1, g2 := s.labeledGraphs(a, b)
-	var cost float64
-	var err error
-	if s.cfg.GEDBipartite {
-		cost = ged.BipartiteUpper(g1, g2)
-	} else {
-		cost, err = ged.Distance(g1, g2, ged.Options{
-			BeamWidth: s.cfg.GEDBeamWidth,
-			Deadline:  s.cfg.GEDDeadline,
-		})
-		if err != nil {
-			return 0, fmt.Errorf("GE on (%s, %s): %w", a.ID, b.ID, err)
-		}
+	cost, err := ged.Distance(g1, g2, ged.Options{
+		BeamWidth: s.cfg.GEDBeamWidth,
+		Deadline:  s.cfg.GEDDeadline,
+	})
+	if err != nil {
+		return 0, fmt.Errorf("GE on (%s, %s): %w", a.ID, b.ID, err)
 	}
 	if !s.cfg.Normalize {
 		return -cost, nil
@@ -374,17 +360,12 @@ func (s *Structural) graphEdit(a, b *workflow.Workflow) (float64, error) {
 }
 
 // labeledGraphs converts the two workflows into labeled GED graphs: modules
-// mapped onto each other (with similarity >= the mapping label threshold)
+// mapped onto each other (with similarity >= DefaultMappingLabelThreshold)
 // share a label; all other modules receive unique labels.
 func (s *Structural) labeledGraphs(a, b *workflow.Workflow) (*ged.Graph, *ged.Graph) {
 	w, st := module.WeightMatrixMemo(a, b, s.cfg.Scheme, s.cfg.Preselect, s.cfg.Memo)
 	s.cfg.Counter.Add(st.Total, st.Compared)
 	mapping := s.match(w)
-
-	threshold := s.cfg.MappingLabelThreshold
-	if threshold == 0 {
-		threshold = DefaultMappingLabelThreshold
-	}
 
 	g1 := ged.NewGraph(a.Size())
 	g2 := ged.NewGraph(b.Size())
@@ -397,7 +378,7 @@ func (s *Structural) labeledGraphs(a, b *workflow.Workflow) (*ged.Graph, *ged.Gr
 	}
 	shared := a.Size() + b.Size() + 1
 	for _, p := range mapping {
-		if p.Weight >= threshold {
+		if p.Weight >= DefaultMappingLabelThreshold {
 			g1.Labels[p.I] = shared
 			g2.Labels[p.J] = shared
 			shared++

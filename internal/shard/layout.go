@@ -65,7 +65,10 @@ func ReadMarker(root string) (n int, ok bool, err error) {
 
 // WriteMarker records the shard count in root's layout marker. The marker is
 // written once when a sharded data directory is initialised and never
-// rewritten: reopening with a different count is refused, not resharded.
+// rewritten: reopening with a different count is refused, not resharded. It
+// is written durably, like a snapshot (storage.ReplaceFile): a crash leaves
+// either the whole marker or none, never an empty one that ReadMarker would
+// refuse on every later boot.
 func WriteMarker(root string, n int) error {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return fmt.Errorf("shard: create data directory: %w", err)
@@ -74,12 +77,7 @@ func WriteMarker(root string, n int) error {
 	if err != nil {
 		return err
 	}
-	path := filepath.Join(root, markerFile)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, append(data, '\n'), 0o644); err != nil {
-		return fmt.Errorf("shard: write layout marker: %w", err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
+	if err := storage.ReplaceFile(filepath.Join(root, markerFile), data, []byte{'\n'}); err != nil {
 		return fmt.Errorf("shard: write layout marker: %w", err)
 	}
 	return nil

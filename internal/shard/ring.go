@@ -10,12 +10,8 @@
 // own durable store, and a Coordinator implements the engine's read/write
 // surface on top — routing mutation batches to the owning
 // shards with all-or-nothing validation, fanning Search/Duplicates out via
-// search.Batched, and merging per-shard top-k heaps deterministically.
-//
-// The shard boundary is the Shard interface. This package ships the
-// in-process implementation (NewLocal); the same Coordinator is designed to
-// later drive remote shards over RPC, where the measures.Measure arguments
-// become measure descriptors and pinned snapshots become generation tokens.
+// search.Batched, and merging per-shard top-k lists deterministically.
+// Shards are in-process (NewLocal).
 package shard
 
 import (

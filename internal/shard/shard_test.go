@@ -1,12 +1,13 @@
 package shard
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
 	"reflect"
-	"sort"
+	"slices"
 	"strings"
 	"testing"
 
@@ -84,42 +85,57 @@ func TestRingStableAcrossInstances(t *testing.T) {
 	}
 }
 
+// globalOrder is the ranking one scan over the whole corpus produces:
+// descending similarity, ties broken by ascending ID. It is spelled out here
+// rather than borrowed from search.SortResults, which MergeTopK calls.
+func globalOrder(a, b search.Result) int {
+	if a.Similarity != b.Similarity {
+		return cmp.Compare(b.Similarity, a.Similarity)
+	}
+	return strings.Compare(a.ID, b.ID)
+}
+
 func TestMergeTopKMatchesGlobalSort(t *testing.T) {
+	check := func(name string, lists [][]search.Result, k int) {
+		t.Helper()
+		all := slices.SortedFunc(slices.Values(slices.Concat(lists...)), globalOrder)
+		want := all[:min(k, len(all))]
+		got := MergeTopK(lists, k)
+		if len(got) != len(want) {
+			t.Fatalf("%s: merge returned %d results, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: merged[%d] = %+v, want %+v", name, i, got[i], want[i])
+			}
+		}
+	}
 	r := rand.New(rand.NewSource(99))
 	for trial := 0; trial < 50; trial++ {
 		nShards := 1 + r.Intn(6)
-		var all []search.Result
+		total := 0
 		lists := make([][]search.Result, nShards)
 		for s := 0; s < nShards; s++ {
 			n := r.Intn(20)
 			for i := 0; i < n; i++ {
 				// Coarse similarity buckets force plenty of ties so the
 				// ID tie-break is actually exercised.
-				res := search.Result{
+				lists[s] = append(lists[s], search.Result{
 					ID:         fmt.Sprintf("wf-%02d-%02d", s, i),
 					Similarity: float64(r.Intn(5)) / 4,
-				}
-				lists[s] = append(lists[s], res)
-				all = append(all, res)
+				})
 			}
-			sort.Slice(lists[s], func(i, j int) bool { return resultBetter(lists[s][i], lists[s][j]) })
+			slices.SortFunc(lists[s], globalOrder)
+			total += n
 		}
-		sort.Slice(all, func(i, j int) bool { return resultBetter(all[i], all[j]) })
-		k := 1 + r.Intn(15)
-		got := MergeTopK(lists, k)
-		want := all
-		if len(want) > k {
-			want = want[:k]
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: merge returned %d results, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("trial %d: merged[%d] = %+v, want %+v", trial, i, got[i], want[i])
-			}
-		}
+		name := fmt.Sprintf("trial %d", trial)
+		check(name, lists, 1+r.Intn(15))
+		check(name+", k = total", lists, total)
+		check(name+", k > total", lists, total+1+r.Intn(5))
 	}
+	check("no lists", nil, 5)
+	check("empty lists", [][]search.Result{nil, {}, nil}, 5)
+	check("one empty list", [][]search.Result{{}, {{ID: "a", Similarity: 0.5}}}, 5)
 }
 
 func TestLayoutMarkerRoundTrip(t *testing.T) {
@@ -129,6 +145,9 @@ func TestLayoutMarkerRoundTrip(t *testing.T) {
 	}
 	if err := CheckLayout(root, 4); err != nil {
 		t.Fatalf("CheckLayout on fresh dir: %v", err)
+	}
+	if left, _ := filepath.Glob(filepath.Join(root, "shards.json.tmp*")); len(left) != 0 {
+		t.Errorf("temp files left beside the marker: %v", left)
 	}
 	n, ok, err := ReadMarker(root)
 	if err != nil || !ok || n != 4 {
@@ -361,7 +380,7 @@ func TestOnlyBoundedMeasuresSkipTheIndex(t *testing.T) {
 	coord := buildLocal(t, c, 2, "") // every shard has an index
 	v := coord.View()
 	for _, topo := range []measures.Topology{measures.ModuleSets, measures.PathSets, measures.GraphEdit} {
-		m := measures.NewStructural(measures.Config{Topology: topo, Scheme: module.PLL(), Normalize: true, GEDBipartite: true})
+		m := measures.NewStructural(measures.Config{Topology: topo, Scheme: module.PLL(), Normalize: true, GEDBeamWidth: 4})
 		prep := NewScanPrep(m, 0)
 		hasBound := topo == measures.ModuleSets
 		if (prep.bounded != nil) != hasBound {

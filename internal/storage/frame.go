@@ -125,19 +125,20 @@ func syncDir(dir string) error {
 }
 
 // writeFileAtomic writes a single-frame file (magic + one frame) to path
-// with replaceFile.
+// with ReplaceFile.
 func writeFileAtomic(path, magic string, payload []byte) error {
 	hdr, err := frameHeader(payload)
 	if err != nil {
 		return err
 	}
-	return replaceFile(path, []byte(magic), hdr[:], payload)
+	return ReplaceFile(path, []byte(magic), hdr[:], payload)
 }
 
-// replaceFile writes the chunks, in order, to path via a temp file, fsync
+// ReplaceFile writes the chunks, in order, to path via a temp file, fsync
 // and rename, then fsyncs the directory — the file is either wholly present
-// under its final name or absent.
-func replaceFile(path string, chunks ...[]byte) error {
+// under its final name or absent. The temp file is path + ".tmp-*" in the
+// same directory, and it is removed on failure.
+func ReplaceFile(path string, chunks ...[]byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
 	if err != nil {

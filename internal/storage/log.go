@@ -188,7 +188,7 @@ func openLogForAppend(path string, validSize int64) (*os.File, int64, error) {
 // replaceLog atomically replaces the log at path with data (the magic and
 // whole frames) and opens the new file for append.
 func replaceLog(path string, data []byte) (*os.File, int64, error) {
-	if err := replaceFile(path, data); err != nil {
+	if err := ReplaceFile(path, data); err != nil {
 		return nil, 0, err
 	}
 	return openLogForAppend(path, int64(len(data)))

@@ -108,9 +108,3 @@ func SetJaccard(a, b map[string]bool) float64 {
 	}
 	return float64(inter) / float64(union)
 }
-
-// MatchMismatchRatio computes #matches / (#matches + #mismatches) where
-// #matches is the number of tokens present in both sets and #mismatches the
-// number present in exactly one — the simBW formula of Section 2.2, which
-// equals the Jaccard index on sets.
-func MatchMismatchRatio(a, b map[string]bool) float64 { return SetJaccard(a, b) }

@@ -168,29 +168,3 @@ func (w *Workflow) InducedSubgraph(keep []int) *Workflow {
 	}
 	return out.TransitiveReduction()
 }
-
-// LongestPathLen returns the number of modules on a longest source-to-sink
-// path (the DAG depth), or 0 for an empty workflow.
-func (w *Workflow) LongestPathLen() int {
-	order, err := w.TopoSort()
-	if err != nil || len(order) == 0 {
-		return 0
-	}
-	a := w.buildAdjacency()
-	depth := make([]int, len(w.Modules))
-	best := 0
-	for _, v := range order {
-		if depth[v] == 0 {
-			depth[v] = 1
-		}
-		if depth[v] > best {
-			best = depth[v]
-		}
-		for _, s := range a.succ[v] {
-			if depth[v]+1 > depth[s] {
-				depth[s] = depth[v] + 1
-			}
-		}
-	}
-	return best
-}

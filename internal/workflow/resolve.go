@@ -1,7 +1,6 @@
 package workflow
 
 import (
-	"math/bits"
 	"sort"
 
 	"repro/internal/symtab"
@@ -147,17 +146,6 @@ func (b *Bitset256) Set(id uint32) {
 //wfsimvet:hotpath
 func (b *Bitset256) Disjoint(o *Bitset256) bool {
 	return b[0]&o[0]|b[1]&o[1]|b[2]&o[2]|b[3]&o[3] == 0
-}
-
-// OverlapUpper returns the popcount of the AND of the two summaries, an
-// upper bound on the true set overlap.
-//
-//wfsimvet:hotpath
-func (b *Bitset256) OverlapUpper(o *Bitset256) int {
-	return bits.OnesCount64(b[0]&o[0]) +
-		bits.OnesCount64(b[1]&o[1]) +
-		bits.OnesCount64(b[2]&o[2]) +
-		bits.OnesCount64(b[3]&o[3])
 }
 
 // IntersectCount returns |a ∩ b| for two sorted, deduplicated ID slices

@@ -197,18 +197,6 @@ func (w *Workflow) Size() int { return len(w.Modules) }
 // EdgeCount returns the number of datalinks, |E|.
 func (w *Workflow) EdgeCount() int { return len(w.Edges) }
 
-// Successors returns the indexes of modules directly downstream of i.
-// The returned slice is shared cache state and must not be modified.
-func (w *Workflow) Successors(i int) []int {
-	return w.buildAdjacency().succ[i]
-}
-
-// Predecessors returns the indexes of modules directly upstream of i.
-// The returned slice is shared cache state and must not be modified.
-func (w *Workflow) Predecessors(i int) []int {
-	return w.buildAdjacency().pred[i]
-}
-
 // adjacency is the immutable successor/predecessor cache of one workflow.
 type adjacency struct {
 	succ [][]int

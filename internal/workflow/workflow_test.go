@@ -245,18 +245,6 @@ func TestCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestLongestPathLen(t *testing.T) {
-	if got := chain(t, 7).LongestPathLen(); got != 7 {
-		t.Errorf("chain depth = %d, want 7", got)
-	}
-	if got := diamond(t).LongestPathLen(); got != 3 {
-		t.Errorf("diamond depth = %d, want 3", got)
-	}
-	if got := New("e").LongestPathLen(); got != 0 {
-		t.Errorf("empty depth = %d, want 0", got)
-	}
-}
-
 func TestInline(t *testing.T) {
 	child := New("child")
 	c0 := child.AddModule(&Module{ID: "c0", Label: "inner-src", Type: TypeWSDL})

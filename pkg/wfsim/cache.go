@@ -21,7 +21,7 @@ type CacheStats = scorecache.Stats
 // of — a replaced or re-added workflow comes back under a new revision, so
 // its old scores are never served stale — while every other cached pair
 // keeps hitting across the commit; and a projector replacement
-// (repository-knowledge refresh, manual SetProjector) bumps the epoch, so
+// (a repository-knowledge refresh) bumps the epoch, so
 // scores computed under a different importance projection are never served
 // either. Only pairs of the corpus's own workflow objects are cached: an
 // external query can share an ID with a corpus workflow without sharing its

@@ -187,14 +187,14 @@ func vecKey(gens []uint64) string {
 // the projector belongs to the view's generation vector (built lazily, per
 // frontier): module frequencies are collected over the union of every
 // shard's pinned slice, so the projection does not depend on the shard
-// count. Otherwise it is the registry's configured projector, captured
-// atomically with its epoch.
+// count. Otherwise it is the registry's fixed type-based projector, under
+// epoch 0: repository knowledge is the only source of epochs.
 func (e *Engine) projectionFor(v shard.View) (measures.Projector, uint64) {
 	if rk := e.repoKnow; rk != nil {
 		ent := rk.entry(vecKey(v.Generations()), v.Union)
 		return ent.project, ent.epoch
 	}
-	return e.reg.projectorState()
+	return e.reg.project, 0
 }
 
 // ProjectorRebuilds counts repository-knowledge projector computations
@@ -296,6 +296,14 @@ func (e *Engine) Registry() *Registry { return e.reg }
 
 // Workflow returns the corpus workflow with the given ID, or nil.
 func (e *Engine) Workflow(id string) *Workflow { return e.coord.View().Get(id) }
+
+// Fetch returns the corpus workflow with the given ID (nil if absent) and the
+// generation it was read at, both from one pinned view: a commit between the
+// two reads cannot pair a workflow with a generation that replaced it.
+func (e *Engine) Fetch(id string) (*Workflow, uint64) {
+	v := e.coord.View()
+	return v.Get(id), v.AggregateGeneration()
+}
 
 // ParseMeasure resolves a measure name in the paper's notation (see
 // Registry) with the engine's projector and GED budget.

@@ -5,7 +5,6 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 	"unicode"
 
@@ -46,13 +45,12 @@ const (
 // render their canonical notation via Measure.Name(). A Registry is safe for
 // concurrent use.
 type Registry struct {
-	mu      sync.RWMutex
-	custom  map[string]Measure
+	mu     sync.RWMutex
+	custom map[string]Measure
+	// project is the type-based importance projection of "ip" measures. It
+	// is set once, by NewRegistry, and never replaced, so it is read without
+	// the lock.
 	project measures.Projector
-	// projEpoch counts projector replacements; cached pairwise scores carry
-	// the epoch they were computed under, so SetProjector acts as a cache
-	// flush for projection-dependent scores.
-	projEpoch atomic.Uint64
 	// gedDeadline and gedBeam are the default GED budget; Engine clamps the
 	// deadline further when a context deadline is nearer.
 	gedDeadline time.Duration
@@ -68,31 +66,6 @@ func NewRegistry() *Registry {
 		gedDeadline: DefaultGEDDeadline,
 		gedBeam:     DefaultGEDBeamWidth,
 	}
-}
-
-// SetProjector replaces the importance projection applied by "ip" measures
-// and bumps the projector epoch, retiring every cached score computed under
-// the previous projection (see Engine's score cache).
-func (r *Registry) SetProjector(project func(*Workflow) *Workflow) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.project = project
-	r.projEpoch.Add(1)
-}
-
-// ProjectorEpoch returns the number of times the projector has been
-// replaced. Cached pairwise scores are keyed by this epoch so a
-// projection-threshold or scorer change can never serve a score computed
-// under a different projector.
-func (r *Registry) ProjectorEpoch() uint64 { return r.projEpoch.Load() }
-
-// projectorState captures the current projector together with its epoch
-// under one lock, so a concurrent SetProjector cannot pair one projector
-// with the other's epoch in a cache key.
-func (r *Registry) projectorState() (measures.Projector, uint64) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.project, r.projEpoch.Load()
 }
 
 // SetGEDBudget replaces the default per-pair GED deadline and beam width.
@@ -168,7 +141,7 @@ func (r *Registry) GEDBudget() (time.Duration, int) {
 // Parse resolves a measure name with the registry's default GED budget.
 func (r *Registry) Parse(name string) (Measure, error) {
 	deadline, beam := r.GEDBudget()
-	return r.parseWithBudget(name, deadline, beam)
+	return r.parseResolved(name, deadline, beam, r.project)
 }
 
 // Canonical returns the canonical notation for a measure name, e.g.
@@ -179,13 +152,6 @@ func (r *Registry) Canonical(name string) (string, error) {
 		return "", err
 	}
 	return m.Name(), nil
-}
-
-func (r *Registry) parseWithBudget(name string, deadline time.Duration, beam int) (Measure, error) {
-	r.mu.RLock()
-	project := r.project
-	r.mu.RUnlock()
-	return r.parseResolved(name, deadline, beam, project)
 }
 
 // parseResolved resolves a measure name against an explicit projector — the

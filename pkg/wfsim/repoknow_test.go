@@ -219,41 +219,3 @@ func TestCompareIDsReportsGeneration(t *testing.T) {
 		t.Errorf("post-Apply CompareIDs gen = %d err = %v, want 1/nil", gen, err)
 	}
 }
-
-// TestProjectorEpochRetiresCachedScores: replacing the projector without a
-// repository mutation (same generation) must flush projection-dependent
-// cached scores — the cache key carries the projector epoch.
-func TestProjectorEpochRetiresCachedScores(t *testing.T) {
-	eng, err := New(ipCorpus(t), WithScoreCache(1024))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := context.Background()
-	const measure = "MS_ip_ta_pll"
-	n := eng.Size()
-	pairCount := n * (n - 1) / 2
-
-	// A pair the measure's bound puts below the threshold is never looked up,
-	// cold or warm; every other pair misses cold and hits warm.
-	if _, stats, err := eng.Duplicates(ctx, 0.1, DuplicateOptions{Measure: measure}); err != nil {
-		t.Fatal(err)
-	} else if stats.CacheMisses+stats.Bounded != pairCount || stats.CacheMisses == 0 {
-		t.Fatalf("cold run: %d misses + %d bounded, want %d pairs", stats.CacheMisses, stats.Bounded, pairCount)
-	}
-	if _, stats, err := eng.Duplicates(ctx, 0.1, DuplicateOptions{Measure: measure}); err != nil {
-		t.Fatal(err)
-	} else if stats.CacheHits+stats.Bounded != pairCount || stats.CacheMisses != 0 {
-		t.Fatalf("warm run: %d hits + %d bounded / %d misses, want %d pairs / 0", stats.CacheHits, stats.Bounded, stats.CacheMisses, pairCount)
-	}
-
-	// A projector swap at the same generation: the warm scores were computed
-	// under the old projection and must not be served.
-	eng.Registry().SetProjector(func(wf *Workflow) *Workflow { return wf })
-	_, stats, err := eng.Duplicates(ctx, 0.1, DuplicateOptions{Measure: measure})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.CacheHits != 0 || stats.CacheMisses+stats.Bounded != pairCount {
-		t.Errorf("post-SetProjector run: hits %d misses %d bounded %d, want 0 hits over %d pairs (stale projection served)", stats.CacheHits, stats.CacheMisses, stats.Bounded, pairCount)
-	}
-}

@@ -541,12 +541,12 @@ type workflowResponse struct {
 
 func (s *Server) handleGetWorkflow(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	wf := s.eng.Workflow(id)
+	wf, gen := s.eng.Fetch(id)
 	if wf == nil {
 		writeError(w, http.StatusNotFound, "workflow %q not found", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, workflowResponse{Workflow: wf, Generation: s.eng.Generation()})
+	writeJSON(w, http.StatusOK, workflowResponse{Workflow: wf, Generation: gen})
 }
 
 type statsResponse struct {

@@ -2,11 +2,13 @@ package serve_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -612,6 +614,71 @@ func TestConcurrentIngestAndSearch(t *testing.T) {
 	}
 	if got, want := eng.Size(), 3+writers*rounds; got != want {
 		t.Errorf("final corpus size = %d, want %d", got, want)
+	}
+}
+
+// TestFetchStampsTheGenerationItRead: GET /v1/workflows/{id} returns a
+// workflow and the generation of the one view it was read from. A writer
+// keeps replacing w1 with a copy titled with the generation its commit
+// produces, so every fetched body must carry its response's generation.
+func TestFetchStampsTheGenerationItRead(t *testing.T) {
+	ts, eng := newTestServer(t, serve.Config{})
+	ctx := context.Background()
+	replace := func() error {
+		wf := chainWorkflow("w1", "fetch_sequence", "align_genomes")
+		want := eng.Generation() + 1 // the only writer: the next commit's generation
+		wf.Annotations.Title = strconv.FormatUint(want, 10)
+		gen, err := eng.Apply(ctx, wfsim.ReplaceWorkflow(wf))
+		if err == nil && gen != want {
+			err = fmt.Errorf("replace committed generation %d, want %d", gen, want)
+		}
+		return err
+	}
+	if err := replace(); err != nil {
+		t.Fatal(err)
+	}
+	stop := make(chan struct{})
+	writerErr := make(chan error, 1)
+	go func() {
+		for {
+			select {
+			case <-stop:
+				writerErr <- nil
+				return
+			default:
+			}
+			if err := replace(); err != nil {
+				writerErr <- err
+				return
+			}
+		}
+	}()
+	const fetches = 3000
+	torn := 0
+	for i := 0; i < fetches; i++ {
+		resp, err := http.Get(ts.URL + "/v1/workflows/w1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got struct {
+			Workflow   *wfsim.Workflow `json:"workflow"`
+			Generation uint64          `json:"generation"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&got)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK || got.Workflow == nil {
+			t.Fatalf("fetch %d: status %d, err %v", i, resp.StatusCode, err)
+		}
+		if got.Workflow.Annotations.Title != strconv.FormatUint(got.Generation, 10) {
+			torn++
+		}
+	}
+	close(stop)
+	if err := <-writerErr; err != nil {
+		t.Fatal(err)
+	}
+	if torn != 0 {
+		t.Errorf("%d of %d fetches stamped a generation other than the one their workflow was read at", torn, fetches)
 	}
 }
 

@@ -3,6 +3,7 @@ package wfsim
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -184,19 +185,11 @@ func clusterKey(clusters [][]string) string {
 	canon := make([]string, len(clusters))
 	for i, members := range clusters {
 		m := append([]string(nil), members...)
-		sortStrings(m)
+		slices.Sort(m)
 		canon[i] = strings.Join(m, ",")
 	}
-	sortStrings(canon)
+	slices.Sort(canon)
 	return strings.Join(canon, " | ")
-}
-
-func sortStrings(s []string) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 func TestShardedCompareEquivalence(t *testing.T) {

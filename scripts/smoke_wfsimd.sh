@@ -278,6 +278,11 @@ kill -TERM "$PID"
 wait "$PID" 2>/dev/null || true
 PID=""
 [ -f "$SDATA/shards.json" ] || { echo "smoke: sharded data directory has no shards.json marker" >&2; exit 1; }
+grep -qxF '{"format":"wfsim-shards-v1","shards":4}' "$SDATA/shards.json" || {
+  echo "smoke: shards.json does not parse as a 4-shard marker: $(cat "$SDATA/shards.json")" >&2; exit 1; }
+if compgen -G "$SDATA/shards.json.tmp*" >/dev/null; then
+  echo "smoke: a shards.json temp file was left behind" >&2; exit 1
+fi
 [ -d "$SDATA/shard-0000" ] || { echo "smoke: sharded data directory has no shard subdirectories" >&2; exit 1; }
 
 # A different shard count must be refused with a clear error.
