@@ -17,7 +17,7 @@ import (
 	"strings"
 	"time"
 
-	"repro/pkg/experiments"
+	"repro/internal/experiments"
 )
 
 func main() {

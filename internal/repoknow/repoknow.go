@@ -136,13 +136,13 @@ func (f *FrequencyScorer) Score(m *workflow.Module) float64 {
 // Projector applies the Importance Projection: it keeps modules whose score
 // meets Threshold, preserves all paths between kept modules as edges (via
 // the construction of workflow.InducedSubgraph), and transitively reduces
-// the result.
+// the result. Build one with NewProjector, which gives it its own projection
+// slot name.
 type Projector struct {
 	Scorer    Scorer
 	Threshold float64
 
-	// id names this projector in the workflows' projection slots; nil (a
-	// Projector not built by NewProjector) disables caching.
+	// id names this projector in the workflows' projection slots.
 	id *workflow.ProjectorID
 }
 
@@ -162,10 +162,8 @@ func NewProjector(s Scorer, threshold float64) *Projector {
 // threshold the original workflow is returned unchanged (projecting to an
 // empty graph would make every comparison degenerate).
 func (p *Projector) Project(wf *workflow.Workflow) *workflow.Workflow {
-	if p.id != nil {
-		if c, ok := wf.Projection(p.id); ok {
-			return c
-		}
+	if c, ok := wf.Projection(p.id); ok {
+		return c
 	}
 	var keep []int
 	for i, m := range wf.Modules {
@@ -177,9 +175,7 @@ func (p *Projector) Project(wf *workflow.Workflow) *workflow.Workflow {
 	if len(keep) > 0 && len(keep) < len(wf.Modules) {
 		out = wf.InducedSubgraph(keep)
 	}
-	if p.id != nil {
-		wf.SetProjection(p.id, out)
-	}
+	wf.SetProjection(p.id, out)
 	return out
 }
 

@@ -52,10 +52,6 @@ type Options struct {
 	K int
 	// Parallelism bounds the scoring workers (default GOMAXPROCS).
 	Parallelism int
-	// BatchSize is the number of workflows a worker claims per scheduling
-	// step (0 = automatic). Larger batches amortize scheduling overhead on
-	// cheap measures; batch size 1 load-balances expensive ones.
-	BatchSize int
 	// IncludeQuery keeps the query workflow itself in the results
 	// (off by default: a workflow trivially matches itself).
 	IncludeQuery bool
@@ -248,7 +244,7 @@ func TopKFunc(ctx context.Context, wfs []*workflow.Workflow, opts Options, score
 	var mu sync.Mutex
 	top := make([]Result, 0, min(k, len(wfs)))
 	skipped := 0
-	err := Batched(ctx, len(wfs), opts.Parallelism, opts.BatchSize, func(w, i int) error {
+	err := Batched(ctx, len(wfs), opts.Parallelism, 0, func(w, i int) error {
 		wf := wfs[i]
 		s, below, err := score(w, wf, floor.Load())
 		if below {

@@ -396,7 +396,7 @@ func TestTopKWithBoundIsSortedPrefix(t *testing.T) {
 	for _, minSim := range []*float64{nil, &min} {
 		for _, par := range []int{1, 4} {
 			for _, k := range []int{1, 3, 10, len(wfs), len(wfs) + 5} {
-				opts := Options{K: k, MinSimilarity: minSim, Parallelism: par, BatchSize: 3}
+				opts := Options{K: k, MinSimilarity: minSim, Parallelism: par}
 				want, _, err := TopK(context.Background(), query, shuffled, plain, opts)
 				if err != nil {
 					t.Fatal(err)

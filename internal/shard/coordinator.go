@@ -4,8 +4,10 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/cluster"
 	"repro/internal/corpus"
@@ -258,60 +260,63 @@ func (c *Coordinator) Search(ctx context.Context, v View, prep *ScanPrep, q Quer
 	return MergeTopK(per, q.K), stats, nil
 }
 
-// pairBlock is one unit of a whole-corpus pair scan: the executing pin's
-// slice against other's (other == nil for the intra-shard triangle).
-type pairBlock struct {
-	exec  *Pin
-	other *Pin
-}
-
-// cols returns the pin the block's column index ranges over.
-func (b pairBlock) cols() *Pin {
-	if b.other == nil {
-		return b.exec
+// pairs is the one whole-corpus pair walk behind Duplicates and Matrix: it
+// scores every pair (union[i], union[j]), i < j, of the view's union (in ID
+// order, as Union returns it) and hands each score to emit(i, j, score).
+// Every member is projected once up front; rows go to one search.Batched pool
+// of par workers with batch size 1, so uneven row lengths load-balance. Row
+// i scores through the cache of the shard that owns union[i], so a pair
+// always meets the same shard's cache, whichever operation asks — and an
+// intra-shard pair its own shard's, which is what the warm-cache export
+// persists. Pairs the measure fails on are counted as skipped and not
+// emitted; neither are pairs that provably score below floor, the lowest
+// score the caller can use (-Inf: every pair is emitted), which are counted
+// as bounded. Calls of emit for one i are sequential, calls for different i
+// may be concurrent.
+//
+//wfsimvet:hotpath
+func (v View) pairs(ctx context.Context, union []*workflow.Workflow, prep *ScanPrep, par int, floor float64, emit func(i, j int, score float64)) (ReadStats, error) {
+	proj := make([]*workflow.Workflow, len(union))
+	for i, wf := range union {
+		proj[i] = prep.ProjectOne(wf)
 	}
-	return b.other
-}
-
-// blocks decomposes the view's global pair triangle into N intra-shard
-// triangles and N(N-1)/2 cross-shard rectangles. The executor of a cross
-// block alternates between its two shards so cache population spreads
-// instead of piling onto low shard indices.
-func (v View) blocks() []pairBlock {
-	var out []pairBlock
-	for i := range v.pins {
-		out = append(out, pairBlock{exec: v.pins[i]})
-		for j := i + 1; j < len(v.pins); j++ {
-			if (i+j)%2 == 0 {
-				out = append(out, pairBlock{exec: v.pins[i], other: v.pins[j]})
-			} else {
-				out = append(out, pairBlock{exec: v.pins[j], other: v.pins[i]})
+	workers := search.Workers(len(union), par)
+	scorers := make([][]paddedScorer, len(v.pins))
+	for s, p := range v.pins {
+		scorers[s] = p.s.workerScorers(prep, workers)
+	}
+	done := ctx.Done() // polled per pair, as search.Batched polls it per row
+	var skipped atomic.Int64
+	err := search.Batched(ctx, len(union), par, 1, func(w, i int) error {
+		a, aProj := union[i], proj[i]
+		scorer := &scorers[v.ring.Owner(a.ID)][w].pairScorer
+		for j := i + 1; j < len(union); j++ {
+			select {
+			case <-done:
+				return ctx.Err()
+			default:
 			}
+			if scorer.boundedBelow(aProj, proj[j], floor) {
+				continue
+			}
+			s, below, err := scorer.score(a, union[j], aProj, proj[j], true, floor)
+			if below {
+				continue
+			}
+			if err != nil {
+				skipped.Add(1)
+				continue
+			}
+			emit(i, j, s)
 		}
-	}
-	return out
-}
-
-// scanPairs is the one whole-corpus pair walk behind Duplicates and Matrix:
-// every block of the view's pair triangle is scored by its executor (so a
-// pair always meets the same shard's cache, whichever operation asks),
-// fanned out via search.Batched with each block running its own row pool of
-// width par, the per-shard worker budget. Pairs that provably score below
-// floor are not emitted. sink(b) returns the emit callback of blocks[b] (see
-// Pin.PairsBlock); stats are summed across blocks.
-func (v View) scanPairs(ctx context.Context, blocks []pairBlock, prep *ScanPrep, par int, floor float64, sink func(b int) func(i, j int, score float64)) (ReadStats, error) {
-	perStats := make([]ReadStats, len(blocks))
-	err := search.Batched(ctx, len(blocks), len(v.pins), 1, func(_, b int) error {
-		st, err := blocks[b].exec.PairsBlock(ctx, blocks[b].other, prep, par, floor, sink(b))
-		perStats[b] = st
-		return err
+		return nil
 	})
 	if err != nil {
 		return ReadStats{}, err
 	}
-	var stats ReadStats
-	for _, st := range perStats {
-		stats.add(st)
+	stats := ReadStats{Skipped: int(skipped.Load())}
+	for _, sc := range scorers {
+		fill(sc, &stats)
 	}
 	return stats, nil
 }
@@ -319,76 +324,49 @@ func (v View) scanPairs(ctx context.Context, blocks []pairBlock, prep *ScanPrep,
 // Duplicates scans the view's global pair triangle for pairs scoring at or
 // above threshold, which is also the walk's floor: a pair is kept iff its
 // score reaches the threshold, so one that provably scores below it is never
-// scored. The merged list is in SortPairs order; pairs are oriented A <= B by
-// ID regardless of which shard executed their block.
+// scored. The list is in SortPairs order; pairs are oriented A < B by ID, as
+// the union is.
 func (c *Coordinator) Duplicates(ctx context.Context, v View, prep *ScanPrep, threshold float64, par int) ([]search.Pair, ReadStats, error) {
-	// One bucket per (block, row): a row is scored by one worker, so the
-	// collection needs no lock.
-	blocks := v.blocks()
-	rows := make([][][]search.Pair, len(blocks))
-	stats, err := v.scanPairs(ctx, blocks, prep, par, threshold, func(b int) func(i, j int, score float64) {
-		xs, ys := blocks[b].exec.Workflows(), blocks[b].cols().Workflows()
-		rows[b] = make([][]search.Pair, len(xs))
-		row := rows[b]
-		return func(i, j int, score float64) {
-			if score < threshold {
-				return
-			}
-			aID, bID := workflow.OrderIDs(xs[i].ID, ys[j].ID)
-			row[i] = append(row[i], search.Pair{A: aID, B: bID, Similarity: score})
+	// One bucket per row: a row is scored by one worker, so the collection
+	// needs no lock.
+	union := v.Union()
+	rows := make([][]search.Pair, len(union))
+	stats, err := v.pairs(ctx, union, prep, par, threshold, func(i, j int, score float64) {
+		if score < threshold {
+			return
 		}
+		rows[i] = append(rows[i], search.Pair{A: union[i].ID, B: union[j].ID, Similarity: score})
 	})
 	if err != nil {
 		return nil, ReadStats{}, err
 	}
-	var out []search.Pair
-	for _, block := range rows {
-		for _, row := range block {
-			out = append(out, row...)
-		}
-	}
+	out := slices.Concat(rows...)
 	SortPairs(out)
 	return out, stats, nil
 }
 
 // Matrix computes the full pairwise similarity matrix over the view's union
-// (in ID order) for clustering, by the same block walk — and therefore
-// through the same caches — as Duplicates. Pairs the measure cannot score
-// keep similarity 0 and are counted.
+// (in ID order) for clustering, by the same walk — and therefore through the
+// same caches — as Duplicates. Pairs the measure cannot score keep
+// similarity 0 and are counted.
 func (c *Coordinator) Matrix(ctx context.Context, v View, prep *ScanPrep, par int) (*cluster.Matrix, ReadStats, error) {
 	union := v.Union()
 	n := len(union)
 	mat := &cluster.Matrix{IDs: make([]string, n), Sim: make([][]float64, n)}
-	at := make(map[*workflow.Workflow]int, n) // workflow -> matrix index
 	for i, wf := range union {
 		mat.IDs[i] = wf.ID
 		mat.Sim[i] = make([]float64, n)
 		mat.Sim[i][i] = 1
-		at[wf] = i
 	}
-	blocks := v.blocks()
-	stats, err := v.scanPairs(ctx, blocks, prep, par, math.Inf(-1), func(b int) func(i, j int, score float64) {
-		rowAt, colAt := matrixIndex(blocks[b].exec, at), matrixIndex(blocks[b].cols(), at)
-		// Each unordered pair belongs to exactly one block cell, so no two
-		// workers ever write the same matrix cell.
-		return func(i, j int, score float64) {
-			mat.Sim[rowAt[i]][colAt[j]] = score
-			mat.Sim[colAt[j]][rowAt[i]] = score
-		}
+	// Each unordered pair is emitted once, so no two workers ever write the
+	// same matrix cell.
+	stats, err := v.pairs(ctx, union, prep, par, math.Inf(-1), func(i, j int, score float64) {
+		mat.Sim[i][j] = score
+		mat.Sim[j][i] = score
 	})
 	if err != nil {
 		return nil, ReadStats{}, err
 	}
 	mat.Skipped = stats.Skipped
 	return mat, stats, nil
-}
-
-// matrixIndex maps a pin's slice positions to matrix indices.
-func matrixIndex(p *Pin, at map[*workflow.Workflow]int) []int {
-	wfs := p.Workflows()
-	out := make([]int, len(wfs))
-	for i, wf := range wfs {
-		out[i] = at[wf]
-	}
-	return out
 }

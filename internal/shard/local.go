@@ -403,62 +403,3 @@ func (p *Pin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]search.Res
 	fill(scorers, &stats)
 	return results, stats, nil
 }
-
-// PairsBlock scores every pair of self × other's pinned slice, or of the
-// shard's own upper triangle when other is nil, through the receiver's score
-// cache, and hands each score to emit(i, j, score): i indexes the receiver's
-// Workflows(), j other's (the receiver's own, j > i, for the triangle). Pairs
-// the measure fails on are counted as skipped and not emitted; neither are
-// pairs that provably score below floor, the lowest score the caller can use
-// (-Inf: every pair is emitted), which are counted as bounded. emit runs on
-// the block's workers: calls for one i are sequential, calls for different i
-// may be concurrent. Rows are fanned out with batch size 1 so uneven row
-// lengths load-balance.
-//
-//wfsimvet:hotpath
-func (p *Pin) PairsBlock(ctx context.Context, other *Pin, prep *ScanPrep, par int, floor float64, emit func(i, j int, score float64)) (ReadStats, error) {
-	self := prep.For(p)
-	scorers := p.s.workerScorers(prep, search.Workers(len(self.Orig), par))
-	cross := self
-	if other != nil {
-		cross = prep.For(other)
-	}
-
-	done := ctx.Done() // polled per pair, as search.Batched polls it per row
-	var skipped atomic.Int64
-	err := search.Batched(ctx, len(self.Orig), par, 1, func(w, i int) error {
-		scorer := &scorers[w].pairScorer
-		a, aProj := self.Orig[i], self.Proj[i]
-		j0 := 0
-		if other == nil {
-			j0 = i + 1 // intra-shard: upper triangle only
-		}
-		for j := j0; j < len(cross.Orig); j++ {
-			select {
-			case <-done:
-				return ctx.Err()
-			default:
-			}
-			b, bProj := cross.Orig[j], cross.Proj[j]
-			if scorer.boundedBelow(aProj, bProj, floor) {
-				continue
-			}
-			s, below, err := scorer.score(a, b, aProj, bProj, true, floor)
-			if below {
-				continue
-			}
-			if err != nil {
-				skipped.Add(1)
-				continue
-			}
-			emit(i, j, s)
-		}
-		return nil
-	})
-	if err != nil {
-		return ReadStats{}, err
-	}
-	stats := ReadStats{Skipped: int(skipped.Load())}
-	fill(scorers, &stats)
-	return stats, nil
-}

@@ -23,7 +23,7 @@ func MergeTopK(lists [][]search.Result, k int) []search.Result {
 }
 
 // SortPairs applies the global duplicate-pair order — descending similarity,
-// then ascending (A, B) — to a merged block union.
+// then ascending (A, B).
 func SortPairs(pairs []search.Pair) {
 	sort.Slice(pairs, func(i, j int) bool {
 		if pairs[i].Similarity != pairs[j].Similarity {

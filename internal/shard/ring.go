@@ -1,17 +1,17 @@
-// Package shard partitions a workflow corpus across N engine shards and
-// coordinates scatter-gather reads and transactional writes over them — the
-// partition-first architecture of large astronomical catalogs (own the data
-// in shards, push work to the partitions, merge small results centrally)
-// applied to the similarity-search workloads of Starlinger et al.
+// Package shard partitions a workflow corpus across N in-process shards and
+// coordinates reads and transactional writes over them, for the
+// similarity-search workloads of Starlinger et al.
 //
 // Ownership is by consistent-hashed workflow ID: a Ring maps every ID to
 // exactly one shard, each shard owns its slice of the corpus together with
 // its inverted label index, its pairwise score cache and (optionally) its
 // own durable store, and a Coordinator implements the engine's read/write
-// surface on top — routing mutation batches to the owning
-// shards with all-or-nothing validation, fanning Search/Duplicates out via
-// search.Batched, and merging per-shard top-k lists deterministically.
-// Shards are in-process (NewLocal).
+// surface on top — routing mutation batches to the owning shards with
+// all-or-nothing validation, fanning a search out to every shard via
+// search.Batched and merging the per-shard top-k lists deterministically.
+// Whole-corpus pair scans (Duplicates, Matrix) are one walk over the pinned
+// view's union in ID order; each row scores through the cache of the shard
+// that owns its workflow.
 package shard
 
 import (

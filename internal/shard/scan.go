@@ -2,7 +2,6 @@ package shard
 
 import (
 	"math"
-	"sync"
 
 	"repro/internal/index"
 	"repro/internal/measures"
@@ -10,7 +9,6 @@ import (
 	"repro/internal/scorecache"
 	"repro/internal/search"
 	"repro/internal/storage"
-	"repro/internal/symtab"
 	"repro/internal/workflow"
 )
 
@@ -45,9 +43,6 @@ type ScanPrep struct {
 	// candidates (Pin.Search).
 	bounded measures.Bounded
 	project measures.Projector // nil when nothing was hoisted
-
-	mu       sync.Mutex
-	prepared map[*Pin]*Prepared
 }
 
 // NewScanPrep resolves m for a scatter-gather scan with a scan-scoped memo.
@@ -60,12 +55,7 @@ func NewScanPrep(m measures.Measure, epoch uint64) *ScanPrep {
 // the symbol table that resolved the corpus and the query (nil for a
 // scan-scoped one).
 func NewScanPrepWith(m measures.Measure, epoch uint64, labels *module.LabelSim) *ScanPrep {
-	p := &ScanPrep{
-		Name:     m.Name(),
-		Epoch:    epoch,
-		inner:    m,
-		prepared: map[*Pin]*Prepared{},
-	}
+	p := &ScanPrep{Name: m.Name(), Epoch: epoch, inner: m}
 	if sp, ok := m.(measures.Specialisable); ok {
 		p.project, p.inner = sp.Specialise(module.NewSimMemoWith(labels))
 	}
@@ -73,38 +63,11 @@ func NewScanPrepWith(m measures.Measure, epoch uint64, labels *module.LabelSim) 
 	return p
 }
 
-// Prepared is one pin's slice of the corpus, pre-projected for the scan.
-type Prepared struct {
-	// Orig is the pin's workflows in repository order (snapshot-owned).
-	Orig []*workflow.Workflow
-	// Proj is the projected counterpart of Orig (the same slice when the
-	// scan's measure has no hoisted projection).
-	Proj []*workflow.Workflow
-}
-
-// For returns pin's prepared slice, building it on first use: each workflow
-// is projected exactly once per scan, instead of once per pair inside the
-// measure.
-func (p *ScanPrep) For(pin *Pin) *Prepared {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if pr, ok := p.prepared[pin]; ok {
-		return pr
-	}
-	orig := pin.Workflows()
-	pr := &Prepared{Orig: orig, Proj: orig}
-	if p.project != nil {
-		pr.Proj = make([]*workflow.Workflow, len(orig))
-		for i, wf := range orig {
-			pr.Proj[i] = p.project(wf)
-		}
-	}
-	p.prepared[pin] = pr
-	return pr
-}
-
-// ProjectOne applies the hoisted projection to a single workflow (the query
-// of a search); it is the identity when nothing was hoisted.
+// ProjectOne applies the hoisted projection to one workflow; it is the
+// identity when nothing was hoisted. A projector built by
+// repoknow.NewProjector — every one the engine uses — caches its result on
+// the workflow (workflow.Projection), so projecting a corpus workflow again,
+// in this scan or a later one, costs a load.
 func (p *ScanPrep) ProjectOne(wf *workflow.Workflow) *workflow.Workflow {
 	if p.project == nil {
 		return wf
@@ -141,7 +104,6 @@ func pairKey(measure string, a, b *workflow.Workflow, epoch uint64) (key scoreca
 type pairScorer struct {
 	prep    *ScanPrep
 	cache   *scorecache.Cache // nil disables caching
-	tab     *symtab.Table     // the owning shard's symbol table (cache keyspace)
 	hits    int
 	miss    int
 	evals   int // evaluations that produced a score
@@ -154,7 +116,7 @@ type pairScorer struct {
 func (s *Local) workerScorers(prep *ScanPrep, workers int) []paddedScorer {
 	scorers := make([]paddedScorer, workers)
 	for w := range scorers {
-		scorers[w].pairScorer = pairScorer{prep: prep, cache: s.cache, tab: s.syms}
+		scorers[w].pairScorer = pairScorer{prep: prep, cache: s.cache}
 	}
 	return scorers
 }
@@ -188,8 +150,8 @@ func (ps *pairScorer) boundedBelow(aProj, bProj *workflow.Workflow, floor float6
 func (ps *pairScorer) compare(a, b, aProj, bProj *workflow.Workflow, floor float64) (s float64, below bool, err error) {
 	// Evaluate in ID order: measures are symmetric in value but not always
 	// in bits (summation order inside the matcher differs), so a score must
-	// be a function of the unordered pair — whichever shard's block or
-	// search it came from, and whichever scan put it in the cache.
+	// be a function of the unordered pair — whichever walk or search it
+	// came from, and whichever scan put it in the cache.
 	if !workflow.IDsInOrder(a.ID, b.ID) {
 		a, b, aProj, bProj = b, a, bProj, aProj
 	}
@@ -215,11 +177,13 @@ func (ps *pairScorer) compare(a, b, aProj, bProj *workflow.Workflow, floor float
 
 // score evaluates the pair (a, b), in either orientation — the cache key is
 // orientation-free and compare puts the pair in ID order — serving and
-// populating the cache when
-// both sides are cacheable corpus-owned objects. Cache keys are built from
-// the workflows' interned ID symbols and revisions (pairKey); a side without
-// them (an inline query, a clone) carries no stable cache identity and is
-// scored directly.
+// populating the cache when both sides are cacheable corpus-owned objects.
+// Cache keys are built from the workflows' interned ID symbols and revisions
+// (pairKey); a side without them (an inline query, a clone) carries no
+// stable cache identity and is scored directly. A cacheable pair is two
+// snapshot objects, which their repositories resolved against the shards'
+// one symbol table (NewCoordinator refuses two), so their symbols share the
+// cache's keyspace.
 //
 // floor is the lowest score the caller can use. A pair the cache will not
 // keep is abandoned (below) as soon as the measure proves it scores under
@@ -231,13 +195,6 @@ func (ps *pairScorer) compare(a, b, aProj, bProj *workflow.Workflow, floor float
 //wfsimvet:hotpath
 func (ps *pairScorer) score(a, b, aProj, bProj *workflow.Workflow, cacheable bool, floor float64) (s float64, below bool, err error) {
 	if ps.cache == nil || !cacheable {
-		return ps.compare(a, b, aProj, bProj, floor)
-	}
-	if !a.ResolvedBy(ps.tab) || !b.ResolvedBy(ps.tab) {
-		// Symbols are only meaningful relative to the table that assigned
-		// them: a workflow resolved elsewhere (or not at all) could collide
-		// with an unrelated pair's key in this shard's cache keyspace, so
-		// the pair is scored directly instead.
 		return ps.compare(a, b, aProj, bProj, floor)
 	}
 	key, ok := pairKey(ps.prep.Name, a, b, ps.prep.Epoch)

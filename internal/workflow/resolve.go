@@ -122,12 +122,6 @@ func (w *Workflow) StampRev(rev uint64) { w.rev = rev }
 // not modify it.
 func (w *Workflow) LabelSet() []uint32 { return w.labelSet }
 
-// LabelBits returns the bitset summary of the label set. The zero value
-// is returned for unresolved workflows.
-func (w *Workflow) LabelBits() *Bitset256 {
-	return &w.labelBits
-}
-
 // Bitset256 is a fixed-width, 256-bit membership summary over symbol IDs
 // (bit index = id mod 256). It cannot answer membership exactly, but a
 // zero AND of two summaries proves the underlying sets are disjoint, and

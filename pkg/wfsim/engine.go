@@ -35,6 +35,8 @@ import (
 // An Engine is safe for concurrent use once built.
 type Engine struct {
 	reg            *Registry
+	gedDeadline    time.Duration // WithGEDBudget; measureFor clamps it per call
+	gedBeam        int
 	cacheWanted    bool // WithScoreCache was given; cache(s) built in New
 	cacheSize      int  // requested total capacity (<= 0 = default)
 	minShared      int
@@ -131,7 +133,9 @@ func WithIndex(minShared int) Option {
 	}
 }
 
-// WithConcurrency bounds the scoring worker pools (default GOMAXPROCS). The
+// WithConcurrency bounds the scoring worker pools (default GOMAXPROCS): a
+// search runs one pool of at most n workers per shard, while Duplicates and
+// Cluster run one pool of at most n workers over the whole corpus. The
 // calling goroutine is one of the workers, so a pool of one scores on the
 // caller's goroutine, and each worker keeps its own scan state and counters,
 // indexed by its worker number, which are summed once the pool drains.
@@ -216,7 +220,7 @@ func WithGEDBudget(deadline time.Duration, beamWidth int) Option {
 		if deadline < 0 || beamWidth < 0 {
 			return fmt.Errorf("negative GED budget")
 		}
-		e.reg.SetGEDBudget(deadline, beamWidth)
+		e.gedDeadline, e.gedBeam = deadline, beamWidth
 		return nil
 	}
 }
@@ -251,6 +255,8 @@ func New(repo *Repository, opts ...Option) (*Engine, error) {
 	}
 	e := &Engine{
 		reg:            NewRegistry(),
+		gedDeadline:    DefaultGEDDeadline,
+		gedBeam:        DefaultGEDBeamWidth,
 		defaultMeasure: DefaultMeasure,
 		shardCount:     1,
 	}
@@ -284,6 +290,14 @@ func (e *Engine) Generation() uint64 { return e.coord.View().AggregateGeneration
 // cross-shard Apply batch.
 func (e *Engine) Generations() []uint64 { return e.coord.View().Generations() }
 
+// Frontier returns the generation, the per-shard generation vector and the
+// workflow count, all read from one pinned view: a commit between separate
+// Generation, Generations and Size calls could pair values of two views.
+func (e *Engine) Frontier() (gen uint64, gens []uint64, workflows int) {
+	v := e.coord.View()
+	return v.AggregateGeneration(), v.Generations(), v.Size()
+}
+
 // Shards returns the engine's shard count (1 without WithShards).
 func (e *Engine) Shards() int { return e.coord.Shards() }
 
@@ -312,8 +326,7 @@ func (e *Engine) ParseMeasure(name string) (Measure, error) {
 		name = e.defaultMeasure
 	}
 	project, _ := e.projectionFor(e.coord.View())
-	deadline, beam := e.reg.GEDBudget()
-	return e.reg.parseResolved(name, deadline, beam, project)
+	return e.reg.parseResolved(name, e.gedDeadline, e.gedBeam, project)
 }
 
 // Project applies the engine's importance projection (the "ip" preprocessing
@@ -328,13 +341,13 @@ func (e *Engine) Project(wf *Workflow) *Workflow {
 }
 
 // measureFor resolves name (or the default) with the given projection and
-// the registry's GED budget, clamping the deadline to the context's
+// the engine's GED budget, clamping the deadline to the context's
 // remaining time — a call deadline becomes the paper's per-pair GED timeout.
 func (e *Engine) measureFor(ctx context.Context, name string, project measures.Projector) (Measure, error) {
 	if name == "" {
 		name = e.defaultMeasure
 	}
-	deadline, beam := e.reg.GEDBudget()
+	deadline := e.gedDeadline
 	if t, ok := ctx.Deadline(); ok {
 		if remaining := time.Until(t); deadline == 0 || remaining < deadline {
 			deadline = remaining
@@ -343,7 +356,7 @@ func (e *Engine) measureFor(ctx context.Context, name string, project measures.P
 			deadline = time.Nanosecond // expired; pair scoring fails fast
 		}
 	}
-	return e.reg.parseResolved(name, deadline, beam, project)
+	return e.reg.parseResolved(name, deadline, e.gedBeam, project)
 }
 
 // SearchOptions configures Engine.Search.
@@ -567,10 +580,11 @@ type DuplicateOptions struct {
 
 // Duplicates scans the repository's pair matrix for near-duplicate workflow
 // pairs scoring at or above threshold — the functional-equivalence detection
-// use case of the paper's introduction. The pair triangle decomposes into
-// per-shard triangles and cross-shard rectangles, scanned in parallel across
-// the engine's worker pool and merged into one order (descending similarity,
-// then A, B; pairs oriented A <= B by ID); the scan honors ctx cancellation.
+// use case of the paper's introduction. One walk over the pinned corpus in ID
+// order scores the pair triangle row by row across the engine's worker pool,
+// each row through the cache of the shard that owns its workflow, and the
+// pairs come back in one order (descending similarity, then A, B; pairs
+// oriented A < B by ID); the scan honors ctx cancellation.
 // Stats reports the canonical measure name, the number of pairs scored and
 // skipped, and the wall-clock duration.
 func (e *Engine) Duplicates(ctx context.Context, threshold float64, opts DuplicateOptions) ([]Pair, Stats, error) {
@@ -673,8 +687,8 @@ func (r *ClusterResult) assignments(ref map[string]int) (found, reference cluste
 // Cluster groups the repository into functional clusters under a similarity
 // measure — "grouping of workflows into functional clusters" from the
 // paper's introduction. The similarity matrix spans the pinned corpus in ID
-// order, is computed in parallel through the shard caches, and honors ctx
-// cancellation.
+// order and is computed by the same walk as Duplicates, through the same
+// caches; it honors ctx cancellation.
 func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*ClusterResult, error) {
 	v := e.coord.View()
 	project, epoch := e.projectionFor(v)

@@ -262,7 +262,7 @@ func TestSearchPinsPreMutationSnapshot(t *testing.T) {
 // zero pairwise measure evaluations (hits plus bounded pairs equal the pair
 // count — a pair a measure's bound puts below the threshold is never looked
 // up, evaluated or cached, cold or warm) and matches the cold run exactly, and so does a Cluster after it — both walk
-// the same pair blocks, so a cross-shard pair meets the same shard's cache
+// the same pairs, so a cross-shard pair meets the same shard's cache
 // whichever operation asks.
 func TestWarmDuplicatesZeroEvaluations(t *testing.T) {
 	for _, shards := range []int{1, 2, 4} {

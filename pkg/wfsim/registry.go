@@ -51,29 +51,15 @@ type Registry struct {
 	// is set once, by NewRegistry, and never replaced, so it is read without
 	// the lock.
 	project measures.Projector
-	// gedDeadline and gedBeam are the default GED budget; Engine clamps the
-	// deadline further when a context deadline is nearer.
-	gedDeadline time.Duration
-	gedBeam     int
 }
 
 // NewRegistry returns a registry with the paper's defaults: type-scorer
-// importance projection at threshold 0.5 and the default GED budget.
+// importance projection at threshold 0.5.
 func NewRegistry() *Registry {
 	return &Registry{
-		custom:      map[string]Measure{},
-		project:     repoknow.NewProjector(repoknow.TypeScorer{}, DefaultProjectionThreshold).Project,
-		gedDeadline: DefaultGEDDeadline,
-		gedBeam:     DefaultGEDBeamWidth,
+		custom:  map[string]Measure{},
+		project: repoknow.NewProjector(repoknow.TypeScorer{}, DefaultProjectionThreshold).Project,
 	}
-}
-
-// SetGEDBudget replaces the default per-pair GED deadline and beam width.
-func (r *Registry) SetGEDBudget(deadline time.Duration, beamWidth int) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.gedDeadline = deadline
-	r.gedBeam = beamWidth
 }
 
 // Register adds a custom measure under the given name. The name must be
@@ -130,18 +116,11 @@ func (r *Registry) Builtin() []string {
 	return names
 }
 
-// GEDBudget returns the registry's current default per-pair GED deadline
-// and beam width.
-func (r *Registry) GEDBudget() (time.Duration, int) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.gedDeadline, r.gedBeam
-}
-
-// Parse resolves a measure name with the registry's default GED budget.
+// Parse resolves a measure name with the default GED budget
+// (DefaultGEDDeadline, DefaultGEDBeamWidth); an engine resolves names with
+// its own (WithGEDBudget).
 func (r *Registry) Parse(name string) (Measure, error) {
-	deadline, beam := r.GEDBudget()
-	return r.parseResolved(name, deadline, beam, r.project)
+	return r.parseResolved(name, DefaultGEDDeadline, DefaultGEDBeamWidth, r.project)
 }
 
 // Canonical returns the canonical notation for a measure name, e.g.

@@ -549,6 +549,10 @@ func (s *Server) handleGetWorkflow(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, workflowResponse{Workflow: wf, Generation: gen})
 }
 
+// statsResponse reports the engine's state. Generation, Shards, Generations
+// and Workflows come from one pinned view (Engine.Frontier); the counter
+// blocks (Index, Cache, Storage, PerShard and the rest) are read after it,
+// each on its own, and may already reflect later commits.
 type statsResponse struct {
 	// Generation is the engine's current generation (summed across shards).
 	Generation uint64 `json:"generation"`
@@ -575,9 +579,10 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
+	gen, gens, workflows := s.eng.Frontier()
 	resp := statsResponse{
-		Generation:        s.eng.Generation(),
-		Workflows:         s.eng.Size(),
+		Generation:        gen,
+		Workflows:         workflows,
 		Cache:             s.eng.CacheStats(),
 		Symbols:           s.eng.Symbols(),
 		LabelSim:          s.eng.LabelSimStats(),
@@ -587,9 +592,9 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Batches:           s.batches.Load(),
 		OpsApplied:        s.ops.Load(),
 	}
-	if n := s.eng.Shards(); n > 1 {
+	if n := len(gens); n > 1 {
 		resp.Shards = n
-		resp.Generations = s.eng.Generations()
+		resp.Generations = gens
 		// On one shard the aggregate blocks below are the per-shard detail.
 		resp.PerShard = s.eng.ShardStats()
 	}
@@ -609,9 +614,10 @@ type healthzResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
+	gen, _, workflows := s.eng.Frontier()
 	writeJSON(w, http.StatusOK, healthzResponse{
 		Status:     "ok",
-		Generation: s.eng.Generation(),
-		Workflows:  s.eng.Size(),
+		Generation: gen,
+		Workflows:  workflows,
 	})
 }

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -679,6 +680,79 @@ func TestFetchStampsTheGenerationItRead(t *testing.T) {
 	}
 	if torn != 0 {
 		t.Errorf("%d of %d fetches stamped a generation other than the one their workflow was read at", torn, fetches)
+	}
+}
+
+// TestStatsAndHealthzReadOneView: GET /v1/stats and GET /healthz report the
+// generation, the generation vector and the workflow count of one pinned
+// view, at one shard and two. A writer alternates adding and removing x, one
+// shard per commit, so every consistent answer has workflows - base ==
+// generation % 2, and a generation that is the sum of its vector.
+func TestStatsAndHealthzReadOneView(t *testing.T) {
+	for _, shards := range []int{1, 2} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			ts, eng := newTestServer(t, serve.Config{}, wfsim.WithShards(shards))
+			ctx := context.Background()
+			base := eng.Size()
+			stop := make(chan struct{})
+			writerErr := make(chan error, 1)
+			go func() {
+				for i := 0; ; i++ {
+					select {
+					case <-stop:
+						writerErr <- nil
+						return
+					default:
+					}
+					m := wfsim.RemoveWorkflow("x")
+					if i%2 == 0 {
+						m = wfsim.AddWorkflow(chainWorkflow("x", "fetch_sequence"))
+					}
+					if _, err := eng.Apply(ctx, m); err != nil {
+						writerErr <- err
+						return
+					}
+					runtime.Gosched() // on one proc, let the pollers in between commits
+				}
+			}()
+			const polls = 1000
+			torn := map[string]int{}
+			for i := 0; i < polls; i++ {
+				path := []string{"/v1/stats", "/healthz"}[i%2]
+				resp, err := http.Get(ts.URL + path)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got struct {
+					Generation  uint64   `json:"generation"`
+					Generations []uint64 `json:"generations"`
+					Workflows   int      `json:"workflows"`
+				}
+				err = json.NewDecoder(resp.Body).Decode(&got)
+				resp.Body.Close()
+				if err != nil || resp.StatusCode != http.StatusOK {
+					t.Fatalf("GET %s: status %d, err %v", path, resp.StatusCode, err)
+				}
+				ok := got.Workflows-base == int(got.Generation%2)
+				if path == "/v1/stats" && shards > 1 {
+					var sum uint64
+					for _, g := range got.Generations {
+						sum += g
+					}
+					ok = ok && len(got.Generations) == shards && sum == got.Generation
+				}
+				if !ok {
+					torn[path]++
+				}
+			}
+			close(stop)
+			if err := <-writerErr; err != nil {
+				t.Fatal(err)
+			}
+			if len(torn) != 0 {
+				t.Errorf("responses mixing two views, of %d polls per path: %v", polls/2, torn)
+			}
+		})
 	}
 }
 

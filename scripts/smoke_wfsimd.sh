@@ -12,7 +12,9 @@
 # memo those searches filled. The cache check: search by query_id, commit a
 # batch that touches other IDs, repeat the search — it must still hit the
 # cache, miss at most once per workflow the batch wrote, and return the same
-# result list as a -cache 0 server after the same ingest and batch.
+# result list as a -cache 0 server after the same ingest and batch; the
+# duplicate pairs (threshold 0.1) and the clusters, whose pair walk scores
+# cross-shard pairs through one shard's cache, must match that server's too.
 #
 # Phase 2 (durability): start a server with a -data directory, ingest the
 # same fixture, record the generation and the search hit, SIGTERM the
@@ -95,6 +97,17 @@ churn_batch() {
 EOF
 }
 
+# pair_scan ADDR: the duplicate pairs at threshold 0.1, then the clusters at
+# minimum similarity 0.3, one line each.
+pair_scan() {
+  curl -fsS -X POST -H 'Content-Type: application/json' \
+    -d '{"threshold":0.1,"deadline_ms":5000}' "http://$1/v1/duplicates" |
+    sed -n 's/.*"pairs":\(\[[^]]*\]\).*/\1/p'
+  curl -fsS -X POST -H 'Content-Type: application/json' \
+    -d '{"min_similarity":0.3,"deadline_ms":5000}' "http://$1/v1/cluster" |
+    sed -n 's/.*"clusters":\(\[.*\]\),"skipped".*/\1/p'
+}
+
 # search_inc BODY: a search over the whole corpus, the query itself included.
 search_inc() {
   curl -fsS -X POST -H 'Content-Type: application/json' \
@@ -148,20 +161,27 @@ index_is_not_consulted() {
 cache_survives_commit() {
   search_a >/dev/null # (a, b) is now cached
   churn_batch "$ADDR"
-  local out hits misses want
+  local out hits misses want scan refscan
   out=$(search_a)
   echo "smoke: search after a batch touching other IDs: $out"
   hits=$(echo "$out" | sed -n 's/.*"cache_hits":\([0-9]*\).*/\1/p')
   misses=$(echo "$out" | sed -n 's/.*"cache_misses":\([0-9]*\).*/\1/p')
   [ "${hits:-0}" -gt 0 ] || { echo "smoke: a batch touching other IDs emptied the score cache (cache_hits=$hits)" >&2; exit 1; }
   [ "${misses:-99}" -le 2 ] || { echo "smoke: cache_misses=$misses after a batch that wrote 2 workflows" >&2; exit 1; }
+  scan=$(pair_scan "$ADDR")
   "$BIN" -addr "$REFADDR" -index -cache 0 -shards "$1" &
   REFPID=$!
   wait_healthy "$REFADDR"
   ingest_fixture "$REFADDR"
   churn_batch "$REFADDR"
   want=$(search_a "$REFADDR" | result_list)
+  refscan=$(pair_scan "$REFADDR")
   kill "$REFPID"; wait "$REFPID" 2>/dev/null || true; REFPID=""
+  echo "smoke: duplicates and clusters at $1 shards: $scan"
+  [[ "$scan" == "[{"*$'\n'"[["* ]] && [ "$scan" = "$refscan" ] || {
+    echo "smoke: cached duplicates or clusters differ from a -cache 0 server after the same batch" >&2
+    echo "  cached:   $scan" >&2
+    echo "  -cache 0: $refscan" >&2; exit 1; }
   [ -n "$want" ] && [ "$(echo "$out" | result_list)" = "$want" ] || {
     echo "smoke: cached results differ from a -cache 0 server after the same batch" >&2
     echo "  cached:   $(echo "$out" | result_list)" >&2
