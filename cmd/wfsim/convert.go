@@ -160,7 +160,8 @@ func cmdCluster(args []string) error {
 	ctx, cancel := contextFor(*timeout)
 	defer cancel()
 	t0 := time.Now()
-	res, err := eng.Cluster(ctx, wfsim.ClusterOptions{
+	rd := eng.Read()
+	res, err := rd.Cluster(ctx, wfsim.ClusterOptions{
 		Measure:       *measureName,
 		MinSimilarity: minSim,
 		SingleLinkage: single,
@@ -169,7 +170,7 @@ func cmdCluster(args []string) error {
 		return err
 	}
 	fmt.Printf("%d clusters over %d workflows (%s, minsim %.2f, %d pairs skipped, %v)\n",
-		len(res.Clusters), eng.Size(), res.Measure, *minSim, res.Skipped, time.Since(t0).Round(time.Millisecond))
+		len(res.Clusters), rd.Frontier().Workflows, res.Measure, *minSim, res.Skipped, time.Since(t0).Round(time.Millisecond))
 	for k, members := range res.Clusters {
 		if k >= *limit {
 			fmt.Printf("... and %d more clusters\n", len(res.Clusters)-*limit)

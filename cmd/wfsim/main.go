@@ -150,18 +150,16 @@ func cmdCompare(args []string) error {
 	if err != nil {
 		return err
 	}
-	wa, wb := eng.Workflow(*a), eng.Workflow(*b)
-	if wa == nil || wb == nil {
-		return fmt.Errorf("workflow %q or %q not found", *a, *b)
-	}
 	var names []string
 	if *measureName != "" {
 		names = []string{*measureName}
 	}
-	scores, err := eng.Compare(context.Background(), wa, wb, names...)
+	rd := eng.Read()
+	scores, err := rd.CompareIDs(context.Background(), *a, *b, names...)
 	if err != nil {
 		return err
 	}
+	wa, wb := rd.Get(*a), rd.Get(*b)
 	fmt.Printf("%s (%d modules) vs %s (%d modules)\n", wa.ID, wa.Size(), wb.ID, wb.Size())
 	for _, s := range scores {
 		if s.Err != nil {
@@ -201,15 +199,16 @@ func cmdSearch(args []string) error {
 	}
 	ctx, cancel := contextFor(*timeout)
 	defer cancel()
+	rd := eng.Read()
 	var results []wfsim.Result
 	var stats wfsim.Stats
 	for i := 0; i < *repeat || i == 0; i++ {
-		results, stats, err = eng.SearchID(ctx, *query, wfsim.SearchOptions{Measure: *measureName, K: *k})
+		results, stats, err = rd.SearchID(ctx, *query, wfsim.SearchOptions{Measure: *measureName, K: *k})
 		if err != nil {
 			return err
 		}
 	}
-	q := eng.Workflow(*query)
+	q := rd.Get(*query)
 	fmt.Printf("top-%d for %q (%s) by %s: scored %d, bounded %d, pruned %d, skipped %d in %v (gen %d)\n",
 		*k, q.ID, q.Annotations.Title, stats.Measure,
 		stats.Scored, stats.Bounded, stats.Pruned, stats.Skipped, stats.Elapsed.Round(time.Millisecond), stats.Generation)
@@ -219,7 +218,7 @@ func cmdSearch(args []string) error {
 			eng.CacheStats().Hits, eng.CacheStats().Misses, eng.CacheStats().Entries)
 	}
 	for i, r := range results {
-		wf := eng.Workflow(r.ID)
+		wf := rd.Get(r.ID)
 		fmt.Printf("%2d. %-8s %.4f  %s\n", i+1, r.ID, r.Similarity, wf.Annotations.Title)
 	}
 	return nil
@@ -248,16 +247,17 @@ func cmdDupes(args []string) error {
 	}
 	ctx, cancel := contextFor(*timeout)
 	defer cancel()
+	rd := eng.Read()
 	var pairs []wfsim.Pair
 	var stats wfsim.Stats
 	for i := 0; i < *repeat || i == 0; i++ {
-		pairs, stats, err = eng.Duplicates(ctx, *threshold, wfsim.DuplicateOptions{Measure: *measureName})
+		pairs, stats, err = rd.Duplicates(ctx, *threshold, wfsim.DuplicateOptions{Measure: *measureName})
 		if err != nil {
 			return err
 		}
 	}
 	fmt.Printf("%d near-duplicate pairs (>= %.2f under %s) among %d workflows in %v (%d pairs skipped)\n",
-		len(pairs), *threshold, stats.Measure, eng.Size(), stats.Elapsed.Round(time.Millisecond), stats.Skipped)
+		len(pairs), *threshold, stats.Measure, rd.Frontier().Workflows, stats.Elapsed.Round(time.Millisecond), stats.Skipped)
 	if *cacheSize > 0 {
 		fmt.Printf("score cache: %d hits, %d misses on the last scan\n", stats.CacheHits, stats.CacheMisses)
 	}

@@ -54,30 +54,30 @@ func cmdAdd(args []string) error {
 		}
 		muts = append(muts, wfsim.AddWorkflow(wf))
 	}
+	return commit(eng, muts, *corpusPath, *out, "added %d workflows: %d total at generation %d, written to %s\n")
+}
+
+// commit applies muts as one batch, writes the corpus a Reader then sees (in
+// ID order) to out — the -corpus file when out is empty — and reports the
+// batch with format (mutations, workflows, generation, file).
+func commit(eng *wfsim.Engine, muts []wfsim.Mutation, corpusPath, out, format string) error {
 	gen, err := eng.Apply(context.Background(), muts...)
 	if err != nil {
 		return err
 	}
-	target := *out
-	if target == "" {
-		target = *corpusPath
+	if out == "" {
+		out = corpusPath
 	}
-	if err := saveCorpus(eng, target); err != nil {
-		return err
-	}
-	fmt.Printf("added %d workflows: %d total at generation %d, written to %s\n",
-		len(muts), eng.Size(), gen, target)
-	return nil
-}
-
-// saveCorpus writes the engine's current corpus (in ID order) to a corpus
-// file.
-func saveCorpus(eng *wfsim.Engine, path string) error {
-	repo, err := wfsim.NewRepository(eng.Workflows()...)
+	rd := eng.Read()
+	repo, err := wfsim.NewRepository(rd.Workflows()...)
 	if err != nil {
 		return err
 	}
-	return repo.SaveFile(path)
+	if err := repo.SaveFile(out); err != nil {
+		return err
+	}
+	fmt.Printf(format, len(muts), rd.Frontier().Workflows, gen, out)
+	return nil
 }
 
 // cmdRm applies a RemoveWorkflow mutation batch to a corpus and writes the
@@ -102,18 +102,5 @@ func cmdRm(args []string) error {
 	for _, id := range strings.Split(*ids, ",") {
 		muts = append(muts, wfsim.RemoveWorkflow(strings.TrimSpace(id)))
 	}
-	gen, err := eng.Apply(context.Background(), muts...)
-	if err != nil {
-		return err
-	}
-	target := *out
-	if target == "" {
-		target = *corpusPath
-	}
-	if err := saveCorpus(eng, target); err != nil {
-		return err
-	}
-	fmt.Printf("removed %d workflows: %d remain at generation %d, written to %s\n",
-		len(muts), eng.Size(), gen, target)
-	return nil
+	return commit(eng, muts, *corpusPath, *out, "removed %d workflows: %d remain at generation %d, written to %s\n")
 }

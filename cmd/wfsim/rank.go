@@ -26,7 +26,8 @@ func cmdRank(args []string) error {
 	if err != nil {
 		return err
 	}
-	q := eng.Workflow(*query)
+	rd := eng.Read()
+	q := rd.Get(*query)
 	if q == nil {
 		return fmt.Errorf("rank: query workflow %q not found", *query)
 	}
@@ -36,7 +37,7 @@ func cmdRank(args []string) error {
 		if id == "" {
 			continue
 		}
-		if eng.Workflow(id) == nil {
+		if rd.Get(id) == nil {
 			return fmt.Errorf("rank: candidate %q not found", id)
 		}
 		candidates = append(candidates, id)
@@ -55,13 +56,13 @@ func cmdRank(args []string) error {
 	var rankings []wfsim.Ranking
 	var canonical []string
 	for _, name := range names {
-		m, err := eng.ParseMeasure(name)
+		m, err := rd.ParseMeasure(name)
 		if err != nil {
 			return err
 		}
 		scores := map[string]float64{}
 		for _, id := range candidates {
-			s, err := m.Compare(q, eng.Workflow(id))
+			s, err := m.Compare(q, rd.Get(id))
 			if err != nil {
 				fmt.Printf("%-20s skipping %s: %v\n", m.Name(), id, err)
 				continue

@@ -162,7 +162,8 @@ func run(args []string) error {
 
 	errc := make(chan error, 1)
 	go func() {
-		log.Printf("wfsimd: serving %d workflows on %d shard(s) (generations %v) on %s", eng.Size(), eng.Shards(), eng.Generations(), *addr)
+		f := eng.Read().Frontier()
+		log.Printf("wfsimd: serving %d workflows on %d shard(s) (generations %v) on %s", f.Workflows, eng.Shards(), f.Generations, *addr)
 		errc <- httpServer.ListenAndServe()
 	}()
 

@@ -1,8 +1,8 @@
 // Command wfsimvet runs the repository's invariant analyzer suite
 // (internal/lint) over the module: canonical pair ordering, snapshot-pinned
-// reads, context flow, generation-stamped responses, lock scope, error
-// paths, and hot-loop allocations. It is the lint gate CI runs next to
-// go vet.
+// reads, one engine view per request function, context flow,
+// generation-stamped responses, lock scope, error paths, and hot-loop
+// allocations. It is the lint gate CI runs next to go vet.
 //
 // Usage:
 //

@@ -32,7 +32,8 @@ func main() {
 
 	t0 := time.Now()
 	minSim := 0.45
-	res, err := eng.Cluster(ctx, wfsim.ClusterOptions{Measure: "MS_ip_te_pll", MinSimilarity: &minSim})
+	rd := eng.Read()
+	res, err := rd.Cluster(ctx, wfsim.ClusterOptions{Measure: "MS_ip_te_pll", MinSimilarity: &minSim})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -52,7 +53,7 @@ func main() {
 			fmt.Printf("... and %d more clusters\n", len(res.Clusters)-5)
 			break
 		}
-		sample := eng.Workflow(members[0])
+		sample := rd.Get(members[0])
 		fmt.Printf("cluster %d: %3d workflows, e.g. %q\n", k, len(members), sample.Annotations.Title)
 	}
 

@@ -38,7 +38,8 @@ func main() {
 
 	// Cold search: every scored pair is a cache miss; pairs that provably
 	// cannot reach the top 5 are bounded — not looked up, not scored.
-	results, stats, err := eng.SearchID(ctx, queryID, wfsim.SearchOptions{K: 5})
+	before := eng.Read()
+	results, stats, err := before.SearchID(ctx, queryID, wfsim.SearchOptions{K: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func main() {
 		stats.Generation, stats.Scored, stats.Bounded, stats.Pruned, stats.CacheHits, stats.CacheMisses)
 
 	// Warm search: identical pairs come straight from the cache.
-	_, stats, err = eng.SearchID(ctx, queryID, wfsim.SearchOptions{K: 5})
+	_, stats, err = before.SearchID(ctx, queryID, wfsim.SearchOptions{K: 5})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -56,7 +57,7 @@ func main() {
 	// Mutate the repository: one transactional batch — clone the current
 	// best hit under a new ID, and drop one workflow. Reads in flight keep
 	// their pinned snapshot; the index is updated in O(labels), not rebuilt.
-	best := eng.Workflow(results[0].ID)
+	best := before.Get(results[0].ID)
 	clone := best.Clone()
 	clone.ID = "clone-of-" + best.ID
 	removed := c.Repo.IDs()[1]

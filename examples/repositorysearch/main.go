@@ -38,15 +38,16 @@ func main() {
 	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 	defer cancel()
 
+	rd := eng.Read()
 	for _, measure := range []string{"MS_ip_te_pll", "BW"} {
-		results, stats, err := eng.Search(ctx, query, wfsim.SearchOptions{Measure: measure, K: 10})
+		results, stats, err := rd.Search(ctx, query, wfsim.SearchOptions{Measure: measure, K: 10})
 		if err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("top-10 by %s (%v, %d scored, %d bounded, %d skipped):\n",
 			stats.Measure, stats.Elapsed.Round(time.Millisecond), stats.Scored, stats.Bounded, stats.Skipped)
 		for i, r := range results {
-			wf := eng.Workflow(r.ID)
+			wf := rd.Get(r.ID)
 			marker := " "
 			if c.Truth.Meta[r.ID].Cluster == c.Truth.Meta[query.ID].Cluster {
 				marker = "*" // same latent functional cluster as the query

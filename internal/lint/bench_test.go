@@ -7,7 +7,7 @@ import (
 	"repro/internal/lint"
 )
 
-// BenchmarkWfsimvet times the full 7-analyzer suite — CFG construction,
+// BenchmarkWfsimvet times the full 8-analyzer suite — CFG construction,
 // dataflow fixpoints, and all syntactic passes — over every package of the
 // module, exactly the work the CI lint gate does after loading. The guard
 // at the end keeps the gate honest: if the suite creeps past 5s per run,
@@ -37,6 +37,6 @@ func BenchmarkWfsimvet(b *testing.B) {
 	}
 	b.StopTimer()
 	if avg := b.Elapsed() / time.Duration(b.N); avg > 5*time.Second {
-		b.Fatalf("7-analyzer suite averaged %v per run; the lint-gate budget is 5s", avg)
+		b.Fatalf("8-analyzer suite averaged %v per run; the lint-gate budget is 5s", avg)
 	}
 }

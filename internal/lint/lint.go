@@ -200,6 +200,7 @@ func RunAnalyzers(u *Universe, pkgs []*Package, analyzers []*Analyzer) ([]Diagno
 var All = []*Analyzer{
 	PairOrder,
 	SnapshotPin,
+	OnePin,
 	CtxFlow,
 	GenStamp,
 	LockScope,

@@ -157,6 +157,28 @@ func TestSnapshotPinScope(t *testing.T) {
 	}
 }
 
+func TestOnePinFixtures(t *testing.T) {
+	for _, path := range []string{"repro/pkg/wfsim/serve", "repro/cmd/wfsim"} {
+		if diags := checkFixture(t, lint.OnePin, "onepin/bad", path); len(diags) != 3 {
+			t.Errorf("bad fixture under %s produced %d findings, want 3", path, len(diags))
+		}
+		checkFixture(t, lint.OnePin, "onepin/good", path)
+	}
+	// Outside the request layers a function may pin as often as it likes.
+	u := universe(t)
+	pkg, err := u.CheckDir(filepath.Join("testdata", "onepin/bad"), "repro/internal/fixture")
+	if err != nil {
+		t.Fatal(err)
+	}
+	diags, err := lint.RunAnalyzers(u, []*lint.Package{pkg}, []*lint.Analyzer{lint.OnePin})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(diags) != 0 {
+		t.Errorf("got %d findings outside the scope, want 0: %v", len(diags), diags)
+	}
+}
+
 func TestCtxFlowFixtures(t *testing.T) {
 	if diags := checkFixture(t, lint.CtxFlow, "ctxflow/bad", "repro/internal/fixture"); len(diags) == 0 {
 		t.Error("bad fixture produced no findings")

@@ -196,11 +196,9 @@ func (s *Local) Maintain() {
 
 // Info reports the shard's current stats for aggregation.
 func (s *Local) Info() Info {
-	snap := s.repo.Snapshot()
 	info := Info{
 		ID:          s.id,
-		Generation:  snap.Generation(),
-		Workflows:   snap.Size(),
+		Workflows:   s.repo.Snapshot().Size(),
 		WarmEntries: s.warmEntries,
 	}
 	if idx := s.idx.Load(); idx != nil {

@@ -302,12 +302,11 @@ type WarmSpec struct {
 	Epoch uint64
 }
 
-// Info is one shard's stats snapshot, aggregated by the engine and exposed
-// per-shard by the service layer.
+// Info is one shard's live counters, aggregated by the engine and exposed
+// per-shard by the service layer; generations are read from a View's pins.
 type Info struct {
-	ID         int
-	Generation uint64
-	Workflows  int
+	ID        int
+	Workflows int // live, outside any View: for size-skew probes only
 	// Index is nil for shards without an inverted index.
 	Index *index.Stats
 	// IndexRebuilds counts full index rebuilds (drift recovery).

@@ -90,8 +90,8 @@ func BenchmarkBootReintern(b *testing.B) {
 			b.Fatal(err)
 		}
 		b.StopTimer()
-		if eng.Size() != corpusSize {
-			b.Fatalf("boot recovered %d workflows, want %d", eng.Size(), corpusSize)
+		if eng.Read().Frontier().Workflows != corpusSize {
+			b.Fatalf("boot recovered %d workflows, want %d", eng.Read().Frontier().Workflows, corpusSize)
 		}
 		if err := eng.Close(); err != nil {
 			b.Fatal(err)

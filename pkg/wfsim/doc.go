@@ -4,9 +4,8 @@
 // (PVLDB 7(12), 2014).
 //
 // The entry point is Engine, seeded from a Repository of workflows (which it
-// takes over: afterwards the corpus is read through Engine.Workflows,
-// Workflow and Size, and changed through Engine.Apply) with functional
-// options:
+// takes over: afterwards the corpus is read through Engine.Read and changed
+// through Engine.Apply) with functional options:
 //
 //	repo, _ := wfsim.LoadRepository("corpus.json")
 //	eng, _ := wfsim.New(repo,
@@ -26,8 +25,9 @@
 // The engine's corpus is mutable and snapshot-versioned, matching the
 // paper's living-repository setting. Engine.Apply commits a transactional
 // batch of AddWorkflow / RemoveWorkflow / ReplaceWorkflow mutations under a
-// new generation number; every read pins an immutable view, so in-flight
-// queries are never torn by writers. With WithIndex the inverted label
+// new generation number; every read pins an immutable view — a Reader, whose
+// lookups, frontier, stats and scoring operations all answer from it — so
+// in-flight queries are never torn by writers. With WithIndex the inverted label
 // index is maintained incrementally (O(labels) per op, tombstones plus
 // periodic compaction — never a full rebuild), and WithScoreCache adds a
 // fixed-capacity table of pairwise scores keyed by measure, ID pair and the

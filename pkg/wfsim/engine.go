@@ -245,10 +245,10 @@ func WithMeasure(name string, m Measure) Option {
 // New builds an Engine seeded with repo's workflows. The engine owns its
 // corpus from then on: repo is only read here, and later changes to it do
 // not reach the engine — mutate through Engine.Apply and read through
-// Workflows, Workflow and Size. With WithStorage over a directory that
-// already holds state, repo must be empty and the stored corpus is
-// recovered instead. Options are applied in order; the default measure is
-// validated against the registry before the engine is returned.
+// Engine.Read. With WithStorage over a directory that already holds state,
+// repo must be empty and the stored corpus is recovered instead. Options are
+// applied in order; the default measure is validated against the registry
+// before the engine is returned.
 func New(repo *Repository, opts ...Option) (*Engine, error) {
 	if repo == nil {
 		return nil, fmt.Errorf("nil repository")
@@ -274,69 +274,69 @@ func New(repo *Repository, opts ...Option) (*Engine, error) {
 	return e, nil
 }
 
-// Workflows pins the current corpus and returns its workflows in ID order —
-// the engine's corpus order, whatever the shard count. The workflows are
-// shared with the engine; callers must not modify them.
-func (e *Engine) Workflows() []*Workflow { return e.coord.View().Union() }
-
-// Generation returns the corpus generation: the sum of the per-shard
-// vector. It starts at 0 for a seeded engine (or at the recovered value) and
-// every committed Apply batch advances it — by exactly one on a one-shard
-// engine, by one per touched shard otherwise.
-func (e *Engine) Generation() uint64 { return e.coord.View().AggregateGeneration() }
-
-// Generations returns the per-shard generation vector. The vector is
-// captured atomically with respect to commits: it never shows half a
-// cross-shard Apply batch.
-func (e *Engine) Generations() []uint64 { return e.coord.View().Generations() }
-
-// Frontier returns the generation, the per-shard generation vector and the
-// workflow count, all read from one pinned view: a commit between separate
-// Generation, Generations and Size calls could pair values of two views.
-func (e *Engine) Frontier() (gen uint64, gens []uint64, workflows int) {
-	v := e.coord.View()
-	return v.AggregateGeneration(), v.Generations(), v.Size()
-}
-
 // Shards returns the engine's shard count (1 without WithShards).
 func (e *Engine) Shards() int { return e.coord.Shards() }
-
-// Size returns the number of workflows in the corpus across all shards.
-func (e *Engine) Size() int { return e.coord.View().Size() }
 
 // Registry returns the engine's measure registry, for registering custom
 // measures or listing the built-in notation after construction.
 func (e *Engine) Registry() *Registry { return e.reg }
 
-// Workflow returns the corpus workflow with the given ID, or nil.
-func (e *Engine) Workflow(id string) *Workflow { return e.coord.View().Get(id) }
-
-// Fetch returns the corpus workflow with the given ID (nil if absent) and the
-// generation it was read at, both from one pinned view: a commit between the
-// two reads cannot pair a workflow with a generation that replaced it.
-func (e *Engine) Fetch(id string) (*Workflow, uint64) {
-	v := e.coord.View()
-	return v.Get(id), v.AggregateGeneration()
+// Reader is one read of the engine: a value holding one commit-atomic view
+// of the corpus, pinned by Engine.Read. Every method answers from that view,
+// so all one caller reports from one Reader belongs to one repository state,
+// however many Apply batches commit meanwhile. It is safe for concurrent use.
+type Reader struct {
+	e *Engine
+	v shard.View
 }
+
+// Read pins the current corpus view; facts that must agree — a workflow and
+// the generation it was read at, a count and a vector — come from one Reader.
+func (e *Engine) Read() Reader { return Reader{e: e, v: e.coord.View()} }
+
+// Frontier is a Reader's position in the mutation stream: the generation
+// (the sum of the per-shard vector, advanced by every committed Apply batch —
+// by one per touched shard), the per-shard vector, and the workflow count.
+type Frontier struct {
+	Generation  uint64
+	Generations []uint64
+	Workflows   int
+}
+
+// Frontier returns the view's generation, generation vector and size.
+func (r Reader) Frontier() Frontier {
+	return Frontier{Generation: r.v.AggregateGeneration(), Generations: r.v.Generations(), Workflows: r.v.Size()}
+}
+
+// Get returns the workflow with the given ID, or nil. The workflow is shared
+// with the engine; callers must not modify it.
+func (r Reader) Get(id string) *Workflow { return r.v.Get(id) }
+
+// Workflows returns the view's workflows in ID order, whatever the shard
+// count. They are shared with the engine; callers must not modify them.
+func (r Reader) Workflows() []*Workflow { return r.v.Union() }
+
+// Size is Read().Frontier().Workflows; the benchmark module calls it.
+func (e *Engine) Size() int { return e.Read().Frontier().Workflows }
 
 // ParseMeasure resolves a measure name in the paper's notation (see
-// Registry) with the engine's projector and GED budget.
-func (e *Engine) ParseMeasure(name string) (Measure, error) {
+// Registry) with the view's projector and the engine's GED budget.
+func (r Reader) ParseMeasure(name string) (Measure, error) {
 	if name == "" {
-		name = e.defaultMeasure
+		name = r.e.defaultMeasure
 	}
-	project, _ := e.projectionFor(e.coord.View())
-	return e.reg.parseResolved(name, e.gedDeadline, e.gedBeam, project)
+	project, _ := r.e.projectionFor(r.v)
+	return r.e.reg.parseResolved(name, r.e.gedDeadline, r.e.gedBeam, project)
 }
 
+// ParseMeasure is Read().ParseMeasure.
+func (e *Engine) ParseMeasure(name string) (Measure, error) { return e.Read().ParseMeasure(name) }
+
 // Project applies the engine's importance projection (the "ip" preprocessing
-// of structural measures) to a workflow, against the current repository
-// generation's module frequencies.
+// of structural measures) to a workflow, against the module frequencies of
+// a fresh Read.
 func (e *Engine) Project(wf *Workflow) *Workflow {
-	project, _ := e.projectionFor(e.coord.View())
-	if project == nil {
-		return wf
-	}
+	project, _ := e.projectionFor(e.Read().v)
 	return project(wf)
 }
 
@@ -418,18 +418,54 @@ type Stats struct {
 // index (WithIndex) and the measure has no exact score bound, the search is
 // filter-and-refine unless opts.Exact is set.
 //
-// The scan runs over a pinned view of the corpus: a Search issued before an
-// Apply commits returns results consistent with the pre-mutation repository.
+// The scan, the projection and the cache keys all belong to the Reader's
+// view: a Reader taken before an Apply commits searches the pre-mutation
+// repository. Per-shard top-k lists merge by descending similarity, ties by ID.
 //
 // A query the engine's symbol table has not resolved — anything but the
 // engine's own workflows — is never modified: the engine scores a private
 // copy whose module labels and types it interns like ingest does, so every
 // module comparison of the scan takes the symbol path.
-func (e *Engine) Search(ctx context.Context, query *Workflow, opts SearchOptions) ([]Result, Stats, error) {
+func (r Reader) Search(ctx context.Context, query *Workflow, opts SearchOptions) ([]Result, Stats, error) {
 	if query == nil {
 		return nil, Stats{}, fmt.Errorf("nil query workflow")
 	}
-	return e.searchView(ctx, e.own(query), e.coord.View(), opts)
+	query = r.e.own(query)
+	prep, err := r.scanPrep(ctx, opts.Measure)
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	t0 := time.Now()
+	res, rstats, err := r.e.coord.Search(ctx, r.v, prep, shard.Query{
+		Query:         query,
+		K:             opts.K,
+		Exact:         opts.Exact,
+		IncludeQuery:  opts.IncludeQuery,
+		MinSimilarity: opts.MinSimilarity,
+		Par:           r.e.concurrency,
+		Cacheable:     r.v.Get(query.ID) == query, // only the view's own objects' pair scores are cached
+	})
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return res, r.stats(prep, rstats, t0), nil
+}
+
+// Search is Read().Search.
+func (e *Engine) Search(ctx context.Context, query *Workflow, opts SearchOptions) ([]Result, Stats, error) {
+	return e.Read().Search(ctx, query, opts)
+}
+
+// scanPrep resolves the named measure (or the default) against the view's
+// projection and prepares it for a scan whose cache keys carry that
+// projection's epoch.
+func (r Reader) scanPrep(ctx context.Context, name string) (*shard.ScanPrep, error) {
+	project, epoch := r.e.projectionFor(r.v)
+	m, err := r.e.measureFor(ctx, name, project)
+	if err != nil {
+		return nil, err
+	}
+	return shard.NewScanPrepWith(m, epoch, r.e.labelSim), nil
 }
 
 // own returns wf when the engine's symbol table resolved it, and otherwise a
@@ -446,65 +482,36 @@ func (e *Engine) own(wf *Workflow) *Workflow {
 	return c
 }
 
-// fillRead copies coordinator scan stats into a Stats under the view's
-// generation stamps.
-func fillRead(stats *Stats, v shard.View, r shard.ReadStats) {
-	stats.Scored = r.Scored
-	stats.Skipped = r.Skipped
-	stats.Bounded = r.Bounded
-	stats.Pruned = r.Pruned
-	stats.CacheHits = r.CacheHits
-	stats.CacheMisses = r.CacheMisses
-	stats.Generation = v.AggregateGeneration()
-	stats.Generations = v.Generations()
+// stats reports a scan started at t0 under the view's generation stamps.
+func (r Reader) stats(prep *shard.ScanPrep, rs shard.ReadStats, t0 time.Time) Stats {
+	return Stats{
+		Measure:     prep.Name,
+		Scored:      rs.Scored,
+		Skipped:     rs.Skipped,
+		Bounded:     rs.Bounded,
+		Pruned:      rs.Pruned,
+		CacheHits:   rs.CacheHits,
+		CacheMisses: rs.CacheMisses,
+		Generation:  r.v.AggregateGeneration(),
+		Generations: r.v.Generations(),
+		Elapsed:     time.Since(t0),
+	}
 }
 
-// searchView is Search over an already-pinned view: the projection, the scan
-// and the cache keys all belong to the view's frontier. The query fans out
-// to every shard and the per-shard top-k lists merge into the global top-k
-// (descending similarity, ties by ID).
-func (e *Engine) searchView(ctx context.Context, query *Workflow, v shard.View, opts SearchOptions) ([]Result, Stats, error) {
-	project, epoch := e.projectionFor(v)
-	m, err := e.measureFor(ctx, opts.Measure, project)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	t0 := time.Now()
-	prep := shard.NewScanPrepWith(m, epoch, e.labelSim)
-	q := shard.Query{
-		Query:         query,
-		K:             opts.K,
-		Exact:         opts.Exact,
-		IncludeQuery:  opts.IncludeQuery,
-		MinSimilarity: opts.MinSimilarity,
-		Par:           e.concurrency,
-	}
-	if owner := v.Owner(query.ID); owner.Get(query.ID) == query {
-		// The query is the owning shard's own snapshot object: its pair
-		// scores may enter and be served from the shard caches.
-		q.Cacheable = true
-	}
-	res, rstats, err := e.coord.Search(ctx, v, prep, q)
-	if err != nil {
-		return nil, Stats{}, err
-	}
-	stats := Stats{Measure: m.Name()}
-	fillRead(&stats, v, rstats)
-	stats.Elapsed = time.Since(t0)
-	return res, stats, nil
-}
-
-// SearchID is Search with the query named by repository ID. The query is
-// resolved from the same pinned view the scan runs over, so a concurrent
-// Replace cannot make the call score stale query content under a newer
-// generation stamp.
-func (e *Engine) SearchID(ctx context.Context, queryID string, opts SearchOptions) ([]Result, Stats, error) {
-	v := e.coord.View()
-	query := v.Get(queryID)
+// SearchID is Search with the query named by repository ID, resolved from
+// the Reader's view: a concurrent Replace cannot make the call score stale
+// query content under a newer generation stamp.
+func (r Reader) SearchID(ctx context.Context, queryID string, opts SearchOptions) ([]Result, Stats, error) {
+	query := r.v.Get(queryID)
 	if query == nil {
 		return nil, Stats{}, fmt.Errorf("query workflow %q not found", queryID)
 	}
-	return e.searchView(ctx, query, v, opts)
+	return r.Search(ctx, query, opts)
+}
+
+// SearchID is Read().SearchID.
+func (e *Engine) SearchID(ctx context.Context, queryID string, opts SearchOptions) ([]Result, Stats, error) {
+	return e.Read().SearchID(ctx, queryID, opts)
 }
 
 // Score is one measure's verdict on a workflow pair.
@@ -525,51 +532,48 @@ func CompareMeasures() []string {
 }
 
 // Compare scores the pair (a, b) under each named measure (default:
-// CompareMeasures). Unknown measure names fail the whole call; per-pair
-// scoring failures are reported in the corresponding Score.Err so one GED
-// timeout does not hide the other measures. Like a Search query, a side the
-// engine's symbol table has not resolved is scored on a private resolved
-// copy and left as it was handed in.
-func (e *Engine) Compare(ctx context.Context, a, b *Workflow, measureNames ...string) ([]Score, error) {
-	scores, _, err := e.compareView(ctx, e.coord.View(), a, b, measureNames)
-	return scores, err
-}
-
-// CompareIDs is Compare with the pair named by repository IDs, both resolved
-// from one pinned view. It additionally returns that view's generation, so
-// callers can correlate the scores with the mutation stream.
-func (e *Engine) CompareIDs(ctx context.Context, aID, bID string, measureNames ...string) ([]Score, uint64, error) {
-	v := e.coord.View()
-	a, b := v.Get(aID), v.Get(bID)
+// CompareMeasures) with the view's projection. Unknown measure names fail the
+// whole call; per-pair scoring failures are reported in the corresponding
+// Score.Err so one GED timeout does not hide the other measures. Like a
+// Search query, a side the engine's symbol table has not resolved is scored
+// on a private resolved copy and left as it was handed in.
+func (r Reader) Compare(ctx context.Context, a, b *Workflow, measureNames ...string) ([]Score, error) {
 	if a == nil || b == nil {
-		return nil, 0, fmt.Errorf("workflow %q or %q not found", aID, bID)
+		return nil, fmt.Errorf("nil workflow in Compare")
 	}
-	return e.compareView(ctx, v, a, b, measureNames)
-}
-
-// compareView scores one pair with the view's projection.
-func (e *Engine) compareView(ctx context.Context, v shard.View, a, b *Workflow, measureNames []string) ([]Score, uint64, error) {
-	if a == nil || b == nil {
-		return nil, 0, fmt.Errorf("nil workflow in Compare")
-	}
-	a, b = e.own(a), e.own(b)
-	project, _ := e.projectionFor(v)
+	a, b = r.e.own(a), r.e.own(b)
+	project, _ := r.e.projectionFor(r.v)
 	if len(measureNames) == 0 {
 		measureNames = CompareMeasures()
 	}
 	out := make([]Score, 0, len(measureNames))
 	for _, name := range measureNames {
 		if err := ctx.Err(); err != nil {
-			return nil, 0, err
+			return nil, err
 		}
-		m, err := e.measureFor(ctx, name, project)
+		m, err := r.e.measureFor(ctx, name, project)
 		if err != nil {
-			return nil, 0, err
+			return nil, err
 		}
 		s, err := m.Compare(a, b)
 		out = append(out, Score{Measure: m.Name(), Similarity: s, Err: err})
 	}
-	return out, v.AggregateGeneration(), nil
+	return out, nil
+}
+
+// Compare is Read().Compare.
+func (e *Engine) Compare(ctx context.Context, a, b *Workflow, measureNames ...string) ([]Score, error) {
+	return e.Read().Compare(ctx, a, b, measureNames...)
+}
+
+// CompareIDs is Compare with the pair named by repository IDs, both resolved
+// from the Reader's view.
+func (r Reader) CompareIDs(ctx context.Context, aID, bID string, measureNames ...string) ([]Score, error) {
+	a, b := r.v.Get(aID), r.v.Get(bID)
+	if a == nil || b == nil {
+		return nil, fmt.Errorf("workflow %q or %q not found", aID, bID)
+	}
+	return r.Compare(ctx, a, b, measureNames...)
 }
 
 // DuplicateOptions configures Engine.Duplicates.
@@ -580,30 +584,29 @@ type DuplicateOptions struct {
 
 // Duplicates scans the repository's pair matrix for near-duplicate workflow
 // pairs scoring at or above threshold — the functional-equivalence detection
-// use case of the paper's introduction. One walk over the pinned corpus in ID
+// use case of the paper's introduction. One walk over the Reader's view in ID
 // order scores the pair triangle row by row across the engine's worker pool,
 // each row through the cache of the shard that owns its workflow, and the
 // pairs come back in one order (descending similarity, then A, B; pairs
 // oriented A < B by ID); the scan honors ctx cancellation.
 // Stats reports the canonical measure name, the number of pairs scored and
 // skipped, and the wall-clock duration.
-func (e *Engine) Duplicates(ctx context.Context, threshold float64, opts DuplicateOptions) ([]Pair, Stats, error) {
-	v := e.coord.View()
-	project, epoch := e.projectionFor(v)
-	m, err := e.measureFor(ctx, opts.Measure, project)
+func (r Reader) Duplicates(ctx context.Context, threshold float64, opts DuplicateOptions) ([]Pair, Stats, error) {
+	prep, err := r.scanPrep(ctx, opts.Measure)
 	if err != nil {
 		return nil, Stats{}, err
 	}
 	t0 := time.Now()
-	prep := shard.NewScanPrepWith(m, epoch, e.labelSim)
-	pairs, rstats, err := e.coord.Duplicates(ctx, v, prep, threshold, e.concurrency)
+	pairs, rstats, err := r.e.coord.Duplicates(ctx, r.v, prep, threshold, r.e.concurrency)
 	if err != nil {
 		return nil, Stats{}, err
 	}
-	stats := Stats{Measure: m.Name()}
-	fillRead(&stats, v, rstats)
-	stats.Elapsed = time.Since(t0)
-	return pairs, stats, nil
+	return pairs, r.stats(prep, rstats, t0), nil
+}
+
+// Duplicates is Read().Duplicates.
+func (e *Engine) Duplicates(ctx context.Context, threshold float64, opts DuplicateOptions) ([]Pair, Stats, error) {
+	return e.Read().Duplicates(ctx, threshold, opts)
 }
 
 // ClusterOptions configures Engine.Cluster.
@@ -686,13 +689,11 @@ func (r *ClusterResult) assignments(ref map[string]int) (found, reference cluste
 
 // Cluster groups the repository into functional clusters under a similarity
 // measure — "grouping of workflows into functional clusters" from the
-// paper's introduction. The similarity matrix spans the pinned corpus in ID
+// paper's introduction. The similarity matrix spans the Reader's view in ID
 // order and is computed by the same walk as Duplicates, through the same
 // caches; it honors ctx cancellation.
-func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*ClusterResult, error) {
-	v := e.coord.View()
-	project, epoch := e.projectionFor(v)
-	m, err := e.measureFor(ctx, opts.Measure, project)
+func (r Reader) Cluster(ctx context.Context, opts ClusterOptions) (*ClusterResult, error) {
+	prep, err := r.scanPrep(ctx, opts.Measure)
 	if err != nil {
 		return nil, err
 	}
@@ -700,8 +701,7 @@ func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*ClusterResu
 	if opts.MinSimilarity != nil {
 		minSim = *opts.MinSimilarity
 	}
-	prep := shard.NewScanPrepWith(m, epoch, e.labelSim)
-	mat, _, err := e.coord.Matrix(ctx, v, prep, e.concurrency)
+	mat, _, err := r.e.coord.Matrix(ctx, r.v, prep, r.e.concurrency)
 	if err != nil {
 		return nil, err
 	}
@@ -712,11 +712,11 @@ func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*ClusterResu
 		c = cluster.Agglomerative(mat, minSim)
 	}
 	out := &ClusterResult{
-		Measure:     m.Name(),
+		Measure:     prep.Name,
 		Clusters:    make([][]string, c.K),
 		Skipped:     mat.Skipped,
-		Generation:  v.AggregateGeneration(),
-		Generations: v.Generations(),
+		Generation:  r.v.AggregateGeneration(),
+		Generations: r.v.Generations(),
 	}
 	for k, members := range c.Members() {
 		ids := make([]string, len(members))
@@ -726,4 +726,9 @@ func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*ClusterResu
 		out.Clusters[k] = ids
 	}
 	return out, nil
+}
+
+// Cluster is Read().Cluster.
+func (e *Engine) Cluster(ctx context.Context, opts ClusterOptions) (*ClusterResult, error) {
+	return e.Read().Cluster(ctx, opts)
 }

@@ -73,7 +73,7 @@ func TestNewValidates(t *testing.T) {
 
 func TestSearchBasic(t *testing.T) {
 	eng, _ := testEngine(t)
-	query := eng.Workflows()[0]
+	query := eng.Read().Workflows()[0]
 	results, stats, err := eng.Search(context.Background(), query, SearchOptions{K: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -84,9 +84,9 @@ func TestSearchBasic(t *testing.T) {
 	if stats.Measure != DefaultMeasure {
 		t.Errorf("stats.Measure = %q, want default %q", stats.Measure, DefaultMeasure)
 	}
-	if covered(stats) != eng.Size()-1 || stats.Pruned != 0 || stats.Skipped != 0 {
+	if covered(stats) != eng.Read().Frontier().Workflows-1 || stats.Pruned != 0 || stats.Skipped != 0 {
 		t.Errorf("scored %d + bounded %d (pruned %d, skipped %d), want %d pairs covered",
-			stats.Scored, stats.Bounded, stats.Pruned, stats.Skipped, eng.Size()-1)
+			stats.Scored, stats.Bounded, stats.Pruned, stats.Skipped, eng.Read().Frontier().Workflows-1)
 	}
 	for i, r := range results {
 		if r.ID == query.ID {
@@ -113,7 +113,7 @@ func TestSearchIDUnknownQuery(t *testing.T) {
 func TestSearchIndexedMatchesExact(t *testing.T) {
 	eng, _ := testEngine(t, WithIndex(2))
 	ctx := context.Background()
-	for _, query := range eng.Workflows()[:12] {
+	for _, query := range eng.Read().Workflows()[:12] {
 		fast, stats, err := eng.Search(ctx, query, SearchOptions{K: 5})
 		if err != nil {
 			t.Fatal(err)
@@ -126,22 +126,22 @@ func TestSearchIndexedMatchesExact(t *testing.T) {
 			t.Errorf("query %s under %s: indexed engine returns %v, exact scan %v", query.ID, stats.Measure, fast, exact)
 		}
 		for _, st := range []Stats{stats, estats} {
-			if st.Pruned != 0 || st.Bounded == 0 || st.Scored+st.Bounded+st.Skipped != eng.Size()-1 {
+			if st.Pruned != 0 || st.Bounded == 0 || st.Scored+st.Bounded+st.Skipped != eng.Read().Frontier().Workflows-1 {
 				t.Errorf("query %s under %s: scored %d + bounded %d + skipped %d, pruned %d; want %d pairs covered, some by the bound, none by the index",
-					query.ID, st.Measure, st.Scored, st.Bounded, st.Skipped, st.Pruned, eng.Size()-1)
+					query.ID, st.Measure, st.Scored, st.Bounded, st.Skipped, st.Pruned, eng.Read().Frontier().Workflows-1)
 			}
 		}
 	}
 
-	query := eng.Workflows()[3]
+	query := eng.Read().Workflows()[3]
 	ge := SearchOptions{Measure: "GE_ip_te_pll", K: 5}
 	fast, stats, err := eng.Search(ctx, query, ge)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.Pruned == 0 || stats.Bounded != 0 || covered(stats) != eng.Size()-1 {
+	if stats.Pruned == 0 || stats.Bounded != 0 || covered(stats) != eng.Read().Frontier().Workflows-1 {
 		t.Errorf("GE through the index: pruned %d + scored %d + bounded %d + skipped %d vs %d workflows; want some pruned, none bounded",
-			stats.Pruned, stats.Scored, stats.Bounded, stats.Skipped, eng.Size())
+			stats.Pruned, stats.Scored, stats.Bounded, stats.Skipped, eng.Read().Frontier().Workflows)
 	}
 	ge.Exact = true
 	exact, estats, err := eng.Search(ctx, query, ge)
@@ -164,7 +164,7 @@ func TestSearchIndexedMatchesExact(t *testing.T) {
 // goroutines.
 func TestSearchCancelledContext(t *testing.T) {
 	eng, _ := testEngine(t)
-	query := eng.Workflows()[0]
+	query := eng.Read().Workflows()[0]
 	before := runtime.NumGoroutine()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -195,7 +195,7 @@ func TestSearchCancelledContext(t *testing.T) {
 
 func TestSearchExpiredDeadline(t *testing.T) {
 	eng, _ := testEngine(t)
-	query := eng.Workflows()[0]
+	query := eng.Read().Workflows()[0]
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
 	if _, _, err := eng.Search(ctx, query, SearchOptions{K: 10}); !errors.Is(err, context.DeadlineExceeded) {
@@ -251,7 +251,7 @@ func TestDuplicatesAndCluster(t *testing.T) {
 			t.Errorf("pair %v below threshold", p)
 		}
 	}
-	n := eng.Size()
+	n := eng.Read().Frontier().Workflows
 	if dstats.Measure != DefaultMeasure || covered(dstats) != n*(n-1)/2 {
 		t.Errorf("duplicate stats = %+v", dstats)
 	}
@@ -283,7 +283,7 @@ func TestDuplicatesCancelled(t *testing.T) {
 
 func TestCompareDefaultSet(t *testing.T) {
 	eng, _ := testEngine(t)
-	wfs := eng.Workflows()
+	wfs := eng.Read().Workflows()
 	scores, err := eng.Compare(context.Background(), wfs[0], wfs[1])
 	if err != nil {
 		t.Fatal(err)
@@ -300,7 +300,7 @@ func TestCompareDefaultSet(t *testing.T) {
 
 func TestEngineCustomMeasure(t *testing.T) {
 	eng, _ := testEngine(t, WithMeasure("always1", constantMeasure{name: "always1", v: 1}))
-	results, stats, err := eng.SearchID(context.Background(), eng.Workflows()[0].ID,
+	results, stats, err := eng.SearchID(context.Background(), eng.Read().Workflows()[0].ID,
 		SearchOptions{Measure: "always1", K: 3})
 	if err != nil {
 		t.Fatal(err)
@@ -317,7 +317,7 @@ func TestEngineCustomMeasure(t *testing.T) {
 
 func TestWithRepositoryKnowledge(t *testing.T) {
 	eng, _ := testEngine(t, WithRepositoryKnowledge(0.3))
-	wf := eng.Workflows()[0]
+	wf := eng.Read().Workflows()[0]
 	proj := eng.Project(wf)
 	if proj.Size() > wf.Size() {
 		t.Errorf("projection grew the workflow: %d -> %d", wf.Size(), proj.Size())

@@ -160,17 +160,17 @@ func TestWarmRestartRebuildsSymbols(t *testing.T) {
 	if _, err := eng2.Apply(ctx, AddWorkflow(storageWorkflow("d", "novel_operation", "another_novel_step"))); err != nil {
 		t.Fatal(err)
 	}
-	wantGens := eng2.Generations()
+	wantGens := eng2.Read().Frontier().Generations
 	// No Close: kill -9 semantics.
 	assertNoSymbolKeys(t, dir)
 
 	eng3 := newStoredEngine(t, dir)
 	defer eng3.Close()
-	if got := eng3.Generations(); !reflect.DeepEqual(got, wantGens) {
+	if got := eng3.Read().Frontier().Generations; !reflect.DeepEqual(got, wantGens) {
 		t.Fatalf("crash restart at generations %v, want %v", got, wantGens)
 	}
-	if eng3.Size() != 4 {
-		t.Fatalf("crash restart recovered %d workflows, want 4", eng3.Size())
+	if eng3.Read().Frontier().Workflows != 4 {
+		t.Fatalf("crash restart recovered %d workflows, want 4", eng3.Read().Frontier().Workflows)
 	}
 	if _, ok := engineSymtab(eng3).Lookup("novel_operation"); !ok {
 		t.Error("crash restart did not resolve the un-checkpointed workflow")

@@ -144,7 +144,7 @@ type IndexStats struct {
 // engine was built without WithIndex. The counters are summed across the
 // per-shard indexes (Vocabulary is the sum of per-shard vocabularies, not
 // the global distinct-label count, and Generation is the sum of the
-// per-shard index generations); per-shard detail is in ShardStats.
+// per-shard index generations); per-shard detail is in Reader.ShardStats.
 func (e *Engine) IndexStats() (stats IndexStats, ok bool) {
 	for _, info := range e.coord.Infos() {
 		if info.Index == nil {

@@ -59,7 +59,7 @@ func mutEngine(t *testing.T, opts ...Option) *Engine {
 func TestApplyAddVisibleWithoutRebuild(t *testing.T) {
 	eng := mutEngine(t, WithIndex(1), WithMeasure("content", &contentMeasure{}))
 	ctx := context.Background()
-	gensBefore := eng.Generations()
+	gensBefore := eng.Read().Frontier().Generations
 
 	gen, err := eng.Apply(ctx,
 		AddWorkflow(mutWorkflow("w5", "spot_image")),
@@ -71,15 +71,15 @@ func TestApplyAddVisibleWithoutRebuild(t *testing.T) {
 	}
 	// One batch is one generation on every shard it touches, none elsewhere.
 	touched := uint64(0)
-	for i, after := range eng.Generations() {
+	for i, after := range eng.Read().Frontier().Generations {
 		if d := after - gensBefore[i]; d > 1 {
 			t.Errorf("shard %d generation: %d -> %d, want at most +1", i, gensBefore[i], after)
 		} else {
 			touched += d
 		}
 	}
-	if touched == 0 || gen != eng.Generation() {
-		t.Errorf("generations %v -> %v (Apply returned %d): batch did not commit as one generation per touched shard", gensBefore, eng.Generations(), gen)
+	if touched == 0 || gen != eng.Read().Frontier().Generation {
+		t.Errorf("generations %v -> %v (Apply returned %d): batch did not commit as one generation per touched shard", gensBefore, eng.Read().Frontier().Generations, gen)
 	}
 
 	// The added workflow and the replaced content are indexed: an indexed
@@ -120,7 +120,7 @@ func TestApplyAddVisibleWithoutRebuild(t *testing.T) {
 func TestApplyTransactional(t *testing.T) {
 	eng := mutEngine(t, WithIndex(1))
 	ctx := context.Background()
-	genBefore := eng.Generation()
+	genBefore := eng.Read().Frontier().Generation
 	istBefore, _ := eng.IndexStats()
 
 	if _, err := eng.Apply(ctx,
@@ -129,10 +129,10 @@ func TestApplyTransactional(t *testing.T) {
 	); err == nil {
 		t.Fatal("bad batch accepted")
 	}
-	if eng.Generation() != genBefore {
+	if eng.Read().Frontier().Generation != genBefore {
 		t.Error("failed batch bumped the generation")
 	}
-	if eng.Workflow("w9") != nil {
+	if eng.Read().Get("w9") != nil {
 		t.Error("failed batch partially applied")
 	}
 	if ist, _ := eng.IndexStats(); ist.Live != istBefore.Live {
@@ -189,7 +189,7 @@ func TestSearchPinsPreMutationSnapshot(t *testing.T) {
 	gm := &gateMeasure{started: make(chan struct{}), release: make(chan struct{})}
 	eng := mutEngine(t, WithMeasure("gate", gm), WithConcurrency(2))
 	ctx := context.Background()
-	genBefore := eng.Generation()
+	genBefore := eng.Read().Frontier().Generation
 
 	type outcome struct {
 		results []Result
@@ -257,6 +257,95 @@ func TestSearchPinsPreMutationSnapshot(t *testing.T) {
 	}
 }
 
+// readerAnswers is everything a Reader reports, less the live counters and
+// timings that are not part of its view.
+type readerAnswers struct {
+	Get        map[string]*Workflow
+	Workflows  []*Workflow
+	Frontier   Frontier
+	ShardGens  []uint64
+	ShardSizes []int
+	SearchID   []Result
+	Search     []Result
+	Stamps     [2][]uint64 // SearchID's, then Search's Stats.Generation and Generations
+	Compare    []Score
+	Duplicates []Pair
+	Cluster    *ClusterResult
+}
+
+func answers(t *testing.T, rd Reader) readerAnswers {
+	t.Helper()
+	ctx := context.Background()
+	opts := SearchOptions{Measure: "content", K: 10}
+	var a readerAnswers
+	a.Get = map[string]*Workflow{}
+	for _, id := range []string{"w1", "w3", "w4", "w5"} {
+		a.Get[id] = rd.Get(id)
+	}
+	a.Workflows = rd.Workflows()
+	a.Frontier = rd.Frontier()
+	for _, si := range rd.ShardStats() {
+		a.ShardGens = append(a.ShardGens, si.Generation)
+		a.ShardSizes = append(a.ShardSizes, si.Workflows)
+	}
+	res, st, err := rd.SearchID(ctx, "w1", opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	a.SearchID, a.Stamps[0] = res, append([]uint64{st.Generation}, st.Generations...)
+	if res, st, err = rd.Search(ctx, mutWorkflow("q", "fetch_sequence"), opts); err != nil {
+		t.Fatal(err)
+	}
+	a.Search, a.Stamps[1] = res, append([]uint64{st.Generation}, st.Generations...)
+	if a.Compare, err = rd.CompareIDs(ctx, "w1", "w3", "content"); err != nil {
+		t.Fatal(err)
+	}
+	if a.Duplicates, _, err = rd.Duplicates(ctx, 0.9, DuplicateOptions{Measure: "content"}); err != nil {
+		t.Fatal(err)
+	}
+	if a.Cluster, err = rd.Cluster(ctx, ClusterOptions{Measure: "content"}); err != nil {
+		t.Fatal(err)
+	}
+	return a
+}
+
+// TestReaderIsOneView: every method of a Reader taken before an Apply — an
+// add, a replace and a remove — answers from the pre-Apply corpus, down to
+// the workflow objects and the generation stamps; a fresh Read sees the
+// post-Apply corpus.
+func TestReaderIsOneView(t *testing.T) {
+	eng := mutEngine(t, WithMeasure("content", &contentMeasure{}))
+	rd := eng.Read()
+	want := answers(t, rd)
+	if want.Get["w5"] != nil || want.Get["w4"] == nil || len(want.Workflows) != 4 || want.Frontier.Workflows != 4 {
+		t.Fatalf("pre-Apply Reader: %+v", want)
+	}
+	if _, err := eng.Apply(context.Background(),
+		AddWorkflow(mutWorkflow("w5", "fetch_sequence")),
+		ReplaceWorkflow(mutWorkflow("w3", "fetch_sequence")),
+		RemoveWorkflow("w4"),
+	); err != nil {
+		t.Fatal(err)
+	}
+	if got := answers(t, rd); !reflect.DeepEqual(got, want) {
+		t.Errorf("Reader moved with Apply:\n got %+v\nwant %+v", got, want)
+	}
+
+	fresh := answers(t, eng.Read())
+	if fresh.Get["w5"] == nil || fresh.Get["w4"] != nil || fresh.Get["w3"] == want.Get["w3"] {
+		t.Errorf("fresh Reader lookups %v, want w5 added, w4 removed, w3 replaced", fresh.Get)
+	}
+	if fresh.Frontier.Workflows != 4 || fresh.Frontier.Generation <= want.Frontier.Generation {
+		t.Errorf("fresh Frontier %+v, want 4 workflows past generation %d", fresh.Frontier, want.Frontier.Generation)
+	}
+	if fresh.Compare[0].Similarity != 1 || want.Compare[0].Similarity == 1 {
+		t.Errorf("CompareIDs(w1, w3): fresh %v, pinned %v; want the replaced w3 to match w1 only when fresh", fresh.Compare, want.Compare)
+	}
+	if len(fresh.Duplicates) != 6 || len(want.Duplicates) != 1 {
+		t.Errorf("duplicates: fresh %v, pinned %v; want w1, w2, w3, w5 pairwise fresh, w1-w2 pinned", fresh.Duplicates, want.Duplicates)
+	}
+}
+
 // TestWarmDuplicatesZeroEvaluations is the score-cache acceptance test, at
 // 1, 2 and 4 shards: a repeated Duplicates run with a warm cache performs
 // zero pairwise measure evaluations (hits plus bounded pairs equal the pair
@@ -273,7 +362,7 @@ func TestWarmDuplicatesZeroEvaluations(t *testing.T) {
 				t.Fatal(err)
 			}
 			ctx := context.Background()
-			n := eng.Size()
+			n := eng.Read().Frontier().Workflows
 			pairCount := n * (n - 1) / 2
 
 			cold, coldStats, err := eng.Duplicates(ctx, 0.2, DuplicateOptions{Measure: "content"})
@@ -332,11 +421,11 @@ func TestCacheInvalidationOnApply(t *testing.T) {
 		replaced, removed := ids[3], ids[10]
 		tw.apply(func(e *Engine) []Mutation {
 			return []Mutation{
-				ReplaceWorkflow(variant(e.Workflow(ids[5]), replaced, "totally_new_label")),
+				ReplaceWorkflow(variant(e.Read().Get(ids[5]), replaced, "totally_new_label")),
 				RemoveWorkflow(removed),
 			}
 		})
-		n := tw.cached.Size()
+		n := tw.cached.Read().Frontier().Workflows
 		pairs, stats, evals := tw.duplicates()
 		tw.wantCounts("scan after replace+remove", stats, evals, n*(n-1)/2-(n-1), n-1)
 		if len(pairs) != n*(n-1)/2 {

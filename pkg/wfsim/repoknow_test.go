@@ -50,10 +50,10 @@ func TestProjectorRefreshOnApply(t *testing.T) {
 	const measure = "MS_ip_ta_pll"
 
 	// At construction df(shim) = 2/4 = 0.5 → score 0.5 ≥ threshold: kept.
-	if got := eng.Project(eng.Workflow("w1")).Size(); got != 2 {
+	if got := eng.Project(eng.Read().Get("w1")).Size(); got != 2 {
 		t.Fatalf("initial projection of w1 keeps %d modules, want 2", got)
 	}
-	before, _, err := eng.CompareIDs(ctx, "w1", "w2", measure)
+	before, err := eng.Read().CompareIDs(ctx, "w1", "w2", measure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -70,10 +70,10 @@ func TestProjectorRefreshOnApply(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Project(eng.Workflow("w1")).Size(); got != 1 {
+	if got := eng.Project(eng.Read().Get("w1")).Size(); got != 1 {
 		t.Errorf("post-Apply projection of w1 keeps %d modules, want 1 (shim projected away)", got)
 	}
-	after, _, err := eng.CompareIDs(ctx, "w1", "w2", measure)
+	after, err := eng.Read().CompareIDs(ctx, "w1", "w2", measure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestProjectorRefreshOnApply(t *testing.T) {
 	if _, err := eng.Apply(ctx, RemoveWorkflow("w5"), RemoveWorkflow("w6")); err != nil {
 		t.Fatal(err)
 	}
-	restored, _, err := eng.CompareIDs(ctx, "w1", "w2", measure)
+	restored, err := eng.Read().CompareIDs(ctx, "w1", "w2", measure)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestProjectorRefreshOnApply(t *testing.T) {
 	// The projector is rebuilt once per generation, not once per read.
 	rebuilds := eng.ProjectorRebuilds()
 	for i := 0; i < 5; i++ {
-		if _, _, err := eng.CompareIDs(ctx, "w1", "w2", measure); err != nil {
+		if _, err := eng.Read().CompareIDs(ctx, "w1", "w2", measure); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -135,7 +135,7 @@ func TestRepositoryKnowledgeOnEmptyRepository(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	if got := eng.Project(eng.Workflow("w1")).Size(); got != 1 {
+	if got := eng.Project(eng.Read().Get("w1")).Size(); got != 1 {
 		t.Errorf("projection over post-ingest corpus keeps %d modules, want 1", got)
 	}
 }
@@ -201,21 +201,24 @@ func TestProjectionPerSnapshotGeneration(t *testing.T) {
 	}
 }
 
-// TestCompareIDsReportsGeneration: CompareIDs resolves both workflows from
-// one pinned snapshot and reports its generation.
+// TestCompareIDsReportsGeneration: a Reader's CompareIDs resolves both
+// workflows from the Reader's view, whose Frontier is the generation to
+// report: removing a side after the Reader was taken changes neither.
 func TestCompareIDsReportsGeneration(t *testing.T) {
 	eng, err := New(ipCorpus(t))
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	if _, gen, err := eng.CompareIDs(ctx, "w1", "w2", "BW"); err != nil || gen != 0 {
-		t.Errorf("CompareIDs gen = %d err = %v, want 0/nil", gen, err)
-	}
-	if _, err := eng.Apply(ctx, RemoveWorkflow("w4")); err != nil {
+	rd := eng.Read()
+	if _, err := eng.Apply(ctx, RemoveWorkflow("w2")); err != nil {
 		t.Fatal(err)
 	}
-	if _, gen, err := eng.CompareIDs(ctx, "w1", "w2", "BW"); err != nil || gen != 1 {
-		t.Errorf("post-Apply CompareIDs gen = %d err = %v, want 1/nil", gen, err)
+	if _, err := rd.CompareIDs(ctx, "w1", "w2", "BW"); err != nil || rd.Frontier().Generation != 0 {
+		t.Errorf("CompareIDs gen = %d err = %v, want 0/nil", rd.Frontier().Generation, err)
+	}
+	fresh := eng.Read()
+	if _, err := fresh.CompareIDs(ctx, "w1", "w2", "BW"); err == nil || fresh.Frontier().Generation != 1 {
+		t.Errorf("post-Apply CompareIDs gen = %d err = %v, want 1 and not found", fresh.Frontier().Generation, err)
 	}
 }

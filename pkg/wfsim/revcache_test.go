@@ -77,7 +77,7 @@ func variant(src *Workflow, id, tag string) *Workflow {
 // engineIDs returns the engine's corpus IDs in order.
 func engineIDs(e *Engine) []string {
 	var ids []string
-	for _, wf := range e.Workflows() {
+	for _, wf := range e.Read().Workflows() {
 		ids = append(ids, wf.ID)
 	}
 	return ids
@@ -190,12 +190,12 @@ func TestCommitRetiresOnlyWrittenPairs(t *testing.T) {
 
 		tw.apply(func(e *Engine) []Mutation {
 			return []Mutation{
-				AddWorkflow(variant(e.Workflow(ids[1]), "zz-added", "added_content")),
-				ReplaceWorkflow(variant(e.Workflow(ids[2]), ids[8], "replaced_content")),
+				AddWorkflow(variant(e.Read().Get(ids[1]), "zz-added", "added_content")),
+				ReplaceWorkflow(variant(e.Read().Get(ids[2]), ids[8], "replaced_content")),
 				RemoveWorkflow(ids[20]),
 			}
 		})
-		n = tw.cached.Size()
+		n = tw.cached.Read().Frontier().Workflows
 		written := 2*n - 3 // (n-1) pairs per written workflow, their shared pair once
 		_, stats, evals = tw.duplicates()
 		tw.wantCounts("scan after add+replace+remove", stats, evals, n*(n-1)/2-written, written)
@@ -237,37 +237,37 @@ func TestSearchCacheSurvivesUnrelatedCommits(t *testing.T) {
 
 		tw.apply(func(e *Engine) []Mutation {
 			return []Mutation{
-				AddWorkflow(variant(e.Workflow(ids[1]), "zz-added", "added_content")),
-				ReplaceWorkflow(variant(e.Workflow(ids[2]), ids[8], "replaced_content")),
+				AddWorkflow(variant(e.Read().Get(ids[1]), "zz-added", "added_content")),
+				ReplaceWorkflow(variant(e.Read().Get(ids[2]), ids[8], "replaced_content")),
 				RemoveWorkflow(ids[20]),
 			}
 		})
-		n = tw.cached.Size()
+		n = tw.cached.Read().Frontier().Workflows
 		stats, evals = tw.search(q)
 		tw.wantCounts("search after a batch not touching the query", stats, evals, n-3, 2)
 
 		tw.apply(func(e *Engine) []Mutation {
-			return []Mutation{ReplaceWorkflow(variant(e.Workflow(ids[3]), q, "new_query_content"))}
+			return []Mutation{ReplaceWorkflow(variant(e.Read().Get(ids[3]), q, "new_query_content"))}
 		})
 		stats, evals = tw.search(q)
 		tw.wantCounts("search after replacing the query", stats, evals, 0, n-1)
 
 		// One ID, many objects. Each step writes x once, so the search misses
 		// exactly the pair (q, x) and hits the rest.
-		origA := map[*Engine]*Workflow{tw.cached: tw.cached.Workflow(x), tw.plain: tw.plain.Workflow(x)}
+		origA := map[*Engine]*Workflow{tw.cached: tw.cached.Read().Get(x), tw.plain: tw.plain.Read().Get(x)}
 		steps := []struct {
 			name  string
 			build func(e *Engine) []Mutation
 		}{
 			{"remove and re-add in one batch", func(e *Engine) []Mutation {
-				return []Mutation{RemoveWorkflow(x), AddWorkflow(variant(e.Workflow(ids[4]), x, "readded_content"))}
+				return []Mutation{RemoveWorkflow(x), AddWorkflow(variant(e.Read().Get(ids[4]), x, "readded_content"))}
 			}},
 			{"remove", func(e *Engine) []Mutation { return []Mutation{RemoveWorkflow(x)} }},
 			{"re-add in a later batch", func(e *Engine) []Mutation {
-				return []Mutation{AddWorkflow(variant(e.Workflow(ids[4]), x, "readded_again"))}
+				return []Mutation{AddWorkflow(variant(e.Read().Get(ids[4]), x, "readded_again"))}
 			}},
 			{"replace with B", func(e *Engine) []Mutation {
-				return []Mutation{ReplaceWorkflow(variant(e.Workflow(ids[6]), x, "content_b"))}
+				return []Mutation{ReplaceWorkflow(variant(e.Read().Get(ids[6]), x, "content_b"))}
 			}},
 			// The very object the engine first stored under x: it carries a
 			// revision, so the engine must commit a copy under a new one.
@@ -275,9 +275,9 @@ func TestSearchCacheSurvivesUnrelatedCommits(t *testing.T) {
 				return []Mutation{ReplaceWorkflow(origA[e])}
 			}},
 			{"replace with B again", func(e *Engine) []Mutation {
-				return []Mutation{ReplaceWorkflow(variant(e.Workflow(ids[6]), x, "content_b"))}
+				return []Mutation{ReplaceWorkflow(variant(e.Read().Get(ids[6]), x, "content_b"))}
 			}},
-			{"self-replace", func(e *Engine) []Mutation { return []Mutation{ReplaceWorkflow(e.Workflow(x))} }},
+			{"self-replace", func(e *Engine) []Mutation { return []Mutation{ReplaceWorkflow(e.Read().Get(x))} }},
 		}
 		for _, step := range steps {
 			tw.apply(step.build)
@@ -288,7 +288,7 @@ func TestSearchCacheSurvivesUnrelatedCommits(t *testing.T) {
 			}
 			tw.wantCounts("search after "+step.name, stats, evals, n-2, 1)
 		}
-		if got := tw.cached.Workflow(x); got == origA[tw.cached] || origA[tw.cached].Rev() == got.Rev() {
+		if got := tw.cached.Read().Get(x); got == origA[tw.cached] || origA[tw.cached].Rev() == got.Rev() {
 			t.Errorf("the engine re-adopted an object it had committed before (revision %d)", got.Rev())
 		}
 	})
@@ -301,14 +301,14 @@ func TestSearchCacheSurvivesUnrelatedCommits(t *testing.T) {
 func TestRepositoryKnowledgeCommitRetiresEveryPair(t *testing.T) {
 	forCacheShards(t, func(t *testing.T, shards int) {
 		tw := newCacheTwins(t, shards, WithRepositoryKnowledge(0))
-		n := tw.cached.Size()
+		n := tw.cached.Read().Frontier().Workflows
 		tw.duplicates()
 		_, stats, evals := tw.duplicates()
 		tw.wantCounts("warm scan", stats, evals, n*(n-1)/2, 0)
 
 		ids := tw.ids()
 		tw.apply(func(e *Engine) []Mutation {
-			return []Mutation{AddWorkflow(variant(e.Workflow(ids[1]), "zz-added", "added_content"))}
+			return []Mutation{AddWorkflow(variant(e.Read().Get(ids[1]), "zz-added", "added_content"))}
 		})
 		n++
 		_, stats, evals = tw.duplicates()
@@ -472,8 +472,8 @@ func TestWarmRestartSurvivesLastCommit(t *testing.T) {
 		scan(eng1)
 		written := map[string]bool{ids[8]: true, "zz-added": true}
 		if _, err := eng1.Apply(ctx,
-			ReplaceWorkflow(variant(eng1.Workflow(ids[2]), ids[8], "replaced_content")),
-			AddWorkflow(variant(eng1.Workflow(ids[1]), "zz-added", "added_content")),
+			ReplaceWorkflow(variant(eng1.Read().Get(ids[2]), ids[8], "replaced_content")),
+			AddWorkflow(variant(eng1.Read().Get(ids[1]), "zz-added", "added_content")),
 		); err != nil {
 			t.Fatal(err)
 		}
@@ -502,14 +502,14 @@ func TestWarmRestartSurvivesLastCommit(t *testing.T) {
 
 		// Crash: one more commit, no Close. The touched shard's cache file is
 		// now a generation behind and must not be loaded.
-		gensBefore := eng2.Generations()
-		if _, err := eng2.Apply(ctx, ReplaceWorkflow(variant(eng2.Workflow(ids[3]), ids[9], "crash_content"))); err != nil {
+		gensBefore := eng2.Read().Frontier().Generations
+		if _, err := eng2.Apply(ctx, ReplaceWorkflow(variant(eng2.Read().Get(ids[3]), ids[9], "crash_content"))); err != nil {
 			t.Fatal(err)
 		}
 		want, _ = scan(eng2)
 		eng3, _ := open(empty())
 		defer eng3.Close()
-		for i, si := range eng3.ShardStats() {
+		for i, si := range eng3.Read().ShardStats() {
 			if si.Generation != gensBefore[i] && si.Storage.WarmCacheEntries != 0 {
 				t.Errorf("shard %d re-seeded %d scores from a cache file older than its recovered generation", i, si.Storage.WarmCacheEntries)
 			}
@@ -560,9 +560,9 @@ func TestSelfReplaceIsRaceClean(t *testing.T) {
 			}
 		}()
 	}
-	first := eng.Workflow("w1")
+	first := eng.Read().Get("w1")
 	for i := 0; i < 200; i++ {
-		stored := eng.Workflow("w1")
+		stored := eng.Read().Get("w1")
 		if i%4 == 3 {
 			if _, err := eng.Apply(ctx, RemoveWorkflow("w1")); err != nil {
 				t.Fatal(err)
@@ -578,7 +578,7 @@ func TestSelfReplaceIsRaceClean(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if got := eng.Workflow("w1"); got == first || got.Rev() == first.Rev() {
+	if got := eng.Read().Get("w1"); got == first || got.Rev() == first.Rev() {
 		t.Errorf("the engine kept restamping one shared object (revision %d)", got.Rev())
 	}
 	if got, _, err := eng.SearchID(ctx, "w2", opts); err != nil || !reflect.DeepEqual(got, want) {

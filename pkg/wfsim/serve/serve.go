@@ -16,8 +16,8 @@
 //	GET  /v1/stats             engine + server counters
 //	GET  /healthz              liveness
 //
-// Every read is served from a pinned repository snapshot and reports the
-// generation it observed plus the call's score-cache hit/miss counters, so
+// Every read handler answers from one Engine.Read and reports the generation
+// of that pinned view plus the call's score-cache hit/miss counters, so
 // clients can correlate results with the mutation stream. A search's stats
 // account for every live workflow but the query: "scored", "bounded" (left
 // unscored by an exact score bound; the result is the full scan's), "pruned"
@@ -105,9 +105,6 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes)
 	s.mux.ServeHTTP(w, r)
 }
-
-// Engine returns the engine the server fronts.
-func (s *Server) Engine() *wfsim.Engine { return s.eng }
 
 // errorPayload is the uniform error envelope.
 type errorPayload struct {
@@ -251,19 +248,20 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		Exact:         req.Exact,
 		IncludeQuery:  req.IncludeQuery,
 	}
+	rd := s.eng.Read()
 	var (
 		results []wfsim.Result
 		stats   wfsim.Stats
 		err     error
 	)
 	if req.QueryID != "" {
-		results, stats, err = s.eng.SearchID(ctx, req.QueryID, opts)
+		results, stats, err = rd.SearchID(ctx, req.QueryID, opts)
 	} else {
 		if err := req.Query.Validate(); err != nil {
 			writeError(w, http.StatusBadRequest, "invalid query workflow: %v", err)
 			return
 		}
-		results, stats, err = s.eng.Search(ctx, req.Query, opts)
+		results, stats, err = rd.Search(ctx, req.Query, opts)
 	}
 	if err != nil {
 		writeReadError(w, err)
@@ -308,12 +306,13 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.contextFor(r, req.DeadlineMS)
 	defer cancel()
-	scores, gen, err := s.eng.CompareIDs(ctx, req.AID, req.BID, req.Measures...)
+	rd := s.eng.Read()
+	scores, err := rd.CompareIDs(ctx, req.AID, req.BID, req.Measures...)
 	if err != nil {
 		writeReadError(w, err)
 		return
 	}
-	resp := compareResponse{Scores: make([]scorePayload, len(scores)), Generation: gen}
+	resp := compareResponse{Scores: make([]scorePayload, len(scores)), Generation: rd.Frontier().Generation}
 	for i, sc := range scores {
 		resp.Scores[i] = scorePayload{Measure: sc.Measure, Similarity: sc.Similarity}
 		if sc.Err != nil {
@@ -355,7 +354,7 @@ func (s *Server) handleDuplicates(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.contextFor(r, req.DeadlineMS)
 	defer cancel()
-	pairs, stats, err := s.eng.Duplicates(ctx, req.Threshold, wfsim.DuplicateOptions{Measure: req.Measure})
+	pairs, stats, err := s.eng.Read().Duplicates(ctx, req.Threshold, wfsim.DuplicateOptions{Measure: req.Measure})
 	if err != nil {
 		writeReadError(w, err)
 		return
@@ -392,7 +391,7 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.contextFor(r, req.DeadlineMS)
 	defer cancel()
-	res, err := s.eng.Cluster(ctx, wfsim.ClusterOptions{
+	res, err := s.eng.Read().Cluster(ctx, wfsim.ClusterOptions{
 		Measure:       req.Measure,
 		MinSimilarity: req.MinSimilarity,
 		SingleLinkage: req.SingleLinkage,
@@ -541,18 +540,19 @@ type workflowResponse struct {
 
 func (s *Server) handleGetWorkflow(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
-	wf, gen := s.eng.Fetch(id)
+	rd := s.eng.Read()
+	wf := rd.Get(id)
 	if wf == nil {
 		writeError(w, http.StatusNotFound, "workflow %q not found", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, workflowResponse{Workflow: wf, Generation: gen})
+	writeJSON(w, http.StatusOK, workflowResponse{Workflow: wf, Generation: rd.Frontier().Generation})
 }
 
-// statsResponse reports the engine's state. Generation, Shards, Generations
-// and Workflows come from one pinned view (Engine.Frontier); the counter
-// blocks (Index, Cache, Storage, PerShard and the rest) are read after it,
-// each on its own, and may already reflect later commits.
+// statsResponse reports the engine's state. Generation, Shards, Generations,
+// Workflows and each PerShard block's generation and workflows come from one
+// Engine.Read; the counter blocks (Index, Cache, Storage, the per-shard ones
+// and the rest) are read live, each on its own, and may reflect later commits.
 type statsResponse struct {
 	// Generation is the engine's current generation (summed across shards).
 	Generation uint64 `json:"generation"`
@@ -579,10 +579,11 @@ type statsResponse struct {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	gen, gens, workflows := s.eng.Frontier()
+	rd := s.eng.Read()
+	f := rd.Frontier()
 	resp := statsResponse{
-		Generation:        gen,
-		Workflows:         workflows,
+		Generation:        f.Generation,
+		Workflows:         f.Workflows,
 		Cache:             s.eng.CacheStats(),
 		Symbols:           s.eng.Symbols(),
 		LabelSim:          s.eng.LabelSimStats(),
@@ -592,11 +593,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Batches:           s.batches.Load(),
 		OpsApplied:        s.ops.Load(),
 	}
-	if n := len(gens); n > 1 {
+	if n := len(f.Generations); n > 1 {
 		resp.Shards = n
-		resp.Generations = gens
+		resp.Generations = f.Generations
 		// On one shard the aggregate blocks below are the per-shard detail.
-		resp.PerShard = s.eng.ShardStats()
+		resp.PerShard = rd.ShardStats()
 	}
 	if ist, ok := s.eng.IndexStats(); ok {
 		resp.Index = &ist
@@ -614,10 +615,10 @@ type healthzResponse struct {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	gen, _, workflows := s.eng.Frontier()
+	f := s.eng.Read().Frontier()
 	writeJSON(w, http.StatusOK, healthzResponse{
 		Status:     "ok",
-		Generation: gen,
-		Workflows:  workflows,
+		Generation: f.Generation,
+		Workflows:  f.Workflows,
 	})
 }

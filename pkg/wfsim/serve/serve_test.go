@@ -115,7 +115,7 @@ type wireSearch struct {
 // and cache counters it was served under.
 func TestRoundTrip(t *testing.T) {
 	ts, eng := newTestServer(t, serve.Config{}, wfsim.WithScoreCache(1024), wfsim.WithIndex(1))
-	genBefore := eng.Generation()
+	genBefore := eng.Read().Frontier().Generation
 
 	// JSON batch: one add, one replace, one remove — transactional.
 	var br struct {
@@ -353,7 +353,7 @@ func TestStatsReportSymbolsAndLabelSim(t *testing.T) {
 // come back as a conflict.
 func TestBatchTransactionality(t *testing.T) {
 	ts, eng := newTestServer(t, serve.Config{})
-	genBefore := eng.Generation()
+	genBefore := eng.Read().Frontier().Generation
 
 	var er struct {
 		Error string `json:"error"`
@@ -367,10 +367,10 @@ func TestBatchTransactionality(t *testing.T) {
 	if status != http.StatusConflict || er.Error == "" {
 		t.Errorf("bad batch: status %d, error %q", status, er.Error)
 	}
-	if eng.Generation() != genBefore {
+	if eng.Read().Frontier().Generation != genBefore {
 		t.Error("failed batch bumped the generation")
 	}
-	if eng.Workflow("w9") != nil {
+	if eng.Read().Get("w9") != nil {
 		t.Error("failed batch partially applied")
 	}
 
@@ -528,7 +528,7 @@ func TestDeadlineClampsGEDBudget(t *testing.T) {
 func TestConcurrentIngestAndSearch(t *testing.T) {
 	ts, eng := newTestServer(t, serve.Config{},
 		wfsim.WithIndex(1), wfsim.WithScoreCache(512), wfsim.WithRepositoryKnowledge(0))
-	genStart := eng.Generation()
+	genStart := eng.Read().Frontier().Generation
 
 	const writers, readers, rounds = 3, 4, 15
 	var wg sync.WaitGroup
@@ -563,7 +563,7 @@ func TestConcurrentIngestAndSearch(t *testing.T) {
 					return
 				default:
 				}
-				genBefore := eng.Generation()
+				genBefore := eng.Read().Frontier().Generation
 				var sr wireSearch
 				status := postJSON(t, ts.URL+"/v1/search", map[string]any{"query_id": "w1", "k": 5}, &sr)
 				if status != http.StatusOK {
@@ -610,10 +610,10 @@ func TestConcurrentIngestAndSearch(t *testing.T) {
 	close(stop)
 	<-done
 
-	if got, want := eng.Generation(), genStart+writers*rounds; got != want {
+	if got, want := eng.Read().Frontier().Generation, genStart+writers*rounds; got != want {
 		t.Errorf("final generation = %d, want %d (one bump per batch)", got, want)
 	}
-	if got, want := eng.Size(), 3+writers*rounds; got != want {
+	if got, want := eng.Read().Frontier().Workflows, 3+writers*rounds; got != want {
 		t.Errorf("final corpus size = %d, want %d", got, want)
 	}
 }
@@ -627,7 +627,7 @@ func TestFetchStampsTheGenerationItRead(t *testing.T) {
 	ctx := context.Background()
 	replace := func() error {
 		wf := chainWorkflow("w1", "fetch_sequence", "align_genomes")
-		want := eng.Generation() + 1 // the only writer: the next commit's generation
+		want := eng.Read().Frontier().Generation + 1 // the only writer: the next commit's generation
 		wf.Annotations.Title = strconv.FormatUint(want, 10)
 		gen, err := eng.Apply(ctx, wfsim.ReplaceWorkflow(wf))
 		if err == nil && gen != want {
@@ -687,13 +687,15 @@ func TestFetchStampsTheGenerationItRead(t *testing.T) {
 // generation, the generation vector and the workflow count of one pinned
 // view, at one shard and two. A writer alternates adding and removing x, one
 // shard per commit, so every consistent answer has workflows - base ==
-// generation % 2, and a generation that is the sum of its vector.
+// generation % 2, and a generation that is the sum of its vector; at two
+// shards every per_shard block carries its element of that vector, and the
+// blocks' workflows sum to the response's.
 func TestStatsAndHealthzReadOneView(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			ts, eng := newTestServer(t, serve.Config{}, wfsim.WithShards(shards))
 			ctx := context.Background()
-			base := eng.Size()
+			base := eng.Read().Frontier().Workflows
 			stop := make(chan struct{})
 			writerErr := make(chan error, 1)
 			go func() {
@@ -727,6 +729,10 @@ func TestStatsAndHealthzReadOneView(t *testing.T) {
 					Generation  uint64   `json:"generation"`
 					Generations []uint64 `json:"generations"`
 					Workflows   int      `json:"workflows"`
+					PerShard    []struct {
+						Generation uint64 `json:"generation"`
+						Workflows  int    `json:"workflows"`
+					} `json:"per_shard"`
 				}
 				err = json.NewDecoder(resp.Body).Decode(&got)
 				resp.Body.Close()
@@ -740,6 +746,12 @@ func TestStatsAndHealthzReadOneView(t *testing.T) {
 						sum += g
 					}
 					ok = ok && len(got.Generations) == shards && sum == got.Generation
+					blocks := 0
+					for i, ps := range got.PerShard {
+						ok = ok && i < len(got.Generations) && ps.Generation == got.Generations[i]
+						blocks += ps.Workflows
+					}
+					ok = ok && len(got.PerShard) == shards && blocks == got.Workflows
 				}
 				if !ok {
 					torn[path]++
@@ -771,7 +783,7 @@ func TestHealthz(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&h); err != nil {
 		t.Fatal(err)
 	}
-	if resp.StatusCode != http.StatusOK || h.Status != "ok" || h.Generation != eng.Generation() {
+	if resp.StatusCode != http.StatusOK || h.Status != "ok" || h.Generation != eng.Read().Frontier().Generation {
 		t.Errorf("healthz = %d %+v", resp.StatusCode, h)
 	}
 }
@@ -886,7 +898,7 @@ func TestShardedService(t *testing.T) {
 	if status != http.StatusConflict {
 		t.Fatalf("conflicting batch status = %d, want 409", status)
 	}
-	for i, g := range eng.Generations() {
+	for i, g := range eng.Read().Frontier().Generations {
 		if g != batch.Generations[i] {
 			t.Errorf("shard %d generation %d after failed batch, want %d", i, g, batch.Generations[i])
 		}
@@ -942,11 +954,11 @@ func TestShardedService(t *testing.T) {
 		}
 		wfTotal += ps.Workflows
 	}
-	if wfTotal != st.Workflows || st.Workflows != eng.Size() {
-		t.Errorf("per-shard workflows sum %d, aggregate %d, engine %d", wfTotal, st.Workflows, eng.Size())
+	if wfTotal != st.Workflows || st.Workflows != eng.Read().Frontier().Workflows {
+		t.Errorf("per-shard workflows sum %d, aggregate %d, engine %d", wfTotal, st.Workflows, eng.Read().Frontier().Workflows)
 	}
-	if st.Index == nil || st.Index.Live != eng.Size() {
-		t.Errorf("aggregate index block = %+v, want live = %d", st.Index, eng.Size())
+	if st.Index == nil || st.Index.Live != eng.Read().Frontier().Workflows {
+		t.Errorf("aggregate index block = %+v, want live = %d", st.Index, eng.Read().Frontier().Workflows)
 	}
 	// The cache blocks carry what sizing -cache needs: evictions to read
 	// against entries, beside the hit/miss counters.

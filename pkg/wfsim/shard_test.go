@@ -91,8 +91,8 @@ func TestShardedSearchEquivalence(t *testing.T) {
 			if got := eN.Shards(); got != n {
 				t.Fatalf("%s: Shards() = %d, want %d", cfg.name, got, n)
 			}
-			if e1.Size() != eN.Size() {
-				t.Fatalf("%s: size %d sharded vs %d unsharded", cfg.name, eN.Size(), e1.Size())
+			if e1.Read().Frontier().Workflows != eN.Read().Frontier().Workflows {
+				t.Fatalf("%s: size %d sharded vs %d unsharded", cfg.name, eN.Read().Frontier().Workflows, e1.Read().Frontier().Workflows)
 			}
 			for _, wf := range c.Repo.Workflows()[:4] {
 				assertSameSearch(t, e1, eN, wf.ID, SearchOptions{K: 12})
@@ -126,10 +126,10 @@ func TestShardedEquivalenceAfterApply(t *testing.T) {
 	if _, err := eN.Apply(ctx, muts...); err != nil {
 		t.Fatal(err)
 	}
-	if e1.Size() != eN.Size() {
-		t.Fatalf("post-apply size %d sharded vs %d unsharded", eN.Size(), e1.Size())
+	if e1.Read().Frontier().Workflows != eN.Read().Frontier().Workflows {
+		t.Fatalf("post-apply size %d sharded vs %d unsharded", eN.Read().Frontier().Workflows, e1.Read().Frontier().Workflows)
 	}
-	if eN.Workflow(victim) != nil {
+	if eN.Read().Get(victim) != nil {
 		t.Error("removed workflow still resolvable on sharded engine")
 	}
 	for _, id := range []string{"zz-new-1", replaced, c.Repo.Workflows()[0].ID} {
@@ -209,12 +209,12 @@ func TestShardedCompareEquivalence(t *testing.T) {
 				i, sN[i].Measure, sN[i].Similarity, s1[i].Measure, s1[i].Similarity)
 		}
 	}
-	scores, gen, err := eN.CompareIDs(context.Background(), a.ID, b.ID)
+	scores, err := eN.Read().CompareIDs(context.Background(), a.ID, b.ID)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(scores) == 0 || gen != eN.Generation() {
-		t.Errorf("CompareIDs gen = %d, want %d", gen, eN.Generation())
+	if !slices.EqualFunc(scores, s1, func(x, y Score) bool { return x.Measure == y.Measure && x.Similarity == y.Similarity }) {
+		t.Errorf("CompareIDs = %v, want the unsharded Compare %v", scores, s1)
 	}
 }
 
@@ -251,8 +251,8 @@ func TestShardedApplyAtomicity(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	beforeGens := eng.Generations()
-	beforeSize := eng.Size()
+	beforeGens := eng.Read().Frontier().Generations
+	beforeSize := eng.Read().Frontier().Workflows
 
 	// The batch spans several shards; the last op is invalid (duplicate ID),
 	// so no shard may commit anything.
@@ -265,17 +265,17 @@ func TestShardedApplyAtomicity(t *testing.T) {
 	if _, err := eng.Apply(ctx, bad...); err == nil {
 		t.Fatal("Apply with duplicate ID should fail")
 	}
-	afterGens := eng.Generations()
+	afterGens := eng.Read().Frontier().Generations
 	for i := range beforeGens {
 		if afterGens[i] != beforeGens[i] {
 			t.Errorf("shard %d generation moved %d -> %d after failed Apply", i, beforeGens[i], afterGens[i])
 		}
 	}
-	if eng.Size() != beforeSize {
-		t.Errorf("size moved %d -> %d after failed Apply", beforeSize, eng.Size())
+	if eng.Read().Frontier().Workflows != beforeSize {
+		t.Errorf("size moved %d -> %d after failed Apply", beforeSize, eng.Read().Frontier().Workflows)
 	}
 	for _, id := range []string{"zz-atomic-1", "zz-atomic-2", "zz-atomic-3"} {
-		if eng.Workflow(id) != nil {
+		if eng.Read().Get(id) != nil {
 			t.Errorf("failed Apply leaked %s", id)
 		}
 	}
@@ -314,8 +314,8 @@ func TestShardedApplyAtomicity(t *testing.T) {
 	}
 	close(stop)
 	wg.Wait()
-	if eng.Size() != beforeSize {
-		t.Errorf("size drifted to %d after balanced add/remove batches, want %d", eng.Size(), beforeSize)
+	if eng.Read().Frontier().Workflows != beforeSize {
+		t.Errorf("size drifted to %d after balanced add/remove batches, want %d", eng.Read().Frontier().Workflows, beforeSize)
 	}
 }
 
@@ -334,8 +334,8 @@ func TestShardedStorageRoundTrip(t *testing.T) {
 	if _, err := eng.Apply(ctx, RemoveWorkflow(c.Repo.Workflows()[2].ID)); err != nil {
 		t.Fatal(err)
 	}
-	wantGens := eng.Generations()
-	wantSize := eng.Size()
+	wantGens := eng.Read().Frontier().Generations
+	wantSize := eng.Read().Frontier().Workflows
 	queryID := c.Repo.Workflows()[0].ID
 	wantRes, _, err := eng.SearchID(ctx, queryID, SearchOptions{K: 10})
 	if err != nil {
@@ -359,7 +359,7 @@ func TestShardedStorageRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer eng2.Close()
-	gotGens := eng2.Generations()
+	gotGens := eng2.Read().Frontier().Generations
 	if len(gotGens) != len(wantGens) {
 		t.Fatalf("generation vector length %d, want %d", len(gotGens), len(wantGens))
 	}
@@ -368,8 +368,8 @@ func TestShardedStorageRoundTrip(t *testing.T) {
 			t.Errorf("shard %d generation %d after restart, want %d", i, gotGens[i], wantGens[i])
 		}
 	}
-	if eng2.Size() != wantSize {
-		t.Fatalf("size %d after restart, want %d", eng2.Size(), wantSize)
+	if eng2.Read().Frontier().Workflows != wantSize {
+		t.Fatalf("size %d after restart, want %d", eng2.Read().Frontier().Workflows, wantSize)
 	}
 	gotRes, stats, err := eng2.SearchID(ctx, queryID, SearchOptions{K: 10})
 	if err != nil {
@@ -415,7 +415,7 @@ func TestShardedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	infos := eng.ShardStats()
+	infos := eng.Read().ShardStats()
 	if len(infos) != 4 {
 		t.Fatalf("ShardStats returned %d shards, want 4", len(infos))
 	}
@@ -438,8 +438,8 @@ func TestShardedStats(t *testing.T) {
 			t.Errorf("RAM-only shard %d has storage block", i)
 		}
 	}
-	if totalWF != eng.Size() {
-		t.Errorf("shard workflow counts sum to %d, want %d", totalWF, eng.Size())
+	if totalWF != eng.Read().Frontier().Workflows {
+		t.Errorf("shard workflow counts sum to %d, want %d", totalWF, eng.Read().Frontier().Workflows)
 	}
 	if indexed != 4 {
 		t.Errorf("%d shards indexed, want 4", indexed)
@@ -453,10 +453,10 @@ func TestShardedStats(t *testing.T) {
 	if cs := eng.CacheStats(); cs.Misses == 0 {
 		t.Error("aggregate CacheStats shows no traffic after a search")
 	}
-	if eng.ShardStats()[0].Generation != 0 {
+	if eng.Read().ShardStats()[0].Generation != 0 {
 		t.Error("fresh shard generation != 0")
 	}
-	if n := len(eng.Generations()); n != 4 {
+	if n := len(eng.Read().Frontier().Generations); n != 4 {
 		t.Errorf("generation vector length %d, want 4", n)
 	}
 	// Without WithShards the engine is the one-shard case of the same
@@ -465,10 +465,10 @@ func TestShardedStats(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if infos := e1.ShardStats(); len(infos) != 1 || infos[0].Workflows != e1.Size() {
-		t.Errorf("one-shard engine reports shard stats %+v, want one block of %d workflows", infos, e1.Size())
+	if infos := e1.Read().ShardStats(); len(infos) != 1 || infos[0].Workflows != e1.Read().Frontier().Workflows {
+		t.Errorf("one-shard engine reports shard stats %+v, want one block of %d workflows", infos, e1.Read().Frontier().Workflows)
 	}
-	if v := e1.Generations(); len(v) != 1 {
+	if v := e1.Read().Frontier().Generations; len(v) != 1 {
 		t.Errorf("one-shard generation vector length %d, want 1", len(v))
 	}
 }
@@ -483,7 +483,7 @@ func TestWithShardsValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if eng.Shards() != 1 || len(eng.ShardStats()) != 1 {
-		t.Errorf("WithShards(1) built %d shards (%d stats blocks)", eng.Shards(), len(eng.ShardStats()))
+	if eng.Shards() != 1 || len(eng.Read().ShardStats()) != 1 {
+		t.Errorf("WithShards(1) built %d shards (%d stats blocks)", eng.Shards(), len(eng.Read().ShardStats()))
 	}
 }

@@ -133,7 +133,7 @@ func (e *Engine) open(seed *Repository) error {
 	return nil
 }
 
-// ShardInfo is one shard's stats block, as reported by ShardStats.
+// ShardInfo is one shard's stats block, as reported by Reader.ShardStats.
 type ShardInfo struct {
 	// ID is the shard's ring position.
 	ID int `json:"id"`
@@ -150,13 +150,15 @@ type ShardInfo struct {
 }
 
 // ShardStats reports every shard's stats, in shard order (one block on a
-// one-shard engine). IndexStats, CacheStats and StorageStats serve the
-// cross-shard aggregates.
-func (e *Engine) ShardStats() []ShardInfo {
-	infos := e.coord.Infos()
+// one-shard engine): Generation and Workflows from the Reader's view, the
+// Index, Cache and Storage counters live. IndexStats, CacheStats and
+// StorageStats serve the cross-shard aggregates.
+func (r Reader) ShardStats() []ShardInfo {
+	pins := r.v.Pins()
+	infos := r.e.coord.Infos()
 	out := make([]ShardInfo, len(infos))
 	for i, info := range infos {
-		si := ShardInfo{ID: info.ID, Generation: info.Generation, Workflows: info.Workflows}
+		si := ShardInfo{ID: info.ID, Generation: pins[i].Generation(), Workflows: pins[i].Size()}
 		if info.Index != nil {
 			si.Index = &IndexStats{
 				Live:        info.Index.Live,

@@ -88,7 +88,7 @@ type StorageStats struct {
 // StorageStats reports the durability layer's counters; ok is false when
 // the engine was built without WithStorage. The counters are summed across
 // the per-shard stores (Dir is the root data directory); per-shard detail
-// is in ShardStats.
+// is in Reader.ShardStats.
 func (e *Engine) StorageStats() (stats StorageStats, ok bool) {
 	if e.storageDir == "" {
 		return StorageStats{}, false

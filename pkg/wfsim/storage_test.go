@@ -78,14 +78,14 @@ func TestStorageRestartRoundTrip(t *testing.T) {
 	if len(res1) == 0 || res1[0].ID != "b" {
 		t.Fatalf("pre-restart search results %v, want b first", res1)
 	}
-	gen1 := eng1.Generation()
+	gen1 := eng1.Read().Frontier().Generation
 	if err := eng1.Close(); err != nil {
 		t.Fatalf("Close: %v", err)
 	}
 
 	eng2 := newStoredEngine(t, dir)
 	defer eng2.Close()
-	if got := eng2.Generation(); got != gen1 {
+	if got := eng2.Read().Frontier().Generation; got != gen1 {
 		t.Fatalf("restart generation %d, want %d", got, gen1)
 	}
 	st, ok := eng2.StorageStats()
@@ -125,13 +125,13 @@ func TestStorageCrashRestart(t *testing.T) {
 	dir := t.TempDir()
 	eng1 := newStoredEngine(t, dir)
 	ingestFixture(t, eng1)
-	gen1 := eng1.Generation()
+	gen1 := eng1.Read().Frontier().Generation
 	// No Close: the daemon was killed. (The still-open file handle is
 	// dropped with eng1; every commit was already fsynced.)
 
 	eng2 := newStoredEngine(t, dir)
 	defer eng2.Close()
-	if got := eng2.Generation(); got != gen1 {
+	if got := eng2.Read().Frontier().Generation; got != gen1 {
 		t.Fatalf("crash-restart generation %d, want %d", got, gen1)
 	}
 	res, _, err := eng2.SearchID(context.Background(), "a", SearchOptions{K: 5})
@@ -171,8 +171,8 @@ func TestStorageCompactionThreshold(t *testing.T) {
 
 	eng2 := newStoredEngine(t, dir)
 	defer eng2.Close()
-	if eng2.Generation() != 5 || eng2.Size() != 5 {
-		t.Fatalf("recovered generation %d size %d, want 5/5", eng2.Generation(), eng2.Size())
+	if eng2.Read().Frontier().Generation != 5 || eng2.Read().Frontier().Workflows != 5 {
+		t.Fatalf("recovered generation %d size %d, want 5/5", eng2.Read().Frontier().Generation, eng2.Read().Frontier().Workflows)
 	}
 	st2, _ := eng2.StorageStats()
 	if !st2.Recovery.SnapshotLoaded {
@@ -219,8 +219,8 @@ func TestStoragePreloadBaseline(t *testing.T) {
 	// must survive.
 	eng2 := newStoredEngine(t, dir)
 	defer eng2.Close()
-	if eng2.Size() != 2 || eng2.Workflow("pre") == nil || eng2.Workflow("post") == nil {
-		t.Fatalf("recovered %d workflows, want pre and post", eng2.Size())
+	if eng2.Read().Frontier().Workflows != 2 || eng2.Read().Get("pre") == nil || eng2.Read().Get("post") == nil {
+		t.Fatalf("recovered %d workflows, want pre and post", eng2.Read().Frontier().Workflows)
 	}
 }
 
@@ -240,7 +240,7 @@ func TestApplyAfterCloseFails(t *testing.T) {
 	if !errors.Is(err, storage.ErrClosed) {
 		t.Fatalf("Apply after Close: %v, want storage.ErrClosed", err)
 	}
-	if eng.Workflow("late") != nil {
+	if eng.Read().Get("late") != nil {
 		t.Fatal("rejected mutation is visible in memory")
 	}
 	// Reads still work after Close.
@@ -381,7 +381,7 @@ func TestFlatDirectoryIsOneShardLayout(t *testing.T) {
 
 	// Flat directory, n = 1: the stored engine comes back.
 	eng := newStoredEngine(t, flat)
-	if got := eng.Generation(); got != 3 {
+	if got := eng.Read().Frontier().Generation; got != 3 {
 		t.Errorf("reopened generation %d, want 3", got)
 	}
 	st, _ := eng.StorageStats()
@@ -480,11 +480,11 @@ func TestGoldenDirectoriesReopen(t *testing.T) {
 			}
 
 			eng := newStoredEngine(t, dir, WithShards(tc.shards))
-			if got := eng.Generations(); !reflect.DeepEqual(got, tc.gens) {
+			if got := eng.Read().Frontier().Generations; !reflect.DeepEqual(got, tc.gens) {
 				t.Fatalf("opened at generations %v, want %v", got, tc.gens)
 			}
-			if eng.Size() != 3 {
-				t.Fatalf("opened with %d workflows, want 3", eng.Size())
+			if eng.Read().Frontier().Workflows != 3 {
+				t.Fatalf("opened with %d workflows, want 3", eng.Read().Frontier().Workflows)
 			}
 			for _, q := range []string{"a", "b", "c"} {
 				assertSameSearch(t, ref, eng, q, SearchOptions{K: 5})
@@ -497,14 +497,14 @@ func TestGoldenDirectoriesReopen(t *testing.T) {
 			if _, err := ref.Apply(ctx, AddWorkflow(d.Clone())); err != nil {
 				t.Fatal(err)
 			}
-			wantGens := eng.Generations()
+			wantGens := eng.Read().Frontier().Generations
 			if err := eng.Close(); err != nil {
 				t.Fatal(err)
 			}
 
 			eng2 := newStoredEngine(t, dir, WithShards(tc.shards))
 			defer eng2.Close()
-			if got := eng2.Generations(); !reflect.DeepEqual(got, wantGens) {
+			if got := eng2.Read().Frontier().Generations; !reflect.DeepEqual(got, wantGens) {
 				t.Fatalf("reopened at generations %v, want %v", got, wantGens)
 			}
 			for _, q := range []string{"a", "b", "c", "d"} {

@@ -76,7 +76,7 @@ func TestTopKIsPrefixOfFullRanking(t *testing.T) {
 							if err != nil {
 								t.Fatalf("%s, %s, %s, %+v: %v", name, m, q.name, so, err)
 							}
-							want := eng.Size()
+							want := eng.Read().Frontier().Workflows
 							if q.inCorp && !so.IncludeQuery {
 								want--
 							}
@@ -104,7 +104,7 @@ func TestTopKIsPrefixOfFullRanking(t *testing.T) {
 						// it is applied to the list instead — over the full
 						// scan it forces.
 						full := variant
-						full.K = eng.Size()
+						full.K = eng.Read().Frontier().Workflows
 						if full.MinSimilarity != nil {
 							full.MinSimilarity, full.Exact = nil, true
 						}
@@ -153,7 +153,7 @@ func TestDuplicatesWithThresholdMatchesFloorlessWalk(t *testing.T) {
 				// A fresh engine per measure: the threshold walks run cold, the
 				// floorless one last, over whatever they cached.
 				eng := goldenEngine(t, stored, opts...)
-				n := eng.Size()
+				n := eng.Read().Frontier().Workflows
 				thresholds := []float64{1.0, 0.95, 0.8, 0.5}
 				got := make([][]Pair, len(thresholds))
 				for i, threshold := range thresholds {
@@ -223,7 +223,7 @@ func TestSharedFloorConcurrentSearches(t *testing.T) {
 			func(k int) ([]Result, Stats, error) { return eng.Search(ctx, q.Clone(), SearchOptions{K: k}) },
 			func(k int) ([]Result, Stats, error) { return eng.SearchID(ctx, id, SearchOptions{K: k}) },
 		} {
-			full, _, err := search(eng.Size())
+			full, _, err := search(eng.Read().Frontier().Workflows)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -278,7 +278,7 @@ func TestSearchAccountingIsExact(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if got, want := covered(st), eng.Size()-1; got != want {
+						if got, want := covered(st), eng.Read().Frontier().Workflows-1; got != want {
 							t.Fatalf("shards=%d par=%d top-%d of %s: scored %d + bounded %d + pruned %d + skipped %d = %d, want %d",
 								shards, par, k, stored[i].ID, st.Scored, st.Bounded, st.Pruned, st.Skipped, got, want)
 						}
@@ -311,7 +311,7 @@ func TestSearchLeavesQueryOut(t *testing.T) {
 				opts, measure = append(opts, WithIndex(1)), "BW"
 			}
 			eng := goldenEngine(t, stored, opts...)
-			n := eng.Size()
+			n := eng.Read().Frontier().Workflows
 			for name, search := range map[string]func(SearchOptions) ([]Result, Stats, error){
 				"inline": func(o SearchOptions) ([]Result, Stats, error) { return eng.Search(ctx, inline, o) },
 				"id":     func(o SearchOptions) ([]Result, Stats, error) { return eng.SearchID(ctx, id, o) },
