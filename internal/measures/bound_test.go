@@ -90,9 +90,9 @@ func matrixBound(s *Structural, a, b *workflow.Workflow) float64 {
 	if a.Size() == 0 || b.Size() == 0 {
 		return 0
 	}
-	mx := module.AcquireMatrix(a, b, s.cfg.Scheme, s.cfg.Preselect, s.cfg.Memo)
+	mx := module.AcquireMatrix(a, b, s.cfg.Scheme, s.cfg.Preselect, s.cfg.Memo, module.RowStop{})
 	defer mx.Release()
-	return s.msScore(min(float64(s.matchCap(a, b)), mx.MatchBound()), a, b)
+	return s.msScore(min(float64(s.matchCap(a, b)), mx.MatchBound()), float64(a.Size()), float64(b.Size()))
 }
 
 // checkScoreBound holds one configuration to the Bounded contract on one
@@ -105,7 +105,7 @@ func checkScoreBound(s *Structural, a, b *workflow.Workflow, floor float64) erro
 		return err
 	}
 	bounded := boundedModuleSets{s}
-	tier1, tier2 := bounded.UpperBound(a, b), matrixBound(s, a, b)
+	tier1, tier2 := bounded.UpperBounds(a)(b), matrixBound(s, a, b)
 	if !(tier1 >= want) || !(tier2 >= want) || !(tier1 >= tier2) {
 		return fmt.Errorf("score %v, class-count bound %v, matrix bound %v: want score <= matrix <= class-count", want, tier1, tier2)
 	}
@@ -148,6 +148,9 @@ func FuzzScoreBound(f *testing.F) {
 	// 8 × 8, every label distinct or nearly so.
 	f.Add([]byte{8, 0, 0, 1, 0, 1, 2, 0, 2, 3, 0, 3, 4, 0, 4, 5, 0, 5, 6, 0, 6, 7, 0, 7, 8,
 		0, 8, 9, 0, 9, 10, 0, 10, 11, 0, 11, 12, 0, 0, 13, 0, 1, 14, 0, 2, 15, 0, 3, 16}, 1.0)
+	for _, seed := range rowStopSeeds {
+		f.Add(seed.data, seed.floor)
+	}
 	configs := boundConfigs()
 	f.Fuzz(func(t *testing.T, data []byte, floor float64) {
 		a, b := fuzzWorkflows(data, 8)
@@ -160,6 +163,84 @@ func FuzzScoreBound(f *testing.F) {
 			}
 		}
 	})
+}
+
+// rowStopSeeds are FuzzScoreBound inputs on which the weight-matrix fill
+// stops at the row bound before its last row (TestRowStopSkipsCells), one
+// type class throughout so that the class-count bound lets every pair in.
+var rowStopSeeds = []struct {
+	data  []byte
+	floor float64
+}{
+	// 4 × 4, A's first label far from all of B's: stops after row 0.
+	{[]byte{0x84, 0, 5, 0, 0, 7, 0, 0, 9, 0, 0, 11, 0, 0, 0, 0, 0, 1, 0, 0, 2, 0, 0, 3, 0}, 0.9},
+	// 4 × 4, two labels matched exactly, then a poor one: stops after row 2.
+	{[]byte{4, 0, 0, 0, 0, 1, 0, 0, 11, 0, 0, 7, 0, 0, 0, 0, 0, 1, 0, 0, 9, 0, 0, 10, 0}, 0.8},
+	// 2 × 2 whose score (0.5 + 1.0) / 2.5 is the floor it is tried at: the
+	// stop after row 0 must not fire, which it would if a remaining row
+	// counted for less than 1.0.
+	{[]byte{2, 0, 1, 0, 0, 4, 0, 0, 0, 0, 0, 4, 0}, 0.6},
+}
+
+// TestRowStopSkipsCells: on the first two rowStopSeeds, MS_np_te_pll under
+// the seed's floor gives up part-way through the weight matrix, comparing
+// fewer cells than the full matrix holds.
+func TestRowStopSkipsCells(t *testing.T) {
+	for i, seed := range rowStopSeeds[:2] {
+		a, b := fuzzWorkflows(seed.data, 8)
+		full, st := module.WeightMatrix(a, b, module.PLL(), module.TypeEquivalence)
+		var counter PairCounter
+		s := NewStructural(Config{Topology: ModuleSets, Scheme: module.PLL(), Preselect: module.TypeEquivalence, Normalize: true, Counter: &counter})
+		_, below, _ := boundedModuleSets{s}.CompareFloor(a, b, seed.floor)
+		if !below || counter.Compared() >= int64(st.Compared) {
+			t.Errorf("seed %d: below = %v after comparing %d of %d cells of a %d-row matrix, want below after fewer",
+				i, below, counter.Compared(), st.Compared, len(full))
+		}
+	}
+}
+
+// TestCompareCountsEveryCell: the row stop fires only under a finite floor.
+// Compare, and CompareFloor at -Inf, count every cell the preselection
+// admits, as the full weight matrix does — the counts behind the paper's te
+// comparison-count ratio — and a finite floor never counts more.
+func TestCompareCountsEveryCell(t *testing.T) {
+	r := rand.New(rand.NewSource(21))
+	data := make([]byte, 1+3*48)
+	for i := 0; i < 40; i++ {
+		r.Read(data)
+		if i%2 == 0 {
+			for j := 1; j < len(data); j += 3 {
+				data[j] %= 3
+			}
+		}
+		a, b := fuzzWorkflows(data, 24)
+		for _, s := range boundConfigs() {
+			cfg := s.Config()
+			_, want := module.WeightMatrix(a, b, cfg.Scheme, cfg.Preselect)
+			score, err := s.Compare(a, b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for name, run := range map[string]func(s *Structural){
+				"Compare":            func(s *Structural) { s.Compare(a, b) },
+				"CompareFloor(-Inf)": func(s *Structural) { boundedModuleSets{s}.CompareFloor(a, b, math.Inf(-1)) },
+			} {
+				var counter PairCounter
+				cfg.Counter = &counter
+				run(NewStructural(cfg))
+				if counter.Total() != int64(want.Total) || counter.Compared() != int64(want.Compared) {
+					t.Fatalf("pair %d, %s %s: counted %d of %d cells, the full matrix %d of %d",
+						i, s.Name(), name, counter.Compared(), counter.Total(), want.Compared, want.Total)
+				}
+			}
+			var counter PairCounter
+			cfg.Counter = &counter
+			boundedModuleSets{NewStructural(cfg)}.CompareFloor(a, b, math.Nextafter(score, math.Inf(1)))
+			if counter.Compared() > int64(want.Compared) {
+				t.Fatalf("pair %d, %s under a floor: counted %d cells, the full matrix %d", i, s.Name(), counter.Compared(), want.Compared)
+			}
+		}
+	}
 }
 
 // TestScoreBoundOnLargerWorkflows runs the fuzz target's check on random

@@ -39,18 +39,22 @@ type Measure interface {
 // for the real number it approximates.
 //
 // The bound comes in two strengths because a score cache sits between them:
-// UpperBound costs a few loads per pair and is checked before a cache
-// lookup; CompareFloor may get as far as most of a comparison before it
+// UpperBounds' bound costs a few loads per pair and is computed, once per
+// candidate, before any cache lookup (a top-k scan also visits candidates in
+// its descending order, see search.TopKFunc); CompareFloor may get as far as most of a comparison before it
 // gives up, so it is for pairs nothing will remember. A measure without a
 // bound simply does not implement the interface and is always compared —
 // which is also how a scan tells whether to trust the bound or a heuristic
 // candidate filter, so an implementation that could only answer +Inf must
 // not exist (Structural.WithBound).
 type Bounded interface {
-	// UpperBound returns a value no smaller than Compare(a, b) — +Inf when
-	// the measure knows nothing about the pair — reading only what each
-	// workflow keeps about itself after its first comparison.
-	UpperBound(a, b *workflow.Workflow) float64
+	// UpperBounds returns the bound on a's pairs: a function returning, for
+	// any b, a value no smaller than Compare(a, b) — +Inf when the measure
+	// knows nothing about the pair — reading only what each workflow keeps
+	// about itself after its first comparison. a's side of it is read here,
+	// once, so a scan builds one function per query, not one per pair. The
+	// function is safe for concurrent use.
+	UpperBounds(a *workflow.Workflow) func(b *workflow.Workflow) float64
 	// CompareFloor is Compare unless the measure can prove, on the way, that
 	// Compare(a, b) < floor. It then stops and reports below = true; the
 	// score returned with it is only an upper bound on Compare's, itself

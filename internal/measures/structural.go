@@ -167,15 +167,25 @@ func (s *Structural) WithBound() Measure {
 	return boundedModuleSets{s}
 }
 
-// UpperBound implements Bounded.
+// UpperBounds implements Bounded: the class-count bound of moduleSets, with
+// a's projection, class counts and size read once.
 //
 //wfsimvet:hotpath
-func (s boundedModuleSets) UpperBound(a, b *workflow.Workflow) float64 {
-	a, b = s.projected(a, b)
-	if a.Size() == 0 || b.Size() == 0 {
-		return 0
+func (s boundedModuleSets) UpperBounds(a *workflow.Workflow) func(b *workflow.Workflow) float64 {
+	project := s.cfg.Project
+	if project != nil {
+		a = project(a)
 	}
-	return s.msScore(float64(s.matchCap(a, b)), a, b)
+	classes, size := module.Classes(a), float64(a.Size())
+	return func(b *workflow.Workflow) float64 {
+		if project != nil {
+			b = project(b)
+		}
+		if size == 0 || b.Size() == 0 {
+			return 0
+		}
+		return s.msScore(float64(s.cfg.Preselect.MatchCap(classes, module.Classes(b))), size, float64(b.Size()))
+	}
 }
 
 // CompareFloor implements Bounded.
@@ -222,34 +232,50 @@ func (s *Structural) matchTotal(w matching.Weights) float64 {
 // nnsim — in float64, not only in the reals: the denominator is one rounded
 // subtraction from an exact integer, the quotient one rounded division, and
 // rounding preserves order — so an upper bound on nnsim gives one on the
-// score. Two such bounds exist before the mapping is computed, each at least
-// the nnsim the mapping step would return in float64:
+// score. Three such bounds exist before the mapping is computed, each at
+// least the nnsim the mapping step would return in float64:
 //
 //   - before any matrix work, matchCap: nnsim adds at most that many
 //     weights, none above 1 (a weight is a quotient sum/wsum whose numerator
 //     adds, attribute by attribute, at most what the denominator adds), and
 //     a float64 sum of k terms <= 1 is at most the exactly representable k;
+//   - after each row of the matrix, module.Matrix's row bound (the row
+//     maxima so far plus 1.0 per remaining row), which stops the fill there
+//     — only under a finite floor, so Compare fills every cell;
 //   - once the matrix is filled, module.Matrix.MatchBound (row and column
-//     maxima), which has its own float64 argument.
+//     maxima).
+//
+// The two matrix bounds carry their float64 arguments beside each other in
+// package module. Each is capped by matchCap.
 //
 //wfsimvet:hotpath
 func (s *Structural) moduleSets(a, b *workflow.Workflow, floor float64) (score float64, below bool) {
 	if a.Size() == 0 || b.Size() == 0 {
 		return 0, 0 < floor
 	}
+	sizeA, sizeB := float64(a.Size()), float64(b.Size())
 	limit := float64(s.matchCap(a, b))
-	if bound := s.msScore(limit, a, b); bound < floor {
+	if bound := s.msScore(limit, sizeA, sizeB); bound < floor {
 		return bound, true
 	}
-	mx := module.AcquireMatrix(a, b, s.cfg.Scheme, s.cfg.Preselect, s.cfg.Memo)
+	var stop module.RowStop
+	if floor > math.Inf(-1) {
+		stop = module.RowStop{Cap: limit, Below: func(nnsim float64) bool { return s.msScore(nnsim, sizeA, sizeB) < floor }}
+	}
+	mx := module.AcquireMatrix(a, b, s.cfg.Scheme, s.cfg.Preselect, s.cfg.Memo, stop)
 	s.cfg.Counter.Add(mx.Stats.Total, mx.Stats.Compared)
-	if bound := s.msScore(min(limit, mx.MatchBound()), a, b); bound < floor {
+	if mx.Stopped {
+		bound := s.msScore(mx.StopBound, sizeA, sizeB)
+		mx.Release()
+		return bound, true
+	}
+	if bound := s.msScore(min(limit, mx.MatchBound()), sizeA, sizeB); bound < floor {
 		mx.Release()
 		return bound, true
 	}
 	nnsim := s.matchTotal(mx.W)
 	mx.Release()
-	return s.msScore(nnsim, a, b), false
+	return s.msScore(nnsim, sizeA, sizeB), false
 }
 
 // matchCap bounds the number of module pairs a mapping between a and b can
@@ -258,12 +284,13 @@ func (s *Structural) matchCap(a, b *workflow.Workflow) int {
 	return s.cfg.Preselect.MatchCap(module.Classes(a), module.Classes(b))
 }
 
-// msScore turns a Module Sets nnsim into the configured score.
-func (s *Structural) msScore(nnsim float64, a, b *workflow.Workflow) float64 {
+// msScore turns a Module Sets nnsim between workflows of sizeA and sizeB
+// modules into the configured score.
+func (s *Structural) msScore(nnsim, sizeA, sizeB float64) float64 {
 	if !s.cfg.Normalize {
 		return nnsim
 	}
-	return jaccardNorm(nnsim, float64(a.Size()), float64(b.Size()))
+	return jaccardNorm(nnsim, sizeA, sizeB)
 }
 
 // pathSets implements simPS: workflows are decomposed into source-to-sink
@@ -285,7 +312,7 @@ func (s *Structural) pathSets(a, b *workflow.Workflow) float64 {
 	// Module similarities are computed once for the workflow pair; path
 	// alignment then indexes into the shared matrix. Modules occur on many
 	// paths, so recomputing per path pair would be quadratically wasteful.
-	mx := module.AcquireMatrix(a, b, s.cfg.Scheme, s.cfg.Preselect, s.cfg.Memo)
+	mx := module.AcquireMatrix(a, b, s.cfg.Scheme, s.cfg.Preselect, s.cfg.Memo, module.RowStop{})
 	defer mx.Release()
 	s.cfg.Counter.Add(mx.Stats.Total, mx.Stats.Compared)
 	full := mx.W

@@ -44,7 +44,7 @@ func TestWeightMatrixPathsAgree(t *testing.T) {
 			for _, p := range []Preselect{AllPairs, TypeMatch, TypeEquivalence} {
 				plain, pst := WeightMatrix(a, b, s, p)
 				memoed, mst := WeightMatrixMemo(a, b, s, p, memo)
-				mx := AcquireMatrix(a, b, s, p, memo)
+				mx := AcquireMatrix(a, b, s, p, memo, RowStop{})
 				compared := 0
 				for i, x := range a.Modules {
 					for j, y := range b.Modules {

@@ -314,7 +314,7 @@ func TestMatchBoundDominatesEveryMatching(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		a, b := build("a"), build("b")
 		for _, p := range []Preselect{AllPairs, TypeMatch, TypeEquivalence} {
-			mx := AcquireMatrix(a, b, PLL(), p, nil)
+			mx := AcquireMatrix(a, b, PLL(), p, nil, RowStop{})
 			bound := mx.MatchBound()
 			if mw, gr := matching.MaxWeightTotal(mx.W), matching.Greedy(mx.W).TotalWeight(); bound < mw || bound < gr {
 				t.Fatalf("pair %d, %s: bound %v below max-weight %v or greedy %v", i, p, bound, mw, gr)
@@ -325,7 +325,7 @@ func TestMatchBoundDominatesEveryMatching(t *testing.T) {
 	one := typedWorkflow("one", workflow.TypeWSDL)
 	many := typedWorkflow("many", workflow.TypeWSDL, workflow.TypeWSDL, workflow.TypeWSDL)
 	for _, pair := range [][2]*workflow.Workflow{{one, many}, {many, one}} {
-		mx := AcquireMatrix(pair[0], pair[1], PLL(), AllPairs, nil)
+		mx := AcquireMatrix(pair[0], pair[1], PLL(), AllPairs, nil, RowStop{})
 		if got := mx.MatchBound(); got < 1 || got > 1+1e-12 {
 			t.Errorf("%d x %d identical modules: bound %v, want 1", pair[0].Size(), pair[1].Size(), got)
 		}

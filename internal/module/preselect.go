@@ -1,6 +1,7 @@
 package module
 
 import (
+	"math"
 	"sync"
 
 	"repro/internal/matching"
@@ -173,7 +174,7 @@ func WeightMatrix(a, b *workflow.Workflow, s Scheme, p Preselect) (matching.Weig
 // comparison use AcquireMatrix instead.
 func WeightMatrixMemo(a, b *workflow.Workflow, s Scheme, p Preselect, memo *SimMemo) (matching.Weights, PairStats) {
 	var mx Matrix
-	mx.fill(a, b, s, p, memo)
+	mx.fill(a, b, s, p, memo, RowStop{})
 	return mx.W, mx.Stats
 }
 
@@ -183,25 +184,46 @@ func WeightMatrixMemo(a, b *workflow.Workflow, s Scheme, p Preselect, memo *SimM
 // a Matrix from a pool (AcquireMatrix) and hand it back (Release) instead of
 // allocating rows per pair.
 type Matrix struct {
-	// W is the weight matrix; valid until Release.
+	// W is the weight matrix; valid until Release, and only if the fill was
+	// not stopped.
 	W matching.Weights
 	// Stats counts the module pairs compared.
 	Stats PairStats
+	// Stopped reports that the fill ended early at a RowStop, and StopBound
+	// is the bound on the total weight of any matching that stopped it.
+	Stopped   bool
+	StopBound float64
 
 	flat   []float64
 	rowSum float64   // sum of the row maxima, accumulated in row order
 	colMax []float64 // column maxima
 }
 
+// RowStop lets a caller that only wants a matrix whose matchings can reach
+// some level give up on it part-way. After each row but the last, the fill
+// computes RowBound, an upper bound on the total weight of any matching of
+// the finished matrix; when that bound is below Cap, it asks Below about it
+// and stops the fill if Below says yes. The zero RowStop fills every cell.
+type RowStop struct {
+	// Cap is an integer no smaller than the total weight of any matching
+	// (Preselect.MatchCap): a row bound at or above it says nothing more,
+	// so Below is not asked.
+	Cap float64
+	// Below reports whether a matching of total weight at most nnsim is of
+	// no use to the caller. Nil means never.
+	Below func(nnsim float64) bool
+}
+
 var matrixPool = sync.Pool{New: func() any { return new(Matrix) }}
 
 // AcquireMatrix computes the weight matrix of WeightMatrixMemo over pooled
-// storage. The caller must Release it and must not retain W afterwards.
+// storage, stopping early when stop says so (mx.Stopped). The caller must
+// Release it and must not retain W afterwards.
 //
 //wfsimvet:hotpath
-func AcquireMatrix(a, b *workflow.Workflow, s Scheme, p Preselect, memo *SimMemo) *Matrix {
+func AcquireMatrix(a, b *workflow.Workflow, s Scheme, p Preselect, memo *SimMemo, stop RowStop) *Matrix {
 	mx := matrixPool.Get().(*Matrix)
-	mx.fill(a, b, s, p, memo)
+	mx.fill(a, b, s, p, memo, stop)
 	return mx
 }
 
@@ -210,12 +232,13 @@ func (mx *Matrix) Release() { matrixPool.Put(mx) }
 
 // fill computes the matrix of a's × b's modules into mx's storage, growing it
 // as needed. Every cell is written — storage is reused, so cells the
-// preselection excludes are zeroed explicitly. Under type equivalence the
-// classes come from the workflows' cached summaries. The row and column
-// maxima MatchBound needs are gathered as the cells are written.
+// preselection excludes are zeroed explicitly — unless stop ends the fill
+// after some row, leaving the later rows unwritten and uncounted. Under type
+// equivalence the classes come from the workflows' cached summaries. The row
+// and column maxima MatchBound needs are gathered as the cells are written.
 //
 //wfsimvet:hotpath
-func (mx *Matrix) fill(a, b *workflow.Workflow, s Scheme, p Preselect, memo *SimMemo) {
+func (mx *Matrix) fill(a, b *workflow.Workflow, s Scheme, p Preselect, memo *SimMemo, stop RowStop) {
 	ma, mb := a.Modules, b.Modules
 	n, m := len(ma), len(mb)
 	if cap(mx.flat) < n*m {
@@ -232,6 +255,7 @@ func (mx *Matrix) fill(a, b *workflow.Workflow, s Scheme, p Preselect, memo *Sim
 	mx.colMax = colMax
 	clear(colMax)
 	mx.rowSum = 0
+	mx.Stopped, mx.StopBound = false, 0
 	te := p == TypeEquivalence
 	var ca, cb []uint8
 	if te {
@@ -258,7 +282,46 @@ func (mx *Matrix) fill(a, b *workflow.Workflow, s Scheme, p Preselect, memo *Sim
 			}
 		}
 		mx.rowSum += rowMax
+		if stop.Below != nil && i+1 < n {
+			if bound, ok := mx.rowBound(n-1-i, stop.Cap); ok && stop.Below(bound) {
+				mx.Stopped, mx.StopBound = true, bound
+				return
+			}
+		}
 	}
+}
+
+// rowBound returns RowBound once rest rows remain to be filled: the row
+// maxima so far plus 1.0 for each remaining row, added one at a time in row
+// order, or ok = false when that sum cannot fall below limit (an integer).
+//
+// The sum is an upper bound on the total weight, as float64 arithmetic
+// computes it in ascending row order, of any matching of the finished matrix
+// — the same argument as MatchBound's row maxima: a matching adds, for each
+// row in turn, the matched cell or nothing; a finished row's term is at most
+// its maximum and a remaining row's at most 1.0, the largest weight there is;
+// so the bound adds a term at least as large at every step of the same
+// order, and rounding is monotone. It also dominates the finished matrix's
+// row-maxima sum, so a pair stopped here is one MatchBound would have put
+// below the same floor.
+//
+// Adding the 1.0s one at a time matters: fl(fl(x+1)+1) can exceed fl(x+2) by
+// an ulp, so a single addition of the remaining count is not a bound. What
+// makes the loop cheap to skip is exact: every partial sum is at least the
+// integer floor(rowSum) plus the 1.0s added so far (an integer below 2⁵³ is
+// exact and rounding is monotone), so when floor(rowSum) + rest reaches limit
+// the sum does too, and the bound caps at limit anyway.
+//
+//wfsimvet:hotpath
+func (mx *Matrix) rowBound(rest int, limit float64) (float64, bool) {
+	if math.Floor(mx.rowSum)+float64(rest) >= limit {
+		return 0, false
+	}
+	bound := mx.rowSum
+	for ; rest > 0; rest-- {
+		bound++
+	}
+	return bound, bound < limit
 }
 
 // MatchBound returns an upper bound on the total weight, as float64

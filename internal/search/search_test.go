@@ -5,7 +5,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -285,6 +287,35 @@ func TestBatchedWorkers(t *testing.T) {
 	}
 }
 
+// errStop stops the pool without failing it: no worker claims another batch,
+// and Batched returns nil unless a call failed.
+func TestBatchedStop(t *testing.T) {
+	ran := 0
+	err := Batched(context.Background(), 100, 1, 4, func(_, i int) error {
+		ran++
+		if i == 9 {
+			return errStop
+		}
+		return nil
+	})
+	if err != nil || ran != 10 {
+		t.Fatalf("stopped at index 9: err = %v after %d calls, want nil after 10", err, ran)
+	}
+	boom := errors.New("boom")
+	err = Batched(context.Background(), 100, 4, 1, func(_, i int) error {
+		switch i {
+		case 0:
+			return boom
+		case 1:
+			return errStop
+		}
+		return nil
+	})
+	if !errors.Is(err, boom) {
+		t.Fatalf("a failed call beside a stop: err = %v, want %v", err, boom)
+	}
+}
+
 // A context that expires only after the final item was processed must not
 // fail the scan: Batched returns nil iff fn ran for every index.
 func TestBatchedCompletedScanSurvivesLateCancel(t *testing.T) {
@@ -422,6 +453,206 @@ func TestTopKWithBoundIsSortedPrefix(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestTopKAnyVisitOrder: the k best do not depend on the order the
+// candidates are visited in. Over seeded permutations of the corpus, visited
+// in slice order or in descending order of a loose bound, at one worker and
+// several, the result is the corpus-order one bit for bit, and every
+// candidate is finished, proved below the floor by the measure, or left
+// unscored by its bound — exactly once. Visiting in descending order of the
+// tightest bound there is finishes no more pairs than corpus order.
+func TestTopKAnyVisitOrder(t *testing.T) {
+	ctx := context.Background()
+	wfs := testCorpus(t).Repo.Workflows()
+	query := workflow.New("not-in-corpus")
+	plain := bucketMeasure{buckets: 5}
+	score := func(wf *workflow.Workflow) float64 {
+		s, _ := plain.Compare(query, wf)
+		return s
+	}
+	// run returns the top-k of list and how many pairs the measure finished.
+	run := func(list []*workflow.Workflow, k, par int, bound func(*workflow.Workflow) (float64, bool)) ([]Result, int) {
+		t.Helper()
+		var below, finished atomic.Int64
+		m := tightBucketMeasure{plain, &below}
+		res, skipped, bounded, err := TopKFunc(ctx, list, Options{K: k, Parallelism: par}, bound, func(_ int, wf *workflow.Workflow, floor float64) (float64, bool, error) {
+			s, b, err := m.CompareFloor(query, wf, floor)
+			if !b {
+				finished.Add(1)
+			}
+			return s, b, err
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := int(finished.Load()+below.Load()) + bounded + skipped; got != len(list) {
+			t.Fatalf("k=%d par=%d: %d finished + %d below + %d bounded + %d skipped = %d, want %d",
+				k, par, finished.Load(), below.Load(), bounded, skipped, got, len(list))
+		}
+		if bound == nil && bounded != 0 {
+			t.Fatalf("k=%d par=%d: %d bounded without a bound", k, par, bounded)
+		}
+		return res, int(finished.Load())
+	}
+	same := func(what string, got, want []Result) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d results, want %d", what, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID || math.Float64bits(got[i].Similarity) != math.Float64bits(want[i].Similarity) {
+				t.Fatalf("%s rank %d: %+v, want %+v", what, i, got[i], want[i])
+			}
+		}
+	}
+	tight := func(wf *workflow.Workflow) (float64, bool) { return score(wf), true }
+	r := rand.New(rand.NewSource(37))
+	for _, k := range []int{1, 10, len(wfs)} {
+		want, corpusFinished := run(wfs, k, 1, nil)
+		for seed := 0; seed < 20; seed++ {
+			perm := slices.Clone(wfs)
+			r.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+			// A loose bound: the score plus a slack of up to a bucket and a
+			// half, drawn per candidate, so the bound order is neither the
+			// score order nor the slice order.
+			slack := make(map[string]float64, len(perm))
+			for _, wf := range perm {
+				slack[wf.ID] = r.Float64() * 0.3
+			}
+			loose := func(wf *workflow.Workflow) (float64, bool) { return score(wf) + slack[wf.ID], true }
+			for _, par := range []int{1, 2, 4} {
+				got, _ := run(perm, k, par, nil)
+				same(fmt.Sprintf("k=%d permutation %d par=%d", k, seed, par), got, want)
+				got, _ = run(perm, k, par, loose)
+				same(fmt.Sprintf("k=%d permutation %d par=%d by a loose bound", k, seed, par), got, want)
+				// Ties on the bound reach the floor out of ID order here.
+				got, _ = run(perm, k, par, tight)
+				same(fmt.Sprintf("k=%d permutation %d par=%d by the score", k, seed, par), got, want)
+			}
+		}
+		for _, par := range []int{1, 2, 4} {
+			got, finished := run(wfs, k, par, tight)
+			same(fmt.Sprintf("k=%d par=%d by the score", k, par), got, want)
+			if par == 1 && finished > corpusFinished {
+				t.Errorf("k=%d: %d pairs finished in descending order of the score, %d in corpus order", k, finished, corpusFinished)
+			}
+		}
+	}
+}
+
+// TestTopKOrderLeavesOut: a candidate the bound leaves out is neither
+// visited nor counted, and a bound of NaN or +Inf, which puts nothing below
+// any floor, leaves the result as it is.
+func TestTopKOrderLeavesOut(t *testing.T) {
+	ctx := context.Background()
+	wfs := testCorpus(t).Repo.Workflows()
+	query := workflow.New("not-in-corpus")
+	plain := bucketMeasure{buckets: 5}
+	out, odd := wfs[3].ID, wfs[7].ID
+	want, _, err := TopK(ctx, query, List(wfs), plain, Options{K: len(wfs)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = slices.DeleteFunc(want, func(r Result) bool { return r.ID == out })
+	for _, oddBound := range []float64{math.NaN(), math.Inf(1)} {
+		for _, k := range []int{1, 10, len(wfs)} {
+			var below atomic.Int64
+			m := tightBucketMeasure{plain, &below}
+			bound := func(wf *workflow.Workflow) (float64, bool) {
+				switch wf.ID {
+				case out:
+					return 0, false
+				case odd:
+					return oddBound, true
+				}
+				s, _ := plain.Compare(query, wf)
+				return s, true
+			}
+			visited := 0
+			got, skipped, bounded, err := TopKFunc(ctx, wfs, Options{K: k, Parallelism: 1}, bound, func(_ int, wf *workflow.Workflow, floor float64) (float64, bool, error) {
+				if wf.ID == out {
+					t.Fatalf("bound %v: the candidate left out was visited", oddBound)
+				}
+				visited++
+				return m.CompareFloor(query, wf, floor)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if visited+bounded+skipped != len(wfs)-1 {
+				t.Fatalf("bound %v k=%d: %d visited + %d bounded + %d skipped, want %d", oddBound, k, visited, bounded, skipped, len(wfs)-1)
+			}
+			if !slices.Equal(got, want[:min(k, len(want))]) {
+				t.Fatalf("bound %v k=%d: %v, want %v", oddBound, k, got, want[:min(k, len(want))])
+			}
+		}
+	}
+}
+
+// TestVisitOrderSort: the counting sort visits every candidate not left out
+// once, bucket by bucket, one bucket's candidates in index order, and at every
+// position rest bounds every bound from there on — whatever range the bounds
+// span, a subnormal one, one that is not finite, or none.
+func TestVisitOrderSort(t *testing.T) {
+	inf, nan := math.Inf(1), math.NaN()
+	r := rand.New(rand.NewSource(3))
+	random := make([]float64, 300)
+	for i := range random {
+		random[i] = float64(r.Intn(40)) / float64(r.Intn(40)+1)
+	}
+	for name, ubs := range map[string][]float64{
+		"random":    random,
+		"counts":    {3, 7, 0, 12, 7, 1, 3, 3, 40, 2},
+		"equal":     {0.5, 0.5, 0.5},
+		"subnormal": {0, 5e-324, 1e-323, 0},
+		"infinite":  {0.2, inf, 0.7, 0.1, inf},
+		"left out":  {nan, 0.3, nan, 0.9},
+		"all out":   {nan, nan},
+		"none":      {},
+		"negative":  {-3, 2, -1e300, 1e300},
+	} {
+		wfs := make([]*workflow.Workflow, len(ubs))
+		index := make(map[*workflow.Workflow]int, len(ubs))
+		for i := range wfs {
+			wfs[i] = workflow.New(fmt.Sprint(i))
+			index[wfs[i]] = i
+		}
+		bound := func(wf *workflow.Workflow) (float64, bool) {
+			v := ubs[index[wf]]
+			return v, v == v // NaN: left out
+		}
+		o := acquireOrder(len(ubs), 2)
+		// Two workers, so the range is gathered from both.
+		o.bounds(1, wfs, 0, len(ubs)/2, bound)
+		o.bounds(0, wfs, len(ubs)/2, len(ubs), bound)
+		n := o.sort()
+		seen := map[int32]bool{}
+		for p := 0; p < n; p++ {
+			i := o.pos[p]
+			if seen[i] || ubs[i] != ubs[i] {
+				t.Fatalf("%s: position %d visits %d (seen before %v, bound %v)", name, p, i, seen[i], ubs[i])
+			}
+			seen[i] = true
+			for q := p; q < n; q++ {
+				if j := o.pos[q]; !(o.rest(int(i)) >= ubs[j]) {
+					t.Fatalf("%s: rest %v at position %d, bound %v at %d", name, o.rest(int(i)), p, ubs[j], q)
+				}
+			}
+			if p > 0 {
+				prev := o.pos[p-1]
+				if o.key[prev] > o.key[i] || o.key[prev] == o.key[i] && prev > i {
+					t.Fatalf("%s: position %d holds %d (bucket %d) after %d (bucket %d)", name, p, i, o.key[i], prev, o.key[prev])
+				}
+			}
+		}
+		for i, v := range ubs {
+			if v == v && !seen[int32(i)] {
+				t.Fatalf("%s: candidate %d (bound %v) is never visited", name, i, v)
+			}
+		}
+		o.release()
 	}
 }
 

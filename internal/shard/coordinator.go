@@ -290,13 +290,21 @@ func (v View) pairs(ctx context.Context, union []*workflow.Workflow, prep *ScanP
 	err := search.Batched(ctx, len(union), par, 1, func(w, i int) error {
 		a, aProj := union[i], proj[i]
 		scorer := &scorers[v.ring.Owner(a.ID)][w].pairScorer
+		// The measure's cheap bound runs before anything else a pair would
+		// cost: a pair it eliminates is never looked up, never evaluated and
+		// never cached. Under a floor of -Inf it can eliminate nothing.
+		var ub func(*workflow.Workflow) float64
+		if prep.bounded != nil && floor > math.Inf(-1) {
+			ub = prep.bounded.UpperBounds(aProj)
+		}
 		for j := i + 1; j < len(union); j++ {
 			select {
 			case <-done:
 				return ctx.Err()
 			default:
 			}
-			if scorer.boundedBelow(aProj, proj[j], floor) {
+			if ub != nil && ub(proj[j]) < floor {
+				scorer.bounded++
 				continue
 			}
 			s, below, err := scorer.score(a, union[j], aProj, proj[j], true, floor)

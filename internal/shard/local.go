@@ -365,39 +365,44 @@ func (p *Pin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]search.Res
 	}
 	queryProj := prep.ProjectOne(query)
 	scorers := p.s.workerScorers(prep, search.Workers(len(scan), q.Par))
-	// Per candidate: the measure's cheap bound against the scan's floor, then
-	// the pair through the shard's cache and the scan's specialised measure.
-	// A candidate meets the query once: when the measure has a bound it is
-	// projected up front (the bound reads the projection, which the workflow
-	// caches), otherwise only if its pair misses the cache.
+	// A measure with a bound has it computed once per candidate, query side
+	// read once per scan: the top-k scan visits the candidates in descending
+	// order of it, and a candidate it puts below the floor is never looked up
+	// or scored. The bound reads the candidate's projection, which the
+	// workflow caches, so the scorer's later projection of it is a load.
+	var bound func(*workflow.Workflow) (float64, bool)
+	if prep.bounded != nil {
+		ub := prep.bounded.UpperBounds(queryProj)
+		bound = func(wf *workflow.Workflow) (float64, bool) {
+			if wf == self {
+				return 0, false
+			}
+			return ub(prep.ProjectOne(wf)), true
+		}
+	}
+	// Per candidate: the pair through the shard's cache and the scan's
+	// specialised measure, the candidate projected only if its pair misses
+	// the cache.
 	score := func(w int, wf *workflow.Workflow, floor float64) (float64, bool, error) {
 		if wf == self || captured && wf.ID == query.ID {
 			return 0, true, nil
-		}
-		ps := &scorers[w].pairScorer
-		wfProj := (*workflow.Workflow)(nil) // left to the scorer: projected on a cache miss
-		if prep.bounded != nil {
-			wfProj = prep.ProjectOne(wf)
-			if ps.boundedBelow(queryProj, wfProj, floor) {
-				return 0, true, nil
-			}
 		}
 		// Cache only snapshot-owned candidates. The snapshot's own slice is
 		// nothing else; an index candidate captured across a compaction can
 		// share an ID with a snapshot workflow without sharing its content.
 		cacheable := q.Cacheable && (!captured || p.snap.Get(wf.ID) == wf)
-		return ps.score(query, wf, queryProj, wfProj, cacheable, floor)
+		return scorers[w].score(query, wf, queryProj, nil, cacheable, floor)
 	}
-	results, skipped, err := search.TopKFunc(ctx, scan, search.Options{
+	results, skipped, bounded, err := search.TopKFunc(ctx, scan, search.Options{
 		K:             q.K,
 		Parallelism:   q.Par,
 		MinSimilarity: q.MinSimilarity,
 		Floor:         q.Floor,
-	}, score)
+	}, bound, score)
 	if err != nil {
 		return nil, ReadStats{}, err
 	}
-	stats := ReadStats{Skipped: skipped, Pruned: pruned}
+	stats := ReadStats{Skipped: skipped, Bounded: bounded, Pruned: pruned}
 	fill(scorers, &stats)
 	return results, stats, nil
 }

@@ -38,9 +38,10 @@ type ScanPrep struct {
 
 	inner measures.Measure // compares pre-projected workflows
 	// bounded is inner when it has an exact score bound, nil otherwise. It is
-	// settled here, once per scan, and decides more than who calls
-	// UpperBound: a search under a bounded measure never takes the index's
-	// candidates (Pin.Search).
+	// settled here, once per scan, and decides more than whose bound is
+	// computed: a search under a bounded measure never takes the index's
+	// candidates, and visits the pinned slice in descending order of the
+	// bound (Pin.Search).
 	bounded measures.Bounded
 	project measures.Projector // nil when nothing was hoisted
 }
@@ -127,20 +128,6 @@ type paddedScorer struct {
 	_ [64]byte
 }
 
-// boundedBelow reports — and counts — that the pre-projected pair provably
-// scores below floor by the measure's cheap bound. It runs before anything
-// else a pair would cost: a pair it eliminates is never looked up, never
-// evaluated and never cached.
-//
-//wfsimvet:hotpath
-func (ps *pairScorer) boundedBelow(aProj, bProj *workflow.Workflow, floor float64) bool {
-	if ps.prep.bounded == nil || !(ps.prep.bounded.UpperBound(aProj, bProj) < floor) {
-		return false
-	}
-	ps.bounded++
-	return true
-}
-
 // compare scores the pair with the scan's measure, giving up (below) once
 // the score provably falls under floor. A nil projection means the caller
 // left that side to be projected only if the pair is actually evaluated (a
@@ -190,7 +177,7 @@ func (ps *pairScorer) compare(a, b, aProj, bProj *workflow.Workflow, floor float
 // the floor. A pair the cache will keep is always finished and stored, floor
 // or not: the next scan then takes a hit where it would otherwise redo
 // whatever work preceded the proof, on every scan. Callers apply the
-// measure's cheap bound (boundedBelow) before they get here.
+// measure's cheap bound (measures.Bounded.UpperBounds) before they get here.
 //
 //wfsimvet:hotpath
 func (ps *pairScorer) score(a, b, aProj, bProj *workflow.Workflow, cacheable bool, floor float64) (s float64, below bool, err error) {

@@ -373,7 +373,7 @@ func TestSearchEquivalenceAcrossShardCounts(t *testing.T) {
 // implements. Module Sets has one: its searches never take the index's
 // candidates (nothing pruned, pairs bounded instead). Path Sets and Graph Edit
 // have none: their prep holds no bounded form — so no pair of theirs costs a
-// projection and an UpperBound call that could only answer +Inf — and their
+// projection and a bound call that could only answer +Inf — and their
 // searches go through the index as before.
 func TestOnlyBoundedMeasuresSkipTheIndex(t *testing.T) {
 	c := testCorpus(t, 60)

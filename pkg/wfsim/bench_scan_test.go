@@ -60,18 +60,7 @@ func BenchmarkSearchIDHot(b *testing.B) {
 func BenchmarkSearchInline(b *testing.B) {
 	ctx := context.Background()
 	eng := benchScanEngine(b)
-	p := TavernaProfile()
-	p.Workflows, p.Clusters = scanBenchHot, scanBenchHot/2
-	qc, err := GenerateCorpus(p, 8)
-	if err != nil {
-		b.Fatal(err)
-	}
-	var queries []*Workflow
-	for _, wf := range qc.Repo.Workflows() {
-		q := wf.Clone()
-		q.ID = "inline-" + q.ID // generated IDs would collide with the corpus's
-		queries = append(queries, q)
-	}
+	queries := inlineQueries(b)
 	scored, bounded := 0, 0
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -83,4 +72,23 @@ func BenchmarkSearchInline(b *testing.B) {
 		scored, bounded = scored+st.Scored, bounded+st.Bounded
 	}
 	reportScan(b, scored, bounded)
+}
+
+// inlineQueries returns scanBenchHot workflows from outside the benchmark
+// corpus, under IDs it does not hold.
+func inlineQueries(tb testing.TB) []*Workflow {
+	tb.Helper()
+	p := TavernaProfile()
+	p.Workflows, p.Clusters = scanBenchHot, scanBenchHot/2
+	qc, err := GenerateCorpus(p, 8)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var queries []*Workflow
+	for _, wf := range qc.Repo.Workflows() {
+		q := wf.Clone()
+		q.ID = "inline-" + q.ID // generated IDs would collide with the corpus's
+		queries = append(queries, q)
+	}
+	return queries
 }

@@ -14,8 +14,8 @@ var (
 	benchCorpora  = map[int]*GeneratedCorpus{}
 )
 
-func benchCorpusN(b *testing.B, n int) *GeneratedCorpus {
-	b.Helper()
+func benchCorpusN(tb testing.TB, n int) *GeneratedCorpus {
+	tb.Helper()
 	benchCorpusMu.Lock()
 	defer benchCorpusMu.Unlock()
 	if c, ok := benchCorpora[n]; ok {
@@ -26,7 +26,7 @@ func benchCorpusN(b *testing.B, n int) *GeneratedCorpus {
 	p.Clusters = n / 12
 	c, err := GenerateCorpus(p, 7)
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	benchCorpora[n] = c
 	return c
