@@ -88,10 +88,10 @@ type Config struct {
 	GEDDeadline time.Duration
 	// Counter, when non-nil, accumulates module-pair comparison counts.
 	Counter *PairCounter
-	// Memo, when non-nil, memoizes EditDistance attribute comparisons
-	// across compares — installed by Specialise for a scan; its ID-keyed
-	// half may outlive the scan (see module.SimMemo). Scores are
-	// bit-identical with or without it.
+	// Memo, when non-nil, memoizes EditDistance comparisons of interned
+	// attribute values across compares — installed by Specialise for a
+	// scan, usually the engine's memo, which outlives it (see
+	// module.SimMemo). Scores are bit-identical with or without it.
 	Memo *module.SimMemo
 }
 
@@ -139,7 +139,7 @@ func structuralName(cfg Config) string {
 
 // Compare computes the configured structural similarity of a and b.
 func (s *Structural) Compare(a, b *workflow.Workflow) (float64, error) {
-	a, b = s.projected(a, b)
+	a, b = s.projected(oneTable(a, b))
 	switch s.cfg.Topology {
 	case ModuleSets:
 		v, _ := s.moduleSets(a, b, math.Inf(-1))
@@ -192,9 +192,21 @@ func (s boundedModuleSets) UpperBounds(a *workflow.Workflow) func(b *workflow.Wo
 //
 //wfsimvet:hotpath
 func (s boundedModuleSets) CompareFloor(a, b *workflow.Workflow, floor float64) (float64, bool, error) {
-	a, b = s.projected(a, b)
+	a, b = s.projected(oneTable(a, b))
 	v, below := s.moduleSets(a, b, floor)
 	return v, below, nil
+}
+
+// oneTable returns a and b, or unresolved clones of both when two different
+// symbol tables resolved them: the tables assign the same IDs to different
+// strings, so across them only the string attributes compare. An unresolved
+// side needs nothing — a zero ID already takes the string path — and a scan,
+// whose workflows one table resolved, never clones.
+func oneTable(a, b *workflow.Workflow) (*workflow.Workflow, *workflow.Workflow) {
+	if ta, tb := a.SymtabRef(), b.SymtabRef(); ta != nil && tb != nil && ta != tb {
+		return a.Clone(), b.Clone()
+	}
+	return a, b
 }
 
 // projected applies the configured preprocessing (ip), if any, to both sides.

@@ -7,71 +7,19 @@
 //
 // The weight matrix of two workflows is the per-pair kernel of every
 // structural scan, so it has a dense form beside the plain one: AcquireMatrix
-// fills a pooled flat buffer instead of allocating rows, and edit-distance
-// comparisons go through a memo (SimMemo) whose label half — similarities
-// keyed by symbol-ID pair, read without a lock — lives as long as the symbol
-// table it belongs to (LabelSim), so a label pair is compared once per
-// process, not once per scan. Every form returns the same bits.
+// fills a pooled flat buffer instead of allocating rows. Every attribute a
+// scheme compares is interned at ingest (workflow.Module.Syms), so equal
+// values are one integer compare, and edit-distance comparisons of distinct
+// values go through a memo (SimMemo) keyed by symbol-ID pair, read without a
+// lock, that lives as long as the symbol table it belongs to: a value pair is
+// compared once per process, not once per scan. Every form returns the same
+// bits.
 package module
 
 import (
-	"strings"
-
 	"repro/internal/textutil"
 	"repro/internal/workflow"
 )
-
-// Attribute identifies a comparable module attribute.
-type Attribute string
-
-// The attributes the framework can compare. Which ones are populated depends
-// on the module type (a ServiceURI exists only on web-service modules).
-const (
-	AttrLabel       Attribute = "label"
-	AttrType        Attribute = "type"
-	AttrDescription Attribute = "description"
-	AttrScript      Attribute = "script"
-	AttrServiceURI  Attribute = "serviceURI"
-	AttrServiceName Attribute = "serviceName"
-	AttrAuthority   Attribute = "authority"
-	AttrParams      Attribute = "params"
-)
-
-// value extracts the attribute's raw value from a module.
-func value(m *workflow.Module, a Attribute) string {
-	switch a {
-	case AttrLabel:
-		return m.Label
-	case AttrType:
-		return m.Type
-	case AttrDescription:
-		return m.Description
-	case AttrScript:
-		return m.Script
-	case AttrServiceURI:
-		return m.ServiceURI
-	case AttrServiceName:
-		return m.ServiceName
-	case AttrAuthority:
-		return m.Authority
-	case AttrParams:
-		return m.ParamSignature()
-	}
-	return ""
-}
-
-// attrIDs returns the interned symbol IDs backing an attribute for both
-// modules. Only labels and types are interned; ok is false for every
-// other attribute. A zero ID means "unresolved" and decides nothing.
-func attrIDs(a, b *workflow.Module, attr Attribute) (uint32, uint32, bool) {
-	switch attr {
-	case AttrLabel:
-		return a.LabelID, b.LabelID, true
-	case AttrType:
-		return a.TypeID, b.TypeID, true
-	}
-	return 0, 0, false
-}
 
 // Comparator is a similarity function on attribute values, returning a value
 // in [0,1].
@@ -80,8 +28,6 @@ type Comparator int
 const (
 	// Exact yields 1 for identical strings, 0 otherwise.
 	Exact Comparator = iota
-	// ExactFold yields 1 for case-insensitively identical strings.
-	ExactFold
 	// EditDistance yields the length-normalised Levenshtein similarity.
 	EditDistance
 )
@@ -90,11 +36,6 @@ func (c Comparator) compare(a, b string) float64 {
 	switch c {
 	case Exact:
 		if a == b {
-			return 1
-		}
-		return 0
-	case ExactFold:
-		if strings.EqualFold(a, b) {
 			return 1
 		}
 		return 0
@@ -109,8 +50,6 @@ func (c Comparator) String() string {
 	switch c {
 	case Exact:
 		return "exact"
-	case ExactFold:
-		return "exactfold"
 	case EditDistance:
 		return "editdistance"
 	}
@@ -120,7 +59,7 @@ func (c Comparator) String() string {
 // AttributeSpec configures how one attribute contributes to module
 // similarity.
 type AttributeSpec struct {
-	Attr   Attribute
+	Attr   workflow.Attr
 	Weight float64
 	Cmp    Comparator
 }
@@ -149,13 +88,13 @@ func PW0() Scheme {
 	return Scheme{
 		Name: "pw0",
 		Specs: []AttributeSpec{
-			{AttrType, 1, Exact},
-			{AttrAuthority, 1, Exact},
-			{AttrServiceName, 1, Exact},
-			{AttrServiceURI, 1, Exact},
-			{AttrLabel, 1, EditDistance},
-			{AttrDescription, 1, EditDistance},
-			{AttrScript, 1, EditDistance},
+			{workflow.AttrType, 1, Exact},
+			{workflow.AttrAuthority, 1, Exact},
+			{workflow.AttrServiceName, 1, Exact},
+			{workflow.AttrServiceURI, 1, Exact},
+			{workflow.AttrLabel, 1, EditDistance},
+			{workflow.AttrDescription, 1, EditDistance},
+			{workflow.AttrScript, 1, EditDistance},
 		},
 	}
 }
@@ -167,13 +106,13 @@ func PW3() Scheme {
 	return Scheme{
 		Name: "pw3",
 		Specs: []AttributeSpec{
-			{AttrLabel, 3, EditDistance},
-			{AttrScript, 3, EditDistance},
-			{AttrServiceURI, 3, Exact},
-			{AttrServiceName, 2, Exact},
-			{AttrAuthority, 1, Exact},
-			{AttrType, 1, Exact},
-			{AttrDescription, 1, EditDistance},
+			{workflow.AttrLabel, 3, EditDistance},
+			{workflow.AttrScript, 3, EditDistance},
+			{workflow.AttrServiceURI, 3, Exact},
+			{workflow.AttrServiceName, 2, Exact},
+			{workflow.AttrAuthority, 1, Exact},
+			{workflow.AttrType, 1, Exact},
+			{workflow.AttrDescription, 1, EditDistance},
 		},
 	}
 }
@@ -183,7 +122,7 @@ func PW3() Scheme {
 func PLL() Scheme {
 	return Scheme{
 		Name:  "pll",
-		Specs: []AttributeSpec{{AttrLabel, 1, EditDistance}},
+		Specs: []AttributeSpec{{workflow.AttrLabel, 1, EditDistance}},
 	}
 }
 
@@ -193,7 +132,7 @@ func PLL() Scheme {
 func PLM() Scheme {
 	return Scheme{
 		Name:  "plm",
-		Specs: []AttributeSpec{{AttrLabel, 1, Exact}},
+		Specs: []AttributeSpec{{workflow.AttrLabel, 1, Exact}},
 	}
 }
 
@@ -204,10 +143,10 @@ func GW1() Scheme {
 	return Scheme{
 		Name: "gw1",
 		Specs: []AttributeSpec{
-			{AttrLabel, 1, EditDistance},
-			{AttrType, 1, Exact},
-			{AttrServiceName, 1, Exact}, // Galaxy tool id
-			{AttrParams, 1, EditDistance},
+			{workflow.AttrLabel, 1, EditDistance},
+			{workflow.AttrType, 1, Exact},
+			{workflow.AttrServiceName, 1, Exact}, // Galaxy tool id
+			{workflow.AttrParams, 1, EditDistance},
 		},
 	}
 }
@@ -216,7 +155,7 @@ func GW1() Scheme {
 func GLL() Scheme {
 	return Scheme{
 		Name:  "gll",
-		Specs: []AttributeSpec{{AttrLabel, 1, EditDistance}},
+		Specs: []AttributeSpec{{workflow.AttrLabel, 1, EditDistance}},
 	}
 }
 

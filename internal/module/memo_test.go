@@ -27,11 +27,13 @@ func resolvedPair(seed int64, n int) (*workflow.Workflow, *workflow.Workflow) {
 
 // TestWeightMatrixPathsAgree: the fresh matrix (WeightMatrix), the memoized
 // one and the pooled one (AcquireMatrix, reused across shapes so stale cells
-// would show) hold the same bits and the same comparison counts, and all of
-// them equal the per-pair definition — Allows, then Similarity.
+// would show) hold the same bits and the same comparison counts under every
+// scheme, and all of them equal the string definition — Allows, then
+// Similarity, on unresolved clones — so the symbol path of every attribute
+// (equal IDs, Exact on distinct IDs, the ID-pair memo) changes no score.
 func TestWeightMatrixPathsAgree(t *testing.T) {
 	memoized := 0
-	for seed := int64(0); seed < 40; seed++ {
+	for seed := int64(0); seed < 200; seed++ {
 		a, b := resolvedPair(seed, 1+int(seed%9))
 		memo := NewSimMemo() // one per symbol table: IDs of two tables must never meet in a memo
 		if seed%3 == 0 {
@@ -40,14 +42,15 @@ func TestWeightMatrixPathsAgree(t *testing.T) {
 		if seed%5 == 4 {
 			a, b = b, a
 		}
-		for _, s := range []Scheme{PLL(), PW0(), PLM()} {
+		ua, ub := a.Clone(), b.Clone() // the string definition
+		for _, s := range []Scheme{PW0(), PW3(), PLL(), PLM(), GW1(), GLL()} {
 			for _, p := range []Preselect{AllPairs, TypeMatch, TypeEquivalence} {
 				plain, pst := WeightMatrix(a, b, s, p)
 				memoed, mst := WeightMatrixMemo(a, b, s, p, memo)
 				mx := AcquireMatrix(a, b, s, p, memo, RowStop{})
 				compared := 0
-				for i, x := range a.Modules {
-					for j, y := range b.Modules {
+				for i, x := range ua.Modules {
+					for j, y := range ub.Modules {
 						want := 0.0
 						if p.Allows(x, y) {
 							compared++
@@ -75,12 +78,12 @@ func TestWeightMatrixPathsAgree(t *testing.T) {
 	}
 }
 
-// TestLabelSimConcurrent hammers one LabelSim from several goroutines across
+// TestSimMemoConcurrent hammers one SimMemo from several goroutines across
 // several table growths: every lookup returns the value its key was stored
 // with (or misses), and each distinct key is counted once.
-func TestLabelSimConcurrent(t *testing.T) {
-	ls := NewLabelSim()
-	const keys = 5 * labelSimMinSlots // forces a few doublings
+func TestSimMemoConcurrent(t *testing.T) {
+	sm := NewSimMemo()
+	const keys = 5 * simMemoMinSlots // forces a few doublings
 	val := func(k uint64) float64 { return float64(k%1000) / 1000 }
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -90,14 +93,14 @@ func TestLabelSimConcurrent(t *testing.T) {
 			r := rand.New(rand.NewSource(int64(g)))
 			for n := 0; n < 4*keys; n++ {
 				k := uint64(1+r.Intn(keys))<<32 | uint64(keys+1)
-				if v, ok := ls.get(k); ok {
+				if v, ok := sm.get(k); ok {
 					if v != val(k) {
 						t.Errorf("get(%#x) = %v, want %v", k, v, val(k))
 						return
 					}
 					continue
 				}
-				ls.put(k, val(k))
+				sm.put(k, val(k))
 			}
 		}(g)
 	}
@@ -105,67 +108,68 @@ func TestLabelSimConcurrent(t *testing.T) {
 	seen := 0
 	for i := 1; i <= keys; i++ {
 		k := uint64(i)<<32 | uint64(keys+1)
-		if v, ok := ls.get(k); ok {
+		if v, ok := sm.get(k); ok {
 			seen++
 			if v != val(k) {
 				t.Fatalf("after the run get(%#x) = %v, want %v", k, v, val(k))
 			}
 		}
 	}
-	if seen != ls.Len() {
-		t.Errorf("Len = %d, but %d distinct keys are present", ls.Len(), seen)
+	if seen != sm.Len() {
+		t.Errorf("Len = %d, but %d distinct keys are present", sm.Len(), seen)
 	}
 	if seen < keys/2 {
 		t.Errorf("only %d of %d keys were memoized", seen, keys)
 	}
 }
 
-// TestLabelSimStopsAtCap: insertion stops at the cap, what is in stays
+// TestSimMemoStopsAtCap: insertion stops at the cap, what is in stays
 // served, and what is not is simply a miss. The memo is brought to five
 // entries below its cap by hand — a table of the size growth ends at, and the
 // entry count — instead of by a million inserts.
-func TestLabelSimStopsAtCap(t *testing.T) {
-	ls := NewLabelSim()
-	var full *labelSimTable
+func TestSimMemoStopsAtCap(t *testing.T) {
+	sm := NewSimMemo()
+	var full *simMemoTable
 	for full == nil || len(full.slots) < 2*simMemoCap {
-		full = grownLabelSimTable(full)
+		full = grownSimMemoTable(full)
 	}
-	ls.tab.Store(full)
-	ls.n.Store(simMemoCap - 5)
+	sm.tab.Store(full)
+	sm.n.Store(simMemoCap - 5)
 	key := func(i int) uint64 { return uint64(i)<<32 | uint64(simMemoCap+100) }
 	for i := 1; i <= 10; i++ {
-		ls.put(key(i), 0.5)
+		sm.put(key(i), 0.5)
 	}
-	if ls.Len() != simMemoCap || ls.Len() != ls.Cap() {
-		t.Fatalf("Len = %d, Cap = %d, want both %d", ls.Len(), ls.Cap(), simMemoCap)
+	if sm.Len() != simMemoCap || sm.Len() != sm.Cap() {
+		t.Fatalf("Len = %d, Cap = %d, want both %d", sm.Len(), sm.Cap(), simMemoCap)
 	}
-	if _, ok := ls.get(key(5)); !ok {
+	if _, ok := sm.get(key(5)); !ok {
 		t.Error("the last pair inserted below the cap is not served")
 	}
-	if _, ok := ls.get(key(6)); ok {
+	if _, ok := sm.get(key(6)); ok {
 		t.Error("a pair past the cap was inserted")
 	}
-	if slots := len(ls.tab.Load().slots); slots != 2*simMemoCap {
+	if slots := len(sm.tab.Load().slots); slots != 2*simMemoCap {
 		t.Errorf("table has %d slots at the cap, want %d: it must stay half empty and stop growing", slots, 2*simMemoCap)
 	}
 }
 
-// TestSimMemoSharesLabelSim: memos built over one LabelSim share its ID-keyed
-// entries and keep their string-keyed ones to themselves; a bare memo shares
-// nothing.
-func TestSimMemoSharesLabelSim(t *testing.T) {
+// TestSimMemoKeysEveryAttribute: one memo holds the edit-distance pairs of
+// every attribute a scheme compares — not only labels — under their symbol
+// pairs, and a later scan over the same memo (the engine's outlives its
+// scans) comparing the same attributes with other weights computes nothing
+// new.
+func TestSimMemoKeysEveryAttribute(t *testing.T) {
 	a, b := resolvedPair(3, 8)
-	ls := NewLabelSim()
-	first := NewSimMemoWith(ls)
-	WeightMatrixMemo(a, b, PW0(), AllPairs, first) // labels by ID, scripts by string
-	ids := ls.Len()
-	if ids == 0 || first.Len() <= ids {
-		t.Fatalf("after one matrix: %d ID-keyed entries, %d in all; want both halves used", ids, first.Len())
+	labels := NewSimMemo()
+	WeightMatrixMemo(a, b, PLL(), AllPairs, labels)
+	memo := NewSimMemo()
+	WeightMatrixMemo(a, b, PW0(), AllPairs, memo) // labels, descriptions, scripts
+	n := memo.Len()
+	if labels.Len() == 0 || n <= labels.Len() {
+		t.Fatalf("pw0 memoized %d pairs, pll %d; want pw0 to add its other attributes' pairs", n, labels.Len())
 	}
-	if second := NewSimMemoWith(ls); second.Len() != ids {
-		t.Errorf("a second memo over the same LabelSim starts with %d entries, want the %d shared ID-keyed ones", second.Len(), ids)
-	}
-	if bare := NewSimMemo(); bare.Len() != 0 {
-		t.Errorf("a bare memo starts with %d entries", bare.Len())
+	WeightMatrixMemo(a, b, PW3(), AllPairs, memo)
+	if memo.Len() != n {
+		t.Errorf("pw3 over pw0's memo grew it from %d to %d pairs, want none: same attributes, same values", n, memo.Len())
 	}
 }

@@ -97,9 +97,6 @@ func TestComparators(t *testing.T) {
 	if Exact.compare("a", "a") != 1 || Exact.compare("a", "A") != 0 {
 		t.Error("Exact misbehaves")
 	}
-	if ExactFold.compare("a", "A") != 1 || ExactFold.compare("a", "b") != 0 {
-		t.Error("ExactFold misbehaves")
-	}
 	if EditDistance.compare("abc", "abc") != 1 {
 		t.Error("EditDistance identical != 1")
 	}
@@ -187,11 +184,16 @@ func randModule(r *rand.Rand) *workflow.Module {
 		workflow.TypeLocalWorker, workflow.TypeStringConst, "weird",
 	}
 	labels := []string{"getPathway", "get_pathway", "BLAST", "split", "merge", ""}
+	params := []map[string]string{nil, {"db": "nr"}, {"db": "pdb"}, {"db": "nr", "evalue": "10"}}
 	return &workflow.Module{
-		Label:      labels[r.Intn(len(labels))],
-		Type:       types[r.Intn(len(types))],
-		Script:     []string{"", "return x;"}[r.Intn(2)],
-		ServiceURI: []string{"", "http://a", "http://b"}[r.Intn(3)],
+		Label:       labels[r.Intn(len(labels))],
+		Type:        types[r.Intn(len(types))],
+		Description: []string{"", "fetch a pathway", "fetch pathways", "align sequences"}[r.Intn(4)],
+		Script:      []string{"", "return x;", "return y;"}[r.Intn(3)],
+		ServiceURI:  []string{"", "http://a", "http://b"}[r.Intn(3)],
+		ServiceName: []string{"", "get_pathway", "blastp"}[r.Intn(3)],
+		Authority:   []string{"", "kegg", "ebi"}[r.Intn(3)],
+		Params:      params[r.Intn(len(params))],
 	}
 }
 
@@ -212,7 +214,7 @@ func TestPropertySchemeSymmetricBounded(t *testing.T) {
 			// least one non-empty attribute on the module.
 			seesValue := false
 			for _, spec := range s.Specs {
-				if value(a, spec.Attr) != "" {
+				if a.Value(spec.Attr) != "" {
 					seesValue = true
 					break
 				}

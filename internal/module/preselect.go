@@ -142,8 +142,8 @@ func (p Preselect) Allows(a, b *workflow.Module) bool {
 	case AllPairs:
 		return true
 	case TypeMatch:
-		if a.TypeID != 0 && b.TypeID != 0 {
-			return a.TypeID == b.TypeID
+		if ta, tb := a.Syms[workflow.AttrType], b.Syms[workflow.AttrType]; ta != 0 && tb != 0 {
+			return ta == tb
 		}
 		return a.Type == b.Type
 	case TypeEquivalence:

@@ -16,17 +16,14 @@ import (
 // measure, the projector epoch for cache keying, and — when the measure
 // supports it (measures.Specialisable) — a scan-specialised form that hoists
 // the importance projection out of the per-pair Compare and memoizes
-// repeated attribute comparisons (module.SimMemo). The memo has two
-// lifetimes: similarities of interned labels are kept by symbol-ID pair in
-// the module.LabelSim the prep was built over — the engine's, one per symbol
-// table, outliving the scan (NewScanPrepWith), or a private one that dies
-// with the prep (NewScanPrep) — while string-keyed entries (descriptions,
-// scripts, unresolved workflows) always die with the prep. Every workflow a
-// prep compares must be resolved by one symbol table, or by none: IDs of two
-// tables mean nothing against each other (Pin.Search strips a foreign
-// query's resolution). The specialised form returns bit-identical scores;
-// only redundant per-pair work (re-projecting the same workflow, re-running
-// Levenshtein on the same label pair) is removed.
+// edit-distance comparisons of interned attribute values in a
+// module.SimMemo: the engine's, one per symbol table, outliving the scan
+// (NewScanPrepWith), or a private one that dies with the prep (NewScanPrep).
+// Every workflow a prep compares must be resolved by one symbol table, or by
+// none: IDs of two tables mean nothing against each other (Pin.Search strips
+// a foreign query's resolution). The specialised form returns bit-identical
+// scores; only redundant per-pair work (re-projecting the same workflow,
+// re-running Levenshtein on the same value pair) is removed.
 //
 // A ScanPrep is built once per read operation and is safe for concurrent use
 // by all shards of that operation.
@@ -49,16 +46,15 @@ type ScanPrep struct {
 // NewScanPrep resolves m for a scatter-gather scan with a scan-scoped memo.
 // epoch is the projector epoch of the projection m was resolved with.
 func NewScanPrep(m measures.Measure, epoch uint64) *ScanPrep {
-	return NewScanPrepWith(m, epoch, nil)
+	return NewScanPrepWith(m, epoch, module.NewSimMemo())
 }
 
-// NewScanPrepWith is NewScanPrep over labels, the label-similarity memo of
-// the symbol table that resolved the corpus and the query (nil for a
-// scan-scoped one).
-func NewScanPrepWith(m measures.Measure, epoch uint64, labels *module.LabelSim) *ScanPrep {
+// NewScanPrepWith is NewScanPrep over memo, the similarity memo of the symbol
+// table that resolved the corpus and the query.
+func NewScanPrepWith(m measures.Measure, epoch uint64, memo *module.SimMemo) *ScanPrep {
 	p := &ScanPrep{Name: m.Name(), Epoch: epoch, inner: m}
 	if sp, ok := m.(measures.Specialisable); ok {
-		p.project, p.inner = sp.Specialise(module.NewSimMemoWith(labels))
+		p.project, p.inner = sp.Specialise(memo)
 	}
 	p.bounded, _ = p.inner.(measures.Bounded)
 	return p

@@ -88,7 +88,7 @@ func (w *Workflow) TransitiveReduction() *Workflow {
 	// symbol IDs remain valid and are preserved for the comparison fast
 	// paths (Clone drops them by default, assuming mutation).
 	for i, m := range w.Modules {
-		c.Modules[i].LabelID, c.Modules[i].CanonID, c.Modules[i].TypeID = m.LabelID, m.CanonID, m.TypeID
+		c.Modules[i].Syms, c.Modules[i].CanonID = m.Syms, m.CanonID
 	}
 	if len(c.Edges) == 0 {
 		return c
@@ -137,7 +137,7 @@ func (w *Workflow) InducedSubgraph(keep []int) *Workflow {
 			cm := m.Clone()
 			// The projection never rewrites module strings, so the
 			// interned symbol IDs stay valid on the copy.
-			cm.LabelID, cm.CanonID, cm.TypeID = m.LabelID, m.CanonID, m.TypeID
+			cm.Syms, cm.CanonID = m.Syms, m.CanonID
 			remap[i] = out.AddModule(cm)
 		}
 	}

@@ -63,14 +63,56 @@ type Module struct {
 	// Params holds static, data-independent configuration parameters.
 	Params map[string]string `json:"params,omitempty"`
 
-	// LabelID, CanonID and TypeID are the interned symbol IDs of Label,
-	// CanonicalLabel(Label) and Type, resolved at repository ingest by
-	// Workflow.Resolve. Zero means "not resolved": comparisons fall back
-	// to the string attributes, which remain authoritative. The IDs are
-	// derived state and are never serialized.
-	LabelID uint32 `json:"-"`
-	CanonID uint32 `json:"-"`
-	TypeID  uint32 `json:"-"`
+	// Syms holds the interned symbol ID of each comparable attribute,
+	// indexed by Attr, and CanonID that of CanonicalLabel(Label); both are
+	// resolved at repository ingest by Workflow.Resolve. Zero means "empty
+	// or not resolved": comparisons fall back to the string attributes,
+	// which remain authoritative. The IDs are derived state and are never
+	// serialized.
+	Syms    [NumAttrs]uint32 `json:"-"`
+	CanonID uint32           `json:"-"`
+}
+
+// Attr identifies a comparable module attribute, indexing Module.Syms.
+// Which ones are populated depends on the module type (a ServiceURI exists
+// only on web-service modules).
+type Attr uint8
+
+// The attributes a module-comparison scheme can compare.
+const (
+	AttrLabel Attr = iota
+	AttrType
+	AttrDescription
+	AttrScript
+	AttrServiceURI
+	AttrServiceName
+	AttrAuthority
+	AttrParams
+	NumAttrs // the number of attributes, not one of them
+)
+
+// Value returns the attribute's string value; AttrParams renders the
+// parameters by ParamSignature.
+func (m *Module) Value(a Attr) string {
+	switch a {
+	case AttrLabel:
+		return m.Label
+	case AttrType:
+		return m.Type
+	case AttrDescription:
+		return m.Description
+	case AttrScript:
+		return m.Script
+	case AttrServiceURI:
+		return m.ServiceURI
+	case AttrServiceName:
+		return m.ServiceName
+	case AttrAuthority:
+		return m.Authority
+	case AttrParams:
+		return m.ParamSignature()
+	}
+	return ""
 }
 
 // Clone returns a deep copy of the module. Interned symbol IDs are
@@ -78,7 +120,7 @@ type Module struct {
 // module would be worse than none. Re-ingesting the clone re-resolves.
 func (m *Module) Clone() *Module {
 	c := *m
-	c.LabelID, c.CanonID, c.TypeID = 0, 0, 0
+	c.Syms, c.CanonID = [NumAttrs]uint32{}, 0
 	if m.Params != nil {
 		c.Params = make(map[string]string, len(m.Params))
 		for k, v := range m.Params {

@@ -30,11 +30,12 @@ func CanonicalLabel(label string) string {
 }
 
 // Resolve interns the workflow's hot strings into t and caches the
-// derived representation: each module's LabelID/CanonID/TypeID, the
-// workflow ID's own symbol, and the sorted set of canonical label IDs
-// with its bitset summary. Resolution is derived state only — string
-// attributes remain authoritative, and every consumer falls back to them
-// when IDs are zero — so resolving can never change a comparison result.
+// derived representation: the symbol of every comparable module attribute
+// (Module.Syms) and of each canonical label (CanonID), the workflow ID's
+// own symbol, and the sorted set of canonical label IDs with its bitset
+// summary. Resolution is derived state only — string attributes remain
+// authoritative, and every consumer falls back to them when IDs are zero —
+// so resolving can never change a comparison result.
 // A nil table leaves the workflow unresolved (the string baseline).
 func (w *Workflow) Resolve(t *symtab.Table) {
 	if t == nil {
@@ -55,9 +56,13 @@ func (w *Workflow) ResolveModules(t *symtab.Table) {
 	}
 	set := make([]uint32, 0, len(w.Modules))
 	for _, m := range w.Modules {
-		m.LabelID = t.Intern(m.Label)
+		m.Syms = [NumAttrs]uint32{} // the empty string is symbol 0
+		for a := range m.Syms {
+			if v := m.Value(Attr(a)); v != "" {
+				m.Syms[a] = t.Intern(v)
+			}
+		}
 		m.CanonID = t.Intern(CanonicalLabel(m.Label))
-		m.TypeID = t.Intern(m.Type)
 		if m.CanonID != 0 {
 			set = append(set, m.CanonID)
 		}

@@ -27,7 +27,9 @@ func resolveTestWorkflow(id string) *Workflow {
 	w := New(id)
 	w.AddModule(&Module{ID: "m0", Label: "Fetch_Sequence", Type: TypeWSDL})
 	w.AddModule(&Module{ID: "m1", Label: "fetch sequence", Type: TypeWSDL}) // same canonical form
-	w.AddModule(&Module{ID: "m2", Label: "run_blast", Type: TypeSoaplabWSDL})
+	w.AddModule(&Module{ID: "m2", Label: "run_blast", Type: TypeSoaplabWSDL,
+		Description: "BLAST search", ServiceURI: "http://ebi/blast", ServiceName: "blastp", Authority: "ebi",
+		Params: map[string]string{"db": "nr", "evalue": "10"}})
 	w.AddModule(&Module{ID: "m3", Label: "", Type: TypeStringConst}) // empty label: not in the set
 	return w
 }
@@ -47,8 +49,13 @@ func TestResolveDerivedState(t *testing.T) {
 		t.Error("workflow ID symbol is zero after Resolve")
 	}
 	for _, m := range w.Modules {
-		if m.LabelID != tab.Intern(m.Label) || m.CanonID != tab.Intern(CanonicalLabel(m.Label)) || m.TypeID != tab.Intern(m.Type) {
-			t.Errorf("module %s: IDs do not round-trip through the table", m.ID)
+		if m.CanonID != tab.Intern(CanonicalLabel(m.Label)) {
+			t.Errorf("module %s: canonical ID does not round-trip through the table", m.ID)
+		}
+		for a := range m.Syms {
+			if v := m.Value(Attr(a)); m.Syms[a] != tab.Intern(v) || tab.String(m.Syms[a]) != v {
+				t.Errorf("module %s: attribute %d's ID does not round-trip through the table", m.ID, a)
+			}
 		}
 	}
 	// Label set: canonical, sorted, deduplicated, no zero ID. The two
@@ -162,7 +169,7 @@ func TestModuleStringNeverRendersSymbols(t *testing.T) {
 	w := New("wf")
 	w.AddModule(m)
 	w.Resolve(symtab.New())
-	if m.LabelID == 0 {
+	if m.Syms[AttrLabel] == 0 {
 		t.Fatal("module not resolved")
 	}
 	if got := m.String(); got != before {

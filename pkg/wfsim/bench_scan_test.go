@@ -57,7 +57,15 @@ func BenchmarkSearchIDHot(b *testing.B) {
 // BenchmarkSearchInline searches with queries from outside the corpus: no
 // pair is cacheable, so every pair the score bound does not eliminate runs
 // the kernel.
-func BenchmarkSearchInline(b *testing.B) {
+func BenchmarkSearchInline(b *testing.B) { benchSearchInline(b, "") }
+
+// BenchmarkSearchInlinePW3 is BenchmarkSearchInline under the paper's tuned
+// multi-attribute scheme over every module pair: labels, scripts and
+// descriptions by edit distance, services and types exactly, every one of
+// them compared by symbol.
+func BenchmarkSearchInlinePW3(b *testing.B) { benchSearchInline(b, "MS_np_ta_pw3") }
+
+func benchSearchInline(b *testing.B, measure string) {
 	ctx := context.Background()
 	eng := benchScanEngine(b)
 	queries := inlineQueries(b)
@@ -65,7 +73,7 @@ func BenchmarkSearchInline(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_, st, err := eng.Search(ctx, queries[i%len(queries)], SearchOptions{K: 10})
+		_, st, err := eng.Search(ctx, queries[i%len(queries)], SearchOptions{K: 10, Measure: measure})
 		if err != nil {
 			b.Fatal(err)
 		}

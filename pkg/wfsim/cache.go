@@ -52,24 +52,27 @@ func (e *Engine) CacheStats() CacheStats {
 	return total
 }
 
-// LabelSimStats reports the engine's label-similarity memo: the Levenshtein
-// similarities of module-label pairs, kept by symbol-ID pair for the life of
-// the process so that a scan looks a pair up instead of recomputing it.
-// Entries pinned at Capacity means insertion has stopped and every new label
-// pair is recomputed per module pair — still correct, but slow.
+// LabelSimStats reports the engine's similarity memo: the Levenshtein
+// similarities of pairs of distinct values of every attribute compared by
+// edit distance (labels, descriptions, scripts, tool parameters), kept by
+// symbol-ID pair for the life of the process so that a scan looks a pair up
+// instead of recomputing it. The name predates the memo's holding more than
+// labels. One Capacity bounds all of them: Entries pinned at Capacity means
+// insertion has stopped and every new value pair is recomputed per module
+// pair — still correct, but slow.
 type LabelSimStats struct {
 	Entries  int `json:"entries"`
 	Capacity int `json:"capacity"`
 }
 
-// LabelSimStats returns the label-similarity memo's population and bound.
+// LabelSimStats returns the similarity memo's population and bound.
 func (e *Engine) LabelSimStats() LabelSimStats {
-	return LabelSimStats{Entries: e.labelSim.Len(), Capacity: e.labelSim.Cap()}
+	return LabelSimStats{Entries: e.simMemo.Len(), Capacity: e.simMemo.Cap()}
 }
 
 // Symbols returns the size of the engine's symbol table: the distinct
-// strings (workflow IDs, module labels, canonical labels, types) interned by
-// ingest and by workflows from outside (inline search queries, Compare
-// sides) since boot. The table only grows; a
-// restart rebuilds it from the stored corpus.
+// strings (workflow IDs, canonical labels, every compared module attribute)
+// interned by ingest and by workflows from outside (inline search queries,
+// Compare sides) since boot. The table only grows; a restart rebuilds it
+// from the stored corpus.
 func (e *Engine) Symbols() int { return e.syms.Len() }

@@ -47,14 +47,15 @@ type Engine struct {
 	shardCount int                // WithShards (default 1)
 	coord      *shard.Coordinator // the data plane: every operation routes through it
 
-	// syms is the deployment's one symbol table and labelSim the
-	// label-similarity memo that belongs to it: both live as long as the
-	// engine, every shard interns into syms, and every scan memoizes into
-	// labelSim — which therefore must only ever see workflows syms resolved.
-	// Workflows from outside are scored on private copies syms resolves
-	// (own).
-	syms     *symtab.Table
-	labelSim *module.LabelSim
+	// syms is the deployment's one symbol table and simMemo the
+	// similarity memo that belongs to it: both live as long as the engine,
+	// every shard interns every compared module attribute into syms, and
+	// every scan memoizes the edit-distance similarity of two such symbols
+	// into simMemo — which therefore must only ever see workflows syms
+	// resolved. Workflows from outside are scored on private copies syms
+	// resolves (own).
+	syms    *symtab.Table
+	simMemo *module.SimMemo
 
 	storageDir string        // WithStorage data directory ("" = RAM only)
 	storageCfg storageConfig // WithStorage tuning
@@ -465,7 +466,7 @@ func (r Reader) scanPrep(ctx context.Context, name string) (*shard.ScanPrep, err
 	if err != nil {
 		return nil, err
 	}
-	return shard.NewScanPrepWith(m, epoch, r.e.labelSim), nil
+	return shard.NewScanPrepWith(m, epoch, r.e.simMemo), nil
 }
 
 // own returns wf when the engine's symbol table resolved it, and otherwise a

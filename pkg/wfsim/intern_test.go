@@ -29,13 +29,28 @@ func internTestCorpus(t testing.TB) *GeneratedCorpus {
 
 // TestInternedEquivalenceWithStringBaseline holds the interned engine to the
 // brute-force reference (bruteForce): for every measure of the Compare spread,
-// Search, Duplicates and Cluster at 1, 2 and 4 shards return what plain
+// and for pw3 and gw1, whose attributes beyond labels and types (scripts,
+// descriptions, services, Galaxy tool ids and parameters) compare by symbol
+// too, Search, Duplicates and Cluster at 1, 2 and 4 shards return what plain
 // string comparison of every pair returns, bit for bit. Searches run Exact,
 // because the reference has no index; index on/off is
 // TestShardedSearchEquivalence's to cover.
 func TestInternedEquivalenceWithStringBaseline(t *testing.T) {
+	checkInternedEquivalence(t, internTestCorpus(t), append(CompareMeasures(), "MS_np_ta_pw3", "MS_np_ta_gw1"))
+	p := GalaxyProfile()
+	p.Workflows, p.Clusters = 36, 5
+	galaxy, err := GenerateCorpus(p, 17)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkInternedEquivalence(t, galaxy, []string{"MS_np_ta_gw1", "MS_ip_te_gw1"})
+}
+
+// checkInternedEquivalence holds an engine over c to the reference under
+// each of the named measures.
+func checkInternedEquivalence(t *testing.T, c *GeneratedCorpus, names []string) {
+	t.Helper()
 	ctx := context.Background()
-	c := internTestCorpus(t)
 	ref := newBruteForce(c.Repo.Workflows())
 	queries := []*Workflow{c.Repo.Workflows()[0], c.Repo.Workflows()[7], c.Repo.Workflows()[20]}
 
@@ -46,7 +61,7 @@ func TestInternedEquivalenceWithStringBaseline(t *testing.T) {
 		clusters string
 	}
 	want := map[string]answers{}
-	for _, name := range CompareMeasures() {
+	for _, name := range names {
 		m := ref.measure(t, name)
 		var a answers
 		for _, q := range queries {
@@ -62,7 +77,7 @@ func TestInternedEquivalenceWithStringBaseline(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%d shards: %v", n, err)
 		}
-		for _, m := range CompareMeasures() {
+		for _, m := range names {
 			w := want[m]
 			for i, q := range queries {
 				// The second pass is served from ID-keyed caches and must not

@@ -54,7 +54,7 @@ func TestInlineQueryMatchesStoredQuery(t *testing.T) {
 					t.Fatalf("Search resolved the caller's query object")
 				}
 				for _, mod := range q.Modules {
-					if mod.LabelID != 0 || mod.CanonID != 0 || mod.TypeID != 0 {
+					if mod.Syms != (Module{}).Syms || mod.CanonID != 0 {
 						t.Fatalf("Search wrote symbol IDs into the caller's query modules")
 					}
 				}
@@ -66,9 +66,9 @@ func TestInlineQueryMatchesStoredQuery(t *testing.T) {
 // TestTwoEnginesKeepTheirLabelMemosApart: two engines in one process hold the
 // same label strings under different symbol IDs (the second corpus is the
 // first one ingested in reverse, after a few workflows of its own). Each
-// engine's label-similarity memo is keyed by its own table's IDs, so a memo
-// shared between them — a package-level one, say — would serve one engine
-// the other's similarities. Four goroutines search both engines alternately,
+// engine's similarity memo — labels, scripts and descriptions alike — is
+// keyed by its own table's IDs, so a memo shared between them — a
+// package-level one, say — would serve one engine the other's similarities. Four goroutines search both engines alternately,
 // inline and by ID; every result must equal the brute-force reference's over
 // the same corpus (bruteForce), which no ID-keyed state can reach. Run under
 // -race -count=10 in CI.
@@ -121,7 +121,7 @@ func TestTwoEnginesKeepTheirLabelMemosApart(t *testing.T) {
 	}
 	var probes []probe
 	for _, reverse := range []bool{false, true} {
-		for _, m := range []string{"MS_ip_te_pll", "MS_np_ta_pw0"} {
+		for _, m := range []string{"MS_ip_te_pll", "MS_np_ta_pw0", "MS_np_ta_pw3"} {
 			for i := 0; i < len(wfs); i += 5 {
 				probes = append(probes, probe{reverse: reverse, id: wfs[i].ID, measure: m})
 				q := wfs[(i+1)%len(wfs)].Clone()

@@ -245,3 +245,50 @@ func parseSeeds() []string {
 		"MS_greedy_pll_greedy", "bT", "MS_np_ta_pll_nonorm_greedy", "MS__pll", "MS_pll_",
 		"ENS(BW+MS_ip_te_pll)", "MS_ip_ta_pll", "GE_np_ta_pll")
 }
+
+// TestMeasuresIgnoreAnotherTablesSymbols: a measure from the registry
+// compares workflows two repositories resolved — each by its own symbol
+// table — as it compares their unresolved clones. Two tables assign the same
+// IDs to different strings, so a measure that read one side's attribute IDs
+// against the other's scored most of these pairs wrong (MS_np_ta_pll 80,
+// MS_np_tm_plm 64 and MS_np_ta_pw0 98 of 100).
+func TestMeasuresIgnoreAnotherTablesSymbols(t *testing.T) {
+	corpusOf := func(p Profile, seed int64) []*Workflow {
+		p.Workflows, p.Clusters = 30, 5
+		c, err := GenerateCorpus(p, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c.Repo.Workflows()[:10]
+	}
+	taverna, galaxy := corpusOf(TavernaProfile(), 1), corpusOf(GalaxyProfile(), 2)
+	if taverna[0].SymtabRef() == galaxy[0].SymtabRef() {
+		t.Fatal("the two corpora share a symbol table")
+	}
+	reg := NewRegistry()
+	for _, name := range []string{"MS_np_ta_pll", "MS_np_tm_plm", "MS_np_ta_pw0", "MS_ip_te_pw3", "BW", "BT"} {
+		m, err := reg.Parse(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrong := 0
+		for _, a := range taverna {
+			for _, b := range galaxy {
+				got, err := m.Compare(a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := m.Compare(a.Clone(), b.Clone())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got != want {
+					wrong++
+				}
+			}
+		}
+		if wrong > 0 {
+			t.Errorf("%s: %d of %d scores differ from the unresolved clones'", name, wrong, len(taverna)*len(galaxy))
+		}
+	}
+}

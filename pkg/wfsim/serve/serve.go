@@ -564,7 +564,9 @@ type statsResponse struct {
 	// Index, Cache and Storage are cross-shard aggregates; PerShard holds
 	// the per-shard breakdown (omitted on one shard, where it would repeat
 	// them). Symbols and LabelSim size the two process-lifetime structures
-	// that grow with traffic: the symbol table and the label-similarity memo.
+	// that grow with traffic: the symbol table and the similarity memo of
+	// every attribute compared by edit distance (named label_sim for
+	// compatibility; it holds more than labels).
 	Index             *wfsim.IndexStats   `json:"index,omitempty"`
 	Cache             wfsim.CacheStats    `json:"cache"`
 	Storage           *wfsim.StorageStats `json:"storage,omitempty"`

@@ -300,9 +300,9 @@ func TestRoundTrip(t *testing.T) {
 
 // TestStatsReportSymbolsAndLabelSim: /v1/stats sizes the two structures that
 // live as long as the process and grow with traffic. A search fills the
-// label-similarity memo; an inline query with a label the corpus has never
-// seen interns it (as ingest would), and a repeat of the same query adds
-// nothing.
+// similarity memo (label_sim); an inline query with a label the corpus has
+// never seen interns it (as ingest would), and a repeat of the same query
+// adds nothing.
 func TestStatsReportSymbolsAndLabelSim(t *testing.T) {
 	ts, _ := newTestServer(t, serve.Config{})
 	type sized struct {

@@ -84,7 +84,7 @@ func (e *Engine) open(seed *Repository) error {
 	// must come from the same assignment order. The seed's table is reused so
 	// already-resolved seed workflows keep their IDs.
 	e.syms = seed.Symtab()
-	e.labelSim = module.NewLabelSim()
+	e.simMemo = module.NewSimMemo()
 	shards := make([]*shard.Local, n)
 	closeBuilt := func() {
 		for _, s := range shards {

@@ -8,7 +8,7 @@
 # reports no "pruned" and lists what a server started without -index lists.
 # Then two checks that also run at 4 shards in phase 3. Inline equals stored: the stored body of a
 # workflow posted as an inline query must return the result list its query_id
-# returns, and /v1/stats must size the symbol table and the label-similarity
+# returns, and /v1/stats must size the symbol table and the similarity
 # memo those searches filled. The cache check: search by query_id, commit a
 # batch that touches other IDs, repeat the search — it must still hit the
 # cache, miss at most once per workflow the batch wrote, and return the same
@@ -132,7 +132,7 @@ inline_matches_stored() {
   stats=$(curl -fsS "http://$ADDR/v1/stats")
   echo "$stats" | grep -q '"symbols":[1-9]' || { echo "smoke: stats report no symbols: $stats" >&2; exit 1; }
   echo "$stats" | grep -q '"label_sim":{"entries":[1-9]' || {
-    echo "smoke: stats report an empty label-similarity memo after searches: $stats" >&2; exit 1; }
+    echo "smoke: stats report an empty similarity memo after searches: $stats" >&2; exit 1; }
 }
 
 # index_is_not_consulted: over the freshly ingested fixture on $ADDR, after
