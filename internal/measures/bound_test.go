@@ -66,8 +66,10 @@ func fuzzWorkflows(data []byte, limit int) (a, b *workflow.Workflow) {
 	return a, b
 }
 
-// boundConfigs is every Module Sets configuration the bound has to hold for.
-func boundConfigs() []*Structural {
+// boundConfigs is every Module Sets configuration the bound has to hold for,
+// each with memo, which must belong to the table that resolved the inputs
+// they compare: a test builds one per input, as an engine owns one per table.
+func boundConfigs(memo *module.SimMemo) []*Structural {
 	var out []*Structural
 	for _, scheme := range []module.Scheme{module.PLL(), module.PLM(), module.PW0(), module.PW3()} {
 		for _, pre := range []module.Preselect{module.AllPairs, module.TypeMatch, module.TypeEquivalence} {
@@ -75,7 +77,7 @@ func boundConfigs() []*Structural {
 				for _, norm := range []bool{true, false} {
 					out = append(out, NewStructural(Config{
 						Topology: ModuleSets, Scheme: scheme, Preselect: pre,
-						Mapping: mapping, Normalize: norm, Memo: module.NewSimMemo(),
+						Mapping: mapping, Normalize: norm, Memo: memo,
 					}))
 				}
 			}
@@ -85,8 +87,9 @@ func boundConfigs() []*Structural {
 }
 
 // matrixBound is the second tier of the kernel's bound, computed the way
-// moduleSets computes it.
+// moduleSets computes it, on the pair and under the memo CompareFloor uses.
 func matrixBound(s *Structural, a, b *workflow.Workflow) float64 {
+	s, a, b = s.oneTable(a, b)
 	if a.Size() == 0 || b.Size() == 0 {
 		return 0
 	}
@@ -151,10 +154,9 @@ func FuzzScoreBound(f *testing.F) {
 	for _, seed := range rowStopSeeds {
 		f.Add(seed.data, seed.floor)
 	}
-	configs := boundConfigs()
 	f.Fuzz(func(t *testing.T, data []byte, floor float64) {
 		a, b := fuzzWorkflows(data, 8)
-		for _, s := range configs {
+		for _, s := range boundConfigs(module.NewSimMemo()) {
 			if err := checkScoreBound(s, a, b, floor); err != nil {
 				t.Fatalf("%s(a, b): %v", s.Name(), err)
 			}
@@ -187,7 +189,7 @@ var rowStopSeeds = []struct {
 // fewer cells than the full matrix holds.
 func TestRowStopSkipsCells(t *testing.T) {
 	for i, seed := range rowStopSeeds[:2] {
-		a, b := fuzzWorkflows(seed.data, 8)
+		a, b := oneTable(fuzzWorkflows(seed.data, 8))
 		full, st := module.WeightMatrix(a, b, module.PLL(), module.TypeEquivalence)
 		var counter PairCounter
 		s := NewStructural(Config{Topology: ModuleSets, Scheme: module.PLL(), Preselect: module.TypeEquivalence, Normalize: true, Counter: &counter})
@@ -213,8 +215,8 @@ func TestCompareCountsEveryCell(t *testing.T) {
 				data[j] %= 3
 			}
 		}
-		a, b := fuzzWorkflows(data, 24)
-		for _, s := range boundConfigs() {
+		a, b := oneTable(fuzzWorkflows(data, 24))
+		for _, s := range boundConfigs(module.NewSimMemo()) {
 			cfg := s.Config()
 			_, want := module.WeightMatrix(a, b, cfg.Scheme, cfg.Preselect)
 			score, err := s.Compare(a, b)
@@ -248,7 +250,6 @@ func TestCompareCountsEveryCell(t *testing.T) {
 // for a bound that only holds in the reals to show.
 func TestScoreBoundOnLargerWorkflows(t *testing.T) {
 	r := rand.New(rand.NewSource(20))
-	configs := boundConfigs()
 	data := make([]byte, 1+3*48)
 	for i := 0; i < 60; i++ {
 		r.Read(data)
@@ -259,7 +260,7 @@ func TestScoreBoundOnLargerWorkflows(t *testing.T) {
 			}
 		}
 		a, b := fuzzWorkflows(data, 24)
-		for _, s := range configs {
+		for _, s := range boundConfigs(module.NewSimMemo()) {
 			if err := checkScoreBound(s, a, b, r.Float64()); err != nil {
 				t.Fatalf("pair %d, %s: %v", i, s.Name(), err)
 			}

@@ -5,12 +5,11 @@ import (
 )
 
 // Label-set similarity helpers over the canonical module-label sets of
-// two workflows. On the interned hot representation (both workflows
-// resolved by the same symbol table) they run as word-parallel kernels:
-// a 256-bit popcount prescreen rejects provably disjoint pairs and a
-// single sorted-merge pass counts the overlap. Unresolved workflows fall
-// back to canonical label string sets; the two paths count the same sets,
-// so every result is bit-identical to the string baseline.
+// two workflows. They run on the interned representation as word-parallel
+// kernels: a 256-bit popcount prescreen rejects provably disjoint pairs and
+// a single sorted-merge pass counts the overlap. Like every kernel below the
+// Measure interface they compare symbols of one table, so a pair one table
+// did not resolve is resolved into a fresh one first (oneTable).
 
 // LabelSets is the pure label-set measure: workflow similarity as the
 // Jaccard index (or containment coefficient) of the canonical module-label
@@ -66,38 +65,8 @@ func LabelContainment(a, b *workflow.Workflow) float64 {
 	return float64(shared) / float64(m)
 }
 
-// LabelOverlap returns |A ∩ B| over canonical label sets.
-func LabelOverlap(a, b *workflow.Workflow) int {
-	_, _, shared := labelOverlap(a, b)
-	return shared
-}
-
-// labelOverlap returns the two set sizes and the overlap, taking the
-// merge/popcount kernel when both sides carry the same interned
-// representation and the string fallback otherwise.
+// labelOverlap returns the two set sizes and the overlap.
 func labelOverlap(a, b *workflow.Workflow) (na, nb, shared int) {
-	if s := workflow.LabelOverlap(a, b); s >= 0 {
-		return len(a.LabelSet()), len(b.LabelSet()), s
-	}
-	sa, sb := canonLabelSet(a), canonLabelSet(b)
-	na, nb = len(sa), len(sb)
-	for k := range sa {
-		if sb[k] {
-			shared++
-		}
-	}
-	return na, nb, shared
-}
-
-// canonLabelSet builds the canonical label string set of an unresolved
-// workflow (the pre-intern representation).
-func canonLabelSet(w *workflow.Workflow) map[string]bool {
-	set := make(map[string]bool, len(w.Modules))
-	for _, m := range w.Modules {
-		key := workflow.CanonicalLabel(m.Label)
-		if key != "" {
-			set[key] = true
-		}
-	}
-	return set
+	a, b = oneTable(a, b)
+	return len(a.LabelSet()), len(b.LabelSet()), workflow.LabelOverlap(a, b)
 }

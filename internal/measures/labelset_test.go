@@ -2,8 +2,10 @@ package measures
 
 import (
 	"fmt"
+	"math"
 	"testing"
 
+	"repro/internal/oracle"
 	"repro/internal/symtab"
 	"repro/internal/workflow"
 )
@@ -25,8 +27,8 @@ func TestLabelSetValues(t *testing.T) {
 	b := labelWorkflow("b", "Fetch Sequence", "run_blast", "align_reads", "trim_ends")
 
 	// Canonicalization folds case and separators: 2 shared of 3 vs 4.
-	if got := LabelOverlap(a, b); got != 2 {
-		t.Fatalf("LabelOverlap = %d, want 2", got)
+	if na, nb, shared := labelOverlap(a, b); na != 3 || nb != 4 || shared != 2 {
+		t.Fatalf("labelOverlap = %d, %d, %d; want 3, 4, 2", na, nb, shared)
 	}
 	if got, want := LabelJaccard(a, b), 2.0/5.0; got != want {
 		t.Errorf("LabelJaccard = %v, want %v", got, want)
@@ -41,47 +43,43 @@ func TestLabelSetValues(t *testing.T) {
 	}
 }
 
-// The interned kernel (bitset prescreen + sorted merge) and the string
-// fallback must agree bit for bit on every pair, including pairs where only
-// one side is resolved (mixed pairs take the fallback).
-func TestLabelSetKernelMatchesStringFallback(t *testing.T) {
-	mk := func() []*workflow.Workflow {
-		return []*workflow.Workflow{
+// TestLabelSetsMatchOracle: the label-set kernel (bitset prescreen, sorted
+// merge) returns the oracle's score, bit for bit, on every pair — resolved by
+// one table, by two, by none, or on one side only; oneTable resolves all but
+// the first into a table of its own.
+func TestLabelSetsMatchOracle(t *testing.T) {
+	mk := func(tab *symtab.Table) []*workflow.Workflow {
+		ws := []*workflow.Workflow{
 			labelWorkflow("a", "fetch_sequence", "run_blast", "plot_hits"),
 			labelWorkflow("b", "Fetch Sequence", "RUN_BLAST", "align_reads"),
 			labelWorkflow("c", "segment_cells", "load_image"),
 			labelWorkflow("d"),
 			labelWorkflow("e", "fetch_sequence"),
 		}
+		for _, w := range ws {
+			w.Resolve(tab)
+		}
+		return ws
 	}
-	plain := mk()
-	resolved := mk()
-	tab := symtab.New()
-	for _, w := range resolved {
-		w.Resolve(tab)
-	}
-	for _, m := range []Measure{LabelSets{}, LabelSets{Containment: true}} {
+	plain, resolved, foreign := mk(nil), mk(symtab.New()), mk(symtab.New())
+	for _, c := range []bool{false, true} {
+		m, want := LabelSets{Containment: c}, oracle.LabelSets{Containment: c}
 		for i := range plain {
 			for j := range plain {
-				want, err := m.Compare(plain[i], plain[j])
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := m.Compare(resolved[i], resolved[j])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if got != want {
-					t.Errorf("%s(%s,%s): interned %v vs string %v",
-						m.Name(), plain[i].ID, plain[j].ID, got, want)
-				}
-				mixed, err := m.Compare(plain[i], resolved[j])
-				if err != nil {
-					t.Fatal(err)
-				}
-				if mixed != want {
-					t.Errorf("%s(%s,%s) mixed pair: %v vs string %v",
-						m.Name(), plain[i].ID, plain[j].ID, mixed, want)
+				w := want.Compare(plain[i], plain[j])
+				for kind, pair := range map[string][2]*workflow.Workflow{
+					"one table":  {resolved[i], resolved[j]},
+					"two tables": {resolved[i], foreign[j]},
+					"unresolved": {plain[i], plain[j]},
+					"mixed":      {plain[i], resolved[j]},
+				} {
+					got, err := m.Compare(pair[0], pair[1])
+					if err != nil {
+						t.Fatal(err)
+					}
+					if math.Float64bits(got) != math.Float64bits(w) {
+						t.Errorf("%s(%s, %s), %s: %v, oracle %v", m.Name(), plain[i].ID, plain[j].ID, kind, got, w)
+					}
 				}
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"repro/internal/ged"
 	"repro/internal/matching"
 	"repro/internal/module"
+	"repro/internal/symtab"
 	"repro/internal/workflow"
 )
 
@@ -91,7 +92,9 @@ type Config struct {
 	// Memo, when non-nil, memoizes EditDistance comparisons of interned
 	// attribute values across compares — installed by Specialise for a
 	// scan, usually the engine's memo, which outlives it (see
-	// module.SimMemo). Scores are bit-identical with or without it.
+	// module.SimMemo). It must belong to the symbol table that resolved the
+	// compared workflows; a pair Compare resolves itself (oneTable) is
+	// compared without it. Scores are bit-identical with or without it.
 	Memo *module.SimMemo
 }
 
@@ -139,7 +142,7 @@ func structuralName(cfg Config) string {
 
 // Compare computes the configured structural similarity of a and b.
 func (s *Structural) Compare(a, b *workflow.Workflow) (float64, error) {
-	a, b = s.projected(oneTable(a, b))
+	s, a, b = s.oneTable(s.projected(a, b))
 	switch s.cfg.Topology {
 	case ModuleSets:
 		v, _ := s.moduleSets(a, b, math.Inf(-1))
@@ -192,21 +195,41 @@ func (s boundedModuleSets) UpperBounds(a *workflow.Workflow) func(b *workflow.Wo
 //
 //wfsimvet:hotpath
 func (s boundedModuleSets) CompareFloor(a, b *workflow.Workflow, floor float64) (float64, bool, error) {
-	a, b = s.projected(oneTable(a, b))
-	v, below := s.moduleSets(a, b, floor)
+	st, a, b := s.oneTable(s.projected(a, b))
+	v, below := st.moduleSets(a, b, floor)
 	return v, below, nil
 }
 
-// oneTable returns a and b, or unresolved clones of both when two different
-// symbol tables resolved them: the tables assign the same IDs to different
-// strings, so across them only the string attributes compare. An unresolved
-// side needs nothing — a zero ID already takes the string path — and a scan,
-// whose workflows one table resolved, never clones.
+// oneTable is the rule below the Measure interface: a kernel only ever sees
+// workflows one symbol table resolved. It returns a and b when one table
+// resolved both — every pair of a scan, whose query the engine resolves into
+// the corpus's table, and their projections, which the source's table
+// resolves — and otherwise clones of both that a fresh table resolves: an
+// unresolved workflow has no symbols to compare, and two tables assign the
+// same IDs to different strings. Which table resolved a pair does not change
+// its score. Measures apply it last, to the very pair a kernel compares.
 func oneTable(a, b *workflow.Workflow) (*workflow.Workflow, *workflow.Workflow) {
-	if ta, tb := a.SymtabRef(), b.SymtabRef(); ta != nil && tb != nil && ta != tb {
-		return a.Clone(), b.Clone()
+	if t := a.SymtabRef(); t != nil && b.ResolvedBy(t) {
+		return a, b
 	}
+	t := symtab.New()
+	a, b = a.Clone(), b.Clone()
+	a.ResolveModules(t)
+	b.ResolveModules(t)
 	return a, b
+}
+
+// oneTable applies the package's oneTable to a pair about to be compared
+// under s. A memo belongs to one symbol table, so a pair resolved into a
+// fresh one is compared under a copy of s without it.
+func (s *Structural) oneTable(a, b *workflow.Workflow) (*Structural, *workflow.Workflow, *workflow.Workflow) {
+	ra, rb := oneTable(a, b)
+	if ra != a && s.cfg.Memo != nil {
+		cfg := s.cfg
+		cfg.Memo = nil
+		s = &Structural{cfg: cfg, name: s.name}
+	}
+	return s, ra, rb
 }
 
 // projected applies the configured preprocessing (ip), if any, to both sides.

@@ -7,19 +7,19 @@
 //
 // The weight matrix of two workflows is the per-pair kernel of every
 // structural scan, so it has a dense form beside the plain one: AcquireMatrix
-// fills a pooled flat buffer instead of allocating rows. Every attribute a
-// scheme compares is interned at ingest (workflow.Module.Syms), so equal
-// values are one integer compare, and edit-distance comparisons of distinct
-// values go through a memo (SimMemo) keyed by symbol-ID pair, read without a
-// lock, that lives as long as the symbol table it belongs to: a value pair is
-// compared once per process, not once per scan. Every form returns the same
-// bits.
+// fills a pooled flat buffer instead of allocating rows. The kernels compare
+// symbol IDs, not strings: every attribute a scheme compares is interned at
+// ingest (workflow.Module.Syms), so equal values are one integer compare,
+// and edit-distance comparisons of distinct values go through a memo
+// (SimMemo) keyed by symbol-ID pair, read without a lock, that lives as long
+// as the symbol table it belongs to: a value pair is compared once per
+// process, not once per scan. Every form returns the same bits. A kernel
+// only ever sees modules of workflows one symbol table resolved; the
+// measures enforce that before they call it, and package oracle holds the
+// kernels to a string definition of the same similarities.
 package module
 
-import (
-	"repro/internal/textutil"
-	"repro/internal/workflow"
-)
+import "repro/internal/workflow"
 
 // Comparator is a similarity function on attribute values, returning a value
 // in [0,1].
@@ -31,19 +31,6 @@ const (
 	// EditDistance yields the length-normalised Levenshtein similarity.
 	EditDistance
 )
-
-func (c Comparator) compare(a, b string) float64 {
-	switch c {
-	case Exact:
-		if a == b {
-			return 1
-		}
-		return 0
-	case EditDistance:
-		return textutil.LevenshteinSimilarity(a, b)
-	}
-	return 0
-}
 
 // String implements fmt.Stringer.
 func (c Comparator) String() string {
@@ -65,19 +52,14 @@ type AttributeSpec struct {
 }
 
 // Scheme is a complete module-comparison configuration: a named set of
-// attribute specs. Similarity is the weighted mean of per-attribute
-// similarities over the attributes present in at least one of the modules;
-// weights are renormalised over present attributes so that modules of types
-// carrying fewer attributes (e.g. local operations without a ServiceURI) are
-// not penalised for structurally absent data.
+// attribute specs. Module similarity (Scheme.SimilarityMemo) is the weighted
+// mean of per-attribute similarities over the attributes present in at least
+// one of the modules; weights are renormalised over present attributes so
+// that modules of types carrying fewer attributes (e.g. local operations
+// without a ServiceURI) are not penalised for structurally absent data.
 type Scheme struct {
 	Name  string
 	Specs []AttributeSpec
-}
-
-// Similarity computes the scheme's module similarity in [0,1].
-func (s Scheme) Similarity(a, b *workflow.Module) float64 {
-	return s.SimilarityMemo(a, b, nil)
 }
 
 // PW0 is the paper's default scheme: uniform weights on all attributes,

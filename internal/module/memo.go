@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/textutil"
 	"repro/internal/workflow"
 )
 
@@ -156,7 +157,7 @@ func grownSimMemoTable(old *simMemoTable) *simMemoTable {
 //wfsimvet:hotpath
 func (sm *SimMemo) editSimilarity(a, b *workflow.Module, attr workflow.Attr) float64 {
 	if sm == nil {
-		return EditDistance.compare(a.Value(attr), b.Value(attr))
+		return textutil.LevenshteinSimilarity(a.Value(attr), b.Value(attr))
 	}
 	ida, idb := a.Syms[attr], b.Syms[attr]
 	if ida > idb {
@@ -166,42 +167,36 @@ func (sm *SimMemo) editSimilarity(a, b *workflow.Module, attr workflow.Attr) flo
 	if v, ok := sm.get(k); ok {
 		return v
 	}
-	v := EditDistance.compare(a.Value(attr), b.Value(attr))
+	v := textutil.LevenshteinSimilarity(a.Value(attr), b.Value(attr))
 	sm.put(k, v)
 	return v
 }
 
-// SimilarityMemo computes the scheme's module similarity like Similarity,
-// memoizing EditDistance comparisons in memo (which may be nil). Every
-// attribute takes the symbol path when both modules carry its symbol: IDs
-// come from one append-only table, so equal nonzero IDs prove the values
-// identical (similarity 1 under every comparator) and distinct ones prove
-// them different, which decides Exact outright and sends EditDistance
-// through the memo. A zero ID — an empty value, or a module no table
-// resolved — takes the plain string comparison. Scores are bit-identical to
-// Similarity on unresolved modules.
+// SimilarityMemo computes the scheme's module similarity in [0,1],
+// memoizing EditDistance comparisons in memo (which may be nil). It reads
+// the modules' symbols only, so a and b must belong to workflows one symbol
+// table resolved — the measures see to that — and memo must belong to that
+// table. IDs come from one append-only table, so equal IDs prove the values
+// identical and distinct ones prove them different. Per attribute: zero on
+// both sides is an empty value on both, absent from the comparison; zero on
+// one side counts the attribute's weight with similarity 0 (an empty string
+// is at edit distance its whole length from any other); equal nonzero IDs
+// score 1 under every comparator; distinct nonzero IDs score 0 under Exact
+// and go through the memo under EditDistance.
 //
 //wfsimvet:hotpath
 func (s Scheme) SimilarityMemo(a, b *workflow.Module, memo *SimMemo) float64 {
 	var sum, wsum float64
 	for _, spec := range s.Specs {
-		if ida, idb := a.Syms[spec.Attr], b.Syms[spec.Attr]; ida != 0 && idb != 0 {
-			// Nonzero IDs prove both values nonempty: the attribute is
-			// present and contributes its weight.
-			wsum += spec.Weight
-			switch {
-			case ida == idb:
-				sum += spec.Weight // identical values: similarity 1
-			case spec.Cmp == EditDistance:
-				sum += spec.Weight * memo.editSimilarity(a, b, spec.Attr)
-			} // distinct symbols under Exact: distinct values, similarity 0
-			continue
-		}
-		va, vb := a.Value(spec.Attr), b.Value(spec.Attr)
-		if va == "" && vb == "" {
+		ida, idb := a.Syms[spec.Attr], b.Syms[spec.Attr]
+		switch {
+		case ida == 0 && idb == 0:
 			continue // attribute absent from both: no evidence either way
-		}
-		sum += spec.Weight * spec.Cmp.compare(va, vb)
+		case ida == idb:
+			sum += spec.Weight // identical values: similarity 1
+		case ida != 0 && idb != 0 && spec.Cmp == EditDistance:
+			sum += spec.Weight * memo.editSimilarity(a, b, spec.Attr)
+		} // otherwise distinct values under Exact, or one empty: similarity 0
 		wsum += spec.Weight
 	}
 	if wsum == 0 {

@@ -6,7 +6,7 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/symtab"
+	"repro/internal/oracle"
 	"repro/internal/workflow"
 )
 
@@ -14,47 +14,43 @@ import (
 // fresh symbol table.
 func resolvedPair(seed int64, n int) (*workflow.Workflow, *workflow.Workflow) {
 	r := rand.New(rand.NewSource(seed))
-	tab := symtab.New()
 	a, b := workflow.New("a"), workflow.New("b")
 	for i := 0; i < n; i++ {
 		a.AddModule(randModule(r))
 		b.AddModule(randModule(r))
 	}
-	a.Resolve(tab)
-	b.Resolve(tab)
+	resolve(a, b)
 	return a, b
 }
 
 // TestWeightMatrixPathsAgree: the fresh matrix (WeightMatrix), the memoized
 // one and the pooled one (AcquireMatrix, reused across shapes so stale cells
 // would show) hold the same bits and the same comparison counts under every
-// scheme, and all of them equal the string definition — Allows, then
-// Similarity, on unresolved clones — so the symbol path of every attribute
-// (equal IDs, Exact on distinct IDs, the ID-pair memo) changes no score.
+// scheme and preselection: Allows, then SimilarityMemo without a memo, cell
+// by cell. TestSimilarityMatchesOracle holds that to the string definition.
 func TestWeightMatrixPathsAgree(t *testing.T) {
 	memoized := 0
 	for seed := int64(0); seed < 200; seed++ {
 		a, b := resolvedPair(seed, 1+int(seed%9))
-		memo := NewSimMemo() // one per symbol table: IDs of two tables must never meet in a memo
 		if seed%3 == 0 {
-			b = b.Clone() // unresolved side: string path
+			b.Modules = b.Modules[:min(b.Size(), 1+int(seed%4))] // unequal sides
 		}
 		if seed%5 == 4 {
 			a, b = b, a
 		}
-		ua, ub := a.Clone(), b.Clone() // the string definition
+		memo := NewSimMemo() // one per symbol table: IDs of two tables must never meet in a memo
 		for _, s := range []Scheme{PW0(), PW3(), PLL(), PLM(), GW1(), GLL()} {
 			for _, p := range []Preselect{AllPairs, TypeMatch, TypeEquivalence} {
 				plain, pst := WeightMatrix(a, b, s, p)
 				memoed, mst := WeightMatrixMemo(a, b, s, p, memo)
 				mx := AcquireMatrix(a, b, s, p, memo, RowStop{})
 				compared := 0
-				for i, x := range ua.Modules {
-					for j, y := range ub.Modules {
+				for i, x := range a.Modules {
+					for j, y := range b.Modules {
 						want := 0.0
 						if p.Allows(x, y) {
 							compared++
-							want = s.Similarity(x, y)
+							want = s.SimilarityMemo(x, y, nil)
 						}
 						for name, got := range map[string]float64{"WeightMatrix": plain[i][j], "WeightMatrixMemo": memoed[i][j], "AcquireMatrix": mx.W[i][j]} {
 							if math.Float64bits(got) != math.Float64bits(want) {
@@ -76,6 +72,43 @@ func TestWeightMatrixPathsAgree(t *testing.T) {
 	if memoized == 0 {
 		t.Error("memo stayed empty across edit-distance schemes")
 	}
+}
+
+// TestSimilarityMatchesOracle holds every scheme's module similarity to the
+// oracle's string definition, bit for bit, with and without a memo, in both
+// argument orders, over random modules with every attribute the schemes
+// compare: empty on one side, both or neither, parameters included.
+func TestSimilarityMatchesOracle(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	w := workflow.New("modules")
+	for i := 0; i < 400; i++ {
+		w.AddModule(randModule(r))
+	}
+	resolve(w)
+	memo := NewSimMemo()
+	schemes := []Scheme{PW0(), PW3(), PLL(), PLM(), GW1(), GLL()}
+	if names := oracle.Schemes(); len(names) != len(schemes) {
+		t.Fatalf("the oracle defines schemes %v, the package %d", names, len(schemes))
+	}
+	checked := 0
+	for i := 0; i+1 < len(w.Modules); i += 2 {
+		for _, pair := range [][2]*workflow.Module{{w.Modules[i], w.Modules[i+1]}, {w.Modules[i+1], w.Modules[i]}, {w.Modules[i], w.Modules[i]}} {
+			a, b := pair[0], pair[1]
+			for _, s := range schemes {
+				want := oracle.ModuleSim(s.Name, a, b)
+				for _, m := range []*SimMemo{nil, memo, memo} { // the second memo pass reads what the first stored
+					if got := s.SimilarityMemo(a, b, m); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("%s(%+v, %+v), memo %v: %v, oracle %v", s.Name, *a, *b, m != nil, got, want)
+					}
+					checked++
+				}
+			}
+		}
+	}
+	if memo.Len() == 0 {
+		t.Error("no edit-distance pair reached the memo")
+	}
+	t.Logf("%d module scores matched the oracle bit for bit", checked)
 }
 
 // TestSimMemoConcurrent hammers one SimMemo from several goroutines across

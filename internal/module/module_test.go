@@ -6,8 +6,27 @@ import (
 	"testing/quick"
 
 	"repro/internal/matching"
+	"repro/internal/symtab"
 	"repro/internal/workflow"
 )
+
+// resolve interns the attributes of every workflow's modules into one fresh
+// symbol table, as ingest does: the kernels read symbols only, and only ever
+// see modules of workflows one table resolved.
+func resolve(ws ...*workflow.Workflow) {
+	tab := symtab.New()
+	for _, w := range ws {
+		w.Resolve(tab)
+	}
+}
+
+// resolved returns ms, their attributes interned into one fresh table.
+func resolved(ms ...*workflow.Module) []*workflow.Module {
+	w := workflow.New("modules")
+	w.Modules = ms
+	resolve(w)
+	return ms
+}
 
 func wsModule(label, uri, svc, auth string) *workflow.Module {
 	return &workflow.Module{
@@ -17,19 +36,18 @@ func wsModule(label, uri, svc, auth string) *workflow.Module {
 }
 
 func TestSchemeIdenticalModules(t *testing.T) {
-	m := wsModule("getPathway", "http://soap.genome.jp/KEGG.wsdl", "get_pathway", "kegg")
+	m := resolved(wsModule("getPathway", "http://soap.genome.jp/KEGG.wsdl", "get_pathway", "kegg"))[0]
 	for _, s := range []Scheme{PW0(), PW3(), PLL(), PLM(), GW1(), GLL()} {
-		if got := s.Similarity(m, m); got != 1 {
+		if got := s.SimilarityMemo(m, m, nil); got != 1 {
 			t.Errorf("%s self-similarity = %v, want 1", s.Name, got)
 		}
 	}
 }
 
 func TestSchemeRange(t *testing.T) {
-	a := wsModule("getPathway", "http://a", "op1", "x")
-	b := &workflow.Module{Label: "split_string", Type: workflow.TypeLocalWorker}
+	ms := resolved(wsModule("getPathway", "http://a", "op1", "x"), &workflow.Module{Label: "split_string", Type: workflow.TypeLocalWorker})
 	for _, s := range []Scheme{PW0(), PW3(), PLL(), PLM()} {
-		got := s.Similarity(a, b)
+		got := s.SimilarityMemo(ms[0], ms[1], nil)
 		if got < 0 || got > 1 {
 			t.Errorf("%s similarity out of range: %v", s.Name, got)
 		}
@@ -37,12 +55,12 @@ func TestSchemeRange(t *testing.T) {
 }
 
 func TestPLMStrictVsPLLGraded(t *testing.T) {
-	a := &workflow.Module{Label: "getPathways"}
-	b := &workflow.Module{Label: "getPathway"} // one char off
-	if got := PLM().Similarity(a, b); got != 0 {
+	ms := resolved(&workflow.Module{Label: "getPathways"}, &workflow.Module{Label: "getPathway"}) // one char off
+	a, b := ms[0], ms[1]
+	if got := PLM().SimilarityMemo(a, b, nil); got != 0 {
 		t.Errorf("plm on near-identical labels = %v, want 0 (strict)", got)
 	}
-	if got := PLL().Similarity(a, b); got <= 0.8 {
+	if got := PLL().SimilarityMemo(a, b, nil); got <= 0.8 {
 		t.Errorf("pll on near-identical labels = %v, want > 0.8", got)
 	}
 }
@@ -50,9 +68,8 @@ func TestPLMStrictVsPLLGraded(t *testing.T) {
 func TestAbsentAttributesNotPenalised(t *testing.T) {
 	// Two local modules with identical labels: under pw0 the web-service
 	// attributes are absent from both and must not drag similarity down.
-	a := &workflow.Module{Label: "mergeLists", Type: workflow.TypeLocalWorker}
-	b := &workflow.Module{Label: "mergeLists", Type: workflow.TypeLocalWorker}
-	if got := PW0().Similarity(a, b); got != 1 {
+	ms := resolved(&workflow.Module{Label: "mergeLists", Type: workflow.TypeLocalWorker}, &workflow.Module{Label: "mergeLists", Type: workflow.TypeLocalWorker})
+	if got := PW0().SimilarityMemo(ms[0], ms[1], nil); got != 1 {
 		t.Errorf("pw0 on identical local modules = %v, want 1", got)
 	}
 }
@@ -60,9 +77,8 @@ func TestAbsentAttributesNotPenalised(t *testing.T) {
 func TestAttributePresentOnOneSideCounts(t *testing.T) {
 	// One module has a script, the other doesn't: the script attribute is
 	// present in the union and must contribute a mismatch.
-	a := &workflow.Module{Label: "x", Type: workflow.TypeBeanshell, Script: "return 1;"}
-	b := &workflow.Module{Label: "x", Type: workflow.TypeBeanshell}
-	got := PW0().Similarity(a, b)
+	ms := resolved(&workflow.Module{Label: "x", Type: workflow.TypeBeanshell, Script: "return 1;"}, &workflow.Module{Label: "x", Type: workflow.TypeBeanshell})
+	got := PW0().SimilarityMemo(ms[0], ms[1], nil)
 	if got >= 1 {
 		t.Errorf("similarity = %v, want < 1 (script mismatch)", got)
 	}
@@ -74,9 +90,8 @@ func TestAttributePresentOnOneSideCounts(t *testing.T) {
 func TestPW3WeightsLabelHigher(t *testing.T) {
 	// Same label, different type: pw3 weighs the label (3) against type (1),
 	// pw0 weighs them equally, so pw3 must score higher.
-	a := &workflow.Module{Label: "BLAST", Type: workflow.TypeWSDL}
-	b := &workflow.Module{Label: "BLAST", Type: workflow.TypeSoaplabWSDL}
-	if pw3, pw0 := PW3().Similarity(a, b), PW0().Similarity(a, b); pw3 <= pw0 {
+	ms := resolved(&workflow.Module{Label: "BLAST", Type: workflow.TypeWSDL}, &workflow.Module{Label: "BLAST", Type: workflow.TypeSoaplabWSDL})
+	if pw3, pw0 := PW3().SimilarityMemo(ms[0], ms[1], nil), PW0().SimilarityMemo(ms[0], ms[1], nil); pw3 <= pw0 {
 		t.Errorf("pw3=%v should exceed pw0=%v when labels agree but type differs", pw3, pw0)
 	}
 }
@@ -94,11 +109,15 @@ func TestSchemeByName(t *testing.T) {
 }
 
 func TestComparators(t *testing.T) {
-	if Exact.compare("a", "a") != 1 || Exact.compare("a", "A") != 0 {
+	ms := resolved(&workflow.Module{Label: "a"}, &workflow.Module{Label: "a"}, &workflow.Module{Label: "A"}, &workflow.Module{Label: "ab"})
+	label := func(c Comparator) Scheme {
+		return Scheme{Name: c.String(), Specs: []AttributeSpec{{workflow.AttrLabel, 1, c}}}
+	}
+	if exact := label(Exact); exact.SimilarityMemo(ms[0], ms[1], nil) != 1 || exact.SimilarityMemo(ms[0], ms[2], nil) != 0 || exact.SimilarityMemo(ms[0], ms[3], nil) != 0 {
 		t.Error("Exact misbehaves")
 	}
-	if EditDistance.compare("abc", "abc") != 1 {
-		t.Error("EditDistance identical != 1")
+	if edit := label(EditDistance); edit.SimilarityMemo(ms[0], ms[1], nil) != 1 || edit.SimilarityMemo(ms[0], ms[3], nil) != 0.5 {
+		t.Error("EditDistance misbehaves")
 	}
 }
 
@@ -125,9 +144,8 @@ func TestClassOf(t *testing.T) {
 }
 
 func TestPreselectAllows(t *testing.T) {
-	wsdl := &workflow.Module{Type: workflow.TypeWSDL}
-	soaplab := &workflow.Module{Type: workflow.TypeSoaplabWSDL}
-	local := &workflow.Module{Type: workflow.TypeLocalWorker}
+	ms := resolved(&workflow.Module{Type: workflow.TypeWSDL}, &workflow.Module{Type: workflow.TypeSoaplabWSDL}, &workflow.Module{Type: workflow.TypeLocalWorker})
+	wsdl, soaplab, local := ms[0], ms[1], ms[2]
 
 	if !AllPairs.Allows(wsdl, local) {
 		t.Error("ta must allow everything")
@@ -154,6 +172,7 @@ func TestWeightMatrixStats(t *testing.T) {
 	b.AddModule(wsModule("get", "u1", "s1", "auth"))
 	b.AddModule(&workflow.Module{Label: "merge", Type: workflow.TypeLocalWorker})
 	b.AddModule(&workflow.Module{Label: "sh", Type: workflow.TypeBeanshell, Script: "x"})
+	resolve(a, b)
 
 	w, st := WeightMatrix(a, b, PW0(), TypeEquivalence)
 	if st.Total != 6 {
@@ -201,9 +220,10 @@ func TestPropertySchemeSymmetricBounded(t *testing.T) {
 	schemes := []Scheme{PW0(), PW3(), PLL(), PLM(), GW1(), GLL()}
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
-		a, b := randModule(r), randModule(r)
+		ms := resolved(randModule(r), randModule(r))
+		a, b := ms[0], ms[1]
 		for _, s := range schemes {
-			sab, sba := s.Similarity(a, b), s.Similarity(b, a)
+			sab, sba := s.SimilarityMemo(a, b, nil), s.SimilarityMemo(b, a, nil)
 			if sab != sba {
 				return false
 			}
@@ -219,7 +239,7 @@ func TestPropertySchemeSymmetricBounded(t *testing.T) {
 					break
 				}
 			}
-			if seesValue && s.Similarity(a, a) < 1-1e-12 {
+			if seesValue && s.SimilarityMemo(a, a, nil) < 1-1e-12 {
 				return false
 			}
 		}
@@ -231,11 +251,11 @@ func TestPropertySchemeSymmetricBounded(t *testing.T) {
 }
 
 func BenchmarkPW0Similarity(b *testing.B) {
-	x := wsModule("getKEGGPathway", "http://soap.genome.jp/KEGG.wsdl", "get_pathway", "kegg")
-	y := wsModule("get_pathway_by_gene", "http://soap.genome.jp/KEGG.wsdl", "get_pathways_by_genes", "kegg")
+	ms := resolved(wsModule("getKEGGPathway", "http://soap.genome.jp/KEGG.wsdl", "get_pathway", "kegg"),
+		wsModule("get_pathway_by_gene", "http://soap.genome.jp/KEGG.wsdl", "get_pathways_by_genes", "kegg"))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		PW0().Similarity(x, y)
+		PW0().SimilarityMemo(ms[0], ms[1], nil)
 	}
 }
 
@@ -246,6 +266,7 @@ func BenchmarkWeightMatrix12x12(b *testing.B) {
 		wa.AddModule(randModule(r))
 		wb.AddModule(randModule(r))
 	}
+	resolve(wa, wb)
 	s := PW0()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
@@ -315,6 +336,7 @@ func TestMatchBoundDominatesEveryMatching(t *testing.T) {
 	}
 	for i := 0; i < 200; i++ {
 		a, b := build("a"), build("b")
+		resolve(a, b)
 		for _, p := range []Preselect{AllPairs, TypeMatch, TypeEquivalence} {
 			mx := AcquireMatrix(a, b, PLL(), p, nil, RowStop{})
 			bound := mx.MatchBound()
@@ -326,6 +348,7 @@ func TestMatchBoundDominatesEveryMatching(t *testing.T) {
 	}
 	one := typedWorkflow("one", workflow.TypeWSDL)
 	many := typedWorkflow("many", workflow.TypeWSDL, workflow.TypeWSDL, workflow.TypeWSDL)
+	resolve(one, many)
 	for _, pair := range [][2]*workflow.Workflow{{one, many}, {many, one}} {
 		mx := AcquireMatrix(pair[0], pair[1], PLL(), AllPairs, nil, RowStop{})
 		if got := mx.MatchBound(); got < 1 || got > 1+1e-12 {

@@ -136,16 +136,14 @@ func (p Preselect) MatchCap(a, b *workflow.ModuleClasses) int {
 }
 
 // Allows reports whether the pair (a, b) is a candidate for comparison
-// under the strategy.
+// under the strategy. Like the similarity kernel it compares type symbols, so
+// a and b must belong to workflows one symbol table resolved.
 func (p Preselect) Allows(a, b *workflow.Module) bool {
 	switch p {
 	case AllPairs:
 		return true
 	case TypeMatch:
-		if ta, tb := a.Syms[workflow.AttrType], b.Syms[workflow.AttrType]; ta != 0 && tb != 0 {
-			return ta == tb
-		}
-		return a.Type == b.Type
+		return a.Syms[workflow.AttrType] == b.Syms[workflow.AttrType]
 	case TypeEquivalence:
 		return ClassOf(a.Type) == ClassOf(b.Type)
 	}

@@ -8,64 +8,35 @@ package repoknow
 
 import "repro/internal/workflow"
 
-// UsageStats counts how often each module signature occurs across a
-// repository. Modules used most frequently across different workflows tend
-// to provide trivial, unspecific functionality (string splitting and the
-// like), which motivates removing them before structural comparison.
+// UsageStats counts how often canonical module labels occur across a
+// repository. Labels used across many different workflows tend to name
+// trivial, unspecific functionality (string splitting and the like), which
+// motivates removing those modules before structural comparison. The counts
+// are keyed by the label string, never by a symbol ID: a projector built
+// from them scores workflows of any symbol table, or of none.
 type UsageStats struct {
-	// ByType counts module occurrences per module type.
-	ByType map[string]int
-	// ByLabel counts module occurrences per canonicalized label.
-	ByLabel map[string]int
 	// DocFreq counts, per canonicalized label, the number of distinct
 	// workflows containing it (document frequency).
 	DocFreq map[string]int
-	// DocFreqID mirrors DocFreq keyed by canonical label symbol ID. It
-	// is authoritative only when every scanned workflow carried a
-	// resolved hot representation (see idExact); FrequencyScorer falls
-	// back to the string-keyed DocFreq otherwise, so scores are always
-	// bit-identical to the string baseline.
-	DocFreqID map[uint32]int
 	// Workflows is the number of workflows scanned.
 	Workflows int
 	// Modules is the total number of modules scanned.
 	Modules int
-
-	// idExact records that all scanned workflows were resolved, making
-	// the symbol-keyed projection safe to consult.
-	idExact bool
 }
 
 // CollectUsage scans a set of workflows and tallies module usage.
 func CollectUsage(wfs []*workflow.Workflow) *UsageStats {
-	s := &UsageStats{
-		ByType:    map[string]int{},
-		ByLabel:   map[string]int{},
-		DocFreq:   map[string]int{},
-		DocFreqID: map[uint32]int{},
-		idExact:   true,
-	}
+	s := &UsageStats{DocFreq: map[string]int{}}
 	for _, wf := range wfs {
 		s.Workflows++
-		if !wf.Resolved() {
-			s.idExact = false
-		}
 		seen := map[string]bool{}
 		for _, m := range wf.Modules {
 			s.Modules++
-			s.ByType[m.Type]++
 			key := CanonicalLabel(m.Label)
-			s.ByLabel[key]++
 			if !seen[key] {
 				seen[key] = true
 				s.DocFreq[key]++
 			}
-		}
-		// A resolved workflow's label set is exactly its deduplicated
-		// nonzero canonical label IDs, i.e. the document-frequency
-		// contribution in symbol space.
-		for _, id := range wf.LabelSet() {
-			s.DocFreqID[id]++
 		}
 	}
 	return s
@@ -115,19 +86,13 @@ func NewFrequencyScorer(stats *UsageStats) *FrequencyScorer {
 	return &FrequencyScorer{stats: stats}
 }
 
-// Score implements Scorer. When the statistics were collected over a
-// fully resolved corpus and the module carries a canonical label symbol,
-// the document frequency comes from the symbol-keyed projection — one
-// integer map probe instead of re-canonicalizing the label. Both paths
-// read the same counts, so scores are bit-identical.
+// Score implements Scorer. It reads the module's label, so it scores a
+// module of any workflow the same, whichever symbol table resolved it.
 //
 //wfsimvet:hotpath
 func (f *FrequencyScorer) Score(m *workflow.Module) float64 {
 	if f.stats.Workflows == 0 {
 		return 1
-	}
-	if f.stats.idExact && m.CanonID != 0 {
-		return 1 - float64(f.stats.DocFreqID[m.CanonID])/float64(f.stats.Workflows)
 	}
 	df := float64(f.stats.DocFreq[CanonicalLabel(m.Label)]) / float64(f.stats.Workflows)
 	return 1 - df

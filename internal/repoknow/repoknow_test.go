@@ -29,11 +29,8 @@ func TestCollectUsage(t *testing.T) {
 	if s.Workflows != 2 || s.Modules != 3 {
 		t.Errorf("Workflows=%d Modules=%d, want 2, 3", s.Workflows, s.Modules)
 	}
-	if s.ByType[workflow.TypeWSDL] != 2 || s.ByType[workflow.TypeLocalWorker] != 1 {
-		t.Errorf("ByType = %v", s.ByType)
-	}
-	if s.ByLabel["ma"] != 2 {
-		t.Errorf("ByLabel[ma] = %d, want 2 (case-folded)", s.ByLabel["ma"])
+	if s.DocFreq["ma"] != 2 || s.DocFreq["mb"] != 1 {
+		t.Errorf("DocFreq = %v, want ma 2 (case-folded), mb 1", s.DocFreq)
 	}
 }
 

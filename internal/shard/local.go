@@ -333,18 +333,16 @@ func (p *Pin) Workflows() []*workflow.Workflow  { return p.snap.Workflows() }
 //
 //wfsimvet:hotpath
 func (p *Pin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]search.Result, ReadStats, error) {
-	// A query resolved by a foreign symbol table carries module IDs that are
-	// meaningless against this shard's corpus: the equal-ID fast paths would
-	// compare symbols from two ID spaces, and a label memo shared across
-	// scans would remember the mix-up. Strip the foreign resolution by
-	// cloning — the clone is unresolved, so every comparison involving the
-	// query falls back to exact string semantics (the index likewise falls
-	// back to string lookup for unresolved queries). The engine never gets
-	// here: it resolves a copy of any query its table did not resolve before
-	// the fan-out; this guards callers that drive a coordinator directly.
+	// The kernels compare symbols of one table, and the scan's memo belongs
+	// to the shard's: a query this table did not resolve — unresolved, or
+	// resolved by another table — is scored on a copy the table resolves,
+	// as the engine resolves its inline queries (Engine.own) before the
+	// fan-out. Only callers that drive a coordinator directly get here with
+	// one; the caller's object is never touched.
 	query := q.Query
-	if ref := query.SymtabRef(); ref != nil && ref != p.s.syms {
+	if !query.ResolvedBy(p.s.syms) {
 		query = query.Clone()
+		query.ResolveModules(p.s.syms)
 	}
 	// Filter: the index's candidate capture, for a measure that has nothing
 	// better, otherwise the whole pinned slice. Refine: one top-k kernel over

@@ -19,11 +19,12 @@ import (
 // edit-distance comparisons of interned attribute values in a
 // module.SimMemo: the engine's, one per symbol table, outliving the scan
 // (NewScanPrepWith), or a private one that dies with the prep (NewScanPrep).
-// Every workflow a prep compares must be resolved by one symbol table, or by
-// none: IDs of two tables mean nothing against each other (Pin.Search strips
-// a foreign query's resolution). The specialised form returns bit-identical
-// scores; only redundant per-pair work (re-projecting the same workflow,
-// re-running Levenshtein on the same value pair) is removed.
+// Every workflow a prep compares must be resolved by the symbol table the
+// memo belongs to: IDs of two tables mean nothing against each other
+// (Pin.Search resolves a query the shard's table did not). The specialised
+// form returns bit-identical scores; only redundant per-pair work
+// (re-projecting the same workflow, re-running Levenshtein on the same value
+// pair) is removed.
 //
 // A ScanPrep is built once per read operation and is safe for concurrent use
 // by all shards of that operation.

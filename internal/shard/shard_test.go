@@ -530,3 +530,39 @@ func TestSearchLeavesCapturedQueryOutByID(t *testing.T) {
 		t.Errorf("scored %d + bounded %d + pruned %d + skipped %d = %d, want %d", st.Scored, st.Bounded, st.Pruned, st.Skipped, got, pin.Size()-1)
 	}
 }
+
+// TestPinSearchResolvesOutsideQueries: a query the shards' table did not
+// resolve — unresolved, or another table's — is scored on a copy that table
+// resolves, through the scan's memo, so it ranks as the shards' own object
+// under its ID does; the caller's object keeps the resolution it came with.
+func TestPinSearchResolvesOutsideQueries(t *testing.T) {
+	c := testCorpus(t, 40)
+	coord := buildLocal(t, c, 2, "")
+	v := coord.View()
+	ctx := context.Background()
+	foreignTab := symtab.New()
+	for _, stored := range v.Union()[:5] {
+		want, _, err := coord.Search(ctx, v, NewScanPrep(msMeasure(), 0), Query{Query: stored, K: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		unresolved, foreign := stored.Clone(), stored.Clone()
+		foreign.Resolve(foreignTab)
+		for name, q := range map[string]*workflow.Workflow{"unresolved": unresolved, "foreign": foreign} {
+			memo := module.NewSimMemo()
+			got, _, err := coord.Search(ctx, v, NewScanPrepWith(msMeasure(), 0, memo), Query{Query: q, K: 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("%s query %s: %v, want %v", name, stored.ID, got, want)
+			}
+			if memo.Len() == 0 {
+				t.Errorf("%s query %s: no pair went through the scan's memo", name, stored.ID)
+			}
+		}
+		if unresolved.Resolved() || !foreign.ResolvedBy(foreignTab) {
+			t.Fatalf("query %s: the search changed the caller's resolution", stored.ID)
+		}
+	}
+}

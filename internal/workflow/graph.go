@@ -81,15 +81,10 @@ func (w *Workflow) Reachable() []map[int]bool {
 
 // TransitiveReduction returns a copy of the workflow with every edge removed
 // whose endpoints remain connected by a longer path; the result is the unique
-// minimal DAG with the same reachability relation.
+// minimal DAG with the same reachability relation. Like any clone, the copy
+// is unresolved.
 func (w *Workflow) TransitiveReduction() *Workflow {
 	c := w.Clone()
-	// Edge-only rewrite: module strings are untouched, so the interned
-	// symbol IDs remain valid and are preserved for the comparison fast
-	// paths (Clone drops them by default, assuming mutation).
-	for i, m := range w.Modules {
-		c.Modules[i].Syms, c.Modules[i].CanonID = m.Syms, m.CanonID
-	}
 	if len(c.Edges) == 0 {
 		return c
 	}
@@ -122,7 +117,9 @@ func (w *Workflow) TransitiveReduction() *Workflow {
 // indexes are in keep, with edges connecting kept modules that were connected
 // by a path (possibly through removed modules) in the original workflow, per
 // the importance-projection construction of Section 2.1.5. The result is
-// transitively reduced. Annotations and workflow ID are preserved.
+// transitively reduced. Annotations and workflow ID are preserved, and so is
+// the resolution: the subgraph of a resolved workflow is resolved by the same
+// symbol table, so it compares against that table's workflows.
 func (w *Workflow) InducedSubgraph(keep []int) *Workflow {
 	keepSet := make(map[int]bool, len(keep))
 	for _, i := range keep {
@@ -131,14 +128,12 @@ func (w *Workflow) InducedSubgraph(keep []int) *Workflow {
 	out := New(w.ID)
 	out.Annotations = w.Clone().Annotations
 	remap := make(map[int]int, len(keep))
+	from := make([]int, 0, len(keep)) // the source module of each of out's
 	// Preserve original module order for determinism.
 	for i, m := range w.Modules {
 		if keepSet[i] {
-			cm := m.Clone()
-			// The projection never rewrites module strings, so the
-			// interned symbol IDs stay valid on the copy.
-			cm.Syms, cm.CanonID = m.Syms, m.CanonID
-			remap[i] = out.AddModule(cm)
+			remap[i] = out.AddModule(m.Clone())
+			from = append(from, i)
 		}
 	}
 	// Connect kept module u to kept module v iff v is reachable from u
@@ -166,5 +161,9 @@ func (w *Workflow) InducedSubgraph(keep []int) *Workflow {
 			frontier = next
 		}
 	}
-	return out.TransitiveReduction()
+	out = out.TransitiveReduction()
+	if w.resolved {
+		out.resolveFrom(w, from)
+	}
+	return out
 }

@@ -65,10 +65,11 @@ type Module struct {
 
 	// Syms holds the interned symbol ID of each comparable attribute,
 	// indexed by Attr, and CanonID that of CanonicalLabel(Label); both are
-	// resolved at repository ingest by Workflow.Resolve. Zero means "empty
-	// or not resolved": comparisons fall back to the string attributes,
-	// which remain authoritative. The IDs are derived state and are never
-	// serialized.
+	// set by Workflow.Resolve, and zero is the empty value. The module
+	// comparison kernels read only these IDs, so they only ever compare
+	// modules of workflows one symbol table resolved: the measures resolve
+	// anything else into a table of their own before it reaches a kernel.
+	// The IDs are derived state and are never serialized.
 	Syms    [NumAttrs]uint32 `json:"-"`
 	CanonID uint32           `json:"-"`
 }

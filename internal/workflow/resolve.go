@@ -1,7 +1,7 @@
 package workflow
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/symtab"
 )
@@ -33,10 +33,10 @@ func CanonicalLabel(label string) string {
 // derived representation: the symbol of every comparable module attribute
 // (Module.Syms) and of each canonical label (CanonID), the workflow ID's
 // own symbol, and the sorted set of canonical label IDs with its bitset
-// summary. Resolution is derived state only — string attributes remain
-// authoritative, and every consumer falls back to them when IDs are zero —
-// so resolving can never change a comparison result.
-// A nil table leaves the workflow unresolved (the string baseline).
+// summary. The kernels below the
+// measures read only this representation, and only on workflows one table
+// resolved; which table does not matter, so resolving never changes a
+// score. A nil table leaves the workflow unresolved.
 func (w *Workflow) Resolve(t *symtab.Table) {
 	if t == nil {
 		return
@@ -63,22 +63,37 @@ func (w *Workflow) ResolveModules(t *symtab.Table) {
 			}
 		}
 		m.CanonID = t.Intern(CanonicalLabel(m.Label))
-		if m.CanonID != 0 {
-			set = append(set, m.CanonID)
-		}
+		set = append(set, m.CanonID)
 	}
-	sort.Slice(set, func(i, j int) bool { return set[i] < set[j] })
-	// Deduplicate in place; the set semantics mirror the string-keyed
-	// canonical label sets used before interning.
-	uniq := set[:0]
-	for i, id := range set {
-		if i == 0 || id != set[i-1] {
-			uniq = append(uniq, id)
-		}
+	w.setResolved(t, set)
+}
+
+// resolveFrom resolves w by src's table without interning anything: module i
+// of w is an unrenamed copy of src's module from[i], so its symbols are that
+// module's. A projection is resolved this way (InducedSubgraph): interning
+// every attribute of a projected workflow again would add about a third to
+// the cost of projecting it.
+func (w *Workflow) resolveFrom(src *Workflow, from []int) {
+	set := make([]uint32, 0, len(from))
+	for i, j := range from {
+		m := src.Modules[j]
+		w.Modules[i].Syms, w.Modules[i].CanonID = m.Syms, m.CanonID
+		set = append(set, m.CanonID)
 	}
-	w.labelSet = uniq
+	w.setResolved(src.tab, set)
+}
+
+// setResolved marks w resolved by t, with set the canonical label IDs of its
+// modules (in any order, repeats and the empty label's 0 allowed).
+func (w *Workflow) setResolved(t *symtab.Table, set []uint32) {
+	slices.Sort(set)
+	set = slices.Compact(set)
+	if len(set) > 0 && set[0] == 0 {
+		set = set[1:]
+	}
+	w.labelSet = set
 	w.labelBits = Bitset256{}
-	for _, id := range uniq {
+	for _, id := range set {
 		w.labelBits.Set(id)
 	}
 	w.resolved = true
@@ -169,15 +184,12 @@ func IntersectCount(a, b []uint32) int {
 }
 
 // LabelOverlap returns the number of shared canonical labels between two
-// resolved workflows, or -1 if either side is unresolved (callers fall
-// back to string sets). The bitset prescreen rejects provably-disjoint
-// pairs without touching the sorted sets.
+// workflows one symbol table resolved (an unresolved workflow has no label
+// set). The bitset prescreen rejects provably-disjoint pairs without
+// touching the sorted sets.
 //
 //wfsimvet:hotpath
 func LabelOverlap(a, b *Workflow) int {
-	if !a.resolved || !b.resolved || a.tab != b.tab {
-		return -1
-	}
 	if a.labelBits.Disjoint(&b.labelBits) {
 		return 0
 	}

@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/symtab"
 )
 
 // chain builds a linear workflow m0 -> m1 -> ... -> m(n-1).
@@ -204,6 +206,18 @@ func TestInducedSubgraphBridgesRemovedModules(t *testing.T) {
 	}
 	if !sub.HasEdge(0, 1) {
 		t.Errorf("expected bridged edge a->b, edges=%v", sub.Edges)
+	}
+	if sub.Resolved() {
+		t.Error("the subgraph of an unresolved workflow is resolved")
+	}
+	// The subgraph of a resolved workflow is resolved by the same table, so
+	// the kernels compare it against that table's workflows.
+	tab := symtab.New()
+	w.Resolve(tab)
+	sub = w.InducedSubgraph([]int{a, b})
+	if !sub.ResolvedBy(tab) || sub.Modules[1].Syms != w.Modules[b].Syms || sub.Modules[1].CanonID != w.Modules[b].CanonID || len(sub.LabelSet()) != 2 {
+		t.Errorf("subgraph of a resolved workflow: resolved by its table %v, symbols %v (want %v), label set %v",
+			sub.ResolvedBy(tab), sub.Modules[1].Syms, w.Modules[b].Syms, sub.LabelSet())
 	}
 }
 

@@ -27,15 +27,15 @@ func internTestCorpus(t testing.TB) *GeneratedCorpus {
 	return c
 }
 
-// TestInternedEquivalenceWithStringBaseline holds the interned engine to the
-// brute-force reference (bruteForce): for every measure of the Compare spread,
-// and for pw3 and gw1, whose attributes beyond labels and types (scripts,
-// descriptions, services, Galaxy tool ids and parameters) compare by symbol
-// too, Search, Duplicates and Cluster at 1, 2 and 4 shards return what plain
-// string comparison of every pair returns, bit for bit. Searches run Exact,
-// because the reference has no index; index on/off is
-// TestShardedSearchEquivalence's to cover.
-func TestInternedEquivalenceWithStringBaseline(t *testing.T) {
+// TestEngineMatchesBruteForce holds the engine to the brute-force reference
+// (bruteForce): for every measure of the Compare spread, and for pw3 and gw1,
+// whose attributes beyond labels and types (scripts, descriptions, services,
+// Galaxy tool ids and parameters) compare by symbol too, Search, Duplicates
+// and Cluster at 1, 2 and 4 shards, with an index, a score cache and the
+// engine's memo, return what comparing every pair under the plain measure
+// returns, bit for bit. Searches run Exact, because the reference has no
+// index; index on/off is TestShardedSearchEquivalence's to cover.
+func TestEngineMatchesBruteForce(t *testing.T) {
 	checkInternedEquivalence(t, internTestCorpus(t), append(CompareMeasures(), "MS_np_ta_pw3", "MS_np_ta_gw1"))
 	p := GalaxyProfile()
 	p.Workflows, p.Clusters = 36, 5

@@ -24,8 +24,8 @@ func sameResults(got, want []Result) string {
 
 // TestInlineQueryMatchesStoredQuery: an inline query is scored on a private
 // resolved copy, so a clone of stored workflow w posted inline returns exactly
-// SearchID(w)'s list — the symbol path and the string path it used to take
-// agree to the bit — and the caller's object is left as it was handed in:
+// SearchID(w)'s list, to the bit, and the caller's object is left as it was
+// handed in:
 // unresolved, every module ID zero. The engine's own copy is resolved before
 // the fan-out and never the caller's, which may be shared across goroutines.
 func TestInlineQueryMatchesStoredQuery(t *testing.T) {
@@ -70,7 +70,8 @@ func TestInlineQueryMatchesStoredQuery(t *testing.T) {
 // keyed by its own table's IDs, so a memo shared between them — a
 // package-level one, say — would serve one engine the other's similarities. Four goroutines search both engines alternately,
 // inline and by ID; every result must equal the brute-force reference's over
-// the same corpus (bruteForce), which no ID-keyed state can reach. Run under
+// the same corpus (bruteForce), which shares no symbol table or memo with
+// either engine. Run under
 // -race -count=10 in CI.
 func TestTwoEnginesKeepTheirLabelMemosApart(t *testing.T) {
 	ctx := context.Background()
@@ -242,10 +243,10 @@ func TestSearchAndReplaceLeaveNothingBehind(t *testing.T) {
 // symbol table resolved (here: another GenerateCorpus's) on a private copy
 // this engine's table resolves, as Search does with its query. Scored with
 // the foreign module IDs, most of these pairs came out wrong (MS_ip_te_pll on
-// 1000/1000: 0.857 instead of 0.645). Every score must equal the measure's
-// plain string comparison of unresolved clones of the same pair, and the
-// caller's objects keep the resolution they came with. Run under -race
-// -count=10 in CI.
+// 1000/1000: 0.857 instead of 0.645). Every score must equal, to the bit,
+// the measure's score of unresolved clones of the same pair, which it
+// resolves into a table of its own, and the caller's objects keep the
+// resolution they came with. Run under -race -count=10 in CI.
 func TestCompareResolvesOutsideWorkflows(t *testing.T) {
 	ctx := context.Background()
 	corpusOf := func(seed int64) *GeneratedCorpus {

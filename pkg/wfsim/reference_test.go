@@ -7,23 +7,28 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/search"
 	"repro/internal/shard"
+	"repro/internal/symtab"
 	"repro/internal/workflow"
 )
 
-// bruteForce is the test-only reference the engine's read results are held
-// to. It keeps deep, unresolved clones of a corpus, so every comparison takes
-// the measures' plain string path; it runs the parsed measure's Compare on
-// every pair, in workflow.IDsInOrder orientation as the engine's scans do;
-// and it shares no shard, cache, index or symbol-table code with the engine.
-// Pairs a measure fails on are left out, as the engine skips them.
+// bruteForce is the test-only reference the engine's shard, cache, index and
+// memo plumbing is held to. It keeps deep clones of a corpus, resolved once
+// into a private symbol table; it runs the parsed measure's Compare, which
+// has no memo, on every pair, in workflow.IDsInOrder orientation as the
+// engine's scans do; and it shares no shard, cache, index, memo or symbol
+// table with the engine. Pairs a measure fails on are left out, as the
+// engine skips them. The measures themselves are held to package oracle's
+// string definitions (FuzzMeasuresMatchOracle).
 type bruteForce struct {
-	wfs []*Workflow // unresolved clones, in ID order
+	tab *symtab.Table
+	wfs []*Workflow // clones tab resolved, in ID order
 }
 
 func newBruteForce(wfs []*Workflow) *bruteForce {
-	r := &bruteForce{wfs: make([]*Workflow, len(wfs))}
+	r := &bruteForce{tab: symtab.New(), wfs: make([]*Workflow, len(wfs))}
 	for i, wf := range wfs {
 		r.wfs[i] = wf.Clone()
+		r.wfs[i].Resolve(r.tab)
 	}
 	sort.Slice(r.wfs, func(i, j int) bool { return r.wfs[i].ID < r.wfs[j].ID })
 	return r
@@ -49,9 +54,11 @@ func (r *bruteForce) score(m Measure, a, b *Workflow) (float64, error) {
 }
 
 // search ranks every corpus workflow but the one under the query's ID
-// against an unresolved clone of query and returns the k best.
+// against a clone of query the reference's table resolves and returns the k
+// best.
 func (r *bruteForce) search(m Measure, query *Workflow, k int) []Result {
 	q := query.Clone()
+	q.ResolveModules(r.tab)
 	var out []Result
 	for _, wf := range r.wfs {
 		if wf.ID == q.ID {

@@ -222,3 +222,56 @@ func TestCompareIDsReportsGeneration(t *testing.T) {
 		t.Errorf("post-Apply CompareIDs gen = %d err = %v, want 1 and not found", fresh.Frontier().Generation, err)
 	}
 }
+
+// TestRepositoryKnowledgeScoresAnyTablesWorkflows: the measure an engine
+// with repository knowledge hands out scores workflows another symbol table
+// resolved as Engine.Compare scores them. Its projector reads module
+// document frequencies by canonical label; keyed by this engine's symbol
+// IDs, it read another table's IDs as this one's labels, and each of these
+// measures disagreed with Engine.Compare on 189 of these 190 pairs.
+func TestRepositoryKnowledgeScoresAnyTablesWorkflows(t *testing.T) {
+	corpusOf := func(n int, seed int64) *GeneratedCorpus {
+		p := TavernaProfile()
+		p.Workflows, p.Clusters = n, 12
+		c, err := GenerateCorpus(p, seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	eng, err := New(corpusOf(120, 1).Repo, WithRepositoryKnowledge(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	others := corpusOf(20, 2).Repo.Workflows()
+	ctx := context.Background()
+	for _, name := range []string{"MS_ip_ta_pll", "MS_ip_te_pw3", "PS_ip_te_pll"} {
+		m, err := eng.ParseMeasure(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wrong, pairs := 0, 0
+		for i, a := range others {
+			for _, b := range others[i+1:] {
+				want, err := eng.Compare(ctx, a, b, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want[0].Err != nil {
+					t.Fatal(want[0].Err)
+				}
+				got, err := m.Compare(a, b)
+				if err != nil {
+					t.Fatal(err)
+				}
+				pairs++
+				if got != want[0].Similarity {
+					wrong++
+				}
+			}
+		}
+		if wrong > 0 {
+			t.Errorf("%s: %d of %d scores differ from Engine.Compare's", name, wrong, pairs)
+		}
+	}
+}
