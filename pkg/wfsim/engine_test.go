@@ -5,7 +5,6 @@ import (
 	"errors"
 	"os"
 	"runtime"
-	"slices"
 	"strconv"
 	"testing"
 	"time"
@@ -102,60 +101,6 @@ func TestSearchIDUnknownQuery(t *testing.T) {
 	eng, _ := testEngine(t)
 	if _, _, err := eng.SearchID(context.Background(), "no-such-id", SearchOptions{}); err == nil {
 		t.Error("unknown query ID accepted")
-	}
-}
-
-// TestSearchIndexedMatchesExact: the measure decides whether a search goes
-// through the index. A measure with an exact score bound (Module Sets, the
-// default) ignores it — the indexed engine returns the exact top-k, bits
-// included, and prunes nothing; one without (Graph Edit) takes the index's
-// candidates as before, and Exact still overrides that.
-func TestSearchIndexedMatchesExact(t *testing.T) {
-	eng, _ := testEngine(t, WithIndex(2))
-	ctx := context.Background()
-	for _, query := range eng.Read().Workflows()[:12] {
-		fast, stats, err := eng.Search(ctx, query, SearchOptions{K: 5})
-		if err != nil {
-			t.Fatal(err)
-		}
-		exact, estats, err := eng.Search(ctx, query, SearchOptions{K: 5, Exact: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(exact) != 5 || !slices.Equal(fast, exact) {
-			t.Errorf("query %s under %s: indexed engine returns %v, exact scan %v", query.ID, stats.Measure, fast, exact)
-		}
-		for _, st := range []Stats{stats, estats} {
-			if st.Pruned != 0 || st.Bounded == 0 || st.Scored+st.Bounded+st.Skipped != eng.Read().Frontier().Workflows-1 {
-				t.Errorf("query %s under %s: scored %d + bounded %d + skipped %d, pruned %d; want %d pairs covered, some by the bound, none by the index",
-					query.ID, st.Measure, st.Scored, st.Bounded, st.Skipped, st.Pruned, eng.Read().Frontier().Workflows-1)
-			}
-		}
-	}
-
-	query := eng.Read().Workflows()[3]
-	ge := SearchOptions{Measure: "GE_ip_te_pll", K: 5}
-	fast, stats, err := eng.Search(ctx, query, ge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Pruned == 0 || stats.Bounded != 0 || covered(stats) != eng.Read().Frontier().Workflows-1 {
-		t.Errorf("GE through the index: pruned %d + scored %d + bounded %d + skipped %d vs %d workflows; want some pruned, none bounded",
-			stats.Pruned, stats.Scored, stats.Bounded, stats.Skipped, eng.Read().Frontier().Workflows)
-	}
-	ge.Exact = true
-	exact, estats, err := eng.Search(ctx, query, ge)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if estats.Pruned != 0 {
-		t.Errorf("exact scan pruned %d", estats.Pruned)
-	}
-	if len(fast) == 0 || len(exact) == 0 {
-		t.Fatal("empty result lists")
-	}
-	if fast[0].Similarity < exact[0].Similarity-1e-9 {
-		t.Errorf("indexed top hit %.4f below exact %.4f", fast[0].Similarity, exact[0].Similarity)
 	}
 }
 

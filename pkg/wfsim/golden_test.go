@@ -6,19 +6,26 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/oracle"
+	"repro/internal/search"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite the testdata golden files from the current code")
 
 // goldenRankingsFile pins top-10 rankings — IDs and score bits — on a fixed
-// generator seed. It is the paper-fidelity guard for kernel rewrites: every
-// other equivalence suite in this package compares the engine with itself
-// at another shard count or option set, so a kernel change that moves a
-// score the same way everywhere is visible only against stored numbers.
-// Regenerate (only when a score is meant to move) with
+// generator seed: the bits a kernel rewrite must keep. Its Module Sets lines
+// are certified by package oracle, whose definitions share no code with the
+// kernels: the oracle re-derives their index=off rankings, the same IDs in
+// the same order and every score oracle.Close (pw0 and plm, which take
+// seconds, only under -update). Path Sets and Graph Edit, which the oracle
+// does not define yet, are pinned by the file alone. Regenerate — only when a
+// score is meant to move, and only to what the oracle agrees with — with
 //
 //	go test ./pkg/wfsim -run TestGoldenRankings -update
 const goldenRankingsFile = "testdata/rankings_seed23.golden"
@@ -145,6 +152,7 @@ func TestGoldenRankings(t *testing.T) {
 			}
 		}
 	}
+	checkGoldenWithOracle(t, got["off"], stored, held)
 	// Which measures the index touches is part of what the file pins: a
 	// Module Sets measure has an exact score bound and is never handed the
 	// index's candidates, so its index=on lines are its index=off lines; Path
@@ -172,6 +180,42 @@ func TestGoldenRankings(t *testing.T) {
 		}
 		if err := os.WriteFile(goldenRankingsFile, []byte(b.String()), 0o644); err != nil {
 			t.Fatal(err)
+		}
+	}
+}
+
+// checkGoldenWithOracle re-derives with package oracle every line of lines
+// under a measure the oracle defines: the query against every stored
+// workflow but its namesake, ranked by the oracle's scores, must list the
+// line's IDs in the line's order, each score within oracle.Close of the
+// line's. The two slowest measures are left to -update.
+func checkGoldenWithOracle(t *testing.T, lines []string, stored, held []*Workflow) {
+	t.Helper()
+	query := map[string]*Workflow{}
+	for _, wf := range append(slices.Clone(stored), held...) {
+		query[wf.ID] = wf
+	}
+	for _, line := range lines {
+		f := strings.Fields(line)
+		om, ok := oracle.Lookup(f[0])
+		if !ok || !*updateGolden && (f[0] == "MS_np_ta_pw0" || f[0] == "MS_np_tm_plm") {
+			continue
+		}
+		var want []Result
+		for _, wf := range stored {
+			if wf.ID != f[2] {
+				want = append(want, Result{ID: wf.ID, Similarity: om.Compare(query[f[2]], wf)})
+			}
+		}
+		search.SortResults(want)
+		hits := f[3:]
+		for i, hit := range hits {
+			id, bits, _ := strings.Cut(hit, ":")
+			u, err := strconv.ParseUint(bits, 16, 64)
+			if err != nil || len(hits) != min(10, len(want)) || want[i].ID != id || !oracle.Close(math.Float64frombits(u), want[i].Similarity) {
+				t.Errorf("the oracle disagrees at rank %d of\n %s\nits top 10: %v", i, line, want[:min(10, len(want))])
+				break
+			}
 		}
 	}
 }

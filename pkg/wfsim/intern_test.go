@@ -27,96 +27,6 @@ func internTestCorpus(t testing.TB) *GeneratedCorpus {
 	return c
 }
 
-// TestEngineMatchesBruteForce holds the engine to the brute-force reference
-// (bruteForce): for every measure of the Compare spread, and for pw3 and gw1,
-// whose attributes beyond labels and types (scripts, descriptions, services,
-// Galaxy tool ids and parameters) compare by symbol too, Search, Duplicates
-// and Cluster at 1, 2 and 4 shards, with an index, a score cache and the
-// engine's memo, return what comparing every pair under the plain measure
-// returns, bit for bit. Searches run Exact, because the reference has no
-// index; index on/off is TestShardedSearchEquivalence's to cover.
-func TestEngineMatchesBruteForce(t *testing.T) {
-	checkInternedEquivalence(t, internTestCorpus(t), append(CompareMeasures(), "MS_np_ta_pw3", "MS_np_ta_gw1"))
-	p := GalaxyProfile()
-	p.Workflows, p.Clusters = 36, 5
-	galaxy, err := GenerateCorpus(p, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkInternedEquivalence(t, galaxy, []string{"MS_np_ta_gw1", "MS_ip_te_gw1"})
-}
-
-// checkInternedEquivalence holds an engine over c to the reference under
-// each of the named measures.
-func checkInternedEquivalence(t *testing.T, c *GeneratedCorpus, names []string) {
-	t.Helper()
-	ctx := context.Background()
-	ref := newBruteForce(c.Repo.Workflows())
-	queries := []*Workflow{c.Repo.Workflows()[0], c.Repo.Workflows()[7], c.Repo.Workflows()[20]}
-
-	// The reference's answers, once per measure.
-	type answers struct {
-		search   [][]Result
-		dupes    []Pair
-		clusters string
-	}
-	want := map[string]answers{}
-	for _, name := range names {
-		m := ref.measure(t, name)
-		var a answers
-		for _, q := range queries {
-			a.search = append(a.search, ref.search(m, q, 12))
-		}
-		a.dupes = ref.duplicates(m, 0.45)
-		a.clusters = clusterKey(ref.cluster(m, 0.5))
-		want[name] = a
-	}
-
-	for _, n := range []int{1, 2, 4} {
-		eng, err := New(c.Repo, WithShards(n), WithIndex(2), WithScoreCache(1<<14))
-		if err != nil {
-			t.Fatalf("%d shards: %v", n, err)
-		}
-		for _, m := range names {
-			w := want[m]
-			for i, q := range queries {
-				// The second pass is served from ID-keyed caches and must not
-				// change a bit.
-				for pass := 0; pass < 2; pass++ {
-					got, _, err := eng.SearchID(ctx, q.ID, SearchOptions{K: 12, Measure: m, Exact: true})
-					if err != nil {
-						t.Fatalf("%d shards SearchID(%s, %s): %v", n, q.ID, m, err)
-					}
-					if diff := sameResults(got, w.search[i]); diff != "" {
-						t.Fatalf("%s at %d shards, query %s, pass %d: %s", m, n, q.ID, pass, diff)
-					}
-				}
-			}
-
-			pN, _, err := eng.Duplicates(ctx, 0.45, DuplicateOptions{Measure: m})
-			if err != nil {
-				t.Fatalf("%d shards Duplicates(%s): %v", n, m, err)
-			}
-			if len(pN) != len(w.dupes) {
-				t.Fatalf("%s at %d shards: %d duplicate pairs vs %d in the reference", m, n, len(pN), len(w.dupes))
-			}
-			for i := range w.dupes {
-				if pN[i] != w.dupes[i] {
-					t.Fatalf("%s at %d shards: pair %d = %+v, reference %+v", m, n, i, pN[i], w.dupes[i])
-				}
-			}
-
-			cN, err := eng.Cluster(ctx, ClusterOptions{Measure: m})
-			if err != nil {
-				t.Fatalf("%d shards Cluster(%s): %v", n, m, err)
-			}
-			if kN := clusterKey(cN.Clusters); kN != w.clusters {
-				t.Fatalf("%s at %d shards: clustering differs\nreference: %s\nengine:    %s", m, n, w.clusters, kN)
-			}
-		}
-	}
-}
-
 // TestWarmRestartRebuildsSymbols pins what a restart owes the symbol table
 // now that IDs are process-local: nothing about it is on disk, boot rebuilds
 // it from the recovered corpus (so symbols of removed workflows are gone),
@@ -190,7 +100,7 @@ func TestWarmRestartRebuildsSymbols(t *testing.T) {
 	if _, ok := engineSymtab(eng3).Lookup("novel_operation"); !ok {
 		t.Error("crash restart did not resolve the un-checkpointed workflow")
 	}
-	assertSameSearch(t, eng2, eng3, "d", SearchOptions{K: 5})
+	assertSearchesMatch(t, eng3, eng2.Read().Workflows(), "d")
 }
 
 // engineSymtab returns the engine's shared symbol table (every shard interns

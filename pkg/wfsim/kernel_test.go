@@ -22,47 +22,6 @@ func sameResults(got, want []Result) string {
 	return ""
 }
 
-// TestInlineQueryMatchesStoredQuery: an inline query is scored on a private
-// resolved copy, so a clone of stored workflow w posted inline returns exactly
-// SearchID(w)'s list, to the bit, and the caller's object is left as it was
-// handed in:
-// unresolved, every module ID zero. The engine's own copy is resolved before
-// the fan-out and never the caller's, which may be shared across goroutines.
-func TestInlineQueryMatchesStoredQuery(t *testing.T) {
-	ctx := context.Background()
-	for _, opts := range [][]Option{nil, {WithIndex(2), WithScoreCache(1 << 12)}} {
-		eng, c := testEngine(t, opts...)
-		for _, m := range []string{"MS_ip_te_pll", "MS_np_ta_pw0", "MS_np_tm_plm", "PS_ip_te_pll", "BW"} {
-			for _, stored := range c.Repo.Workflows()[:6] {
-				so := SearchOptions{Measure: m, K: 10}
-				want, _, err := eng.SearchID(ctx, stored.ID, so)
-				if err != nil {
-					t.Fatal(err)
-				}
-				q := stored.Clone()
-				got, stats, err := eng.Search(ctx, q, so)
-				if err != nil {
-					t.Fatal(err)
-				}
-				if diff := sameResults(got, want); diff != "" {
-					t.Errorf("%s, query %s (%d options): inline vs by-ID: %s", m, stored.ID, len(opts), diff)
-				}
-				if stats.CacheHits != 0 || stats.CacheMisses != 0 {
-					t.Errorf("%s, query %s: an inline query touched the score cache (%d hits, %d misses)", m, stored.ID, stats.CacheHits, stats.CacheMisses)
-				}
-				if q.Resolved() || q.SymID() != 0 {
-					t.Fatalf("Search resolved the caller's query object")
-				}
-				for _, mod := range q.Modules {
-					if mod.Syms != (Module{}).Syms || mod.CanonID != 0 {
-						t.Fatalf("Search wrote symbol IDs into the caller's query modules")
-					}
-				}
-			}
-		}
-	}
-}
-
 // TestTwoEnginesKeepTheirLabelMemosApart: two engines in one process hold the
 // same label strings under different symbol IDs (the second corpus is the
 // first one ingested in reverse, after a few workflows of its own). Each

@@ -410,11 +410,11 @@ func TestWarmDuplicatesZeroEvaluations(t *testing.T) {
 // TestCacheInvalidationOnApply: after Apply replaces one workflow and
 // removes another, the next pair scan misses exactly the pairs with a
 // written side and hits every other pair, no score of the replaced object is
-// served (duplicates checks every pair against a cache-less twin), and the
+// served (duplicates checks every pair against the reference), and the
 // removed ID is in no pair.
 func TestCacheInvalidationOnApply(t *testing.T) {
 	forCacheShards(t, func(t *testing.T, shards int) {
-		tw := newCacheTwins(t, shards)
+		tw := newCacheProbe(t, shards)
 		ids := tw.ids()
 		tw.duplicates() // warm
 
@@ -425,7 +425,7 @@ func TestCacheInvalidationOnApply(t *testing.T) {
 				RemoveWorkflow(removed),
 			}
 		})
-		n := tw.cached.Read().Frontier().Workflows
+		n := tw.eng.Read().Frontier().Workflows
 		pairs, stats, evals := tw.duplicates()
 		tw.wantCounts("scan after replace+remove", stats, evals, n*(n-1)/2-(n-1), n-1)
 		if len(pairs) != n*(n-1)/2 {

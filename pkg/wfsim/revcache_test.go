@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"hash/fnv"
-	"math/rand"
 	"reflect"
 	"slices"
 	"sync"
@@ -83,92 +82,76 @@ func engineIDs(e *Engine) []string {
 	return ids
 }
 
-// cacheTwins is a cached engine and a cache-less twin over the same corpus,
-// fed the same batches: every read is checked bit for bit against the twin,
+// cacheProbe is a cached engine under fingerprintMeasure: every read is
+// checked bit for bit against bruteForce over the engine's current corpus,
 // which is what "never stale" means.
-type cacheTwins struct {
-	t             *testing.T
-	cached, plain *Engine
-	fm            *fingerprintMeasure // the cached engine's evaluations
+type cacheProbe struct {
+	t   *testing.T
+	eng *Engine
+	fm  *fingerprintMeasure // the engine's evaluations
 }
 
-func newCacheTwins(t *testing.T, shards int, opts ...Option) *cacheTwins {
+func newCacheProbe(t *testing.T, shards int, opts ...Option) *cacheProbe {
 	t.Helper()
-	tw := &cacheTwins{t: t, fm: &fingerprintMeasure{}}
-	repo := internTestCorpus(t).Repo
-	base := append([]Option{WithShards(shards)}, opts...)
+	p := &cacheProbe{t: t, fm: &fingerprintMeasure{}}
+	opts = append([]Option{WithShards(shards), WithScoreCache(1 << 14), WithMeasure("fingerprint", p.fm)}, opts...)
 	var err error
-	if tw.cached, err = New(repo, append(base, WithScoreCache(1<<14), WithMeasure("fingerprint", tw.fm))...); err != nil {
+	if p.eng, err = New(internTestCorpus(t).Repo, opts...); err != nil {
 		t.Fatal(err)
 	}
-	if tw.plain, err = New(repo, append(base, WithMeasure("fingerprint", &fingerprintMeasure{}))...); err != nil {
-		t.Fatal(err)
-	}
-	return tw
+	return p
 }
 
 // ids returns the corpus IDs in order.
-func (tw *cacheTwins) ids() []string { return engineIDs(tw.cached) }
+func (p *cacheProbe) ids() []string { return engineIDs(p.eng) }
 
-// apply commits the batch build describes to both engines. build runs once
-// per engine: an engine takes ownership of the workflows it is given.
-func (tw *cacheTwins) apply(build func(e *Engine) []Mutation) {
-	tw.t.Helper()
-	for _, e := range []*Engine{tw.cached, tw.plain} {
-		if _, err := e.Apply(context.Background(), build(e)...); err != nil {
-			tw.t.Fatal(err)
-		}
+// apply commits the batch build describes.
+func (p *cacheProbe) apply(build func(e *Engine) []Mutation) {
+	p.t.Helper()
+	if _, err := p.eng.Apply(context.Background(), build(p.eng)...); err != nil {
+		p.t.Fatal(err)
 	}
 }
 
-// duplicates scans every pair (threshold 0) on both engines, requires
-// identical results, and returns the cached engine's pairs, stats and the
-// number of pairs it really evaluated.
-func (tw *cacheTwins) duplicates() ([]Pair, Stats, int) {
-	tw.t.Helper()
-	ctx := context.Background()
-	before := tw.fm.calls.Load()
-	got, stats, err := tw.cached.Duplicates(ctx, 0, DuplicateOptions{Measure: "fingerprint"})
+// ref is the reference over the engine's current corpus.
+func (p *cacheProbe) ref() *bruteForce { return newBruteForce(p.eng.Read().Workflows()) }
+
+// duplicates scans every pair (threshold 0), requires the reference's
+// pairs, and returns the engine's pairs, stats and the number of pairs it
+// really evaluated.
+func (p *cacheProbe) duplicates() ([]Pair, Stats, int) {
+	p.t.Helper()
+	before := p.fm.calls.Load()
+	got, stats, err := p.eng.Duplicates(context.Background(), 0, DuplicateOptions{Measure: "fingerprint"})
 	if err != nil {
-		tw.t.Fatal(err)
+		p.t.Fatal(err)
 	}
-	evals := int(tw.fm.calls.Load() - before)
-	want, _, err := tw.plain.Duplicates(ctx, 0, DuplicateOptions{Measure: "fingerprint"})
-	if err != nil {
-		tw.t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		tw.t.Fatalf("cached Duplicates diverges from the cache-less engine (stale score served):\ncached %v\nplain  %v", got, want)
+	evals := int(p.fm.calls.Load() - before)
+	if want := p.ref().duplicates(&fingerprintMeasure{}, 0); !reflect.DeepEqual(got, want) {
+		p.t.Fatalf("cached Duplicates diverges from the reference (stale score served):\ncached %v\nwant   %v", got, want)
 	}
 	return got, stats, evals
 }
 
-// search runs an exact SearchID over the whole corpus on both engines,
-// requires identical results, and returns the cached engine's stats and
-// evaluation count.
-func (tw *cacheTwins) search(id string) (Stats, int) {
-	tw.t.Helper()
-	ctx := context.Background()
-	opts := SearchOptions{Measure: "fingerprint", K: 1000, Exact: true}
-	before := tw.fm.calls.Load()
-	got, stats, err := tw.cached.SearchID(ctx, id, opts)
+// search runs an exact SearchID over the whole corpus, requires the
+// reference's ranking, and returns the stats and evaluation count.
+func (p *cacheProbe) search(id string) (Stats, int) {
+	p.t.Helper()
+	before := p.fm.calls.Load()
+	got, stats, err := p.eng.SearchID(context.Background(), id, SearchOptions{Measure: "fingerprint", K: 1000, Exact: true})
 	if err != nil {
-		tw.t.Fatal(err)
+		p.t.Fatal(err)
 	}
-	evals := int(tw.fm.calls.Load() - before)
-	want, _, err := tw.plain.SearchID(ctx, id, opts)
-	if err != nil {
-		tw.t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		tw.t.Fatalf("cached SearchID(%s) diverges from the cache-less engine (stale score served):\ncached %v\nplain  %v", id, got, want)
+	evals := int(p.fm.calls.Load() - before)
+	if diff := sameResults(got, p.ref().search(&fingerprintMeasure{}, p.eng.Read().Get(id), 1000)); diff != "" {
+		p.t.Fatalf("cached SearchID(%s) diverges from the reference (stale score served): %s", id, diff)
 	}
 	return stats, evals
 }
 
 // wantCounts fails unless the read hit and missed exactly as stated and
 // evaluated exactly its misses.
-func (tw *cacheTwins) wantCounts(what string, stats Stats, evals, hits, misses int) {
+func (tw *cacheProbe) wantCounts(what string, stats Stats, evals, hits, misses int) {
 	tw.t.Helper()
 	if stats.CacheHits != hits || stats.CacheMisses != misses || evals != misses {
 		tw.t.Errorf("%s: %d hits / %d misses / %d evaluations, want %d / %d / %d",
@@ -182,7 +165,7 @@ func (tw *cacheTwins) wantCounts(what string, stats Stats, evals, hits, misses i
 // nothing.
 func TestCommitRetiresOnlyWrittenPairs(t *testing.T) {
 	forCacheShards(t, func(t *testing.T, shards int) {
-		tw := newCacheTwins(t, shards)
+		tw := newCacheProbe(t, shards)
 		ids := tw.ids()
 		n := len(ids)
 		_, stats, evals := tw.duplicates()
@@ -195,26 +178,22 @@ func TestCommitRetiresOnlyWrittenPairs(t *testing.T) {
 				RemoveWorkflow(ids[20]),
 			}
 		})
-		n = tw.cached.Read().Frontier().Workflows
+		n = tw.eng.Read().Frontier().Workflows
 		written := 2*n - 3 // (n-1) pairs per written workflow, their shared pair once
 		_, stats, evals = tw.duplicates()
 		tw.wantCounts("scan after add+replace+remove", stats, evals, n*(n-1)/2-written, written)
 
 		ctx := context.Background()
 		before := tw.fm.calls.Load()
-		got, err := tw.cached.Cluster(ctx, ClusterOptions{Measure: "fingerprint"})
+		got, err := tw.eng.Cluster(ctx, ClusterOptions{Measure: "fingerprint"})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if evals := tw.fm.calls.Load() - before; evals != 0 {
 			t.Errorf("Cluster after the scan evaluated %d pairs, want 0", evals)
 		}
-		want, err := tw.plain.Cluster(ctx, ClusterOptions{Measure: "fingerprint"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !reflect.DeepEqual(got.Clusters, want.Clusters) {
-			t.Errorf("cached clustering diverges from the cache-less engine:\ncached %v\nplain  %v", got.Clusters, want.Clusters)
+		if want := tw.ref().cluster(&fingerprintMeasure{}, 0.5); !reflect.DeepEqual(got.Clusters, want) {
+			t.Errorf("cached clustering diverges from the reference:\ncached %v\nwant   %v", got.Clusters, want)
 		}
 	})
 }
@@ -223,10 +202,10 @@ func TestCommitRetiresOnlyWrittenPairs(t *testing.T) {
 // the workflows written since its last run; replacing the query itself
 // misses every pair; and no sequence of writes under one ID — remove and
 // re-add, A→B→A, the stored pointer handed back — ever serves a score of an
-// earlier object (search checks every result against the cache-less twin).
+// earlier object (search checks every result against the reference).
 func TestSearchCacheSurvivesUnrelatedCommits(t *testing.T) {
 	forCacheShards(t, func(t *testing.T, shards int) {
-		tw := newCacheTwins(t, shards)
+		tw := newCacheProbe(t, shards)
 		ids := tw.ids()
 		q, x := ids[0], ids[5]
 		n := len(ids)
@@ -242,7 +221,7 @@ func TestSearchCacheSurvivesUnrelatedCommits(t *testing.T) {
 				RemoveWorkflow(ids[20]),
 			}
 		})
-		n = tw.cached.Read().Frontier().Workflows
+		n = tw.eng.Read().Frontier().Workflows
 		stats, evals = tw.search(q)
 		tw.wantCounts("search after a batch not touching the query", stats, evals, n-3, 2)
 
@@ -254,7 +233,7 @@ func TestSearchCacheSurvivesUnrelatedCommits(t *testing.T) {
 
 		// One ID, many objects. Each step writes x once, so the search misses
 		// exactly the pair (q, x) and hits the rest.
-		origA := map[*Engine]*Workflow{tw.cached: tw.cached.Read().Get(x), tw.plain: tw.plain.Read().Get(x)}
+		origA := tw.eng.Read().Get(x)
 		steps := []struct {
 			name  string
 			build func(e *Engine) []Mutation
@@ -272,7 +251,7 @@ func TestSearchCacheSurvivesUnrelatedCommits(t *testing.T) {
 			// The very object the engine first stored under x: it carries a
 			// revision, so the engine must commit a copy under a new one.
 			{"replace with the original A object", func(e *Engine) []Mutation {
-				return []Mutation{ReplaceWorkflow(origA[e])}
+				return []Mutation{ReplaceWorkflow(origA)}
 			}},
 			{"replace with B again", func(e *Engine) []Mutation {
 				return []Mutation{ReplaceWorkflow(variant(e.Read().Get(ids[6]), x, "content_b"))}
@@ -288,7 +267,7 @@ func TestSearchCacheSurvivesUnrelatedCommits(t *testing.T) {
 			}
 			tw.wantCounts("search after "+step.name, stats, evals, n-2, 1)
 		}
-		if got := tw.cached.Read().Get(x); got == origA[tw.cached] || origA[tw.cached].Rev() == got.Rev() {
+		if got := tw.eng.Read().Get(x); got == origA || origA.Rev() == got.Rev() {
 			t.Errorf("the engine re-adopted an object it had committed before (revision %d)", got.Rev())
 		}
 	})
@@ -300,8 +279,8 @@ func TestSearchCacheSurvivesUnrelatedCommits(t *testing.T) {
 // commit.
 func TestRepositoryKnowledgeCommitRetiresEveryPair(t *testing.T) {
 	forCacheShards(t, func(t *testing.T, shards int) {
-		tw := newCacheTwins(t, shards, WithRepositoryKnowledge(0))
-		n := tw.cached.Read().Frontier().Workflows
+		tw := newCacheProbe(t, shards, WithRepositoryKnowledge(0))
+		n := tw.eng.Read().Frontier().Workflows
 		tw.duplicates()
 		_, stats, evals := tw.duplicates()
 		tw.wantCounts("warm scan", stats, evals, n*(n-1)/2, 0)
@@ -313,121 +292,6 @@ func TestRepositoryKnowledgeCommitRetiresEveryPair(t *testing.T) {
 		n++
 		_, stats, evals = tw.duplicates()
 		tw.wantCounts("scan after a one-workflow commit", stats, evals, 0, n*(n-1)/2)
-	})
-}
-
-// TestRandomScheduleMatchesCachelessEngine drives a seeded random schedule
-// of batches, searches and pair scans through a cached and a cache-less
-// engine, index on and off, under the default measure: results must be bit
-// identical at every step.
-func TestRandomScheduleMatchesCachelessEngine(t *testing.T) {
-	p := TavernaProfile()
-	p.Workflows = 36
-	p.Clusters = 5
-	poolCorpus, err := GenerateCorpus(p, 23)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pool := poolCorpus.Repo.Workflows()
-	forCacheShards(t, func(t *testing.T, shards int) {
-		for _, indexed := range []bool{false, true} {
-			opts := []Option{WithShards(shards)}
-			if indexed {
-				opts = append(opts, WithIndex(2))
-			}
-			repo := internTestCorpus(t).Repo
-			cached, err := New(repo, append(opts, WithScoreCache(1<<14))...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			plain, err := New(repo, opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			ctx := context.Background()
-			r := rand.New(rand.NewSource(int64(10*shards + len(opts))))
-			live, gone := engineIDs(cached), []string(nil)
-			take := func(from *[]string) string {
-				i := r.Intn(len(*from))
-				id := (*from)[i]
-				*from = append((*from)[:i], (*from)[i+1:]...)
-				return id
-			}
-			fresh := 0
-			for step := 0; step < 40; step++ {
-				at := fmt.Sprintf("indexed=%v step %d", indexed, step)
-				switch r.Intn(3) {
-				case 0: // one batch of 1–3 writes, the same content to both engines
-					type write struct {
-						kind, id string
-						content  *Workflow
-					}
-					var batch []write
-					for k := 1 + r.Intn(3); k > 0; k-- {
-						w := write{content: pool[r.Intn(len(pool))]}
-						switch c := r.Intn(4); {
-						case c == 0 && len(gone) > 0:
-							w.kind, w.id = "add", take(&gone)
-							live = append(live, w.id)
-						case c == 1 || len(live) < 8:
-							fresh++
-							w.kind, w.id = "add", fmt.Sprintf("new-%d", fresh)
-							live = append(live, w.id)
-						case c == 2:
-							w.kind, w.id = "remove", take(&live)
-							gone = append(gone, w.id)
-						default:
-							w.kind, w.id = "replace", live[r.Intn(len(live))]
-						}
-						batch = append(batch, w)
-					}
-					for _, e := range []*Engine{cached, plain} {
-						var muts []Mutation
-						for _, w := range batch {
-							switch w.kind {
-							case "add":
-								muts = append(muts, AddWorkflow(withID(w.content, w.id)))
-							case "replace":
-								muts = append(muts, ReplaceWorkflow(withID(w.content, w.id)))
-							default:
-								muts = append(muts, RemoveWorkflow(w.id))
-							}
-						}
-						if _, err := e.Apply(ctx, muts...); err != nil {
-							t.Fatalf("%s: %v", at, err)
-						}
-					}
-				case 1:
-					q := live[r.Intn(len(live))]
-					got, _, err := cached.SearchID(ctx, q, SearchOptions{K: 10})
-					if err != nil {
-						t.Fatalf("%s: %v", at, err)
-					}
-					want, _, err := plain.SearchID(ctx, q, SearchOptions{K: 10})
-					if err != nil {
-						t.Fatalf("%s: %v", at, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: SearchID(%s) diverges from the cache-less engine:\ncached %v\nplain  %v", at, q, got, want)
-					}
-				default:
-					got, _, err := cached.Duplicates(ctx, 0.3, DuplicateOptions{})
-					if err != nil {
-						t.Fatalf("%s: %v", at, err)
-					}
-					want, _, err := plain.Duplicates(ctx, 0.3, DuplicateOptions{})
-					if err != nil {
-						t.Fatalf("%s: %v", at, err)
-					}
-					if !reflect.DeepEqual(got, want) {
-						t.Fatalf("%s: Duplicates diverges from the cache-less engine:\ncached %v\nplain  %v", at, got, want)
-					}
-				}
-			}
-			if cs := cached.CacheStats(); cs.Hits == 0 {
-				t.Errorf("indexed=%v: the schedule never hit the cache; it exercised nothing", indexed)
-			}
-		}
 	})
 }
 

@@ -155,7 +155,9 @@ func decodeBody(r *http.Request, v any) error {
 func (s *Server) contextFor(r *http.Request, deadlineMillis int64) (context.Context, context.CancelFunc) {
 	d := s.cfg.DefaultDeadline
 	if deadlineMillis > 0 {
-		d = time.Duration(deadlineMillis) * time.Millisecond
+		// Capped in milliseconds before the conversion, whose product
+		// overflows from about 9.2e12 ms up into a deadline already past.
+		d = time.Duration(min(deadlineMillis, s.cfg.MaxDeadline.Milliseconds())) * time.Millisecond
 	}
 	if d > s.cfg.MaxDeadline {
 		d = s.cfg.MaxDeadline

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -458,6 +459,28 @@ func TestDeadlineBoundsResponse(t *testing.T) {
 	// scan off after the first pair (slack for CI schedulers).
 	if elapsed > 550*time.Millisecond {
 		t.Errorf("deadline ignored: call took %v", elapsed)
+	}
+}
+
+// TestHugeDeadlineIsCapped: a deadline_ms past any Duration — where
+// converting it first would overflow into a deadline already past — is
+// clamped to MaxDeadline like any other deadline above the cap, on every
+// read endpoint.
+func TestHugeDeadlineIsCapped(t *testing.T) {
+	ts, _ := newTestServer(t, serve.Config{})
+	for _, ms := range []int64{1e13, 1 << 62, math.MaxInt64} {
+		for path, req := range map[string]map[string]any{
+			"/v1/search":     {"query_id": "w1"},
+			"/v1/duplicates": {"threshold": 0.5},
+			"/v1/cluster":    {},
+			"/v1/compare":    {"a_id": "w1", "b_id": "w2"},
+		} {
+			req["deadline_ms"] = ms
+			var out struct{ Error string }
+			if status := postJSON(t, ts.URL+path, req, &out); status != http.StatusOK {
+				t.Errorf("%s with deadline_ms %d: status %d (%s), want 200", path, ms, status, out.Error)
+			}
+		}
 	}
 }
 
