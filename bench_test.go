@@ -278,7 +278,7 @@ func BenchmarkAblationMappingStrategy(b *testing.B) {
 // vs ta on full MS comparisons.
 func BenchmarkAblationPreselection(b *testing.B) {
 	s := setupBench(b)
-	wfs := s.Taverna.Repo.Workflows()
+	wfs := s.Taverna.Repo.Snapshot().Workflows()
 	for _, presel := range []module.Preselect{module.AllPairs, module.TypeEquivalence} {
 		b.Run(presel.String(), func(b *testing.B) {
 			var counter measures.PairCounter
@@ -376,7 +376,7 @@ func BenchmarkFullRebuild(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		index.Build(repo)
+		index.Build(repo.Snapshot())
 	}
 }
 
@@ -385,8 +385,8 @@ func BenchmarkFullRebuild(b *testing.B) {
 // workflow. The acceptance criterion wants this ≫ faster than a full Build.
 func BenchmarkIncrementalInsert(b *testing.B) {
 	repo := benchRepo1k(b)
-	idx := index.Build(repo)
-	template := repo.Workflows()[0]
+	idx := index.Build(repo.Snapshot())
+	template := repo.Snapshot().Workflows()[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -402,8 +402,8 @@ func BenchmarkIncrementalInsert(b *testing.B) {
 // (insert + delete of the same workflow), including amortized compactions.
 func BenchmarkIncrementalInsertDelete(b *testing.B) {
 	repo := benchRepo1k(b)
-	idx := index.Build(repo)
-	template := repo.Workflows()[0]
+	idx := index.Build(repo.Snapshot())
+	template := repo.Snapshot().Workflows()[0]
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -61,7 +61,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("corpora: taverna=%d galaxy=%d | queries: rank=%d galaxy=%d retrieval=%d | raters=%d | ratings collected=%d (+%d galaxy)\n",
-		setup.Taverna.Repo.Size(), setup.Galaxy.Repo.Size(),
+		setup.Taverna.Repo.Snapshot().Size(), setup.Galaxy.Repo.Snapshot().Size(),
 		len(setup.Study.Queries), len(setup.GalaxyStudy.Queries), scale.RetrievalQueries,
 		len(setup.Panel), setup.Study.RatingsGiven, setup.GalaxyStudy.RatingsGiven)
 	fmt.Printf("setup took %v\n\n", time.Since(start).Round(time.Millisecond))

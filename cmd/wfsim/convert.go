@@ -69,7 +69,7 @@ func cmdImport(args []string) error {
 	if err := repo.SaveFile(*out); err != nil {
 		return err
 	}
-	fmt.Printf("imported %d workflows (%s) into %s\n", repo.Size(), *format, *out)
+	fmt.Printf("imported %d workflows (%s) into %s\n", len(wfs), *format, *out)
 	return nil
 }
 
@@ -89,12 +89,13 @@ func cmdExport(args []string) error {
 	if err != nil {
 		return err
 	}
+	snap := repo.Snapshot()
 	var selected []*wfsim.Workflow
 	if *ids == "" {
-		selected = repo.Workflows()
+		selected = snap.Workflows()
 	} else {
 		for _, id := range strings.Split(*ids, ",") {
-			wf := repo.Get(strings.TrimSpace(id))
+			wf := snap.Get(strings.TrimSpace(id))
 			if wf == nil {
 				return fmt.Errorf("export: workflow %q not found", id)
 			}

@@ -129,10 +129,11 @@ func cmdGen(args []string) error {
 	if err != nil {
 		return err
 	}
+	snap := c.Repo.Snapshot()
 	if err := c.Repo.SaveFile(*out); err != nil {
 		return err
 	}
-	fmt.Printf("wrote %d %s workflows to %s\n", c.Repo.Size(), p.Name, *out)
+	fmt.Printf("wrote %d %s workflows to %s\n", snap.Size(), p.Name, *out)
 	return nil
 }
 

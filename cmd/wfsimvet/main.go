@@ -1,8 +1,10 @@
 // Command wfsimvet runs the repository's invariant analyzer suite
-// (internal/lint) over the module: canonical pair ordering, snapshot-pinned
-// reads, one engine view per request function, context flow,
-// generation-stamped responses, lock scope, error paths, and hot-loop
-// allocations. It is the lint gate CI runs next to go vet.
+// (internal/lint) over the module: canonical pair ordering, one engine view
+// per request function, context flow, lock scope, error paths, and hot-loop
+// allocations. It is the lint gate CI runs next to go vet. Three contracts
+// once checked here are carried by types instead, and -list names them:
+// snapshot-pinned reads, canonical score-cache keys and generation-stamped
+// responses.
 //
 // Usage:
 //
@@ -58,6 +60,12 @@ func main() {
 			summary, _, _ := strings.Cut(a.Doc, "\n")
 			fmt.Printf("%-12s %s\n", a.Name, summary)
 		}
+		fmt.Print(`
+retired into types (TestRetiredRulesAreTypeErrors in internal/lint):
+snapshotpin  corpus.Repository has no read API: a read pins a Snapshot
+pairorder    (cache-key half) scorecache.Key has no exported field: PairKey builds keys
+genstamp     serve's writeJSON takes only a body that carries a generation stamp
+`)
 		return
 	}
 

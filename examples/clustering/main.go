@@ -37,7 +37,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("clustered %d workflows in %v\n", c.Repo.Size(), time.Since(t0).Round(time.Millisecond))
+	seed := c.Repo.Snapshot()
+	fmt.Printf("clustered %d workflows in %v\n", seed.Size(), time.Since(t0).Round(time.Millisecond))
 	fmt.Printf("agglomerative clustering found %d clusters (latent: %d)\n", len(res.Clusters), profile.Clusters)
 
 	// Agreement with the generator's latent clusters.
@@ -60,14 +61,14 @@ func main() {
 	// Bonus: the engine was built WithIndex, so search is filter-and-refine
 	// over the inverted label index; compare against an exact scan.
 	fmt.Println("\nfilter-and-refine search (inverted index over canonical module labels):")
-	query := c.Repo.Workflows()[0]
+	query := seed.Workflows()[0]
 	t1 := time.Now()
 	fast, stats, err := eng.Search(ctx, query, wfsim.SearchOptions{Measure: "MS_ip_te_pll", K: 10})
 	if err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("query %s: scored %d candidates, bounded %d, pruned %d of %d workflows, %v\n",
-		query.ID, stats.Scored, stats.Bounded, stats.Pruned, c.Repo.Size(), time.Since(t1).Round(time.Microsecond))
+		query.ID, stats.Scored, stats.Bounded, stats.Pruned, seed.Size(), time.Since(t1).Round(time.Microsecond))
 
 	exact, _, err := eng.Search(ctx, query, wfsim.SearchOptions{Measure: "MS_ip_te_pll", K: 10, Exact: true})
 	if err != nil {

@@ -33,7 +33,7 @@ func main() {
 	ctx := context.Background()
 
 	names := []string{"BW", "MS_ip_te_pll", "ensemble(BW, MS_ip_te_pll)"}
-	queries := c.Repo.IDs()[:12]
+	queries := c.Repo.Snapshot().IDs()[:12]
 	const k = 10
 
 	// Precision@10 against the latent clusters: the fraction of each

@@ -34,7 +34,8 @@ func main() {
 		log.Fatal(err)
 	}
 	ctx := context.Background()
-	queryID := c.Repo.IDs()[0]
+	seedIDs := c.Repo.Snapshot().IDs()
+	queryID := seedIDs[0]
 
 	// Cold search: every scored pair is a cache miss; pairs that provably
 	// cannot reach the top 5 are bounded — not looked up, not scored.
@@ -60,7 +61,7 @@ func main() {
 	best := before.Get(results[0].ID)
 	clone := best.Clone()
 	clone.ID = "clone-of-" + best.ID
-	removed := c.Repo.IDs()[1]
+	removed := seedIDs[1]
 	gen, err := eng.Apply(ctx,
 		wfsim.AddWorkflow(clone),
 		wfsim.RemoveWorkflow(removed),

@@ -24,13 +24,14 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("generated %d workflows in %v\n", c.Repo.Size(), time.Since(t0).Round(time.Millisecond))
+	seed := c.Repo.Snapshot()
+	fmt.Printf("generated %d workflows in %v\n", seed.Size(), time.Since(t0).Round(time.Millisecond))
 
 	eng, err := wfsim.New(c.Repo)
 	if err != nil {
 		log.Fatal(err)
 	}
-	query := c.Repo.Workflows()[2]
+	query := seed.Workflows()[2]
 	fmt.Printf("query: %s %q (%d modules)\n\n", query.ID, query.Annotations.Title, query.Size())
 
 	// A whole-call deadline bounds the search (and tightens the per-pair GED

@@ -59,15 +59,16 @@ func TestEndToEndPersistenceAndSearchParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if reloaded.Size() != c.Repo.Size() {
-		t.Fatalf("reloaded size %d != %d", reloaded.Size(), c.Repo.Size())
+	orig, back := c.Repo.Snapshot(), reloaded.Snapshot()
+	if back.Size() != orig.Size() {
+		t.Fatalf("reloaded size %d != %d", back.Size(), orig.Size())
 	}
 
 	m1 := tunedMS(repoknow.NewProjector(repoknow.TypeScorer{}, 0.5))
 	m2 := tunedMS(repoknow.NewProjector(repoknow.TypeScorer{}, 0.5))
-	for _, qid := range c.Repo.IDs()[:5] {
-		r1, _, _ := search.TopK(context.Background(), c.Repo.Get(qid), c.Repo, m1, search.Options{K: 10})
-		r2, _, _ := search.TopK(context.Background(), reloaded.Get(qid), reloaded, m2, search.Options{K: 10})
+	for _, qid := range orig.IDs()[:5] {
+		r1, _, _ := search.TopK(context.Background(), orig.Get(qid), orig, m1, search.Options{K: 10})
+		r2, _, _ := search.TopK(context.Background(), back.Get(qid), back, m2, search.Options{K: 10})
 		if len(r1) != len(r2) {
 			t.Fatalf("query %s: result counts differ", qid)
 		}
@@ -84,7 +85,7 @@ func TestEndToEndPersistenceAndSearchParity(t *testing.T) {
 // unchanged for the attributes each format preserves.
 func TestEndToEndFormatRoundTripPreservesSimilarity(t *testing.T) {
 	c := integrationCorpus(t)
-	wfs := c.Repo.Workflows()[:12]
+	wfs := c.Repo.Snapshot().Workflows()[:12]
 
 	// t2flow preserves all Taverna attributes; similarities must be equal.
 	m := measures.NewStructural(measures.Config{
@@ -122,14 +123,14 @@ func TestEndToEndFormatRoundTripPreservesSimilarity(t *testing.T) {
 // accelerated search and the exact scan agree on the best hit for cluster
 // queries (the hit is a near-duplicate sharing vocabulary by construction).
 func TestEndToEndIndexedSearchAgreesOnTopHit(t *testing.T) {
-	c := integrationCorpus(t)
-	idx := index.Build(c.Repo)
+	snap := integrationCorpus(t).Repo.Snapshot()
+	idx := index.Build(snap)
 	m := tunedMS(repoknow.NewProjector(repoknow.TypeScorer{}, 0.5))
 	agree := 0
 	total := 0
-	for _, qid := range c.Repo.IDs()[:10] {
-		q := c.Repo.Get(qid)
-		exact, _, _ := search.TopK(context.Background(), q, c.Repo, m, search.Options{K: 1})
+	for _, qid := range snap.IDs()[:10] {
+		q := snap.Get(qid)
+		exact, _, _ := search.TopK(context.Background(), q, snap, m, search.Options{K: 1})
 		cands, _ := idx.CaptureCandidates(q, 1)
 		fast, _, err := search.TopK(context.Background(), q, search.List(cands), m, search.Options{K: 1})
 		if err != nil {
@@ -158,10 +159,11 @@ func TestEndToEndEvaluationPipeline(t *testing.T) {
 	m := tunedMS(repoknow.NewProjector(repoknow.TypeScorer{}, 0.5))
 
 	var corrs []float64
+	snap := c.Repo.Snapshot()
 	for _, q := range study.Queries {
 		scores := map[string]float64{}
 		for _, cand := range study.Candidates[q] {
-			s, err := m.Compare(c.Repo.Get(q), c.Repo.Get(cand))
+			s, err := m.Compare(snap.Get(q), snap.Get(cand))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -201,7 +203,7 @@ func TestEndToEndClusteringMatchesSearch(t *testing.T) {
 		}
 	}
 	coherent, total := 0, 0
-	for _, qid := range c.Repo.IDs()[:12] {
+	for _, qid := range c.Repo.Snapshot().IDs()[:12] {
 		hits, _, err := eng.SearchID(ctx, qid, wfsim.SearchOptions{Measure: "MS_ip_te_pll", K: 1})
 		if err != nil {
 			t.Fatal(err)

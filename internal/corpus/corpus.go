@@ -73,9 +73,10 @@ func (s *Snapshot) IDs() []string {
 	return ids
 }
 
-// Repository is a mutable collection of workflows with unique IDs.
-// Reads delegate to the current Snapshot, so they are safe concurrently
-// with writes; writes (Add, Remove, Replace, ApplyBatch) are serialised by
+// Repository is a mutable collection of workflows with unique IDs. It has
+// no read API of its own: a reader pins the current Snapshot once and reads
+// everything from it, so two reads of one operation cannot straddle a
+// write. Writes (Add, Remove, Replace, ApplyBatch) are serialised by
 // an internal lock and each bumps the generation counter.
 type Repository struct {
 	mu        sync.Mutex
@@ -470,22 +471,9 @@ func (r *Repository) Snapshot() *Snapshot {
 // Generation returns the current repository generation.
 func (r *Repository) Generation() uint64 { return r.gen.Load() }
 
-// Get returns the workflow with the given ID, or nil.
-func (r *Repository) Get(id string) *workflow.Workflow { return r.Snapshot().Get(id) }
-
-// Size returns the number of workflows.
-func (r *Repository) Size() int { return r.Snapshot().Size() }
-
-// Workflows returns the workflows in insertion order. The slice belongs to
-// the current snapshot and is shared; callers must not modify it.
-func (r *Repository) Workflows() []*workflow.Workflow { return r.Snapshot().Workflows() }
-
-// IDs returns all workflow IDs, sorted.
-func (r *Repository) IDs() []string { return r.Snapshot().IDs() }
-
-// Validate checks every workflow in the repository.
-func (r *Repository) Validate() error {
-	for _, wf := range r.Workflows() {
+// Validate checks every workflow in the snapshot.
+func (s *Snapshot) Validate() error {
+	for _, wf := range s.workflows {
 		if err := wf.Validate(); err != nil {
 			return err
 		}
@@ -501,11 +489,11 @@ type fileFormat struct {
 
 const formatID = "wfsim-corpus-v1"
 
-// Save writes the repository as JSON.
-func (r *Repository) Save(w io.Writer) error {
+// Save writes the snapshot as JSON.
+func (s *Snapshot) Save(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
-	return enc.Encode(fileFormat{Format: formatID, Workflows: r.Workflows()})
+	return enc.Encode(fileFormat{Format: formatID, Workflows: s.workflows})
 }
 
 // Load reads a repository from JSON produced by Save.
@@ -520,14 +508,14 @@ func Load(rd io.Reader) (*Repository, error) {
 	return NewRepository(f.Workflows...)
 }
 
-// SaveFile writes the repository to the named file.
+// SaveFile writes the repository's current snapshot to the named file.
 func (r *Repository) SaveFile(path string) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if err := r.Save(f); err != nil {
+	if err := r.Snapshot().Save(f); err != nil {
 		return err
 	}
 	return f.Close()

@@ -29,13 +29,13 @@ func TestRepositoryAddGet(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r.Size() != 2 {
-		t.Errorf("Size = %d", r.Size())
+	if r.Snapshot().Size() != 2 {
+		t.Errorf("Size = %d", r.Snapshot().Size())
 	}
-	if r.Get("1") == nil || r.Get("404") != nil {
+	if r.Snapshot().Get("1") == nil || r.Snapshot().Get("404") != nil {
 		t.Error("Get misbehaves")
 	}
-	if got := r.IDs(); !reflect.DeepEqual(got, []string{"1", "2"}) {
+	if got := r.Snapshot().IDs(); !reflect.DeepEqual(got, []string{"1", "2"}) {
 		t.Errorf("IDs = %v", got)
 	}
 	if err := r.Add(sample("1")); err == nil {
@@ -105,16 +105,16 @@ func TestRemoveReplace(t *testing.T) {
 	if err := r.Replace(repl); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Get("2").Annotations.Title; got != "replaced" {
+	if got := r.Snapshot().Get("2").Annotations.Title; got != "replaced" {
 		t.Errorf("Replace not visible: title %q", got)
 	}
-	if r.Size() != 2 {
-		t.Errorf("Replace changed size to %d", r.Size())
+	if r.Snapshot().Size() != 2 {
+		t.Errorf("Replace changed size to %d", r.Snapshot().Size())
 	}
 	if err := r.Remove("1"); err != nil {
 		t.Fatal(err)
 	}
-	if r.Size() != 1 || r.Get("1") != nil {
+	if r.Snapshot().Size() != 1 || r.Snapshot().Get("1") != nil {
 		t.Error("Remove not visible")
 	}
 }
@@ -148,8 +148,8 @@ func TestApplyBatchTransactional(t *testing.T) {
 	if gen != before.Generation()+1 {
 		t.Errorf("batch bumped generation by %d, want 1", gen-before.Generation())
 	}
-	if r.Size() != 3 {
-		t.Errorf("size after batch = %d", r.Size())
+	if r.Snapshot().Size() != 3 {
+		t.Errorf("size after batch = %d", r.Snapshot().Size())
 	}
 
 	// Duplicate add within one batch is caught by staged validation.
@@ -184,7 +184,7 @@ func TestApplyBatchTransactional(t *testing.T) {
 		{"add of a live ID", []Op{add("3")}, ErrDuplicateID},
 		{"re-add after remove then add", []Op{rm("3"), add("3"), add("3")}, ErrDuplicateID},
 	} {
-		genBefore, sizeBefore := r.Generation(), r.Size()
+		genBefore, sizeBefore := r.Generation(), r.Snapshot().Size()
 		verr := r.ValidateBatch(c.ops)
 		if r.Generation() != genBefore {
 			t.Errorf("%s: ValidateBatch moved the generation", c.name)
@@ -201,9 +201,9 @@ func TestApplyBatchTransactional(t *testing.T) {
 		if !errors.Is(verr, c.want) || !errors.Is(aerr, c.want) {
 			t.Errorf("%s: validate %v, apply %v, want %v", c.name, verr, aerr, c.want)
 		}
-		if r.Generation() != genBefore || r.Size() != sizeBefore {
+		if r.Generation() != genBefore || r.Snapshot().Size() != sizeBefore {
 			t.Errorf("%s: failed batch moved generation %d -> %d, size %d -> %d",
-				c.name, genBefore, r.Generation(), sizeBefore, r.Size())
+				c.name, genBefore, r.Generation(), sizeBefore, r.Snapshot().Size())
 		}
 	}
 }
@@ -219,17 +219,17 @@ func TestAddErrorsIncludeSize(t *testing.T) {
 func TestSaveLoadRoundTrip(t *testing.T) {
 	r, _ := NewRepository(sample("1"), sample("2"))
 	var buf bytes.Buffer
-	if err := r.Save(&buf); err != nil {
+	if err := r.Snapshot().Save(&buf); err != nil {
 		t.Fatal(err)
 	}
 	r2, err := Load(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Size() != 2 {
-		t.Fatalf("loaded size = %d", r2.Size())
+	if r2.Snapshot().Size() != 2 {
+		t.Fatalf("loaded size = %d", r2.Snapshot().Size())
 	}
-	w1, w2 := r.Get("1"), r2.Get("1")
+	w1, w2 := r.Snapshot().Get("1"), r2.Snapshot().Get("1")
 	if w1.Annotations.Title != w2.Annotations.Title {
 		t.Error("annotations lost in round trip")
 	}
@@ -239,7 +239,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if w2.Modules[0].ServiceURI != "http://u" {
 		t.Error("module attributes lost")
 	}
-	if err := r2.Validate(); err != nil {
+	if err := r2.Snapshot().Validate(); err != nil {
 		t.Error(err)
 	}
 }
@@ -264,8 +264,8 @@ func TestSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r2.Size() != 1 {
-		t.Errorf("loaded size = %d", r2.Size())
+	if r2.Snapshot().Size() != 1 {
+		t.Errorf("loaded size = %d", r2.Snapshot().Size())
 	}
 	if _, err := LoadFile(filepath.Join(dir, "missing.json")); err == nil {
 		t.Error("missing file accepted")
@@ -333,8 +333,8 @@ func TestCommitHookErrorAbortsCommit(t *testing.T) {
 	if _, err := r.ApplyBatch([]Op{{Kind: OpRemove, ID: "1"}}); err == nil {
 		t.Fatal("ApplyBatch with failing hook succeeded")
 	}
-	if r.Generation() != genBefore || r.Size() != 1 || r.Get("2") != nil {
-		t.Fatalf("aborted commit leaked state: gen %d size %d", r.Generation(), r.Size())
+	if r.Generation() != genBefore || r.Snapshot().Size() != 1 || r.Snapshot().Get("2") != nil {
+		t.Fatalf("aborted commit leaked state: gen %d size %d", r.Generation(), r.Snapshot().Size())
 	}
 	// Validation failures must surface before the hook is consulted.
 	fired := false
@@ -360,10 +360,10 @@ func TestRestoreOnlyOnFreshRepository(t *testing.T) {
 	if fired {
 		t.Fatal("Restore fired the commit hook; recovery must not re-log itself")
 	}
-	if r.Generation() != 7 || r.Size() != 2 {
-		t.Fatalf("restored gen %d size %d, want 7/2", r.Generation(), r.Size())
+	if r.Generation() != 7 || r.Snapshot().Size() != 2 {
+		t.Fatalf("restored gen %d size %d, want 7/2", r.Generation(), r.Snapshot().Size())
 	}
-	if got := r.IDs(); !reflect.DeepEqual(got, []string{"1", "2"}) {
+	if got := r.Snapshot().IDs(); !reflect.DeepEqual(got, []string{"1", "2"}) {
 		t.Fatalf("restored IDs %v", got)
 	}
 	if err := r.Restore(9, sample("3")); err == nil {
@@ -378,7 +378,7 @@ func TestRestoreOnlyOnFreshRepository(t *testing.T) {
 	if err := r3.Restore(1, sample("dup"), sample("dup")); err == nil {
 		t.Fatal("Restore accepted duplicate IDs")
 	}
-	if r3.Size() != 0 || r3.Generation() != 0 {
+	if r3.Snapshot().Size() != 0 || r3.Generation() != 0 {
 		t.Fatal("failed Restore mutated the repository")
 	}
 }
@@ -401,14 +401,14 @@ func TestAdoptSymtabAlwaysInterns(t *testing.T) {
 	if err := r.Add(sample("1")); err != nil {
 		t.Fatal(err)
 	}
-	if r.Symtab() != tab || !r.Get("1").ResolvedBy(tab) {
+	if r.Symtab() != tab || !r.Snapshot().Get("1").ResolvedBy(tab) {
 		t.Fatal("the repository did not intern into the adopted table")
 	}
 	if err := r.AdoptSymtab(symtab.New()); err == nil {
 		t.Fatal("AdoptSymtab accepted on a non-empty repository")
 	}
 	own, _ := NewRepository(sample("2"))
-	if own.Symtab() == nil || !own.Get("2").ResolvedBy(own.Symtab()) {
+	if own.Symtab() == nil || !own.Snapshot().Get("2").ResolvedBy(own.Symtab()) {
 		t.Fatal("a bare repository did not intern into its own table")
 	}
 }
@@ -423,7 +423,7 @@ func TestRevisionsNameCommittedObjects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	seeded := r.Get("1")
+	seeded := r.Snapshot().Get("1")
 	if seeded.Rev() != 1 {
 		t.Errorf("seeded revision = %d, want 1 (generation 0 + 1)", seeded.Rev())
 	}
@@ -431,8 +431,8 @@ func TestRevisionsNameCommittedObjects(t *testing.T) {
 	if err := r.Add(added); err != nil {
 		t.Fatal(err)
 	}
-	if r.Get("2") != added || added.Rev() != r.Generation()+1 {
-		t.Errorf("added object: stored %v, revision %d at generation %d; want the input itself at generation + 1", r.Get("2") == added, added.Rev(), r.Generation())
+	if r.Snapshot().Get("2") != added || added.Rev() != r.Generation()+1 {
+		t.Errorf("added object: stored %v, revision %d at generation %d; want the input itself at generation + 1", r.Snapshot().Get("2") == added, added.Rev(), r.Generation())
 	}
 
 	// A refused batch stamps nothing: not a fresh input, and above all not
@@ -448,8 +448,8 @@ func TestRevisionsNameCommittedObjects(t *testing.T) {
 	if err := r.Replace(seeded); err == nil {
 		t.Fatal("self-replace with failing hook succeeded")
 	}
-	if r.Get("1") != seeded || seeded.Rev() != 1 {
-		t.Errorf("refused self-replace touched the stored object: same %v, revision %d", r.Get("1") == seeded, seeded.Rev())
+	if r.Snapshot().Get("1") != seeded || seeded.Rev() != 1 {
+		t.Errorf("refused self-replace touched the stored object: same %v, revision %d", r.Snapshot().Get("1") == seeded, seeded.Rev())
 	}
 
 	// An accepted self-replace commits a copy under a new revision and leaves
@@ -458,7 +458,7 @@ func TestRevisionsNameCommittedObjects(t *testing.T) {
 	if err := r.Replace(seeded); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Get("1"); got == seeded || got.Rev() != r.Generation()+1 || seeded.Rev() != 1 {
+	if got := r.Snapshot().Get("1"); got == seeded || got.Rev() != r.Generation()+1 || seeded.Rev() != 1 {
 		t.Errorf("self-replace: stored the input itself %v, stored revision %d at generation %d, input revision %d", got == seeded, got.Rev(), r.Generation(), seeded.Rev())
 	}
 	// So does re-adding a pointer that was removed.
@@ -468,7 +468,7 @@ func TestRevisionsNameCommittedObjects(t *testing.T) {
 	if err := r.Add(added); err != nil {
 		t.Fatal(err)
 	}
-	if got := r.Get("2"); got == added || got.Rev() != r.Generation()+1 {
+	if got := r.Snapshot().Get("2"); got == added || got.Rev() != r.Generation()+1 {
 		t.Errorf("re-added pointer: stored the input itself %v, revision %d at generation %d", got == added, got.Rev(), r.Generation())
 	}
 
@@ -479,10 +479,10 @@ func TestRevisionsNameCommittedObjects(t *testing.T) {
 	if err := r2.Restore(7, recovered, seeded); err != nil {
 		t.Fatal(err)
 	}
-	if r2.Get("9") != recovered || recovered.Rev() != 8 {
-		t.Errorf("restored object: stored %v, revision %d, want the input itself at 8", r2.Get("9") == recovered, recovered.Rev())
+	if r2.Snapshot().Get("9") != recovered || recovered.Rev() != 8 {
+		t.Errorf("restored object: stored %v, revision %d, want the input itself at 8", r2.Snapshot().Get("9") == recovered, recovered.Rev())
 	}
-	if got := r2.Get("1"); got == seeded || got.Rev() != 8 || seeded.Rev() != 1 {
+	if got := r2.Snapshot().Get("1"); got == seeded || got.Rev() != 8 || seeded.Rev() != 1 {
 		t.Errorf("restored seed object: stored the input itself %v, revision %d, input revision %d", got == seeded, got.Rev(), seeded.Rev())
 	}
 }
@@ -544,16 +544,16 @@ func TestApplyBatchMatchesSliceModel(t *testing.T) {
 			case valid:
 				model = staged
 			}
-			if got := repo.Workflows(); !slices.Equal(got, model) {
+			if got := repo.Snapshot().Workflows(); !slices.Equal(got, model) {
 				t.Fatalf("seed %d batch %d: Workflows() = %v, model %v", seed, b, idsOf(got), idsOf(model))
 			}
 			for _, w := range model {
-				if repo.Get(w.ID) != w {
+				if repo.Snapshot().Get(w.ID) != w {
 					t.Fatalf("seed %d batch %d: Get(%q) is not the model's object", seed, b, w.ID)
 				}
 			}
 			for _, op := range ops {
-				if !slices.ContainsFunc(model, func(w *workflow.Workflow) bool { return w.ID == op.ID }) && repo.Get(op.ID) != nil {
+				if !slices.ContainsFunc(model, func(w *workflow.Workflow) bool { return w.ID == op.ID }) && repo.Snapshot().Get(op.ID) != nil {
 					t.Fatalf("seed %d batch %d: removed %q is still found", seed, b, op.ID)
 				}
 			}

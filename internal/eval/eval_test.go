@@ -195,7 +195,7 @@ func TestBuildRankingStudy(t *testing.T) {
 				t.Errorf("duplicate candidate %s for %s", id, q)
 			}
 			seen[id] = true
-			if c.Repo.Get(id) == nil {
+			if c.Repo.Snapshot().Get(id) == nil {
 				t.Errorf("candidate %s not in corpus", id)
 			}
 		}
@@ -237,7 +237,7 @@ func TestConsensusCorrelatesWithTruth(t *testing.T) {
 func TestBuildRetrievalStudy(t *testing.T) {
 	c := testCorpus(t)
 	panel := NewPanel(15, 4)
-	ids := c.Repo.IDs()
+	ids := c.Repo.Snapshot().IDs()
 	pooled := map[string][]string{
 		ids[0]: {ids[1], ids[2], ids[3]},
 		ids[5]: {ids[6], ids[7]},

@@ -36,7 +36,8 @@ type RankingStudy struct {
 // pair and the ratings are aggregated with BioConsert.
 func BuildRankingStudy(c *gen.Corpus, numQueries int, panel []*Rater, seed int64) *RankingStudy {
 	rng := rand.New(rand.NewSource(seed))
-	ids := c.Repo.IDs()
+	snap := c.Repo.Snapshot()
+	ids := snap.IDs()
 	queries := sampleIDs(rng, ids, numQueries)
 
 	study := &RankingStudy{
@@ -48,10 +49,10 @@ func BuildRankingStudy(c *gen.Corpus, numQueries int, panel []*Rater, seed int64
 	bw := measures.BagOfWords{}
 
 	for _, q := range queries {
-		qwf := c.Repo.Get(q)
+		qwf := snap.Get(q)
 		// Naive annotation ranking of the whole repository.
 		var all []scored
-		for _, wf := range c.Repo.Workflows() {
+		for _, wf := range snap.Workflows() {
 			if wf.ID == q {
 				continue
 			}

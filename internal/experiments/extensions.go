@@ -36,7 +36,8 @@ type AutoProjectionResult struct {
 // AutoProjection evaluates frequency-based automatic importance scoring
 // (the paper's proposed future work) against the manual curation.
 func AutoProjection(s *Setup) AutoProjectionResult {
-	usage := repoknow.CollectUsage(s.Taverna.Repo.Workflows())
+	wfs := s.Taverna.Repo.Snapshot().Workflows()
+	usage := repoknow.CollectUsage(wfs)
 	freqScorer := repoknow.NewFrequencyScorer(usage)
 	// Threshold 0.65 removes labels spread across more than ~35% of the
 	// repository. Document frequency separates shims from core operations
@@ -57,8 +58,8 @@ func AutoProjection(s *Setup) AutoProjectionResult {
 	out.Auto = EvaluateRanking(s.Taverna, s.Study, auto)
 	out.Auto.Name = "MS_autoip_te_pll"
 	out.None = EvaluateRanking(s.Taverna, s.Study, none)
-	_, out.MeanModulesManual = s.Projector.MeanModuleCount(s.Taverna.Repo.Workflows())
-	_, out.MeanModulesAuto = autoProj.MeanModuleCount(s.Taverna.Repo.Workflows())
+	_, out.MeanModulesManual = s.Projector.MeanModuleCount(wfs)
+	_, out.MeanModulesAuto = autoProj.MeanModuleCount(wfs)
 	return out
 }
 

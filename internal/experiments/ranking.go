@@ -45,15 +45,16 @@ type AlgoRankingResult struct {
 func EvaluateRanking(c *gen.Corpus, study *eval.RankingStudy, m measures.Measure) AlgoRankingResult {
 	res := AlgoRankingResult{Name: m.Name()}
 	var completeness []float64
+	snap := c.Repo.Snapshot()
 	for _, q := range study.Queries {
-		qwf := c.Repo.Get(q)
+		qwf := snap.Get(q)
 		if _, isBT := m.(measures.BagOfTags); isBT && !measures.HasTags(qwf) {
 			res.SkippedQueries++
 			continue
 		}
 		scores := map[string]float64{}
 		for _, cand := range study.Candidates[q] {
-			s, err := m.Compare(qwf, c.Repo.Get(cand))
+			s, err := m.Compare(qwf, snap.Get(cand))
 			if err != nil {
 				res.SkippedPairs++
 				continue

@@ -57,11 +57,12 @@ func RunRetrieval(ctx context.Context, s *Setup, id, title string, ms []measures
 		perMeasure[m.Name()] = map[string][]search.Result{}
 	}
 	pooled := map[string][]string{}
+	snap := s.Taverna.Repo.Snapshot()
 	for _, q := range queries {
-		qwf := s.Taverna.Repo.Get(q)
+		qwf := snap.Get(q)
 		var lists [][]search.Result
 		for _, m := range ms {
-			results, skipped, err := search.TopK(ctx, qwf, s.Taverna.Repo, m, search.Options{K: 10})
+			results, skipped, err := search.TopK(ctx, qwf, snap, m, search.Options{K: 10})
 			if err != nil {
 				panic(err) // only context errors are possible
 			}

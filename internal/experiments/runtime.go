@@ -49,10 +49,11 @@ func RuntimeStats(s *Setup) RuntimeStatsResult {
 	cfg := s.StructuralConfig(measures.ModuleSets, false, module.TypeEquivalence, module.PLL())
 	cfg.Counter = &counter
 	m := measures.NewStructural(cfg)
+	snap := s.Taverna.Repo.Snapshot()
 	for _, q := range s.Study.Queries {
-		qwf := s.Taverna.Repo.Get(q)
+		qwf := snap.Get(q)
 		for _, cand := range s.Study.Candidates[q] {
-			_, _ = m.Compare(qwf, s.Taverna.Repo.Get(cand)) //wfsimvet:ignore errpath timing run; only the pair counters are measured
+			_, _ = m.Compare(qwf, snap.Get(cand)) //wfsimvet:ignore errpath timing run; only the pair counters are measured
 		}
 	}
 	out.PairsTotal = counter.Total()
@@ -62,7 +63,7 @@ func RuntimeStats(s *Setup) RuntimeStatsResult {
 	}
 
 	// Importance projection module counts over the full corpus.
-	out.MeanModulesBefore, out.MeanModulesAfter = s.Projector.MeanModuleCount(s.Taverna.Repo.Workflows())
+	out.MeanModulesBefore, out.MeanModulesAfter = s.Projector.MeanModuleCount(snap.Workflows())
 
 	// GED computability within the per-pair budget, np vs ip, in exact
 	// mode (beam 0): this isolates how the importance projection turns an
@@ -74,10 +75,10 @@ func RuntimeStats(s *Setup) RuntimeStatsResult {
 	geNP := measures.NewStructural(npCfg)
 	geIP := measures.NewStructural(ipCfg)
 	for _, q := range s.Study.Queries {
-		qwf := s.Taverna.Repo.Get(q)
+		qwf := snap.Get(q)
 		for _, cand := range s.Study.Candidates[q] {
 			out.GEDPairs++
-			cwf := s.Taverna.Repo.Get(cand)
+			cwf := snap.Get(cand)
 			if _, err := geNP.Compare(qwf, cwf); err == nil {
 				out.GEDComputableNP++
 			}

@@ -28,11 +28,12 @@ func TestGenerateDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c1.Repo.Size() != c2.Repo.Size() {
-		t.Fatalf("sizes differ: %d vs %d", c1.Repo.Size(), c2.Repo.Size())
+	s1, s2 := c1.Repo.Snapshot(), c2.Repo.Snapshot()
+	if s1.Size() != s2.Size() {
+		t.Fatalf("sizes differ: %d vs %d", s1.Size(), s2.Size())
 	}
-	for _, wf1 := range c1.Repo.Workflows() {
-		wf2 := c2.Repo.Get(wf1.ID)
+	for _, wf1 := range s1.Workflows() {
+		wf2 := s2.Get(wf1.ID)
 		if wf2 == nil {
 			t.Fatalf("workflow %s missing in second run", wf1.ID)
 		}
@@ -71,7 +72,7 @@ func TestGenerateRejectsBadProfiles(t *testing.T) {
 	// One workflow per cluster never mutates, so it needs no mutation depth.
 	p := smallProfile()
 	p.Workflows, p.MaxMutations = p.Clusters, 0
-	if c, err := Generate(p, 1); err != nil || c.Repo.Size() != p.Clusters {
+	if c, err := Generate(p, 1); err != nil || c.Repo.Snapshot().Size() != p.Clusters {
 		t.Errorf("one workflow per cluster, MaxMutations 0: %v", err)
 	}
 }
@@ -81,13 +82,14 @@ func TestGenerateSizeAndValidity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Repo.Size() != 120 {
-		t.Errorf("size = %d, want 120", c.Repo.Size())
+	snap := c.Repo.Snapshot()
+	if snap.Size() != 120 {
+		t.Errorf("size = %d, want 120", snap.Size())
 	}
-	if err := c.Repo.Validate(); err != nil {
+	if err := snap.Validate(); err != nil {
 		t.Errorf("invalid corpus: %v", err)
 	}
-	for _, wf := range c.Repo.Workflows() {
+	for _, wf := range snap.Workflows() {
 		if wf.Size() == 0 {
 			t.Errorf("workflow %s empty", wf.ID)
 		}
@@ -102,12 +104,13 @@ func TestGenerateTavernaStatistics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Repo.Size() != 1483 {
-		t.Fatalf("size = %d, want 1483", c.Repo.Size())
+	snap := c.Repo.Snapshot()
+	if snap.Size() != 1483 {
+		t.Fatalf("size = %d, want 1483", snap.Size())
 	}
 	var modules, tagged, withDesc int
 	typeSpellings := map[string]bool{}
-	for _, wf := range c.Repo.Workflows() {
+	for _, wf := range snap.Workflows() {
 		modules += wf.Size()
 		if len(wf.Annotations.Tags) > 0 {
 			tagged++
@@ -119,11 +122,11 @@ func TestGenerateTavernaStatistics(t *testing.T) {
 			typeSpellings[m.Type] = true
 		}
 	}
-	mean := float64(modules) / float64(c.Repo.Size())
+	mean := float64(modules) / float64(snap.Size())
 	if mean < 8 || mean > 15 {
 		t.Errorf("mean modules/workflow = %.1f, want near the paper's 11.3", mean)
 	}
-	tagFrac := float64(tagged) / float64(c.Repo.Size())
+	tagFrac := float64(tagged) / float64(snap.Size())
 	if tagFrac < 0.78 || tagFrac > 0.92 {
 		t.Errorf("tagged fraction = %.2f, want ~0.85", tagFrac)
 	}
@@ -144,11 +147,12 @@ func TestGenerateGalaxySparseAnnotations(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if c.Repo.Size() != 139 {
-		t.Fatalf("size = %d, want 139", c.Repo.Size())
+	snap := c.Repo.Snapshot()
+	if snap.Size() != 139 {
+		t.Fatalf("size = %d, want 139", snap.Size())
 	}
 	var withDesc int
-	for _, wf := range c.Repo.Workflows() {
+	for _, wf := range snap.Workflows() {
 		if wf.Annotations.Description != "" {
 			withDesc++
 		}
@@ -158,7 +162,7 @@ func TestGenerateGalaxySparseAnnotations(t *testing.T) {
 			}
 		}
 	}
-	frac := float64(withDesc) / float64(c.Repo.Size())
+	frac := float64(withDesc) / float64(snap.Size())
 	if frac > 0.3 {
 		t.Errorf("description fraction = %.2f, want sparse (< 0.3)", frac)
 	}
@@ -213,7 +217,7 @@ func TestTruthStructure(t *testing.T) {
 
 func TestTruthSymmetricDeterministic(t *testing.T) {
 	c, _ := Generate(smallProfile(), 3)
-	ids := c.Repo.IDs()
+	ids := c.Repo.Snapshot().IDs()
 	for i := 0; i < 20; i++ {
 		a, b := ids[i], ids[len(ids)-1-i]
 		if c.Truth.Sim(a, b) != c.Truth.Sim(b, a) {
@@ -231,6 +235,7 @@ func TestGeneratedCorpusDiscriminable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := c.Repo.Snapshot()
 	byCluster := map[int][]string{}
 	for id, m := range c.Truth.Meta {
 		byCluster[m.Cluster] = append(byCluster[m.Cluster], id)
@@ -249,8 +254,8 @@ func TestGeneratedCorpusDiscriminable(t *testing.T) {
 			continue
 		}
 		count++
-		a := c.Repo.Get(ids[0])
-		b := c.Repo.Get(ids[1])
+		a := snap.Get(ids[0])
+		b := snap.Get(ids[1])
 		s, _ := ms.Compare(a, b)
 		sameMS = append(sameMS, s)
 		s, _ = bw.Compare(a, b)
@@ -259,7 +264,7 @@ func TestGeneratedCorpusDiscriminable(t *testing.T) {
 		ma := c.Truth.Meta[ids[0]]
 		for id2, m2 := range c.Truth.Meta {
 			if m2.Domain != ma.Domain {
-				x := c.Repo.Get(id2)
+				x := snap.Get(id2)
 				s, _ := ms.Compare(a, x)
 				crossMS = append(crossMS, s)
 				s, _ = bw.Compare(a, x)
@@ -284,6 +289,7 @@ func TestLabelDriftWithinClusters(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap := c.Repo.Snapshot()
 	byCluster := map[int][]string{}
 	for id, m := range c.Truth.Meta {
 		byCluster[m.Cluster] = append(byCluster[m.Cluster], id)
@@ -295,7 +301,7 @@ func TestLabelDriftWithinClusters(t *testing.T) {
 		}
 		labels := map[string]bool{}
 		for _, id := range ids {
-			for _, m := range c.Repo.Get(id).Modules {
+			for _, m := range snap.Get(id).Modules {
 				if !m.IsLocal() {
 					labels[strings.ToLower(m.Label)] = true
 				}
@@ -366,7 +372,7 @@ func TestGeneratedShimLabelsSkewed(t *testing.T) {
 		t.Fatal(err)
 	}
 	freq := map[string]int{}
-	for _, wf := range c.Repo.Workflows() {
+	for _, wf := range c.Repo.Snapshot().Workflows() {
 		for _, m := range wf.Modules {
 			switch m.Type {
 			case workflow.TypeLocalWorker, workflow.TypeStringConst, workflow.TypeXMLSplitter, workflow.TypeXMLMerger:

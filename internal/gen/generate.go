@@ -139,7 +139,7 @@ func Generate(p Profile, seed int64) (*Corpus, error) {
 			truth.Meta[id] = WorkflowMeta{Cluster: c, Domain: proto.domain, MutationDepth: depth}
 		}
 	}
-	if err := repo.Validate(); err != nil {
+	if err := repo.Snapshot().Validate(); err != nil {
 		return nil, fmt.Errorf("gen: generated invalid corpus: %w", err)
 	}
 	return &Corpus{Profile: p, Repo: repo, Truth: truth}, nil

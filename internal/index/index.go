@@ -33,8 +33,8 @@ import (
 	"repro/internal/workflow"
 )
 
-// Source is any provider of workflows to index — a corpus.Repository, a
-// pinned corpus.Snapshot, or a test fixture.
+// Source is any provider of workflows to index: a pinned corpus.Snapshot or
+// a search.List.
 type Source interface {
 	Workflows() []*workflow.Workflow
 }

@@ -13,7 +13,7 @@ import (
 	"repro/internal/workflow"
 )
 
-func testCorpus(t testing.TB) *gen.Corpus {
+func testCorpus(t testing.TB) *corpus.Snapshot {
 	t.Helper()
 	p := gen.Taverna()
 	p.Workflows = 200
@@ -22,7 +22,7 @@ func testCorpus(t testing.TB) *gen.Corpus {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c
+	return c.Repo.Snapshot()
 }
 
 func pllMS() measures.Measure {
@@ -54,31 +54,31 @@ func refine(ctx context.Context, idx *Index, query *workflow.Workflow, m measure
 
 func TestBuildIndexesAllWorkflows(t *testing.T) {
 	c := testCorpus(t)
-	idx := Build(c.Repo)
+	idx := Build(c)
 	if idx.Stats().Vocabulary == 0 {
 		t.Fatal("empty vocabulary")
 	}
-	for pos := range c.Repo.Workflows() {
+	for pos := range c.Workflows() {
 		if len(idx.entries[pos].labels) == 0 {
 			t.Fatalf("workflow at %d has no indexed labels", pos)
 		}
 	}
-	if idx.Size() != c.Repo.Size() {
-		t.Errorf("index size %d vs repo size %d", idx.Size(), c.Repo.Size())
+	if idx.Size() != c.Size() {
+		t.Errorf("index size %d vs repo size %d", idx.Size(), c.Size())
 	}
 }
 
 func TestCandidatesShareLabels(t *testing.T) {
 	c := testCorpus(t)
-	idx := Build(c.Repo)
-	query := c.Repo.Workflows()[0]
+	idx := Build(c)
+	query := c.Workflows()[0]
 	cands := idx.Candidates(query, 1)
 	if len(cands) == 0 {
 		t.Fatal("no candidates")
 	}
 	// Every candidate shares at least one canonical label by construction;
 	// spot check the top candidate overlaps heavily.
-	if len(cands) == c.Repo.Size() {
+	if len(cands) == c.Size() {
 		t.Log("warning: no pruning on this corpus (labels too shared)")
 	}
 	// With a high minShared the candidate set shrinks monotonically.
@@ -90,8 +90,8 @@ func TestCandidatesShareLabels(t *testing.T) {
 
 func TestTopKExcludesQueryAndSorts(t *testing.T) {
 	c := testCorpus(t)
-	idx := Build(c.Repo)
-	query := c.Repo.Workflows()[0]
+	idx := Build(c)
+	query := c.Workflows()[0]
 	res, err := refine(context.Background(), idx, query, pllMS(), 10, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -107,9 +107,9 @@ func TestTopKExcludesQueryAndSorts(t *testing.T) {
 			t.Error("not sorted")
 		}
 	}
-	if res.Candidates+res.Pruned != c.Repo.Size() {
+	if res.Candidates+res.Pruned != c.Size() {
 		t.Errorf("accounting: %d candidates + %d pruned vs %d total",
-			res.Candidates, res.Pruned, c.Repo.Size())
+			res.Candidates, res.Pruned, c.Size())
 	}
 }
 
@@ -119,10 +119,10 @@ func TestLosslessForStrictLabelMatching(t *testing.T) {
 	// filter at minShared=1 must reproduce the exact top-k whenever the
 	// exact top-k has positive scores.
 	c := testCorpus(t)
-	idx := Build(c.Repo)
+	idx := Build(c)
 	m := plmMS()
-	for _, query := range c.Repo.Workflows()[:10] {
-		exact, _, _ := search.TopK(context.Background(), query, c.Repo, m, search.Options{K: 5})
+	for _, query := range c.Workflows()[:10] {
+		exact, _, _ := search.TopK(context.Background(), query, c, m, search.Options{K: 5})
 		fast, err := refine(context.Background(), idx, query, m, 5, 1)
 		if err != nil {
 			t.Fatal(err)
@@ -144,13 +144,13 @@ func TestLosslessForStrictLabelMatching(t *testing.T) {
 
 func TestRecallHighForEditDistance(t *testing.T) {
 	c := testCorpus(t)
-	idx := Build(c.Repo)
+	idx := Build(c)
 	m := pllMS()
 	var total float64
-	queries := c.Repo.Workflows()[:8]
+	queries := c.Workflows()[:8]
 	for _, q := range queries {
 		// Recall of the accelerated top-10 against the exact scan.
-		exact, _, err := search.TopK(context.Background(), q, c.Repo, m, search.Options{K: 10})
+		exact, _, err := search.TopK(context.Background(), q, c, m, search.Options{K: 10})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -188,7 +188,7 @@ func TestPruningActuallyHappens(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	idx := Build(repo)
+	idx := Build(repo.Snapshot())
 	res, err := refine(context.Background(), idx, w1, pllMS(), 10, 1)
 	if err != nil {
 		t.Fatal(err)
@@ -208,8 +208,8 @@ func TestPruningActuallyHappens(t *testing.T) {
 
 func BenchmarkIndexedVsExactSearch(b *testing.B) {
 	c := testCorpus(b)
-	idx := Build(c.Repo)
-	query := c.Repo.Workflows()[0]
+	idx := Build(c)
+	query := c.Workflows()[0]
 	m := pllMS()
 	b.Run("indexed", func(b *testing.B) {
 		b.ReportAllocs()
@@ -220,17 +220,17 @@ func BenchmarkIndexedVsExactSearch(b *testing.B) {
 	b.Run("exact", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			search.TopK(context.Background(), query, c.Repo, m, search.Options{K: 10, Parallelism: 1})
+			search.TopK(context.Background(), query, c, m, search.Options{K: 10, Parallelism: 1})
 		}
 	})
 }
 
 func TestTopKCancelledContext(t *testing.T) {
 	c := testCorpus(t)
-	idx := Build(c.Repo)
+	idx := Build(c)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := refine(ctx, idx, c.Repo.Workflows()[0], pllMS(), 10, 1); err != context.Canceled {
+	if _, err := refine(ctx, idx, c.Workflows()[0], pllMS(), 10, 1); err != context.Canceled {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 }
@@ -265,7 +265,7 @@ func sameTopK(t *testing.T, a, b *Index, query *workflow.Workflow) {
 // survivors.
 func TestIncrementalMatchesFullBuild(t *testing.T) {
 	c := testCorpus(t)
-	wfs := c.Repo.Workflows()[:60]
+	wfs := c.Workflows()[:60]
 	query := wfs[0]
 
 	inc := New()
@@ -275,7 +275,7 @@ func TestIncrementalMatchesFullBuild(t *testing.T) {
 		}
 		if (i+1)%20 == 0 {
 			ref, _ := corpus.NewRepository(wfs[:i+1]...)
-			sameTopK(t, inc, Build(ref), query)
+			sameTopK(t, inc, Build(ref.Snapshot()), query)
 		}
 	}
 	if err := inc.Insert(wfs[3]); err == nil {
@@ -298,7 +298,7 @@ func TestIncrementalMatchesFullBuild(t *testing.T) {
 		t.Error("deleting unknown ID reported true")
 	}
 	ref, _ := corpus.NewRepository(kept...)
-	sameTopK(t, inc, Build(ref), query)
+	sameTopK(t, inc, Build(ref.Snapshot()), query)
 }
 
 // extraTwin builds a one-module workflow for drift probes.
@@ -312,9 +312,9 @@ func extraTwin(id string) *workflow.Workflow {
 // checks equivalence with a full rebuild of the mutated repository.
 func TestApplyBatchAndReplace(t *testing.T) {
 	c := testCorpus(t)
-	wfs := c.Repo.Workflows()[:40]
+	wfs := c.Workflows()[:40]
 	repo, _ := corpus.NewRepository(wfs...)
-	idx := Build(repo)
+	idx := Build(repo.Snapshot())
 
 	repl := workflow.New(wfs[5].ID)
 	repl.AddModule(&workflow.Module{Label: "completely_fresh_label", Type: workflow.TypeWSDL})
@@ -334,7 +334,7 @@ func TestApplyBatchAndReplace(t *testing.T) {
 	if idx.Generation() != repo.Generation() {
 		t.Errorf("Apply did not stamp the generation: %d vs %d", idx.Generation(), repo.Generation())
 	}
-	sameTopK(t, idx, Build(repo), wfs[0])
+	sameTopK(t, idx, Build(repo.Snapshot()), wfs[0])
 	if cands, _ := idx.CaptureCandidates(repl, 1); !slices.Contains(cands, repl) {
 		t.Error("replaced workflow not findable via candidates")
 	}
@@ -359,8 +359,8 @@ func TestApplyBatchAndReplace(t *testing.T) {
 // tombstones are swept and searches stay correct.
 func TestCompactionSweepsTombstones(t *testing.T) {
 	c := testCorpus(t)
-	wfs := c.Repo.Workflows()
-	idx := Build(c.Repo)
+	wfs := c.Workflows()
+	idx := Build(c)
 	for _, wf := range wfs[100:] {
 		idx.Delete(wf.ID)
 	}
@@ -375,15 +375,15 @@ func TestCompactionSweepsTombstones(t *testing.T) {
 		t.Errorf("tombstones not swept: %+v", st)
 	}
 	ref, _ := corpus.NewRepository(wfs[:100]...)
-	sameTopK(t, idx, Build(ref), wfs[0])
+	sameTopK(t, idx, Build(ref.Snapshot()), wfs[0])
 }
 
 // TestConcurrentSearchAndMutate hammers TopK while a writer churns the
 // index; run with -race this is the index's torn-read detector.
 func TestConcurrentSearchAndMutate(t *testing.T) {
 	c := testCorpus(t)
-	wfs := c.Repo.Workflows()
-	idx := Build(c.Repo)
+	wfs := c.Workflows()
+	idx := Build(c)
 	query := wfs[0]
 	done := make(chan struct{})
 	go func() {

@@ -199,10 +199,8 @@ func RunAnalyzers(u *Universe, pkgs []*Package, analyzers []*Analyzer) ([]Diagno
 // All is the full analyzer suite, in the order the driver runs it.
 var All = []*Analyzer{
 	PairOrder,
-	SnapshotPin,
 	OnePin,
 	CtxFlow,
-	GenStamp,
 	LockScope,
 	ErrPath,
 	HotAlloc,
@@ -232,10 +230,13 @@ func ByName(names string) ([]*Analyzer, error) {
 }
 
 // namedType reports whether t (after pointer indirection) is the named type
-// pkgPath.name, the shared type test of the analyzer suite.
+// pkgPath.name, the shared type test of the analyzer suite. Aliases are
+// seen through on both sides of the pointer: *wfsim.Workflow is
+// *workflow.Workflow.
 func namedType(t types.Type, pkgPath, name string) bool {
+	t = types.Unalias(t)
 	if ptr, ok := t.(*types.Pointer); ok {
-		t = ptr.Elem()
+		t = types.Unalias(ptr.Elem())
 	}
 	named, ok := t.(*types.Named)
 	if !ok {

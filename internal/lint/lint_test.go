@@ -2,9 +2,12 @@ package lint_test
 
 import (
 	"fmt"
+	"go/ast"
+	"go/types"
 	"os"
 	"path/filepath"
 	"regexp"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -45,11 +48,11 @@ type wantExpectation struct {
 
 var wantRE = regexp.MustCompile("//\\s*want\\s+`([^`]+)`")
 
-// collectWants parses the fixture package's `// want` comments.
-func collectWants(t *testing.T, u *lint.Universe, pkg *lint.Package) []*wantExpectation {
+// collectWants parses the `// want` comments of a fixture's files.
+func collectWants(t *testing.T, u *lint.Universe, files []*ast.File) []*wantExpectation {
 	t.Helper()
 	var wants []*wantExpectation
-	for _, f := range pkg.Files {
+	for _, f := range files {
 		for _, cg := range f.Comments {
 			for _, c := range cg.List {
 				m := wantRE.FindStringSubmatch(c.Text)
@@ -82,7 +85,7 @@ func checkFixture(t *testing.T, a *lint.Analyzer, dir, asPath string) []lint.Dia
 	if err != nil {
 		t.Fatalf("run %s on %s: %v", a.Name, dir, err)
 	}
-	wants := collectWants(t, u, pkg)
+	wants := collectWants(t, u, pkg.Files)
 	matched := make([]bool, len(wants))
 outer:
 	for _, d := range diags {
@@ -126,35 +129,89 @@ func TestPairOrderExemptInWorkflowPackage(t *testing.T) {
 	}
 }
 
-func TestSnapshotPinFixtures(t *testing.T) {
-	for _, path := range []string{
-		"repro/internal/search",
-		"repro/internal/cluster",
-		"repro/internal/shard",
-		"repro/pkg/wfsim",
-	} {
-		if diags := checkFixture(t, lint.SnapshotPin, "snapshotpin/bad", path); len(diags) == 0 {
-			t.Errorf("bad fixture under %s produced no findings", path)
+// checkTypeErrors type-checks testdata/<dir> as a package with import path
+// asPath, joined with the files in with, and matches the type errors
+// one-to-one against the fixture's `// want` comments: an error at every
+// marked line, with a message the comment names, and none elsewhere. It
+// returns the number of marked lines.
+func checkTypeErrors(t *testing.T, dir, asPath string, with ...*ast.File) int {
+	t.Helper()
+	u := universe(t)
+	files, errs, err := u.TypeErrors(filepath.Join("testdata", dir), asPath, with...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wants := collectWants(t, u, files)
+	for _, w := range wants {
+		if !slices.ContainsFunc(errs, func(e types.Error) bool {
+			pos := u.Fset.Position(e.Pos)
+			return pos.Filename == w.file && pos.Line == w.line && w.re.MatchString(e.Msg)
+		}) {
+			t.Errorf("%s:%d: type-checks, want an error matching %q", w.file, w.line, w.re)
 		}
 	}
-	checkFixture(t, lint.SnapshotPin, "snapshotpin/good", "repro/internal/search")
+	for _, e := range errs {
+		pos := u.Fset.Position(e.Pos)
+		if !slices.ContainsFunc(wants, func(w *wantExpectation) bool { return w.file == pos.Filename && w.line == pos.Line }) {
+			t.Errorf("unexpected type error %s: %s", pos, e.Msg)
+		}
+	}
+	return len(wants)
 }
 
-// Outside the pinned read paths, direct repository reads are allowed — the
-// corpus package itself, tools, and the write path use them legitimately.
-func TestSnapshotPinScope(t *testing.T) {
+// serveFiles returns the serve package's own files, which genstamp's
+// fixtures join.
+func serveFiles(t *testing.T) []*ast.File {
+	t.Helper()
 	u := universe(t)
-	pkg, err := u.CheckDir(filepath.Join("testdata", "snapshotpin/bad"), "repro/internal/tooling")
-	if err != nil {
-		t.Fatal(err)
+	i := slices.IndexFunc(u.Targets, func(p *lint.Package) bool { return p.Path == "repro/pkg/wfsim/serve" })
+	if i < 0 {
+		t.Fatal("the serve package is not loaded")
 	}
-	diags, err := lint.RunAnalyzers(u, []*lint.Package{pkg}, []*lint.Analyzer{lint.SnapshotPin})
-	if err != nil {
-		t.Fatal(err)
+	return u.Targets[i].Files
+}
+
+// TestRetiredRulesAreTypeErrors holds the contracts that types took over
+// from analyzers to the bad fixtures of the rules they retired: each must
+// fail to type-check at every line its `// want` comment marks, with an
+// error the comment names, and nowhere else.
+//
+//   - snapshotpin: corpus.Repository has no read API; a read pins a Snapshot.
+//   - the key half of pairorder: scorecache.Key has no exported field, so
+//     PairKey is the only constructor outside its package.
+//   - genstamp: serve's writeJSON takes only a body carrying a stamp. Its
+//     fixture joins the serve package's own files.
+func TestRetiredRulesAreTypeErrors(t *testing.T) {
+	for _, tc := range []struct {
+		rule, asPath string
+		with         func(*testing.T) []*ast.File
+	}{
+		{"snapshotpin", "repro/internal/fixture", nil},
+		{"scorecachekey", "repro/internal/fixture", nil},
+		{"genstamp", "repro/pkg/wfsim/serve", serveFiles},
+	} {
+		t.Run(tc.rule, func(t *testing.T) {
+			var with []*ast.File
+			if tc.with != nil {
+				with = tc.with(t)
+			}
+			if checkTypeErrors(t, filepath.Join("retired", tc.rule), tc.asPath, with...) == 0 {
+				t.Fatal("the fixture marks no line")
+			}
+		})
 	}
-	if len(diags) != 0 {
-		t.Errorf("got %d findings outside the pinned scope, want 0: %v", len(diags), diags)
-	}
+}
+
+// The reads the snapshotpin rule accepted still compile under its type:
+// pinned reads through a Snapshot and writes through the repository.
+func TestSnapshotPinFixtures(t *testing.T) {
+	checkTypeErrors(t, "retired/snapshotpin/good", "repro/internal/fixture")
+}
+
+// The bodies the genstamp rule accepted still compile under writeJSON's
+// type: stamped by embedding and through a shared payload.
+func TestGenStampFixtures(t *testing.T) {
+	checkTypeErrors(t, "retired/genstamp/good", "repro/pkg/wfsim/serve", serveFiles(t)...)
 }
 
 func TestOnePinFixtures(t *testing.T) {
@@ -184,26 +241,6 @@ func TestCtxFlowFixtures(t *testing.T) {
 		t.Error("bad fixture produced no findings")
 	}
 	checkFixture(t, lint.CtxFlow, "ctxflow/good", "repro/internal/fixture")
-}
-
-func TestGenStampFixtures(t *testing.T) {
-	if diags := checkFixture(t, lint.GenStamp, "genstamp/bad", "repro/pkg/wfsim/serve"); len(diags) == 0 {
-		t.Error("bad fixture produced no findings")
-	}
-	checkFixture(t, lint.GenStamp, "genstamp/good", "repro/pkg/wfsim/serve")
-	// The same structs under any other import path are out of scope.
-	u := universe(t)
-	pkg, err := u.CheckDir(filepath.Join("testdata", "genstamp/bad"), "repro/internal/other")
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags, err := lint.RunAnalyzers(u, []*lint.Package{pkg}, []*lint.Analyzer{lint.GenStamp})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(diags) != 0 {
-		t.Errorf("got %d findings outside serve, want 0: %v", len(diags), diags)
-	}
 }
 
 func TestLockScopeFixtures(t *testing.T) {
@@ -278,11 +315,11 @@ func TestHotAllocFixtures(t *testing.T) {
 // do not, and bare directives are themselves reported.
 func TestSuppression(t *testing.T) {
 	u := universe(t)
-	pkg, err := u.CheckDir(filepath.Join("testdata", "suppress"), "repro/internal/search")
+	pkg, err := u.CheckDir(filepath.Join("testdata", "suppress"), "repro/internal/fixture")
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := lint.RunAnalyzers(u, []*lint.Package{pkg}, []*lint.Analyzer{lint.SnapshotPin})
+	diags, err := lint.RunAnalyzers(u, []*lint.Package{pkg}, []*lint.Analyzer{lint.PairOrder})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -293,7 +330,7 @@ func TestSuppression(t *testing.T) {
 			malformed++
 		case d.Suppressed:
 			suppressed++
-			if !strings.Contains(d.Justification, "boot-time read") {
+			if !strings.Contains(d.Justification, "not a score pair") {
 				t.Errorf("suppressed finding lost its justification: %+v", d)
 			}
 		default:
@@ -331,8 +368,8 @@ func TestByName(t *testing.T) {
 	if err != nil || len(all) != len(lint.All) {
 		t.Fatalf("ByName(\"\") = %d analyzers, err %v", len(all), err)
 	}
-	two, err := lint.ByName("pairorder, genstamp")
-	if err != nil || len(two) != 2 || two[0].Name != "pairorder" || two[1].Name != "genstamp" {
+	two, err := lint.ByName("pairorder, onepin")
+	if err != nil || len(two) != 2 || two[0].Name != "pairorder" || two[1].Name != "onepin" {
 		t.Fatalf("ByName subset = %v, err %v", two, err)
 	}
 	if _, err := lint.ByName("nope"); err == nil {

@@ -11,7 +11,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -164,33 +164,60 @@ func (u *Universe) check(pkg *Package) error {
 // directories the go tool ignores, and is checked under the real import
 // path whose contract the fixture exercises.
 func (u *Universe) CheckDir(dir, asPath string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
+	files, err := u.parseDir(dir)
 	if err != nil {
 		return nil, err
 	}
-	var names []string
-	for _, e := range entries {
-		if !e.IsDir() && strings.HasSuffix(e.Name(), ".go") {
-			names = append(names, e.Name())
-		}
-	}
-	sort.Strings(names)
-	if len(names) == 0 {
-		return nil, fmt.Errorf("no .go files in %s", dir)
-	}
-	pkg := &Package{Path: asPath, Dir: dir}
-	for _, name := range names {
-		f, err := parser.ParseFile(u.Fset, filepath.Join(dir, name), nil, parser.ParseComments|parser.SkipObjectResolution)
-		if err != nil {
-			return nil, err
-		}
-		pkg.Files = append(pkg.Files, f)
-	}
-	pkg.Name = pkg.Files[0].Name.Name
+	pkg := &Package{Path: asPath, Name: files[0].Name.Name, Dir: dir, Files: files}
 	if err := u.check(pkg); err != nil {
 		return nil, fmt.Errorf("typecheck fixture %s: %w", dir, err)
 	}
 	return pkg, nil
+}
+
+// TypeErrors type-checks the .go files of dir together with with (the
+// sources of a package the fixture joins, or nothing) as a package with
+// import path asPath, and returns the fixture's parsed files and every type
+// error. A contract a type carries is tested this way: a fixture that
+// breaks it must not compile.
+func (u *Universe) TypeErrors(dir, asPath string, with ...*ast.File) ([]*ast.File, []types.Error, error) {
+	files, err := u.parseDir(dir)
+	if err != nil {
+		return nil, nil, err
+	}
+	var errs []types.Error
+	cfg := types.Config{Importer: u, Error: func(err error) {
+		if terr, ok := err.(types.Error); ok {
+			errs = append(errs, terr)
+		}
+	}}
+	if _, err := cfg.Check(asPath, u.Fset, append(slices.Clone(with), files...), nil); err != nil && len(errs) == 0 {
+		return nil, nil, err
+	}
+	return files, errs, nil
+}
+
+// parseDir parses the .go files of one directory, in name order.
+func (u *Universe) parseDir(dir string) ([]*ast.File, error) {
+	entries, err := os.ReadDir(dir)
+	if err != nil {
+		return nil, err
+	}
+	var files []*ast.File
+	for _, e := range entries {
+		if e.IsDir() || !strings.HasSuffix(e.Name(), ".go") {
+			continue
+		}
+		f, err := parser.ParseFile(u.Fset, filepath.Join(dir, e.Name()), nil, parser.ParseComments|parser.SkipObjectResolution)
+		if err != nil {
+			return nil, err
+		}
+		files = append(files, f)
+	}
+	if len(files) == 0 {
+		return nil, fmt.Errorf("no .go files in %s", dir)
+	}
+	return files, nil
 }
 
 // ModuleRoot walks up from dir to the enclosing go.mod, the directory Load

@@ -6,7 +6,10 @@ import (
 	"strings"
 )
 
-const wfsimPkg = "repro/pkg/wfsim"
+const (
+	wfsimPkg = "repro/pkg/wfsim"
+	servePkg = "repro/pkg/wfsim/serve"
+)
 
 // pinningMethods are the *wfsim.Engine methods that pin a view of the
 // corpus: Read, and the one-line wrappers that take a Reader of their own.

@@ -6,55 +6,44 @@ import (
 	"go/types"
 )
 
-const (
-	workflowPkg   = "repro/internal/workflow"
-	scorecachePkg = "repro/internal/scorecache"
-)
+const workflowPkg = "repro/internal/workflow"
 
 // PairOrder enforces the engine's canonical-pair contract: every pairwise
 // score is a function of the unordered workflow pair, which holds only if
 // every site orients the pair the same way — smaller ID first — before
 // scoring or keying a cache. The blessed canonicalization points are
-// workflow.OrderPair / OrderIDs / IDsInOrder and scorecache.PairKey; this
-// analyzer flags the two ways sites drift from them:
-//
-//   - composite literals of scorecache.Key outside package scorecache,
-//     which bypass PairKey's orientation, and
-//   - ad-hoc ID-order comparisons (x.ID < y.ID and friends on workflow
-//     values) outside package workflow, which re-derive the convention by
-//     hand and silently diverge when it gains a tie-break rule.
+// workflow.OrderPair / OrderIDs / IDsInOrder; this analyzer flags ad-hoc
+// ID-order comparisons (x.ID < y.ID and friends on workflow values) outside
+// package workflow, which re-derive the convention by hand and silently
+// diverge when it gains a tie-break rule. (The cache-key half of the
+// contract is a type: scorecache.Key has no exported field, so PairKey is
+// the only way to build one.)
 //
 // Comparator callbacks passed to sort/slices functions are exempt: sorting
 // by ID is ordering a list, not orienting a score pair.
 var PairOrder = &Analyzer{
 	Name: "pairorder",
-	Doc: `flag ad-hoc workflow pair ordering and raw scorecache.Key construction
+	Doc: `flag ad-hoc workflow pair ordering
 
 Pairwise scores must be canonicalized smaller-ID-first through
-workflow.OrderPair/OrderIDs/IDsInOrder, and cache keys built with
-scorecache.PairKey, so N-shard and 1-shard runs stay bit-identical.`,
+workflow.OrderPair/OrderIDs/IDsInOrder, so N-shard and 1-shard runs stay
+bit-identical.`,
 	Run: runPairOrder,
 }
 
 func runPairOrder(pass *Pass) error {
-	if pass.Pkg.Path() == workflowPkg || pass.Pkg.Path() == scorecachePkg {
+	if pass.Pkg.Path() == workflowPkg {
 		return nil // the blessed helpers themselves
 	}
 	for _, file := range pass.Files {
 		exempt := comparatorRanges(pass, file)
 		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CompositeLit:
-				if namedType(pass.Info.Types[n].Type, scorecachePkg, "Key") {
-					pass.Reportf(n.Pos(), "raw scorecache.Key literal; build keys with scorecache.PairKey so the pair is canonicalized")
-				}
-			case *ast.BinaryExpr:
-				if !orderingOp(n.Op) || exempt.covers(n.Pos()) {
-					return true
-				}
-				if isWorkflowIDSel(pass, n.X) && isWorkflowIDSel(pass, n.Y) {
-					pass.Reportf(n.Pos(), "ad-hoc workflow ID ordering; canonicalize pairs with workflow.OrderPair, workflow.OrderIDs or workflow.IDsInOrder")
-				}
+			bin, ok := n.(*ast.BinaryExpr)
+			if !ok || !orderingOp(bin.Op) || exempt.covers(bin.Pos()) {
+				return true
+			}
+			if isWorkflowIDSel(pass, bin.X) && isWorkflowIDSel(pass, bin.Y) {
+				pass.Reportf(bin.Pos(), "ad-hoc workflow ID ordering; canonicalize pairs with workflow.OrderPair, workflow.OrderIDs or workflow.IDsInOrder")
 			}
 			return true
 		})

@@ -4,6 +4,7 @@ package fixture
 import (
 	"repro/internal/scorecache"
 	"repro/internal/workflow"
+	"repro/pkg/wfsim"
 )
 
 func scoreKey(measure string, a, b *workflow.Workflow, rev, proj uint64) scorecache.Key {
@@ -11,11 +12,19 @@ func scoreKey(measure string, a, b *workflow.Workflow, rev, proj uint64) scoreca
 	if a.ID > b.ID { // want `ad-hoc workflow ID ordering`
 		x, y = b, a
 	}
-	return scorecache.Key{Measure: measure, A: x.SymID(), B: y.SymID(), Rev: rev, Proj: proj} // want `raw scorecache.Key literal`
+	return scorecache.PairKey(measure, x.SymID(), y.SymID(), rev, proj)
 }
 
 func firstOf(a, b *workflow.Workflow) *workflow.Workflow {
 	if a.ID <= b.ID { // want `ad-hoc workflow ID ordering`
+		return a
+	}
+	return b
+}
+
+// The public alias names the same type: wfsim.Workflow is workflow.Workflow.
+func firstOfAlias(a, b *wfsim.Workflow) *wfsim.Workflow {
+	if a.ID < b.ID { // want `ad-hoc workflow ID ordering`
 		return a
 	}
 	return b

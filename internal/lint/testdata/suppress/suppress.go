@@ -1,29 +1,29 @@
-// Fixture: the suppression directive convention, checked under a
-// snapshot-pinned import path so snapshotpin fires.
+// Fixture: the suppression directive convention, checked with the pairorder
+// analyzer.
 package fixture
 
-import "repro/internal/corpus"
+import "repro/internal/workflow"
 
 // A justified directive on the line above suppresses the finding.
-func suppressedAbove(repo *corpus.Repository) int {
-	//wfsimvet:ignore snapshotpin boot-time read before any reader can exist
-	return repo.Size()
+func suppressedAbove(a, b *workflow.Workflow) bool {
+	//wfsimvet:ignore pairorder orders a list for display, not a score pair
+	return a.ID < b.ID
 }
 
 // A justified directive on the same line suppresses the finding.
-func suppressedInline(repo *corpus.Repository) int {
-	return repo.Size() //wfsimvet:ignore snapshotpin boot-time read before any reader can exist
+func suppressedInline(a, b *workflow.Workflow) bool {
+	return a.ID < b.ID //wfsimvet:ignore pairorder orders a list for display, not a score pair
 }
 
 // A directive without a justification is malformed: it suppresses nothing
 // and is itself reported.
-func bareDirective(repo *corpus.Repository) int {
-	//wfsimvet:ignore snapshotpin
-	return repo.Size()
+func bareDirective(a, b *workflow.Workflow) bool {
+	//wfsimvet:ignore pairorder
+	return a.ID < b.ID
 }
 
 // A directive for a different analyzer does not apply.
-func wrongAnalyzer(repo *corpus.Repository) int {
-	//wfsimvet:ignore pairorder reads are fine here
-	return repo.Size()
+func wrongAnalyzer(a, b *workflow.Workflow) bool {
+	//wfsimvet:ignore onepin orders are fine here
+	return a.ID < b.ID
 }

@@ -107,7 +107,7 @@ var tavernaPairs = sync.OnceValues(func() ([][2]*workflow.Workflow, error) {
 		return nil, err
 	}
 	var small []*workflow.Workflow
-	for _, w := range c.Repo.Workflows() {
+	for _, w := range c.Repo.Snapshot().Workflows() {
 		if w.Size() <= 12 {
 			small = append(small, w)
 		}

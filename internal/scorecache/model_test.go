@@ -38,7 +38,7 @@ func newModelCache() *Cache {
 func modelKeys(t testing.TB) []Key {
 	c := newModelCache()
 	collides := func(k Key) bool {
-		h := hash(uint64(k.A)<<32|uint64(k.B), k.Rev, k.Proj, c.measureID(k.Measure, false))
+		h := hash(uint64(k.a)<<32|uint64(k.b), k.rev, k.proj, c.measureID(k.measure, false))
 		s := c.shardOf(h)
 		home := s.home(h)
 		return s == &c.shards[3] && (home >= len(s.slots)-2 || home == 0)
@@ -55,18 +55,18 @@ func modelKeys(t testing.TB) []Key {
 	}
 	var keys []Key
 	for a := uint32(1 << 20); len(keys) < 20; a++ {
-		if k := (Key{Measure: "m", A: a, B: a + 1, Rev: 1<<32 | 1, Proj: 1}); collides(k) {
+		if k := (Key{measure: "m", a: a, b: a + 1, rev: 1<<32 | 1, proj: 1}); collides(k) {
 			keys = append(keys, k)
 		}
 	}
 	for _, k := range keys[:4] {
 		keys = append(keys,
-			vary(k, func(k *Key, v uint32) { k.Measure = fmt.Sprint("n", v%256) }),
-			vary(k, func(k *Key, v uint32) { k.Rev = uint64(v) }),
-			vary(k, func(k *Key, v uint32) { k.Proj = uint64(v) }),
-			vary(k, func(k *Key, v uint32) { k.A = v }),
-			vary(k, func(k *Key, v uint32) { k.B = v }),
-			Key{k.Measure, k.B, k.A, k.Rev, k.Proj},
+			vary(k, func(k *Key, v uint32) { k.measure = fmt.Sprint("n", v%256) }),
+			vary(k, func(k *Key, v uint32) { k.rev = uint64(v) }),
+			vary(k, func(k *Key, v uint32) { k.proj = uint64(v) }),
+			vary(k, func(k *Key, v uint32) { k.a = v }),
+			vary(k, func(k *Key, v uint32) { k.b = v }),
+			Key{k.measure, k.b, k.a, k.rev, k.proj},
 		)
 	}
 	for i := uint32(0); i < 20; i++ {
@@ -102,10 +102,10 @@ func replay(t testing.TB, keys []Key, ops []byte) map[Key]float64 {
 	model := map[Key]*entryLife{}
 	// cellOf is k's shard and the cell its probe chain leads to.
 	cellOf := func(k Key) (*shard, *slot) {
-		ab, id := uint64(k.A)<<32|uint64(k.B), c.measureID(k.Measure, false)
-		h := hash(ab, k.Rev, k.Proj, id)
+		ab, id := uint64(k.a)<<32|uint64(k.b), c.measureID(k.measure, false)
+		h := hash(ab, k.rev, k.proj, id)
 		s := c.shardOf(h)
-		return s, s.find(h, ab, k.Rev, k.Proj, id)
+		return s, s.find(h, ab, k.rev, k.proj, id)
 	}
 	shardOf := func(k Key) *shard { s, _ := cellOf(k); return s }
 	evictions := uint64(0)
@@ -149,7 +149,7 @@ func replay(t testing.TB, keys []Key, ops []byte) map[Key]float64 {
 				}
 			}
 		case 3: // Export: no effect on what is kept (the final contents are compared with an export-free run)
-			c.Export(func(k Key) bool { return k.Proj == 0 })
+			c.Export(func(k Key) bool { return k.proj == 0 })
 		}
 
 		exported := c.Export(nil)

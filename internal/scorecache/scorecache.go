@@ -37,21 +37,29 @@ import (
 	"sync/atomic"
 )
 
-// Key identifies one cached pairwise score. A and B are the workflow-ID
-// symbols in canonical (numerically sorted) order — use PairKey to build
-// keys. Rev packs the revisions of the two workflow objects the score was
-// computed on, A's in the high 32 bits and B's in the low; Proj is the
-// projector epoch (bumped whenever the importance projection changes), so
-// a score computed under one projection configuration is never served
-// under another even for the same two objects. Self-pairs (A == B) are
-// ordinary keys: the canonical ordering is a no-op and the cached score is
-// the measure's self-similarity.
+// Key identifies one cached pairwise score. a and b are the workflow-ID
+// symbols in canonical (numerically sorted) order; the fields are
+// unexported so that PairKey, which puts them in that order, is the only
+// way to build a key outside this package. rev packs the revisions of the
+// two workflow objects the score was computed on, a's in the high 32 bits
+// and b's in the low; proj is the projector epoch (bumped whenever the
+// importance projection changes), so a score computed under one projection
+// configuration is never served under another even for the same two
+// objects. Self-pairs (a == b) are ordinary keys: the canonical ordering is
+// a no-op and the cached score is the measure's self-similarity.
 type Key struct {
-	Measure string
-	A, B    uint32
-	Rev     uint64
-	Proj    uint64
+	measure string
+	a, b    uint32
+	rev     uint64
+	proj    uint64
 }
+
+// Measure, Pair and Proj read a key back (a warm-cache export re-derives
+// each exported key from the workflows it names): its measure, its symbol
+// pair in canonical order, and its projector epoch.
+func (k Key) Measure() string     { return k.measure }
+func (k Key) Pair() (a, b uint32) { return k.a, k.b }
+func (k Key) Proj() uint64        { return k.proj }
 
 // PairKey builds a Key with the symbol pair in canonical order, so (a,b)
 // and (b,a) hit the same entry — similarity is symmetric. rev must already
@@ -62,7 +70,7 @@ func PairKey(measure string, a, b uint32, rev, proj uint64) Key {
 	if b < a {
 		a, b = b, a
 	}
-	return Key{Measure: measure, A: a, B: b, Rev: rev, Proj: proj}
+	return Key{measure: measure, a: a, b: b, rev: rev, proj: proj}
 }
 
 // maxShards is the number of lock shards of any cache large enough to give
@@ -79,12 +87,12 @@ const DefaultSize = 1 << 16
 // beyond the bound are not cached.
 const maxMeasures = 1 << 16
 
-// slot is one table cell. measure is the interned ID of Key.Measure, from 1;
+// slot is one table cell. measure is the interned ID of Key.measure, from 1;
 // 0 marks the cell empty. used is the shard's sweep count when the entry was
 // last hit or overwritten, one less than the count when it was stored if it
 // never was (compared modulo 2³²; see evict).
 type slot struct {
-	ab      uint64 // Key.A<<32 | Key.B
+	ab      uint64 // Key.a<<32 | Key.b
 	rev     uint64
 	proj    uint64
 	score   float64
@@ -103,7 +111,7 @@ type shard struct {
 	hits, misses, evictions uint64
 }
 
-// measureName is one interned Key.Measure.
+// measureName is one interned Key.measure.
 type measureName struct {
 	name string
 	id   uint32
@@ -216,12 +224,12 @@ func (s *shard) find(h, ab, rev, proj uint64, measure uint32) *slot {
 //
 //wfsimvet:hotpath
 func (c *Cache) Get(k Key) (float64, bool) {
-	ab, measure := uint64(k.A)<<32|uint64(k.B), c.measureID(k.Measure, false)
-	h := hash(ab, k.Rev, k.Proj, measure)
+	ab, measure := uint64(k.a)<<32|uint64(k.b), c.measureID(k.measure, false)
+	h := hash(ab, k.rev, k.proj, measure)
 	s := c.shardOf(h)
 	s.mu.Lock()
 	if measure != 0 {
-		if e := s.find(h, ab, k.Rev, k.Proj, measure); e.measure != 0 {
+		if e := s.find(h, ab, k.rev, k.proj, measure); e.measure != 0 {
 			e.used = s.sweep
 			score := e.score
 			s.hits++
@@ -239,26 +247,26 @@ func (c *Cache) Get(k Key) (float64, bool) {
 //
 //wfsimvet:hotpath
 func (c *Cache) Put(k Key, score float64) {
-	measure := c.measureID(k.Measure, true)
+	measure := c.measureID(k.measure, true)
 	if measure == 0 {
 		return
 	}
-	ab := uint64(k.A)<<32 | uint64(k.B)
-	h := hash(ab, k.Rev, k.Proj, measure)
+	ab := uint64(k.a)<<32 | uint64(k.b)
+	h := hash(ab, k.rev, k.proj, measure)
 	s := c.shardOf(h)
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e := s.find(h, ab, k.Rev, k.Proj, measure)
+	e := s.find(h, ab, k.rev, k.proj, measure)
 	if e.measure != 0 {
 		e.score, e.used = score, s.sweep
 		return
 	}
 	if s.n == s.limit {
 		s.evict()
-		e = s.find(h, ab, k.Rev, k.Proj, measure) // the removal may have moved the chain's end
+		e = s.find(h, ab, k.rev, k.proj, measure) // the removal may have moved the chain's end
 	}
 	s.n++
-	*e = slot{ab: ab, rev: k.Rev, proj: k.Proj, score: score, measure: measure, used: s.sweep - 1}
+	*e = slot{ab: ab, rev: k.rev, proj: k.proj, score: score, measure: measure, used: s.sweep - 1}
 }
 
 // evict removes the first entry the sweep meets whose turn has come: the hand
@@ -345,7 +353,7 @@ func (c *Cache) Export(keep func(Key) bool) []Entry {
 			if e.measure == 0 {
 				continue
 			}
-			k := Key{Measure: names[e.measure-1], A: uint32(e.ab >> 32), B: uint32(e.ab), Rev: e.rev, Proj: e.proj}
+			k := Key{measure: names[e.measure-1], a: uint32(e.ab >> 32), b: uint32(e.ab), rev: e.rev, proj: e.proj}
 			if keep == nil || keep(k) {
 				out = append(out, Entry{Key: k, Score: e.score})
 			}

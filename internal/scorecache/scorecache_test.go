@@ -135,12 +135,12 @@ func TestExportFiltersWithoutTouchingRecency(t *testing.T) {
 	if len(all) != 8 {
 		t.Fatalf("Export(nil) returned %d entries, want 8", len(all))
 	}
-	rev1 := c.Export(func(k Key) bool { return k.Rev == 1 })
+	rev1 := c.Export(func(k Key) bool { return k.rev == 1 })
 	if len(rev1) != 4 {
 		t.Fatalf("filtered export returned %d entries, want 4", len(rev1))
 	}
 	for _, e := range rev1 {
-		if e.Key.Rev != 1 || e.Key.Measure != "MS" || e.Score != float64(e.Key.A-1)/10 {
+		if e.Key.rev != 1 || e.Key.measure != "MS" || e.Score != float64(e.Key.a-1)/10 {
 			t.Fatalf("filter leaked or garbled entry %+v", e)
 		}
 	}

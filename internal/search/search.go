@@ -24,10 +24,9 @@ import (
 	"repro/internal/workflow"
 )
 
-// Corpus is the minimal read view a scan needs. Both the mutable
-// corpus.Repository and its immutable, generation-pinned corpus.Snapshot
-// satisfy it; scans that must not observe concurrent mutation should be
-// handed a pinned Snapshot.
+// Corpus is the minimal read view a scan needs: a pinned corpus.Snapshot, or
+// a List. The mutable corpus.Repository has no read API, so a scan cannot be
+// handed one and observe a concurrent mutation halfway through.
 type Corpus interface {
 	// Workflows returns the workflows in repository order. Callers must
 	// not modify the returned slice.

@@ -38,9 +38,9 @@ func msMeasure() measures.Measure {
 }
 
 func TestTopKBasic(t *testing.T) {
-	c := testCorpus(t)
-	query := c.Repo.Workflows()[0]
-	results, skipped, err := TopK(context.Background(), query, c.Repo, msMeasure(), Options{K: 10})
+	snap := testCorpus(t).Repo.Snapshot()
+	query := snap.Workflows()[0]
+	results, skipped, err := TopK(context.Background(), query, snap, msMeasure(), Options{K: 10})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,9 +63,9 @@ func TestTopKBasic(t *testing.T) {
 }
 
 func TestTopKIncludeQuery(t *testing.T) {
-	c := testCorpus(t)
-	query := c.Repo.Workflows()[0]
-	results, _, _ := TopK(context.Background(), query, c.Repo, msMeasure(), Options{K: 5, IncludeQuery: true})
+	snap := testCorpus(t).Repo.Snapshot()
+	query := snap.Workflows()[0]
+	results, _, _ := TopK(context.Background(), query, snap, msMeasure(), Options{K: 5, IncludeQuery: true})
 	if results[0].ID != query.ID || results[0].Similarity != 1 {
 		t.Errorf("top result = %+v, want the query itself at similarity 1", results[0])
 	}
@@ -73,9 +73,10 @@ func TestTopKIncludeQuery(t *testing.T) {
 
 func TestTopKFindsClusterSiblings(t *testing.T) {
 	c := testCorpus(t)
-	query := c.Repo.Workflows()[0]
+	snap := c.Repo.Snapshot()
+	query := snap.Workflows()[0]
 	meta := c.Truth.Meta[query.ID]
-	results, _, _ := TopK(context.Background(), query, c.Repo, msMeasure(), Options{K: 10})
+	results, _, _ := TopK(context.Background(), query, snap, msMeasure(), Options{K: 10})
 	same := 0
 	for _, r := range results {
 		if c.Truth.Meta[r.ID].Cluster == meta.Cluster {
@@ -88,10 +89,10 @@ func TestTopKFindsClusterSiblings(t *testing.T) {
 }
 
 func TestTopKDeterministic(t *testing.T) {
-	c := testCorpus(t)
-	query := c.Repo.Workflows()[3]
-	r1, _, _ := TopK(context.Background(), query, c.Repo, msMeasure(), Options{K: 10})
-	r2, _, _ := TopK(context.Background(), query, c.Repo, msMeasure(), Options{K: 10, Parallelism: 1})
+	snap := testCorpus(t).Repo.Snapshot()
+	query := snap.Workflows()[3]
+	r1, _, _ := TopK(context.Background(), query, snap, msMeasure(), Options{K: 10})
+	r2, _, _ := TopK(context.Background(), query, snap, msMeasure(), Options{K: 10, Parallelism: 1})
 	if len(r1) != len(r2) {
 		t.Fatal("lengths differ")
 	}
@@ -103,10 +104,10 @@ func TestTopKDeterministic(t *testing.T) {
 }
 
 func TestTopKMinSimilarity(t *testing.T) {
-	c := testCorpus(t)
-	query := c.Repo.Workflows()[0]
+	snap := testCorpus(t).Repo.Snapshot()
+	query := snap.Workflows()[0]
 	zero := 0.99
-	results, _, _ := TopK(context.Background(), query, c.Repo, msMeasure(), Options{K: 100, MinSimilarity: &zero})
+	results, _, _ := TopK(context.Background(), query, snap, msMeasure(), Options{K: 100, MinSimilarity: &zero})
 	for _, r := range results {
 		if r.Similarity <= zero {
 			t.Errorf("result %v below threshold", r)
@@ -125,10 +126,10 @@ func (f failingMeasure) Compare(a, b *workflow.Workflow) (float64, error) {
 }
 
 func TestTopKSkipsErrors(t *testing.T) {
-	c := testCorpus(t)
-	query := c.Repo.Workflows()[0]
-	failID := c.Repo.Workflows()[1].ID
-	results, skipped, _ := TopK(context.Background(), query, c.Repo, failingMeasure{failID: failID}, Options{K: 1000})
+	snap := testCorpus(t).Repo.Snapshot()
+	query := snap.Workflows()[0]
+	failID := snap.Workflows()[1].ID
+	results, skipped, _ := TopK(context.Background(), query, snap, failingMeasure{failID: failID}, Options{K: 1000})
 	if skipped != 1 {
 		t.Errorf("skipped = %d, want 1", skipped)
 	}
@@ -165,21 +166,22 @@ func BenchmarkTopK100Workflows(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	query := c.Repo.Workflows()[0]
+	snap := c.Repo.Snapshot()
+	query := snap.Workflows()[0]
 	m := msMeasure()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		TopK(context.Background(), query, c.Repo, m, Options{K: 10})
+		TopK(context.Background(), query, snap, m, Options{K: 10})
 	}
 }
 
 func TestTopKCancelledContext(t *testing.T) {
-	c := testCorpus(t)
-	query := c.Repo.Workflows()[0]
+	snap := testCorpus(t).Repo.Snapshot()
+	query := snap.Workflows()[0]
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	results, _, err := TopK(ctx, query, c.Repo, msMeasure(), Options{K: 10})
+	results, _, err := TopK(ctx, query, snap, msMeasure(), Options{K: 10})
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
@@ -355,8 +357,8 @@ func (m bucketMeasure) Compare(_, b *workflow.Workflow) (float64, error) {
 // against sorting every candidate, for k below, at and above the corpus size
 // and with a similarity floor, on scores where ties dominate.
 func TestTopKSelectionIsSortedPrefix(t *testing.T) {
-	c := testCorpus(t)
-	wfs := c.Repo.Workflows()
+	snap := testCorpus(t).Repo.Snapshot()
+	wfs := snap.Workflows()
 	// Scan in an order unrelated to ID order, so ties arrive unsorted.
 	shuffled := make(List, len(wfs))
 	for i, wf := range wfs {
@@ -415,8 +417,8 @@ func (m tightBucketMeasure) CompareFloor(a, b *workflow.Workflow, floor float64)
 // the corpus size, one worker or several, with MinSimilarity — and is asked
 // to finish fewer pairs once the k best are known.
 func TestTopKWithBoundIsSortedPrefix(t *testing.T) {
-	c := testCorpus(t)
-	wfs := c.Repo.Workflows()
+	snap := testCorpus(t).Repo.Snapshot()
+	wfs := snap.Workflows()
 	shuffled := make(List, len(wfs))
 	for i, wf := range wfs {
 		shuffled[(i*37)%len(wfs)] = wf
@@ -465,7 +467,7 @@ func TestTopKWithBoundIsSortedPrefix(t *testing.T) {
 // tightest bound there is finishes no more pairs than corpus order.
 func TestTopKAnyVisitOrder(t *testing.T) {
 	ctx := context.Background()
-	wfs := testCorpus(t).Repo.Workflows()
+	wfs := testCorpus(t).Repo.Snapshot().Workflows()
 	query := workflow.New("not-in-corpus")
 	plain := bucketMeasure{buckets: 5}
 	score := func(wf *workflow.Workflow) float64 {
@@ -547,7 +549,7 @@ func TestTopKAnyVisitOrder(t *testing.T) {
 // any floor, leaves the result as it is.
 func TestTopKOrderLeavesOut(t *testing.T) {
 	ctx := context.Background()
-	wfs := testCorpus(t).Repo.Workflows()
+	wfs := testCorpus(t).Repo.Snapshot().Workflows()
 	query := workflow.New("not-in-corpus")
 	plain := bucketMeasure{buckets: 5}
 	out, odd := wfs[3].ID, wfs[7].ID
@@ -661,8 +663,8 @@ func TestVisitOrderSort(t *testing.T) {
 // lists is the top-k of the whole — and the second scan, which starts under
 // the first one's k-th score, finishes fewer pairs than it would alone.
 func TestTopKSharedFloor(t *testing.T) {
-	c := testCorpus(t)
-	wfs := c.Repo.Workflows()
+	snap := testCorpus(t).Repo.Snapshot()
+	wfs := snap.Workflows()
 	query := wfs[0]
 	ms := msMeasure()
 	const k = 5

@@ -83,7 +83,7 @@ func TestFailedApplyCommitsNothingDurably(t *testing.T) {
 
 	// Ops spread across shards; the duplicate add fails validation on the
 	// shard owning it while the fresh adds are valid on theirs.
-	existing := c.Repo.Workflows()[0]
+	existing := c.Repo.Snapshot().Workflows()[0]
 	ops := []corpus.Op{
 		{Kind: corpus.OpAdd, ID: "fresh-a", Workflow: &workflow.Workflow{ID: "fresh-a", Modules: []*workflow.Module{{Label: "alpha"}}}},
 		{Kind: corpus.OpAdd, ID: "fresh-b", Workflow: &workflow.Workflow{ID: "fresh-b", Modules: []*workflow.Module{{Label: "beta"}}}},

@@ -3,6 +3,7 @@ package shard
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -266,7 +267,7 @@ func (s *Local) Close(warm *WarmSpec) error {
 		firstErr = err
 	}
 	if tab := s.syms; s.cache != nil && warm != nil {
-		exported := s.cache.Export(func(k scorecache.Key) bool { return k.Proj == warm.Epoch })
+		exported := s.cache.Export(func(k scorecache.Key) bool { return k.Proj() == warm.Epoch })
 		// Persist every pair that is still current — the key the final
 		// snapshot's own objects build today is the key the score sits under
 		// — whichever commit the score was computed after. Workflows are named by ID string: the
@@ -274,12 +275,13 @@ func (s *Local) Close(warm *WarmSpec) error {
 		// boot's WarmLoad re-keys it.
 		entries := make([]storage.CachedScore, 0, len(exported))
 		for _, ent := range exported {
-			a, b := snap.Get(tab.String(ent.Key.A)), snap.Get(tab.String(ent.Key.B))
+			sa, sb := ent.Key.Pair()
+			a, b := snap.Get(tab.String(sa)), snap.Get(tab.String(sb))
 			if a == nil || b == nil {
 				continue
 			}
-			if key, ok := pairKey(ent.Key.Measure, a, b, warm.Epoch); ok && key == ent.Key {
-				entries = append(entries, storage.CachedScore{Measure: key.Measure, A: a.ID, B: b.ID, Score: ent.Score})
+			if key, ok := pairKey(ent.Key.Measure(), a, b, warm.Epoch); ok && key == ent.Key {
+				entries = append(entries, storage.CachedScore{Measure: key.Measure(), A: a.ID, B: b.ID, Score: ent.Score})
 			}
 		}
 		if len(entries) > 0 {
@@ -354,6 +356,11 @@ func (p *Pin) Search(ctx context.Context, prep *ScanPrep, q Query) ([]search.Res
 		!q.Exact && !q.IncludeQuery && q.MinSimilarity == nil {
 		cands, live := p.idx.CaptureCandidates(query, p.s.minShared)
 		scan, pruned, captured = cands, live-len(cands), true
+		// The query's live namesake is left out, not pruned, whether or not
+		// the index proposed it.
+		if p.snap.Get(query.ID) != nil && !slices.ContainsFunc(cands, func(wf *workflow.Workflow) bool { return wf.ID == query.ID }) {
+			pruned--
+		}
 	}
 	// The query is left out by identity: within the snapshot no other object
 	// carries its ID. Only a captured candidate is compared by ID.

@@ -201,7 +201,7 @@ func buildLocal(t *testing.T, c *gen.Corpus, nShards int, dir string) *Coordinat
 		t.Fatal(err)
 	}
 	parts := make([][]*workflow.Workflow, nShards)
-	for _, wf := range c.Repo.Workflows() {
+	for _, wf := range c.Repo.Snapshot().Workflows() {
 		o := ring.Owner(wf.ID)
 		parts[o] = append(parts[o], wf)
 	}
@@ -235,7 +235,7 @@ func TestCoordinatorApplyAtomicity(t *testing.T) {
 
 	// A batch touching several shards where one op is invalid (duplicate add)
 	// must leave every shard untouched.
-	existing := c.Repo.Workflows()[0]
+	existing := c.Repo.Snapshot().Workflows()[0]
 	ops := []corpus.Op{
 		{Kind: corpus.OpAdd, ID: "new-a", Workflow: &workflow.Workflow{ID: "new-a", Modules: []*workflow.Module{{Label: "alpha"}}}},
 		{Kind: corpus.OpAdd, ID: "new-b", Workflow: &workflow.Workflow{ID: "new-b", Modules: []*workflow.Module{{Label: "beta"}}}},
@@ -341,7 +341,7 @@ func TestSearchEquivalenceAcrossShardCounts(t *testing.T) {
 	coord1 := buildLocal(t, c, 1, "")
 	v1 := coord1.View()
 
-	queries := c.Repo.Workflows()[:5]
+	queries := c.Repo.Snapshot().Workflows()[:5]
 	for _, nShards := range []int{2, 3, 5} {
 		coordN := buildLocal(t, c, nShards, "")
 		vN := coordN.View()
@@ -386,7 +386,7 @@ func TestOnlyBoundedMeasuresSkipTheIndex(t *testing.T) {
 		if (prep.bounded != nil) != hasBound {
 			t.Errorf("%s: scan prep has a bounded form: %v, want %v", m.Name(), prep.bounded != nil, hasBound)
 		}
-		for _, q := range c.Repo.Workflows()[:4] {
+		for _, q := range c.Repo.Snapshot().Workflows()[:4] {
 			_, st, err := coord.Search(context.Background(), v, prep, Query{Query: q, K: 5})
 			if err != nil {
 				t.Fatal(err)
@@ -489,7 +489,7 @@ func TestLocalShardDurableRoundTrip(t *testing.T) {
 	}
 
 	// Seeding over recovered state is refused.
-	if _, err := NewLocal(0, LocalConfig{Dir: ShardDir(dir, 0), Seed: c.Repo.Workflows()[:1]}); err == nil {
+	if _, err := NewLocal(0, LocalConfig{Dir: ShardDir(dir, 0), Seed: c.Repo.Snapshot().Workflows()[:1]}); err == nil {
 		t.Error("seeding a shard that recovered state should fail")
 	}
 	_ = filepath.Join // keep import if unused in future edits
@@ -500,7 +500,7 @@ func TestLocalShardDurableRoundTrip(t *testing.T) {
 // over an index capture still leaves the query out by ID, not by identity.
 func TestSearchLeavesCapturedQueryOutByID(t *testing.T) {
 	c := testCorpus(t, 40)
-	s, err := NewLocal(0, LocalConfig{MinShared: 2, Seed: c.Repo.Workflows()})
+	s, err := NewLocal(0, LocalConfig{MinShared: 2, Seed: c.Repo.Snapshot().Workflows()})
 	if err != nil {
 		t.Fatal(err)
 	}

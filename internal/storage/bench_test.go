@@ -21,7 +21,7 @@ func benchLog(b *testing.B, n int) string {
 	if err != nil {
 		b.Fatal(err)
 	}
-	for i, w := range c.Repo.Workflows() {
+	for i, w := range c.Repo.Snapshot().Workflows() {
 		if err := s.Commit(uint64(i+1), []corpus.Op{{Kind: corpus.OpAdd, ID: w.ID, Workflow: w}}); err != nil {
 			b.Fatal(err)
 		}
@@ -92,7 +92,7 @@ func BenchmarkCommit(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	wfs := c.Repo.Workflows()
+	wfs := c.Repo.Snapshot().Workflows()
 	for _, sync := range []bool{true, false} {
 		name := "fsync"
 		if !sync {
@@ -127,7 +127,7 @@ func BenchmarkCompact(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	wfs := c.Repo.Workflows()
+	wfs := c.Repo.Snapshot().Workflows()
 	for _, tail := range []int{0, 16} {
 		b.Run(fmt.Sprintf("tail=%d", tail), func(b *testing.B) {
 			s, _, _, err := Open(b.TempDir(), Options{NoSync: true, CompactBytes: -1, CompactRecords: -1})

@@ -29,7 +29,7 @@ func synthBatches(t *testing.T, n int, seed int64) [][]corpus.Op {
 	if err != nil {
 		t.Fatalf("generate corpus: %v", err)
 	}
-	wfs := c.Repo.Workflows()
+	wfs := c.Repo.Snapshot().Workflows()
 	r := rand.New(rand.NewSource(seed + 1))
 	var batches [][]corpus.Op
 	var present []string
@@ -96,7 +96,7 @@ func stateAfter(t *testing.T, batches [][]corpus.Op, k int) []*workflow.Workflow
 			t.Fatalf("reference apply batch %d: %v", i, err)
 		}
 	}
-	return repo.Workflows()
+	return repo.Snapshot().Workflows()
 }
 
 // mustJSON marshals workflows for content comparison (pointer identity

@@ -413,7 +413,7 @@ func TestCompactConcurrentWithCommits(t *testing.T) {
 		if _, err := repo.ApplyBatch(b); err != nil {
 			t.Fatalf("reference apply batch %d: %v", i, err)
 		}
-		views = append(views, repo.Workflows())
+		views = append(views, repo.Snapshot().Workflows())
 	}
 
 	dir := t.TempDir()

@@ -39,7 +39,7 @@ func BenchmarkLabelSetDuplicates(b *testing.B) {
 		}
 	})
 	b.Run("reference", func(b *testing.B) {
-		ref := newBruteForce(c.Repo.Workflows())
+		ref := newBruteForce(c.Repo.Snapshot().Workflows())
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			check(b, ref.duplicates(measures.LabelSets{}, 0.9))
@@ -63,10 +63,10 @@ func BenchmarkIndexBuild(b *testing.B) {
 			}
 		}
 	}
-	b.Run("interned", func(b *testing.B) { run(b, c.Repo.Workflows()) })
+	b.Run("interned", func(b *testing.B) { run(b, c.Repo.Snapshot().Workflows()) })
 	b.Run("string", func(b *testing.B) {
-		wfs := make([]*Workflow, len(c.Repo.Workflows()))
-		for i, wf := range c.Repo.Workflows() {
+		wfs := make([]*Workflow, len(c.Repo.Snapshot().Workflows()))
+		for i, wf := range c.Repo.Snapshot().Workflows() {
 			wfs[i] = wf.Clone()
 		}
 		run(b, wfs)

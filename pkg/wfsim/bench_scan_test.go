@@ -33,7 +33,7 @@ func BenchmarkSearchIDHot(b *testing.B) {
 	ctx := context.Background()
 	eng := benchScanEngine(b)
 	var ids []string
-	for _, wf := range benchCorpusN(b, 2000).Repo.Workflows()[:scanBenchHot] {
+	for _, wf := range benchCorpusN(b, 2000).Repo.Snapshot().Workflows()[:scanBenchHot] {
 		ids = append(ids, wf.ID)
 	}
 	for _, id := range ids {
@@ -93,7 +93,7 @@ func inlineQueries(tb testing.TB) []*Workflow {
 		tb.Fatal(err)
 	}
 	var queries []*Workflow
-	for _, wf := range qc.Repo.Workflows() {
+	for _, wf := range qc.Repo.Snapshot().Workflows() {
 		q := wf.Clone()
 		q.ID = "inline-" + q.ID // generated IDs would collide with the corpus's
 		queries = append(queries, q)

@@ -60,7 +60,7 @@ func BenchmarkShardedSearch(b *testing.B) {
 	for _, shards := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("shards=%d", shards), func(b *testing.B) {
 			eng := benchShardEngine(b, corpusSize, shards)
-			query := benchCorpusN(b, corpusSize).Repo.Workflows()[0]
+			query := benchCorpusN(b, corpusSize).Repo.Snapshot().Workflows()[0]
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if _, _, err := eng.Search(context.Background(), query, SearchOptions{K: 10}); err != nil {

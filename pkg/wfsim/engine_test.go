@@ -209,8 +209,8 @@ func TestDuplicatesAndCluster(t *testing.T) {
 	for _, members := range res.Clusters {
 		total += len(members)
 	}
-	if total != c.Repo.Size() {
-		t.Errorf("clustering covers %d of %d workflows", total, c.Repo.Size())
+	if total != c.Repo.Snapshot().Size() {
+		t.Errorf("clustering covers %d of %d workflows", total, c.Repo.Snapshot().Size())
 	}
 }
 

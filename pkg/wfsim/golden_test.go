@@ -110,7 +110,7 @@ func goldenCorpus(t *testing.T) (stored, held []*Workflow) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, wf := range c.Repo.Workflows() {
+	for i, wf := range c.Repo.Snapshot().Workflows() {
 		if i%6 == 5 {
 			held = append(held, wf)
 		} else {

@@ -35,7 +35,7 @@ func sameResults(got, want []Result) string {
 func TestTwoEnginesKeepTheirLabelMemosApart(t *testing.T) {
 	ctx := context.Background()
 	c := internTestCorpus(t)
-	wfs := c.Repo.Workflows()
+	wfs := c.Repo.Snapshot().Workflows()
 	seedOf := func(reverse bool) []*Workflow {
 		var seed []*Workflow
 		if reverse {
@@ -105,7 +105,7 @@ func TestTwoEnginesKeepTheirLabelMemosApart(t *testing.T) {
 	for i, p := range probes {
 		query := p.inline
 		if query == nil {
-			query = c.Repo.Get(p.id)
+			query = c.Repo.Snapshot().Get(p.id)
 		}
 		ref := refs[p.reverse]
 		want[i] = ref.search(ref.measure(t, p.measure), query, 8)
@@ -161,7 +161,7 @@ func TestSearchAndReplaceLeaveNothingBehind(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wfs := c.Repo.Workflows()
+	wfs := c.Repo.Snapshot().Workflows()
 	churn := func(n int) {
 		for i := 0; i < n; i++ {
 			q := wfs[i%len(wfs)].Clone()
@@ -224,8 +224,8 @@ func TestCompareResolvesOutsideWorkflows(t *testing.T) {
 	}
 	names := []string{"MS_np_ta_plm", "MS_np_ta_pll", "MS_ip_te_pll"}
 	ref := newBruteForce(nil)
-	for _, a := range own.Repo.Workflows()[:10] {
-		for _, b := range other.Repo.Workflows()[:10] {
+	for _, a := range own.Repo.Snapshot().Workflows()[:10] {
+		for _, b := range other.Repo.Snapshot().Workflows()[:10] {
 			got, err := eng.Compare(ctx, a, b, names...)
 			if err != nil {
 				t.Fatal(err)

@@ -260,7 +260,7 @@ func TestMeasuresIgnoreAnotherTablesSymbols(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return c.Repo.Workflows()[:10]
+		return c.Repo.Snapshot().Workflows()[:10]
 	}
 	taverna, galaxy := corpusOf(TavernaProfile(), 1), corpusOf(GalaxyProfile(), 2)
 	if taverna[0].SymtabRef() == galaxy[0].SymtabRef() {

@@ -243,7 +243,7 @@ func TestRepositoryKnowledgeScoresAnyTablesWorkflows(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	others := corpusOf(20, 2).Repo.Workflows()
+	others := corpusOf(20, 2).Repo.Snapshot().Workflows()
 	ctx := context.Background()
 	for _, name := range []string{"MS_ip_ta_pll", "MS_ip_te_pw3", "PS_ip_te_pll"} {
 		m, err := eng.ParseMeasure(name)

@@ -18,7 +18,9 @@
 //
 // Every read handler answers from one Engine.Read and reports the generation
 // of that pinned view plus the call's score-cache hit/miss counters, so
-// clients can correlate results with the mutation stream. A search's stats
+// clients can correlate results with the mutation stream: every response
+// body embeds a stamp, built from the Reader it was read from (or from the
+// vector a batch committed), and writeJSON sends nothing else. A search's stats
 // account for every live workflow but the query: "scored", "bounded" (left
 // unscored by an exact score bound; the result is the full scan's), "pruned"
 // (left out by the label index — a heuristic that only measures without such
@@ -106,21 +108,57 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// errorPayload is the uniform error envelope.
+// stamp is the generation a response body was read or committed at: the
+// engine's generation (the sum across shards) and, on two or more shards,
+// the per-shard vector. Two functions build one: stampOf, from the Reader a
+// handler answered from, and stampVector, from the vector a batch
+// committed.
+type stamp struct {
+	Generation  uint64   `json:"generation"`
+	Generations []uint64 `json:"generations,omitempty"`
+}
+
+// stampOf stamps a body read from rd.
+func stampOf(rd wfsim.Reader) stamp { return stampVector(rd.Frontier().Generations) }
+
+// stampVector stamps a body with a per-shard generation vector. The vector
+// is dropped (omitempty) on a one-shard engine, where its single element
+// would only repeat "generation".
+func stampVector(gens []uint64) stamp {
+	var st stamp
+	for _, g := range gens {
+		st.Generation += g
+	}
+	if len(gens) > 1 {
+		st.Generations = gens
+	}
+	return st
+}
+
+// response is a body writeJSON sends: a struct that embeds a stamp (or, for
+// search and duplicates, carries one in its stats).
+type response interface{ stamped() stamp }
+
+func (s stamp) stamped() stamp { return s }
+
+// errorPayload is the uniform error envelope; it reports no read, so it
+// carries no stamp and only writeError sends it.
 type errorPayload struct {
 	Error string `json:"error"`
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+func writeJSON(w http.ResponseWriter, status int, v response) { encode(w, status, v) }
+
+func writeError(w http.ResponseWriter, status int, format string, args ...any) {
+	encode(w, status, errorPayload{Error: fmt.Sprintf(format, args...)})
+}
+
+func encode(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
 	enc.SetEscapeHTML(false)
 	_ = enc.Encode(v) //wfsimvet:ignore errpath status and headers are already on the wire; there is no channel left to report an encode failure on
-}
-
-func writeError(w http.ResponseWriter, status int, format string, args ...any) {
-	writeJSON(w, status, errorPayload{Error: fmt.Sprintf(format, args...)})
 }
 
 // writeReadError maps a read-path failure: an expired or cancelled request
@@ -165,23 +203,23 @@ func (s *Server) contextFor(r *http.Request, deadlineMillis int64) (context.Cont
 	return context.WithTimeout(r.Context(), d)
 }
 
-// statsPayload mirrors wfsim.Stats over the wire. Generation is the pinned
-// snapshot the call was served from; CacheHits/CacheMisses are the call's
+// statsPayload mirrors wfsim.Stats over the wire. Its stamp is the pinned
+// view the call was served from; CacheHits/CacheMisses are the call's
 // score-cache counters.
 type statsPayload struct {
-	Measure     string   `json:"measure"`
-	Scored      int      `json:"scored"`
-	Skipped     int      `json:"skipped"`
-	Bounded     int      `json:"bounded,omitempty"`
-	Pruned      int      `json:"pruned,omitempty"`
-	CacheHits   int      `json:"cache_hits"`
-	CacheMisses int      `json:"cache_misses"`
-	Generation  uint64   `json:"generation"`
-	Generations []uint64 `json:"generations,omitempty"`
-	ElapsedMS   float64  `json:"elapsed_ms"`
+	Measure     string `json:"measure"`
+	Scored      int    `json:"scored"`
+	Skipped     int    `json:"skipped"`
+	Bounded     int    `json:"bounded,omitempty"`
+	Pruned      int    `json:"pruned,omitempty"`
+	CacheHits   int    `json:"cache_hits"`
+	CacheMisses int    `json:"cache_misses"`
+	stamp
+	ElapsedMS float64 `json:"elapsed_ms"`
 }
 
-func (s *Server) toStatsPayload(st wfsim.Stats) statsPayload {
+// statsOf is the stats block of a call rd served.
+func statsOf(rd wfsim.Reader, st wfsim.Stats) statsPayload {
 	return statsPayload{
 		Measure:     st.Measure,
 		Scored:      st.Scored,
@@ -190,20 +228,9 @@ func (s *Server) toStatsPayload(st wfsim.Stats) statsPayload {
 		Pruned:      st.Pruned,
 		CacheHits:   st.CacheHits,
 		CacheMisses: st.CacheMisses,
-		Generation:  st.Generation,
-		Generations: s.shardVector(st.Generations),
+		stamp:       stampOf(rd),
 		ElapsedMS:   float64(st.Elapsed) / float64(time.Millisecond),
 	}
-}
-
-// shardVector returns the per-shard generation vector as the wire carries
-// it: dropped (omitempty) on a one-shard engine, where its single element
-// would only repeat "generation".
-func (s *Server) shardVector(gens []uint64) []uint64 {
-	if s.eng.Shards() == 1 {
-		return nil
-	}
-	return gens
 }
 
 // --- search ---
@@ -230,6 +257,8 @@ type searchResponse struct {
 	Results []resultPayload `json:"results"`
 	Stats   statsPayload    `json:"stats"`
 }
+
+func (r searchResponse) stamped() stamp { return r.Stats.stamp }
 
 func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 	var req searchRequest
@@ -269,7 +298,7 @@ func (s *Server) handleSearch(w http.ResponseWriter, r *http.Request) {
 		writeReadError(w, err)
 		return
 	}
-	resp := searchResponse{Results: make([]resultPayload, len(results)), Stats: s.toStatsPayload(stats)}
+	resp := searchResponse{Results: make([]resultPayload, len(results)), Stats: statsOf(rd, stats)}
 	for i, res := range results {
 		resp.Results[i] = resultPayload{ID: res.ID, Similarity: res.Similarity}
 	}
@@ -292,8 +321,8 @@ type scorePayload struct {
 }
 
 type compareResponse struct {
-	Scores     []scorePayload `json:"scores"`
-	Generation uint64         `json:"generation"`
+	Scores []scorePayload `json:"scores"`
+	stamp
 }
 
 func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
@@ -314,7 +343,7 @@ func (s *Server) handleCompare(w http.ResponseWriter, r *http.Request) {
 		writeReadError(w, err)
 		return
 	}
-	resp := compareResponse{Scores: make([]scorePayload, len(scores)), Generation: rd.Frontier().Generation}
+	resp := compareResponse{Scores: make([]scorePayload, len(scores)), stamp: stampOf(rd)}
 	for i, sc := range scores {
 		resp.Scores[i] = scorePayload{Measure: sc.Measure, Similarity: sc.Similarity}
 		if sc.Err != nil {
@@ -344,6 +373,8 @@ type duplicatesResponse struct {
 	Stats statsPayload  `json:"stats"`
 }
 
+func (r duplicatesResponse) stamped() stamp { return r.Stats.stamp }
+
 func (s *Server) handleDuplicates(w http.ResponseWriter, r *http.Request) {
 	var req duplicatesRequest
 	if err := decodeBody(r, &req); err != nil {
@@ -356,12 +387,13 @@ func (s *Server) handleDuplicates(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.contextFor(r, req.DeadlineMS)
 	defer cancel()
-	pairs, stats, err := s.eng.Read().Duplicates(ctx, req.Threshold, wfsim.DuplicateOptions{Measure: req.Measure})
+	rd := s.eng.Read()
+	pairs, stats, err := rd.Duplicates(ctx, req.Threshold, wfsim.DuplicateOptions{Measure: req.Measure})
 	if err != nil {
 		writeReadError(w, err)
 		return
 	}
-	resp := duplicatesResponse{Pairs: make([]pairPayload, len(pairs)), Stats: s.toStatsPayload(stats)}
+	resp := duplicatesResponse{Pairs: make([]pairPayload, len(pairs)), Stats: statsOf(rd, stats)}
 	for i, p := range pairs {
 		resp.Pairs[i] = pairPayload{A: p.A, B: p.B, Similarity: p.Similarity}
 	}
@@ -378,11 +410,10 @@ type clusterRequest struct {
 }
 
 type clusterResponse struct {
-	Measure     string     `json:"measure"`
-	Clusters    [][]string `json:"clusters"`
-	Skipped     int        `json:"skipped"`
-	Generation  uint64     `json:"generation"`
-	Generations []uint64   `json:"generations,omitempty"`
+	Measure  string     `json:"measure"`
+	Clusters [][]string `json:"clusters"`
+	Skipped  int        `json:"skipped"`
+	stamp
 }
 
 func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
@@ -393,7 +424,8 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancel := s.contextFor(r, req.DeadlineMS)
 	defer cancel()
-	res, err := s.eng.Read().Cluster(ctx, wfsim.ClusterOptions{
+	rd := s.eng.Read()
+	res, err := rd.Cluster(ctx, wfsim.ClusterOptions{
 		Measure:       req.Measure,
 		MinSimilarity: req.MinSimilarity,
 		SingleLinkage: req.SingleLinkage,
@@ -403,11 +435,10 @@ func (s *Server) handleCluster(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, clusterResponse{
-		Measure:     res.Measure,
-		Clusters:    res.Clusters,
-		Skipped:     res.Skipped,
-		Generation:  res.Generation,
-		Generations: s.shardVector(res.Generations),
+		Measure:  res.Measure,
+		Clusters: res.Clusters,
+		Skipped:  res.Skipped,
+		stamp:    stampOf(rd),
 	})
 }
 
@@ -426,12 +457,9 @@ type batchRequest struct {
 }
 
 type batchResponse struct {
-	// Generation is the repository generation the batch committed under
-	// (the sum of the per-shard vector).
-	Generation uint64 `json:"generation"`
-	// Generations is the post-batch per-shard generation vector; omitted on
-	// a one-shard engine.
-	Generations []uint64 `json:"generations,omitempty"`
+	// The stamp is the post-batch per-shard generation vector the batch
+	// committed, and its sum.
+	stamp
 	// Ops is the number of mutations in the committed batch.
 	Ops int `json:"ops"`
 }
@@ -522,12 +550,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	}
 	s.batches.Add(1)
 	s.ops.Add(int64(len(ops)))
-	resp := batchResponse{Ops: len(ops)}
-	for _, g := range gens {
-		resp.Generation += g
-	}
-	resp.Generations = s.shardVector(gens)
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, batchResponse{stamp: stampVector(gens), Ops: len(ops)})
 }
 
 // --- workflow fetch, stats, health ---
@@ -536,8 +559,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 // at, so a client interleaving fetches with mutations can tell which state
 // it observed.
 type workflowResponse struct {
-	Workflow   *wfsim.Workflow `json:"workflow"`
-	Generation uint64          `json:"generation"`
+	Workflow *wfsim.Workflow `json:"workflow"`
+	stamp
 }
 
 func (s *Server) handleGetWorkflow(w http.ResponseWriter, r *http.Request) {
@@ -548,21 +571,19 @@ func (s *Server) handleGetWorkflow(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "workflow %q not found", id)
 		return
 	}
-	writeJSON(w, http.StatusOK, workflowResponse{Workflow: wf, Generation: rd.Frontier().Generation})
+	writeJSON(w, http.StatusOK, workflowResponse{Workflow: wf, stamp: stampOf(rd)})
 }
 
-// statsResponse reports the engine's state. Generation, Shards, Generations,
-// Workflows and each PerShard block's generation and workflows come from one
-// Engine.Read; the counter blocks (Index, Cache, Storage, the per-shard ones
-// and the rest) are read live, each on its own, and may reflect later commits.
+// statsResponse reports the engine's state. The stamp, Shards, Workflows and
+// each PerShard block's generation and workflows come from one Engine.Read;
+// the counter blocks (Index, Cache, Storage, the per-shard ones and the rest)
+// are read live, each on its own, and may reflect later commits.
 type statsResponse struct {
-	// Generation is the engine's current generation (summed across shards).
-	Generation uint64 `json:"generation"`
-	// Shards and Generations describe an engine of two or more shards: the
-	// shard count and the per-shard generation vector. Omitted on one shard.
-	Shards      int      `json:"shards,omitempty"`
-	Generations []uint64 `json:"generations,omitempty"`
-	Workflows   int      `json:"workflows"`
+	stamp
+	// Shards is the shard count of an engine of two or more shards; omitted
+	// on one shard.
+	Shards    int `json:"shards,omitempty"`
+	Workflows int `json:"workflows"`
 	// Index, Cache and Storage are cross-shard aggregates; PerShard holds
 	// the per-shard breakdown (omitted on one shard, where it would repeat
 	// them). Symbols and LabelSim size the two process-lifetime structures
@@ -586,7 +607,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	rd := s.eng.Read()
 	f := rd.Frontier()
 	resp := statsResponse{
-		Generation:        f.Generation,
+		stamp:             stampOf(rd),
 		Workflows:         f.Workflows,
 		Cache:             s.eng.CacheStats(),
 		Symbols:           s.eng.Symbols(),
@@ -599,7 +620,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}
 	if n := len(f.Generations); n > 1 {
 		resp.Shards = n
-		resp.Generations = f.Generations
 		// On one shard the aggregate blocks below are the per-shard detail.
 		resp.PerShard = rd.ShardStats()
 	}
@@ -613,16 +633,16 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 }
 
 type healthzResponse struct {
-	Status     string `json:"status"`
-	Generation uint64 `json:"generation"`
-	Workflows  int    `json:"workflows"`
+	Status string `json:"status"`
+	stamp
+	Workflows int `json:"workflows"`
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	f := s.eng.Read().Frontier()
+	rd := s.eng.Read()
 	writeJSON(w, http.StatusOK, healthzResponse{
-		Status:     "ok",
-		Generation: f.Generation,
-		Workflows:  f.Workflows,
+		Status:    "ok",
+		stamp:     stampOf(rd),
+		Workflows: rd.Frontier().Workflows,
 	})
 }

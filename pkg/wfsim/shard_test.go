@@ -35,7 +35,7 @@ func TestShardedApplyAtomicity(t *testing.T) {
 		AddWorkflow(shardTestWF("zz-atomic-1", "step one")),
 		AddWorkflow(shardTestWF("zz-atomic-2", "step two")),
 		AddWorkflow(shardTestWF("zz-atomic-3", "step three")),
-		AddWorkflow(c.Repo.Workflows()[0]),
+		AddWorkflow(c.Repo.Snapshot().Workflows()[0]),
 	}
 	if _, err := eng.Apply(ctx, bad...); err == nil {
 		t.Fatal("Apply with duplicate ID should fail")
@@ -71,7 +71,7 @@ func TestShardedApplyAtomicity(t *testing.T) {
 					return
 				default:
 				}
-				if _, _, err := eng.SearchID(ctx, c.Repo.Workflows()[1].ID, SearchOptions{K: 5}); err != nil {
+				if _, _, err := eng.SearchID(ctx, c.Repo.Snapshot().Workflows()[1].ID, SearchOptions{K: 5}); err != nil {
 					t.Errorf("concurrent search: %v", err)
 					return
 				}
@@ -83,7 +83,7 @@ func TestShardedApplyAtomicity(t *testing.T) {
 		if _, err := eng.Apply(ctx, AddWorkflow(add), RemoveWorkflow(add.ID)); err != nil {
 			t.Errorf("apply %d: %v", i, err)
 		}
-		if _, err := eng.Apply(ctx, AddWorkflow(c.Repo.Workflows()[0])); err == nil {
+		if _, err := eng.Apply(ctx, AddWorkflow(c.Repo.Snapshot().Workflows()[0])); err == nil {
 			t.Error("duplicate add slipped through")
 		}
 	}
@@ -106,12 +106,12 @@ func TestShardedStorageRoundTrip(t *testing.T) {
 	if _, err := eng.Apply(ctx, AddWorkflow(shardTestWF("zz-durable-1", "fetch data", "plot data"))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := eng.Apply(ctx, RemoveWorkflow(c.Repo.Workflows()[2].ID)); err != nil {
+	if _, err := eng.Apply(ctx, RemoveWorkflow(c.Repo.Snapshot().Workflows()[2].ID)); err != nil {
 		t.Fatal(err)
 	}
 	wantGens := eng.Read().Frontier().Generations
 	wantSize := eng.Read().Frontier().Workflows
-	queryID := c.Repo.Workflows()[0].ID
+	queryID := c.Repo.Snapshot().Workflows()[0].ID
 	wantRes, _, err := eng.SearchID(ctx, queryID, SearchOptions{K: 10})
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +222,7 @@ func TestShardedStats(t *testing.T) {
 	if _, ok := eng.IndexStats(); !ok {
 		t.Error("aggregate IndexStats not ok")
 	}
-	if _, _, err := eng.SearchID(context.Background(), c.Repo.Workflows()[0].ID, SearchOptions{K: 5}); err != nil {
+	if _, _, err := eng.SearchID(context.Background(), c.Repo.Snapshot().Workflows()[0].ID, SearchOptions{K: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if cs := eng.CacheStats(); cs.Misses == 0 {

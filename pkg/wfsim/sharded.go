@@ -47,12 +47,16 @@ func (e *Engine) open(seed *Repository) error {
 		e.storageCfg.warnf = func(string, ...any) {}
 	}
 	durable := e.storageDir != ""
+	// One pin for the emptiness check and the partition: a write to the seed
+	// in between cannot slip workflows past the check into a stateful
+	// directory.
+	snap := seed.Snapshot()
 	if durable {
 		if err := shard.CheckLayout(e.storageDir, n); err != nil {
 			return err
 		}
 	}
-	if durable && seed.Size() > 0 {
+	if durable && snap.Size() > 0 {
 		for i := 0; i < n; i++ {
 			has, err := storage.DirHasState(shard.StoreDir(e.storageDir, n, i))
 			if err != nil {
@@ -67,7 +71,7 @@ func (e *Engine) open(seed *Repository) error {
 	// empty and every shard restores its own slice; the layout pins the
 	// shard count, so the recovered partition matches the ring.
 	parts := make([][]*workflow.Workflow, n)
-	for _, wf := range seed.Workflows() {
+	for _, wf := range snap.Workflows() {
 		o := ring.Owner(wf.ID)
 		parts[o] = append(parts[o], wf)
 	}

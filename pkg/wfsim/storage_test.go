@@ -357,7 +357,7 @@ func TestFlatDirectoryIsOneShardLayout(t *testing.T) {
 			t.Fatal(err)
 		}
 		if wf.ID == "b" { // snapshot at generation 2, one log record after it
-			if err := store.Compact(repo.Generation(), repo.Workflows()); err != nil {
+			if err := store.Compact(repo.Generation(), repo.Snapshot().Workflows()); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -2,6 +2,7 @@ package wfsim
 
 import (
 	"context"
+	"fmt"
 	"slices"
 	"sync"
 	"testing"
@@ -93,6 +94,29 @@ func TestSearchAccountingIsExact(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestIndexedNamesakeIsNotPruned: an inline query under a live ID leaves
+// its namesake out, and a search the index serves does not count that
+// namesake as pruned when the index does not propose it: the four counts
+// still cover every live workflow but the namesake, at every shard count.
+func TestIndexedNamesakeIsNotPruned(t *testing.T) {
+	stored, held := goldenCorpus(t)
+	q := withID(held[0], stored[0].ID)
+	for i, mod := range q.Modules {
+		mod.Label = fmt.Sprintf("label no stored workflow has %d", i)
+	}
+	for _, shards := range []int{1, 2, 5} {
+		eng := goldenEngine(t, stored, WithShards(shards), WithIndex(1))
+		_, st, err := eng.Search(context.Background(), q, SearchOptions{Measure: "BW", K: 10})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := covered(st), len(stored)-1; got != want || st.Pruned == 0 {
+			t.Fatalf("shards=%d: scored %d + bounded %d + pruned %d + skipped %d = %d, want %d with some pruned",
+				shards, st.Scored, st.Bounded, st.Pruned, st.Skipped, got, want)
 		}
 	}
 }

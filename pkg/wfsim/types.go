@@ -25,8 +25,10 @@ type (
 	// Edge is a directed data link between two modules.
 	Edge = workflow.Edge
 	// Repository is a mutable, snapshot-versioned in-memory workflow
-	// collection with ID lookup and JSON persistence (Save/SaveFile) — what
-	// an Engine is seeded from (New) and what corpus files load into.
+	// collection — what an Engine is seeded from (New) and what corpus
+	// files load into. It has no read API of its own: Snapshot pins a
+	// Snapshot, which does the ID lookups and JSON persistence (SaveFile
+	// saves the current one).
 	Repository = corpus.Repository
 	// Snapshot is an immutable, generation-stamped view of a Repository.
 	Snapshot = corpus.Snapshot

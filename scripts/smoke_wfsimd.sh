@@ -121,7 +121,7 @@ search_inc() {
 # query_id a does.
 inline_matches_stored() {
   local body byid inline stats
-  body=$(curl -fsS "http://$ADDR/v1/workflows/a" | sed -n 's/^{"workflow":\(.*\),"generation":[0-9]*}$/\1/p')
+  body=$(curl -fsS "http://$ADDR/v1/workflows/a" | sed -n 's/^{"workflow":\(.*\),"generation":[0-9]*\(,"generations":\[[0-9,]*\]\)\{0,1\}}$/\1/p')
   [ -n "$body" ] || { echo "smoke: could not extract the stored body of a" >&2; exit 1; }
   byid=$(search_inc '"query_id":"a"' | result_list)
   inline=$(search_inc "\"query\":$body" | result_list)
